@@ -8,150 +8,4 @@ sigma2) on closed models and compactified collars, and the decision
 inequalities tying renormalized volume to interior topology.
 """
 
-from .errors import (
-    CcegeomError,
-    CharacteristicFailure,
-    DerivativeTolerance,
-    DomainError,
-    FitConditioning,
-    ModelParameterError,
-    NotAvailable,
-    PositivityViolation,
-    QuadratureTolerance,
-    SingularMetric,
-    SolverFailure,
-    UnstableFit,
-    UnsupportedDimension,
-)
-from .quadrature import (
-    QuadResult,
-    gauss_legendre_rule,
-    geometric_panels,
-    integrate_fixed,
-    integrate_refined,
-    product_rule,
-)
-from .tensor import (
-    CentralDifference,
-    Chart,
-    CurvaturePacket,
-    MetricField,
-    ScalarField,
-    christoffel,
-    conformal_rescale,
-    curvature,
-    einstein_residual,
-    riemann_symmetry_residuals,
-    tensor_norm_sq,
-)
-from .normal_form import (
-    BlockWarp,
-    BoundaryGeometry,
-    ExpansionSeries,
-    FGMetric,
-    ProfileBlock,
-    RadialMap,
-    RadialProfile,
-    default_ladder,
-    extract_expansion,
-    fg_document,
-    normal_form_from_profile,
-    order2_coefficient,
-)
-from .volume import (
-    DEFAULT_LADDER,
-    VolumeFit,
-    extend_ladder,
-    fit_ladder,
-    fit_renormalized_volume,
-    sublevel_volume,
-    write_volume_table,
-)
-from .eigenfunction import (
-    AsymptoticData,
-    CompactificationReport,
-    EigenfunctionSolution,
-    asymptotic_data,
-    compactification_checks,
-    compactified_metric_field,
-    compactified_radial_domain,
-    indicial_roots,
-    robin_series,
-    solve_eigenfunction,
-)
-from .integrals import (
-    IntegralSuite,
-    ProductChartDomain,
-    RadialDomain,
-    TransformedDomain,
-    combined_formulas,
-    doubled_suite,
-    euler_characteristic_estimate,
-    fg_radial_domain,
-    gauss_bonnet_volume_residual,
-    integrate_curvature,
-    radial_section,
-    sigma2_volume_bridge,
-    signature_estimate,
-    suite_document,
-)
-from .topology import (
-    BALL_VOLUME,
-    Check,
-    TopologyReport,
-    build_topology_report,
-    diffeomorphism_ball_criterion,
-    feasible_betti_parameters,
-    finite_cover_ball_criterion,
-    homology_vanishing_criteria,
-    pointwise_pinching_margin,
-    render_topology_report,
-    topology_document,
-    volume_upper_bound,
-)
-from . import models
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "models",
-    "__version__",
-    # errors
-    "CcegeomError", "CharacteristicFailure", "DerivativeTolerance",
-    "DomainError", "FitConditioning", "ModelParameterError", "NotAvailable",
-    "PositivityViolation", "QuadratureTolerance", "SingularMetric",
-    "SolverFailure", "UnstableFit", "UnsupportedDimension",
-    # quadrature
-    "QuadResult", "gauss_legendre_rule", "geometric_panels",
-    "integrate_fixed", "integrate_refined", "product_rule",
-    # tensor calculus
-    "CentralDifference", "Chart", "CurvaturePacket", "MetricField",
-    "ScalarField", "christoffel", "conformal_rescale", "curvature",
-    "einstein_residual", "riemann_symmetry_residuals", "tensor_norm_sq",
-    # normal form
-    "BlockWarp", "BoundaryGeometry", "ExpansionSeries", "FGMetric",
-    "ProfileBlock", "RadialMap", "RadialProfile", "default_ladder",
-    "extract_expansion", "fg_document", "normal_form_from_profile",
-    "order2_coefficient",
-    # renormalized volume
-    "DEFAULT_LADDER", "VolumeFit", "extend_ladder", "fit_ladder",
-    "fit_renormalized_volume", "sublevel_volume", "write_volume_table",
-    # eigenfunction compactification
-    "AsymptoticData", "CompactificationReport", "EigenfunctionSolution",
-    "asymptotic_data", "compactification_checks",
-    "compactified_metric_field", "compactified_radial_domain",
-    "indicial_roots", "robin_series", "solve_eigenfunction",
-    # curvature integrals
-    "IntegralSuite", "ProductChartDomain", "RadialDomain",
-    "TransformedDomain", "combined_formulas", "doubled_suite",
-    "euler_characteristic_estimate", "fg_radial_domain",
-    "gauss_bonnet_volume_residual", "integrate_curvature",
-    "radial_section", "sigma2_volume_bridge", "signature_estimate",
-    "suite_document",
-    # topology decisions
-    "BALL_VOLUME", "Check", "TopologyReport", "build_topology_report",
-    "diffeomorphism_ball_criterion", "feasible_betti_parameters",
-    "finite_cover_ball_criterion", "homology_vanishing_criteria",
-    "pointwise_pinching_margin", "render_topology_report",
-    "topology_document", "volume_upper_bound",
-]

@@ -47,6 +47,7 @@ from .integrals import (
     fg_radial_domain,
     gauss_bonnet_volume_residual,
     integrate_curvature,
+    radial_section,
     sigma2_volume_bridge,
     suite_document,
 )
@@ -329,8 +330,8 @@ def _analyze_cce(cfg: RunConfig, fg: FGMetric) -> int:
     # Weyl energy of the collar; the integrand density |W|^2 dv is a
     # pointwise conformal invariant, so this is also the Weyl energy of
     # the compactified metric. The small-s cut costs O(s^3).
-    collar = _stage("collar integrals", integrate_curvature,
-                    fg.four_metric(s_floor=0.005),
+    collar_metric = fg.four_metric(s_floor=0.005)
+    collar = _stage("collar integrals", integrate_curvature, collar_metric,
                     fg_radial_domain(fg, s_lo=0.01))
     compact = _stage("compactified integrals", integrate_curvature,
                      compactified_metric_field(sol, s_floor=1e-4),
@@ -342,8 +343,9 @@ def _analyze_cce(cfg: RunConfig, fg: FGMetric) -> int:
         chi = None
 
     res_max = float(np.max(einstein_residual(
-        fg.four_metric(s_floor=0.005),
-        _radial_points(fg, np.geomspace(0.05, 0.9 * fg.s_max, 12)))))
+        collar_metric,
+        radial_section(fg.boundary.default_point)(
+            np.geomspace(0.05, 0.9 * fg.s_max, 12)))))
 
     if fit is not None:
         volume_doc = {
@@ -440,13 +442,6 @@ def _analyze_cce(cfg: RunConfig, fg: FGMetric) -> int:
     if topo_text:
         print(topo_text)
     return 0 if all(ok for _, ok, _ in gates) else 1
-
-
-def _radial_points(fg: FGMetric, s_values) -> np.ndarray:
-    fiber = np.asarray(fg.boundary.default_point, dtype=float)
-    s_values = np.atleast_1d(np.asarray(s_values, dtype=float))
-    return np.column_stack([s_values,
-                            np.broadcast_to(fiber, (s_values.size, fiber.size))])
 
 
 def _print_gates(gates, written):
@@ -557,7 +552,8 @@ def _check_cce(name, fg, record):
     limit = fg.boundary_limit_residual()
     record(f"boundary-limit {name}", limit < 1e-6, f"residual {limit:.3e}")
 
-    pts = _radial_points(fg, np.geomspace(0.05, 0.9 * fg.s_max, 8))
+    pts = radial_section(fg.boundary.default_point)(
+        np.geomspace(0.05, 0.9 * fg.s_max, 8))
     res = float(np.max(einstein_residual(fg.four_metric(s_floor=0.02), pts)))
     if fg.einstein:
         record(f"einstein-residual {name}", res < 1e-6, f"max {res:.3e}")
@@ -640,7 +636,8 @@ def run_curvature(cfg: RunConfig, args=None) -> int:
     model = _build_model(cfg)
     if isinstance(model, FGMetric):
         field_obj = model.four_metric(s_floor=0.005)
-        pts = _radial_points(model, np.geomspace(0.01, 0.95 * model.s_max, 6))
+        pts = radial_section(model.boundary.default_point)(
+            np.geomspace(0.01, 0.95 * model.s_max, 6))
         orientation = 1
     else:
         field_obj = model.field

@@ -483,8 +483,6 @@ def _second_form_linear(sol: EigenfunctionSolution, window: tuple,
     fg = sol.fg
     sm = fg.s_max
     s = _chebyshev_nodes(window[0] * sm, window[1] * sm, fit_nodes)
-    if fg.radial_map is not None:
-        fg.radial_map.r_of_s(s)  # prime the inverse cache once
     us2 = (sol.u(s) * s) ** 2
     cols = np.stack([s**j for j in range(1, degree + 1)], axis=1)
     sc = np.linalg.norm(cols, axis=0)
@@ -542,8 +540,6 @@ def compactification_checks(sol: EigenfunctionSolution, grid: int = 240,
         raise NotAvailable("compactification checks need the warped-block "
                            "structure of the family")
     s = np.geomspace(sol.s_lo, sol.s_hi * 0.999, grid)
-    if fg.radial_map is not None:
-        fg.radial_map.r_of_s(s)  # prime the inverse cache once
     u, du = sol.u(s), sol.du(s)
     d2u, d3u = sol.d2u(s), sol.d3u(s)
     lv = np.asarray(sol._logdensity.L(s))

@@ -1,10 +1,9 @@
 """Curvature integrals and the 4-dimensional index formulas.
 
-Integrates pointwise curvature invariants over three kinds of domains:
-product boxes in a single chart, transformed boxes (a substitution with
-an explicit jacobian, for charts covering a manifold minus a measure
-zero set), and radial reductions for cohomogeneity-one metrics where
-the angular integral is carried exactly by the boundary volume.
+Integrates pointwise curvature invariants over two kinds of domains:
+product boxes in a single chart, and radial reductions for
+cohomogeneity-one metrics where the angular integral is carried exactly
+by the boundary volume.
 
 The integrated quantities feed two index formulas, stated here in the
 tensor-norm convention |W|^2 = W_{ijkl} W^{ijkl}:
@@ -23,30 +22,29 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import gauss_legendre_rule
+from .quadrature import gauss_legendre_rule, product_rule
 from .tensor import MetricField, curvature
 
 __all__ = [
     "ProductChartDomain",
-    "TransformedDomain",
     "RadialDomain",
     "radial_section",
     "fg_radial_domain",
     "IntegralSuite",
     "integrate_curvature",
     "doubled_suite",
-    "euler_characteristic_estimate",
-    "signature_estimate",
     "gauss_bonnet_volume_residual",
     "sigma2_volume_bridge",
     "combined_formulas",
     "suite_document",
 ]
 
-#: default Gauss-Legendre order per axis for 4-dimensional integrals
-DEFAULT_ORDER = 12
-#: refined order used for the error estimate
+#: Gauss-Legendre order per axis of the first quadrature pass
+ORDER = 12
+#: order of the second pass, whose difference is the error estimate
 REFINED_ORDER = 16
+#: curvature points per kernel call on product boxes
+CHUNK = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -57,21 +55,6 @@ class ProductChartDomain:
     """Product box in chart coordinates: axes = ((lo, hi, panels), ...)."""
 
     axes: tuple
-    label: str = ""
-
-
-@dataclass(frozen=True)
-class TransformedDomain:
-    """Box in parameters q with a substitution into the chart.
-
-    transform maps (N, k) parameter rows to chart points, jacobian gives
-    the positive volume factor dx/dq at each row (the chart measure
-    sqrt(det g) is applied separately by the integrator).
-    """
-
-    axes: tuple
-    transform: Callable
-    jacobian: Callable
     label: str = ""
 
 
@@ -156,20 +139,6 @@ class IntegralSuite:
 _FIELDS = ("weyl_energy", "weyl_plus", "weyl_minus", "sigma2_integral", "volume")
 
 
-def _product_nodes(axes, order):
-    per_axis = []
-    for ax in axes:
-        lo, hi = float(ax[0]), float(ax[1])
-        panels = int(ax[2]) if len(ax) > 2 else 1
-        nodes, wts = gauss_legendre_rule(lo, hi, panels, order)
-        per_axis.append((nodes, wts))
-    grids = np.meshgrid(*[n for n, _ in per_axis], indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grids], axis=1)
-    wgrids = np.meshgrid(*[w for _, w in per_axis], indexing="ij")
-    wts = np.prod(np.stack([w.reshape(-1) for w in wgrids], axis=1), axis=1)
-    return pts, wts
-
-
 def _invariant_rows(m, pts, orientation):
     pack = curvature(m, pts, orientation=orientation)
     det = np.linalg.det(pack.metric)
@@ -184,15 +153,12 @@ def _invariant_rows(m, pts, orientation):
     ], axis=1), np.sqrt(det)
 
 
-def _accumulate_box(m, domain, orientation, order, chunk):
-    pts, wts = _product_nodes(domain.axes, order)
-    if isinstance(domain, TransformedDomain):
-        jac = np.asarray(domain.jacobian(pts), dtype=float)
-        pts = np.asarray(domain.transform(pts), dtype=float)
-        wts = wts * jac
+def _accumulate_box(m, domain, orientation, order):
+    pts, wts = product_rule([(lo, hi, panels, order)
+                             for lo, hi, panels in domain.axes])
     totals = np.zeros(len(_FIELDS))
-    for lo in range(0, pts.shape[0], chunk):
-        hi = min(lo + chunk, pts.shape[0])
+    for lo in range(0, pts.shape[0], CHUNK):
+        hi = min(lo + CHUNK, pts.shape[0])
         rows, sq = _invariant_rows(m, pts[lo:hi], orientation)
         totals += (wts[lo:hi] * sq) @ rows
     return totals
@@ -214,15 +180,13 @@ def _accumulate_radial(m, domain, orientation, order):
     return (wts * meas) @ rows
 
 
-def integrate_curvature(m: MetricField, domain, orientation: int = 1,
-                        order: int = DEFAULT_ORDER,
-                        refined_order: Optional[int] = REFINED_ORDER,
-                        chunk: int = 2048) -> IntegralSuite:
+def integrate_curvature(m: MetricField, domain,
+                        orientation: int = 1) -> IntegralSuite:
     """Integrate the curvature invariants of m over the domain.
 
-    Runs the quadrature twice (order and refined_order) and reports the
-    difference as the error estimate for every integral; pass
-    refined_order=None to skip the second pass.
+    Runs the quadrature twice (ORDER and REFINED_ORDER), returns the
+    refined values and reports the difference as the error estimate
+    for every integral.
     """
     if m.dim != 4:
         raise DomainError("curvature integrals are defined for 4-metrics here")
@@ -232,15 +196,11 @@ def integrate_curvature(m: MetricField, domain, orientation: int = 1,
     def run(p):
         if isinstance(domain, RadialDomain):
             return _accumulate_radial(m, domain, orientation, p)
-        return _accumulate_box(m, domain, orientation, p, chunk)
+        return _accumulate_box(m, domain, orientation, p)
 
-    totals = run(order)
-    errors = {}
-    if refined_order is not None and refined_order != order:
-        refined = run(refined_order)
-        errors = {name: abs(refined[i] - totals[i])
-                  for i, name in enumerate(_FIELDS)}
-        totals = refined
+    coarse = run(ORDER)
+    totals = run(REFINED_ORDER)
+    errors = {name: abs(totals[i] - coarse[i]) for i, name in enumerate(_FIELDS)}
     return IntegralSuite(
         weyl_energy=float(totals[0]),
         weyl_plus=float(totals[1]),
@@ -255,14 +215,6 @@ def integrate_curvature(m: MetricField, domain, orientation: int = 1,
 
 # ---------------------------------------------------------------------------
 # derived quantities
-
-def euler_characteristic_estimate(suite: IntegralSuite) -> float:
-    return suite.euler_gb
-
-
-def signature_estimate(suite: IntegralSuite) -> float:
-    return suite.signature
-
 
 def doubled_suite(suite: IntegralSuite) -> IntegralSuite:
     """Invariants of the double across a totally geodesic boundary.

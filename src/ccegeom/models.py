@@ -1,9 +1,8 @@
 """Model library: closed 4-manifolds and conformally compact fills.
 
 Closed models come with their integration domain and exact topological
-data; conformally compact models come as FGMetric families (normal-form
-warps plus an independent interior-chart metric where one is available
-in closed form). All sympy-backed fields carry analytic first and
+data; conformally compact models come as FGMetric families of
+normal-form warps. All sympy-backed fields carry analytic first and
 second derivatives, so curvature needs no finite differencing.
 """
 
@@ -311,15 +310,6 @@ def fubini_study() -> ClosedModel:
 # ---------------------------------------------------------------------------
 # conformally compact models
 
-@lru_cache(maxsize=None)
-def _poincare_ball_field() -> MetricField:
-    xs = sp.symbols("b1 b2 b3 b4", real=True)
-    rho2 = sum(x**2 for x in xs)
-    gmat = sp.eye(4) * 4 / (1 - rho2) ** 2
-    chart = Chart(("b1", "b2", "b3", "b4"), (-0.45,) * 4, (0.45,) * 4)
-    return MetricField.from_sympy(xs, gmat, chart, name="poincare-ball")
-
-
 def hyperbolic(boundary_radius: float = 1.0) -> FGMetric:
     """Hyperbolic 4-space with a round conformal infinity of given radius.
 
@@ -348,7 +338,6 @@ def hyperbolic(boundary_radius: float = 1.0) -> FGMetric:
         tip_multiplicity=3,
         einstein=True,
         yamabe_positive=True,
-        interior_extension=_poincare_ball_field(),
         name=f"hyperbolic(r={lam:g})",
         family="hyperbolic",
         parameters={"boundary_radius": lam},
@@ -368,26 +357,13 @@ def horizon_radius(m: float) -> float:
     return rp
 
 
-@lru_cache(maxsize=None)
-def _ads_interior_field(m: float, rp: float, beta: float) -> MetricField:
-    r, ph, th, ps = sp.symbols("r ph th ps", positive=True)
-    V = r**2 + 1 - 2 * sp.Float(m) / r
-    gmat = sp.diag(1 / V, V, r**2, r**2 * sp.sin(th) ** 2)
-    chart = Chart(("r", "ph", "th", "ps"),
-                  (rp * 1.05, 0.0, 0.0, 0.0),
-                  (6.0 + rp, beta, np.pi, 2 * np.pi))
-    return MetricField.from_sympy((r, ph, th, ps), gmat, chart,
-                                  name=f"ads-schwarzschild(m={m})")
-
-
 def ads_schwarzschild(m: float = 1.0) -> FGMetric:
     """The AdS-Schwarzschild fill of S1(beta) x S2 at mass parameter m.
 
     V(r) = r^2 + 1 - 2m/r, the circle period beta = 4 pi / V'(r+)
     closes the metric smoothly at the horizon r+ (a disc x S2 topology,
     Euler characteristic 2). The normal form is built numerically from
-    the radial profile; the r-chart metric is attached for independent
-    curvature checks.
+    the radial profile.
     """
     m = _positive(m, "m")
     rp = horizon_radius(m)
@@ -423,9 +399,7 @@ def ads_schwarzschild(m: float = 1.0) -> FGMetric:
         family="ads_schwarzschild",
         parameters={"m": m, "horizon_radius": rp, "period": beta},
     )
-    fg = normal_form_from_profile(profile)
-    fg.interior_extension = _ads_interior_field(m, rp, beta)
-    return fg
+    return normal_form_from_profile(profile)
 
 
 def perturbed_hyperbolic(amplitude: float = 0.05) -> FGMetric:
@@ -584,6 +558,9 @@ def exact_reference(name: str, quantity: Optional[str] = None, **params):
             "euler": 2,
             "boundary_volume": 4 * np.pi * beta,
         }
+    elif name == "perturbed_hyperbolic":
+        # the bump leaves the ball topology unchanged for every amplitude
+        refs = {"euler": 1}
     elif name == "flat_torus":
         refs = {
             "weyl_energy": 0.0,

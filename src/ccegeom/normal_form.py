@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedDimension,
 )
 from .quadrature import gauss_legendre_rule
-from .tensor import CentralDifference, Chart, MetricField, curvature
+from .tensor import Chart, MetricField, curvature
 
 __all__ = [
     "BoundaryGeometry",
@@ -80,39 +80,29 @@ class BoundaryGeometry:
 class BlockWarp:
     """One warped block of g_s: the submatrix ghat|indices scaled by h(s).
 
-    h is the squared warp factor. Derivative closures are optional;
-    consumers fall back to central differences when absent.
+    h is the squared warp factor; dh and d2h are its first two
+    s-derivatives.
     """
 
     indices: tuple
     h: Callable
-    dh: Optional[Callable] = None
-    d2h: Optional[Callable] = None
+    dh: Callable
+    d2h: Callable
 
     def h_at(self, s):
-        scalar = np.ndim(s) == 0
-        out = np.asarray(self.h(np.atleast_1d(np.asarray(s, dtype=float))))
-        return float(out[0]) if scalar else out
+        return _evaluate(self.h, s)
 
     def dh_at(self, s):
-        scalar = np.ndim(s) == 0
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.asarray(self.dh(s)) if self.dh is not None else _fd1(self.h, s)
-        return float(out[0]) if scalar else out
+        return _evaluate(self.dh, s)
 
     def d2h_at(self, s):
-        scalar = np.ndim(s) == 0
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.asarray(self.d2h(s)) if self.d2h is not None else _fd2(self.h, s)
-        return float(out[0]) if scalar else out
+        return _evaluate(self.d2h, s)
 
 
-def _fd1(f, s, h=1e-5):
-    return (np.asarray(f(s + h)) - np.asarray(f(s - h))) / (2 * h)
-
-
-def _fd2(f, s, h=1e-5):
-    return (np.asarray(f(s + h)) - 2 * np.asarray(f(s)) + np.asarray(f(s - h))) / h**2
+def _evaluate(f, s):
+    """f on a batch of s values; a scalar s gives a float."""
+    out = np.asarray(f(np.atleast_1d(np.asarray(s, dtype=float))))
+    return float(out[0]) if np.ndim(s) == 0 else out
 
 
 class FGMetric:
@@ -131,7 +121,6 @@ class FGMetric:
                  tip_multiplicity: Optional[int] = None,
                  einstein: bool = False,
                  yamabe_positive: bool = True,
-                 interior_extension: Optional[MetricField] = None,
                  radial_map: Optional["RadialMap"] = None,
                  name: str = "",
                  family: str = "",
@@ -146,7 +135,6 @@ class FGMetric:
         self.tip_multiplicity = tip_multiplicity
         self.einstein = einstein
         self.yamabe_positive = yamabe_positive
-        self.interior_extension = interior_extension
         self.radial_map = radial_map
         self.name = name or family
         self.family = family
@@ -227,8 +215,8 @@ class FGMetric:
 
     # -- reconstruction of the 4-metric ---------------------------------
 
-    def four_metric(self, s_floor: float = 1e-3, s_ceiling: Optional[float] = None,
-                    scheme: Optional[CentralDifference] = None) -> MetricField:
+    def four_metric(self, s_floor: float = 1e-3,
+                    s_ceiling: Optional[float] = None) -> MetricField:
         """The metric s^{-2}(ds^2 + g_s) as a MetricField on the collar chart.
 
         Derivatives come from the block warp closures and the boundary
@@ -300,7 +288,7 @@ class FGMetric:
         def d2func(pts):
             return assemble(pts, 2)[2]
 
-        return MetricField(chart, func, dfunc, d2func, scheme,
+        return MetricField(chart, func, dfunc, d2func,
                            name=(self.name or "fg") + "/normal-form")
 
 
@@ -413,8 +401,8 @@ class ProfileBlock:
 
     indices: tuple
     beta_sq: Callable
-    dbeta_sq: Optional[Callable] = None
-    d2beta_sq: Optional[Callable] = None
+    dbeta_sq: Callable
+    d2beta_sq: Callable
 
 
 @dataclass(frozen=True)
@@ -433,10 +421,10 @@ class RadialProfile:
     boundary: BoundaryGeometry
     blocks: tuple
     radial_factor: Callable
+    radial_factor_deriv: Callable
     r_interior: float
     r_boundary: float
     boundary_side: str = "upper"
-    radial_factor_deriv: Optional[Callable] = None
     interior_sqrt_vanishing: bool = False
     tip_multiplicity: Optional[int] = None
     einstein: bool = True
@@ -671,12 +659,6 @@ class RadialMap:
             self._rcache[float(s)] = float(r)
         return rr, ss
 
-    def dr_ds(self, r, s):
-        """dr/ds along the map (ds/dr = sign * a(r) * s)."""
-        a = np.asarray(self.profile.radial_factor(
-            np.atleast_1d(np.asarray(r, dtype=float))))
-        return 1.0 / (self._sign * a * np.atleast_1d(np.asarray(s, dtype=float)))
-
     def gauge_residual(self, s_values) -> float:
         """max | |ds|^2_{s^2 g} - 1 | over an s grid, via finite differences
         of the constructed map (an independent check of the construction)."""
@@ -692,14 +674,15 @@ class RadialMap:
         return worst
 
 
-def normal_form_from_profile(profile: RadialProfile,
-                             gauge_check: bool = True) -> FGMetric:
+def normal_form_from_profile(profile: RadialProfile) -> FGMetric:
     """Construct the normal form of a cohomogeneity-one metric.
 
     Integrates the unit-speed condition for the geodesic defining
     function, fixes the boundary normalization against the declared
     boundary metric, and returns an FGMetric whose block warps are
-    h_b(s) = s^2 beta_sq_b(r(s)) with chain-rule s-derivatives.
+    h_b(s) = s^2 beta_sq_b(r(s)) with chain-rule s-derivatives. Raises
+    CharacteristicFailure when the constructed map violates the gauge
+    |ds|^2 = 1 by more than 1e-7.
     """
     rmap = RadialMap(profile)
     sign = rmap._sign
@@ -723,20 +706,20 @@ def normal_form_from_profile(profile: RadialProfile,
             s = np.atleast_1d(np.asarray(s, dtype=float))
             r = r_batch(s)
             rp = 1.0 / (sign * np.asarray(a_of(r)) * s)
-            db = np.asarray(dbeta(r)) if dbeta is not None else _fd1(beta, r)
+            db = np.asarray(dbeta(r))
             return 2.0 * s * np.asarray(beta(r)) + s**2 * db * rp
 
         def d2h(s):
             s = np.atleast_1d(np.asarray(s, dtype=float))
             r = r_batch(s)
             a = np.asarray(a_of(r))
-            da = np.asarray(da_of(r)) if da_of is not None else _fd1(a_of, r)
+            da = np.asarray(da_of(r))
             w = sign * a * s                  # ds/dr along the map
             rp = 1.0 / w
             wp = sign * (da * rp * s + a)     # d/ds of w
             rpp = -wp / w**2
-            db = np.asarray(dbeta(r)) if dbeta is not None else _fd1(beta, r)
-            d2b = np.asarray(d2beta(r)) if d2beta is not None else _fd2(beta, r)
+            db = np.asarray(dbeta(r))
+            d2b = np.asarray(d2beta(r))
             return (2.0 * np.asarray(beta(r)) + 4.0 * s * db * rp
                     + s**2 * (d2b * rp**2 + db * rpp))
 
@@ -755,14 +738,13 @@ def normal_form_from_profile(profile: RadialProfile,
         family=profile.family or profile.name,
         parameters=dict(profile.parameters or {}),
     )
-    if gauge_check:
-        probes = np.geomspace(max(1e-3, 2 * rmap.s_floor), 0.8 * fg.s_max, 7)
-        res = rmap.gauge_residual(probes)
-        if res > 1e-7:
-            raise CharacteristicFailure(
-                f"normal-form gauge violated: max | |ds|^2 - 1 | = {res:.2e}"
-            )
-        fg.gauge_residual = res
+    probes = np.geomspace(max(1e-3, 2 * rmap.s_floor), 0.8 * fg.s_max, 7)
+    res = rmap.gauge_residual(probes)
+    if res > 1e-7:
+        raise CharacteristicFailure(
+            f"normal-form gauge violated: max | |ds|^2 - 1 | = {res:.2e}"
+        )
+    fg.gauge_residual = res
     return fg
 
 

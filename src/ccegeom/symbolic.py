@@ -60,18 +60,18 @@ def lambdify_array(coords, exprs):
     return evaluate
 
 
-def derivative_arrays(coords, gmat, simplifier=sp.cancel):
+def derivative_arrays(coords, gmat):
     """Symbolic first and second derivative arrays of a metric matrix.
 
     dg[k][i][j] = d g_ij / d x_k,  d2g[k][l][i][j] = d^2 g_ij / dx_k dx_l.
-    ``simplifier`` post-processes every entry; cancel keeps rational
+    Every entry goes through sympy's cancel, which keeps rational
     components compact without the cost of full simplification.
     """
     d = len(coords)
     g = sp.Matrix(gmat)
-    dg = [[[simplifier(sp.diff(g[i, j], coords[k])) for j in range(d)] for i in range(d)]
+    dg = [[[sp.cancel(sp.diff(g[i, j], coords[k])) for j in range(d)] for i in range(d)]
           for k in range(d)]
-    d2g = [[[[simplifier(sp.diff(dg[k][i][j], coords[l])) for j in range(d)]
+    d2g = [[[[sp.cancel(sp.diff(dg[k][i][j], coords[l])) for j in range(d)]
              for i in range(d)] for l in range(d)] for k in range(d)]
     return dg, d2g
 

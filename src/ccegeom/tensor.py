@@ -192,11 +192,6 @@ class MetricField:
             out = _fd_second(self._func, pts, self.scheme)
         return _maybe_squeeze(out, squeeze)
 
-    def sqrt_det(self, points):
-        pts, squeeze = _as_batch(points, self.dim)
-        det = np.linalg.det(self.g(pts))
-        return _maybe_squeeze(np.sqrt(det), squeeze)
-
     def with_scheme(self, scheme: CentralDifference) -> "MetricField":
         """Same component closure, forced finite-difference derivatives."""
         return MetricField(self.chart, self._func, None, None, scheme,
@@ -218,16 +213,12 @@ class MetricField:
                 )
 
     @staticmethod
-    def from_sympy(coords, gmat, chart: Chart, name: str = "",
-                   simplifier=None) -> "MetricField":
+    def from_sympy(coords, gmat, chart: Chart, name: str = "") -> "MetricField":
         from .symbolic import derivative_arrays, lambdify_array
         import sympy as sp
 
         g = sp.Matrix(gmat)
-        if simplifier is None:
-            dg, d2g = derivative_arrays(coords, g)
-        else:
-            dg, d2g = derivative_arrays(coords, g, simplifier=simplifier)
+        dg, d2g = derivative_arrays(coords, g)
         fg = lambdify_array(coords, g.tolist())
         fdg = lambdify_array(coords, dg)
         fd2g = lambdify_array(coords, d2g)
@@ -240,22 +231,20 @@ class MetricField:
 def _richardson(table_values):
     """Extrapolate a list of stencil evaluations D(h), D(h/2), ... assuming
     an even-power error expansion. Returns (best, change_of_last_step)."""
+    def extrapolate(prev):
+        fac = 4.0
+        while len(prev) > 1:
+            prev = [(fac * prev[i + 1] - prev[i]) / (fac - 1.0)
+                    for i in range(len(prev) - 1)]
+            fac *= 4.0
+        return prev[0]
+
     rows = [np.asarray(v, dtype=float) for v in table_values]
-    prev = rows
-    fac = 4.0
-    while len(prev) > 1:
-        prev = [(fac * prev[i + 1] - prev[i]) / (fac - 1.0) for i in range(len(prev) - 1)]
-        fac *= 4.0
-    best = prev[0]
+    best = extrapolate(rows)
     if len(rows) == 1:
         return best, np.inf
     # redo dropping the coarsest level to estimate the final change
-    alt = rows[1:]
-    fac = 4.0
-    while len(alt) > 1:
-        alt = [(fac * alt[i + 1] - alt[i]) / (fac - 1.0) for i in range(len(alt) - 1)]
-        fac *= 4.0
-    change = np.max(np.abs(best - alt[0]))
+    change = np.max(np.abs(best - extrapolate(rows[1:])))
     return best, change
 
 
@@ -348,8 +337,7 @@ def christoffel(m: MetricField, points):
 
 def _christoffel_from(ginv, dg):
     # T_kij = d_i g_kj + d_j g_ki - d_k g_ij
-    t = (_einsum("nikj->nkij", dg) + _einsum("njki->nkij", dg)
-         - _einsum("nkij->nkij", dg))
+    t = _einsum("nikj->nkij", dg) + _einsum("njki->nkij", dg) - dg
     n, d = t.shape[0], t.shape[1]
     return 0.5 * (ginv @ t.reshape(n, d, d * d)).reshape(t.shape)
 
@@ -366,26 +354,17 @@ def _kron_inverse(ginv):
     return k.reshape(n, d * d, d * d)
 
 
-def tensor_norm_sq(t, ginv, kron=None):
-    """Squared norm of a fully lowered tensor, all indices raised with ginv."""
-    rank = t.ndim - 1
+def tensor_norm_sq(t, ginv):
+    """Squared norm of a fully lowered rank-2 or rank-4 tensor, all
+    indices raised with ginv."""
     n, d = t.shape[0], t.shape[1]
-    if rank == 2:
+    if t.ndim == 3:
         up = ginv @ t @ ginv
         return (t * up).reshape(n, -1).sum(axis=1)
-    if rank == 4:
-        kk = _kron_inverse(ginv) if kron is None else kron
-        tm = t.reshape(n, d * d, d * d)
-        up = kk @ tm @ kk
-        return (tm * up).reshape(n, -1).sum(axis=1)
-    up = t
-    for axis in range(1, rank + 1):
-        up = np.moveaxis(
-            _einsum("nab,n...b->n...a", ginv, np.moveaxis(up, axis, -1)),
-            -1, axis,
-        )
-    prod = t * up
-    return prod.reshape(prod.shape[0], -1).sum(axis=1)
+    kk = _kron_inverse(ginv)
+    tm = t.reshape(n, d * d, d * d)
+    up = kk @ tm @ kk
+    return (tm * up).reshape(n, -1).sum(axis=1)
 
 
 def _perm_tensor4():
@@ -435,10 +414,10 @@ def _pair_expand(mat):
     return t4
 
 
-def _weyl_split(weyl, g, ginv, orientation, kron=None):
+def _weyl_split(weyl, g, ginv, orientation):
     """Self-dual / anti-self-dual parts via the 2-form representation."""
     n = g.shape[0]
-    kk = _kron_inverse(ginv) if kron is None else kron
+    kk = _kron_inverse(ginv)
     sqrtdet = np.sqrt(np.linalg.det(g))
     eps = _levi_civita4(sqrtdet, orientation)
     # star on 2-forms, mixed indices: S_ab^cd = 1/2 eps_abpq g^pc g^qd
@@ -480,7 +459,7 @@ def curvature(m: MetricField, points, orientation: int = 1) -> CurvaturePacket:
     dginv = -(ginv[:, None] @ dg @ ginv[:, None])
     t = (_einsum("nikj->nkij", dg) + _einsum("njki->nkij", dg) - dg)
     dt = (_einsum("naikj->nakij", d2g) + _einsum("najki->nakij", d2g)
-          - _einsum("nakij->nakij", d2g))
+          - d2g)
     tm = t.reshape(nb, 1, d, d * d)
     dgamma = 0.5 * (dginv @ tm + ginv[:, None] @ dt.reshape(nb, d, d, d * d))
     dgamma = dgamma.reshape(nb, d, d, d, d)

@@ -26,17 +26,16 @@ def perturbed():
 
 
 @pytest.fixture(scope="session")
-def hyperbolic_profile():
-    """The hyperbolic metric again, but built from a radial profile.
+def hyperbolic_radial_profile():
+    """The hyperbolic metric as a cohomogeneity-one radial profile.
 
     Substituting r = (2 - s) / (2 + s) (upper boundary at r = 1) puts
     the warp at 4 r^2 / (1 - r^2)^2 with radial factor 2 / (1 - r^2),
     which exercises the arc-length/spline path of the normal form.
     """
-    bnd = models.round_sphere_boundary()
-    prof = RadialProfile(
+    return RadialProfile(
         name="hyperbolic-profile",
-        boundary=bnd,
+        boundary=models.round_sphere_boundary(),
         blocks=(ProfileBlock(
             (0, 1, 2),
             lambda y: 4.0 * y**2 / (1.0 - y**2) ** 2,
@@ -51,7 +50,12 @@ def hyperbolic_profile():
         tip_multiplicity=3,
         einstein=True,
     )
-    return normal_form_from_profile(prof)
+
+
+@pytest.fixture(scope="session")
+def hyperbolic_profile(hyperbolic_radial_profile):
+    """The hyperbolic metric again, but built from a radial profile."""
+    return normal_form_from_profile(hyperbolic_radial_profile)
 
 
 @pytest.fixture(scope="session")

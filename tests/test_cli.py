@@ -147,6 +147,17 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert abs(v - 4 * np.pi ** 2 / 3) < 1e-6
 
 
+def test_einstein_perturbed_family_from_config(tmp_path):
+    """At amplitude 0 the control family is Einstein and needs its chi."""
+    cfg = {"model": {"name": "perturbed_hyperbolic", "amplitude": 0.0},
+           "outputs": {"dir": str(tmp_path), "artifacts": ["report"]}}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    assert _run(["analyze", "--config", str(path)]) == 0
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert doc["identities"]["gauss_bonnet_volume_relative"] < 1e-3
+
+
 def test_curvature_table(tmp_path):
     code = _run(["curvature", "--model", "round_sphere", "--out", str(tmp_path)])
     assert code == 0

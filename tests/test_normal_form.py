@@ -112,20 +112,8 @@ def test_profile_lower_boundary_side():
     assert np.max(np.abs(warp - (1.0 - s ** 2 / 4.0) ** 2)) < 1e-9
 
 
-def test_radial_map_sample_and_gauge(hyperbolic_profile):
-    prof = hyperbolic_profile  # only used for its boundary; build a fresh map
-    rmap = nf.RadialMap(nf.RadialProfile(
-        name="hyperbolic-profile", boundary=prof.boundary,
-        blocks=(nf.ProfileBlock(
-            (0, 1, 2),
-            lambda y: 4.0 * y ** 2 / (1.0 - y ** 2) ** 2,
-            lambda y: 8.0 * y * (1.0 + y ** 2) / (1.0 - y ** 2) ** 3,
-            lambda y: 8.0 * (1.0 + 8.0 * y ** 2 + 3.0 * y ** 4) / (1.0 - y ** 2) ** 4,
-        ),),
-        radial_factor=lambda y: 2.0 / (1.0 - y ** 2),
-        radial_factor_deriv=lambda y: 4.0 * y / (1.0 - y ** 2) ** 2,
-        r_interior=0.0, r_boundary=1.0, boundary_side="upper",
-        tip_multiplicity=3, einstein=True))
+def test_radial_map_sample_and_gauge(hyperbolic_radial_profile):
+    rmap = nf.RadialMap(hyperbolic_radial_profile)  # a fresh map, empty cache
     rr, ss = rmap.sample(x_spacing=5e-3)
     assert rr.size > 500
     assert ss.min() < 1e-4 and ss.max() > 1.9
