@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import models, volume
-from .errors import CcegeomError, NotAvailable
+from .errors import CcegeomError
 from .eigenfunction import (
     asymptotic_data,
     compactification_checks,
@@ -337,11 +337,6 @@ def _analyze_cce(cfg: RunConfig, fg: FGMetric) -> int:
                      compactified_metric_field(sol, s_floor=1e-4),
                      compactified_radial_domain(sol, s_lo=0.0))
 
-    try:
-        chi = models.exact_reference(cfg.model, "euler", **cfg.parameters)
-    except NotAvailable:
-        chi = None
-
     res_max = float(np.max(einstein_residual(
         collar_metric,
         radial_section(fg.boundary.default_point)(
@@ -396,6 +391,8 @@ def _analyze_cce(cfg: RunConfig, fg: FGMetric) -> int:
 
     topo_text = ""
     if fg.einstein:
+        chi = _stage("reference data", models.exact_reference,
+                     cfg.model, "euler", **cfg.parameters)
         identity = gauss_bonnet_volume_residual(chi, collar.weyl_energy, fit.V)
         rel = abs(identity) / (8 * np.pi**2 * chi)
         bridge = sigma2_volume_bridge(compact.sigma2_integral, fit.V)

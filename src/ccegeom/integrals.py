@@ -139,18 +139,15 @@ class IntegralSuite:
 _FIELDS = ("weyl_energy", "weyl_plus", "weyl_minus", "sigma2_integral", "volume")
 
 
-def _invariant_rows(m, pts, orientation):
-    pack = curvature(m, pts, orientation=orientation)
-    det = np.linalg.det(pack.metric)
-    if np.any(det <= 0):
-        raise DomainError("metric determinant non-positive inside the domain")
+def _invariant_rows(pack):
+    """The integrands of _FIELDS, one row per point of the packet."""
     return np.stack([
         pack.norms["weyl_sq"],
         pack.norms["weyl_plus_sq"],
         pack.norms["weyl_minus_sq"],
         pack.sigma2,
-        np.ones(pts.shape[0]),
-    ], axis=1), np.sqrt(det)
+        np.ones_like(pack.sigma2),
+    ], axis=1)
 
 
 def _accumulate_box(m, domain, orientation, order):
@@ -159,8 +156,11 @@ def _accumulate_box(m, domain, orientation, order):
     totals = np.zeros(len(_FIELDS))
     for lo in range(0, pts.shape[0], CHUNK):
         hi = min(lo + CHUNK, pts.shape[0])
-        rows, sq = _invariant_rows(m, pts[lo:hi], orientation)
-        totals += (wts[lo:hi] * sq) @ rows
+        pack = curvature(m, pts[lo:hi], orientation=orientation)
+        det = np.linalg.det(pack.metric)
+        if np.any(det <= 0):
+            raise DomainError("metric determinant non-positive inside the domain")
+        totals += (wts[lo:hi] * np.sqrt(det)) @ _invariant_rows(pack)
     return totals
 
 
@@ -169,15 +169,7 @@ def _accumulate_radial(m, domain, orientation, order):
                                      domain.panels, order)
     pts = np.asarray(domain.section(nodes), dtype=float)
     meas = np.asarray(domain.measure(nodes), dtype=float)
-    pack = curvature(m, pts, orientation=orientation)
-    rows = np.stack([
-        pack.norms["weyl_sq"],
-        pack.norms["weyl_plus_sq"],
-        pack.norms["weyl_minus_sq"],
-        pack.sigma2,
-        np.ones(pts.shape[0]),
-    ], axis=1)
-    return (wts * meas) @ rows
+    return (wts * meas) @ _invariant_rows(curvature(m, pts, orientation=orientation))
 
 
 def integrate_curvature(m: MetricField, domain,

@@ -16,23 +16,26 @@ values in the test suite:
   (positive sectional curvature).
 * ricci[i, j] = riemann^k_ikj contraction; scalar = trace.
 
-The self-dual / anti-self-dual split of the Weyl tensor is computed by
-assembling the Weyl operator on the six-dimensional space of 2-forms and
-projecting onto the +-1 eigenspaces of the Hodge star.
+In dimension 4 the Weyl norms come from the Atiyah-Hitchin-Singer split:
+in the orthonormal coframe of the Cholesky factor of g the curvature
+operator on 2-forms is a 6x6 matrix, the Hodge star is the constant
+_STAR, and W+- are the traceless diagonal blocks P+- R P+- - (R/12) P+-
+of the operator, with P+- = (1 +- *)/2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from functools import cached_property
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DerivativeTolerance, DomainError, SingularMetric
 
 def _einsum(subscripts, *ops):
-    # contraction-path optimization matters here: the three-operand
-    # raises in the Weyl split are ~100x slower without it
+    # contraction-path optimization matters for the three-operand
+    # product-rule terms of conformal_rescale
     return np.einsum(subscripts, *ops, optimize=True)
 
 
@@ -50,7 +53,11 @@ __all__ = [
     "tensor_norm_sq",
 ]
 
-_PAIRS4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+_PAIRS4 = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+
+# Hodge star on 2-forms of an oriented orthonormal coframe, pair basis
+# _PAIRS4: *e01 = e23, *e02 = -e13, *e03 = e12 (and back)
+_STAR = np.fliplr(np.diag([1.0, -1.0, 1.0, 1.0, -1.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +314,13 @@ def _require_converged(best, change, scheme, label):
 
 @dataclass
 class CurvaturePacket:
-    """All pointwise curvature data of a metric at a batch of points."""
+    """All pointwise curvature data of a metric at a batch of points.
+
+    The 4-D Weyl norms are read off the Cholesky-frame curvature operator.
+    The rank-4 weyl (Kulkarni-Nomizu decomposition), weyl_plus and
+    weyl_minus (lifted from that frame) are built on first read; None
+    outside dimension 4.
+    """
 
     points: np.ndarray
     metric: np.ndarray
@@ -319,11 +332,17 @@ class CurvaturePacket:
     traceless_ricci: np.ndarray
     schouten: Optional[np.ndarray] = None
     sigma2: Optional[np.ndarray] = None
-    weyl: Optional[np.ndarray] = None
-    weyl_plus: Optional[np.ndarray] = None
-    weyl_minus: Optional[np.ndarray] = None
     norms: dict = field(default_factory=dict)
     orientation: int = 1
+    _views: dict = field(default_factory=dict, repr=False)
+
+    def _view(self, name):
+        build = self._views.get(name)
+        return None if build is None else _maybe_squeeze(build(), self.points.ndim == 1)
+
+    weyl = cached_property(lambda self: self._view("weyl"))
+    weyl_plus = cached_property(lambda self: self._view("weyl_plus"))
+    weyl_minus = cached_property(lambda self: self._view("weyl_minus"))
 
 
 def christoffel(m: MetricField, points):
@@ -331,13 +350,18 @@ def christoffel(m: MetricField, points):
     g = m.g(pts)
     dg = m.dg(pts)
     ginv = np.linalg.inv(g)
-    gamma = _christoffel_from(ginv, dg)
+    gamma = _christoffel_from(ginv, _first_kind(dg))
     return _maybe_squeeze(gamma, squeeze)
 
 
-def _christoffel_from(ginv, dg):
-    # T_kij = d_i g_kj + d_j g_ki - d_k g_ij
-    t = _einsum("nikj->nkij", dg) + _einsum("njki->nkij", dg) - dg
+def _first_kind(dg):
+    """Twice the Christoffel symbols of the first kind,
+    T_kij = d_i g_kj + d_j g_ki - d_k g_ij, on the last three axes."""
+    *lead, a, b, c = range(dg.ndim)
+    return dg.transpose(*lead, b, a, c) + dg.transpose(*lead, b, c, a) - dg
+
+
+def _christoffel_from(ginv, t):
     n, d = t.shape[0], t.shape[1]
     return 0.5 * (ginv @ t.reshape(n, d, d * d)).reshape(t.shape)
 
@@ -347,13 +371,6 @@ def _kulkarni_nomizu(h, k):
             - _einsum("nil,njk->nijkl", h, k) - _einsum("njk,nil->nijkl", h, k))
 
 
-def _kron_inverse(ginv):
-    """Batched g^{pc} g^{qd} as a (pq) x (cd) matrix; raises index pairs."""
-    n, d = ginv.shape[0], ginv.shape[1]
-    k = ginv[:, :, None, :, None] * ginv[:, None, :, None, :]
-    return k.reshape(n, d * d, d * d)
-
-
 def tensor_norm_sq(t, ginv):
     """Squared norm of a fully lowered rank-2 or rank-4 tensor, all
     indices raised with ginv."""
@@ -361,80 +378,28 @@ def tensor_norm_sq(t, ginv):
     if t.ndim == 3:
         up = ginv @ t @ ginv
         return (t * up).reshape(n, -1).sum(axis=1)
-    kk = _kron_inverse(ginv)
+    # g^{pc} g^{qd} as a (pq) x (cd) matrix raises both index pairs
+    kk = ginv[:, :, None, :, None] * ginv[:, None, :, None, :]
+    kk = kk.reshape(n, d * d, d * d)
     tm = t.reshape(n, d * d, d * d)
     up = kk @ tm @ kk
     return (tm * up).reshape(n, -1).sum(axis=1)
 
 
-def _perm_tensor4():
-    from itertools import permutations
-
-    perm = np.zeros((4, 4, 4, 4))
-    for p in permutations(range(4)):
-        sign = 1
-        q = list(p)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if q[i] > q[j]:
-                    sign = -sign
-        perm[p] = sign
-    return perm
+def _pair_rows(a):
+    """Rows a_pi a_qj over the pairs (p, q) of _PAIRS4 -> (N, 6, 4, 4)."""
+    p, q = _PAIRS4.T
+    return a[:, p, :, None] * a[:, q, None, :]
 
 
-_PERM4 = _perm_tensor4()
-
-
-def _levi_civita4(sqrtdet, orientation):
-    return orientation * sqrtdet[:, None, None, None, None] * _PERM4[None]
-
-
-def _pair_matrix(t4):
-    """Restrict a rank-4 array, antisymmetric in both pairs, to the ordered
-    pair basis of 2-forms -> (N, 6, 6)."""
-    n = t4.shape[0]
-    out = np.empty((n, 6, 6))
-    for a, (i, j) in enumerate(_PAIRS4):
-        for b, (k, l) in enumerate(_PAIRS4):
-            out[:, a, b] = t4[:, i, j, k, l]
-    return out
-
-
-def _pair_expand(mat):
-    """Inverse of _pair_matrix: rebuild the rank-4 array by antisymmetry."""
-    n = mat.shape[0]
-    t4 = np.zeros((n, 4, 4, 4, 4))
-    for a, (i, j) in enumerate(_PAIRS4):
-        for b, (k, l) in enumerate(_PAIRS4):
-            v = mat[:, a, b]
-            t4[:, i, j, k, l] = v
-            t4[:, j, i, k, l] = -v
-            t4[:, i, j, l, k] = -v
-            t4[:, j, i, l, k] = v
-    return t4
-
-
-def _weyl_split(weyl, g, ginv, orientation):
-    """Self-dual / anti-self-dual parts via the 2-form representation."""
-    n = g.shape[0]
-    kk = _kron_inverse(ginv)
-    sqrtdet = np.sqrt(np.linalg.det(g))
-    eps = _levi_civita4(sqrtdet, orientation)
-    # star on 2-forms, mixed indices: S_ab^cd = 1/2 eps_abpq g^pc g^qd
-    eps_ud = (eps.reshape(n, 16, 16) @ kk).reshape(n, 4, 4, 4, 4)
-    star = _pair_matrix(eps_ud)  # acts on ordered-pair components
-    ident = np.eye(6)[None]
-    p_plus = 0.5 * (ident + star)
-    p_minus = 0.5 * (ident - star)
-    # weyl operator with second pair raised
-    w_ud = (weyl.reshape(n, 16, 16) @ kk).reshape(n, 4, 4, 4, 4)
-    w_op = _pair_matrix(w_ud)
-    glow = _pair_matrix(_kulkarni_nomizu(g, g)) * 0.5  # pair metric g_ac g_bd - g_ad g_bc
-    out = []
-    for proj in (p_plus, p_minus):
-        low = proj @ w_op @ proj @ glow
-        out.append(_pair_expand(low))
-    return out[0], out[1]
+def _frame_lift(op, chol):
+    """Rank-4 coordinate tensor of a Lambda^2 operator given in the
+    coframe L = chol: sum over pairs of op_ab,cd M_ab,ij M_cd,kl with
+    M_ab,ij = L_ia L_jb - L_ib L_ja."""
+    n = op.shape[0]
+    m = _pair_rows(np.swapaxes(chol, -1, -2))
+    m = (m - np.swapaxes(m, -1, -2)).reshape(n, 6, 16)
+    return (np.swapaxes(m, -1, -2) @ op @ m).reshape(n, 4, 4, 4, 4)
 
 
 def curvature(m: MetricField, points, orientation: int = 1) -> CurvaturePacket:
@@ -454,19 +419,18 @@ def curvature(m: MetricField, points, orientation: int = 1) -> CurvaturePacket:
     ginv = np.linalg.inv(g)
 
     nb = pts.shape[0]
-    gamma = _christoffel_from(ginv, dg)
+    t = _first_kind(dg)
+    gamma = _christoffel_from(ginv, t)
     # d_a Gamma^m_ij needs d_a g^{mk} = -g^{mp} (d_a g_pq) g^{qk}
     dginv = -(ginv[:, None] @ dg @ ginv[:, None])
-    t = (_einsum("nikj->nkij", dg) + _einsum("njki->nkij", dg) - dg)
-    dt = (_einsum("naikj->nakij", d2g) + _einsum("najki->nakij", d2g)
-          - d2g)
+    dt = _first_kind(d2g)
     tm = t.reshape(nb, 1, d, d * d)
     dgamma = 0.5 * (dginv @ tm + ginv[:, None] @ dt.reshape(nb, d, d, d * d))
     dgamma = dgamma.reshape(nb, d, d, d, d)
 
     # R^r_{s m v} = d_m G^r_vs - d_v G^r_ms + G^r_ml G^l_vs - G^l_ms G^r_vl
-    t1 = _einsum("nmrvs->nrsmv", dgamma)
-    t2 = _einsum("nvrms->nrsmv", dgamma)
+    t1 = dgamma.transpose(0, 2, 4, 1, 3)  # [n,m,r,v,s] -> n r s m v
+    t2 = dgamma.transpose(0, 2, 4, 3, 1)  # [n,v,r,m,s] -> n r s m v
     gsq = gamma.reshape(nb, d * d, d) @ gamma.reshape(nb, d, d * d)
     gsq = gsq.reshape(nb, d, d, d, d)
     t3 = gsq.transpose(0, 1, 4, 2, 3)  # [n,r,m,v,s] -> n r s m v
@@ -496,19 +460,28 @@ def curvature(m: MetricField, points, orientation: int = 1) -> CurvaturePacket:
     if d == 4:
         schouten = ricci - (scalar / 6.0)[:, None, None] * g
         sigma2 = scalar ** 2 / 24.0 - 0.5 * e_sq
-        weyl = (riemann
-                - _kulkarni_nomizu(traceless, g) / (d - 2)
-                - (scalar / (2 * d * (d - 1)))[:, None, None, None, None]
-                * _kulkarni_nomizu(g, g))
-        wp, wm = _weyl_split(weyl, g, ginv, orientation)
-        norms["weyl_sq"] = tensor_norm_sq(weyl, ginv)
-        norms["weyl_plus_sq"] = tensor_norm_sq(wp, ginv)
-        norms["weyl_minus_sq"] = tensor_norm_sq(wm, ginv)
+        # curvature operator on 2-forms in the Cholesky coframe
+        chol = np.linalg.cholesky(g)
+        frame = _pair_rows(np.linalg.inv(chol)).reshape(nb, 6, 16)
+        rm = frame @ riemann.reshape(nb, 16, 16) @ np.swapaxes(frame, -1, -2)
+        w_ops = []
+        for sign in (orientation, -orientation):
+            proj = 0.5 * (np.eye(6) + sign * _STAR)
+            w_ops.append(proj @ rm @ proj - (scalar / 12.0)[:, None, None] * proj)
+        wp_op, wm_op = w_ops
+        norms["weyl_plus_sq"] = 4.0 * (wp_op ** 2).sum(axis=(1, 2))
+        norms["weyl_minus_sq"] = 4.0 * (wm_op ** 2).sum(axis=(1, 2))
+        norms["weyl_sq"] = norms["weyl_plus_sq"] + norms["weyl_minus_sq"]
         packet.schouten = _maybe_squeeze(schouten, squeeze)
         packet.sigma2 = _maybe_squeeze(sigma2, squeeze)
-        packet.weyl = _maybe_squeeze(weyl, squeeze)
-        packet.weyl_plus = _maybe_squeeze(wp, squeeze)
-        packet.weyl_minus = _maybe_squeeze(wm, squeeze)
+        packet._views = {
+            "weyl": lambda: (
+                riemann - _kulkarni_nomizu(traceless, g) / (d - 2)
+                - (scalar / (2 * d * (d - 1)))[:, None, None, None, None]
+                * _kulkarni_nomizu(g, g)),
+            "weyl_plus": lambda: _frame_lift(wp_op, chol),
+            "weyl_minus": lambda: _frame_lift(wm_op, chol),
+        }
 
     packet.norms = {k: _maybe_squeeze(v, squeeze) for k, v in norms.items()}
     return packet

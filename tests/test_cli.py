@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ccegeom import cli
+from ccegeom.errors import NotAvailable
 
 ARTIFACTS = ("report.txt", "report.json", "integrals.csv",
              "volumes.csv", "eigen_grid.csv")
@@ -156,6 +157,19 @@ def test_einstein_perturbed_family_from_config(tmp_path):
     assert _run(["analyze", "--config", str(path)]) == 0
     doc = json.loads((tmp_path / "report.json").read_text())
     assert doc["identities"]["gauss_bonnet_volume_relative"] < 1e-3
+
+
+def test_einstein_family_without_chi_fails_as_stage(tmp_path, capsys,
+                                                    monkeypatch):
+    def no_reference(name, quantity=None, **params):
+        raise NotAvailable(f"no closed-form {quantity} for {name}")
+
+    monkeypatch.setattr(cli.models, "exact_reference", no_reference)
+    code = _run(["analyze", "--model", "hyperbolic", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "at stage 'reference data'" in err
+    assert "Traceback" not in err
 
 
 def test_curvature_table(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from ccegeom import models
+from ccegeom import models, tensor
 from ccegeom.errors import DomainError, SingularMetric
 from ccegeom.tensor import (
     CentralDifference,
@@ -16,6 +16,7 @@ from ccegeom.tensor import (
     riemann_symmetry_residuals,
     tensor_norm_sq,
 )
+from ccegeom.integrals import integrate_curvature
 
 _CHART = Chart(("x1", "x2", "x3", "x4"), (-1.0,) * 4, (1.0,) * 4)
 
@@ -221,3 +222,35 @@ def test_error_paths():
     assert abs(pack2.scalar) < 1e-12
     assert pack2.weyl_plus is None
     assert "weyl_plus_sq" not in pack2.norms
+
+
+@pytest.mark.parametrize("orientation", [1, -1])
+def test_frame_weyl_norms_match_coordinate_norms(warped, orientation):
+    # pins the factor 4 of the pair-basis Frobenius norm and the frame lift
+    _, _, field = warped
+    pack = curvature(field, _CHART.sample(6, seed=14), orientation=orientation)
+    for name, weyl in (("weyl_sq", pack.weyl), ("weyl_plus_sq", pack.weyl_plus),
+                       ("weyl_minus_sq", pack.weyl_minus)):
+        assert pack.norms[name] == pytest.approx(
+            tensor_norm_sq(weyl, pack.inverse), rel=1e-10)
+
+
+def test_single_point_weyl_views(warped):
+    _, _, field = warped
+    pts = _CHART.sample(3, seed=15)
+    batch = curvature(field, pts)
+    single = curvature(field, pts[1])
+    assert single.weyl_plus.shape == (4, 4, 4, 4)
+    assert np.max(np.abs(single.weyl_plus - batch.weyl_plus[1])) < 1e-12
+
+
+def test_integrator_builds_no_rank4_weyl(monkeypatch, sphere_suite):
+    def forbidden(*args):
+        raise AssertionError("rank-4 Weyl tensor built")
+
+    monkeypatch.setattr(tensor, "_kulkarni_nomizu", forbidden)
+    monkeypatch.setattr(tensor, "_frame_lift", forbidden)
+    mdl, reference = sphere_suite
+    suite = integrate_curvature(mdl.field, mdl.domain, orientation=mdl.orientation)
+    assert suite.weyl_energy == reference.weyl_energy
+    assert suite.volume == pytest.approx(8 * np.pi**2 / 3, rel=1e-10)
