@@ -33,7 +33,7 @@ from .errors import (
     NotAvailable,
     UnsupportedDimension,
 )
-from .quadrature import gauss_legendre_rule
+from .quadrature import _reference_rule
 from .tensor import Chart, MetricField, curvature
 
 __all__ = [
@@ -440,8 +440,8 @@ class RadialMap:
     by composite quadrature over a fixed graded edge table, then fixes
     the multiplicative constant so that s^2 g restricts to the declared
     boundary metric. Queries refine from the nearest table edge with one
-    short Gauss-Legendre panel, so the map is deterministic and accurate
-    to quadrature precision.
+    short panel of the cached Gauss-Legendre reference rule, so the map
+    is deterministic and accurate to quadrature precision.
     """
 
     #: geometric grading depth toward the boundary end
@@ -504,6 +504,17 @@ class RadialMap:
             edges.append(r_int)
         self.edges = np.asarray(sorted(set(float(e) for e in edges)))
 
+    def _panel(self, lo: float, hi: float):
+        """One Gauss-Legendre panel on [lo, hi] from the cached reference rule.
+
+        The same arithmetic as gauss_legendre_rule(lo, hi, 1, order),
+        without building its edge array.
+        """
+        x, w = _reference_rule(self.order)
+        half = 0.5 * (hi - lo)
+        mid = 0.5 * (hi + lo)
+        return mid + half * x, half * w
+
     def _segment_integral(self, a: float, b: float) -> float:
         """Integral of the radial factor over [a, b] with substitutions."""
         if b <= a:
@@ -513,14 +524,14 @@ class RadialMap:
         if self._tau_region is not None and b <= self._tau_region[1] + 1e-12:
             ta = np.sqrt(max(a - pr.r_interior, 0.0))
             tb = np.sqrt(b - pr.r_interior)
-            nodes, wts = gauss_legendre_rule(ta, tb, 1, self.order)
+            nodes, wts = self._panel(ta, tb)
             vals = np.asarray(f(pr.r_interior + nodes**2)) * 2.0 * nodes
             return float(np.dot(wts, vals))
         if self._x_region is not None and a >= self._x_region[0] - 1e-12:
-            nodes, wts = gauss_legendre_rule(1.0 / b, 1.0 / a, 1, self.order)
+            nodes, wts = self._panel(1.0 / b, 1.0 / a)
             vals = np.asarray(f(1.0 / nodes)) / nodes**2
             return float(np.dot(wts, vals))
-        nodes, wts = gauss_legendre_rule(a, b, 1, self.order)
+        nodes, wts = self._panel(a, b)
         return float(np.dot(wts, np.asarray(f(nodes))))
 
     def _accumulate(self):

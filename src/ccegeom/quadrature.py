@@ -3,11 +3,14 @@
 All rules are fixed meshes (no adaptive subdivision driven by runtime
 state), so repeated runs with the same configuration sum the same floats
 in the same order. Error estimates come from doubling the panel count.
+The reference rule on [-1, 1] is built once per order and kept read-only;
+every rule mapped onto panels is a fresh array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,17 +33,30 @@ class QuadResult:
     panels: int
 
 
+@lru_cache(maxsize=None)
+def _reference_rule(order: int):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre_rule(a: float, b: float, panels, order: int = 16):
     """Nodes and weights of a composite Gauss-Legendre rule on [a, b].
 
-    ``panels`` is either an int (uniform subdivision) or an increasing
-    array of breakpoints starting at a and ending at b.
+    ``panels`` is either an int >= 1 (uniform subdivision) or a strictly
+    increasing array of breakpoints starting at a and ending at b.
     """
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _reference_rule(order)
     if np.isscalar(panels):
+        if int(panels) < 1:
+            raise ValueError(f"panels must be at least 1, got {panels}")
         edges = np.linspace(a, b, int(panels) + 1)
     else:
         edges = np.asarray(panels, dtype=float)
+        if edges.size < 2 or not np.all(np.diff(edges) > 0):
+            raise ValueError("need at least two strictly increasing panel breakpoints")
     lo, hi = edges[:-1], edges[1:]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
@@ -98,6 +114,8 @@ def integrate_refined(
     Doubles the panel count until |I_fine - I_coarse| <= tol * max(scale, |I|)
     or raises QuadratureTolerance. The fine value is returned.
     """
+    if max_doublings < 1:
+        raise ValueError(f"max_doublings must be at least 1, got {max_doublings}")
     coarse = integrate_fixed(f, a, b, panels, order)
     for _ in range(max_doublings):
         panels = _split_panels(panels)

@@ -7,6 +7,7 @@ import pytest
 
 from ccegeom import models, normal_form as nf
 from ccegeom.errors import DomainError, FitConditioning, UnsupportedDimension
+from ccegeom.quadrature import gauss_legendre_rule
 
 
 def test_order2_extraction_matches_closed_form(hyperbolic):
@@ -126,6 +127,38 @@ def test_radial_map_sample_and_gauge(hyperbolic_radial_profile):
     y = 0.5
     assert rmap.s_of_r(y) == pytest.approx(2 * (1 - y) / (1 + y), abs=1e-10)
     assert rmap.gauge_residual(np.geomspace(0.05, 1.8, 7)) < 1e-8
+
+
+def test_radial_map_queries_are_one_composite_panel(ads):
+    """lns_of_r is the edge table plus one gauss_legendre_rule panel, bitwise."""
+    rmap = ads.radial_map
+    pr = rmap.profile
+    f = pr.radial_factor
+    r0 = pr.r_interior
+    tau_hi, x_lo = rmap._tau_region[1], rmap._x_region[0]
+
+    def reference(r):
+        idx = int(np.searchsorted(rmap.edges, r, side="right")) - 1
+        a = float(rmap.edges[idx])
+        if r <= tau_hi:
+            t, w = gauss_legendre_rule(np.sqrt(max(a - r0, 0.0)), np.sqrt(r - r0),
+                                       1, rmap.order)
+            seg = np.dot(w, np.asarray(f(r0 + t**2)) * 2.0 * t)
+        elif a >= x_lo:
+            x, w = gauss_legendre_rule(1.0 / r, 1.0 / a, 1, rmap.order)
+            seg = np.dot(w, np.asarray(f(1.0 / x)) / x**2)
+        else:
+            nodes, w = gauss_legendre_rule(a, r, 1, rmap.order)
+            seg = np.dot(w, np.asarray(f(nodes)))
+        return rmap._sign * (rmap._arc[idx] + float(seg)) + rmap.kappa
+
+    radii = np.concatenate([
+        r0 + (tau_hi - r0) * np.array([1e-6, 0.013, 0.37, 0.8]),   # tau region
+        tau_hi + (x_lo - tau_hi) * np.array([0.01, 0.29, 0.61, 0.97]),  # direct
+        x_lo * np.array([1.3, 17.0, 4.1e3, 2.2e8]),                 # x = 1/r
+    ])
+    for r in radii:
+        assert rmap.lns_of_r(float(r)) == reference(float(r)), r
 
 
 def test_extraction_error_paths(hyperbolic):

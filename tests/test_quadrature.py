@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ccegeom import models, quadrature
 from ccegeom.quadrature import (
     QuadResult,
     gauss_legendre_rule,
@@ -9,6 +10,7 @@ from ccegeom.quadrature import (
     integrate_refined,
     product_rule,
 )
+from ccegeom.volume import fit_renormalized_volume
 
 
 def test_polynomial_exactness():
@@ -77,3 +79,62 @@ def test_product_rule_box_volume():
     # separable integrand
     val = float(np.dot(wts, pts[:, 0] * pts[:, 1] ** 2))
     assert val == pytest.approx(0.5 * (8.0 / 3.0) * 3.0 * 0.5, rel=1e-13)
+
+
+def _fresh_rule(a, b, panels, order):
+    """The composite rule from a fresh leggauss call, without the cache."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    if np.isscalar(panels):
+        edges = np.linspace(a, b, panels + 1)
+    else:
+        edges = np.asarray(panels, dtype=float)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    return ((mid[:, None] + half[:, None] * x[None, :]).ravel(),
+            (half[:, None] * w[None, :]).ravel())
+
+
+@pytest.mark.parametrize("order", [2, 12, 16, 24])
+@pytest.mark.parametrize("panels", [1, 3, np.array([0.2, 0.25, 0.9, 1.7])])
+def test_cached_rule_is_bitwise_fresh(order, panels):
+    nodes, weights = gauss_legendre_rule(0.2, 1.7, panels, order)
+    ref_nodes, ref_weights = _fresh_rule(0.2, 1.7, panels, order)
+    assert np.array_equal(nodes, ref_nodes)
+    assert np.array_equal(weights, ref_weights)
+
+
+def test_returned_rule_is_a_fresh_array():
+    nodes, weights = gauss_legendre_rule(0.0, 1.0, 1, 16)
+    nodes[:] = -1.0
+    weights *= 3.0
+    again_nodes, again_weights = gauss_legendre_rule(0.0, 1.0, 1, 16)
+    ref_nodes, ref_weights = _fresh_rule(0.0, 1.0, 1, 16)
+    assert np.array_equal(again_nodes, ref_nodes)
+    assert np.array_equal(again_weights, ref_weights)
+
+
+def test_reference_rule_built_once_per_order(monkeypatch):
+    leggauss = np.polynomial.legendre.leggauss
+    calls = {}
+
+    def counting(order):
+        calls[order] = calls.get(order, 0) + 1
+        return leggauss(order)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    quadrature._reference_rule.cache_clear()
+    fit_renormalized_volume(models.build("ads_schwarzschild", m=1.0))
+    assert calls, "the volume fit built no Gauss-Legendre rule"
+    assert max(calls.values()) == 1, calls
+
+
+def test_refined_rejects_no_doublings():
+    with pytest.raises(ValueError, match="max_doublings"):
+        integrate_refined(np.cos, 0.0, 1.0, panels=2, max_doublings=0)
+
+
+def test_rule_rejects_malformed_panels():
+    with pytest.raises(ValueError, match="panels"):
+        integrate_fixed(np.cos, 0.0, 1.0, 0)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        gauss_legendre_rule(0.0, 1.0, np.array([0.0, 0.6, 0.5, 1.0]))
