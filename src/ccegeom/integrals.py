@@ -5,6 +5,12 @@ product boxes in a single chart, and radial reductions for
 cohomogeneity-one metrics where the angular integral is carried exactly
 by the boundary volume.
 
+On a box, only the axes the metric depends on are integrated. Along a
+cyclic axis (MetricField.cyclic_axes) g, its derivatives, every
+invariant and sqrt(det g) are constant, so the Gauss-Legendre weights
+over it would only sum to its length: the axis takes the one-point rule
+(its midpoint, weighted by the length) instead, exact up to round-off.
+
 The integrated quantities feed two index formulas, stated here in the
 tensor-norm convention |W|^2 = W_{ijkl} W^{ijkl}:
 
@@ -52,7 +58,12 @@ CHUNK = 2048
 
 @dataclass(frozen=True)
 class ProductChartDomain:
-    """Product box in chart coordinates: axes = ((lo, hi, panels), ...)."""
+    """Product box in chart coordinates: axes = ((lo, hi, panels), ...).
+
+    One axis per chart coordinate. Axes the metric does not depend on
+    are collapsed to their midpoint, weighted by their length; panels
+    applies to the others.
+    """
 
     axes: tuple
     label: str = ""
@@ -151,8 +162,11 @@ def _invariant_rows(pack):
 
 
 def _accumulate_box(m, domain, orientation, order):
-    pts, wts = product_rule([(lo, hi, panels, order)
-                             for lo, hi, panels in domain.axes])
+    # a cyclic axis takes the one-point rule: its midpoint, weighted by
+    # the axis length
+    pts, wts = product_rule([(lo, hi, 1, 1) if i in m.cyclic_axes
+                             else (lo, hi, panels, order)
+                             for i, (lo, hi, panels) in enumerate(domain.axes)])
     totals = np.zeros(len(_FIELDS))
     for lo in range(0, pts.shape[0], CHUNK):
         hi = min(lo + CHUNK, pts.shape[0])
@@ -184,6 +198,9 @@ def integrate_curvature(m: MetricField, domain,
         raise DomainError("curvature integrals are defined for 4-metrics here")
     if orientation not in (1, -1):
         raise DomainError("orientation must be +1 or -1")
+    if isinstance(domain, ProductChartDomain) and len(domain.axes) != m.dim:
+        raise DomainError(f"product domain has {len(domain.axes)} axes, "
+                          f"the metric has {m.dim} coordinates")
 
     def run(p):
         if isinstance(domain, RadialDomain):

@@ -154,6 +154,11 @@ class MetricField:
     d2func may be supplied (preferred); otherwise derivatives fall back
     to Richardson-extrapolated central differences controlled by
     ``scheme``.
+
+    cyclic_axes lists the chart axes no component depends on, so the
+    metric and all its curvature are constant along them. from_sympy
+    reads them off the expressions; every other constructor records
+    none.
     """
 
     def __init__(self, chart: Chart, func, dfunc=None, d2func=None,
@@ -165,6 +170,7 @@ class MetricField:
         self._d2func = d2func
         self.scheme = scheme or CentralDifference()
         self.name = name
+        self.cyclic_axes = ()
 
     @property
     def analytic(self) -> bool:
@@ -210,14 +216,19 @@ class MetricField:
         sym_err = np.max(np.abs(mat - np.swapaxes(mat, -1, -2)))
         if sym_err > 1e-10 * max(1.0, np.max(np.abs(mat))):
             raise SingularMetric(f"metric not symmetric (max asymmetry {sym_err:.2e})")
-        for k in range(1, self.dim + 1):
-            minors = np.linalg.det(mat[:, :k, :k])
-            if np.any(minors <= 0):
-                i = int(np.argmax(minors <= 0))
-                raise SingularMetric(
-                    f"leading {k}x{k} minor nonpositive ({minors[i]:.3e}) at point "
-                    f"{pts[i]}"
-                )
+        try:
+            np.linalg.cholesky(mat)
+        except np.linalg.LinAlgError:
+            # the factorization only screens; the leading minors decide
+            # (Sylvester's criterion) and name the failing k and point
+            for k in range(1, self.dim + 1):
+                minors = np.linalg.det(mat[:, :k, :k])
+                if np.any(minors <= 0):
+                    i = int(np.argmax(minors <= 0))
+                    raise SingularMetric(
+                        f"leading {k}x{k} minor nonpositive ({minors[i]:.3e}) "
+                        f"at point {pts[i]}"
+                    )
 
     @staticmethod
     def from_sympy(coords, gmat, chart: Chart, name: str = "") -> "MetricField":
@@ -229,7 +240,10 @@ class MetricField:
         fg = lambdify_array(coords, g.tolist())
         fdg = lambdify_array(coords, dg)
         fd2g = lambdify_array(coords, d2g)
-        return MetricField(chart, fg, fdg, fd2g, name=name)
+        field = MetricField(chart, fg, fdg, fd2g, name=name)
+        field.cyclic_axes = tuple(i for i, x in enumerate(coords)
+                                  if x not in g.free_symbols)
+        return field
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,19 @@ def test_analyze_is_deterministic(analyze_dir, tmp_path):
         assert (analyze_dir / name).read_bytes() == (second / name).read_bytes()
 
 
+def test_analyze_closed_model(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    for out in (first, second):
+        assert _run(["analyze", "--model", "fubini_study",
+                     "--out", str(out)]) == 0
+    names = ("report.txt", "report.json", "integrals.csv")
+    assert sorted(p.name for p in first.iterdir()) == sorted(names)
+    gates = json.loads((first / "report.json").read_text())["gates"]
+    assert len(gates) == 4 and all(g["ok"] for g in gates)
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
 def test_suite_csv_schema(analyze_dir):
     lines = (analyze_dir / "integrals.csv").read_text().splitlines()
     assert lines[0] == "# integral-suite v1"

@@ -1,7 +1,10 @@
 """Integrated invariants: Gauss-Bonnet, signature, conformal invariance."""
 
+import copy
+
 import numpy as np
 import pytest
+import sympy as sp
 
 from ccegeom import models
 from ccegeom import integrals as ig
@@ -9,7 +12,9 @@ from ccegeom import volume as vol
 from ccegeom.eigenfunction import compactified_metric_field, compactified_radial_domain
 from ccegeom.errors import DomainError
 from ccegeom.quadrature import geometric_panels, integrate_refined
-from ccegeom.tensor import Chart, MetricField, conformal_rescale
+from ccegeom.tensor import Chart, MetricField, ScalarField, conformal_rescale
+
+_REVERSED = {"weyl_plus": "weyl_minus", "weyl_minus": "weyl_plus"}
 
 
 def test_round_sphere_suite(sphere_suite):
@@ -141,6 +146,84 @@ def test_error_paths():
     mdl = models.build("round_sphere")
     with pytest.raises(DomainError, match="orientation"):
         ig.integrate_curvature(mdl.field, mdl.domain, orientation=2)
+    box3 = ig.ProductChartDomain(axes=((0.1, 0.9, 1),) * 3)
+    with pytest.raises(DomainError, match="3 axes.*4 coordinates"):
+        ig.integrate_curvature(mdl.field, box3)
+
+
+def test_cyclic_axes_recorded(hyperbolic):
+    expected = {"round_sphere": (3,), "product_spheres": (1, 3),
+                "fubini_study": (2, 3), "flat_torus": (0, 1, 2, 3)}
+    for name, axes in expected.items():
+        assert models.build(name).field.cyclic_axes == axes
+    # a conformal factor in t alone would keep p and v cyclic, but only
+    # from_sympy reads the axes off the expressions
+    sph = models.build("product_spheres").field
+    x = sp.symbols(sph.chart.names, real=True)
+    w = ScalarField.from_sympy(x, 0.1 * sp.cos(x[0]))
+    assert conformal_rescale(sph, w).cyclic_axes == ()
+    assert hyperbolic.four_metric(s_floor=0.02).cyclic_axes == ()
+
+
+def _full_grid(field):
+    """The same closures with no cyclic axes: the whole 4-D tensor grid."""
+    full = copy.copy(field)
+    full.cyclic_axes = ()
+    return full
+
+
+@pytest.mark.parametrize("name", ("round_sphere", "product_spheres",
+                                  "fubini_study", "flat_torus"))
+def test_collapsed_axes_match_full_grid(name):
+    mdl = models.build(name)
+    assert mdl.field.cyclic_axes  # else both sides run the same grid
+    full = ig.integrate_curvature(_full_grid(mdl.field), mdl.domain, 1)
+    ref = {key: (getattr(full, key), full.error_estimates[key])
+           for key in ig._FIELDS}
+    for orientation in (1, -1):
+        got = ig.integrate_curvature(mdl.field, mdl.domain, orientation)
+        for key in ig._FIELDS:
+            # reversing the orientation only exchanges the Weyl halves
+            value, error = ref[_REVERSED.get(key, key) if orientation < 0 else key]
+            # an error estimate is a difference of two integrals of this size
+            tol = 1e-12 * max(1.0, abs(value))
+            assert abs(getattr(got, key) - value) <= tol
+            assert abs(got.error_estimates[key] - error) <= tol
+
+
+def _counted(field, counter):
+    """Copy of field whose d2g adds the rows it is asked for to counter:
+    the kernel asks once per batch, so the sum is the curvature points."""
+    counted = copy.copy(field)
+    d2g = counted.d2g
+
+    def d2g_counted(points):
+        counter[0] += len(points)
+        return d2g(points)
+
+    counted.d2g = d2g_counted
+    return counted
+
+
+def test_curvature_points_per_integration():
+    # both passes together: 12^k + 16^k points over k integrated axes
+    expected = {"round_sphere": 5824, "product_spheres": 400,
+                "fubini_study": 400, "flat_torus": 2}
+    for name, points in expected.items():
+        mdl = models.build(name)
+        counter = [0]
+        ig.integrate_curvature(_counted(mdl.field, counter), mdl.domain,
+                               mdl.orientation)
+        assert counter[0] == points, name
+    # a conformal factor on all four coordinates keeps the full 4-D grid
+    mdl = models.build("product_spheres")
+    x = sp.symbols(mdl.field.chart.names, real=True)
+    w = ScalarField.from_sympy(x, 0.1 * sp.sin(x[0]) * sp.cos(x[1])
+                               + 0.1 * sp.cos(x[2]) + 0.1 * sp.sin(x[3]))
+    counter = [0]
+    ig.integrate_curvature(_counted(conformal_rescale(mdl.field, w), counter),
+                           mdl.domain, mdl.orientation)
+    assert counter[0] == 86272
 
 
 def test_suite_document(sphere_suite):

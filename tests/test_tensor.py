@@ -210,6 +210,11 @@ def test_error_paths():
         np.diag([1.0, -1.0, 1.0, 1.0]), (p.shape[0], 1, 1)))
     with pytest.raises(SingularMetric, match="minor"):
         indefinite.g(np.zeros(4))
+    # only the second point fails, in its leading 3x3 block
+    mixed = MetricField(_CHART, lambda p: np.stack(
+        [np.diag([1.0, 1.0, 1.0 - 4 * x[3], 1.0]) for x in p]))
+    with pytest.raises(SingularMetric, match=r"leading 3x3 minor .* 0\.5\]"):
+        mixed.g(np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.5]]))
     flat = MetricField(_CHART, lambda p: np.tile(np.eye(4), (p.shape[0], 1, 1)))
     with pytest.raises(DomainError):
         flat.g(np.array([0.0, 0.0, 0.0, 5.0]))
