@@ -43,7 +43,7 @@ from .errors import (
     SolverFailure,
     UnsupportedDimension,
 )
-from .integrals import RadialDomain, radial_section
+from .integrals import RADIAL_PANELS, RadialDomain, radial_section
 from .normal_form import FGMetric
 from .tensor import MetricField, ScalarField, conformal_rescale
 
@@ -59,6 +59,45 @@ __all__ = [
     "CompactificationReport",
     "compactification_checks",
 ]
+
+#: largest scale of the matched-w2 Richardson ladder (also /2 and /4)
+MATCH_PROBE = 1e-2
+#: degree of the regular-part fit behind the Robin series
+ROBIN_DEGREE = 6
+#: xi window of that fit, as fractions of s_max
+ROBIN_WINDOW = (0.01, 0.20)
+#: Chebyshev nodes of that fit
+ROBIN_NODES = 24
+#: boundary end of the collocation interval
+S_LO = 1e-3
+#: the interior end is closed at s_max - XI_EDGE
+XI_EDGE = 0.05
+#: initial collocation mesh size
+MESH = 200
+#: collocation mesh cap
+MAX_NODES = 50000
+#: largest ln s spacing of the log-density spline table
+X_SPACING = 1e-3
+#: largest s of the near-boundary window of asymptotic_residual
+ASYMPTOTIC_CAP = 0.05
+#: sample count of asymptotic_residual
+ASYMPTOTIC_COUNT = 200
+#: sample count of equation_residual
+EQUATION_COUNT = 400
+#: s grid of the Bochner check
+CHECK_GRID = 240
+#: the scalar bound may undershoot 48 w2 by this much
+SCALAR_SLACK = 1e-4
+#: sup tolerance of the Bochner identity
+BOCHNER_TOL = 1e-6
+#: tolerance on the linear coefficient of the compactified warps
+SECOND_FORM_TOL = 1e-6
+#: s window of the fit for that coefficient, as fractions of s_max
+SECOND_FORM_WINDOW = (0.005, 0.06)
+#: highest power of that fit
+SECOND_FORM_DEGREE = 5
+#: Chebyshev nodes of that fit
+SECOND_FORM_NODES = 16
 
 
 def indicial_roots(n: int = 3) -> tuple:
@@ -92,14 +131,14 @@ class AsymptoticData:
     vanishing_orders: tuple = (0,)
 
 
-def asymptotic_data(fg: FGMetric, probe: float = 1e-2) -> AsymptoticData:
+def asymptotic_data(fg: FGMetric) -> AsymptoticData:
     """Resolve the coefficient w2 of u = 1/s + w2 s + O(s^2).
 
     Einstein interiors determine w2 = R(ghat)/24 from the boundary
     alone; that path is exact when the boundary scalar curvature is an
     int or Fraction. Otherwise w2 = -tr(g2)/6 is matched numerically:
     L = D'/D ~ tr(g2) s near s = 0, and tr(g2)/2 is read off from
-    L/(2s) with one Richardson step at the probe scale.
+    L/(2s) with one Richardson step at the scale MATCH_PROBE.
     """
     if fg.n != 3:
         raise UnsupportedDimension("eigenfunction reduction implemented for "
@@ -112,7 +151,7 @@ def asymptotic_data(fg: FGMetric, probe: float = 1e-2) -> AsymptoticData:
                               indicial_roots(3))
     # L/(2s) = tr(g2)/2 + O(s): the density of a non-Einstein family has
     # a cubic term, so the ladder must clear the linear error first
-    h = float(probe)
+    h = MATCH_PROBE
     f = lambda t: float(fg.density_logderiv(t)) / (2.0 * t)
     e1a = 2.0 * f(h / 2.0) - f(h)
     e1b = 2.0 * f(h / 4.0) - f(h / 2.0)
@@ -142,7 +181,7 @@ class _LogDensity:
     than speed.
     """
 
-    def __init__(self, fg: FGMetric, s_lo: float, x_spacing: float = 1e-3):
+    def __init__(self, fg: FGMetric, s_lo: float):
         self.fg = fg
         self.s_cap = fg.s_max
         self.tabulated = fg.radial_map is not None
@@ -154,13 +193,12 @@ class _LogDensity:
         # endpoint estimate is only good to ~1e-11, which turns the
         # regularized M into a quasi-pole within ~1e-4 of the tip
         x_max = np.log(self.s_cap * (1.0 - 7.5e-4))
-        _, ss = fg.radial_map.sample(x_spacing, x_min, x_max)
+        _, ss = fg.radial_map.sample(X_SPACING, x_min, x_max)
         x = np.log(ss)
         keep = np.concatenate([[True], np.diff(x) > 1e-12])
         x, ss = x[keep], ss[keep]
         m_vals = fg.density_logderiv(ss) * (self.s_cap - ss)
         self._spl = CubicSpline(x, m_vals)
-        self.table_size = int(x.size)
 
     def L(self, s):
         if self._spl is None:
@@ -172,18 +210,17 @@ class _LogDensity:
         return self.fg.density_logderiv2(s)
 
 
-def robin_series(fg: FGMetric, logdensity: Optional[Callable] = None,
-                 degree: int = 6, fit_window: tuple = (0.01, 0.20),
-                 fit_nodes: int = 24):
+def robin_series(fg: FGMetric, logdensity: Optional[Callable] = None):
     """Frobenius coefficients of the bounded branch at the interior end.
 
     In xi = s_max - s the interior end is a regular singular point with
     exponents 0 and 1 - m (m the tip order of the density), so the
     bounded branch p(xi) = sum a_k xi^k is fixed by a0 = 1, a1 = 0. The
     regular part of the ODE coefficient -(L - 2/s) - m/xi is fit by a
-    degree-``degree`` polynomial on a Chebyshev grid spanning
-    fit_window * s_max in xi, and the power series follows from the
-    recurrence. Returns the coefficient array of length degree + 2.
+    polynomial of degree ROBIN_DEGREE on ROBIN_NODES Chebyshev nodes
+    spanning ROBIN_WINDOW * s_max in xi, and the power series follows
+    from the recurrence. Returns the coefficient array of length
+    ROBIN_DEGREE + 2.
     """
     sp_ = fg.s_max
     m = fg.tip_multiplicity
@@ -191,7 +228,8 @@ def robin_series(fg: FGMetric, logdensity: Optional[Callable] = None,
         raise NotAvailable("the interior closure order (tip multiplicity) "
                            "is required for the Robin series")
     L = (lambda s: fg.density_logderiv(s)) if logdensity is None else logdensity
-    xis = _chebyshev_nodes(fit_window[0] * sp_, fit_window[1] * sp_, fit_nodes)
+    degree = ROBIN_DEGREE
+    xis = _chebyshev_nodes(ROBIN_WINDOW[0] * sp_, ROBIN_WINDOW[1] * sp_, ROBIN_NODES)
     w = -(np.asarray(L(sp_ - xis)) - 2.0 / (sp_ - xis)) - m / xis
     cols = np.stack([xis**j for j in range(degree)], axis=1)
     sc = np.linalg.norm(cols, axis=0)
@@ -305,27 +343,26 @@ class EigenfunctionSolution:
         out = 12.0 * (u**2 - s**2 * du**2)
         return float(out[0]) if scalar else out
 
-    def asymptotic_residual(self, s_cap: Optional[float] = None,
-                            count: int = 200) -> float:
+    def asymptotic_residual(self) -> float:
         """sup |u s - (1 + w2 s^2)| over a near-boundary window.
 
         The compactified warp u s should follow its quadratic model up
         to O(s^3); large values mean the matched w2 is wrong or the
         collocation went bad near the boundary.
         """
-        cap = min(0.05, 0.5 * self.s_hi) if s_cap is None else float(s_cap)
-        s = np.geomspace(self.s_lo, max(cap, 2.0 * self.s_lo), count)
+        cap = min(ASYMPTOTIC_CAP, 0.5 * self.s_hi)
+        s = np.geomspace(self.s_lo, max(cap, 2.0 * self.s_lo), ASYMPTOTIC_COUNT)
         phi = self._sol(np.log(s))[0]
         return float(np.max(np.abs(s**3 * phi)))
 
-    def equation_residual(self, count: int = 400) -> float:
+    def equation_residual(self) -> float:
         """Sup residual of the first-order system on a dense grid.
 
         Uses the interpolant's own derivative, so this measures the
         interpolation quality between collocation nodes rather than the
         solver's internal (already normalized) residual estimate.
         """
-        x = np.linspace(np.log(self.s_lo), np.log(self.s_hi), count)
+        x = np.linspace(np.log(self.s_lo), np.log(self.s_hi), EQUATION_COUNT)
         y = self._sol(x)
         dy = self._sol(x, 1)
         s = np.exp(x)
@@ -337,18 +374,15 @@ class EigenfunctionSolution:
         return float(max(r1, r2))
 
 
-def solve_eigenfunction(fg: FGMetric, s_lo: float = 1e-3,
-                        xi_edge: float = 0.05, tol: float = 1e-11,
-                        mesh: int = 200, max_nodes: int = 50000,
-                        w2: Optional[float] = None,
-                        degree: int = 6) -> EigenfunctionSolution:
+def solve_eigenfunction(fg: FGMetric, tol: float = 1e-11,
+                        w2: Optional[float] = None) -> EigenfunctionSolution:
     """Solve Delta u = 4u with u ~ 1/s by collocation in x = ln s.
 
     The substitution u = 1/s + w2 s + s^2 phi removes the growing
     indicial mode and the known part of the regular one, leaving a
-    remainder that vanishes linearly at the boundary; phi = 0 at s_lo
-    is then accurate to O(s_lo^3) and the interior end is closed at
-    s_max - xi_edge by a Robin pairing with the Frobenius branch from
+    remainder that vanishes linearly at the boundary; phi = 0 at S_LO
+    is then accurate to O(S_LO^3) and the interior end is closed at
+    s_max - XI_EDGE by a Robin pairing with the Frobenius branch from
     robin_series. The log variable keeps the collocation mesh graded
     toward the boundary without manual node placement.
 
@@ -362,13 +396,13 @@ def solve_eigenfunction(fg: FGMetric, s_lo: float = 1e-3,
     w2_exact = data.w2_exact if data is not None else None
     w2v = float(data.w2 if data is not None else w2)
 
-    xi = float(xi_edge)
+    s_lo, xi = S_LO, XI_EDGE
     s_hi = fg.s_max - xi
     if not (0.0 < s_lo < s_hi):
-        raise DomainError("need 0 < s_lo < s_max - xi_edge")
+        raise DomainError("need 0 < S_LO < s_max - XI_EDGE")
 
     logdensity = _LogDensity(fg, s_lo)
-    a = robin_series(fg, logdensity.L, degree=degree)
+    a = robin_series(fg, logdensity.L)
     powers = np.arange(a.size)
     p_e = float(np.sum(a * xi**powers))
     dp_e = float(np.sum(powers[1:] * a[1:] * xi ** (powers[1:] - 1)))
@@ -388,9 +422,9 @@ def solve_eigenfunction(fg: FGMetric, s_lo: float = 1e-3,
         du = -1.0 / s_hi**2 + w2v + 2.0 * s_hi * phi + s_hi**2 * dphi
         return np.array([ya[0], du * p_e + u * dp_e])
 
-    xg = np.linspace(np.log(s_lo), np.log(s_hi), mesh)
+    xg = np.linspace(np.log(s_lo), np.log(s_hi), MESH)
     sol = solve_bvp(fun, bc, xg, np.zeros((2, xg.size)), tol=tol,
-                    max_nodes=max_nodes)
+                    max_nodes=MAX_NODES)
     if sol.status != 0:
         raise SolverFailure(f"eigenfunction collocation failed: {sol.message}")
 
@@ -448,9 +482,8 @@ def compactified_metric_field(sol: EigenfunctionSolution,
     return conformal_rescale(base, ScalarField(value, grad, hess))
 
 
-def compactified_radial_domain(sol: EigenfunctionSolution, s_lo: float = 0.0,
-                               s_hi: Optional[float] = None, panels: int = 12,
-                               label: str = "") -> RadialDomain:
+def compactified_radial_domain(sol: EigenfunctionSolution,
+                               s_lo: float = 0.0) -> RadialDomain:
     """Radial domain carrying the volume measure of u^{-2} g.
 
     The reduced measure is Vol(ghat) (u s)^{-4} D(s); the compactified
@@ -458,37 +491,36 @@ def compactified_radial_domain(sol: EigenfunctionSolution, s_lo: float = 0.0,
     integrating 1 gives the finite volume of the compactified collar.
     """
     fg = sol.fg
-    hi = sol.s_hi if s_hi is None else float(s_hi)
     vol = fg.boundary.volume
 
     def measure(s):
         s = np.atleast_1d(np.asarray(s, dtype=float))
         return vol * fg.density(s) / (sol.u(s) * s) ** 4
 
-    return RadialDomain(float(s_lo), hi, measure,
+    return RadialDomain(float(s_lo), sol.s_hi, measure,
                         radial_section(fg.boundary.default_point),
-                        panels=panels,
-                        label=label or f"{fg.name} compactified collar")
+                        panels=RADIAL_PANELS,
+                        label=f"{fg.name} compactified collar")
 
 
-def _second_form_linear(sol: EigenfunctionSolution, window: tuple,
-                        degree: int, fit_nodes: int) -> float:
+def _second_form_linear(sol: EigenfunctionSolution) -> float:
     """Max over blocks of the linear coefficient of h_b/(us)^2 at s = 0.
 
     The compactified warp of each block is k_b = h_b/(us)^2 with
     k_b(0) = 1; a nonzero linear term is (twice) the block's principal
-    curvature at the boundary. Fits k_b - 1 against s..s^degree, so the
-    known value at 0 is built in rather than estimated.
+    curvature at the boundary. Fits k_b - 1 against s..s^SECOND_FORM_DEGREE,
+    so the known value at 0 is built in rather than estimated.
     """
     fg = sol.fg
     sm = fg.s_max
-    s = _chebyshev_nodes(window[0] * sm, window[1] * sm, fit_nodes)
+    s = _chebyshev_nodes(SECOND_FORM_WINDOW[0] * sm, SECOND_FORM_WINDOW[1] * sm,
+                         SECOND_FORM_NODES)
     us2 = (sol.u(s) * s) ** 2
-    cols = np.stack([s**j for j in range(1, degree + 1)], axis=1)
+    cols = np.stack([s**j for j in range(1, SECOND_FORM_DEGREE + 1)], axis=1)
     sc = np.linalg.norm(cols, axis=0)
     worst = 0.0
     for blk in fg.blocks:
-        k = blk.h_at(s) / us2 - 1.0
+        k = blk.jet(s)[0] / us2 - 1.0
         coef, *_ = np.linalg.lstsq(cols / sc, k, rcond=None)
         worst = max(worst, abs(float(coef[0] / sc[0])))
     return worst
@@ -519,16 +551,10 @@ class CompactificationReport:
                 and self.totally_geodesic and self.bochner_identity)
 
 
-def compactification_checks(sol: EigenfunctionSolution, grid: int = 240,
-                            scalar_slack: float = 1e-4,
-                            bochner_tol: float = 1e-6,
-                            second_form_tol: float = 1e-6,
-                            fit_window: tuple = (0.005, 0.06),
-                            fit_degree: int = 5,
-                            fit_nodes: int = 16) -> CompactificationReport:
+def compactification_checks(sol: EigenfunctionSolution) -> CompactificationReport:
     """Verify positivity, the scalar bound, Bochner, and umbilicity.
 
-    The scalar bound is min 12(u^2 - s^2 u'^2) >= 48 w2 - scalar_slack
+    The scalar bound is min 12(u^2 - s^2 u'^2) >= 48 w2 - SCALAR_SLACK
     (sharp at the boundary for Einstein interiors). The Bochner check
     evaluates both sides of -Delta(u^2 - |du|^2) = 2 |Hess u - u g|^2
     from the solution closures; the identity needs Ric = -3g, so its
@@ -539,7 +565,7 @@ def compactification_checks(sol: EigenfunctionSolution, grid: int = 240,
     if fg.blocks is None:
         raise NotAvailable("compactification checks need the warped-block "
                            "structure of the family")
-    s = np.geomspace(sol.s_lo, sol.s_hi * 0.999, grid)
+    s = np.geomspace(sol.s_lo, sol.s_hi * 0.999, CHECK_GRID)
     u, du = sol.u(s), sol.du(s)
     d2u, d3u = sol.d2u(s), sol.d3u(s)
     lv = np.asarray(sol._logdensity.L(s))
@@ -550,8 +576,7 @@ def compactification_checks(sol: EigenfunctionSolution, grid: int = 240,
     laplace_wt = s**2 * d2wt + (s**2 * lv - 2.0 * s) * dwt
     hess_sq = (s**2 * d2u + s * du - u) ** 2
     for blk in fg.blocks:
-        hb = blk.h_at(s)
-        dhb = blk.dh_at(s)
+        hb, dhb, _ = blk.jet(s)
         hess_sq = hess_sq + len(blk.indices) * (
             (s**2 * dhb / (2.0 * hb) - s) * du - u) ** 2
     bochner_sup = float(np.max(np.abs(-laplace_wt - 2.0 * hess_sq)))
@@ -560,7 +585,7 @@ def compactification_checks(sol: EigenfunctionSolution, grid: int = 240,
     rbar = sol.compactified_scalar(scan)
     scalar_min = float(rbar.min())
     scalar_boundary = sol.boundary_scalar
-    second_form = _second_form_linear(sol, fit_window, fit_degree, fit_nodes)
+    second_form = _second_form_linear(sol)
 
     return CompactificationReport(
         name=fg.name,
@@ -573,7 +598,7 @@ def compactification_checks(sol: EigenfunctionSolution, grid: int = 240,
         collocation_residual=sol.collocation_residual,
         asymptotic_residual=sol.asymptotic_residual(),
         positive=sol.u_min > 0.0,
-        scalar_bounded_below=scalar_min >= scalar_boundary - scalar_slack,
-        totally_geodesic=second_form < second_form_tol,
-        bochner_identity=bochner_sup < bochner_tol,
+        scalar_bounded_below=scalar_min >= scalar_boundary - SCALAR_SLACK,
+        totally_geodesic=second_form < SECOND_FORM_TOL,
+        bochner_identity=bochner_sup < BOCHNER_TOL,
     )

@@ -23,7 +23,7 @@ and their orientation-refined combinations; see combined_formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -51,6 +51,8 @@ ORDER = 12
 REFINED_ORDER = 16
 #: curvature points per kernel call on product boxes
 CHUNK = 2048
+#: panels of the radial collar domains
+RADIAL_PANELS = 12
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +101,7 @@ def radial_section(boundary_point) -> Callable:
     return section
 
 
-def fg_radial_domain(fg, s_lo: float, s_hi: Optional[float] = None,
-                     panels: int = 12, label: str = "") -> RadialDomain:
+def fg_radial_domain(fg, s_lo: float) -> RadialDomain:
     """Radial domain for a normal-form family, with its hyperbolic measure.
 
     The reduced measure of s^{-2}(ds^2 + g_s) is Vol(ghat) s^{-4} D(s),
@@ -109,15 +110,14 @@ def fg_radial_domain(fg, s_lo: float, s_hi: Optional[float] = None,
     (density and a reconstructable 4-metric).
     """
     vol = fg.boundary.volume
-    hi = fg.s_max if s_hi is None else float(s_hi)
 
     def measure(s):
         s = np.atleast_1d(np.asarray(s, dtype=float))
         return vol * s**-4.0 * fg.density(s)
 
-    return RadialDomain(float(s_lo), hi, measure,
+    return RadialDomain(float(s_lo), fg.s_max, measure,
                         radial_section(fg.boundary.default_point),
-                        panels=panels, label=label or f"{fg.name} collar")
+                        panels=RADIAL_PANELS, label=f"{fg.name} collar")
 
 
 @dataclass

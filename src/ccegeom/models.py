@@ -322,19 +322,14 @@ def hyperbolic(boundary_radius: float = 1.0) -> FGMetric:
     lam2 = lam * lam
     boundary = round_sphere_boundary(lam)
 
-    def h(s):
-        return (1.0 - s**2 / (4 * lam2)) ** 2
-
-    def dh(s):
-        return 2.0 * (1.0 - s**2 / (4 * lam2)) * (-s / (2 * lam2))
-
-    def d2h(s):
-        return (s / lam2) ** 2 / 2 - (1.0 - s**2 / (4 * lam2)) / lam2
+    def jet(s):
+        c = 1.0 - s**2 / (4 * lam2)
+        return c**2, 2.0 * c * (-s / (2 * lam2)), (s / lam2) ** 2 / 2 - c / lam2
 
     fg = FGMetric(
         boundary=boundary,
         s_max=2 * lam,
-        blocks=[BlockWarp((0, 1, 2), h, dh, d2h)],
+        blocks=[BlockWarp((0, 1, 2), jet)],
         tip_multiplicity=3,
         einstein=True,
         yamabe_positive=True,
@@ -415,47 +410,23 @@ def perturbed_hyperbolic(amplitude: float = 0.05) -> FGMetric:
         raise ModelParameterError(f"amplitude must lie in [-1, 1], got {amp}")
     boundary = round_sphere_boundary(1.0)
 
-    def base(s):
-        return 1.0 - s**2 / 4
-
-    def dbase(s):
-        return -s / 2
-
-    def bump(s):
-        v = s * (2.0 - s)
-        return 1.0 + amp * v**2 / 4
-
-    def dbump(s):
-        v = s * (2.0 - s)
-        return amp * v * (2.0 - 2.0 * s) / 2
-
-    def d2bump(s):
+    def jet(s):
+        # f = base * bump and its derivatives; h = f^2
+        base, dbase = 1.0 - s**2 / 4, -s / 2
         v = s * (2.0 - s)
         vp = 2.0 - 2.0 * s
-        return amp * (vp**2 + v * (-2.0)) / 2
-
-    def f(s):
-        return base(s) * bump(s)
-
-    def df(s):
-        return dbase(s) * bump(s) + base(s) * dbump(s)
-
-    def d2f(s):
-        return (-0.5) * bump(s) + 2 * dbase(s) * dbump(s) + base(s) * d2bump(s)
-
-    def h(s):
-        return f(s) ** 2
-
-    def dh(s):
-        return 2 * f(s) * df(s)
-
-    def d2h(s):
-        return 2 * (df(s) ** 2 + f(s) * d2f(s))
+        bump = 1.0 + amp * v**2 / 4
+        dbump = amp * v * vp / 2
+        d2bump = amp * (vp**2 + v * (-2.0)) / 2
+        f = base * bump
+        df = dbase * bump + base * dbump
+        d2f = (-0.5) * bump + 2 * dbase * dbump + base * d2bump
+        return f**2, 2 * f * df, 2 * (df**2 + f * d2f)
 
     return FGMetric(
         boundary=boundary,
         s_max=2.0,
-        blocks=[BlockWarp((0, 1, 2), h, dh, d2h)],
+        blocks=[BlockWarp((0, 1, 2), jet)],
         tip_multiplicity=3,
         einstein=(amp == 0.0),
         yamabe_positive=True,

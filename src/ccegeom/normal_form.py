@@ -80,29 +80,13 @@ class BoundaryGeometry:
 class BlockWarp:
     """One warped block of g_s: the submatrix ghat|indices scaled by h(s).
 
-    h is the squared warp factor; dh and d2h are its first two
-    s-derivatives.
+    jet(s) takes an array of s values and returns (h, dh, d2h): the
+    squared warp factor and its first two s-derivatives, each shaped
+    like s.
     """
 
     indices: tuple
-    h: Callable
-    dh: Callable
-    d2h: Callable
-
-    def h_at(self, s):
-        return _evaluate(self.h, s)
-
-    def dh_at(self, s):
-        return _evaluate(self.dh, s)
-
-    def d2h_at(self, s):
-        return _evaluate(self.d2h, s)
-
-
-def _evaluate(f, s):
-    """f on a batch of s values; a scalar s gives a float."""
-    out = np.asarray(f(np.atleast_1d(np.asarray(s, dtype=float))))
-    return float(out[0]) if np.ndim(s) == 0 else out
+    jet: Callable
 
 
 class FGMetric:
@@ -110,7 +94,8 @@ class FGMetric:
 
     Two data layouts are supported. Homogeneous block models supply
     ``blocks`` (warped submatrices of the boundary metric), which give
-    closed-form densities and a reconstructable 4-metric. Generic
+    closed-form densities and a reconstructable 4-metric; every reader
+    takes h_b, h_b' and h_b'' from one jet call per block. Generic
     families supply ``gs_func(s_array, boundary_point) -> (Ns, 3, 3)``
     and support expansion extraction only.
     """
@@ -157,7 +142,7 @@ class FGMetric:
         for blk in self.blocks:
             idx = np.asarray(blk.indices)
             sub = ghat[np.ix_(idx, idx)]
-            out[:, idx[:, None], idx[None, :]] = blk.h_at(s)[:, None, None] * sub
+            out[:, idx[:, None], idx[None, :]] = blk.jet(s)[0][:, None, None] * sub
         return out
 
     def boundary_limit_residual(self, ladder=None, p=None) -> float:
@@ -188,7 +173,7 @@ class FGMetric:
         s = np.atleast_1d(np.asarray(s, dtype=float))
         out = np.ones_like(s)
         for blk in self.blocks:
-            out = out * blk.h_at(s) ** (len(blk.indices) / 2.0)
+            out = out * blk.jet(s)[0] ** (len(blk.indices) / 2.0)
         return float(out[0]) if scalar else out
 
     def density_logderiv(self, s):
@@ -198,7 +183,8 @@ class FGMetric:
         s = np.atleast_1d(np.asarray(s, dtype=float))
         out = np.zeros_like(s)
         for blk in self.blocks:
-            out = out + (len(blk.indices) / 2.0) * blk.dh_at(s) / blk.h_at(s)
+            h, dh, _ = blk.jet(s)
+            out = out + (len(blk.indices) / 2.0) * dh / h
         return float(out[0]) if scalar else out
 
     def density_logderiv2(self, s):
@@ -208,9 +194,9 @@ class FGMetric:
         s = np.atleast_1d(np.asarray(s, dtype=float))
         out = np.zeros_like(s)
         for blk in self.blocks:
-            h = blk.h_at(s)
-            ratio = blk.dh_at(s) / h
-            out = out + (len(blk.indices) / 2.0) * (blk.d2h_at(s) / h - ratio**2)
+            h, dh, d2h = blk.jet(s)
+            ratio = dh / h
+            out = out + (len(blk.indices) / 2.0) * (d2h / h - ratio**2)
         return float(out[0]) if scalar else out
 
     # -- reconstruction of the 4-metric ---------------------------------
@@ -219,7 +205,7 @@ class FGMetric:
                     s_ceiling: Optional[float] = None) -> MetricField:
         """The metric s^{-2}(ds^2 + g_s) as a MetricField on the collar chart.
 
-        Derivatives come from the block warp closures and the boundary
+        Derivatives come from the block warp jets and the boundary
         metric's analytic derivatives, so curvature of the reconstruction
         is as accurate as the warp data itself.
         """
@@ -250,13 +236,10 @@ class FGMetric:
             if order > 1:
                 d2g4[:, 0, 0, 0, 0] = 6.0 * s**-4.0
             for blk in blocks:
-                h = blk.h_at(s)
-                dh = blk.dh_at(s) if order > 0 else None
-                d2h = blk.d2h_at(s) if order > 1 else None
+                h, dh, d2h = blk.jet(s)
                 prof = h * s**-2.0
-                dprof = dh * s**-2.0 - 2.0 * h * s**-3.0 if order > 0 else None
-                d2prof = (d2h * s**-2.0 - 4.0 * dh * s**-3.0 + 6.0 * h * s**-4.0
-                          if order > 1 else None)
+                dprof = dh * s**-2.0 - 2.0 * h * s**-3.0
+                d2prof = d2h * s**-2.0 - 4.0 * dh * s**-3.0 + 6.0 * h * s**-4.0
                 for ia in blk.indices:
                     for ib in blk.indices:
                         gab = gb[:, ia, ib]
@@ -700,41 +683,24 @@ def normal_form_from_profile(profile: RadialProfile) -> FGMetric:
     a_of = profile.radial_factor
     da_of = profile.radial_factor_deriv
 
-    def r_batch(s):
-        return np.asarray([rmap.r_of_s(float(x)) for x in s])
-
     def make_block(pblk: ProfileBlock) -> BlockWarp:
-        beta = pblk.beta_sq
-        dbeta = pblk.dbeta_sq
-        d2beta = pblk.d2beta_sq
-
-        def h(s):
-            s = np.atleast_1d(np.asarray(s, dtype=float))
-            r = r_batch(s)
-            return s**2 * np.asarray(beta(r))
-
-        def dh(s):
-            s = np.atleast_1d(np.asarray(s, dtype=float))
-            r = r_batch(s)
-            rp = 1.0 / (sign * np.asarray(a_of(r)) * s)
-            db = np.asarray(dbeta(r))
-            return 2.0 * s * np.asarray(beta(r)) + s**2 * db * rp
-
-        def d2h(s):
-            s = np.atleast_1d(np.asarray(s, dtype=float))
-            r = r_batch(s)
+        def jet(s):
+            r = np.asarray([rmap.r_of_s(float(x)) for x in s])
             a = np.asarray(a_of(r))
             da = np.asarray(da_of(r))
+            beta = np.asarray(pblk.beta_sq(r))
+            db = np.asarray(pblk.dbeta_sq(r))
+            d2b = np.asarray(pblk.d2beta_sq(r))
             w = sign * a * s                  # ds/dr along the map
             rp = 1.0 / w
             wp = sign * (da * rp * s + a)     # d/ds of w
             rpp = -wp / w**2
-            db = np.asarray(dbeta(r))
-            d2b = np.asarray(d2beta(r))
-            return (2.0 * np.asarray(beta(r)) + 4.0 * s * db * rp
+            return (s**2 * beta,
+                    2.0 * s * beta + s**2 * db * rp,
+                    2.0 * beta + 4.0 * s * db * rp
                     + s**2 * (d2b * rp**2 + db * rpp))
 
-        return BlockWarp(pblk.indices, h, dh, d2h)
+        return BlockWarp(pblk.indices, jet)
 
     blocks = [make_block(b) for b in profile.blocks]
     fg = FGMetric(

@@ -213,6 +213,11 @@ class MetricField:
     # -- helpers ------------------------------------------------------------
 
     def _check_positive(self, mat, pts):
+        # NaN passes every comparison below and the factorization
+        finite = np.isfinite(mat).all(axis=(-2, -1))
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise SingularMetric(f"metric component not finite at point {pts[i]}")
         sym_err = np.max(np.abs(mat - np.swapaxes(mat, -1, -2)))
         if sym_err > 1e-10 * max(1.0, np.max(np.abs(mat))):
             raise SingularMetric(f"metric not symmetric (max asymmetry {sym_err:.2e})")

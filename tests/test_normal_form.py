@@ -8,6 +8,7 @@ import pytest
 from ccegeom import models, normal_form as nf
 from ccegeom.errors import DomainError, FitConditioning, UnsupportedDimension
 from ccegeom.quadrature import gauss_legendre_rule
+from ccegeom.tensor import curvature
 
 
 def test_order2_extraction_matches_closed_form(hyperbolic):
@@ -210,3 +211,45 @@ def test_fg_document_and_gs_table(hyperbolic, tmp_path):
     assert header[0] == "s" and header[-1] == "g_22"
     data = [[float(x) for x in row] for row in reader]
     assert np.allclose(np.asarray(data), np.asarray(rows))
+
+
+def test_one_radial_inversion_per_block_and_point(ads, monkeypatch):
+    """Each reader asks every warp for one jet, so it inverts the map once
+    per block and point: AdS has two blocks, curvature reads g, dg, d2g."""
+    rmap = ads.radial_map
+    r_of_s = rmap.r_of_s
+    calls = [0]
+
+    def counted(s):
+        calls[0] += 1
+        return r_of_s(s)
+
+    monkeypatch.setattr(rmap, "r_of_s", counted)
+    s = np.linspace(0.05, 0.9 * ads.s_max, 10)
+    pts = np.column_stack([s, np.tile(ads.boundary.default_point, (10, 1))])
+    four = ads.four_metric()
+    for read, expected in ((lambda: curvature(four, pts), 60),
+                           (lambda: ads.density_logderiv(s), 20),
+                           (lambda: ads.density_logderiv2(s), 20)):
+        calls[0] = 0
+        read()
+        assert calls[0] == expected
+
+
+@pytest.mark.parametrize("build, kwargs", [
+    ("hyperbolic", {"boundary_radius": 1.0}),
+    ("hyperbolic", {"boundary_radius": 1.3}),
+    ("perturbed_hyperbolic", {"amplitude": 0.05}),
+    ("ads_schwarzschild", {"m": 1.0}),
+])
+def test_warp_jet_derivatives_match_central_differences(build, kwargs):
+    fg = models.build(build, **kwargs)
+    s = np.linspace(0.1, 0.8, 8) * fg.s_max
+    step = 1e-4 * fg.s_max
+    for blk in fg.blocks:
+        h, dh, d2h = blk.jet(s)
+        hp, dhp, _ = blk.jet(s + step)
+        hm, dhm, _ = blk.jet(s - step)
+        assert h.shape == dh.shape == d2h.shape == s.shape
+        np.testing.assert_allclose(dh, (hp - hm) / (2 * step), rtol=1e-6, atol=1e-8)
+        np.testing.assert_allclose(d2h, (dhp - dhm) / (2 * step), rtol=1e-6, atol=1e-8)

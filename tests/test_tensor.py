@@ -259,3 +259,11 @@ def test_integrator_builds_no_rank4_weyl(monkeypatch, sphere_suite):
     suite = integrate_curvature(mdl.field, mdl.domain, orientation=mdl.orientation)
     assert suite.weyl_energy == reference.weyl_energy
     assert suite.volume == pytest.approx(8 * np.pi**2 / 3, rel=1e-10)
+
+
+def test_non_finite_component_raises_singular_metric():
+    field = MetricField(Chart(("a", "b"), (0, 0), (1, 1)), lambda p: np.stack(
+        [[[np.nan if x[0] > 0.5 else 1.0, 0.0], [0.0, 1.0]] for x in p]))
+    assert np.array_equal(field.g(np.array([0.25, 0.5])), np.eye(2))
+    with pytest.raises(SingularMetric, match=r"not finite at point \[0\.75 0\.5 \]"):
+        field.g(np.array([[0.25, 0.5], [0.75, 0.5]]))
