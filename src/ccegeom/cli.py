@@ -252,7 +252,7 @@ def _write_suite_csv(suites: dict):
 
 
 def _write_eigen_grid(sol):
-    s = np.geomspace(sol.s_lo, sol.s_hi * 0.999, 96)
+    s = np.geomspace(sol.s_lo, sol.s_hi, 96)
 
     def writer(path):
         with open(path, "w") as fh:
@@ -366,6 +366,8 @@ def _analyze_cce(cfg: RunConfig, fg: FGMetric) -> int:
             "scalar_gap": checks.scalar_gap,
             "bochner_sup": checks.bochner_sup,
             "second_form_linear": checks.second_form_linear,
+            "collocation_nodes": sol.mesh_size,
+            "coefficient_tail": sol.coefficient_tail,
             "collocation_residual": checks.collocation_residual,
             "asymptotic_residual": checks.asymptotic_residual,
         },

@@ -21,20 +21,21 @@ with D the relative volume density of g_s. The boundary s = 0 is a
 regular singular point with exponents -1 and 4; the interior end
 s = s_max, where the density vanishes to its tip order m, has exponents
 0 and 1 - m. The solver removes the growing indicial mode explicitly
-(u = 1/s + w2 s + s^2 phi), integrates in the stretched variable
-x = ln s, and closes the interior end with a Robin condition matched to
-the Frobenius branch of the bounded solution.
+(u = 1/s + w2 s + s^2 phi) and collocates a Chebyshev series of phi on
+the whole interval [0, s_max], in the least-squares sense on an
+oversampled grid. No boundary condition is imposed at either end: the
+polynomial space cannot represent the unbounded modes, so it selects
+the bounded solution by itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_bvp
-from scipy.interpolate import CubicSpline
+from numpy.polynomial.chebyshev import chebder, chebval, chebvander
 
 from .errors import (
     DomainError,
@@ -51,7 +52,6 @@ __all__ = [
     "indicial_roots",
     "AsymptoticData",
     "asymptotic_data",
-    "robin_series",
     "EigenfunctionSolution",
     "solve_eigenfunction",
     "compactified_metric_field",
@@ -62,28 +62,22 @@ __all__ = [
 
 #: largest scale of the matched-w2 Richardson ladder (also /2 and /4)
 MATCH_PROBE = 1e-2
-#: degree of the regular-part fit behind the Robin series
-ROBIN_DEGREE = 6
-#: xi window of that fit, as fractions of s_max
-ROBIN_WINDOW = (0.01, 0.20)
-#: Chebyshev nodes of that fit
-ROBIN_NODES = 24
-#: boundary end of the collocation interval
+#: collocation sizes N tried in turn by solve_eigenfunction
+COLLOCATION_NODES = (16, 24, 32, 48, 64)
+#: collocation points per Chebyshev coefficient (least squares)
+COLLOCATION_OVERSAMPLE = 2
+#: trailing Chebyshev coefficients that make the convergence tail
+TAIL_TERMS = 4
+#: solve_eigenfunction fails when the best tail exceeds this
+TAIL_LIMIT = 1e-6
+#: lower end of the diagnostic grids (u_min, scalar scan, Bochner check)
 S_LO = 1e-3
-#: the interior end is closed at s_max - XI_EDGE
+#: the compactified collar and the Bochner grid stop at s_max - XI_EDGE
 XI_EDGE = 0.05
-#: initial collocation mesh size
-MESH = 200
-#: collocation mesh cap
-MAX_NODES = 50000
-#: largest ln s spacing of the log-density spline table
-X_SPACING = 1e-3
 #: largest s of the near-boundary window of asymptotic_residual
 ASYMPTOTIC_CAP = 0.05
 #: sample count of asymptotic_residual
 ASYMPTOTIC_COUNT = 200
-#: sample count of equation_residual
-EQUATION_COUNT = 400
 #: s grid of the Bochner check
 CHECK_GRID = 240
 #: the scalar bound may undershoot 48 w2 by this much
@@ -159,92 +153,10 @@ def asymptotic_data(fg: FGMetric) -> AsymptoticData:
     return AsymptoticData(-d2 / 3.0, None, "matched", indicial_roots(3))
 
 
-# ---------------------------------------------------------------------------
-# density log-derivative evaluator
-
 def _chebyshev_nodes(a: float, b: float, count: int):
     k = np.arange(count)
     x = np.cos((2 * k + 1) * np.pi / (2 * count))
     return 0.5 * (a + b) + 0.5 * (b - a) * x
-
-
-class _LogDensity:
-    """L = (ln D)' and its derivative, cheap enough for collocation meshes.
-
-    Families built from a radial profile pay a root solve of the radial
-    map per density call, which dominates the solve. Those get a
-    one-time cubic-spline table of M = L (s_max - s) against x = ln s
-    (the factor absorbs the simple pole of L at the interior end),
-    sampled in the forward direction of the map where each point costs
-    one quadrature panel. dL stays on the exact closures: it is only
-    evaluated on small diagnostic grids, where accuracy matters more
-    than speed.
-    """
-
-    def __init__(self, fg: FGMetric, s_lo: float):
-        self.fg = fg
-        self.s_cap = fg.s_max
-        self.tabulated = fg.radial_map is not None
-        self._spl = None
-        if not self.tabulated:
-            return
-        x_min = np.log(0.2 * s_lo)
-        # the table stops a little short of the interior end: the map's
-        # endpoint estimate is only good to ~1e-11, which turns the
-        # regularized M into a quasi-pole within ~1e-4 of the tip
-        x_max = np.log(self.s_cap * (1.0 - 7.5e-4))
-        _, ss = fg.radial_map.sample(X_SPACING, x_min, x_max)
-        x = np.log(ss)
-        keep = np.concatenate([[True], np.diff(x) > 1e-12])
-        x, ss = x[keep], ss[keep]
-        m_vals = fg.density_logderiv(ss) * (self.s_cap - ss)
-        self._spl = CubicSpline(x, m_vals)
-
-    def L(self, s):
-        if self._spl is None:
-            return self.fg.density_logderiv(s)
-        s = np.asarray(s, dtype=float)
-        return self._spl(np.log(s)) / (self.s_cap - s)
-
-    def dL(self, s):
-        return self.fg.density_logderiv2(s)
-
-
-def robin_series(fg: FGMetric, logdensity: Optional[Callable] = None):
-    """Frobenius coefficients of the bounded branch at the interior end.
-
-    In xi = s_max - s the interior end is a regular singular point with
-    exponents 0 and 1 - m (m the tip order of the density), so the
-    bounded branch p(xi) = sum a_k xi^k is fixed by a0 = 1, a1 = 0. The
-    regular part of the ODE coefficient -(L - 2/s) - m/xi is fit by a
-    polynomial of degree ROBIN_DEGREE on ROBIN_NODES Chebyshev nodes
-    spanning ROBIN_WINDOW * s_max in xi, and the power series follows
-    from the recurrence. Returns the coefficient array of length
-    ROBIN_DEGREE + 2.
-    """
-    sp_ = fg.s_max
-    m = fg.tip_multiplicity
-    if m is None:
-        raise NotAvailable("the interior closure order (tip multiplicity) "
-                           "is required for the Robin series")
-    L = (lambda s: fg.density_logderiv(s)) if logdensity is None else logdensity
-    degree = ROBIN_DEGREE
-    xis = _chebyshev_nodes(ROBIN_WINDOW[0] * sp_, ROBIN_WINDOW[1] * sp_, ROBIN_NODES)
-    w = -(np.asarray(L(sp_ - xis)) - 2.0 / (sp_ - xis)) - m / xis
-    cols = np.stack([xis**j for j in range(degree)], axis=1)
-    sc = np.linalg.norm(cols, axis=0)
-    c, *_ = np.linalg.lstsq(cols / sc, w, rcond=None)
-    c = c / sc
-    qs = [4.0 * (j + 1) / sp_ ** (j + 2) for j in range(degree + 2)]
-    top = degree + 1
-    a = np.zeros(top + 1)
-    a[0] = 1.0
-    for k in range(2, top + 1):
-        qsum = sum(qs[j] * a[k - 2 - j] for j in range(0, k - 1))
-        csum = sum(c[j] * (k - 1 - j) * a[k - 1 - j]
-                   for j in range(0, min(degree, k - 1)))
-        a[k] = (qsum - csum) / (k * (k - 1 + m))
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +166,11 @@ def robin_series(fg: FGMetric, logdensity: Optional[Callable] = None):
 class EigenfunctionSolution:
     """Solved positive eigenfunction in the gauge s^{-2}(ds^2 + g_s).
 
-    u = 1/s + w2 s + s^2 phi with phi the collocation solution on
-    [s_lo, s_hi]. Below s_lo the closures continue with the asymptote
-    (phi frozen at its boundary-end value); above s_hi they refuse.
-    First derivatives come from the interpolant, u'' from the equation
-    itself and u''' from its s-derivative, so no finite differencing of
-    the nearly-cancelling combination 1/s + w2 s ever happens.
+    u = 1/s + w2 s + s^2 phi with phi the Chebyshev series of the
+    collocation solve on [0, s_hi] = [0, s_max]; s_lo = S_LO is only the
+    lower end of the diagnostic grids. u and its first three derivatives
+    come from the series and its derivative series, so no pole of L and
+    no finite differencing of the nearly-cancelling 1/s + w2 s enters.
     """
 
     fg: FGMetric
@@ -267,66 +178,53 @@ class EigenfunctionSolution:
     w2_exact: Optional[Fraction]
     s_lo: float
     s_hi: float
-    xi_edge: float
-    robin_coefficients: np.ndarray
     mesh_size: int
+    coefficient_tail: float
     collocation_residual: float
     u_min: float
-    _sol: object = field(repr=False)
-    _logdensity: object = field(repr=False)
+    coefficients: np.ndarray = field(repr=False)
 
     # -- pointwise closures -------------------------------------------------
 
-    def _clamped(self, s):
+    def _phi_jet(self, s, order: int):
+        """s as an array, then phi and its first `order` s-derivatives."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
         if np.any(s <= 0.0) or np.any(s > self.s_hi * (1.0 + 1e-12)):
             raise DomainError(
                 f"s must lie in (0, {self.s_hi}]; the solution does not "
-                "extend past the Robin edge"
+                "extend past the tip s_max"
             )
-        sc = np.minimum(np.maximum(s, self.s_lo), self.s_hi)
-        phi, dphix = self._sol(np.log(sc))
-        dphi = np.where(s >= self.s_lo, dphix / sc, 0.0)
-        return s, sc, phi, dphi
+        t = 2.0 * s / self.s_hi - 1.0
+        c, scale, out = self.coefficients, 2.0 / self.s_hi, [s]
+        for k in range(order + 1):
+            out.append(chebval(t, c))
+            c = chebder(c) * scale
+        return out
 
     def phi(self, s):
         """The regular remainder phi = (u - 1/s - w2 s)/s^2."""
-        scalar = np.ndim(s) == 0
-        out = self._clamped(s)[2]
-        return float(out[0]) if scalar else out
+        out = self._phi_jet(s, 0)[1]
+        return float(out[0]) if np.ndim(s) == 0 else out
 
     def u(self, s):
-        scalar = np.ndim(s) == 0
-        s, _, phi, _ = self._clamped(s)
-        out = 1.0 / s + self.w2 * s + s**2 * phi
-        return float(out[0]) if scalar else out
+        x, phi = self._phi_jet(s, 0)
+        out = 1.0 / x + self.w2 * x + x**2 * phi
+        return float(out[0]) if np.ndim(s) == 0 else out
 
     def du(self, s):
-        scalar = np.ndim(s) == 0
-        s, _, phi, dphi = self._clamped(s)
-        out = -1.0 / s**2 + self.w2 + 2.0 * s * phi + s**2 * dphi
-        return float(out[0]) if scalar else out
+        x, phi, dphi = self._phi_jet(s, 1)
+        out = -1.0 / x**2 + self.w2 + 2.0 * x * phi + x**2 * dphi
+        return float(out[0]) if np.ndim(s) == 0 else out
 
     def d2u(self, s):
-        scalar = np.ndim(s) == 0
-        s, sc, phi, dphi = self._clamped(s)
-        u = 1.0 / s + self.w2 * s + s**2 * phi
-        du = -1.0 / s**2 + self.w2 + 2.0 * s * phi + s**2 * dphi
-        ode = (2.0 / sc - np.asarray(self._logdensity.L(sc))) * du + 4.0 * u / sc**2
-        out = np.where(s >= self.s_lo, ode, 2.0 / s**3 + 2.0 * phi)
-        return float(out[0]) if scalar else out
+        x, phi, dphi, d2phi = self._phi_jet(s, 2)
+        out = 2.0 / x**3 + 2.0 * phi + 4.0 * x * dphi + x**2 * d2phi
+        return float(out[0]) if np.ndim(s) == 0 else out
 
     def d3u(self, s):
-        scalar = np.ndim(s) == 0
-        s, sc, phi, dphi = self._clamped(s)
-        u = 1.0 / s + self.w2 * s + s**2 * phi
-        du = -1.0 / s**2 + self.w2 + 2.0 * s * phi + s**2 * dphi
-        lv = np.asarray(self._logdensity.L(sc))
-        dlv = np.asarray(self._logdensity.dL(sc))
-        d2 = (2.0 / sc - lv) * du + 4.0 * u / sc**2
-        ode = (2.0 / sc**2 - dlv) * du + (2.0 / sc - lv) * d2 - 8.0 * u / sc**3
-        out = np.where(s >= self.s_lo, ode, -6.0 / s**4)
-        return float(out[0]) if scalar else out
+        x, _, dphi, d2phi, d3phi = self._phi_jet(s, 3)
+        out = -6.0 / x**4 + 6.0 * dphi + 6.0 * x * d2phi + x**2 * d3phi
+        return float(out[0]) if np.ndim(s) == 0 else out
 
     # -- derived quantities ---------------------------------------------------
 
@@ -352,42 +250,90 @@ class EigenfunctionSolution:
         """
         cap = min(ASYMPTOTIC_CAP, 0.5 * self.s_hi)
         s = np.geomspace(self.s_lo, max(cap, 2.0 * self.s_lo), ASYMPTOTIC_COUNT)
-        phi = self._sol(np.log(s))[0]
-        return float(np.max(np.abs(s**3 * phi)))
+        return float(np.max(np.abs(s**3 * self.phi(s))))
 
     def equation_residual(self) -> float:
-        """Sup residual of the first-order system on a dense grid.
+        """Sup residual of the eigenvalue equation, made bounded at both ends.
 
-        Uses the interpolant's own derivative, so this measures the
-        interpolation quality between collocation nodes rather than the
-        solver's internal (already normalized) residual estimate.
+        s^2 u'' + (s^2 L - 2s) u' - 4u is scaled by s xi / s_max (xi =
+        s_max - s), which keeps it dimensionless and clears the pole of L
+        at the tip, and is evaluated through phi so the 1/s parts cancel
+        exactly. It is evaluated at the interior extrema of T_M, M the
+        number of collocation points, which lie between those points.
         """
-        x = np.linspace(np.log(self.s_lo), np.log(self.s_hi), EQUATION_COUNT)
-        y = self._sol(x)
-        dy = self._sol(x, 1)
-        s = np.exp(x)
-        lv = np.asarray(self._logdensity.L(s))
-        rhs = ((1.0 - self.w2 * s**2) * lv + 6.0 * self.w2 * s) / s**2 \
-            - (1.0 + s * lv) * y[1] + (6.0 - 2.0 * s * lv) * y[0]
-        r1 = np.max(np.abs(dy[0] - y[1]))
-        r2 = np.max(np.abs(dy[1] - rhs))
-        return float(max(r1, r2))
+        sm = self.s_hi
+        m = COLLOCATION_OVERSAMPLE * self.mesh_size
+        x, phi, dphi, d2phi = self._phi_jet(
+            0.5 * sm * (1.0 - np.cos(np.arange(1, m) * np.pi / m)), 2)
+        lv = np.asarray(self.fg.density_logderiv(x))
+        lhs = x**2 * (x**2 * d2phi + (2.0 * x + x**2 * lv) * dphi
+                      + (2.0 * x * lv - 6.0) * phi)
+        forcing = (1.0 - self.w2 * x**2) * lv + 6.0 * self.w2 * x
+        return float(np.max(np.abs(x * (sm - x) / sm * (lhs - forcing))))
+
+
+def _collocate(fg: FGMetric, w2: float, n: int) -> np.ndarray:
+    """Chebyshev coefficients of phi, n terms, on [0, s_max].
+
+    One row per Gauss-Chebyshev point of [0, s_max], COLLOCATION_OVERSAMPLE
+    * n of them, solved in the least-squares sense. Each row is the
+    equation for u times xi, not the bare phi equation: L carries
+    rounding of about eps/s near s = 0, which the phi equation would
+    divide by s^2 while the u equation keeps it at the size of u, and
+    only an oversampled system gives the row weights a say.
+    """
+    sm = fg.s_max
+    t = _chebyshev_nodes(-1.0, 1.0, COLLOCATION_OVERSAMPLE * n)
+    s = 0.5 * sm * (t + 1.0)
+    xi = sm - s
+    lv = np.asarray(fg.density_logderiv(s))
+    eye = np.eye(n)
+    v0 = chebvander(t, n - 1)
+    v1 = chebvander(t, n - 2) @ chebder(eye, 1, scl=2.0 / sm)
+    v2 = chebvander(t, n - 3) @ chebder(eye, 2, scl=2.0 / sm)
+    s2 = s**2
+    a = ((xi * s2 * s2)[:, None] * v2
+         + (xi * s2 * (2.0 * s + s2 * lv))[:, None] * v1
+         + (xi * s2 * (2.0 * s * lv - 6.0))[:, None] * v0)
+    b = xi * ((1.0 - w2 * s2) * lv + 6.0 * w2 * s)
+    return np.linalg.lstsq(a, b, rcond=None)[0]
+
+
+def _coefficient_tail(c: np.ndarray, s_max: float) -> float:
+    """Largest of the last TAIL_TERMS coefficients, relative to the series.
+
+    The reference is the larger of max |c_k| and s_max^-3, the size at
+    which s^2 phi would match the leading 1/s of u at the tip, so a
+    vanishing phi (the hyperbolic fill) does not read noise over noise.
+    """
+    scale = max(float(np.max(np.abs(c))), s_max ** -3)
+    return float(np.max(np.abs(c[-TAIL_TERMS:]))) / scale
 
 
 def solve_eigenfunction(fg: FGMetric, tol: float = 1e-11,
                         w2: Optional[float] = None) -> EigenfunctionSolution:
-    """Solve Delta u = 4u with u ~ 1/s by collocation in x = ln s.
+    """Solve Delta u = 4u with u ~ 1/s by Chebyshev collocation on [0, s_max].
 
     The substitution u = 1/s + w2 s + s^2 phi removes the growing
-    indicial mode and the known part of the regular one, leaving a
-    remainder that vanishes linearly at the boundary; phi = 0 at S_LO
-    is then accurate to O(S_LO^3) and the interior end is closed at
-    s_max - XI_EDGE by a Robin pairing with the Frobenius branch from
-    robin_series. The log variable keeps the collocation mesh graded
-    toward the boundary without manual node placement.
+    indicial mode and the known part of the regular one; in phi the
+    eigenvalue equation reads
 
-    Raises SolverFailure when the collocation does not converge and
-    PositivityViolation when the solved u is not strictly positive.
+        s^2 [s^2 phi'' + (2s + s^2 L) phi' + (2sL - 6) phi]
+            = (1 - w2 s^2) L + 6 w2 s,
+
+    with L = D'/D from the exact warp jets. Times xi = s_max - s, which
+    clears the simple pole of L at the tip, it is collocated on the whole
+    fill with no boundary rows and no endpoint ever evaluated: a
+    polynomial can carry neither the s^-3 mode at the boundary nor the
+    log or xi^(1-m) mode at the tip, so the polynomial space itself
+    selects the bounded solution (Boyd, Chebyshev and Fourier Spectral
+    Methods, ch. 6). See _collocate for the rows. N runs up
+    COLLOCATION_NODES and stops at the first whose coefficient tail is
+    at most tol; if none is, the N with the smallest tail is kept.
+
+    Raises SolverFailure when that tail exceeds TAIL_LIMIT and
+    PositivityViolation when the solved u is not strictly positive on
+    [S_LO, s_max].
     """
     if fg.n != 3:
         raise UnsupportedDimension("eigenfunction reduction implemented for "
@@ -396,54 +342,34 @@ def solve_eigenfunction(fg: FGMetric, tol: float = 1e-11,
     w2_exact = data.w2_exact if data is not None else None
     w2v = float(data.w2 if data is not None else w2)
 
-    s_lo, xi = S_LO, XI_EDGE
-    s_hi = fg.s_max - xi
-    if not (0.0 < s_lo < s_hi):
-        raise DomainError("need 0 < S_LO < s_max - XI_EDGE")
-
-    logdensity = _LogDensity(fg, s_lo)
-    a = robin_series(fg, logdensity.L)
-    powers = np.arange(a.size)
-    p_e = float(np.sum(a * xi**powers))
-    dp_e = float(np.sum(powers[1:] * a[1:] * xi ** (powers[1:] - 1)))
-
-    def fun(x, y):
-        s = np.exp(x)
-        lv = np.asarray(logdensity.L(s))
-        rhs = ((1.0 - w2v * s**2) * lv + 6.0 * w2v * s) / s**2
-        phi, dphi = y
-        d2 = rhs - (1.0 + s * lv) * dphi + (6.0 - 2.0 * s * lv) * phi
-        return np.vstack([dphi, d2])
-
-    def bc(ya, yb):
-        phi, dphix = yb
-        dphi = dphix / s_hi
-        u = 1.0 / s_hi + w2v * s_hi + s_hi**2 * phi
-        du = -1.0 / s_hi**2 + w2v + 2.0 * s_hi * phi + s_hi**2 * dphi
-        return np.array([ya[0], du * p_e + u * dp_e])
-
-    xg = np.linspace(np.log(s_lo), np.log(s_hi), MESH)
-    sol = solve_bvp(fun, bc, xg, np.zeros((2, xg.size)), tol=tol,
-                    max_nodes=MAX_NODES)
-    if sol.status != 0:
-        raise SolverFailure(f"eigenfunction collocation failed: {sol.message}")
-
-    probe = np.geomspace(s_lo, s_hi, 2000)
-    phi = sol.sol(np.log(probe))[0]
-    uu = 1.0 / probe + w2v * probe + probe**2 * phi
-    u_min = float(uu.min())
-    if u_min <= 0.0:
-        raise PositivityViolation(
-            f"solved eigenfunction attains {u_min:.3e} <= 0; the family is "
-            "outside the class this compactification covers"
+    best = None
+    for n in COLLOCATION_NODES:
+        c = _collocate(fg, w2v, n)
+        tail = _coefficient_tail(c, fg.s_max)
+        if best is None or tail < best[1]:
+            best = (c, tail)
+        if tail <= tol:
+            break
+    c, tail = best
+    if not tail <= TAIL_LIMIT:
+        raise SolverFailure(
+            f"eigenfunction collocation did not converge: coefficient tail "
+            f"{tail:.3e} at best, above {TAIL_LIMIT:g}"
         )
 
-    return EigenfunctionSolution(
-        fg=fg, w2=w2v, w2_exact=w2_exact, s_lo=float(s_lo), s_hi=float(s_hi),
-        xi_edge=xi, robin_coefficients=a, mesh_size=int(sol.x.size),
-        collocation_residual=float(np.max(sol.rms_residuals)), u_min=u_min,
-        _sol=sol.sol, _logdensity=logdensity,
+    sol = EigenfunctionSolution(
+        fg=fg, w2=w2v, w2_exact=w2_exact, s_lo=S_LO, s_hi=fg.s_max,
+        mesh_size=c.size, coefficient_tail=tail, collocation_residual=0.0,
+        u_min=0.0, coefficients=c,
     )
+    sol.u_min = float(np.min(sol.u(np.geomspace(S_LO, fg.s_max, 2000))))
+    if sol.u_min <= 0.0:
+        raise PositivityViolation(
+            f"solved eigenfunction attains {sol.u_min:.3e} <= 0; the family is "
+            "outside the class this compactification covers"
+        )
+    sol.collocation_residual = sol.equation_residual()
+    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -455,10 +381,11 @@ def compactified_metric_field(sol: EigenfunctionSolution,
     """The compactified metric u^{-2} g as a MetricField on the collar chart.
 
     Derivatives of the conformal factor come from the solution closures
-    (interpolant and equation), so the curvature engine sees an analytic
-    metric throughout.
+    (the Chebyshev series and its derivative series), so the curvature
+    engine sees an analytic metric throughout. The chart stops at
+    s_max - XI_EDGE unless s_ceiling says otherwise.
     """
-    ceiling = sol.s_hi if s_ceiling is None else float(s_ceiling)
+    ceiling = sol.s_hi - XI_EDGE if s_ceiling is None else float(s_ceiling)
     base = sol.fg.four_metric(s_floor=s_floor, s_ceiling=ceiling)
 
     def value(pts):
@@ -488,7 +415,8 @@ def compactified_radial_domain(sol: EigenfunctionSolution,
 
     The reduced measure is Vol(ghat) (u s)^{-4} D(s); the compactified
     warp u s tends to 1 at the boundary, so s_lo = 0 is admissible and
-    integrating 1 gives the finite volume of the compactified collar.
+    integrating 1 gives the finite volume of the compactified collar,
+    which stops at s_max - XI_EDGE.
     """
     fg = sol.fg
     vol = fg.boundary.volume
@@ -497,7 +425,7 @@ def compactified_radial_domain(sol: EigenfunctionSolution,
         s = np.atleast_1d(np.asarray(s, dtype=float))
         return vol * fg.density(s) / (sol.u(s) * s) ** 4
 
-    return RadialDomain(float(s_lo), sol.s_hi, measure,
+    return RadialDomain(float(s_lo), sol.s_hi - XI_EDGE, measure,
                         radial_section(fg.boundary.default_point),
                         panels=RADIAL_PANELS,
                         label=f"{fg.name} compactified collar")
@@ -565,10 +493,10 @@ def compactification_checks(sol: EigenfunctionSolution) -> CompactificationRepor
     if fg.blocks is None:
         raise NotAvailable("compactification checks need the warped-block "
                            "structure of the family")
-    s = np.geomspace(sol.s_lo, sol.s_hi * 0.999, CHECK_GRID)
+    s = np.geomspace(sol.s_lo, (sol.s_hi - XI_EDGE) * 0.999, CHECK_GRID)
     u, du = sol.u(s), sol.du(s)
     d2u, d3u = sol.d2u(s), sol.d3u(s)
-    lv = np.asarray(sol._logdensity.L(s))
+    lv = np.asarray(fg.density_logderiv(s))
 
     dwt = 2.0 * u * du - 2.0 * s * du**2 - 2.0 * s**2 * du * d2u
     d2wt = (2.0 * u * d2u - 8.0 * s * du * d2u - 2.0 * s**2 * d2u**2

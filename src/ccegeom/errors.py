@@ -45,7 +45,7 @@ class CharacteristicFailure(CcegeomError):
 
 
 class SolverFailure(CcegeomError):
-    """Collocation/BVP solver did not converge."""
+    """Collocation solver did not converge."""
 
 
 class PositivityViolation(CcegeomError):

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     CharacteristicFailure,
@@ -35,6 +34,8 @@ from .errors import (
 )
 from .quadrature import _reference_rule
 from .tensor import Chart, MetricField, curvature
+
+_EPS = float(np.finfo(float).eps)
 
 __all__ = [
     "BoundaryGeometry",
@@ -422,15 +423,19 @@ class RadialMap:
     Solves d(ln s)/dr = +/- a(r) (s decreasing toward the boundary end)
     by composite quadrature over a fixed graded edge table, then fixes
     the multiplicative constant so that s^2 g restricts to the declared
-    boundary metric. Queries refine from the nearest table edge with one
-    short panel of the cached Gauss-Legendre reference rule, so the map
-    is deterministic and accurate to quadrature precision.
+    boundary metric. Forward queries refine from the nearest table edge
+    with one short panel of the cached Gauss-Legendre reference rule;
+    inverse queries run safeguarded Newton on those inside the edge
+    cell. Both take arrays, element by element in the same arithmetic,
+    so the map is deterministic and accurate to quadrature precision.
     """
 
     #: geometric grading depth toward the boundary end
     _DEPTH = 20
     #: extra depth used only by the x = 1/r region (cancellation-free)
     _DEPTH_INF = 33
+    #: cap on the Newton/bisection iterations of r_of_s
+    _MAXITER = 200
 
     def __init__(self, profile: RadialProfile, order: int = 24):
         if profile.boundary_side not in ("upper", "lower"):
@@ -448,7 +453,6 @@ class RadialMap:
         self._sign = -1.0 if profile.boundary_side == "upper" else 1.0
         self._tau_region = None
         self._x_region = None
-        self._rcache = {}
         self._build_edges()
         self._accumulate()
         self._normalize()
@@ -487,77 +491,79 @@ class RadialMap:
             edges.append(r_int)
         self.edges = np.asarray(sorted(set(float(e) for e in edges)))
 
-    def _panel(self, lo: float, hi: float):
-        """One Gauss-Legendre panel on [lo, hi] from the cached reference rule.
-
-        The same arithmetic as gauss_legendre_rule(lo, hi, 1, order),
-        without building its edge array.
-        """
+    def _panel_sum(self, lo, hi, integrand):
+        """One Gauss-Legendre panel on each [lo_i, hi_i] (the arithmetic of
+        gauss_legendre_rule(lo_i, hi_i, 1, order)), summed row by row so a
+        value does not depend on the batch it was computed in."""
         x, w = _reference_rule(self.order)
         half = 0.5 * (hi - lo)
         mid = 0.5 * (hi + lo)
-        return mid + half * x, half * w
+        nodes = mid[:, None] + half[:, None] * x
+        return np.sum(half[:, None] * w * integrand(nodes), axis=1)
 
-    def _segment_integral(self, a: float, b: float) -> float:
-        """Integral of the radial factor over [a, b] with substitutions."""
-        if b <= a:
-            return 0.0
+    def _segment_integral(self, a, b):
+        """Integrals of the radial factor over [a_i, b_i] with substitutions.
+
+        tau = sqrt(r - r_interior) next to a square-root interior end,
+        x = 1/r far out toward an infinite boundary end, r elsewhere.
+        """
         pr = self.profile
         f = pr.radial_factor
-        if self._tau_region is not None and b <= self._tau_region[1] + 1e-12:
-            ta = np.sqrt(max(a - pr.r_interior, 0.0))
-            tb = np.sqrt(b - pr.r_interior)
-            nodes, wts = self._panel(ta, tb)
-            vals = np.asarray(f(pr.r_interior + nodes**2)) * 2.0 * nodes
-            return float(np.dot(wts, vals))
-        if self._x_region is not None and a >= self._x_region[0] - 1e-12:
-            nodes, wts = self._panel(1.0 / b, 1.0 / a)
-            vals = np.asarray(f(1.0 / nodes)) / nodes**2
-            return float(np.dot(wts, vals))
-        nodes, wts = self._panel(a, b)
-        return float(np.dot(wts, np.asarray(f(nodes))))
+        r0 = pr.r_interior
+        a, b = np.broadcast_arrays(np.atleast_1d(np.asarray(a, dtype=float)),
+                                   np.atleast_1d(np.asarray(b, dtype=float)))
+        out = np.zeros(a.shape)
+        live = b > a
+        tau = live & (b <= (self._tau_region[1] if self._tau_region else -np.inf) + 1e-12)
+        inv = live & ~tau & (a >= (self._x_region[0] if self._x_region else np.inf) - 1e-12)
+        direct = live & ~tau & ~inv
+        if tau.any():
+            out[tau] = self._panel_sum(np.sqrt(np.maximum(a[tau] - r0, 0.0)),
+                                       np.sqrt(b[tau] - r0),
+                                       lambda t: np.asarray(f(r0 + t**2)) * 2.0 * t)
+        if inv.any():
+            out[inv] = self._panel_sum(1.0 / b[inv], 1.0 / a[inv],
+                                       lambda x: np.asarray(f(1.0 / x)) / x**2)
+        if direct.any():
+            out[direct] = self._panel_sum(a[direct], b[direct],
+                                          lambda r: np.asarray(f(r)))
+        return out
 
     def _accumulate(self):
-        vals = [0.0]
-        for a, b in zip(self.edges[:-1], self.edges[1:]):
-            seg = self._segment_integral(float(a), float(b))
-            if not np.isfinite(seg) or seg <= 0:
-                raise CharacteristicFailure(
-                    f"radial factor integral non-positive on [{a}, {b}]"
-                )
-            vals.append(vals[-1] + seg)
-        self._arc = np.asarray(vals)  # integral of a(r) from edges[0]
+        segs = self._segment_integral(self.edges[:-1], self.edges[1:])
+        bad = np.flatnonzero(~(np.isfinite(segs) & (segs > 0)))
+        if bad.size:
+            raise CharacteristicFailure("radial factor integral non-positive on "
+                                        f"{self.edges[bad[0]:bad[0] + 2].tolist()}")
+        # integral of a(r) from edges[0], accumulated edge by edge
+        self._arc = np.concatenate([[0.0], np.cumsum(segs)])
 
-    def _lns_unnorm(self, r: float) -> float:
+    def _lns_unnorm(self, r):
         """ln s (up to the normalization constant), refined from the table."""
-        eps = 1e-12 * max(abs(float(self.edges[0])), 1.0)
-        if r < self.edges[0] - eps or r > self.edges[-1] * (1 + 1e-12) + eps:
+        r = np.atleast_1d(np.asarray(r, dtype=float))
+        lo, hi = float(self.edges[0]), float(self.edges[-1])
+        eps = 1e-12 * max(abs(lo), 1.0)
+        outside = ~((r >= lo - eps) & (r <= hi * (1 + 1e-12) + eps))
+        if outside.any():
             raise DomainError(
-                f"radius {r} outside the constructed map range "
-                f"[{self.edges[0]}, {self.edges[-1]}]"
+                f"radius {r[outside][0]} outside the constructed map range "
+                f"[{lo}, {hi}]"
             )
-        r = min(max(r, float(self.edges[0])), float(self.edges[-1]))
-        idx = int(np.searchsorted(self.edges, r, side="right")) - 1
-        idx = min(max(idx, 0), len(self.edges) - 1)
-        acc = self._arc[idx] + self._segment_integral(float(self.edges[idx]), r)
+        r = np.clip(r, lo, hi)
+        idx = np.clip(np.searchsorted(self.edges, r, side="right") - 1, 0,
+                      self.edges.size - 1)
+        acc = self._arc[idx] + self._segment_integral(self.edges[idx], r)
         return self._sign * acc
 
     def _normalize(self):
         pr = self.profile
         if pr.boundary_side == "upper":
-            probes = self.edges[-6:]
-            nearest = -1
+            boundary_edge, interior_edge = self.edges[-1:], self.edges[:1]
         else:
-            probes = self.edges[:6]
-            nearest = 0
-        kappas = []
-        for blk in pr.blocks:
-            vals = [
-                -(self._lns_unnorm(float(r))
-                  + 0.5 * np.log(float(np.asarray(blk.beta_sq(np.asarray([r])))[0])))
-                for r in probes
-            ]
-            kappas.append(vals[nearest])
+            boundary_edge, interior_edge = self.edges[:1], self.edges[-1:]
+        lns_bdy = self._lns_unnorm(boundary_edge)[0]
+        kappas = [-(lns_bdy + 0.5 * np.log(float(np.asarray(blk.beta_sq(boundary_edge))[0])))
+                  for blk in pr.blocks]
         spread = max(kappas) - min(kappas)
         if spread > 1e-7:
             raise CharacteristicFailure(
@@ -566,106 +572,98 @@ class RadialMap:
                 "not match the profile asymptotics"
             )
         self.kappa = float(np.mean(kappas))
-        interior_edge = self.edges[0] if pr.boundary_side == "upper" else self.edges[-1]
-        boundary_edge = self.edges[-1] if pr.boundary_side == "upper" else self.edges[0]
-        self.s_interior = float(np.exp(self._lns_unnorm(float(interior_edge)) + self.kappa))
-        self.s_floor = float(np.exp(self._lns_unnorm(float(boundary_edge)) + self.kappa))
+        self.s_interior = float(np.exp(self._lns_unnorm(interior_edge)[0] + self.kappa))
+        self.s_floor = float(np.exp(lns_bdy + self.kappa))
 
     # -- queries ------------------------------------------------------------
 
-    def lns_of_r(self, r: float) -> float:
-        return self._lns_unnorm(float(r)) + self.kappa
+    def lns_of_r(self, r):
+        """ln s at each radius; a scalar in gives a float out."""
+        out = self._lns_unnorm(r) + self.kappa
+        return float(out[0]) if np.ndim(r) == 0 else out
 
     def s_of_r(self, r):
-        rs = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.exp([self.lns_of_r(x) for x in rs])
-        return out if out.size > 1 else float(out[0])
+        out = np.exp(self._lns_unnorm(r) + self.kappa)
+        return float(out[0]) if np.ndim(r) == 0 else out
 
     def r_of_s(self, s):
-        ss = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.empty(ss.size)
-        edge_lns = self._sign * self._arc + self.kappa
-        for i, sval in enumerate(ss):
-            key = float(sval)
-            hit = self._rcache.get(key)
-            if hit is not None:
-                out[i] = hit
-                continue
-            t = np.log(key)
-            if self._sign < 0:
-                j = int(np.searchsorted(-edge_lns, -t))
-            else:
-                j = int(np.searchsorted(edge_lns, t))
-            j = min(max(j, 1), len(self.edges) - 1)
-            a, b = float(self.edges[j - 1]), float(self.edges[j])
-            fa = self.lns_of_r(a) - t
-            fb = self.lns_of_r(b) - t
-            if fa == 0.0:
-                root = a
-            elif fb == 0.0:
-                root = b
-            elif fa * fb > 0:
-                raise DomainError(f"s = {key} outside the range of the constructed map")
-            else:
-                root = brentq(lambda r: self.lns_of_r(r) - t, a, b,
-                              xtol=1e-14, rtol=8.9e-16, maxiter=200)
-            self._rcache[key] = root
-            out[i] = root
-        return out if out.size > 1 else float(out[0])
+        """Radius of each s, by safeguarded Newton inside its edge cell.
 
-    def sample(self, x_spacing: float = 1e-3, x_min: Optional[float] = None,
-               x_max: Optional[float] = None):
-        """Graded (r, s) samples of the map with x = ln s covering [x_min, x_max].
-
-        Sampling runs in the forward direction (r -> s), which costs one
-        short quadrature panel per point instead of a root solve, and the
-        results are written into the inverse cache so subsequent warp
-        evaluations at exactly these s values skip r_of_s entirely. Gaps
-        of the edge table are subdivided until the spacing in x is at
-        most x_spacing. Returns (r, s) sorted by increasing s.
+        Newton starts from linear interpolation of ln s across the cell
+        and steps with d(ln s)/dr = +/- a(r), in tau = sqrt(r - r_interior)
+        inside the square-root region. A step below the tolerance is
+        stretched to it, so the bracket closes from both sides; a step
+        that leaves the bracket or, unstretched, does not halve the one
+        before it is replaced by bisection. Stops when the bracket spans
+        at most 1e-14 + 8.9e-16 |r| (brentq's rule at its xtol and rtol)
+        or |ln s(r) - ln s| is at the rounding of ln s, and returns the
+        last Newton point, clipped to the bracket. Each element iterates
+        on its own, so an array query equals its scalar queries bitwise.
         """
-        x_edges = self._sign * self._arc + self.kappa
-        if x_min is None:
-            x_min = float(np.min(x_edges))
-        if x_max is None:
-            x_max = float(np.max(x_edges))
-        rr = []
-        for k in range(len(self.edges) - 1):
-            xa, xb = float(x_edges[k]), float(x_edges[k + 1])
-            lo, hi = min(xa, xb), max(xa, xb)
-            if hi < x_min or lo > x_max:
-                continue
-            n = int(np.ceil(abs(xb - xa) / x_spacing))
-            n = min(max(n, 4), 4000)
-            seg = np.linspace(float(self.edges[k]), float(self.edges[k + 1]), n + 2)
-            rr.append(seg[1:-1])
-            if lo >= x_min and self.edges[k] != self.edges[0] \
-                    and self.edges[k] != self.edges[-1]:
-                rr.append(self.edges[k:k + 1])
-        rr = np.unique(np.concatenate(rr))
-        xs = np.array([self.lns_of_r(float(r)) for r in rr])
-        keep = (xs >= x_min - 1e-12) & (xs <= x_max + 1e-12)
-        rr, xs = rr[keep], xs[keep]
-        ss = np.exp(xs)
-        order = np.argsort(ss)
-        rr, ss = rr[order], ss[order]
-        for r, s in zip(rr, ss):
-            self._rcache[float(s)] = float(r)
-        return rr, ss
+        t = np.log(np.atleast_1d(np.asarray(s, dtype=float)))
+        lns_edges = self._sign * self._arc + self.kappa
+        j = np.searchsorted(self._sign * lns_edges, self._sign * t)
+        j = np.clip(j, 1, self.edges.size - 1)
+        f_lo, f_hi = lns_edges[j - 1] - t, lns_edges[j] - t
+        outside = ~(f_lo * f_hi <= 0.0)
+        if outside.any():
+            raise DomainError(
+                f"s = {np.exp(t[outside][0])} outside the range "
+                f"[{self.s_floor}, {self.s_interior}] of the constructed map"
+            )
+        r0 = self.profile.r_interior
+        tau = self.edges[j] <= (self._tau_region[1] if self._tau_region else -np.inf) + 1e-12
+
+        def radius(y, k):
+            return np.where(tau[k], r0 + y * y, y)
+
+        def coordinate(r):
+            return np.where(tau, np.sqrt(np.maximum(r - r0, 0.0)), r)
+
+        y_lo, y_hi = coordinate(self.edges[j - 1]), coordinate(self.edges[j])
+        side = np.sign(f_lo)
+        root = np.where(f_lo == 0.0, y_lo, y_hi)
+        done = (f_lo == 0.0) | (f_hi == 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y = y_lo + f_lo / (f_lo - f_hi) * (y_hi - y_lo)
+        last = np.full(t.shape, np.inf)  # size of each point's previous step
+        for _ in range(self._MAXITER):
+            k = np.flatnonzero(~done)
+            if k.size == 0:
+                break
+            yk = y[k]
+            rk = radius(yk, k)
+            fk = self._lns_unnorm(rk) + self.kappa - t[k]
+            left = np.sign(fk) == side[k]
+            lo = y_lo[k] = np.where(left, yk, y_lo[k])
+            hi = y_hi[k] = np.where(left, y_hi[k], yk)
+            drdy = np.where(tau[k], 2.0 * yk, 1.0)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                step = fk / (self._sign * np.asarray(self.profile.radial_factor(rk)) * drdy)
+                root[k] = np.clip(np.where(fk == 0.0, yk, yk - step), lo, hi)
+                tol = 1e-14 + 8.9e-16 * np.abs(rk)
+                done[k] = ((np.abs(fk) <= 2.0 * _EPS * np.abs(t[k]))
+                           | (radius(hi, k) - radius(lo, k) <= tol))
+                short = np.abs(step) * drdy < 0.5 * tol
+                size = np.where(short, 0.5 * tol / drdy, np.abs(step))
+            nxt = yk - np.copysign(size, step)
+            ok = (nxt > lo) & (nxt < hi) & (short | (size <= 0.5 * last[k]))
+            y[k] = np.where(ok, nxt, 0.5 * (lo + hi))
+            last[k] = np.where(ok, size, 0.5 * (hi - lo))
+        else:
+            raise CharacteristicFailure("radial map inversion did not converge")
+        out = radius(root, slice(None))
+        return float(out[0]) if np.ndim(s) == 0 else out
 
     def gauge_residual(self, s_values) -> float:
         """max | |ds|^2_{s^2 g} - 1 | over an s grid, via finite differences
         of the constructed map (an independent check of the construction)."""
-        worst = 0.0
-        for s in np.atleast_1d(np.asarray(s_values, dtype=float)):
-            r = self.r_of_s(float(s))
-            h = 1e-6 * max(abs(r), 1.0)
-            sp = self.s_of_r(r + h)
-            sm = self.s_of_r(r - h)
-            dsdr = (sp - sm) / (2.0 * h)
-            a = float(np.asarray(self.profile.radial_factor(np.asarray([r])))[0])
-            worst = max(worst, abs(dsdr**2 / (a**2 * s**2) - 1.0))
-        return worst
+        s = np.atleast_1d(np.asarray(s_values, dtype=float))
+        r = self.r_of_s(s)
+        h = 1e-6 * np.maximum(np.abs(r), 1.0)
+        dsdr = (self.s_of_r(r + h) - self.s_of_r(r - h)) / (2.0 * h)
+        a = np.asarray(self.profile.radial_factor(r))
+        return float(np.max(np.abs(dsdr**2 / (a**2 * s**2) - 1.0)))
 
 
 def normal_form_from_profile(profile: RadialProfile) -> FGMetric:
@@ -685,7 +683,7 @@ def normal_form_from_profile(profile: RadialProfile) -> FGMetric:
 
     def make_block(pblk: ProfileBlock) -> BlockWarp:
         def jet(s):
-            r = np.asarray([rmap.r_of_s(float(x)) for x in s])
+            r = rmap.r_of_s(s)
             a = np.asarray(a_of(r))
             da = np.asarray(da_of(r))
             beta = np.asarray(pblk.beta_sq(r))

@@ -31,7 +31,7 @@ def hyperbolic_radial_profile():
 
     Substituting r = (2 - s) / (2 + s) (upper boundary at r = 1) puts
     the warp at 4 r^2 / (1 - r^2)^2 with radial factor 2 / (1 - r^2),
-    which exercises the arc-length/spline path of the normal form.
+    which exercises the arc-length/radial-map path of the normal form.
     """
     return RadialProfile(
         name="hyperbolic-profile",

@@ -7,7 +7,7 @@ import pytest
 
 from ccegeom import models
 from ccegeom import eigenfunction as ef
-from ccegeom.errors import DomainError, NotAvailable, UnsupportedDimension
+from ccegeom.errors import DomainError, UnsupportedDimension
 from ccegeom.quadrature import integrate_refined
 from ccegeom.tensor import curvature
 
@@ -41,13 +41,6 @@ def test_asymptotic_data_matched_case(perturbed):
     assert abs(data.w2 - (0.25 - amp)) < 1e-6
 
 
-def test_robin_series_needs_tip_data():
-    fam = models.polynomial_family(models.round_sphere_boundary(),
-                                   {2: -0.5 * np.eye(3)})
-    with pytest.raises(NotAvailable, match="tip"):
-        ef.robin_series(fam)
-
-
 def test_hyperbolic_solution_closed_form(hyp_solution):
     """u = 1/s + s/4 exactly; derivative errors gated relative to size."""
     sol = hyp_solution
@@ -57,7 +50,8 @@ def test_hyperbolic_solution_closed_form(hyp_solution):
     d2, d3 = 2 / s ** 3, -6 / s ** 4
     assert np.max(np.abs((sol.d2u(s) - d2) / d2)) < 1e-6
     assert np.max(np.abs((sol.d3u(s) - d3) / d3)) < 1e-4
-    assert sol.u_min > 1.0
+    # on the whole fill (0, 2] the minimum of 1/s + s/4 is u(2) = 1 exactly
+    assert sol.u_min == pytest.approx(1.0, abs=1e-12)
     assert sol.collocation_residual < 1e-9
     assert sol.asymptotic_residual() < 1e-12
     assert sol.equation_residual() < 1e-9
@@ -66,7 +60,7 @@ def test_hyperbolic_solution_closed_form(hyp_solution):
 
 
 def test_spline_path_matches_closed_form(hyperbolic_profile):
-    """The same solve through the profile/spline machinery."""
+    """The same solve through the radial-map machinery of a profile."""
     sol = ef.solve_eigenfunction(hyperbolic_profile)
     assert sol.w2_exact == Fraction(1, 4)
     s = np.geomspace(sol.s_lo, sol.s_hi, 400)
@@ -111,7 +105,7 @@ def test_hyperbolic_report(hyp_checks):
     assert rep.positive and rep.scalar_bounded_below
     assert rep.totally_geodesic and rep.bochner_identity
     assert rep.einstein_consistent
-    assert rep.u_min > 1.0
+    assert rep.u_min == pytest.approx(1.0, abs=1e-12)  # u(s_max) = u(2) = 1
     assert rep.scalar_boundary == pytest.approx(12.0)
     assert rep.scalar_gap > -1e-4
     assert rep.bochner_sup < 1e-6
@@ -150,3 +144,28 @@ def test_w2_override_reproduces_default(hyperbolic, hyp_solution):
     sol = ef.solve_eigenfunction(hyperbolic, w2=0.25)
     s = np.geomspace(0.05, 1.9, 30)
     assert np.max(np.abs(sol.u(s) - hyp_solution.u(s))) < 1e-10
+
+
+@pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
+def test_ads_solution_on_the_whole_fill(m):
+    """The collocation reaches the tip: u_min is u(s_max), below every
+    value on the old truncated interval, the scalar bound holds up to
+    the tip, and the equation holds between the collocation nodes."""
+    fg = models.build("ads_schwarzschild", m=m)
+    sol = ef.solve_eigenfunction(fg)
+    sm = fg.s_max
+    assert sol.s_hi == sm and sol.s_lo == ef.S_LO
+    assert sol.mesh_size == sol.coefficients.size
+    assert sol.mesh_size in ef.COLLOCATION_NODES and sol.mesh_size <= 64
+    assert sol.coefficient_tail <= ef.TAIL_LIMIT
+    assert abs(sol.u_min - sol.u(sm)) <= 1e-12
+    truncated = sol.u(np.geomspace(ef.S_LO, sm - 0.05, 2000))
+    assert sol.u_min < truncated.min()
+    scan = np.geomspace(ef.S_LO, sm, 4000)
+    assert np.min(sol.compactified_scalar(scan)) >= sol.boundary_scalar - ef.SCALAR_SLACK
+    rep = ef.compactification_checks(sol)
+    assert rep.scalar_bounded_below and rep.u_min == sol.u_min
+    assert sol.equation_residual() <= 1e-8  # between the collocation points
+    assert sol.collocation_residual == sol.equation_residual()
+    with pytest.raises(DomainError, match="does not extend"):
+        sol.u(sm * (1.0 + 1e-9))

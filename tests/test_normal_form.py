@@ -82,15 +82,9 @@ def test_profile_reconstructs_hyperbolic(hyperbolic, hyperbolic_profile):
     assert fg.boundary_limit_residual() < 1e-6
 
 
-def test_profile_lower_boundary_side():
-    """A profile already written in the defining-function variable.
-
-    With radial factor 1/r the arc-length map is the identity s = r,
-    which pins down the orientation conventions for a boundary at the
-    lower end of the coordinate interval.
-    """
+def _lower_side_profile():
     bnd = models.round_sphere_boundary()
-    prof = nf.RadialProfile(
+    return nf.RadialProfile(
         name="hyperbolic-s", boundary=bnd,
         blocks=(nf.ProfileBlock(
             (0, 1, 2),
@@ -103,6 +97,17 @@ def test_profile_lower_boundary_side():
         radial_factor_deriv=lambda r: -1.0 / r ** 2,
         r_interior=2.0, r_boundary=0.0, boundary_side="lower",
         tip_multiplicity=3, einstein=True)
+
+
+def test_profile_lower_boundary_side():
+    """A profile already written in the defining-function variable.
+
+    With radial factor 1/r the arc-length map is the identity s = r,
+    which pins down the orientation conventions for a boundary at the
+    lower end of the coordinate interval.
+    """
+    prof = _lower_side_profile()
+    bnd = prof.boundary
     rmap = nf.RadialMap(prof)
     s = np.geomspace(0.02, 1.8, 9)
     r = np.array([rmap.r_of_s(float(x)) for x in s])
@@ -114,16 +119,8 @@ def test_profile_lower_boundary_side():
     assert np.max(np.abs(warp - (1.0 - s ** 2 / 4.0) ** 2)) < 1e-9
 
 
-def test_radial_map_sample_and_gauge(hyperbolic_radial_profile):
-    rmap = nf.RadialMap(hyperbolic_radial_profile)  # a fresh map, empty cache
-    rr, ss = rmap.sample(x_spacing=5e-3)
-    assert rr.size > 500
-    assert ss.min() < 1e-4 and ss.max() > 1.9
-    assert np.all(np.diff(ss) > 0)
-    # forward samples land in the inverse cache: exact round trip
-    sub = ss[::50]
-    back = np.array([rmap.r_of_s(float(x)) for x in sub])
-    assert np.max(np.abs(rmap.s_of_r(back) - sub)) == 0.0
+def test_radial_map_closed_form_and_gauge(hyperbolic_radial_profile):
+    rmap = nf.RadialMap(hyperbolic_radial_profile)
     # substitution s = 2(1 - y)/(1 + y) in closed form
     y = 0.5
     assert rmap.s_of_r(y) == pytest.approx(2 * (1 - y) / (1 + y), abs=1e-10)
@@ -131,7 +128,11 @@ def test_radial_map_sample_and_gauge(hyperbolic_radial_profile):
 
 
 def test_radial_map_queries_are_one_composite_panel(ads):
-    """lns_of_r is the edge table plus one gauss_legendre_rule panel, bitwise."""
+    """lns_of_r is the edge table plus one gauss_legendre_rule panel, bitwise.
+
+    Each panel is contracted as a plain sum of weight times value, the
+    row-wise reduction the batched query applies.
+    """
     rmap = ads.radial_map
     pr = rmap.profile
     f = pr.radial_factor
@@ -144,13 +145,13 @@ def test_radial_map_queries_are_one_composite_panel(ads):
         if r <= tau_hi:
             t, w = gauss_legendre_rule(np.sqrt(max(a - r0, 0.0)), np.sqrt(r - r0),
                                        1, rmap.order)
-            seg = np.dot(w, np.asarray(f(r0 + t**2)) * 2.0 * t)
+            seg = np.sum(w * (np.asarray(f(r0 + t**2)) * 2.0 * t))
         elif a >= x_lo:
             x, w = gauss_legendre_rule(1.0 / r, 1.0 / a, 1, rmap.order)
-            seg = np.dot(w, np.asarray(f(1.0 / x)) / x**2)
+            seg = np.sum(w * (np.asarray(f(1.0 / x)) / x**2))
         else:
             nodes, w = gauss_legendre_rule(a, r, 1, rmap.order)
-            seg = np.dot(w, np.asarray(f(nodes)))
+            seg = np.sum(w * np.asarray(f(nodes)))
         return rmap._sign * (rmap._arc[idx] + float(seg)) + rmap.kappa
 
     radii = np.concatenate([
@@ -221,7 +222,7 @@ def test_one_radial_inversion_per_block_and_point(ads, monkeypatch):
     calls = [0]
 
     def counted(s):
-        calls[0] += 1
+        calls[0] += np.size(s)
         return r_of_s(s)
 
     monkeypatch.setattr(rmap, "r_of_s", counted)
@@ -253,3 +254,33 @@ def test_warp_jet_derivatives_match_central_differences(build, kwargs):
         assert h.shape == dh.shape == d2h.shape == s.shape
         np.testing.assert_allclose(dh, (hp - hm) / (2 * step), rtol=1e-6, atol=1e-8)
         np.testing.assert_allclose(d2h, (dhp - dhm) / (2 * step), rtol=1e-6, atol=1e-8)
+
+
+@pytest.mark.parametrize("which", ["ads", "lower"])
+def test_radial_map_inverse_round_trip(which, ads):
+    """r_of_s inverts lns_of_r to 1e-13 in ln s, array and scalar queries
+    agree bitwise, and s outside [s_floor, s_interior] is refused.
+
+    On AdS the s grid reaches the tau, direct and x = 1/r regions of the
+    edge table; the lower-side profile puts the boundary at the lower
+    end of the radial interval. The grid stops at 0.99 s_interior: next
+    to the AdS tip V(r) = r^2 + 1 - 2m/r loses digits to cancellation,
+    and ln s itself carries about 1e-13 of rounding there.
+    """
+    rmap = ads.radial_map if which == "ads" else nf.RadialMap(_lower_side_profile())
+    s = np.concatenate([np.geomspace(1.5 * rmap.s_floor, 0.9 * rmap.s_interior, 40),
+                        rmap.s_interior * np.array([0.95, 0.99])])
+    r = rmap.r_of_s(s)
+    if which == "ads":
+        tau_hi, x_lo = rmap._tau_region[1], rmap._x_region[0]
+        assert np.any(r < tau_hi) and np.any(r > x_lo)
+        assert np.any((r > tau_hi) & (r < x_lo))
+    assert np.max(np.abs(rmap.lns_of_r(r) - np.log(s))) <= 1e-13
+    scalar = [rmap.r_of_s(float(x)) for x in s]
+    assert all(isinstance(x, float) for x in scalar)
+    assert np.array_equal(np.asarray(scalar), r)
+    for bad in (0.5 * rmap.s_floor, rmap.s_interior * (1.0 + 1e-9)):
+        with pytest.raises(DomainError):
+            rmap.r_of_s(bad)
+        with pytest.raises(DomainError):
+            rmap.r_of_s(np.asarray([s[10], bad]))
