@@ -33,6 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import models, volume
+from .autodiff import cos, sin
 from .errors import CcegeomError
 from .eigenfunction import (
     asymptotic_data,
@@ -465,18 +466,21 @@ def run_analyze(cfg: RunConfig, args=None) -> int:
 # ---------------------------------------------------------------------------
 # check: invariant suites for CI
 
-def _conformal_factors(chart, count: int, seed: int = _SEED):
-    import sympy as sp
+def _conformal_factor(a, b, c, k1, k2):
+    # a factor in every coordinate of the S2 x S2 chart (t, p, u, v)
+    def w(t, p, u, v):
+        return a * sin(k1 * t) * cos(p) + b * cos(u) + c * sin(k2 * v)
 
+    return w
+
+
+def _conformal_factors(chart, count: int, seed: int = _SEED):
     rng = np.random.default_rng(seed)
-    xs = sp.symbols(" ".join(chart.names), real=True)
     out = []
     for _ in range(count):
         a, b, c = (round(float(v), 6) for v in rng.uniform(-0.25, 0.25, 3))
         k1, k2 = (int(v) for v in rng.integers(1, 3, 2))
-        expr = (a * sp.sin(k1 * xs[0]) * sp.cos(xs[1])
-                + b * sp.cos(xs[2]) + c * sp.sin(k2 * xs[3]))
-        out.append(ScalarField.from_sympy(xs, expr))
+        out.append(ScalarField.from_function(chart, _conformal_factor(a, b, c, k1, k2)))
     return out
 
 

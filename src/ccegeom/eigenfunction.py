@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Real
 from typing import Optional
 
 import numpy as np
@@ -112,10 +113,10 @@ class AsymptoticData:
     """Leading expansion data of the normalized growing solution.
 
     u = 1/s + w2 s + O(s^2): the s^0 slot between the indicial roots is
-    forced to vanish because g_s has no linear term. w2_exact is set (a
-    Fraction) when the boundary scalar curvature is carried exactly and
-    the interior is Einstein; otherwise w2 comes from matching against
-    the density expansion and w2_exact is None.
+    forced to vanish because g_s has no linear term. An Einstein interior
+    takes w2 from the boundary scalar curvature, and w2_exact is set (a
+    Fraction) when that curvature is carried exactly; otherwise w2 comes
+    from matching against the density expansion and w2_exact is None.
     """
 
     w2: float
@@ -129,8 +130,9 @@ def asymptotic_data(fg: FGMetric) -> AsymptoticData:
     """Resolve the coefficient w2 of u = 1/s + w2 s + O(s^2).
 
     Einstein interiors determine w2 = R(ghat)/24 from the boundary
-    alone; that path is exact when the boundary scalar curvature is an
-    int or Fraction. Otherwise w2 = -tr(g2)/6 is matched numerically:
+    alone, whenever the boundary scalar curvature is a real number; w2
+    is also kept as a Fraction when that curvature is an int or
+    Fraction. Otherwise w2 = -tr(g2)/6 is matched numerically:
     L = D'/D ~ tr(g2) s near s = 0, and tr(g2)/2 is read off from
     L/(2s) with one Richardson step at the scale MATCH_PROBE.
     """
@@ -138,10 +140,9 @@ def asymptotic_data(fg: FGMetric) -> AsymptoticData:
         raise UnsupportedDimension("eigenfunction reduction implemented for "
                                    "3-dimensional boundaries")
     rhat = fg.boundary.scalar_curvature
-    if fg.einstein and isinstance(rhat, (int, Fraction)) \
-            and not isinstance(rhat, bool):
-        w2x = Fraction(rhat, 24)
-        return AsymptoticData(float(w2x), w2x, "boundary-curvature",
+    if fg.einstein and isinstance(rhat, Real) and not isinstance(rhat, bool):
+        exact = Fraction(rhat, 24) if isinstance(rhat, (int, Fraction)) else None
+        return AsymptoticData(float(rhat / 24), exact, "boundary-curvature",
                               indicial_roots(3))
     # L/(2s) = tr(g2)/2 + O(s): the density of a non-Einstein family has
     # a cubic term, so the ladder must clear the linear error first
@@ -388,25 +389,16 @@ def compactified_metric_field(sol: EigenfunctionSolution,
     ceiling = sol.s_hi - XI_EDGE if s_ceiling is None else float(s_ceiling)
     base = sol.fg.four_metric(s_floor=s_floor, s_ceiling=ceiling)
 
-    def value(pts):
-        return -np.log(sol.u(np.asarray(pts, dtype=float)[:, 0]))
-
-    def grad(pts):
-        pts = np.asarray(pts, dtype=float)
-        s = pts[:, 0]
-        out = np.zeros_like(pts)
-        out[:, 0] = -sol.du(s) / sol.u(s)
-        return out
-
-    def hess(pts):
-        pts = np.asarray(pts, dtype=float)
+    def jet(pts):
         s = pts[:, 0]
         u, du, d2u = sol.u(s), sol.du(s), sol.d2u(s)
-        out = np.zeros((pts.shape[0], pts.shape[1], pts.shape[1]))
-        out[:, 0, 0] = (du**2 - d2u * u) / u**2
-        return out
+        grad = np.zeros_like(pts)
+        grad[:, 0] = -du / u
+        hess = np.zeros((pts.shape[0], pts.shape[1], pts.shape[1]))
+        hess[:, 0, 0] = (du**2 - d2u * u) / u**2
+        return -np.log(u), grad, hess
 
-    return conformal_rescale(base, ScalarField(value, grad, hess))
+    return conformal_rescale(base, ScalarField(jet))
 
 
 def compactified_radial_domain(sol: EigenfunctionSolution,

@@ -2,20 +2,22 @@
 
 Closed models come with their integration domain and exact topological
 data; conformally compact models come as FGMetric families of
-normal-form warps. All sympy-backed fields carry analytic first and
-second derivatives, so curvature needs no finite differencing.
+normal-form warps. Every closed and boundary metric is a plain function
+of the chart coordinates it reads, written in the jet operations of
+``autodiff``: one evaluation gives g and its first and second
+derivatives exactly, so curvature needs no finite differencing, and the
+coordinates a metric does not take are its cyclic axes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-import sympy as sp
 
+from .autodiff import cos, diag, sin
 from .errors import ModelParameterError, NotAvailable
 from .integrals import ProductChartDomain
 from .normal_form import (
@@ -58,98 +60,73 @@ def _positive(value, name):
     return value
 
 
-@lru_cache(maxsize=None)
-def _round_sphere_boundary_field(radius: float) -> MetricField:
-    t1, t2, t3 = sp.symbols("t1 t2 t3", positive=True)
-    lam2 = sp.Rational(radius) ** 2 if float(radius).is_integer() else sp.Float(radius) ** 2
-    gmat = sp.diag(lam2, lam2 * sp.sin(t1) ** 2,
-                   lam2 * sp.sin(t1) ** 2 * sp.sin(t2) ** 2)
-    chart = Chart(("t1", "t2", "t3"), (0.0, 0.0, 0.0), (np.pi, np.pi, 2 * np.pi))
-    return MetricField.from_sympy((t1, t2, t3), gmat, chart,
-                                  name=f"round-S3(r={radius})")
+def _boundary(name, names, his, g, **data) -> BoundaryGeometry:
+    """A boundary geometry whose metric g lives on the chart box (0, his)."""
+    chart = Chart(names, (0.0,) * len(names), his)
+    return BoundaryGeometry(name=name, field=MetricField.from_function(chart, g, name=name),
+                            **data)
 
 
 def round_sphere_boundary(radius: float = 1.0) -> BoundaryGeometry:
     radius = _positive(radius, "radius")
-    rhat = Fraction(6) if radius == 1.0 else 6.0 / radius**2
-    return BoundaryGeometry(
-        name=f"round-S3(r={radius})",
-        field=_round_sphere_boundary_field(radius),
+    lam2 = radius**2
+
+    def g(t1, t2):
+        a = lam2 * sin(t1) ** 2
+        return diag(lam2, a, a * sin(t2) ** 2)
+
+    return _boundary(
+        f"round-S3(r={radius})", ("t1", "t2", "t3"), (np.pi, np.pi, 2 * np.pi), g,
         volume=2 * np.pi**2 * radius**3,
-        scalar_curvature=rhat,
+        scalar_curvature=Fraction(6) if radius == 1.0 else 6.0 / lam2,
         default_point=(1.1, 1.3, 0.7),
     )
-
-
-@lru_cache(maxsize=None)
-def _circle_sphere_boundary_field(length: float, radius: float) -> MetricField:
-    ph, th, ps = sp.symbols("ph th ps", positive=True)
-    a2 = sp.Float(radius) ** 2
-    gmat = sp.diag(sp.Integer(1), a2, a2 * sp.sin(th) ** 2)
-    chart = Chart(("ph", "th", "ps"), (0.0, 0.0, 0.0),
-                  (length, np.pi, 2 * np.pi))
-    return MetricField.from_sympy((ph, th, ps), gmat, chart,
-                                  name=f"S1({length})xS2(r={radius})")
 
 
 def circle_sphere_boundary(length: float, radius: float = 1.0) -> BoundaryGeometry:
     length = _positive(length, "length")
     radius = _positive(radius, "radius")
-    rhat = Fraction(2) if radius == 1.0 else 2.0 / radius**2
-    return BoundaryGeometry(
-        name=f"S1({length:.6g})xS2(r={radius})",
-        field=_circle_sphere_boundary_field(length, radius),
-        volume=length * 4 * np.pi * radius**2,
-        scalar_curvature=rhat,
+    a2 = radius**2
+
+    def g(th):
+        return diag(1.0, a2, a2 * sin(th) ** 2)
+
+    return _boundary(
+        f"S1({length:.6g})xS2(r={radius})", ("ph", "th", "ps"),
+        (length, np.pi, 2 * np.pi), g,
+        volume=length * 4 * np.pi * a2,
+        scalar_curvature=Fraction(2) if radius == 1.0 else 2.0 / a2,
         default_point=(0.37 * length, 1.2, 0.9),
     )
 
 
-@lru_cache(maxsize=None)
-def _flat_torus_boundary_field(lengths: tuple) -> MetricField:
-    xs = sp.symbols("x1 x2 x3", real=True)
-    gmat = sp.eye(3)
-    chart = Chart(("x1", "x2", "x3"), (0.0, 0.0, 0.0), lengths)
-    return MetricField.from_sympy(xs, gmat, chart, name="flat-T3")
-
-
 def flat_torus_boundary(lengths=(2 * np.pi,) * 3) -> BoundaryGeometry:
     lengths = tuple(_positive(l, "length") for l in lengths)
-    return BoundaryGeometry(
-        name="flat-T3",
-        field=_flat_torus_boundary_field(lengths),
+    return _boundary(
+        "flat-T3", ("x1", "x2", "x3"), lengths, lambda: diag(1.0, 1.0, 1.0),
         volume=float(np.prod(lengths)),
         scalar_curvature=Fraction(0),
         default_point=tuple(0.3 * l for l in lengths),
     )
 
 
-@lru_cache(maxsize=None)
-def _berger_sphere_boundary_field(lam: float) -> MetricField:
-    th, ph, ps = sp.symbols("th ph ps", positive=True)
-    lam_s = sp.Float(lam)
-    # quarter-scaled bi-invariant frame, Hopf circle stretched by lam:
-    # g = (1/4) [dth^2 + sin^2 th dph^2 + lam^2 (dps + cos th dph)^2]
-    s1 = [0, sp.cos(th), 1]            # dps + cos th dph in (th, ph, ps)
-    gmat = sp.zeros(3, 3)
-    gmat[0, 0] = sp.Rational(1, 4)
-    gmat[1, 1] = sp.sin(th) ** 2 / 4
-    for i in range(3):
-        for j in range(3):
-            gmat[i, j] += lam_s**2 * s1[i] * s1[j] / 4
-    chart = Chart(("th", "ph", "ps"), (0.0, 0.0, 0.0),
-                  (np.pi, 2 * np.pi, 4 * np.pi))
-    return MetricField.from_sympy((th, ph, ps), gmat, chart,
-                                  name=f"berger-S3(lam={lam})")
-
-
 def berger_sphere_boundary(lam: float = 0.8) -> BoundaryGeometry:
     lam = _positive(lam, "lam")
-    return BoundaryGeometry(
-        name=f"berger-S3(lam={lam})",
-        field=_berger_sphere_boundary_field(lam),
+    lam2 = lam**2
+
+    # quarter-scaled bi-invariant frame, Hopf circle stretched by lam:
+    # g = (1/4) [dth^2 + sin^2 th dph^2 + lam^2 (dps + cos th dph)^2]
+    def g(th):
+        c = cos(th)
+        g12 = lam2 * c / 4
+        return [[0.25, 0.0, 0.0],
+                [0.0, sin(th) ** 2 / 4 + lam2 * c**2 / 4, g12],
+                [0.0, g12, lam2 / 4]]
+
+    return _boundary(
+        f"berger-S3(lam={lam})", ("th", "ph", "ps"), (np.pi, 2 * np.pi, 4 * np.pi), g,
         volume=2 * np.pi**2 * lam,
-        scalar_curvature=8 - 2 * lam**2,
+        scalar_curvature=8 - 2 * lam2,
         default_point=(1.2, 0.8, 2.1),
     )
 
@@ -173,30 +150,27 @@ class ClosedModel:
     notes: str = ""
 
 
-@lru_cache(maxsize=None)
-def _round_sphere4_field(radius: float) -> MetricField:
-    t1, t2, t3, t4 = sp.symbols("t1 t2 t3 t4", positive=True)
-    lam2 = sp.Float(radius) ** 2
-    s1, s2, s3 = sp.sin(t1), sp.sin(t2), sp.sin(t3)
-    gmat = sp.diag(lam2, lam2 * s1**2, lam2 * s1**2 * s2**2,
-                   lam2 * s1**2 * s2**2 * s3**2)
-    chart = Chart(("t1", "t2", "t3", "t4"), (0.0,) * 4,
-                  (np.pi, np.pi, np.pi, 2 * np.pi))
-    return MetricField.from_sympy((t1, t2, t3, t4), gmat, chart,
-                                  name=f"round-S4(r={radius})")
+def _closed(label, names, his, g, **data) -> ClosedModel:
+    """A closed model whose metric g lives on the chart box (0, his),
+    integrated over that whole box."""
+    chart = Chart(names, (0.0,) * len(names), his)
+    return ClosedModel(field=MetricField.from_function(chart, g, name=label),
+                       domain=ProductChartDomain(tuple((0.0, hi, 1) for hi in his), label),
+                       **data)
 
 
 def round_sphere4(radius: float = 1.0) -> ClosedModel:
     radius = _positive(radius, "radius")
-    domain = ProductChartDomain(
-        axes=((0.0, np.pi, 1), (0.0, np.pi, 1), (0.0, np.pi, 1),
-              (0.0, 2 * np.pi, 1)),
-        label="round-S4",
-    )
-    return ClosedModel(
+    lam2 = radius**2
+
+    def g(t1, t2, t3):
+        a = lam2 * sin(t1) ** 2
+        b = a * sin(t2) ** 2
+        return diag(lam2, a, b, b * sin(t3) ** 2)
+
+    return _closed(
+        "round-S4", ("t1", "t2", "t3", "t4"), (np.pi, np.pi, np.pi, 2 * np.pi), g,
         name=f"round_sphere(r={radius:g})",
-        field=_round_sphere4_field(radius),
-        domain=domain,
         euler=2,
         signature=0,
         volume=8 * np.pi**2 / 3 * radius**4,
@@ -205,21 +179,11 @@ def round_sphere4(radius: float = 1.0) -> ClosedModel:
     )
 
 
-@lru_cache(maxsize=None)
-def _flat_torus4_field(lengths: tuple) -> MetricField:
-    xs = sp.symbols("x1 x2 x3 x4", real=True)
-    chart = Chart(("x1", "x2", "x3", "x4"), (0.0,) * 4, lengths)
-    return MetricField.from_sympy(xs, sp.eye(4), chart, name="flat-T4")
-
-
 def flat_torus4(lengths=(2 * np.pi,) * 4) -> ClosedModel:
     lengths = tuple(_positive(l, "length") for l in lengths)
-    domain = ProductChartDomain(
-        axes=tuple((0.0, l, 1) for l in lengths), label="flat-T4")
-    return ClosedModel(
+    return _closed(
+        "flat-T4", ("x1", "x2", "x3", "x4"), lengths, lambda: diag(1.0, 1.0, 1.0, 1.0),
         name="flat_torus",
-        field=_flat_torus4_field(lengths),
-        domain=domain,
         euler=0,
         signature=0,
         volume=float(np.prod(lengths)),
@@ -229,56 +193,23 @@ def flat_torus4(lengths=(2 * np.pi,) * 4) -> ClosedModel:
     )
 
 
-@lru_cache(maxsize=None)
-def _product_spheres_field(a: float, b: float) -> MetricField:
-    t, p, u, v = sp.symbols("t p u v", positive=True)
-    a2, b2 = sp.Float(a) ** 2, sp.Float(b) ** 2
-    gmat = sp.diag(a2, a2 * sp.sin(t) ** 2, b2, b2 * sp.sin(u) ** 2)
-    chart = Chart(("t", "p", "u", "v"), (0.0,) * 4,
-                  (np.pi, 2 * np.pi, np.pi, 2 * np.pi))
-    return MetricField.from_sympy((t, p, u, v), gmat, chart,
-                                  name=f"S2(a={a})xS2(b={b})")
-
-
 def product_spheres(a: float = 1.0, b: float = 1.0) -> ClosedModel:
     a = _positive(a, "a")
     b = _positive(b, "b")
-    domain = ProductChartDomain(
-        axes=((0.0, np.pi, 1), (0.0, 2 * np.pi, 1), (0.0, np.pi, 1),
-              (0.0, 2 * np.pi, 1)),
-        label="S2xS2",
-    )
-    return ClosedModel(
+    a2, b2 = a**2, b**2
+
+    def g(t, u):
+        return diag(a2, a2 * sin(t) ** 2, b2, b2 * sin(u) ** 2)
+
+    return _closed(
+        "S2xS2", ("t", "p", "u", "v"), (np.pi, 2 * np.pi, np.pi, 2 * np.pi), g,
         name=f"product_spheres(a={a:g},b={b:g})",
-        field=_product_spheres_field(a, b),
-        domain=domain,
         euler=4,
         signature=0,
-        volume=16 * np.pi**2 * a**2 * b**2,
+        volume=16 * np.pi**2 * a2 * b2,
         einstein=(a == b),
         yamabe_positive=True,
     )
-
-
-@lru_cache(maxsize=None)
-def _fubini_study_field() -> MetricField:
-    # cohomogeneity-one polar form: the geodesic spheres about a point are
-    # Berger 3-spheres, the psi-circle collapsing onto the 2-sphere at
-    # infinity (r = pi/2). Entries stay bounded, unlike the affine chart
-    # whose inverse metric grows without bound and wrecks conditioning.
-    r, t, p, q = sp.symbols("r t p q", positive=True)
-    s2 = sp.sin(r) ** 2
-    c2 = sp.cos(r) ** 2
-    gmat = sp.zeros(4, 4)
-    gmat[0, 0] = 1
-    gmat[1, 1] = s2 / 4
-    gmat[2, 2] = s2 * sp.sin(t) ** 2 / 4 + s2 * c2 * sp.cos(t) ** 2 / 4
-    gmat[3, 3] = s2 * c2 / 4
-    gmat[2, 3] = gmat[3, 2] = s2 * c2 * sp.cos(t) / 4
-    chart = Chart(("r", "t", "p", "q"), (0.0,) * 4,
-                  (np.pi / 2, np.pi, 2 * np.pi, 4 * np.pi))
-    return MetricField.from_sympy((r, t, p, q), gmat, chart,
-                                  name="fubini-study")
 
 
 def fubini_study() -> ClosedModel:
@@ -288,15 +219,23 @@ def fubini_study() -> ClosedModel:
     curvature 4. The chart covers the complement of a point and the
     cut-locus 2-sphere, both measure zero.
     """
-    domain = ProductChartDomain(
-        axes=((0.0, np.pi / 2, 1), (0.0, np.pi, 1), (0.0, 2 * np.pi, 1),
-              (0.0, 4 * np.pi, 1)),
-        label="fubini-study",
-    )
-    return ClosedModel(
+    # cohomogeneity-one polar form: the geodesic spheres about a point are
+    # Berger 3-spheres, the psi-circle collapsing onto the 2-sphere at
+    # infinity (r = pi/2). Entries stay bounded, unlike the affine chart
+    # whose inverse metric grows without bound and wrecks conditioning.
+    def g(r, t):
+        s2 = sin(r) ** 2
+        sc = s2 * cos(r) ** 2
+        ct = cos(t)
+        g23 = sc * ct / 4
+        return [[1.0, 0.0, 0.0, 0.0],
+                [0.0, s2 / 4, 0.0, 0.0],
+                [0.0, 0.0, s2 * sin(t) ** 2 / 4 + sc * ct**2 / 4, g23],
+                [0.0, 0.0, g23, sc / 4]]
+
+    return _closed(
+        "fubini-study", ("r", "t", "p", "q"), (np.pi / 2, np.pi, 2 * np.pi, 4 * np.pi), g,
         name="fubini_study",
-        field=_fubini_study_field(),
-        domain=domain,
         euler=3,
         signature=1,
         volume=np.pi**2 / 2,

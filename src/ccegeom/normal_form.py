@@ -206,9 +206,9 @@ class FGMetric:
                     s_ceiling: Optional[float] = None) -> MetricField:
         """The metric s^{-2}(ds^2 + g_s) as a MetricField on the collar chart.
 
-        Derivatives come from the block warp jets and the boundary
-        metric's analytic derivatives, so curvature of the reconstruction
-        is as accurate as the warp data itself.
+        Its jet reads each block warp's jet and the boundary metric's jet
+        once per batch, so curvature of the reconstruction is as accurate
+        as the warp data itself.
         """
         self._require_blocks()
         bf = self.boundary.field
@@ -220,22 +220,16 @@ class FGMetric:
                       (hi,) + tuple(bf.chart.hi))
         blocks = self.blocks
 
-        def assemble(pts, order):
-            pts = np.asarray(pts, dtype=float)
+        def jet(pts):
             s = pts[:, 0]
-            x = pts[:, 1:]
             npts = pts.shape[0]
-            gb = bf.g(x, check=False)
-            dgb = bf.dg(x) if order > 0 else None
-            d2gb = bf.d2g(x) if order > 1 else None
+            gb, dgb, d2gb = bf.jet(pts[:, 1:], check=False)
             g4 = np.zeros((npts, d, d))
-            dg4 = np.zeros((npts, d, d, d)) if order > 0 else None
-            d2g4 = np.zeros((npts, d, d, d, d)) if order > 1 else None
+            dg4 = np.zeros((npts, d, d, d))
+            d2g4 = np.zeros((npts, d, d, d, d))
             g4[:, 0, 0] = s**-2.0
-            if order > 0:
-                dg4[:, 0, 0, 0] = -2.0 * s**-3.0
-            if order > 1:
-                d2g4[:, 0, 0, 0, 0] = 6.0 * s**-4.0
+            dg4[:, 0, 0, 0] = -2.0 * s**-3.0
+            d2g4[:, 0, 0, 0, 0] = 6.0 * s**-4.0
             for blk in blocks:
                 h, dh, d2h = blk.jet(s)
                 prof = h * s**-2.0
@@ -245,34 +239,23 @@ class FGMetric:
                     for ib in blk.indices:
                         gab = gb[:, ia, ib]
                         g4[:, ia + 1, ib + 1] += prof * gab
-                        if order > 0:
-                            dg4[:, 0, ia + 1, ib + 1] += dprof * gab
-                            dg4[:, 1:, ia + 1, ib + 1] += (
-                                prof[:, None] * dgb[:, :, ia, ib]
-                            )
-                        if order > 1:
-                            d2g4[:, 0, 0, ia + 1, ib + 1] += d2prof * gab
-                            d2g4[:, 0, 1:, ia + 1, ib + 1] += (
-                                dprof[:, None] * dgb[:, :, ia, ib]
-                            )
-                            d2g4[:, 1:, 0, ia + 1, ib + 1] += (
-                                dprof[:, None] * dgb[:, :, ia, ib]
-                            )
-                            d2g4[:, 1:, 1:, ia + 1, ib + 1] += (
-                                prof[:, None, None] * d2gb[:, :, :, ia, ib]
-                            )
+                        dg4[:, 0, ia + 1, ib + 1] += dprof * gab
+                        dg4[:, 1:, ia + 1, ib + 1] += (
+                            prof[:, None] * dgb[:, :, ia, ib]
+                        )
+                        d2g4[:, 0, 0, ia + 1, ib + 1] += d2prof * gab
+                        d2g4[:, 0, 1:, ia + 1, ib + 1] += (
+                            dprof[:, None] * dgb[:, :, ia, ib]
+                        )
+                        d2g4[:, 1:, 0, ia + 1, ib + 1] += (
+                            dprof[:, None] * dgb[:, :, ia, ib]
+                        )
+                        d2g4[:, 1:, 1:, ia + 1, ib + 1] += (
+                            prof[:, None, None] * d2gb[:, :, :, ia, ib]
+                        )
             return g4, dg4, d2g4
 
-        def func(pts):
-            return assemble(pts, 0)[0]
-
-        def dfunc(pts):
-            return assemble(pts, 1)[1]
-
-        def d2func(pts):
-            return assemble(pts, 2)[2]
-
-        return MetricField(chart, func, dfunc, d2func,
+        return MetricField(chart, jet=jet,
                            name=(self.name or "fg") + "/normal-form")
 
 

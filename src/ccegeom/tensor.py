@@ -1,6 +1,7 @@
 """Pointwise curvature of explicit Riemannian metrics.
 
-A metric is a set of component closures over a coordinate chart. All
+A metric is a jet closure over a coordinate chart, giving g, dg and d2g
+together (or a bare component closure, differentiated numerically). All
 operations are batched: points have shape (N, dim) and every tensor gains
 a leading batch axis. Single points (dim,) are accepted and the batch
 axis is squeezed from the results.
@@ -25,12 +26,14 @@ of the operator, with P+- = (1 +- *)/2.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
+from . import autodiff
 from .errors import DerivativeTolerance, DomainError, SingularMetric
 
 def _einsum(subscripts, *ops):
@@ -126,57 +129,102 @@ def _maybe_squeeze(arr, squeeze):
 
 
 # ---------------------------------------------------------------------------
+# fields written in chart coordinates
+
+def _read_axes(chart: Chart, func) -> tuple:
+    """Chart indices of the coordinates func takes, by parameter name."""
+    names = tuple(inspect.signature(func).parameters)
+    unknown = [n for n in names if n not in chart.names]
+    if unknown:
+        raise DomainError(f"{unknown} are not coordinates of the chart {chart.names}")
+    return tuple(chart.names.index(n) for n in names)
+
+
+def _lambdify_jet(coords, expr):
+    """Chart indices expr reads, and expr lambdified onto the jet functions."""
+    import sympy as sp
+
+    coords = [sp.Symbol(c) if isinstance(c, str) else c for c in coords]
+    axes = tuple(i for i, x in enumerate(coords) if x in expr.free_symbols)
+    body = expr.tolist() if isinstance(expr, sp.MatrixBase) else expr
+    func = sp.lambdify([coords[i] for i in axes], body, modules=[
+        {"sin": autodiff.sin, "cos": autodiff.cos, "exp": autodiff.exp}])
+    return axes, func
+
+
+# ---------------------------------------------------------------------------
 # scalar fields (conformal factors)
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Scalar function with gradient and hessian closures, batched."""
+    """Scalar function on a chart, batched.
 
-    value: Callable
-    grad: Callable
-    hess: Callable
+    jet(points) -> (value (N,), gradient (N, d), hessian (N, d, d)).
+    """
+
+    jet: Callable
+
+    def value(self, points):
+        return self.jet(points)[0]
+
+    @staticmethod
+    def from_function(chart: Chart, func) -> "ScalarField":
+        """func is a jet expression in the chart coordinates it names."""
+        return ScalarField(autodiff.field_jet(func, _read_axes(chart, func)))
 
     @staticmethod
     def from_sympy(coords, expr) -> "ScalarField":
-        from .symbolic import scalar_closures
+        """A sympy expression in coords (symbols or names); needs sympy."""
+        import sympy as sp
 
-        v, g, h = scalar_closures(coords, expr)
-        return ScalarField(v, g, h)
+        axes, func = _lambdify_jet(coords, sp.sympify(expr))
+        return ScalarField(autodiff.field_jet(func, axes))
 
 
 # ---------------------------------------------------------------------------
 # metric fields
 
 class MetricField:
-    """Riemannian metric given by component closures on a chart.
+    """Riemannian metric on a chart, batched.
 
-    func(points) -> (N, d, d). Analytic derivative closures dfunc /
-    d2func may be supplied (preferred); otherwise derivatives fall back
-    to Richardson-extrapolated central differences controlled by
+    jet(points) -> (g, dg, d2g) is the one evaluation path, and g, dg
+    and d2g read it. A field given only the component closure
+    func(points) -> (N, d, d) takes its derivatives from
+    Richardson-extrapolated central differences controlled by
     ``scheme``.
 
     cyclic_axes lists the chart axes no component depends on, so the
-    metric and all its curvature are constant along them. from_sympy
-    reads them off the expressions; every other constructor records
-    none.
+    metric and all its curvature are constant along them. from_function
+    and from_sympy read them off the coordinates the components take;
+    other constructors record none unless told.
     """
 
-    def __init__(self, chart: Chart, func, dfunc=None, d2func=None,
-                 scheme: Optional[CentralDifference] = None, name: str = ""):
+    def __init__(self, chart: Chart, func=None, *, jet=None,
+                 scheme: Optional[CentralDifference] = None, name: str = "",
+                 cyclic_axes: tuple = ()):
+        if (func is None) == (jet is None):
+            raise ValueError("give exactly one of func and jet")
         self.chart = chart
         self.dim = chart.dim
-        self._func = func
-        self._dfunc = dfunc
-        self._d2func = d2func
+        self.analytic = jet is not None
+        self._func = func if jet is None else (lambda pts: jet(pts)[0])
+        self._jet = jet or (lambda pts: _fd_jet(func, pts, self.scheme))
         self.scheme = scheme or CentralDifference()
         self.name = name
-        self.cyclic_axes = ()
-
-    @property
-    def analytic(self) -> bool:
-        return self._dfunc is not None and self._d2func is not None
+        self.cyclic_axes = tuple(cyclic_axes)
 
     # -- evaluation ---------------------------------------------------------
+
+    def jet(self, points, check: bool = True):
+        """(g, dg, d2g) at one point or a batch; check screens the chart
+        box and positivity."""
+        pts, squeeze = _as_batch(points, self.dim)
+        if check:
+            self.chart.require(pts)
+        g, dg, d2g = (np.asarray(a, dtype=float) for a in self._jet(pts))
+        if check:
+            self._check_positive(g, pts)
+        return tuple(_maybe_squeeze(a, squeeze) for a in (g, dg, d2g))
 
     def g(self, points, check: bool = True):
         pts, squeeze = _as_batch(points, self.dim)
@@ -188,27 +236,15 @@ class MetricField:
         return _maybe_squeeze(mat, squeeze)
 
     def dg(self, points):
-        pts, squeeze = _as_batch(points, self.dim)
-        self.chart.require(pts)
-        if self._dfunc is not None:
-            out = np.asarray(self._dfunc(pts), dtype=float)
-        else:
-            out = _fd_first(self._func, pts, self.scheme)
-        return _maybe_squeeze(out, squeeze)
+        return self.jet(points)[1]
 
     def d2g(self, points):
-        pts, squeeze = _as_batch(points, self.dim)
-        self.chart.require(pts)
-        if self._d2func is not None:
-            out = np.asarray(self._d2func(pts), dtype=float)
-        else:
-            out = _fd_second(self._func, pts, self.scheme)
-        return _maybe_squeeze(out, squeeze)
+        return self.jet(points)[2]
 
     def with_scheme(self, scheme: CentralDifference) -> "MetricField":
         """Same component closure, forced finite-difference derivatives."""
-        return MetricField(self.chart, self._func, None, None, scheme,
-                           name=self.name + "/fd")
+        return MetricField(self.chart, self._func, scheme=scheme,
+                           name=self.name + "/fd", cyclic_axes=self.cyclic_axes)
 
     # -- helpers ------------------------------------------------------------
 
@@ -236,19 +272,24 @@ class MetricField:
                     )
 
     @staticmethod
+    def from_function(chart: Chart, func, name: str = "") -> "MetricField":
+        """func returns the component matrix (nested lists of jet
+        expressions) in the chart coordinates it names."""
+        return _component_field(chart, _read_axes(chart, func), func, name)
+
+    @staticmethod
     def from_sympy(coords, gmat, chart: Chart, name: str = "") -> "MetricField":
-        from .symbolic import derivative_arrays, lambdify_array
+        """A sympy matrix in coords; needs sympy."""
         import sympy as sp
 
-        g = sp.Matrix(gmat)
-        dg, d2g = derivative_arrays(coords, g)
-        fg = lambdify_array(coords, g.tolist())
-        fdg = lambdify_array(coords, dg)
-        fd2g = lambdify_array(coords, d2g)
-        field = MetricField(chart, fg, fdg, fd2g, name=name)
-        field.cyclic_axes = tuple(i for i, x in enumerate(coords)
-                                  if x not in g.free_symbols)
-        return field
+        axes, func = _lambdify_jet(coords, sp.Matrix(gmat))
+        return _component_field(chart, axes, func, name)
+
+
+def _component_field(chart, axes, func, name):
+    d = chart.dim
+    return MetricField(chart, jet=autodiff.field_jet(func, axes, (d, d)), name=name,
+                       cyclic_axes=tuple(i for i in range(d) if i not in axes))
 
 
 # ---------------------------------------------------------------------------
@@ -274,47 +315,35 @@ def _richardson(table_values):
     return best, change
 
 
-def _fd_first(func, pts, scheme: CentralDifference):
+def _fd_jet(func, pts, scheme: CentralDifference):
+    """func at pts with Richardson-extrapolated central differences of
+    its first and second derivatives."""
     n, d = pts.shape
-    levels = []
+    g0 = np.asarray(func(pts), dtype=float)
+    levels = ([], [])
     h = scheme.step
     for _ in range(scheme.levels):
-        out = np.empty((n, d, d, d))
+        step = h * np.eye(d)
+        first = np.empty((n, d) + g0.shape[1:])
+        second = np.empty((n, d, d) + g0.shape[1:])
         for k in range(d):
-            e = np.zeros(d)
-            e[k] = h
-            out[:, k] = (func(pts + e) - func(pts - e)) / (2 * h)
-        levels.append(out)
-        h /= 2.0
-    best, change = _richardson(levels)
-    _require_converged(best, change, scheme, "first")
-    return best
-
-def _fd_second(func, pts, scheme: CentralDifference):
-    n, d = pts.shape
-    levels = []
-    h = scheme.step
-    for _ in range(scheme.levels):
-        out = np.empty((n, d, d, d, d))
-        g0 = func(pts)
-        for k in range(d):
-            ek = np.zeros(d)
-            ek[k] = h
-            out[:, k, k] = (func(pts + ek) - 2 * g0 + func(pts - ek)) / (h * h)
-            for l in range(k + 1, d):
-                el = np.zeros(d)
-                el[l] = h
-                mixed = (
-                    func(pts + ek + el) - func(pts + ek - el)
-                    - func(pts - ek + el) + func(pts - ek - el)
+            plus, minus = func(pts + step[k]), func(pts - step[k])
+            first[:, k] = (plus - minus) / (2 * h)
+            second[:, k, k] = (plus - 2 * g0 + minus) / (h * h)
+            for l in range(k):
+                second[:, k, l] = second[:, l, k] = (
+                    func(pts + step[k] + step[l]) - func(pts + step[k] - step[l])
+                    - func(pts - step[k] + step[l]) + func(pts - step[k] - step[l])
                 ) / (4 * h * h)
-                out[:, k, l] = mixed
-                out[:, l, k] = mixed
-        levels.append(out)
+        levels[0].append(first)
+        levels[1].append(second)
         h /= 2.0
-    best, change = _richardson(levels)
-    _require_converged(best, change, scheme, "second")
-    return best
+    out = [g0]
+    for label, table in zip(("first", "second"), levels):
+        best, change = _richardson(table)
+        _require_converged(best, change, scheme, label)
+        out.append(best)
+    return out
 
 
 def _require_converged(best, change, scheme, label):
@@ -366,8 +395,7 @@ class CurvaturePacket:
 
 def christoffel(m: MetricField, points):
     pts, squeeze = _as_batch(points, m.dim)
-    g = m.g(pts)
-    dg = m.dg(pts)
+    g, dg, _ = m.jet(pts)
     ginv = np.linalg.inv(g)
     gamma = _christoffel_from(ginv, _first_kind(dg))
     return _maybe_squeeze(gamma, squeeze)
@@ -432,9 +460,7 @@ def curvature(m: MetricField, points, orientation: int = 1) -> CurvaturePacket:
         raise ValueError("orientation must be +1 or -1")
     pts, squeeze = _as_batch(points, m.dim)
     d = m.dim
-    g = m.g(pts)
-    dg = m.dg(pts)
-    d2g = m.d2g(pts)
+    g, dg, d2g = m.jet(pts)
     ginv = np.linalg.inv(g)
 
     nb = pts.shape[0]
@@ -540,33 +566,21 @@ def einstein_residual(m: MetricField, points, n: int = 3):
 
 
 def conformal_rescale(m: MetricField, w: ScalarField) -> MetricField:
-    """Metric e^{2w} g with derivative closures built by the product rule."""
+    """Metric e^{2w} g. Its jet reads the jets of g and w once per batch
+    and composes them by the product rule."""
 
-    def func(pts):
-        f = np.exp(2.0 * np.asarray(w.value(pts)))
-        return f[:, None, None] * m.g(pts, check=False)
+    def jet(pts):
+        g, dg, d2g = m.jet(pts, check=False)
+        wv, dw, hw = w.jet(pts)
+        f = np.exp(2.0 * np.asarray(wv))
+        d1 = 2.0 * _einsum("nk,nij->nkij", dw, g) + dg
+        d2 = (4.0 * _einsum("nk,nl,nij->nklij", dw, dw, g)
+              + 2.0 * _einsum("nkl,nij->nklij", hw, g)
+              + 2.0 * _einsum("nk,nlij->nklij", dw, dg)
+              + 2.0 * _einsum("nl,nkij->nklij", dw, dg)
+              + d2g)
+        return (f[:, None, None] * g, f[:, None, None, None] * d1,
+                f[:, None, None, None, None] * d2)
 
-    def dfunc(pts):
-        g = m.g(pts, check=False)
-        dg = m.dg(pts)
-        f = np.exp(2.0 * np.asarray(w.value(pts)))
-        dw = np.asarray(w.grad(pts))
-        term = 2.0 * _einsum("nk,nij->nkij", dw, g) + dg
-        return f[:, None, None, None] * term
-
-    def d2func(pts):
-        g = m.g(pts, check=False)
-        dg = m.dg(pts)
-        d2g = m.d2g(pts)
-        f = np.exp(2.0 * np.asarray(w.value(pts)))
-        dw = np.asarray(w.grad(pts))
-        hw = np.asarray(w.hess(pts))
-        term = (4.0 * _einsum("nk,nl,nij->nklij", dw, dw, g)
-                + 2.0 * _einsum("nkl,nij->nklij", hw, g)
-                + 2.0 * _einsum("nk,nlij->nklij", dw, dg)
-                + 2.0 * _einsum("nl,nkij->nklij", dw, dg)
-                + d2g)
-        return f[:, None, None, None, None] * term
-
-    return MetricField(m.chart, func, dfunc, d2func, m.scheme,
+    return MetricField(m.chart, jet=jet, scheme=m.scheme,
                        name=m.name + "/conformal")

@@ -32,6 +32,16 @@ def test_asymptotic_data_exact_cases(hyperbolic, ads):
     assert data2.source == "boundary-curvature"
 
 
+@pytest.mark.parametrize("lam", [0.7, 1.3])
+def test_asymptotic_data_real_boundary_curvature(lam):
+    """An Einstein fill whose boundary scalar curvature is a float still
+    takes w2 = R/24 from the boundary, not from the matched density."""
+    data = ef.asymptotic_data(models.hyperbolic(boundary_radius=lam))
+    assert data.source == "boundary-curvature"
+    assert data.w2_exact is None
+    assert data.w2 == pytest.approx(1.0 / (4 * lam**2), rel=1e-15, abs=0.0)
+
+
 def test_asymptotic_data_matched_case(perturbed):
     """Non-Einstein family: w2 must come from matching the density."""
     data = ef.asymptotic_data(perturbed)

@@ -156,8 +156,8 @@ def test_cyclic_axes_recorded(hyperbolic):
                 "fubini_study": (2, 3), "flat_torus": (0, 1, 2, 3)}
     for name, axes in expected.items():
         assert models.build(name).field.cyclic_axes == axes
-    # a conformal factor in t alone would keep p and v cyclic, but only
-    # from_sympy reads the axes off the expressions
+    # a conformal factor in t alone would keep p and v cyclic, but
+    # conformal_rescale records no cyclic axes
     sph = models.build("product_spheres").field
     x = sp.symbols(sph.chart.names, real=True)
     w = ScalarField.from_sympy(x, 0.1 * sp.cos(x[0]))
@@ -192,16 +192,16 @@ def test_collapsed_axes_match_full_grid(name):
 
 
 def _counted(field, counter):
-    """Copy of field whose d2g adds the rows it is asked for to counter:
+    """Copy of field whose jet adds the rows it is asked for to counter:
     the kernel asks once per batch, so the sum is the curvature points."""
     counted = copy.copy(field)
-    d2g = counted.d2g
+    jet = counted.jet
 
-    def d2g_counted(points):
+    def jet_counted(points, *args, **kwargs):
         counter[0] += len(points)
-        return d2g(points)
+        return jet(points, *args, **kwargs)
 
-    counted.d2g = d2g_counted
+    counted.jet = jet_counted
     return counted
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from ccegeom import models
 from ccegeom.errors import ModelParameterError, NotAvailable
@@ -150,3 +151,58 @@ def test_fg_metric_metadata(hyperbolic, ads, perturbed):
     assert ads.boundary.scalar_curvature == pytest.approx(2.0)
     assert perturbed.boundary.scalar_curvature == pytest.approx(6.0)
     assert hyperbolic.boundary.volume == pytest.approx(2 * np.pi ** 2, rel=1e-13)
+
+
+def _catalogue_oracles():
+    """The catalogue's metric fields next to their sympy component matrices."""
+    sin, cos = sp.sin, sp.cos
+    t1, t2, t3, t4 = sp.symbols("t1 t2 t3 t4")
+    ph, th, ps, t, p, u, v, r, q = sp.symbols("ph th ps t p u v r q")
+    x4 = sp.symbols("x1 x2 x3 x4")
+    lam2, a2, b2, lam, rho = 1.3**2, 1.2**2, 0.7**2, 0.8, 1.1
+    s2, c2 = sin(r) ** 2, cos(r) ** 2
+    hopf = sp.Matrix([0, cos(th), 1])
+    berger = sp.diag(sp.Rational(1, 4), sin(th) ** 2 / 4, 0) + lam**2 * hopf * hopf.T / 4
+    cp2 = sp.zeros(4, 4)
+    cp2[0, 0], cp2[1, 1] = 1, s2 / 4
+    cp2[2, 2] = s2 * sin(t) ** 2 / 4 + s2 * c2 * cos(t) ** 2 / 4
+    cp2[3, 3] = s2 * c2 / 4
+    cp2[2, 3] = cp2[3, 2] = s2 * c2 * cos(t) / 4
+    return {
+        "S3": (models.round_sphere_boundary(1.3).field, (t1, t2, t3),
+               sp.diag(lam2, lam2 * sin(t1) ** 2, lam2 * sin(t1) ** 2 * sin(t2) ** 2)),
+        "S1xS2": (models.circle_sphere_boundary(2.5, 1.2).field, (ph, th, ps),
+                  sp.diag(1, a2, a2 * sin(th) ** 2)),
+        "T3": (models.flat_torus_boundary().field, x4[:3], sp.eye(3)),
+        "berger-S3": (models.berger_sphere_boundary(lam).field, (th, ph, ps), berger),
+        "S4": (models.round_sphere4(rho).field, (t1, t2, t3, t4),
+               rho**2 * sp.diag(1, sin(t1) ** 2, sin(t1) ** 2 * sin(t2) ** 2,
+                                sin(t1) ** 2 * sin(t2) ** 2 * sin(t3) ** 2)),
+        "T4": (models.flat_torus4().field, x4, sp.eye(4)),
+        "S2xS2": (models.product_spheres(1.2, 0.7).field, (t, p, u, v),
+                  sp.diag(a2, a2 * sin(t) ** 2, b2, b2 * sin(u) ** 2)),
+        "CP2": (models.fubini_study().field, (r, t, p, q), cp2),
+    }
+
+
+@pytest.mark.parametrize("name", ["S3", "S1xS2", "T3", "berger-S3", "S4", "T4",
+                                  "S2xS2", "CP2"])
+def test_catalogue_jets_match_sympy_oracles(name):
+    field, coords, gmat = _catalogue_oracles()[name]
+    assert field.chart.names == tuple(str(x) for x in coords)
+    assert field.cyclic_axes == tuple(i for i, x in enumerate(coords)
+                                      if x not in gmat.free_symbols)
+    d = len(coords)
+    dg = [gmat.diff(x) for x in coords]
+    d2g = [[m.diff(y) for y in coords] for m in dg]
+    oracle = sp.lambdify(coords, [gmat.tolist(), [m.tolist() for m in dg],
+                                  [[m.tolist() for m in row] for row in d2g]], "numpy")
+    pts = field.chart.sample(64, seed=21)
+    got = field.jet(pts)
+    want = [np.empty(a.shape) for a in got]
+    for n, pt in enumerate(pts):
+        for arr, ref in zip(want, oracle(*pt)):
+            arr[n] = np.asarray(ref, dtype=float)
+    assert got[1].shape == (64, d, d, d)
+    for a, b in zip(got, want):
+        assert np.all(np.abs(a - b) <= 1e-13 * np.maximum(1.0, np.abs(b)))

@@ -216,7 +216,8 @@ def test_fg_document_and_gs_table(hyperbolic, tmp_path):
 
 def test_one_radial_inversion_per_block_and_point(ads, monkeypatch):
     """Each reader asks every warp for one jet, so it inverts the map once
-    per block and point: AdS has two blocks, curvature reads g, dg, d2g."""
+    per block and point: AdS has two blocks, and curvature reads the
+    four-metric's jet once."""
     rmap = ads.radial_map
     r_of_s = rmap.r_of_s
     calls = [0]
@@ -229,7 +230,7 @@ def test_one_radial_inversion_per_block_and_point(ads, monkeypatch):
     s = np.linspace(0.05, 0.9 * ads.s_max, 10)
     pts = np.column_stack([s, np.tile(ads.boundary.default_point, (10, 1))])
     four = ads.four_metric()
-    for read, expected in ((lambda: curvature(four, pts), 60),
+    for read, expected in ((lambda: curvature(four, pts), 20),
                            (lambda: ads.density_logderiv(s), 20),
                            (lambda: ads.density_logderiv2(s), 20)):
         calls[0] = 0

@@ -1,4 +1,5 @@
-"""Package surface: every exported name resolves, and the CLI needs no scipy."""
+"""Package surface: every exported name resolves, and the CLI needs neither
+scipy nor sympy."""
 
 import importlib
 import os
@@ -18,15 +19,40 @@ def test_every_module_export_resolves():
             assert hasattr(module, export), f"ccegeom.{name}.{export}"
 
 
-def test_cli_import_loads_no_scipy():
-    """numpy and sympy are the runtime dependencies: importing the CLI in
-    a fresh interpreter must not load any scipy module."""
+def _run_fresh(code):
+    """Run code in a fresh interpreter that imports this package's source."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ccegeom.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    probe = ("import sys, ccegeom.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]", out
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+
+
+def _loaded(package):
+    return (f"import sys, ccegeom.cli; print(sorted(m for m in sys.modules "
+            f"if m.split('.')[0] == '{package}'))")
+
+
+def test_cli_import_loads_no_scipy():
+    """numpy is the one runtime dependency: importing the CLI in a fresh
+    interpreter must not load any scipy module."""
+    out = _run_fresh(_loaded("scipy"))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]", out.stdout
+
+
+def test_runtime_needs_no_sympy(tmp_path):
+    """sympy is a test dependency only: the CLI imports without loading it,
+    and check and analyze run with it unimportable."""
+    out = _run_fresh(_loaded("sympy"))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]", out.stdout
+    runs = (["check", "--model", "hyperbolic"],
+            ["analyze", "--model", "ads_schwarzschild", "--m", "1.0",
+             "--out", str(tmp_path / "ads")])
+    for argv in runs:
+        out = _run_fresh("import sys; sys.modules['sympy'] = None; "
+                         "from ccegeom.cli import main; "
+                         f"sys.exit(main({argv!r}))")
+        assert out.returncode == 0, (argv, out.stdout, out.stderr)
