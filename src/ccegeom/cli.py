@@ -467,9 +467,12 @@ def run_analyze(cfg: RunConfig, args=None) -> int:
 # check: invariant suites for CI
 
 def _conformal_factor(a, b, c, k1, k2):
-    # a factor in every coordinate of the S2 x S2 chart (t, p, u, v)
+    # a factor in every coordinate of the S2 x S2 chart (t, p, u, v),
+    # smooth on both spheres: in the embedding coordinates x, y, z of a
+    # unit sphere, sin(k t) cos(p) = x U_{k-1}(z), cos(u) = z and
+    # sin(u)^k sin(k v) = Im (x + i y)^k
     def w(t, p, u, v):
-        return a * sin(k1 * t) * cos(p) + b * cos(u) + c * sin(k2 * v)
+        return a * sin(k1 * t) * cos(p) + b * cos(u) + c * sin(u) ** k2 * sin(k2 * v)
 
     return w
 
@@ -593,14 +596,19 @@ def _check_conformal_invariance(record, count: int = 2):
     base = integrate_curvature(model.field, model.domain, model.orientation)
     from .tensor import conformal_rescale
 
-    worst = 0.0
-    for w in _conformal_factors(model.field.chart, count):
-        rescaled = conformal_rescale(model.field, w)
-        suite = integrate_curvature(rescaled, model.domain, model.orientation)
-        dev = abs(suite.weyl_energy - base.weyl_energy) / base.weyl_energy
-        worst = max(worst, dev)
+    suites = [integrate_curvature(conformal_rescale(model.field, w), model.domain,
+                                  model.orientation)
+              for w in _conformal_factors(model.field.chart, count)]
+    worst = max(abs(s.weyl_energy - base.weyl_energy) / base.weyl_energy for s in suites)
     record("conformal-invariance product_spheres", worst < 1e-6,
            f"max relative deviation {worst:.3e} over {count} factors")
+    # each rescaled metric is a metric on S2 x S2, so Chern-Gauss-Bonnet
+    # and Hirzebruch hold for it with the model's chi and tau
+    chi = max(abs(s.euler_gb - model.euler) for s in suites)
+    tau = max(abs(s.signature - model.signature) for s in suites)
+    record("conformal-gauss-bonnet product_spheres", chi < 1e-4 and tau < 1e-4,
+           f"max |euler_gb - {model.euler}| {chi:.3e}, "
+           f"max |signature - {model.signature}| {tau:.3e} over {count} factors")
 
 
 # ---------------------------------------------------------------------------

@@ -17,30 +17,30 @@ values in the test suite:
   (positive sectional curvature).
 * ricci[i, j] = riemann^k_ikj contraction; scalar = trace.
 
+The kernel works in the pair basis of 2-forms (i < j, P = d(d-1)/2),
+where Riemann is a symmetric P x P operator gathered straight from the jet,
+R_ijkl = (d_il g_jk - d_ik g_jl - d_jl g_ik + d_jk g_il)/2
++ G_q,jk G^q_il - G_q,jl G^q_ik. One Cholesky factor g = L L^T per batch
+gives sqrt(det g) = prod diag L and, by forward substitution, L^-1: the
+orthonormal coframe that carries the operator to its frame form, whence
+the frame Ricci, R and |E|^2. The rank-4 riemann is built only when read.
 In dimension 4 the Weyl norms come from the Atiyah-Hitchin-Singer split:
-in the orthonormal coframe of the Cholesky factor of g the curvature
-operator on 2-forms is a 6x6 matrix, the Hodge star is the constant
-_STAR, and W+- are the traceless diagonal blocks P+- R P+- - (R/12) P+-
-of the operator, with P+- = (1 +- *)/2.
+W+- are the self-dual and anti-self-dual diagonal blocks of the frame
+operator, less R/12.
 """
 
 from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import autodiff
 from .errors import DerivativeTolerance, DomainError, SingularMetric
-
-def _einsum(subscripts, *ops):
-    # contraction-path optimization matters for the three-operand
-    # product-rule terms of conformal_rescale
-    return np.einsum(subscripts, *ops, optimize=True)
-
 
 __all__ = [
     "Chart",
@@ -56,11 +56,11 @@ __all__ = [
     "tensor_norm_sq",
 ]
 
-_PAIRS4 = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-
-# Hodge star on 2-forms of an oriented orthonormal coframe, pair basis
-# _PAIRS4: *e01 = e23, *e02 = -e13, *e03 = e12 (and back)
-_STAR = np.fliplr(np.diag([1.0, -1.0, 1.0, 1.0, -1.0, 1.0]))
+# self-dual (rows 0-2) and anti-self-dual (rows 3-5) unit 2-forms of an oriented
+# orthonormal coframe in the pair basis (01, 02, 03, 12, 13, 23), as *e01 = e23,
+# *e02 = -e13, *e03 = e12: (e01 +- e23, e02 -+ e13, e03 +- e12) / sqrt 2
+_DUAL = np.array([[1, 0, 0, 0, 0, 1], [0, 1, 0, 0, -1, 0], [0, 0, 1, 1, 0, 0],
+                  [1, 0, 0, 0, 0, -1], [0, 1, 0, 0, 1, 0], [0, 0, 1, -1, 0, 0]]) / np.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -140,18 +140,6 @@ def _read_axes(chart: Chart, func) -> tuple:
     return tuple(chart.names.index(n) for n in names)
 
 
-def _lambdify_jet(coords, expr):
-    """Chart indices expr reads, and expr lambdified onto the jet functions."""
-    import sympy as sp
-
-    coords = [sp.Symbol(c) if isinstance(c, str) else c for c in coords]
-    axes = tuple(i for i, x in enumerate(coords) if x in expr.free_symbols)
-    body = expr.tolist() if isinstance(expr, sp.MatrixBase) else expr
-    func = sp.lambdify([coords[i] for i in axes], body, modules=[
-        {"sin": autodiff.sin, "cos": autodiff.cos, "exp": autodiff.exp}])
-    return axes, func
-
-
 # ---------------------------------------------------------------------------
 # scalar fields (conformal factors)
 
@@ -172,14 +160,6 @@ class ScalarField:
         """func is a jet expression in the chart coordinates it names."""
         return ScalarField(autodiff.field_jet(func, _read_axes(chart, func)))
 
-    @staticmethod
-    def from_sympy(coords, expr) -> "ScalarField":
-        """A sympy expression in coords (symbols or names); needs sympy."""
-        import sympy as sp
-
-        axes, func = _lambdify_jet(coords, sp.sympify(expr))
-        return ScalarField(autodiff.field_jet(func, axes))
-
 
 # ---------------------------------------------------------------------------
 # metric fields
@@ -195,8 +175,8 @@ class MetricField:
 
     cyclic_axes lists the chart axes no component depends on, so the
     metric and all its curvature are constant along them. from_function
-    and from_sympy read them off the coordinates the components take;
-    other constructors record none unless told.
+    reads them off the coordinates the components take; other
+    constructors record none unless told.
     """
 
     def __init__(self, chart: Chart, func=None, *, jet=None,
@@ -223,7 +203,7 @@ class MetricField:
             self.chart.require(pts)
         g, dg, d2g = (np.asarray(a, dtype=float) for a in self._jet(pts))
         if check:
-            self._check_positive(g, pts)
+            _positive_factor(g, pts)
         return tuple(_maybe_squeeze(a, squeeze) for a in (g, dg, d2g))
 
     def g(self, points, check: bool = True):
@@ -232,7 +212,7 @@ class MetricField:
             self.chart.require(pts)
         mat = np.asarray(self._func(pts), dtype=float)
         if check:
-            self._check_positive(mat, pts)
+            _positive_factor(mat, pts)
         return _maybe_squeeze(mat, squeeze)
 
     def dg(self, points):
@@ -248,42 +228,39 @@ class MetricField:
 
     # -- helpers ------------------------------------------------------------
 
-    def _check_positive(self, mat, pts):
-        # NaN passes every comparison below and the factorization
-        finite = np.isfinite(mat).all(axis=(-2, -1))
-        if not finite.all():
-            i = int(np.argmin(finite))
-            raise SingularMetric(f"metric component not finite at point {pts[i]}")
-        sym_err = np.max(np.abs(mat - np.swapaxes(mat, -1, -2)))
-        if sym_err > 1e-10 * max(1.0, np.max(np.abs(mat))):
-            raise SingularMetric(f"metric not symmetric (max asymmetry {sym_err:.2e})")
-        try:
-            np.linalg.cholesky(mat)
-        except np.linalg.LinAlgError:
-            # the factorization only screens; the leading minors decide
-            # (Sylvester's criterion) and name the failing k and point
-            for k in range(1, self.dim + 1):
-                minors = np.linalg.det(mat[:, :k, :k])
-                if np.any(minors <= 0):
-                    i = int(np.argmax(minors <= 0))
-                    raise SingularMetric(
-                        f"leading {k}x{k} minor nonpositive ({minors[i]:.3e}) "
-                        f"at point {pts[i]}"
-                    )
-
     @staticmethod
     def from_function(chart: Chart, func, name: str = "") -> "MetricField":
         """func returns the component matrix (nested lists of jet
         expressions) in the chart coordinates it names."""
         return _component_field(chart, _read_axes(chart, func), func, name)
 
-    @staticmethod
-    def from_sympy(coords, gmat, chart: Chart, name: str = "") -> "MetricField":
-        """A sympy matrix in coords; needs sympy."""
-        import sympy as sp
 
-        axes, func = _lambdify_jet(coords, sp.Matrix(gmat))
-        return _component_field(chart, axes, func, name)
+def _positive_factor(mat, pts):
+    """Cholesky factor of a batch of metric matrices, screened for
+    finiteness, symmetry and positivity."""
+    # NaN passes every comparison below and the factorization
+    finite = np.isfinite(mat).all(axis=(-2, -1))
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise SingularMetric(f"metric component not finite at point {pts[i]}")
+    sym_err = np.max(np.abs(mat - np.swapaxes(mat, -1, -2)))
+    if sym_err > 1e-10 * max(1.0, np.max(np.abs(mat))):
+        raise SingularMetric(f"metric not symmetric (max asymmetry {sym_err:.2e})")
+    try:
+        return np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        # the factorization only screens; the leading minors decide
+        # (Sylvester's criterion) and name the failing k and point
+        for k in range(1, mat.shape[-1] + 1):
+            minors = np.linalg.det(mat[:, :k, :k])
+            if np.any(minors <= 0):
+                i = int(np.argmax(minors <= 0))
+                raise SingularMetric(
+                    f"leading {k}x{k} minor nonpositive ({minors[i]:.3e}) "
+                    f"at point {pts[i]}"
+                )
+        raise SingularMetric("metric not numerically positive definite "
+                             "(Cholesky factorization failed)") from None
 
 
 def _component_field(chart, axes, func, name):
@@ -364,41 +341,50 @@ def _require_converged(best, change, scheme, label):
 class CurvaturePacket:
     """All pointwise curvature data of a metric at a batch of points.
 
-    The 4-D Weyl norms are read off the Cholesky-frame curvature operator.
-    The rank-4 weyl (Kulkarni-Nomizu decomposition), weyl_plus and
-    weyl_minus (lifted from that frame) are built on first read; None
-    outside dimension 4.
+    volume_density is sqrt(det g); sigma2 is None outside dimension 4. The
+    coordinate tensors are built on first read: inverse, riemann, ricci
+    and, in dimension 4 (else None), schouten, weyl (Kulkarni-Nomizu
+    decomposition), weyl_plus and weyl_minus (lifted from the frame).
     """
 
-    points: np.ndarray
     metric: np.ndarray
-    inverse: np.ndarray
-    christoffel: np.ndarray
-    riemann: np.ndarray
-    ricci: np.ndarray
     scalar: np.ndarray
-    traceless_ricci: np.ndarray
-    schouten: Optional[np.ndarray] = None
+    volume_density: np.ndarray
     sigma2: Optional[np.ndarray] = None
     norms: dict = field(default_factory=dict)
-    orientation: int = 1
     _views: dict = field(default_factory=dict, repr=False)
 
     def _view(self, name):
         build = self._views.get(name)
-        return None if build is None else _maybe_squeeze(build(), self.points.ndim == 1)
+        return None if build is None else _maybe_squeeze(build(), self.metric.ndim == 2)
 
+    inverse = cached_property(lambda self: self._view("inverse"))
+    riemann = cached_property(lambda self: self._view("riemann"))
+    ricci = cached_property(lambda self: self._view("ricci"))
+    schouten = cached_property(lambda self: self._view("schouten"))
     weyl = cached_property(lambda self: self._view("weyl"))
     weyl_plus = cached_property(lambda self: self._view("weyl_plus"))
     weyl_minus = cached_property(lambda self: self._view("weyl_minus"))
 
 
-def christoffel(m: MetricField, points):
-    pts, squeeze = _as_batch(points, m.dim)
-    g, dg, _ = m.jet(pts)
-    ginv = np.linalg.inv(g)
-    gamma = _christoffel_from(ginv, _first_kind(dg))
-    return _maybe_squeeze(gamma, squeeze)
+@lru_cache(maxsize=None)
+def _pair_tables(d):
+    """Static tables of the pair basis of 2-forms in dimension d, the
+    pairs i < j in lexicographic order. basis holds e_i ^ e_j as flattened
+    antisymmetric (d, d) arrays. hess, quad and minors are flat gather
+    indices over the pairs (ij, kl): of the terms of R_ijkl in d2g and in
+    the (d*d, d*d) Gram matrix of the Christoffel symbols, and of the
+    minor a_ik a_jl - a_il a_jk in a (d, d) array."""
+    def flat(*ix):
+        return np.ravel_multi_index(np.broadcast_arrays(*ix), (d,) * len(ix))
+
+    i, j = (a[:, None] for a in np.triu_indices(d, 1))
+    k, l = i.T, j.T
+    return SimpleNamespace(
+        d=d, basis=1.0 * (flat(i, j) == np.arange(d * d)) - (flat(j, i) == np.arange(d * d)),
+        hess=np.stack([flat(i, l, j, k), flat(i, k, j, l), flat(j, l, i, k), flat(j, k, i, l)]),
+        quad=np.stack([flat(j, k, i, l), flat(j, l, i, k)]),
+        minors=np.stack([flat(i, k), flat(j, l), flat(i, l), flat(j, k)]))
 
 
 def _first_kind(dg):
@@ -408,14 +394,41 @@ def _first_kind(dg):
     return dg.transpose(*lead, b, a, c) + dg.transpose(*lead, b, c, a) - dg
 
 
-def _christoffel_from(ginv, t):
-    n, d = t.shape[0], t.shape[1]
-    return 0.5 * (ginv @ t.reshape(n, d, d * d)).reshape(t.shape)
+def christoffel(m: MetricField, points):
+    """Gamma^m_ij = g^mk T_kij / 2 at one point or a batch."""
+    pts, squeeze = _as_batch(points, m.dim)
+    g, dg, _ = m.jet(pts)
+    t = _first_kind(dg)
+    gamma = 0.5 * (np.linalg.inv(g) @ t.reshape(t.shape[0], m.dim, -1)).reshape(t.shape)
+    return _maybe_squeeze(gamma, squeeze)
+
+
+def _lower_inverse(chol):
+    """Inverses of lower-triangular factors by forward substitution, row by row."""
+    inv = np.zeros_like(chol)
+    recip = 1.0 / np.diagonal(chol, axis1=-2, axis2=-1)
+    for i in range(chol.shape[-1]):
+        inv[:, i, :i] = -(chol[:, i, :i, None] * inv[:, :i, :i]).sum(axis=1) * recip[:, i, None]
+        inv[:, i, i] = recip[:, i]
+    return inv
+
+
+def _minors(a, tables):
+    """2x2 minors of a batch of square matrices: their action on 2-forms."""
+    ik, jl, il, jk = np.take(a.reshape(a.shape[0], -1), tables.minors, axis=1).swapaxes(0, 1)
+    return ik * jl - il * jk
+
+
+def _unpair(op, tables):
+    """Rank-4 tensor of a batch of operators on 2-forms in the pair basis."""
+    return (tables.basis.T @ op @ tables.basis).reshape((-1,) + (tables.d,) * 4)
 
 
 def _kulkarni_nomizu(h, k):
-    return (_einsum("nik,njl->nijkl", h, k) + _einsum("njl,nik->nijkl", h, k)
-            - _einsum("nil,njk->nijkl", h, k) - _einsum("njk,nil->nijkl", h, k))
+    # h_ik k_jl + k_ik h_jl, antisymmetrized in (k, l)
+    s = (h[:, :, None, :, None] * k[:, None, :, None, :]
+         + k[:, :, None, :, None] * h[:, None, :, None, :])
+    return s - np.swapaxes(s, -1, -2)
 
 
 def tensor_norm_sq(t, ginv):
@@ -433,20 +446,11 @@ def tensor_norm_sq(t, ginv):
     return (tm * up).reshape(n, -1).sum(axis=1)
 
 
-def _pair_rows(a):
-    """Rows a_pi a_qj over the pairs (p, q) of _PAIRS4 -> (N, 6, 4, 4)."""
-    p, q = _PAIRS4.T
-    return a[:, p, :, None] * a[:, q, None, :]
-
-
-def _frame_lift(op, chol):
+def _frame_lift(op, chol, tables):
     """Rank-4 coordinate tensor of a Lambda^2 operator given in the
-    coframe L = chol: sum over pairs of op_ab,cd M_ab,ij M_cd,kl with
-    M_ab,ij = L_ia L_jb - L_ib L_ja."""
-    n = op.shape[0]
-    m = _pair_rows(np.swapaxes(chol, -1, -2))
-    m = (m - np.swapaxes(m, -1, -2)).reshape(n, 6, 16)
-    return (np.swapaxes(m, -1, -2) @ op @ m).reshape(n, 4, 4, 4, 4)
+    coframe of L = chol: the pair minors M of L^T carry it to M^T op M."""
+    m = _minors(np.swapaxes(chol, -1, -2), tables)
+    return _unpair(np.swapaxes(m, -1, -2) @ op @ m, tables)
 
 
 def curvature(m: MetricField, points, orientation: int = 1) -> CurvaturePacket:
@@ -459,77 +463,69 @@ def curvature(m: MetricField, points, orientation: int = 1) -> CurvaturePacket:
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
     pts, squeeze = _as_batch(points, m.dim)
-    d = m.dim
-    g, dg, d2g = m.jet(pts)
-    ginv = np.linalg.inv(g)
+    m.chart.require(pts)
+    g, dg, d2g = m.jet(pts, check=False)
+    chol = _positive_factor(g, pts)
+    linv = _lower_inverse(chol)
+    tables = _pair_tables(m.dim)
+    nb, npair, d = pts.shape[0], tables.basis.shape[0], m.dim
 
-    nb = pts.shape[0]
+    # R_ijkl = (d_il g_jk - d_ik g_jl - d_jl g_ik + d_jk g_il) / 2
+    #          + G_q,jk G^q_il - G_q,jl G^q_ik
+    # on the pairs (ij, kl), the quadratic terms read off the Gram matrix
+    # of L^-1 G_.,ab
     t = _first_kind(dg)
-    gamma = _christoffel_from(ginv, t)
-    # d_a Gamma^m_ij needs d_a g^{mk} = -g^{mp} (d_a g_pq) g^{qk}
-    dginv = -(ginv[:, None] @ dg @ ginv[:, None])
-    dt = _first_kind(d2g)
-    tm = t.reshape(nb, 1, d, d * d)
-    dgamma = 0.5 * (dginv @ tm + ginv[:, None] @ dt.reshape(nb, d, d, d * d))
-    dgamma = dgamma.reshape(nb, d, d, d, d)
+    h = linv @ (0.5 * t.reshape(nb, d, d * d))
+    # transposed operands are copied: a strided one leaves numpy's BLAS path
+    gram = np.ascontiguousarray(np.swapaxes(h, -1, -2)) @ h
+    hess = np.take(d2g.reshape(nb, -1), tables.hess, axis=1)
+    quad = np.take(gram.reshape(nb, -1), tables.quad, axis=1)
+    rp = (0.5 * ((hess[:, 0] - hess[:, 1]) - (hess[:, 2] - hess[:, 3]))
+          + (quad[:, 0] - quad[:, 1]))
 
-    # R^r_{s m v} = d_m G^r_vs - d_v G^r_ms + G^r_ml G^l_vs - G^l_ms G^r_vl
-    t1 = dgamma.transpose(0, 2, 4, 1, 3)  # [n,m,r,v,s] -> n r s m v
-    t2 = dgamma.transpose(0, 2, 4, 3, 1)  # [n,v,r,m,s] -> n r s m v
-    gsq = gamma.reshape(nb, d * d, d) @ gamma.reshape(nb, d, d * d)
-    gsq = gsq.reshape(nb, d, d, d, d)
-    t3 = gsq.transpose(0, 1, 4, 2, 3)  # [n,r,m,v,s] -> n r s m v
-    t4 = gsq.transpose(0, 1, 4, 3, 2)  # [n,r,v,m,s] -> n r s m v
-    riem_ud = t1 - t2 + t3 - t4
+    # the curvature operator in the orthonormal coframe of L and the frame
+    # Ricci R(e_c, e_a, e_c, e_b) = sum_xy rm_xy (E_x^T E_y)_ab, E the basis
+    frame = _minors(linv, tables)
+    rm = frame @ rp @ np.ascontiguousarray(np.swapaxes(frame, -1, -2))
+    lead = tables.basis.reshape(npair, d, d).transpose(2, 0, 1).reshape(d, -1)
+    ric_f = lead @ (rm @ tables.basis).reshape(nb, -1, d)
+    scalar = np.trace(ric_f, axis1=-2, axis2=-1)
+    e_sq = ((ric_f - (scalar / d)[:, None, None] * np.eye(d)) ** 2).sum(axis=(1, 2))
 
-    riemann = (g @ riem_ud.reshape(nb, d, d ** 3)).reshape(riem_ud.shape)
-    ricci = _einsum("nrsrv->nsv", riem_ud)
-    scalar = _einsum("nij,nij->n", ginv, ricci)
-    traceless = ricci - (scalar / d)[:, None, None] * g
+    def ricci():
+        return chol @ ric_f @ np.swapaxes(chol, -1, -2)
 
-    packet = CurvaturePacket(
-        points=_maybe_squeeze(pts, squeeze),
-        metric=_maybe_squeeze(g, squeeze),
-        inverse=_maybe_squeeze(ginv, squeeze),
-        christoffel=_maybe_squeeze(gamma, squeeze),
-        riemann=_maybe_squeeze(riemann, squeeze),
-        ricci=_maybe_squeeze(ricci, squeeze),
-        scalar=_maybe_squeeze(scalar, squeeze),
-        traceless_ricci=_maybe_squeeze(traceless, squeeze),
-        orientation=orientation,
-    )
-
-    e_sq = tensor_norm_sq(traceless, ginv)
+    views = {"inverse": lambda: np.swapaxes(linv, -1, -2) @ linv,
+             "riemann": lambda: _unpair(rp, tables), "ricci": ricci}
     norms = {"traceless_ricci_sq": e_sq}
-
+    sigma2 = None
     if d == 4:
-        schouten = ricci - (scalar / 6.0)[:, None, None] * g
-        sigma2 = scalar ** 2 / 24.0 - 0.5 * e_sq
-        # curvature operator on 2-forms in the Cholesky coframe
-        chol = np.linalg.cholesky(g)
-        frame = _pair_rows(np.linalg.inv(chol)).reshape(nb, 6, 16)
-        rm = frame @ riemann.reshape(nb, 16, 16) @ np.swapaxes(frame, -1, -2)
-        w_ops = []
-        for sign in (orientation, -orientation):
-            proj = 0.5 * (np.eye(6) + sign * _STAR)
-            w_ops.append(proj @ rm @ proj - (scalar / 12.0)[:, None, None] * proj)
-        wp_op, wm_op = w_ops
+        sigma2 = _maybe_squeeze(scalar ** 2 / 24.0 - 0.5 * e_sq, squeeze)
+        # the self-dual and anti-self-dual diagonal blocks of the operator,
+        # less their trace R/12, are the W+- of the orientation
+        blocks = _DUAL @ rm @ _DUAL.T
+        shift = (scalar / 12.0)[:, None, None] * np.eye(3)
+        (wp_op, sd), (wm_op, asd) = ((blocks[:, :3, :3] - shift, _DUAL[:3]),
+                                     (blocks[:, 3:, 3:] - shift, _DUAL[3:]))[::orientation]
         norms["weyl_plus_sq"] = 4.0 * (wp_op ** 2).sum(axis=(1, 2))
         norms["weyl_minus_sq"] = 4.0 * (wm_op ** 2).sum(axis=(1, 2))
         norms["weyl_sq"] = norms["weyl_plus_sq"] + norms["weyl_minus_sq"]
-        packet.schouten = _maybe_squeeze(schouten, squeeze)
-        packet.sigma2 = _maybe_squeeze(sigma2, squeeze)
-        packet._views = {
+        views.update({
+            "schouten": lambda: ricci() - (scalar / 6.0)[:, None, None] * g,
             "weyl": lambda: (
-                riemann - _kulkarni_nomizu(traceless, g) / (d - 2)
-                - (scalar / (2 * d * (d - 1)))[:, None, None, None, None]
-                * _kulkarni_nomizu(g, g)),
-            "weyl_plus": lambda: _frame_lift(wp_op, chol),
-            "weyl_minus": lambda: _frame_lift(wm_op, chol),
-        }
+                _unpair(rp, tables)
+                - _kulkarni_nomizu(ricci() - (scalar / 4.0)[:, None, None] * g, g) / 2.0
+                - (scalar / 24.0)[:, None, None, None, None] * _kulkarni_nomizu(g, g)),
+            "weyl_plus": lambda: _frame_lift(sd.T @ wp_op @ sd, chol, tables),
+            "weyl_minus": lambda: _frame_lift(asd.T @ wm_op @ asd, chol, tables),
+        })
 
-    packet.norms = {k: _maybe_squeeze(v, squeeze) for k, v in norms.items()}
-    return packet
+    return CurvaturePacket(
+        metric=_maybe_squeeze(g, squeeze), scalar=_maybe_squeeze(scalar, squeeze),
+        volume_density=_maybe_squeeze(
+            np.prod(np.diagonal(chol, axis1=-2, axis2=-1), axis=-1), squeeze),
+        sigma2=sigma2, norms={k: _maybe_squeeze(v, squeeze) for k, v in norms.items()},
+        _views=views)
 
 
 def riemann_symmetry_residuals(riemann) -> dict:
@@ -559,10 +555,10 @@ def riemann_symmetry_residuals(riemann) -> dict:
 def einstein_residual(m: MetricField, points, n: int = 3):
     """Frobenius norm |Ric + n g|_g, zero exactly when Ric = -n g."""
     pts, squeeze = _as_batch(points, m.dim)
+    # Ric + n g = E + (R/d + n) g, with E the traceless Ricci
     pack = curvature(m, pts)
-    dev = pack.ricci + n * pack.metric
-    val = np.sqrt(tensor_norm_sq(dev, pack.inverse))
-    return _maybe_squeeze(val, squeeze)
+    val = pack.norms["traceless_ricci_sq"] + m.dim * (pack.scalar / m.dim + n) ** 2
+    return _maybe_squeeze(np.sqrt(val), squeeze)
 
 
 def conformal_rescale(m: MetricField, w: ScalarField) -> MetricField:
@@ -572,15 +568,18 @@ def conformal_rescale(m: MetricField, w: ScalarField) -> MetricField:
     def jet(pts):
         g, dg, d2g = m.jet(pts, check=False)
         wv, dw, hw = w.jet(pts)
+        # f = e^{2w}: df = 2 f dw, d2f = f (4 dw dw + 2 d2w)
         f = np.exp(2.0 * np.asarray(wv))
-        d1 = 2.0 * _einsum("nk,nij->nkij", dw, g) + dg
-        d2 = (4.0 * _einsum("nk,nl,nij->nklij", dw, dw, g)
-              + 2.0 * _einsum("nkl,nij->nklij", hw, g)
-              + 2.0 * _einsum("nk,nlij->nklij", dw, dg)
-              + 2.0 * _einsum("nl,nkij->nklij", dw, dg)
-              + d2g)
-        return (f[:, None, None] * g, f[:, None, None, None] * d1,
-                f[:, None, None, None, None] * d2)
+        df = 2.0 * f[:, None] * dw
+        d2f = f[:, None, None] * (4.0 * dw[:, :, None] * dw[:, None, :] + 2.0 * hw)
+        # d2 = d2f g + df_k dg_l + df_l dg_k + f d2g, accumulated in place
+        cross = df[:, :, None, None, None] * dg[:, None]
+        d2 = d2f[:, :, :, None, None] * g[:, None, None]
+        d2 += cross
+        d2 += np.swapaxes(cross, 1, 2)
+        d2 += np.multiply(f[:, None, None, None, None], d2g, out=cross)
+        return (f[:, None, None] * g,
+                df[:, :, None, None] * g[:, None] + f[:, None, None, None] * dg, d2)
 
     return MetricField(m.chart, jet=jet, scheme=m.scheme,
                        name=m.name + "/conformal")

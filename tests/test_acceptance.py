@@ -8,7 +8,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import sympy as sp
 
 from ccegeom import cli, models
 from ccegeom import eigenfunction as ef
@@ -114,22 +113,22 @@ def test_criterion_06_closed_model_invariants(sphere_suite, torus_suite):
 
 def test_criterion_07_conformal_invariance(product_suite, rng):
     mdl, base = product_suite
-    names = mdl.field.chart.names
-    syms = sp.symbols(list(names))
-    worst = 0.0
+    worst = worst_chi = 0.0
     for _ in range(5):
         a, b, c = (round(float(x), 3) for x in 0.3 * rng.standard_normal(3))
         k1, k2 = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        expr = a * sp.sin(k1 * syms[0]) * sp.cos(syms[1]) \
-            + b * sp.cos(syms[2]) + c * sp.sin(k2 * syms[3])
-        w = ScalarField.from_sympy(names, expr)
+        # smooth on S2 x S2, so the rescaled metric keeps chi = 4
+        w = ScalarField.from_function(mdl.field.chart,
+                                      cli._conformal_factor(a, b, c, k1, k2))
         suite = ig.integrate_curvature(conformal_rescale(mdl.field, w),
                                        mdl.domain, orientation=mdl.orientation)
         worst = max(worst, abs(suite.weyl_energy - base.weyl_energy)
                     / base.weyl_energy)
-    ok = worst < 1e-6
+        worst_chi = max(worst_chi, abs(suite.euler_gb - mdl.euler))
+    ok = worst < 1e-6 and worst_chi < 1e-4
     _report(7, "conformal-invariance", ok,
-            f"max relative deviation = {worst:.3e} over 5 factors")
+            f"max relative deviation = {worst:.3e}, "
+            f"max |euler_gb - {mdl.euler}| = {worst_chi:.3e} over 5 factors")
 
 
 def test_criterion_08_expansion_coefficients(hyperbolic, ads):

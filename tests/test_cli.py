@@ -196,3 +196,33 @@ def test_curvature_table(tmp_path):
     row = dict(zip(header, lines[2].split(",")))
     assert float(row["scalar"]) == pytest.approx(12.0, abs=1e-9)
     assert float(row["sigma2"]) == pytest.approx(6.0, abs=1e-9)
+
+
+def test_check_conformal_factors_are_metrics_on_s2xs2():
+    # each factor is smooth on both spheres, so the rescaled metric keeps
+    # chi = 4 and tau = 0 (a factor singular at the poles does not)
+    from ccegeom import models
+    from ccegeom.integrals import integrate_curvature
+    from ccegeom.tensor import conformal_rescale
+
+    mdl = models.build("product_spheres")
+    for w in cli._conformal_factors(mdl.field.chart, 2):
+        suite = integrate_curvature(conformal_rescale(mdl.field, w), mdl.domain,
+                                    mdl.orientation)
+        assert abs(suite.euler_gb - 4.0) < 1e-6
+        assert abs(suite.signature) < 1e-12
+
+
+def test_conformal_gauss_bonnet_line_gates_euler(monkeypatch):
+    from ccegeom.integrals import IntegralSuite
+
+    # the base suite, then rescaled suites whose sigma2 is off by 1%
+    sigma2 = 8 * np.pi ** 2 * 4 - 0.25 * 64.0
+    suites = iter([IntegralSuite(64.0, 32.0, 32.0, s2, 1.0, 1)
+                   for s2 in (sigma2, 1.01 * sigma2, 1.01 * sigma2)])
+    monkeypatch.setattr(cli, "integrate_curvature", lambda *args: next(suites))
+    lines = []
+    cli._check_conformal_invariance(lambda *line: lines.append(line))
+    assert [(name, ok) for name, ok, _ in lines] == [
+        ("conformal-invariance product_spheres", True),
+        ("conformal-gauss-bonnet product_spheres", False)]

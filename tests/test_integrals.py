@@ -4,11 +4,11 @@ import copy
 
 import numpy as np
 import pytest
-import sympy as sp
 
 from ccegeom import models
 from ccegeom import integrals as ig
 from ccegeom import volume as vol
+from ccegeom.autodiff import cos, sin
 from ccegeom.eigenfunction import compactified_metric_field, compactified_radial_domain
 from ccegeom.errors import DomainError
 from ccegeom.quadrature import geometric_panels, integrate_refined
@@ -88,18 +88,13 @@ def test_doubled_suite_arithmetic(cp2_suite):
 def test_weyl_energy_is_conformally_invariant(product_suite, rng):
     """|W|^2 dV is a pointwise conformal invariant in dimension 4, so the
     integral must not move under metric rescaling by random factors."""
-    import sympy as sp
-    from ccegeom.tensor import ScalarField
-
     mdl, suite = product_suite
-    names = mdl.field.chart.names
-    syms = sp.symbols(list(names))
     for trial in range(2):
         a, b, c = (round(float(x), 3) for x in 0.3 * rng.standard_normal(3))
         k1, k2 = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-        expr = a * sp.sin(k1 * syms[0]) * sp.cos(syms[1]) \
-            + b * sp.cos(syms[2]) + c * sp.sin(k2 * syms[3])
-        w = ScalarField.from_sympy(names, expr)
+        w = ScalarField.from_function(
+            mdl.field.chart, lambda t, p, u, v: a * sin(k1 * t) * cos(p)
+            + b * cos(u) + c * sin(k2 * v))
         rescaled = conformal_rescale(mdl.field, w)
         out = ig.integrate_curvature(rescaled, mdl.domain,
                                      orientation=mdl.orientation)
@@ -159,8 +154,7 @@ def test_cyclic_axes_recorded(hyperbolic):
     # a conformal factor in t alone would keep p and v cyclic, but
     # conformal_rescale records no cyclic axes
     sph = models.build("product_spheres").field
-    x = sp.symbols(sph.chart.names, real=True)
-    w = ScalarField.from_sympy(x, 0.1 * sp.cos(x[0]))
+    w = ScalarField.from_function(sph.chart, lambda t: 0.1 * cos(t))
     assert conformal_rescale(sph, w).cyclic_axes == ()
     assert hyperbolic.four_metric(s_floor=0.02).cyclic_axes == ()
 
@@ -217,9 +211,8 @@ def test_curvature_points_per_integration():
         assert counter[0] == points, name
     # a conformal factor on all four coordinates keeps the full 4-D grid
     mdl = models.build("product_spheres")
-    x = sp.symbols(mdl.field.chart.names, real=True)
-    w = ScalarField.from_sympy(x, 0.1 * sp.sin(x[0]) * sp.cos(x[1])
-                               + 0.1 * sp.cos(x[2]) + 0.1 * sp.sin(x[3]))
+    w = ScalarField.from_function(mdl.field.chart, lambda t, p, u, v: 0.1 * sin(t) * cos(p)
+                                  + 0.1 * cos(u) + 0.1 * sin(v))
     counter = [0]
     ig.integrate_curvature(_counted(conformal_rescale(mdl.field, w), counter),
                            mdl.domain, mdl.orientation)

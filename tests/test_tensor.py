@@ -3,6 +3,7 @@ import pytest
 import sympy as sp
 
 from ccegeom import models, tensor
+from ccegeom.autodiff import cos, diag, exp, sin
 from ccegeom.errors import DomainError, SingularMetric
 from ccegeom.tensor import (
     CentralDifference,
@@ -33,10 +34,18 @@ def _warped_test_metric():
     return coords, g
 
 
+def _warped_components(x1, x2, x3, x4):
+    """The same metric as jet expressions, differentiated by autodiff."""
+    return [[2 + sin(x2) / 4, x3 / 10, 0.0, 0.0],
+            [x3 / 10, 3 + x1**2 / 5, 0.0, x1 / 20],
+            [0.0, 0.0, 1 + exp(x4 / 3) / 2, 0.0],
+            [0.0, x1 / 20, 0.0, 2 + cos(x1 * x3) / 5]]
+
+
 @pytest.fixture(scope="module")
 def warped():
     coords, g = _warped_test_metric()
-    return coords, g, MetricField.from_sympy(coords, g, _CHART, name="warped-test")
+    return coords, g, MetricField.from_function(_CHART, _warped_components, name="warped-test")
 
 
 def test_christoffel_against_symbolic_oracle(warped):
@@ -150,9 +159,8 @@ def test_sigma2_dual_formula(warped):
 
 
 def test_conformal_covariance_pointwise(warped):
-    coords, _, field = warped
-    x1, x2, x3, x4 = coords
-    w = ScalarField.from_sympy(coords, sp.sin(x1) / 5 + x2 * x4 / 7)
+    _, _, field = warped
+    w = ScalarField.from_function(_CHART, lambda x1, x2, x4: sin(x1) / 5 + x2 * x4 / 7)
     rescaled = conformal_rescale(field, w)
     pts = _CHART.sample(5, seed=10)
     base = curvature(field, pts)
@@ -259,6 +267,54 @@ def test_integrator_builds_no_rank4_weyl(monkeypatch, sphere_suite):
     suite = integrate_curvature(mdl.field, mdl.domain, orientation=mdl.orientation)
     assert suite.weyl_energy == reference.weyl_energy
     assert suite.volume == pytest.approx(8 * np.pi**2 / 3, rel=1e-10)
+
+
+def test_integrator_builds_no_rank4_riemann(monkeypatch, sphere_suite):
+    calls = []
+    unpair = tensor._unpair
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return unpair(*args)
+
+    monkeypatch.setattr(tensor, "_unpair", counted)
+    mdl, reference = sphere_suite
+    suite = integrate_curvature(mdl.field, mdl.domain, orientation=mdl.orientation)
+    assert suite.weyl_energy == reference.weyl_energy
+    assert calls == []
+    # reading the rank-4 tensor builds it, once
+    pack = curvature(mdl.field, mdl.field.chart.sample(3, seed=16))
+    assert pack.riemann.shape == (3, 4, 4, 4, 4) and pack.riemann is pack.riemann
+    assert calls == [(3, 6, 6)]
+
+
+@pytest.mark.parametrize("radius", [0.5, 2.0])
+def test_round_two_sphere_pair_basis(radius):
+    # P = 1: the operator is the Gauss curvature 1/r^2
+    chart = Chart(("th", "ph"), (0.0, 0.0), (np.pi, 2 * np.pi))
+    field = MetricField.from_function(
+        chart, lambda th: diag(radius**2, radius**2 * sin(th) ** 2))
+    pts = chart.sample(5, seed=17)
+    pack = curvature(field, pts)
+    assert np.max(np.abs(pack.scalar - 2.0 / radius**2)) < 1e-12
+    assert np.max(np.abs(pack.ricci - pack.metric / radius**2)) < 1e-12
+    assert np.max(np.abs(pack.volume_density - radius**2 * np.sin(pts[:, 0]))) < 1e-12
+    assert pack.sigma2 is None and pack.weyl is None
+
+
+def test_round_three_sphere_pair_basis():
+    # P = 3, unit sectional curvature
+    chart = Chart(("a", "b", "c"), (0.0, 0.0, 0.0), (np.pi, np.pi, 2 * np.pi))
+    field = MetricField.from_function(
+        chart, lambda a, b: diag(1.0, sin(a) ** 2, sin(a) ** 2 * sin(b) ** 2))
+    pack = curvature(field, chart.sample(6, seed=18))
+    g = pack.metric
+    want = (np.einsum("nik,njl->nijkl", g, g)
+            - np.einsum("nil,njk->nijkl", g, g))
+    assert np.max(np.abs(pack.riemann - want)) < 1e-12
+    assert np.max(np.abs(pack.scalar - 6.0)) < 1e-12
+    assert np.max(np.abs(pack.ricci - 2.0 * g)) < 1e-12
+    assert np.max(pack.norms["traceless_ricci_sq"]) < 1e-24
 
 
 def test_non_finite_component_raises_singular_metric():
