@@ -259,9 +259,8 @@ def _write_eigen_grid(sol):
         with open(path, "w") as fh:
             fh.write("# eigen-grid v1\n")
             fh.write("s,u,du,compactified_scalar\n")
-            for sk in s:
-                fh.write(f"{sk:.17g},{sol.u(sk):.17g},{sol.du(sk):.17g},"
-                         f"{sol.compactified_scalar(sk):.17g}\n")
+            for row in zip(s, *sol.jet(s, 1), sol.compactified_scalar(s)):
+                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
     return writer
 
 

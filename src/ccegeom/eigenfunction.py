@@ -146,12 +146,12 @@ def asymptotic_data(fg: FGMetric) -> AsymptoticData:
                               indicial_roots(3))
     # L/(2s) = tr(g2)/2 + O(s): the density of a non-Einstein family has
     # a cubic term, so the ladder must clear the linear error first
-    h = MATCH_PROBE
-    f = lambda t: float(fg.density_logderiv(t)) / (2.0 * t)
-    e1a = 2.0 * f(h / 2.0) - f(h)
-    e1b = 2.0 * f(h / 4.0) - f(h / 2.0)
+    t = MATCH_PROBE * np.array([1.0, 0.5, 0.25])
+    f = fg.density_logderiv(t) / (2.0 * t)
+    e1a = 2.0 * f[1] - f[0]
+    e1b = 2.0 * f[2] - f[1]
     d2 = (4.0 * e1b - e1a) / 3.0
-    return AsymptoticData(-d2 / 3.0, None, "matched", indicial_roots(3))
+    return AsymptoticData(float(-d2 / 3.0), None, "matched", indicial_roots(3))
 
 
 def _chebyshev_nodes(a: float, b: float, count: int):
@@ -169,9 +169,11 @@ class EigenfunctionSolution:
 
     u = 1/s + w2 s + s^2 phi with phi the Chebyshev series of the
     collocation solve on [0, s_hi] = [0, s_max]; s_lo = S_LO is only the
-    lower end of the diagnostic grids. u and its first three derivatives
-    come from the series and its derivative series, so no pole of L and
-    no finite differencing of the nearly-cancelling 1/s + w2 s enters.
+    lower end of the diagnostic grids. The series is differentiated
+    three times when the solution is built, and jet(s, order) reads u
+    and its derivatives off those series, so no pole of L and no finite
+    differencing of the nearly-cancelling 1/s + w2 s enters. u, du, d2u
+    and d3u are its entries one at a time.
     """
 
     fg: FGMetric
@@ -185,6 +187,13 @@ class EigenfunctionSolution:
     u_min: float
     coefficients: np.ndarray = field(repr=False)
 
+    def __post_init__(self):
+        # phi and its first three s-derivatives as Chebyshev series in t
+        series = [self.coefficients]
+        for _ in range(3):
+            series.append(chebder(series[-1]) * (2.0 / self.s_hi))
+        self._series = series
+
     # -- pointwise closures -------------------------------------------------
 
     def _phi_jet(self, s, order: int):
@@ -196,36 +205,35 @@ class EigenfunctionSolution:
                 "extend past the tip s_max"
             )
         t = 2.0 * s / self.s_hi - 1.0
-        c, scale, out = self.coefficients, 2.0 / self.s_hi, [s]
-        for k in range(order + 1):
-            out.append(chebval(t, c))
-            c = chebder(c) * scale
+        return [s] + [chebval(t, c) for c in self._series[:order + 1]]
+
+    def jet(self, s, order: int):
+        """[u, u', ..., u^(order)] at each s, order <= 3, each a 1-D array."""
+        x, phi, *d = self._phi_jet(s, order)
+        out = [1.0 / x + self.w2 * x + x**2 * phi]
+        if order >= 1:
+            out.append(-1.0 / x**2 + self.w2 + 2.0 * x * phi + x**2 * d[0])
+        if order >= 2:
+            out.append(2.0 / x**3 + 2.0 * phi + 4.0 * x * d[0] + x**2 * d[1])
+        if order >= 3:
+            out.append(-6.0 / x**4 + 6.0 * d[0] + 6.0 * x * d[1] + x**2 * d[2])
         return out
 
-    def phi(self, s):
-        """The regular remainder phi = (u - 1/s - w2 s)/s^2."""
-        out = self._phi_jet(s, 0)[1]
+    def _derivative(self, s, k: int):
+        out = self.jet(s, k)[k]
         return float(out[0]) if np.ndim(s) == 0 else out
 
     def u(self, s):
-        x, phi = self._phi_jet(s, 0)
-        out = 1.0 / x + self.w2 * x + x**2 * phi
-        return float(out[0]) if np.ndim(s) == 0 else out
+        return self._derivative(s, 0)
 
     def du(self, s):
-        x, phi, dphi = self._phi_jet(s, 1)
-        out = -1.0 / x**2 + self.w2 + 2.0 * x * phi + x**2 * dphi
-        return float(out[0]) if np.ndim(s) == 0 else out
+        return self._derivative(s, 1)
 
     def d2u(self, s):
-        x, phi, dphi, d2phi = self._phi_jet(s, 2)
-        out = 2.0 / x**3 + 2.0 * phi + 4.0 * x * dphi + x**2 * d2phi
-        return float(out[0]) if np.ndim(s) == 0 else out
+        return self._derivative(s, 2)
 
     def d3u(self, s):
-        x, _, dphi, d2phi, d3phi = self._phi_jet(s, 3)
-        out = -6.0 / x**4 + 6.0 * dphi + 6.0 * x * d2phi + x**2 * d3phi
-        return float(out[0]) if np.ndim(s) == 0 else out
+        return self._derivative(s, 3)
 
     # -- derived quantities ---------------------------------------------------
 
@@ -236,11 +244,10 @@ class EigenfunctionSolution:
 
     def compactified_scalar(self, s):
         """Scalar curvature of u^{-2} g along the radial direction."""
-        scalar = np.ndim(s) == 0
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        u, du = self.u(s), self.du(s)
-        out = 12.0 * (u**2 - s**2 * du**2)
-        return float(out[0]) if scalar else out
+        x = np.atleast_1d(np.asarray(s, dtype=float))
+        u, du = self.jet(x, 1)
+        out = 12.0 * (u**2 - x**2 * du**2)
+        return float(out[0]) if np.ndim(s) == 0 else out
 
     def asymptotic_residual(self) -> float:
         """sup |u s - (1 + w2 s^2)| over a near-boundary window.
@@ -251,7 +258,7 @@ class EigenfunctionSolution:
         """
         cap = min(ASYMPTOTIC_CAP, 0.5 * self.s_hi)
         s = np.geomspace(self.s_lo, max(cap, 2.0 * self.s_lo), ASYMPTOTIC_COUNT)
-        return float(np.max(np.abs(s**3 * self.phi(s))))
+        return float(np.max(np.abs(s**3 * self._phi_jet(s, 0)[1])))
 
     def equation_residual(self) -> float:
         """Sup residual of the eigenvalue equation, made bounded at both ends.
@@ -381,8 +388,8 @@ def compactified_metric_field(sol: EigenfunctionSolution,
                               s_ceiling: Optional[float] = None) -> MetricField:
     """The compactified metric u^{-2} g as a MetricField on the collar chart.
 
-    Derivatives of the conformal factor come from the solution closures
-    (the Chebyshev series and its derivative series), so the curvature
+    Derivatives of the conformal factor come from one solution jet per
+    batch (the Chebyshev series and its derivative series), so the curvature
     engine sees an analytic metric throughout. The chart stops at
     s_max - XI_EDGE unless s_ceiling says otherwise.
     """
@@ -391,7 +398,7 @@ def compactified_metric_field(sol: EigenfunctionSolution,
 
     def jet(pts):
         s = pts[:, 0]
-        u, du, d2u = sol.u(s), sol.du(s), sol.d2u(s)
+        u, du, d2u = sol.jet(s, 2)
         grad = np.zeros_like(pts)
         grad[:, 0] = -du / u
         hess = np.zeros((pts.shape[0], pts.shape[1], pts.shape[1]))
@@ -429,18 +436,20 @@ def _second_form_linear(sol: EigenfunctionSolution) -> float:
     The compactified warp of each block is k_b = h_b/(us)^2 with
     k_b(0) = 1; a nonzero linear term is (twice) the block's principal
     curvature at the boundary. Fits k_b - 1 against s..s^SECOND_FORM_DEGREE,
-    so the known value at 0 is built in rather than estimated.
+    so the known value at 0 is built in rather than estimated; one
+    least-squares solve per block.
     """
     fg = sol.fg
     sm = fg.s_max
     s = _chebyshev_nodes(SECOND_FORM_WINDOW[0] * sm, SECOND_FORM_WINDOW[1] * sm,
                          SECOND_FORM_NODES)
     us2 = (sol.u(s) * s) ** 2
+    h = fg.warp(s)[0]
     cols = np.stack([s**j for j in range(1, SECOND_FORM_DEGREE + 1)], axis=1)
     sc = np.linalg.norm(cols, axis=0)
     worst = 0.0
-    for blk in fg.blocks:
-        k = blk.jet(s)[0] / us2 - 1.0
+    for b in range(len(fg.blocks)):
+        k = h[:, b] / us2 - 1.0
         coef, *_ = np.linalg.lstsq(cols / sc, k, rcond=None)
         worst = max(worst, abs(float(coef[0] / sc[0])))
     return worst
@@ -477,7 +486,7 @@ def compactification_checks(sol: EigenfunctionSolution) -> CompactificationRepor
     The scalar bound is min 12(u^2 - s^2 u'^2) >= 48 w2 - SCALAR_SLACK
     (sharp at the boundary for Einstein interiors). The Bochner check
     evaluates both sides of -Delta(u^2 - |du|^2) = 2 |Hess u - u g|^2
-    from the solution closures; the identity needs Ric = -3g, so its
+    from one solution jet; the identity needs Ric = -3g, so its
     failure is a sensitive non-Einstein detector. Umbilicity is the
     vanishing linear term of the compactified block warps.
     """
@@ -486,8 +495,7 @@ def compactification_checks(sol: EigenfunctionSolution) -> CompactificationRepor
         raise NotAvailable("compactification checks need the warped-block "
                            "structure of the family")
     s = np.geomspace(sol.s_lo, (sol.s_hi - XI_EDGE) * 0.999, CHECK_GRID)
-    u, du = sol.u(s), sol.du(s)
-    d2u, d3u = sol.d2u(s), sol.d3u(s)
+    u, du, d2u, d3u = sol.jet(s, 3)
     lv = np.asarray(fg.density_logderiv(s))
 
     dwt = 2.0 * u * du - 2.0 * s * du**2 - 2.0 * s**2 * du * d2u
@@ -495,10 +503,10 @@ def compactification_checks(sol: EigenfunctionSolution) -> CompactificationRepor
             - 2.0 * s**2 * du * d3u)
     laplace_wt = s**2 * d2wt + (s**2 * lv - 2.0 * s) * dwt
     hess_sq = (s**2 * d2u + s * du - u) ** 2
-    for blk in fg.blocks:
-        hb, dhb, _ = blk.jet(s)
-        hess_sq = hess_sq + len(blk.indices) * (
-            (s**2 * dhb / (2.0 * hb) - s) * du - u) ** 2
+    h, dh, _ = fg.warp(s)
+    for b, idx in enumerate(fg.blocks):
+        hess_sq = hess_sq + len(idx) * (
+            (s**2 * dh[:, b] / (2.0 * h[:, b]) - s) * du - u) ** 2
     bochner_sup = float(np.max(np.abs(-laplace_wt - 2.0 * hess_sq)))
 
     scan = np.geomspace(sol.s_lo, sol.s_hi, 4000)

@@ -21,7 +21,6 @@ from .autodiff import cos, diag, sin
 from .errors import ModelParameterError, NotAvailable
 from .integrals import ProductChartDomain
 from .normal_form import (
-    BlockWarp,
     BoundaryGeometry,
     FGMetric,
     ProfileBlock,
@@ -261,14 +260,16 @@ def hyperbolic(boundary_radius: float = 1.0) -> FGMetric:
     lam2 = lam * lam
     boundary = round_sphere_boundary(lam)
 
-    def jet(s):
+    def warp(s):
+        s = s[:, None]
         c = 1.0 - s**2 / (4 * lam2)
         return c**2, 2.0 * c * (-s / (2 * lam2)), (s / lam2) ** 2 / 2 - c / lam2
 
     fg = FGMetric(
         boundary=boundary,
         s_max=2 * lam,
-        blocks=[BlockWarp((0, 1, 2), jet)],
+        blocks=[(0, 1, 2)],
+        warp=warp,
         tip_multiplicity=3,
         einstein=True,
         yamabe_positive=True,
@@ -349,8 +350,9 @@ def perturbed_hyperbolic(amplitude: float = 0.05) -> FGMetric:
         raise ModelParameterError(f"amplitude must lie in [-1, 1], got {amp}")
     boundary = round_sphere_boundary(1.0)
 
-    def jet(s):
+    def warp(s):
         # f = base * bump and its derivatives; h = f^2
+        s = s[:, None]
         base, dbase = 1.0 - s**2 / 4, -s / 2
         v = s * (2.0 - s)
         vp = 2.0 - 2.0 * s
@@ -365,7 +367,8 @@ def perturbed_hyperbolic(amplitude: float = 0.05) -> FGMetric:
     return FGMetric(
         boundary=boundary,
         s_max=2.0,
-        blocks=[BlockWarp((0, 1, 2), jet)],
+        blocks=[(0, 1, 2)],
+        warp=warp,
         tip_multiplicity=3,
         einstein=(amp == 0.0),
         yamabe_positive=True,

@@ -39,7 +39,6 @@ _EPS = float(np.finfo(float).eps)
 
 __all__ = [
     "BoundaryGeometry",
-    "BlockWarp",
     "FGMetric",
     "ExpansionSeries",
     "RadialProfile",
@@ -77,32 +76,23 @@ class BoundaryGeometry:
         return self.field.dim
 
 
-@dataclass(frozen=True)
-class BlockWarp:
-    """One warped block of g_s: the submatrix ghat|indices scaled by h(s).
-
-    jet(s) takes an array of s values and returns (h, dh, d2h): the
-    squared warp factor and its first two s-derivatives, each shaped
-    like s.
-    """
-
-    indices: tuple
-    jet: Callable
-
-
 class FGMetric:
     """A metric in the normal form s^{-2}(ds^2 + g_s).
 
     Two data layouts are supported. Homogeneous block models supply
-    ``blocks`` (warped submatrices of the boundary metric), which give
-    closed-form densities and a reconstructable 4-metric; every reader
-    takes h_b, h_b' and h_b'' from one jet call per block. Generic
-    families supply ``gs_func(s_array, boundary_point) -> (Ns, 3, 3)``
-    and support expansion extraction only.
+    ``blocks``, the index tuples of the warped submatrices of the
+    boundary metric, and one ``warp(s) -> (h, dh, d2h)``: the squared
+    warp factors and their first two s-derivatives, each shaped
+    (Ns, len(blocks)), column b belonging to block b. They give
+    closed-form densities and a reconstructable 4-metric, and every
+    reader makes one warp call per batch. Generic families supply
+    ``gs_func(s_array, boundary_point) -> (Ns, 3, 3)`` and support
+    expansion extraction only.
     """
 
     def __init__(self, boundary: BoundaryGeometry, s_max: float,
-                 blocks: Optional[Sequence[BlockWarp]] = None,
+                 blocks: Optional[Sequence[tuple]] = None,
+                 warp: Optional[Callable] = None,
                  gs_func=None,
                  tip_multiplicity: Optional[int] = None,
                  einstein: bool = False,
@@ -111,12 +101,13 @@ class FGMetric:
                  name: str = "",
                  family: str = "",
                  parameters: Optional[dict] = None):
-        if blocks is None and gs_func is None:
-            raise ValueError("need blocks or gs_func")
+        if (blocks is None) != (warp is None) or (blocks is None and gs_func is None):
+            raise ValueError("need blocks together with their warp, or gs_func")
         self.boundary = boundary
         self.n = boundary.dim
         self.s_max = float(s_max)
-        self.blocks = tuple(blocks) if blocks is not None else None
+        self.blocks = tuple(tuple(b) for b in blocks) if blocks is not None else None
+        self.warp = warp
         self._gs_func = gs_func
         self.tip_multiplicity = tip_multiplicity
         self.einstein = einstein
@@ -139,11 +130,11 @@ class FGMetric:
         if self._gs_func is not None:
             return np.asarray(self._gs_func(s, p), dtype=float)
         ghat = self.boundary.field.g(np.asarray(p, dtype=float))
+        h = self.warp(s)[0]
         out = np.zeros((s.size, self.n, self.n))
-        for blk in self.blocks:
-            idx = np.asarray(blk.indices)
-            sub = ghat[np.ix_(idx, idx)]
-            out[:, idx[:, None], idx[None, :]] = blk.jet(s)[0][:, None, None] * sub
+        for b, idx in enumerate(self.blocks):
+            i = np.asarray(idx)
+            out[:, i[:, None], i] = h[:, b, None, None] * ghat[i[:, None], i]
         return out
 
     def boundary_limit_residual(self, ladder=None, p=None) -> float:
@@ -172,9 +163,12 @@ class FGMetric:
         self._require_blocks()
         scalar = np.ndim(s) == 0
         s = np.atleast_1d(np.asarray(s, dtype=float))
+        h = self.warp(s)[0]
         out = np.ones_like(s)
-        for blk in self.blocks:
-            out = out * blk.jet(s)[0] ** (len(blk.indices) / 2.0)
+        # one Python-float exponent per column keeps numpy's sqrt path
+        # for half-dimension 1/2
+        for b, idx in enumerate(self.blocks):
+            out = out * h[:, b] ** (len(idx) / 2.0)
         return float(out[0]) if scalar else out
 
     def density_logderiv(self, s):
@@ -182,22 +176,10 @@ class FGMetric:
         self._require_blocks()
         scalar = np.ndim(s) == 0
         s = np.atleast_1d(np.asarray(s, dtype=float))
+        h, dh, _ = self.warp(s)
         out = np.zeros_like(s)
-        for blk in self.blocks:
-            h, dh, _ = blk.jet(s)
-            out = out + (len(blk.indices) / 2.0) * dh / h
-        return float(out[0]) if scalar else out
-
-    def density_logderiv2(self, s):
-        """Second derivative of ln D for block models."""
-        self._require_blocks()
-        scalar = np.ndim(s) == 0
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.zeros_like(s)
-        for blk in self.blocks:
-            h, dh, d2h = blk.jet(s)
-            ratio = dh / h
-            out = out + (len(blk.indices) / 2.0) * (d2h / h - ratio**2)
+        for b, idx in enumerate(self.blocks):
+            out = out + (len(idx) / 2.0) * dh[:, b] / h[:, b]
         return float(out[0]) if scalar else out
 
     # -- reconstruction of the 4-metric ---------------------------------
@@ -206,9 +188,9 @@ class FGMetric:
                     s_ceiling: Optional[float] = None) -> MetricField:
         """The metric s^{-2}(ds^2 + g_s) as a MetricField on the collar chart.
 
-        Its jet reads each block warp's jet and the boundary metric's jet
-        once per batch, so curvature of the reconstruction is as accurate
-        as the warp data itself.
+        Its jet reads the warp and the boundary metric's jet once per
+        batch, so curvature of the reconstruction is as accurate as the
+        warp data itself.
         """
         self._require_blocks()
         bf = self.boundary.field
@@ -218,41 +200,38 @@ class FGMetric:
         chart = Chart(("s",) + tuple(bf.chart.names),
                       (s_floor,) + tuple(bf.chart.lo),
                       (hi,) + tuple(bf.chart.hi))
-        blocks = self.blocks
+        blocks = [np.asarray(idx) for idx in self.blocks]
+        warp = self.warp
 
         def jet(pts):
             s = pts[:, 0]
             npts = pts.shape[0]
             gb, dgb, d2gb = bf.jet(pts[:, 1:], check=False)
+            h, dh, d2h = warp(s)
             g4 = np.zeros((npts, d, d))
             dg4 = np.zeros((npts, d, d, d))
             d2g4 = np.zeros((npts, d, d, d, d))
-            g4[:, 0, 0] = s**-2.0
-            dg4[:, 0, 0, 0] = -2.0 * s**-3.0
-            d2g4[:, 0, 0, 0, 0] = 6.0 * s**-4.0
-            for blk in blocks:
-                h, dh, d2h = blk.jet(s)
-                prof = h * s**-2.0
-                dprof = dh * s**-2.0 - 2.0 * h * s**-3.0
-                d2prof = d2h * s**-2.0 - 4.0 * dh * s**-3.0 + 6.0 * h * s**-4.0
-                for ia in blk.indices:
-                    for ib in blk.indices:
-                        gab = gb[:, ia, ib]
-                        g4[:, ia + 1, ib + 1] += prof * gab
-                        dg4[:, 0, ia + 1, ib + 1] += dprof * gab
-                        dg4[:, 1:, ia + 1, ib + 1] += (
-                            prof[:, None] * dgb[:, :, ia, ib]
-                        )
-                        d2g4[:, 0, 0, ia + 1, ib + 1] += d2prof * gab
-                        d2g4[:, 0, 1:, ia + 1, ib + 1] += (
-                            dprof[:, None] * dgb[:, :, ia, ib]
-                        )
-                        d2g4[:, 1:, 0, ia + 1, ib + 1] += (
-                            dprof[:, None] * dgb[:, :, ia, ib]
-                        )
-                        d2g4[:, 1:, 1:, ia + 1, ib + 1] += (
-                            prof[:, None, None] * d2gb[:, :, :, ia, ib]
-                        )
+            sm2, sm3, sm4 = s**-2.0, s**-3.0, s**-4.0
+            g4[:, 0, 0] = sm2
+            dg4[:, 0, 0, 0] = -2.0 * sm3
+            d2g4[:, 0, 0, 0, 0] = 6.0 * sm4
+            sm2, sm3, sm4 = sm2[:, None], sm3[:, None], sm4[:, None]
+            prof = h * sm2
+            dprof = dh * sm2 - 2.0 * h * sm3
+            d2prof = d2h * sm2 - 4.0 * dh * sm3 + 6.0 * h * sm4
+            for b, i in enumerate(blocks):
+                p0, p1, p2 = (x[:, b, None, None] for x in (prof, dprof, d2prof))
+                gsq = gb[:, i[:, None], i]
+                dgsq = dgb[:, :, i[:, None], i]
+                q = i + 1
+                g4[:, q[:, None], q] += p0 * gsq
+                dg4[:, 0, q[:, None], q] += p1 * gsq
+                dg4[:, 1:, q[:, None], q] += p0[:, None] * dgsq
+                d2g4[:, 0, 0, q[:, None], q] += p2 * gsq
+                d2g4[:, 1:, 0, q[:, None], q] += p1[:, None] * dgsq
+                d2g4[:, 1:, 1:, q[:, None], q] += (
+                    p0[:, None, None] * d2gb[:, :, :, i[:, None], i])
+            d2g4[:, 0, 1:] = d2g4[:, 1:, 0]  # the mixed s-derivatives
             return g4, dg4, d2g4
 
         return MetricField(chart, jet=jet,
@@ -654,40 +633,39 @@ def normal_form_from_profile(profile: RadialProfile) -> FGMetric:
 
     Integrates the unit-speed condition for the geodesic defining
     function, fixes the boundary normalization against the declared
-    boundary metric, and returns an FGMetric whose block warps are
-    h_b(s) = s^2 beta_sq_b(r(s)) with chain-rule s-derivatives. Raises
-    CharacteristicFailure when the constructed map violates the gauge
-    |ds|^2 = 1 by more than 1e-7.
+    boundary metric, and returns an FGMetric whose warp column b is
+    h_b(s) = s^2 beta_sq_b(r(s)) with chain-rule s-derivatives. One warp
+    call inverts r(s) once and evaluates a(r) and a'(r) once for all
+    blocks. Raises CharacteristicFailure when the constructed map
+    violates the gauge |ds|^2 = 1 by more than 1e-7.
     """
     rmap = RadialMap(profile)
     sign = rmap._sign
-    a_of = profile.radial_factor
-    da_of = profile.radial_factor_deriv
 
-    def make_block(pblk: ProfileBlock) -> BlockWarp:
-        def jet(s):
-            r = rmap.r_of_s(s)
-            a = np.asarray(a_of(r))
-            da = np.asarray(da_of(r))
+    def warp(s):
+        r = rmap.r_of_s(s)
+        a = np.asarray(profile.radial_factor(r))
+        da = np.asarray(profile.radial_factor_deriv(r))
+        w = sign * a * s                  # ds/dr along the map
+        rp = 1.0 / w
+        wp = sign * (da * rp * s + a)     # d/ds of w
+        rpp = -wp / w**2
+        cols = []
+        for pblk in profile.blocks:
             beta = np.asarray(pblk.beta_sq(r))
             db = np.asarray(pblk.dbeta_sq(r))
             d2b = np.asarray(pblk.d2beta_sq(r))
-            w = sign * a * s                  # ds/dr along the map
-            rp = 1.0 / w
-            wp = sign * (da * rp * s + a)     # d/ds of w
-            rpp = -wp / w**2
-            return (s**2 * beta,
-                    2.0 * s * beta + s**2 * db * rp,
-                    2.0 * beta + 4.0 * s * db * rp
-                    + s**2 * (d2b * rp**2 + db * rpp))
+            cols.append((s**2 * beta,
+                         2.0 * s * beta + s**2 * db * rp,
+                         2.0 * beta + 4.0 * s * db * rp
+                         + s**2 * (d2b * rp**2 + db * rpp)))
+        return tuple(np.stack(c, axis=1) for c in zip(*cols))
 
-        return BlockWarp(pblk.indices, jet)
-
-    blocks = [make_block(b) for b in profile.blocks]
     fg = FGMetric(
         boundary=profile.boundary,
         s_max=rmap.s_interior,
-        blocks=blocks,
+        blocks=[b.indices for b in profile.blocks],
+        warp=warp,
         tip_multiplicity=profile.tip_multiplicity,
         einstein=profile.einstein,
         yamabe_positive=profile.yamabe_positive,

@@ -90,6 +90,18 @@ def test_eigen_grid_schema(analyze_dir):
     assert first[3] == pytest.approx(12.0, abs=1e-5)
 
 
+def test_eigen_grid_rows_equal_scalar_queries(analyze_dir, hyp_solution):
+    """The grid is written from whole-grid jets; each row reads exactly
+    what the scalar queries give at its s."""
+    sol = hyp_solution
+    lines = (analyze_dir / "eigen_grid.csv").read_text().splitlines()[2:]
+    assert len(lines) == 96
+    for line in lines:
+        s = float(line.split(",")[0])
+        want = [s, sol.u(s), sol.du(s), sol.compactified_scalar(s)]
+        assert line == ",".join(f"{x:.17g}" for x in want)
+
+
 def test_exit_code_unknown_model(tmp_path, capsys):
     assert _run(["analyze", "--model", "klein_bottle",
                  "--out", str(tmp_path)]) == 2

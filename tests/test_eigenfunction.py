@@ -69,6 +69,23 @@ def test_hyperbolic_solution_closed_form(hyp_solution):
     assert sol.boundary_scalar == pytest.approx(12.0)
 
 
+def test_jet_matches_accessors_bitwise(ads_solution):
+    """jet(s, 3) is (u, du, d2u, d3u); array queries equal scalar ones
+    bitwise, and a scalar query gives a float."""
+    sol = ads_solution
+    s = np.geomspace(sol.s_lo, sol.s_hi, 37)
+    jet = sol.jet(s, 3)
+    accessors = (sol.u, sol.du, sol.d2u, sol.d3u)
+    for k, (got, read) in enumerate(zip(jet, accessors)):
+        assert np.array_equal(got, read(s))
+        assert np.array_equal(sol.jet(s, k)[k], got)
+        scalars = [read(float(x)) for x in s]
+        assert all(type(v) is float for v in scalars)
+        assert np.array_equal(np.asarray(scalars), got)
+    assert type(sol.compactified_scalar(float(s[3]))) is float
+    assert sol.compactified_scalar(float(s[3])) == sol.compactified_scalar(s)[3]
+
+
 def test_spline_path_matches_closed_form(hyperbolic_profile):
     """The same solve through the radial-map machinery of a profile."""
     sol = ef.solve_eigenfunction(hyperbolic_profile)

@@ -5,7 +5,7 @@ import copy
 import numpy as np
 import pytest
 
-from ccegeom import models
+from ccegeom import cli, models
 from ccegeom import integrals as ig
 from ccegeom import volume as vol
 from ccegeom.autodiff import cos, sin
@@ -87,14 +87,15 @@ def test_doubled_suite_arithmetic(cp2_suite):
 
 def test_weyl_energy_is_conformally_invariant(product_suite, rng):
     """|W|^2 dV is a pointwise conformal invariant in dimension 4, so the
-    integral must not move under metric rescaling by random factors."""
+    integral must not move under metric rescaling by random factors. The
+    factors are smooth on both spheres, so each rescaled metric is a
+    metric on S2 x S2 and keeps chi = 4 and tau = 0."""
     mdl, suite = product_suite
     for trial in range(2):
         a, b, c = (round(float(x), 3) for x in 0.3 * rng.standard_normal(3))
         k1, k2 = int(rng.integers(1, 3)), int(rng.integers(1, 3))
         w = ScalarField.from_function(
-            mdl.field.chart, lambda t, p, u, v: a * sin(k1 * t) * cos(p)
-            + b * cos(u) + c * sin(k2 * v))
+            mdl.field.chart, cli._conformal_factor(a, b, c, k1, k2))
         rescaled = conformal_rescale(mdl.field, w)
         out = ig.integrate_curvature(rescaled, mdl.domain,
                                      orientation=mdl.orientation)
@@ -102,6 +103,8 @@ def test_weyl_energy_is_conformally_invariant(product_suite, rng):
             < 1e-6 * max(1.0, suite.weyl_energy)
         assert abs(out.weyl_plus - suite.weyl_plus) \
             < 1e-6 * max(1.0, suite.weyl_plus)
+        assert abs(out.euler_gb - 4.0) < 1e-4
+        assert abs(out.signature) < 1e-4
 
 
 def test_sigma2_bridge_on_compactified_collar(hyp_solution, hyp_fit):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ccegeom import models, normal_form as nf
+from ccegeom.eigenfunction import compactification_checks
 from ccegeom.errors import DomainError, FitConditioning, UnsupportedDimension
 from ccegeom.quadrature import gauss_legendre_rule
 from ccegeom.tensor import curvature
@@ -214,9 +215,9 @@ def test_fg_document_and_gs_table(hyperbolic, tmp_path):
     assert np.allclose(np.asarray(data), np.asarray(rows))
 
 
-def test_one_radial_inversion_per_block_and_point(ads, monkeypatch):
-    """Each reader asks every warp for one jet, so it inverts the map once
-    per block and point: AdS has two blocks, and curvature reads the
+def test_one_radial_inversion_per_point(ads, monkeypatch):
+    """Each reader asks the warp for one jet, so it inverts the map once
+    per point for all blocks together, and curvature reads the
     four-metric's jet once."""
     rmap = ads.radial_map
     r_of_s = rmap.r_of_s
@@ -230,9 +231,33 @@ def test_one_radial_inversion_per_block_and_point(ads, monkeypatch):
     s = np.linspace(0.05, 0.9 * ads.s_max, 10)
     pts = np.column_stack([s, np.tile(ads.boundary.default_point, (10, 1))])
     four = ads.four_metric()
-    for read, expected in ((lambda: curvature(four, pts), 20),
-                           (lambda: ads.density_logderiv(s), 20),
-                           (lambda: ads.density_logderiv2(s), 20)):
+    for read, expected in ((lambda: curvature(four, pts), 10),
+                           (lambda: ads.density_logderiv(s), 10)):
+        calls[0] = 0
+        read()
+        assert calls[0] == expected
+
+
+def test_one_warp_call_per_batch(ads, ads_solution, monkeypatch):
+    """density, density_logderiv and each curvature batch of the
+    four-metric read the warp once; compactification_checks reads it
+    once for the Bochner grid, once for L there and once for the
+    second-form fit."""
+    warp = ads.warp
+    calls = [0]
+
+    def counted(s):
+        calls[0] += 1
+        return warp(s)
+
+    monkeypatch.setattr(ads, "warp", counted)
+    s = np.linspace(0.05, 0.9 * ads.s_max, 10)
+    pts = np.column_stack([s, np.tile(ads.boundary.default_point, (10, 1))])
+    four = ads.four_metric()
+    for read, expected in ((lambda: ads.density(s), 1),
+                           (lambda: ads.density_logderiv(s), 1),
+                           (lambda: curvature(four, pts), 1),
+                           (lambda: compactification_checks(ads_solution), 3)):
         calls[0] = 0
         read()
         assert calls[0] == expected
@@ -248,13 +273,13 @@ def test_warp_jet_derivatives_match_central_differences(build, kwargs):
     fg = models.build(build, **kwargs)
     s = np.linspace(0.1, 0.8, 8) * fg.s_max
     step = 1e-4 * fg.s_max
-    for blk in fg.blocks:
-        h, dh, d2h = blk.jet(s)
-        hp, dhp, _ = blk.jet(s + step)
-        hm, dhm, _ = blk.jet(s - step)
-        assert h.shape == dh.shape == d2h.shape == s.shape
-        np.testing.assert_allclose(dh, (hp - hm) / (2 * step), rtol=1e-6, atol=1e-8)
-        np.testing.assert_allclose(d2h, (dhp - dhm) / (2 * step), rtol=1e-6, atol=1e-8)
+    h, dh, d2h = fg.warp(s)
+    hp, dhp, _ = fg.warp(s + step)
+    hm, dhm, _ = fg.warp(s - step)
+    assert h.shape == dh.shape == d2h.shape == (s.size, len(fg.blocks))
+    # column b is block b's warp; the comparison is elementwise
+    np.testing.assert_allclose(dh, (hp - hm) / (2 * step), rtol=1e-6, atol=1e-8)
+    np.testing.assert_allclose(d2h, (dhp - dhm) / (2 * step), rtol=1e-6, atol=1e-8)
 
 
 @pytest.mark.parametrize("which", ["ads", "lower"])
