@@ -496,14 +496,14 @@ def compactification_checks(sol: EigenfunctionSolution) -> CompactificationRepor
                            "structure of the family")
     s = np.geomspace(sol.s_lo, (sol.s_hi - XI_EDGE) * 0.999, CHECK_GRID)
     u, du, d2u, d3u = sol.jet(s, 3)
-    lv = np.asarray(fg.density_logderiv(s))
+    h, dh, _ = fg.warp(s)
+    lv = fg.logderiv_of_warp(h, dh)
 
     dwt = 2.0 * u * du - 2.0 * s * du**2 - 2.0 * s**2 * du * d2u
     d2wt = (2.0 * u * d2u - 8.0 * s * du * d2u - 2.0 * s**2 * d2u**2
             - 2.0 * s**2 * du * d3u)
     laplace_wt = s**2 * d2wt + (s**2 * lv - 2.0 * s) * dwt
     hess_sq = (s**2 * d2u + s * du - u) ** 2
-    h, dh, _ = fg.warp(s)
     for b, idx in enumerate(fg.blocks):
         hess_sq = hess_sq + len(idx) * (
             (s**2 * dh[:, b] / (2.0 * h[:, b]) - s) * du - u) ** 2

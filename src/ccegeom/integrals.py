@@ -5,11 +5,20 @@ product boxes in a single chart, and radial reductions for
 cohomogeneity-one metrics where the angular integral is carried exactly
 by the boundary volume.
 
-On a box, only the axes the metric depends on are integrated. Along a
-cyclic axis (MetricField.cyclic_axes) g, its derivatives, every
-invariant and sqrt(det g) are constant, so the Gauss-Legendre weights
-over it would only sum to its length: the axis takes the one-point rule
-(its midpoint, weighted by the length) instead, exact up to round-off.
+A box is integrated in one kernel pass, with a nested rule per axis
+(see quadrature): Kronrod-15 on bounded axes, the 16-point trapezoid
+rule on axes that are one full period of the metric
+(ProductChartDomain.periodic), and the one-point rule on axes the
+metric does not depend on (MetricField.cyclic_axes), where g, its
+derivatives, every invariant and sqrt(det g) are constant. The value
+is the fine rule's; the error estimate is its distance from the
+companion rule (Gauss-7 and the 8-point trapezoid on the same nodes),
+i.e. the companion's error, an upper bound for the returned value's.
+A radial domain is integrated twice, by Gauss-Legendre of orders ORDER
+and REFINED_ORDER; the refined value is returned and the difference is
+the error estimate. Every estimate is floored at ROUNDOFF eps times
+the integral of the integrand's absolute value (QUADPACK's round-off
+floor), so it never claims more than the rounding of the sum allows.
 
 The integrated quantities feed two index formulas, stated here in the
 tensor-norm convention |W|^2 = W_{ijkl} W^{ijkl}:
@@ -28,7 +37,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import gauss_legendre_rule, product_rule
+from .quadrature import (gauss_legendre_rule, kronrod_rule, one_point_rule,
+                         periodic_rule, product_rule)
 from .tensor import MetricField, curvature
 
 __all__ = [
@@ -45,10 +55,12 @@ __all__ = [
     "suite_document",
 ]
 
-#: Gauss-Legendre order per axis of the first quadrature pass
+#: Gauss-Legendre order of the first pass on radial domains
 ORDER = 12
-#: order of the second pass, whose difference is the error estimate
+#: order of the second radial pass, whose difference is the error estimate
 REFINED_ORDER = 16
+#: floor of every error estimate, in units of eps * int |integrand| dv
+ROUNDOFF = 50.0
 #: curvature points per kernel call on product boxes
 CHUNK = 2048
 #: panels of the radial collar domains
@@ -62,13 +74,16 @@ RADIAL_PANELS = 12
 class ProductChartDomain:
     """Product box in chart coordinates: axes = ((lo, hi, panels), ...).
 
-    One axis per chart coordinate. Axes the metric does not depend on
-    are collapsed to their midpoint, weighted by their length; panels
-    applies to the others.
+    One axis per chart coordinate. periodic lists the axes whose
+    [lo, hi] is one full period of the metric; they take the trapezoid
+    rule, the other axes Kronrod-15 on each panel. Axes the metric does
+    not depend on are collapsed to their midpoint, weighted by their
+    length, and ignore panels.
     """
 
     axes: tuple
     label: str = ""
+    periodic: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -161,37 +176,51 @@ def _invariant_rows(pack):
     ], axis=1)
 
 
-def _accumulate_box(m, domain, orientation, order):
-    # a cyclic axis takes the one-point rule: its midpoint, weighted by
-    # the axis length
-    pts, wts = product_rule([(lo, hi, 1, 1) if i in m.cyclic_axes
-                             else (lo, hi, panels, order)
-                             for i, (lo, hi, panels) in enumerate(domain.axes)])
-    totals = np.zeros(len(_FIELDS))
+def _box_axis_rule(m, domain, i):
+    lo, hi, panels = domain.axes[i]
+    if i in m.cyclic_axes:
+        return one_point_rule(lo, hi)
+    if i in domain.periodic:
+        return periodic_rule(lo, hi, panels)
+    return kronrod_rule(lo, hi, panels)
+
+
+def _accumulate_box(m, domain, orientation):
+    """Fine, companion and absolute-value totals of _FIELDS, one pass."""
+    pts, fine, companion = product_rule(
+        [_box_axis_rule(m, domain, i) for i in range(len(domain.axes))])
+    wts = np.stack([fine, companion], axis=1)
+    totals = np.zeros((3, len(_FIELDS)))
     for lo in range(0, pts.shape[0], CHUNK):
         hi = min(lo + CHUNK, pts.shape[0])
         pack = curvature(m, pts[lo:hi], orientation=orientation)
         if not np.all(pack.volume_density > 0):
             raise DomainError("metric determinant non-positive inside the domain")
-        totals += (wts[lo:hi] * pack.volume_density) @ _invariant_rows(pack)
+        rows = _invariant_rows(pack)
+        w = wts[lo:hi] * pack.volume_density[:, None]
+        totals[:2] += w.T @ rows
+        totals[2] += w[:, 0] @ np.abs(rows)
     return totals
 
 
 def _accumulate_radial(m, domain, orientation, order):
+    """Totals of _FIELDS and of their absolute values at one order."""
     nodes, wts = gauss_legendre_rule(domain.s_lo, domain.s_hi,
                                      domain.panels, order)
     pts = np.asarray(domain.section(nodes), dtype=float)
     meas = np.asarray(domain.measure(nodes), dtype=float)
-    return (wts * meas) @ _invariant_rows(curvature(m, pts, orientation=orientation))
+    rows = _invariant_rows(curvature(m, pts, orientation=orientation))
+    return (wts * meas) @ rows, np.abs(wts * meas) @ np.abs(rows)
 
 
 def integrate_curvature(m: MetricField, domain,
                         orientation: int = 1) -> IntegralSuite:
     """Integrate the curvature invariants of m over the domain.
 
-    Runs the quadrature twice (ORDER and REFINED_ORDER), returns the
-    refined values and reports the difference as the error estimate
-    for every integral.
+    Returns the fine values; the error estimate of every integral is
+    |fine - companion| on a box, |I(REFINED_ORDER) - I(ORDER)| on a
+    radial domain, and never below the round-off floor (module
+    docstring).
     """
     if m.dim != 4:
         raise DomainError("curvature integrals are defined for 4-metrics here")
@@ -201,14 +230,15 @@ def integrate_curvature(m: MetricField, domain,
         raise DomainError(f"product domain has {len(domain.axes)} axes, "
                           f"the metric has {m.dim} coordinates")
 
-    def run(p):
-        if isinstance(domain, RadialDomain):
-            return _accumulate_radial(m, domain, orientation, p)
-        return _accumulate_box(m, domain, orientation, p)
-
-    coarse = run(ORDER)
-    totals = run(REFINED_ORDER)
-    errors = {name: abs(totals[i] - coarse[i]) for i, name in enumerate(_FIELDS)}
+    if isinstance(domain, RadialDomain):
+        coarse, _ = _accumulate_radial(m, domain, orientation, ORDER)
+        totals, absolute = _accumulate_radial(m, domain, orientation,
+                                              REFINED_ORDER)
+    else:
+        totals, coarse, absolute = _accumulate_box(m, domain, orientation)
+    floor = ROUNDOFF * np.finfo(float).eps * absolute
+    errors = {name: float(max(abs(totals[i] - coarse[i]), floor[i]))
+              for i, name in enumerate(_FIELDS)}
     return IntegralSuite(
         weyl_energy=float(totals[0]),
         weyl_plus=float(totals[1]),

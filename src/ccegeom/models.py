@@ -149,12 +149,14 @@ class ClosedModel:
     notes: str = ""
 
 
-def _closed(label, names, his, g, **data) -> ClosedModel:
+def _closed(label, names, his, g, periodic, **data) -> ClosedModel:
     """A closed model whose metric g lives on the chart box (0, his),
-    integrated over that whole box."""
+    integrated over that whole box; periodic lists the azimuthal axes
+    whose chart interval is one full period."""
     chart = Chart(names, (0.0,) * len(names), his)
     return ClosedModel(field=MetricField.from_function(chart, g, name=label),
-                       domain=ProductChartDomain(tuple((0.0, hi, 1) for hi in his), label),
+                       domain=ProductChartDomain(tuple((0.0, hi, 1) for hi in his),
+                                                 label, periodic),
                        **data)
 
 
@@ -169,6 +171,7 @@ def round_sphere4(radius: float = 1.0) -> ClosedModel:
 
     return _closed(
         "round-S4", ("t1", "t2", "t3", "t4"), (np.pi, np.pi, np.pi, 2 * np.pi), g,
+        periodic=(3,),
         name=f"round_sphere(r={radius:g})",
         euler=2,
         signature=0,
@@ -182,6 +185,7 @@ def flat_torus4(lengths=(2 * np.pi,) * 4) -> ClosedModel:
     lengths = tuple(_positive(l, "length") for l in lengths)
     return _closed(
         "flat-T4", ("x1", "x2", "x3", "x4"), lengths, lambda: diag(1.0, 1.0, 1.0, 1.0),
+        periodic=(0, 1, 2, 3),
         name="flat_torus",
         euler=0,
         signature=0,
@@ -202,6 +206,7 @@ def product_spheres(a: float = 1.0, b: float = 1.0) -> ClosedModel:
 
     return _closed(
         "S2xS2", ("t", "p", "u", "v"), (np.pi, 2 * np.pi, np.pi, 2 * np.pi), g,
+        periodic=(1, 3),
         name=f"product_spheres(a={a:g},b={b:g})",
         euler=4,
         signature=0,
@@ -234,6 +239,7 @@ def fubini_study() -> ClosedModel:
 
     return _closed(
         "fubini-study", ("r", "t", "p", "q"), (np.pi / 2, np.pi, 2 * np.pi, 4 * np.pi), g,
+        periodic=(2, 3),
         name="fubini_study",
         euler=3,
         signature=1,

@@ -176,11 +176,15 @@ class FGMetric:
         self._require_blocks()
         scalar = np.ndim(s) == 0
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        h, dh, _ = self.warp(s)
-        out = np.zeros_like(s)
+        out = self.logderiv_of_warp(*self.warp(s)[:2])
+        return float(out[0]) if scalar else out
+
+    def logderiv_of_warp(self, h, dh):
+        """D'/D = sum_b (k_b/2) h_b'/h_b from warp columns already read."""
+        out = np.zeros(h.shape[0])
         for b, idx in enumerate(self.blocks):
             out = out + (len(idx) / 2.0) * dh[:, b] / h[:, b]
-        return float(out[0]) if scalar else out
+        return out
 
     # -- reconstruction of the 4-metric ---------------------------------
 

@@ -1,10 +1,25 @@
-"""Deterministic composite Gauss-Legendre quadrature.
+"""Deterministic composite quadrature: Gauss-Legendre, nested axis rules.
 
 All rules are fixed meshes (no adaptive subdivision driven by runtime
 state), so repeated runs with the same configuration sum the same floats
-in the same order. Error estimates come from doubling the panel count.
-The reference rule on [-1, 1] is built once per order and kept read-only;
-every rule mapped onto panels is a fresh array.
+in the same order. The Gauss-Legendre reference rule on [-1, 1] is built
+once per order and kept read-only; every rule mapped onto panels is a
+fresh array. Its error estimates come from doubling the panel count.
+
+A nested axis rule is a triple (nodes, weights, companion): the weights
+give the value, and the companion weights, supported on a subset of the
+same nodes, give a lower-order value whose distance from it estimates
+the error from one set of integrand values. There are three kinds:
+
+- kronrod_rule, for bounded axes: Kronrod-15 per panel, exact to
+  degree 23, with the Gauss-7 rule on its odd nodes (degree 13);
+- periodic_rule, for an axis that is one full period of the
+  integrand: 16 equispaced midpoints per panel (exact on trigonometric
+  polynomials of degree < 16), every other node at twice the weight
+  (degree < 8);
+- one_point_rule, for an axis the integrand does not depend on.
+
+product_rule takes their tensor product, companion with companion.
 """
 
 from __future__ import annotations
@@ -22,6 +37,9 @@ __all__ = [
     "geometric_panels",
     "integrate_fixed",
     "integrate_refined",
+    "kronrod_rule",
+    "one_point_rule",
+    "periodic_rule",
     "product_rule",
 ]
 
@@ -33,6 +51,42 @@ class QuadResult:
     panels: int
 
 
+#: Kronrod-15 nodes on [-1, 1] and the weights of the Kronrod-15 and the
+#: nested Gauss-7 rule (zero off the odd nodes), from QUADPACK's QK15
+#: table (Piessens et al., 1983)
+_K15_NODES = np.array([
+    -0.991455371120812639206854697526329, -0.949107912342758524526189684047851,
+    -0.864864423359769072789712788640926, -0.741531185599394439863864773280788,
+    -0.586087235467691130294144838258730, -0.405845151377397166906606412076961,
+    -0.207784955007898467600689403773245, 0.0,
+    0.207784955007898467600689403773245, 0.405845151377397166906606412076961,
+    0.586087235467691130294144838258730, 0.741531185599394439863864773280788,
+    0.864864423359769072789712788640926, 0.949107912342758524526189684047851,
+    0.991455371120812639206854697526329])
+_K15_WEIGHTS = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+    0.204432940075298892414161999234649, 0.190350578064785409913256402421014,
+    0.169004726639267902826583426598550, 0.140653259715525918745189590510238,
+    0.104790010322250183839876322541518, 0.063092092629978553290700663189204,
+    0.022935322010529224963732008058970])
+_G7_WEIGHTS = np.array([
+    0.0, 0.129484966168869693270611432679082,
+    0.0, 0.279705391489276667901467771423780,
+    0.0, 0.381830050505118944950369775488975,
+    0.0, 0.417959183673469387755102040816327,
+    0.0, 0.381830050505118944950369775488975,
+    0.0, 0.279705391489276667901467771423780,
+    0.0, 0.129484966168869693270611432679082,
+    0.0])
+for _table in (_K15_NODES, _K15_WEIGHTS, _G7_WEIGHTS):
+    _table.flags.writeable = False
+#: nodes per panel of periodic_rule
+PERIODIC_NODES = 16
+
+
 @lru_cache(maxsize=None)
 def _reference_rule(order: int):
     """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
@@ -42,13 +96,9 @@ def _reference_rule(order: int):
     return x, w
 
 
-def gauss_legendre_rule(a: float, b: float, panels, order: int = 16):
-    """Nodes and weights of a composite Gauss-Legendre rule on [a, b].
-
-    ``panels`` is either an int >= 1 (uniform subdivision) or a strictly
-    increasing array of breakpoints starting at a and ending at b.
-    """
-    x, w = _reference_rule(order)
+def _panel_edges(a: float, b: float, panels):
+    """Breakpoints of ``panels``: an int >= 1 (uniform subdivision of
+    [a, b]) or a strictly increasing array starting at a, ending at b."""
     if np.isscalar(panels):
         if int(panels) < 1:
             raise ValueError(f"panels must be at least 1, got {panels}")
@@ -57,12 +107,60 @@ def gauss_legendre_rule(a: float, b: float, panels, order: int = 16):
         edges = np.asarray(panels, dtype=float)
         if edges.size < 2 or not np.all(np.diff(edges) > 0):
             raise ValueError("need at least two strictly increasing panel breakpoints")
+    return edges
+
+
+def _composite(a: float, b: float, panels, x, *ws):
+    """Reference nodes x and weights ws on [-1, 1] mapped onto each panel."""
+    edges = _panel_edges(a, b, panels)
     lo, hi = edges[:-1], edges[1:]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
+    return (nodes,) + tuple((half[:, None] * w[None, :]).ravel() for w in ws)
+
+
+def gauss_legendre_rule(a: float, b: float, panels, order: int = 16):
+    """Nodes and weights of a composite Gauss-Legendre rule on [a, b].
+
+    ``panels`` is either an int >= 1 (uniform subdivision) or a strictly
+    increasing array of breakpoints starting at a and ending at b.
+    """
+    return _composite(a, b, panels, *_reference_rule(order))
+
+
+def kronrod_rule(a: float, b: float, panels):
+    """Composite Kronrod-15 rule on [a, b] with its nested Gauss-7 companion.
+
+    Returns (nodes, weights, companion); ``panels`` as for
+    gauss_legendre_rule.
+    """
+    return _composite(a, b, panels, _K15_NODES, _K15_WEIGHTS, _G7_WEIGHTS)
+
+
+def periodic_rule(a: float, b: float, panels: int = 1):
+    """Trapezoid rule for an integrand of period b - a, with its companion.
+
+    PERIODIC_NODES equispaced midpoints per panel of a uniform
+    subdivision into ``panels``; the companion takes every other node at
+    twice the weight. Returns (nodes, weights, companion).
+    """
+    n = PERIODIC_NODES * int(panels)
+    if n < 1:
+        raise ValueError(f"panels must be at least 1, got {panels}")
+    step = (b - a) / n
+    nodes = a + (np.arange(n) + 0.5) * step
+    weights = np.full(n, step)
+    companion = np.zeros(n)
+    companion[0::2] = 2.0 * step
+    return nodes, weights, companion
+
+
+def one_point_rule(a: float, b: float):
+    """The midpoint weighted by the length, for an axis the integrand does
+    not depend on; its own companion. Returns (nodes, weights, companion)."""
+    length = np.array([b - a])
+    return np.array([0.5 * (a + b)]), length, length
 
 
 def geometric_panels(a: float, b: float, ratio: float = 1.6, max_panels: int = 64):
@@ -131,20 +229,21 @@ def integrate_refined(
 
 
 def product_rule(axes):
-    """Tensor-product rule from per-axis (a, b, panels, order) tuples.
+    """Tensor product of nested axis rules (nodes, weights, companion).
 
-    Returns (points, weights) with points shaped (N, len(axes)). Node
-    ordering is row-major over the axis grids, fixed by construction.
+    Returns (points, weights, companion) with points shaped
+    (N, len(axes)); the companion is the product of the axis
+    companions. Node ordering is row-major over the axis grids, fixed
+    by construction.
     """
-    grids = []
-    wgts = []
-    for (a, b, panels, order) in axes:
-        n, w = gauss_legendre_rule(a, b, panels, order)
-        grids.append(n)
-        wgts.append(w)
+    grids, wgts, comps = zip(*axes)
     mesh = np.meshgrid(*grids, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=-1)
-    weight = wgts[0]
-    for w in wgts[1:]:
-        weight = np.multiply.outer(weight, w)
-    return points, weight.ravel()
+
+    def outer(ws):
+        out = ws[0]
+        for w in ws[1:]:
+            out = np.multiply.outer(out, w)
+        return out.ravel()
+
+    return points, outer(wgts), outer(comps)

@@ -203,9 +203,10 @@ def _counted(field, counter):
 
 
 def test_curvature_points_per_integration():
-    # both passes together: 12^k + 16^k points over k integrated axes
-    expected = {"round_sphere": 5824, "product_spheres": 400,
-                "fubini_study": 400, "flat_torus": 2}
+    # one pass: 15 Kronrod nodes per bounded axis, 16 trapezoid nodes per
+    # periodic axis, one node per cyclic axis
+    expected = {"round_sphere": 3375, "product_spheres": 225,
+                "fubini_study": 225, "flat_torus": 1}
     for name, points in expected.items():
         mdl = models.build(name)
         counter = [0]
@@ -219,7 +220,38 @@ def test_curvature_points_per_integration():
     counter = [0]
     ig.integrate_curvature(_counted(conformal_rescale(mdl.field, w), counter),
                            mdl.domain, mdl.orientation)
-    assert counter[0] == 86272
+    assert counter[0] == 57600
+
+
+def test_high_frequency_factor_keeps_euler_characteristic(product_suite):
+    """The k = (3, 3) factor of the conformal-invariance criterion: its
+    rescaled S2 x S2 integrates to chi = 4 within 1e-7 (5.0e-5 with
+    Gauss-Legendre 16 on every axis), and the reported estimates bound
+    the deviation."""
+    mdl, _ = product_suite
+    w = ScalarField.from_function(
+        mdl.field.chart, cli._conformal_factor(0.083, -0.094, 0.385, 3, 3))
+    out = ig.integrate_curvature(conformal_rescale(mdl.field, w), mdl.domain,
+                                 orientation=mdl.orientation)
+    assert abs(out.euler_gb - 4.0) < 1e-7
+    est = out.error_estimates
+    assert 8 * np.pi ** 2 * abs(out.euler_gb - 4.0) \
+        <= 0.25 * est["weyl_energy"] + est["sigma2_integral"]
+
+
+def test_error_estimates_floor_at_roundoff(torus_suite, hyperbolic):
+    # every flat-torus axis is cyclic, so the companion equals the fine
+    # rule and only the round-off floor is left
+    _, suite = torus_suite
+    floor = ig.ROUNDOFF * np.finfo(float).eps
+    assert suite.error_estimates["volume"] == pytest.approx(
+        floor * suite.volume, rel=1e-14)
+    assert suite.error_estimates["weyl_energy"] == 0.0
+    # a radial domain reports at least the floor of its refined pass
+    out = ig.integrate_curvature(hyperbolic.four_metric(s_floor=0.005),
+                                 ig.fg_radial_domain(hyperbolic, s_lo=0.01))
+    for key in ig._FIELDS:
+        assert out.error_estimates[key] >= floor * abs(getattr(out, key))
 
 
 def test_suite_document(sphere_suite):

@@ -241,8 +241,8 @@ def test_one_radial_inversion_per_point(ads, monkeypatch):
 def test_one_warp_call_per_batch(ads, ads_solution, monkeypatch):
     """density, density_logderiv and each curvature batch of the
     four-metric read the warp once; compactification_checks reads it
-    once for the Bochner grid, once for L there and once for the
-    second-form fit."""
+    once for the Bochner grid (L included) and once for the second-form
+    fit."""
     warp = ads.warp
     calls = [0]
 
@@ -257,7 +257,7 @@ def test_one_warp_call_per_batch(ads, ads_solution, monkeypatch):
     for read, expected in ((lambda: ads.density(s), 1),
                            (lambda: ads.density_logderiv(s), 1),
                            (lambda: curvature(four, pts), 1),
-                           (lambda: compactification_checks(ads_solution), 3)):
+                           (lambda: compactification_checks(ads_solution), 2)):
         calls[0] = 0
         read()
         assert calls[0] == expected

@@ -8,6 +8,9 @@ from ccegeom.quadrature import (
     geometric_panels,
     integrate_fixed,
     integrate_refined,
+    kronrod_rule,
+    one_point_rule,
+    periodic_rule,
     product_rule,
 )
 from ccegeom.volume import fit_renormalized_volume
@@ -72,13 +75,78 @@ def test_refined_determinism():
 
 
 def test_product_rule_box_volume():
-    pts, wts = product_rule([(0.0, 1.0, 2, 4), (0.0, 2.0, 1, 4),
-                             (0.0, 3.0, 1, 3), (0.0, 0.5, 1, 3)])
-    assert pts.shape == (2 * 4 * 4 * 3 * 3, 4)
-    assert wts.sum() == pytest.approx(1.0 * 2.0 * 3.0 * 0.5, rel=1e-14)
-    # separable integrand
-    val = float(np.dot(wts, pts[:, 0] * pts[:, 1] ** 2))
-    assert val == pytest.approx(0.5 * (8.0 / 3.0) * 3.0 * 0.5, rel=1e-13)
+    pts, wts, comp = product_rule([kronrod_rule(0.0, 1.0, 2),
+                                   periodic_rule(0.0, 2.0),
+                                   kronrod_rule(0.0, 3.0, 1),
+                                   one_point_rule(0.0, 0.5)])
+    assert pts.shape == (2 * 15 * 16 * 15 * 1, 4)
+    assert wts.shape == comp.shape == (pts.shape[0],)
+    for w in (wts, comp):
+        assert w.sum() == pytest.approx(1.0 * 2.0 * 3.0 * 0.5, rel=1e-14)
+    # the companion lives on a subset of the nodes: Gauss-7 on the
+    # Kronrod axes, every other node on the periodic one
+    assert np.count_nonzero(comp) == 2 * 7 * 8 * 7 * 1
+    # separable integrand, polynomial on the bounded axes
+    for w in (wts, comp):
+        val = float(np.dot(w, pts[:, 0] * pts[:, 2] ** 2))
+        assert val == pytest.approx(0.5 * 2.0 * 9.0 * 0.5, rel=1e-13)
+
+
+_NESTED = {
+    "kronrod": lambda a, b: kronrod_rule(a, b, 1),
+    "kronrod-panels": lambda a, b: kronrod_rule(a, b, np.array([a, a + 0.3, b])),
+    "periodic": lambda a, b: periodic_rule(a, b),
+    "periodic-panels": lambda a, b: periodic_rule(a, b, 3),
+    "one-point": one_point_rule,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_NESTED))
+def test_nested_rules_integrate_constants(kind):
+    nodes, weights, companion = _NESTED[kind](0.4, 2.9)
+    assert nodes.shape == weights.shape == companion.shape
+    assert np.all((nodes > 0.4) & (nodes < 2.9))
+    assert np.all(weights > 0) and np.all(companion >= 0)
+    assert weights.sum() == pytest.approx(2.5, rel=1e-14)
+    assert companion.sum() == pytest.approx(2.5, rel=1e-14)
+
+
+def _monomial_error(weights, nodes, degree, a, b):
+    exact = (b ** (degree + 1) - a ** (degree + 1)) / (degree + 1)
+    return abs(float(np.dot(weights, nodes ** degree)) - exact)
+
+
+def test_kronrod_exactness_degrees():
+    # Kronrod-15 is exact to degree 23, its Gauss-7 companion to 13
+    nodes, weights, companion = kronrod_rule(-1.0, 1.0, 1)
+    for degree in range(24):
+        assert _monomial_error(weights, nodes, degree, -1.0, 1.0) < 1e-14, degree
+    for degree in range(14):
+        assert _monomial_error(companion, nodes, degree, -1.0, 1.0) < 1e-14, degree
+    assert _monomial_error(weights, nodes, 24, -1.0, 1.0) > 1e-10
+    assert _monomial_error(companion, nodes, 14, -1.0, 1.0) > 1e-6
+    # the companion is Gauss-Legendre of order 7 on the odd nodes
+    x, w = gauss_legendre_rule(-1.0, 1.0, 1, 7)
+    np.testing.assert_allclose(nodes[1::2], x, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(companion[1::2], w, rtol=0, atol=1e-15)
+    assert not np.any(companion[0::2])
+
+
+def test_periodic_exactness_degrees():
+    # trigonometric polynomials of degree < 16 (fine) and < 8 (companion)
+    a, b = 0.3, 0.3 + 4 * np.pi
+    nodes, weights, companion = periodic_rule(a, b)
+    theta = 2 * np.pi * (nodes - a) / (b - a)
+
+    def error(w, degree):
+        return abs(float(np.dot(w, np.cos(degree * theta + 0.7))))
+
+    for degree in range(1, 16):
+        assert error(weights, degree) < 1e-13, degree
+    for degree in range(1, 8):
+        assert error(companion, degree) < 1e-13, degree
+    assert error(weights, 16) > 1.0
+    assert error(companion, 8) > 1.0
 
 
 def _fresh_rule(a, b, panels, order):
@@ -131,6 +199,13 @@ def test_reference_rule_built_once_per_order(monkeypatch):
 def test_refined_rejects_no_doublings():
     with pytest.raises(ValueError, match="max_doublings"):
         integrate_refined(np.cos, 0.0, 1.0, panels=2, max_doublings=0)
+
+
+def test_nested_rules_reject_malformed_panels():
+    with pytest.raises(ValueError, match="panels"):
+        kronrod_rule(0.0, 1.0, 0)
+    with pytest.raises(ValueError, match="panels"):
+        periodic_rule(0.0, 1.0, 0)
 
 
 def test_rule_rejects_malformed_panels():
