@@ -17,10 +17,6 @@ class DomainError(CcegeomError):
     """A point lies outside the declared coordinate chart."""
 
 
-class DerivativeTolerance(CcegeomError):
-    """Finite-difference extrapolation did not converge to tolerance."""
-
-
 class UnsupportedDimension(CcegeomError):
     """Operation requested in a dimension the implementation does not cover
     (even boundary dimension would introduce logarithmic expansion terms)."""

@@ -359,9 +359,9 @@ class ProfileBlock:
 class RadialProfile:
     """Cohomogeneity-one metric a(r)^2 dr^2 + sum_b beta_sq_b(r) ghat_b.
 
-    boundary_side says which end of the radial interval carries the
-    conformal boundary ("upper" allows r_boundary = inf); the other end
-    is the interior end r_interior. interior_sqrt_vanishing marks
+    The conformal boundary sits at the upper end r_boundary of the
+    radial interval (r_boundary = inf is allowed) and the interior at
+    its lower end r_interior. interior_sqrt_vanishing marks
     profiles where a(r) blows up like (r - r_interior)^{-1/2} there (a
     horizon-type closure), which the arclength integrals remove with a
     square-root substitution.
@@ -374,7 +374,6 @@ class RadialProfile:
     radial_factor_deriv: Callable
     r_interior: float
     r_boundary: float
-    boundary_side: str = "upper"
     interior_sqrt_vanishing: bool = False
     tip_multiplicity: Optional[int] = None
     einstein: bool = True
@@ -386,7 +385,7 @@ class RadialProfile:
 class RadialMap:
     """The geodesic defining function along a radial profile.
 
-    Solves d(ln s)/dr = +/- a(r) (s decreasing toward the boundary end)
+    Solves d(ln s)/dr = -a(r) (s decreasing toward the boundary end)
     by composite quadrature over a fixed graded edge table, then fixes
     the multiplicative constant so that s^2 g restricts to the declared
     boundary metric. Forward queries refine from the nearest table edge
@@ -404,19 +403,8 @@ class RadialMap:
     _MAXITER = 200
 
     def __init__(self, profile: RadialProfile, order: int = 24):
-        if profile.boundary_side not in ("upper", "lower"):
-            raise DomainError("boundary_side must be 'upper' or 'lower'")
-        if profile.boundary_side == "lower" and profile.interior_sqrt_vanishing:
-            raise NotAvailable(
-                "square-root interior ends are implemented for upper-side "
-                "boundaries only"
-            )
-        if profile.boundary_side == "lower" and not np.isfinite(profile.r_interior):
-            raise DomainError("lower-side boundary requires a finite interior end")
         self.profile = profile
         self.order = order
-        # ln s decreases toward the boundary end
-        self._sign = -1.0 if profile.boundary_side == "upper" else 1.0
         self._tau_region = None
         self._x_region = None
         self._build_edges()
@@ -428,33 +416,25 @@ class RadialMap:
     def _build_edges(self):
         pr = self.profile
         edges = []
-        if pr.boundary_side == "upper":
-            r_int, r_bdy = pr.r_interior, pr.r_boundary
-            if pr.interior_sqrt_vanishing:
-                span = 0.25 * (r_bdy - r_int) if np.isfinite(r_bdy) else 1.0
-                taus = np.sqrt(span) * np.linspace(0.0, 1.0, 17)
-                self._tau_region = (r_int, r_int + span)
-                edges.extend((r_int + taus**2).tolist())
-                start = r_int + span
-            else:
-                start = r_int
-                edges.append(start)
-            if np.isfinite(r_bdy):
-                gaps = (r_bdy - start) * 0.5 ** np.arange(1, self._DEPTH + 1)
-                edges.extend((r_bdy - gaps).tolist())
-            else:
-                r_direct = max(4.0, 2.0 * abs(start) + 2.0)
-                edges.extend(np.linspace(start, r_direct, 25)[1:].tolist())
-                xs = (1.0 / r_direct) * 0.5 ** np.arange(1, self._DEPTH_INF + 1)
-                edges.extend((1.0 / xs).tolist())
-                self._x_region = (r_direct, np.inf)
+        r_int, r_bdy = pr.r_interior, pr.r_boundary
+        if pr.interior_sqrt_vanishing:
+            span = 0.25 * (r_bdy - r_int) if np.isfinite(r_bdy) else 1.0
+            taus = np.sqrt(span) * np.linspace(0.0, 1.0, 17)
+            self._tau_region = (r_int, r_int + span)
+            edges.extend((r_int + taus**2).tolist())
+            start = r_int + span
         else:
-            r_bdy, r_int = pr.r_boundary, pr.r_interior
-            if not (r_bdy < r_int):
-                raise DomainError("lower-side boundary requires r_boundary < r_interior")
-            gaps = (r_int - r_bdy) * 0.5 ** np.arange(1, self._DEPTH + 1)
-            edges.extend((r_bdy + gaps).tolist())
-            edges.append(r_int)
+            start = r_int
+            edges.append(start)
+        if np.isfinite(r_bdy):
+            gaps = (r_bdy - start) * 0.5 ** np.arange(1, self._DEPTH + 1)
+            edges.extend((r_bdy - gaps).tolist())
+        else:
+            r_direct = max(4.0, 2.0 * abs(start) + 2.0)
+            edges.extend(np.linspace(start, r_direct, 25)[1:].tolist())
+            xs = (1.0 / r_direct) * 0.5 ** np.arange(1, self._DEPTH_INF + 1)
+            edges.extend((1.0 / xs).tolist())
+            self._x_region = (r_direct, np.inf)
         self.edges = np.asarray(sorted(set(float(e) for e in edges)))
 
     def _panel_sum(self, lo, hi, integrand):
@@ -505,7 +485,8 @@ class RadialMap:
         self._arc = np.concatenate([[0.0], np.cumsum(segs)])
 
     def _lns_unnorm(self, r):
-        """ln s (up to the normalization constant), refined from the table."""
+        """ln s (up to the normalization constant), refined from the table;
+        it decreases toward the boundary end."""
         r = np.atleast_1d(np.asarray(r, dtype=float))
         lo, hi = float(self.edges[0]), float(self.edges[-1])
         eps = 1e-12 * max(abs(lo), 1.0)
@@ -519,14 +500,11 @@ class RadialMap:
         idx = np.clip(np.searchsorted(self.edges, r, side="right") - 1, 0,
                       self.edges.size - 1)
         acc = self._arc[idx] + self._segment_integral(self.edges[idx], r)
-        return self._sign * acc
+        return -acc
 
     def _normalize(self):
         pr = self.profile
-        if pr.boundary_side == "upper":
-            boundary_edge, interior_edge = self.edges[-1:], self.edges[:1]
-        else:
-            boundary_edge, interior_edge = self.edges[:1], self.edges[-1:]
+        boundary_edge, interior_edge = self.edges[-1:], self.edges[:1]
         lns_bdy = self._lns_unnorm(boundary_edge)[0]
         kappas = [-(lns_bdy + 0.5 * np.log(float(np.asarray(blk.beta_sq(boundary_edge))[0])))
                   for blk in pr.blocks]
@@ -556,7 +534,7 @@ class RadialMap:
         """Radius of each s, by safeguarded Newton inside its edge cell.
 
         Newton starts from linear interpolation of ln s across the cell
-        and steps with d(ln s)/dr = +/- a(r), in tau = sqrt(r - r_interior)
+        and steps with d(ln s)/dr = -a(r), in tau = sqrt(r - r_interior)
         inside the square-root region. A step below the tolerance is
         stretched to it, so the bracket closes from both sides; a step
         that leaves the bracket or, unstretched, does not halve the one
@@ -567,8 +545,8 @@ class RadialMap:
         on its own, so an array query equals its scalar queries bitwise.
         """
         t = np.log(np.atleast_1d(np.asarray(s, dtype=float)))
-        lns_edges = self._sign * self._arc + self.kappa
-        j = np.searchsorted(self._sign * lns_edges, self._sign * t)
+        lns_edges = self.kappa - self._arc
+        j = np.searchsorted(-lns_edges, -t)
         j = np.clip(j, 1, self.edges.size - 1)
         f_lo, f_hi = lns_edges[j - 1] - t, lns_edges[j] - t
         outside = ~(f_lo * f_hi <= 0.0)
@@ -605,7 +583,7 @@ class RadialMap:
             hi = y_hi[k] = np.where(left, y_hi[k], yk)
             drdy = np.where(tau[k], 2.0 * yk, 1.0)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                step = fk / (self._sign * np.asarray(self.profile.radial_factor(rk)) * drdy)
+                step = fk / (-np.asarray(self.profile.radial_factor(rk)) * drdy)
                 root[k] = np.clip(np.where(fk == 0.0, yk, yk - step), lo, hi)
                 tol = 1e-14 + 8.9e-16 * np.abs(rk)
                 done[k] = ((np.abs(fk) <= 2.0 * _EPS * np.abs(t[k]))
@@ -644,15 +622,14 @@ def normal_form_from_profile(profile: RadialProfile) -> FGMetric:
     violates the gauge |ds|^2 = 1 by more than 1e-7.
     """
     rmap = RadialMap(profile)
-    sign = rmap._sign
 
     def warp(s):
         r = rmap.r_of_s(s)
         a = np.asarray(profile.radial_factor(r))
         da = np.asarray(profile.radial_factor_deriv(r))
-        w = sign * a * s                  # ds/dr along the map
+        w = -a * s                        # ds/dr along the map
         rp = 1.0 / w
-        wp = sign * (da * rp * s + a)     # d/ds of w
+        wp = -(da * rp * s + a)           # d/ds of w
         rpp = -wp / w**2
         cols = []
         for pblk in profile.blocks:

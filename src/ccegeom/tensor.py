@@ -1,10 +1,13 @@
 """Pointwise curvature of explicit Riemannian metrics.
 
 A metric is a jet closure over a coordinate chart, giving g, dg and d2g
-together (or a bare component closure, differentiated numerically). All
-operations are batched: points have shape (N, dim) and every tensor gains
-a leading batch axis. Single points (dim,) are accepted and the batch
-axis is squeezed from the results.
+together with exact derivatives: autodiff of component expressions, or
+product rules over other jets (the normal form, conformal rescalings).
+Nothing here differentiates numerically; the tests check the jets
+against sympy and central-difference oracles. All operations are
+batched: points have shape (N, dim) and every tensor gains a leading
+batch axis. Single points (dim,) are accepted and the batch axis is
+squeezed from the results.
 
 Index conventions, fixed once and validated against round-sphere golden
 values in the test suite:
@@ -40,11 +43,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import autodiff
-from .errors import DerivativeTolerance, DomainError, SingularMetric
+from .errors import DomainError, SingularMetric
 
 __all__ = [
     "Chart",
-    "CentralDifference",
     "ScalarField",
     "MetricField",
     "CurvaturePacket",
@@ -64,7 +66,7 @@ _DUAL = np.array([[1, 0, 0, 0, 0, 1], [0, 1, 0, 0, -1, 0], [0, 0, 1, 1, 0, 0],
 
 
 # ---------------------------------------------------------------------------
-# charts and schemes
+# charts
 
 @dataclass(frozen=True)
 class Chart:
@@ -97,20 +99,6 @@ class Chart:
         hi = np.asarray(self.hi)
         span = hi - lo
         return lo + span * (margin + (1 - 2 * margin) * rng.random((n, self.dim)))
-
-
-@dataclass(frozen=True)
-class CentralDifference:
-    """Finite-difference derivative scheme with Richardson extrapolation.
-
-    step is the base stencil width; levels > 1 halves it repeatedly and
-    extrapolates assuming an even-power error expansion. tolerance bounds
-    the relative change of the last extrapolation step.
-    """
-
-    step: float = 1e-4
-    levels: int = 2
-    tolerance: float = 1e-3
 
 
 def _as_batch(points, dim):
@@ -167,11 +155,9 @@ class ScalarField:
 class MetricField:
     """Riemannian metric on a chart, batched.
 
-    jet(points) -> (g, dg, d2g) is the one evaluation path, and g, dg
-    and d2g read it. A field given only the component closure
-    func(points) -> (N, d, d) takes its derivatives from
-    Richardson-extrapolated central differences controlled by
-    ``scheme``.
+    jet(points) -> (g, dg, d2g) on an (N, d) batch is the one evaluation
+    path; every derivative is exact (autodiff or a hand-written product
+    rule), and g, dg and d2g read it.
 
     cyclic_axes lists the chart axes no component depends on, so the
     metric and all its curvature are constant along them. from_function
@@ -179,17 +165,10 @@ class MetricField:
     constructors record none unless told.
     """
 
-    def __init__(self, chart: Chart, func=None, *, jet=None,
-                 scheme: Optional[CentralDifference] = None, name: str = "",
-                 cyclic_axes: tuple = ()):
-        if (func is None) == (jet is None):
-            raise ValueError("give exactly one of func and jet")
+    def __init__(self, chart: Chart, jet, *, name: str = "", cyclic_axes: tuple = ()):
         self.chart = chart
         self.dim = chart.dim
-        self.analytic = jet is not None
-        self._func = func if jet is None else (lambda pts: jet(pts)[0])
-        self._jet = jet or (lambda pts: _fd_jet(func, pts, self.scheme))
-        self.scheme = scheme or CentralDifference()
+        self._jet = jet
         self.name = name
         self.cyclic_axes = tuple(cyclic_axes)
 
@@ -207,24 +186,13 @@ class MetricField:
         return tuple(_maybe_squeeze(a, squeeze) for a in (g, dg, d2g))
 
     def g(self, points, check: bool = True):
-        pts, squeeze = _as_batch(points, self.dim)
-        if check:
-            self.chart.require(pts)
-        mat = np.asarray(self._func(pts), dtype=float)
-        if check:
-            _positive_factor(mat, pts)
-        return _maybe_squeeze(mat, squeeze)
+        return self.jet(points, check)[0]
 
     def dg(self, points):
         return self.jet(points)[1]
 
     def d2g(self, points):
         return self.jet(points)[2]
-
-    def with_scheme(self, scheme: CentralDifference) -> "MetricField":
-        """Same component closure, forced finite-difference derivatives."""
-        return MetricField(self.chart, self._func, scheme=scheme,
-                           name=self.name + "/fd", cyclic_axes=self.cyclic_axes)
 
     # -- helpers ------------------------------------------------------------
 
@@ -267,71 +235,6 @@ def _component_field(chart, axes, func, name):
     d = chart.dim
     return MetricField(chart, jet=autodiff.field_jet(func, axes, (d, d)), name=name,
                        cyclic_axes=tuple(i for i in range(d) if i not in axes))
-
-
-# ---------------------------------------------------------------------------
-# finite differences
-
-def _richardson(table_values):
-    """Extrapolate a list of stencil evaluations D(h), D(h/2), ... assuming
-    an even-power error expansion. Returns (best, change_of_last_step)."""
-    def extrapolate(prev):
-        fac = 4.0
-        while len(prev) > 1:
-            prev = [(fac * prev[i + 1] - prev[i]) / (fac - 1.0)
-                    for i in range(len(prev) - 1)]
-            fac *= 4.0
-        return prev[0]
-
-    rows = [np.asarray(v, dtype=float) for v in table_values]
-    best = extrapolate(rows)
-    if len(rows) == 1:
-        return best, np.inf
-    # redo dropping the coarsest level to estimate the final change
-    change = np.max(np.abs(best - extrapolate(rows[1:])))
-    return best, change
-
-
-def _fd_jet(func, pts, scheme: CentralDifference):
-    """func at pts with Richardson-extrapolated central differences of
-    its first and second derivatives."""
-    n, d = pts.shape
-    g0 = np.asarray(func(pts), dtype=float)
-    levels = ([], [])
-    h = scheme.step
-    for _ in range(scheme.levels):
-        step = h * np.eye(d)
-        first = np.empty((n, d) + g0.shape[1:])
-        second = np.empty((n, d, d) + g0.shape[1:])
-        for k in range(d):
-            plus, minus = func(pts + step[k]), func(pts - step[k])
-            first[:, k] = (plus - minus) / (2 * h)
-            second[:, k, k] = (plus - 2 * g0 + minus) / (h * h)
-            for l in range(k):
-                second[:, k, l] = second[:, l, k] = (
-                    func(pts + step[k] + step[l]) - func(pts + step[k] - step[l])
-                    - func(pts - step[k] + step[l]) + func(pts - step[k] - step[l])
-                ) / (4 * h * h)
-        levels[0].append(first)
-        levels[1].append(second)
-        h /= 2.0
-    out = [g0]
-    for label, table in zip(("first", "second"), levels):
-        best, change = _richardson(table)
-        _require_converged(best, change, scheme, label)
-        out.append(best)
-    return out
-
-
-def _require_converged(best, change, scheme, label):
-    if not np.all(np.isfinite(best)):
-        raise DerivativeTolerance(f"{label} derivatives not finite")
-    scale = max(1.0, float(np.max(np.abs(best))))
-    if change > scheme.tolerance * scale:
-        raise DerivativeTolerance(
-            f"Richardson extrapolation of {label} derivatives stalled: "
-            f"last change {change:.3e} vs tolerance {scheme.tolerance:.1e} * {scale:.1e}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -581,5 +484,4 @@ def conformal_rescale(m: MetricField, w: ScalarField) -> MetricField:
         return (f[:, None, None] * g,
                 df[:, :, None, None] * g[:, None] + f[:, None, None, None] * dg, d2)
 
-    return MetricField(m.chart, jet=jet, scheme=m.scheme,
-                       name=m.name + "/conformal")
+    return MetricField(m.chart, jet=jet, name=m.name + "/conformal")

@@ -46,7 +46,6 @@ def hyperbolic_radial_profile():
         radial_factor_deriv=lambda y: 4.0 * y / (1.0 - y**2) ** 2,
         r_interior=0.0,
         r_boundary=1.0,
-        boundary_side="upper",
         tip_multiplicity=3,
         einstein=True,
     )

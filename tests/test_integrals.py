@@ -8,7 +8,7 @@ import pytest
 from ccegeom import cli, models
 from ccegeom import integrals as ig
 from ccegeom import volume as vol
-from ccegeom.autodiff import cos, sin
+from ccegeom.autodiff import cos, diag, sin
 from ccegeom.eigenfunction import compactified_metric_field, compactified_radial_domain
 from ccegeom.errors import DomainError
 from ccegeom.quadrature import geometric_panels, integrate_refined
@@ -137,8 +137,8 @@ def test_gauss_bonnet_volume_residual_identity(hyp_fit):
 
 
 def test_error_paths():
-    flat2 = MetricField(Chart(("a", "b"), (0, 0), (1, 1)),
-                        lambda p: np.tile(np.eye(2), (p.shape[0], 1, 1)))
+    flat2 = MetricField.from_function(Chart(("a", "b"), (0, 0), (1, 1)),
+                                      lambda: diag(1.0, 1.0))
     with pytest.raises(DomainError, match="4-metrics"):
         ig.integrate_curvature(flat2, ig.ProductChartDomain(axes=((0.1, 0.9, 2),) * 2))
     mdl = models.build("round_sphere")

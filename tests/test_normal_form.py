@@ -83,43 +83,6 @@ def test_profile_reconstructs_hyperbolic(hyperbolic, hyperbolic_profile):
     assert fg.boundary_limit_residual() < 1e-6
 
 
-def _lower_side_profile():
-    bnd = models.round_sphere_boundary()
-    return nf.RadialProfile(
-        name="hyperbolic-s", boundary=bnd,
-        blocks=(nf.ProfileBlock(
-            (0, 1, 2),
-            lambda r: (1.0 - r ** 2 / 4.0) ** 2 / r ** 2,
-            lambda r: -(1.0 - r ** 2 / 4.0) / r - 2.0 * (1.0 - r ** 2 / 4.0) ** 2 / r ** 3,
-            lambda r: 0.5 + 3.0 * (1.0 - r ** 2 / 4.0) / r ** 2
-            + 6.0 * (1.0 - r ** 2 / 4.0) ** 2 / r ** 4,
-        ),),
-        radial_factor=lambda r: 1.0 / r,
-        radial_factor_deriv=lambda r: -1.0 / r ** 2,
-        r_interior=2.0, r_boundary=0.0, boundary_side="lower",
-        tip_multiplicity=3, einstein=True)
-
-
-def test_profile_lower_boundary_side():
-    """A profile already written in the defining-function variable.
-
-    With radial factor 1/r the arc-length map is the identity s = r,
-    which pins down the orientation conventions for a boundary at the
-    lower end of the coordinate interval.
-    """
-    prof = _lower_side_profile()
-    bnd = prof.boundary
-    rmap = nf.RadialMap(prof)
-    s = np.geomspace(0.02, 1.8, 9)
-    r = np.array([rmap.r_of_s(float(x)) for x in s])
-    assert np.max(np.abs(r - s)) < 1e-10
-    fg = nf.normal_form_from_profile(prof)
-    p = bnd.default_point
-    ghat = bnd.field.g(np.asarray([p]))[0]
-    warp = fg.gs(s, p)[:, 0, 0] / ghat[0, 0]
-    assert np.max(np.abs(warp - (1.0 - s ** 2 / 4.0) ** 2)) < 1e-9
-
-
 def test_radial_map_closed_form_and_gauge(hyperbolic_radial_profile):
     rmap = nf.RadialMap(hyperbolic_radial_profile)
     # substitution s = 2(1 - y)/(1 + y) in closed form
@@ -153,7 +116,7 @@ def test_radial_map_queries_are_one_composite_panel(ads):
         else:
             nodes, w = gauss_legendre_rule(a, r, 1, rmap.order)
             seg = np.sum(w * np.asarray(f(nodes)))
-        return rmap._sign * (rmap._arc[idx] + float(seg)) + rmap.kappa
+        return rmap.kappa - (rmap._arc[idx] + float(seg))
 
     radii = np.concatenate([
         r0 + (tau_hi - r0) * np.array([1e-6, 0.013, 0.37, 0.8]),   # tau region
@@ -282,25 +245,22 @@ def test_warp_jet_derivatives_match_central_differences(build, kwargs):
     np.testing.assert_allclose(d2h, (dhp - dhm) / (2 * step), rtol=1e-6, atol=1e-8)
 
 
-@pytest.mark.parametrize("which", ["ads", "lower"])
-def test_radial_map_inverse_round_trip(which, ads):
+def test_radial_map_inverse_round_trip(ads):
     """r_of_s inverts lns_of_r to 1e-13 in ln s, array and scalar queries
     agree bitwise, and s outside [s_floor, s_interior] is refused.
 
-    On AdS the s grid reaches the tau, direct and x = 1/r regions of the
-    edge table; the lower-side profile puts the boundary at the lower
-    end of the radial interval. The grid stops at 0.99 s_interior: next
-    to the AdS tip V(r) = r^2 + 1 - 2m/r loses digits to cancellation,
-    and ln s itself carries about 1e-13 of rounding there.
+    The AdS s grid reaches the tau, direct and x = 1/r regions of the
+    edge table. The grid stops at 0.99 s_interior: next to the AdS tip
+    V(r) = r^2 + 1 - 2m/r loses digits to cancellation, and ln s itself
+    carries about 1e-13 of rounding there.
     """
-    rmap = ads.radial_map if which == "ads" else nf.RadialMap(_lower_side_profile())
+    rmap = ads.radial_map
     s = np.concatenate([np.geomspace(1.5 * rmap.s_floor, 0.9 * rmap.s_interior, 40),
                         rmap.s_interior * np.array([0.95, 0.99])])
     r = rmap.r_of_s(s)
-    if which == "ads":
-        tau_hi, x_lo = rmap._tau_region[1], rmap._x_region[0]
-        assert np.any(r < tau_hi) and np.any(r > x_lo)
-        assert np.any((r > tau_hi) & (r < x_lo))
+    tau_hi, x_lo = rmap._tau_region[1], rmap._x_region[0]
+    assert np.any(r < tau_hi) and np.any(r > x_lo)
+    assert np.any((r > tau_hi) & (r < x_lo))
     assert np.max(np.abs(rmap.lns_of_r(r) - np.log(s))) <= 1e-13
     scalar = [rmap.r_of_s(float(x)) for x in s]
     assert all(isinstance(x, float) for x in scalar)

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from ccegeom import models, tensor
+from ccegeom import cli, models, tensor
 from ccegeom.autodiff import cos, diag, exp, sin
+from ccegeom.eigenfunction import compactified_metric_field
 from ccegeom.errors import DomainError, SingularMetric
 from ccegeom.tensor import (
-    CentralDifference,
     Chart,
     MetricField,
     ScalarField,
@@ -42,6 +42,44 @@ def _warped_components(x1, x2, x3, x4):
             [0.0, x1 / 20, 0.0, 2 + cos(x1 * x3) / 5]]
 
 
+def _central_differences(g, pts, h=1e-4):
+    """dg and d2g of the component closure g at pts: central differences
+    at steps h, h/2 and h/4, Richardson-extrapolated in even powers."""
+    d = pts.shape[1]
+    g0 = g(pts)
+    levels = []
+    for step in (h, h / 2, h / 4):
+        e = step * np.eye(d)
+        plus, minus = [g(pts + e[k]) for k in range(d)], [g(pts - e[k]) for k in range(d)]
+        first = np.stack([(plus[k] - minus[k]) / (2 * step) for k in range(d)], axis=1)
+        second = np.empty(first.shape[:2] + first.shape[1:])
+        for k in range(d):
+            second[:, k, k] = (plus[k] - 2 * g0 + minus[k]) / step**2
+            for l in range(k):
+                second[:, k, l] = second[:, l, k] = (
+                    g(pts + e[k] + e[l]) - g(pts + e[k] - e[l])
+                    - g(pts - e[k] + e[l]) + g(pts - e[k] - e[l])) / (4 * step**2)
+        levels.append((first, second))
+    out = []
+    for rows in zip(*levels):
+        fac = 4.0
+        while len(rows) > 1:
+            rows = [(fac * fine - coarse) / (fac - 1) for coarse, fine in zip(rows, rows[1:])]
+            fac *= 4.0
+        out.append(rows[0])
+    return out
+
+
+def _bare(func):
+    """A jet of the component closure func with zero derivatives, for
+    fields that only the screens of g read."""
+    def jet(pts):
+        g = func(pts)
+        n, d = g.shape[:2]
+        return g, np.zeros((n, d, d, d)), np.zeros((n, d, d, d, d))
+    return jet
+
+
 @pytest.fixture(scope="module")
 def warped():
     coords, g = _warped_test_metric()
@@ -50,19 +88,19 @@ def warped():
 
 def test_christoffel_against_symbolic_oracle(warped):
     coords, g, field = warped
-    # independent derivation: Gamma^k_ij = g^{kl}(d_i g_lj + d_j g_li - d_l g_ij)/2
-    ginv = g.inv()
+    # independent derivation: Gamma^k_ij = g^{kl}(d_i g_lj + d_j g_li - d_l g_ij)/2,
+    # the first-kind symbols differentiated by sympy and g inverted per point
     d = 4
-    gamma_exprs = [[[sum(ginv[k, l] * (sp.diff(g[l, j], coords[i])
-                                       + sp.diff(g[l, i], coords[j])
-                                       - sp.diff(g[i, j], coords[l]))
-                         for l in range(d)) / 2
-                     for j in range(d)] for i in range(d)] for k in range(d)]
-    oracle = sp.lambdify(coords, gamma_exprs, "numpy")
+    first_kind = [[[(sp.diff(g[l, j], coords[i]) + sp.diff(g[l, i], coords[j])
+                     - sp.diff(g[i, j], coords[l])) / 2
+                    for j in range(d)] for i in range(d)] for l in range(d)]
+    metric = sp.lambdify(coords, g, "numpy")
+    oracle = sp.lambdify(coords, first_kind, "numpy")
     pts = _CHART.sample(6, seed=3)
     got = christoffel(field, pts)
     for p, gam in zip(pts, got):
-        want = np.asarray(oracle(*p), dtype=float)
+        ginv = np.linalg.inv(np.asarray(metric(*p), dtype=float))
+        want = np.einsum("kl,lij->kij", ginv, np.asarray(oracle(*p), dtype=float))
         assert np.max(np.abs(gam - want)) < 1e-11
 
 
@@ -187,14 +225,41 @@ def test_orientation_swap(warped):
 
 def test_finite_difference_agrees_with_analytic(warped):
     _, _, field = warped
-    fd = field.with_scheme(CentralDifference(step=1e-4, levels=3))
-    assert not fd.analytic and field.analytic
+    fd = MetricField(_CHART, lambda p: (field.g(p), *_central_differences(field.g, p)))
     pts = _CHART.sample(3, seed=12) * 0.8
     assert np.max(np.abs(fd.dg(pts) - field.dg(pts))) < 1e-9
     assert np.max(np.abs(fd.d2g(pts) - field.d2g(pts))) < 5e-6
     pack_a = curvature(field, pts)
     pack_f = curvature(fd, pts)
     assert np.max(np.abs(pack_a.scalar - pack_f.scalar)) < 1e-5
+
+
+def _conformal_product_spheres():
+    base = models.build("product_spheres").field
+    w = ScalarField.from_function(base.chart, cli._conformal_factor(0.083, -0.094, 0.385, 3, 3))
+    return conformal_rescale(base, w)
+
+
+# fields whose jets are composed by hand-written product rules, each built
+# from the fixtures it names
+_COMPOSED = {
+    "conformal-product-spheres": lambda fixture: _conformal_product_spheres(),
+    "normal-form-hyperbolic": lambda fixture: fixture("hyperbolic").four_metric(s_floor=0.05),
+    "normal-form-perturbed": lambda fixture: fixture("perturbed").four_metric(s_floor=0.05),
+    "normal-form-ads": lambda fixture: fixture("ads").four_metric(s_floor=0.05),
+    "compactified-hyperbolic": lambda fixture: compactified_metric_field(
+        fixture("hyp_solution")),
+    "compactified-ads": lambda fixture: compactified_metric_field(fixture("ads_solution")),
+}
+
+
+@pytest.mark.parametrize("which", list(_COMPOSED))
+def test_composed_jets_agree_with_finite_differences(which, request):
+    field = _COMPOSED[which](request.getfixturevalue)
+    pts = field.chart.sample(3, seed=12)
+    dg, d2g = _central_differences(lambda p: field.g(p, check=False), pts)
+    assert np.max(np.abs(dg - field.dg(pts))) < 1e-9 * max(1.0, np.max(np.abs(dg)))
+    assert np.max(np.abs(d2g - field.d2g(pts))) < 5e-6 * max(1.0, np.max(np.abs(d2g)))
 
 
 def test_einstein_residual(hyperbolic):
@@ -209,28 +274,28 @@ def test_einstein_residual(hyperbolic):
 
 
 def test_error_paths():
-    bad_sym = MetricField(_CHART, lambda p: np.tile(
+    bad_sym = MetricField(_CHART, _bare(lambda p: np.tile(
         np.array([[1.0, 0.5, 0, 0], [0.4, 1.0, 0, 0],
-                  [0, 0, 1.0, 0], [0, 0, 0, 1.0]]), (p.shape[0], 1, 1)))
+                  [0, 0, 1.0, 0], [0, 0, 0, 1.0]]), (p.shape[0], 1, 1))))
     with pytest.raises(SingularMetric, match="not symmetric"):
         bad_sym.g(np.zeros(4))
-    indefinite = MetricField(_CHART, lambda p: np.tile(
-        np.diag([1.0, -1.0, 1.0, 1.0]), (p.shape[0], 1, 1)))
+    indefinite = MetricField(_CHART, _bare(lambda p: np.tile(
+        np.diag([1.0, -1.0, 1.0, 1.0]), (p.shape[0], 1, 1))))
     with pytest.raises(SingularMetric, match="minor"):
         indefinite.g(np.zeros(4))
     # only the second point fails, in its leading 3x3 block
-    mixed = MetricField(_CHART, lambda p: np.stack(
-        [np.diag([1.0, 1.0, 1.0 - 4 * x[3], 1.0]) for x in p]))
+    mixed = MetricField(_CHART, _bare(lambda p: np.stack(
+        [np.diag([1.0, 1.0, 1.0 - 4 * x[3], 1.0]) for x in p])))
     with pytest.raises(SingularMetric, match=r"leading 3x3 minor .* 0\.5\]"):
         mixed.g(np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.5]]))
-    flat = MetricField(_CHART, lambda p: np.tile(np.eye(4), (p.shape[0], 1, 1)))
+    flat = MetricField(_CHART, _bare(lambda p: np.tile(np.eye(4), (p.shape[0], 1, 1))))
     with pytest.raises(DomainError):
         flat.g(np.array([0.0, 0.0, 0.0, 5.0]))
     with pytest.raises(DomainError):
         flat.g(np.zeros(3))
     # curvature itself is dimension agnostic; the split quantities are 4-d only
     flat2 = MetricField(Chart(("a", "b"), (0, 0), (1, 1)),
-                        lambda p: np.tile(np.eye(2), (p.shape[0], 1, 1)))
+                        _bare(lambda p: np.tile(np.eye(2), (p.shape[0], 1, 1))))
     pack2 = curvature(flat2, np.array([0.5, 0.5]))
     assert abs(pack2.scalar) < 1e-12
     assert pack2.weyl_plus is None
@@ -318,8 +383,8 @@ def test_round_three_sphere_pair_basis():
 
 
 def test_non_finite_component_raises_singular_metric():
-    field = MetricField(Chart(("a", "b"), (0, 0), (1, 1)), lambda p: np.stack(
-        [[[np.nan if x[0] > 0.5 else 1.0, 0.0], [0.0, 1.0]] for x in p]))
+    field = MetricField(Chart(("a", "b"), (0, 0), (1, 1)), _bare(lambda p: np.stack(
+        [[[np.nan if x[0] > 0.5 else 1.0, 0.0], [0.0, 1.0]] for x in p])))
     assert np.array_equal(field.g(np.array([0.25, 0.5])), np.eye(2))
     with pytest.raises(SingularMetric, match=r"not finite at point \[0\.75 0\.5 \]"):
         field.g(np.array([[0.25, 0.5], [0.75, 0.5]]))
