@@ -1,11 +1,13 @@
 """Second-order forward-mode automatic differentiation on point batches.
 
 A Jet holds values v (N,), gradients d (N, k) and Hessians h (N, k, k)
-in k seed directions. + - * /, integer powers, sin, cos and exp carry
-all three by the chain and product rules, so a function written once in
+in k seed directions. + - * /, real powers, sin, cos and exp carry all
+three by the chain and product rules, so a function written once in
 these operations gives its value and first two derivatives exactly,
 with no symbolic algebra and no differencing (Griewank & Walther,
-Evaluating Derivatives, 2nd ed., SIAM 2008). On plain numbers and
+Evaluating Derivatives, 2nd ed., SIAM 2008). Each value is formed by
+the numpy operation the same function applies to a plain array, so the
+value of a jet equals that array result bitwise. On plain numbers and
 arrays the functions fall through to numpy.
 """
 
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Jet", "sin", "cos", "exp", "diag", "field_jet"]
+__all__ = ["Jet", "variable", "sin", "cos", "exp", "diag", "field_jet"]
 
 
 def _outer(a, b):
@@ -64,19 +66,25 @@ class Jet:
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
-            return self * other ** -1
+            q = self * other ** -1
+            return Jet(self.v / other.v, q.d, q.h)
         return Jet(self.v / other, self.d / other, self.h / other)
 
     def __rtruediv__(self, other):
-        return other * self ** -1
+        q = other / self.v
+        return self.chain(q, -q / self.v, 2.0 * q / self.v**2)
 
     def __pow__(self, n):
-        if n != int(n):
-            return NotImplemented
-        n, v = int(n), self.v
+        v = self.v
         if n in (0, 1):
             return self if n else 1.0
         return self.chain(v**n, n * v ** (n - 1), n * (n - 1) * v ** (n - 2))
+
+
+def variable(x):
+    """The jet of x itself in one seed direction: x (N,) -> d = 1, h = 0."""
+    x = np.asarray(x, dtype=float)
+    return Jet(x, np.ones((x.size, 1)), np.zeros((x.size, 1, 1)))
 
 
 def sin(x):

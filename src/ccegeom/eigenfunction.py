@@ -40,7 +40,6 @@ from numpy.polynomial.chebyshev import chebder, chebval, chebvander
 
 from .errors import (
     DomainError,
-    NotAvailable,
     PositivityViolation,
     SolverFailure,
     UnsupportedDimension,
@@ -491,9 +490,6 @@ def compactification_checks(sol: EigenfunctionSolution) -> CompactificationRepor
     vanishing linear term of the compactified block warps.
     """
     fg = sol.fg
-    if fg.blocks is None:
-        raise NotAvailable("compactification checks need the warped-block "
-                           "structure of the family")
     s = np.geomspace(sol.s_lo, (sol.s_hi - XI_EDGE) * 0.999, CHECK_GRID)
     u, du, d2u, d3u = sol.jet(s, 3)
     h, dh, _ = fg.warp(s)

@@ -11,6 +11,7 @@ coordinates a metric does not take are its cyclic axes.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -25,6 +26,7 @@ from .normal_form import (
     FGMetric,
     ProfileBlock,
     RadialProfile,
+    jet_warp,
     normal_form_from_profile,
 )
 from .tensor import Chart, MetricField
@@ -42,7 +44,6 @@ __all__ = [
     "hyperbolic",
     "ads_schwarzschild",
     "perturbed_hyperbolic",
-    "polynomial_family",
     "model_names",
     "build",
     "exact_reference",
@@ -266,16 +267,11 @@ def hyperbolic(boundary_radius: float = 1.0) -> FGMetric:
     lam2 = lam * lam
     boundary = round_sphere_boundary(lam)
 
-    def warp(s):
-        s = s[:, None]
-        c = 1.0 - s**2 / (4 * lam2)
-        return c**2, 2.0 * c * (-s / (2 * lam2)), (s / lam2) ** 2 / 2 - c / lam2
-
     fg = FGMetric(
         boundary=boundary,
         s_max=2 * lam,
         blocks=[(0, 1, 2)],
-        warp=warp,
+        warp=jet_warp(lambda s: [(1.0 - s**2 / (4 * lam2)) ** 2]),
         tip_multiplicity=3,
         einstein=True,
         yamabe_positive=True,
@@ -315,22 +311,11 @@ def ads_schwarzschild(m: float = 1.0) -> FGMetric:
     def V(r):
         return r**2 + 1.0 - 2.0 * m / r
 
-    def dV(r):
-        return 2.0 * r + 2.0 * m / r**2
-
-    def d2V(r):
-        return 2.0 - 4.0 * m / r**3
-
     profile = RadialProfile(
         name=f"ads_schwarzschild(m={m:g})",
         boundary=boundary,
-        blocks=(
-            ProfileBlock((0,), V, dV, d2V),
-            ProfileBlock((1, 2), lambda r: r**2, lambda r: 2.0 * r,
-                         lambda r: 2.0 * np.ones_like(r)),
-        ),
+        blocks=(ProfileBlock((0,), V), ProfileBlock((1, 2), lambda r: r**2)),
         radial_factor=lambda r: V(r) ** -0.5,
-        radial_factor_deriv=lambda r: -0.5 * dV(r) * V(r) ** -1.5,
         r_interior=rp,
         r_boundary=np.inf,
         interior_sqrt_vanishing=True,
@@ -356,57 +341,20 @@ def perturbed_hyperbolic(amplitude: float = 0.05) -> FGMetric:
         raise ModelParameterError(f"amplitude must lie in [-1, 1], got {amp}")
     boundary = round_sphere_boundary(1.0)
 
-    def warp(s):
-        # f = base * bump and its derivatives; h = f^2
-        s = s[:, None]
-        base, dbase = 1.0 - s**2 / 4, -s / 2
-        v = s * (2.0 - s)
-        vp = 2.0 - 2.0 * s
-        bump = 1.0 + amp * v**2 / 4
-        dbump = amp * v * vp / 2
-        d2bump = amp * (vp**2 + v * (-2.0)) / 2
-        f = base * bump
-        df = dbase * bump + base * dbump
-        d2f = (-0.5) * bump + 2 * dbase * dbump + base * d2bump
-        return f**2, 2 * f * df, 2 * (df**2 + f * d2f)
+    def f(s):
+        return (1.0 - s**2 / 4) * (1.0 + amp * (s * (2.0 - s)) ** 2 / 4)
 
     return FGMetric(
         boundary=boundary,
         s_max=2.0,
         blocks=[(0, 1, 2)],
-        warp=warp,
+        warp=jet_warp(lambda s: [f(s) ** 2]),
         tip_multiplicity=3,
         einstein=(amp == 0.0),
         yamabe_positive=True,
         name=f"perturbed_hyperbolic(A={amp:g})",
         family="perturbed_hyperbolic",
         parameters={"amplitude": amp},
-    )
-
-
-def polynomial_family(boundary: BoundaryGeometry, coefficients: dict,
-                      s_max: float = 1.0) -> FGMetric:
-    """Synthetic g_s = ghat + sum_k C_k s^k with prescribed matrices.
-
-    For exercising the expansion extraction against known answers.
-    """
-    coeffs = {int(k): np.asarray(v, dtype=float) for k, v in coefficients.items()}
-
-    def gs_func(s, p):
-        base = boundary.field.g(np.asarray(p, dtype=float))
-        out = np.repeat(base[None], s.size, axis=0)
-        for k, mat in coeffs.items():
-            out = out + (s**k)[:, None, None] * mat[None]
-        return out
-
-    return FGMetric(
-        boundary=boundary,
-        s_max=s_max,
-        gs_func=gs_func,
-        einstein=False,
-        name="polynomial_family",
-        family="polynomial_family",
-        parameters={"orders": sorted(coeffs)},
     )
 
 
@@ -447,10 +395,16 @@ def exact_reference(name: str, quantity: Optional[str] = None, **params):
     With quantity=None returns the whole dict; otherwise returns that
     entry or raises NotAvailable when no closed form is known (the AdS
     renormalized volume is deliberately absent: the toolkit must produce
-    it numerically).
+    it numerically). Parameters are refused as ``build`` refuses them:
+    TypeError for a key the builder does not take, ModelParameterError
+    for a non-positive size.
     """
+    builder = _CLOSED.get(name) or _CCE.get(name)
+    if builder is None:
+        raise NotAvailable(f"no reference data for model '{name}'")
+    inspect.signature(builder).bind(**params)
     if name == "hyperbolic":
-        lam = float(params.get("boundary_radius", 1.0))
+        lam = _positive(params.get("boundary_radius", 1.0), "boundary_radius")
         lam2 = lam * lam
         refs = {
             "renormalized_volume": 4 * np.pi**2 / 3,
@@ -481,6 +435,8 @@ def exact_reference(name: str, quantity: Optional[str] = None, **params):
         # the bump leaves the ball topology unchanged for every amplitude
         refs = {"euler": 1}
     elif name == "flat_torus":
+        for length in params.get("lengths", ()):
+            _positive(length, "length")
         refs = {
             "weyl_energy": 0.0,
             "sigma2_integral": 0.0,
@@ -488,7 +444,7 @@ def exact_reference(name: str, quantity: Optional[str] = None, **params):
             "signature": 0,
         }
     elif name == "round_sphere":
-        lam = float(params.get("radius", 1.0))
+        lam = _positive(params.get("radius", 1.0), "radius")
         refs = {
             "volume": 8 * np.pi**2 / 3 * lam**4,
             "weyl_energy": 0.0,
@@ -497,8 +453,8 @@ def exact_reference(name: str, quantity: Optional[str] = None, **params):
             "signature": 0,
         }
     elif name == "product_spheres":
-        a = float(params.get("a", 1.0))
-        b = float(params.get("b", 1.0))
+        a = _positive(params.get("a", 1.0), "a")
+        b = _positive(params.get("b", 1.0), "b")
         vol = 16 * np.pi**2 * a**2 * b**2
         if a == b:
             w2 = 16.0 / (3 * a**4)
@@ -513,7 +469,7 @@ def exact_reference(name: str, quantity: Optional[str] = None, **params):
             }
         else:
             refs = {"volume": vol, "euler": 4, "signature": 0}
-    elif name == "fubini_study":
+    else:  # fubini_study
         vol = np.pi**2 / 2
         refs = {
             "volume": vol,
@@ -524,8 +480,6 @@ def exact_reference(name: str, quantity: Optional[str] = None, **params):
             "euler": 3,
             "signature": 1,
         }
-    else:
-        raise NotAvailable(f"no reference data for model '{name}'")
     if quantity is None:
         return refs
     if quantity not in refs:

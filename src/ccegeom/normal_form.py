@@ -25,11 +25,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .autodiff import Jet, variable
 from .errors import (
     CharacteristicFailure,
     DomainError,
     FitConditioning,
-    NotAvailable,
     UnsupportedDimension,
 )
 from .quadrature import _reference_rule
@@ -44,6 +44,7 @@ __all__ = [
     "RadialProfile",
     "ProfileBlock",
     "RadialMap",
+    "jet_warp",
     "order2_coefficient",
     "extract_expansion",
     "normal_form_from_profile",
@@ -79,21 +80,17 @@ class BoundaryGeometry:
 class FGMetric:
     """A metric in the normal form s^{-2}(ds^2 + g_s).
 
-    Two data layouts are supported. Homogeneous block models supply
-    ``blocks``, the index tuples of the warped submatrices of the
-    boundary metric, and one ``warp(s) -> (h, dh, d2h)``: the squared
+    ``blocks`` are the index tuples of the warped submatrices of the
+    boundary metric, and ``warp(s) -> (h, dh, d2h)`` gives the squared
     warp factors and their first two s-derivatives, each shaped
-    (Ns, len(blocks)), column b belonging to block b. They give
-    closed-form densities and a reconstructable 4-metric, and every
-    reader makes one warp call per batch. Generic families supply
-    ``gs_func(s_array, boundary_point) -> (Ns, 3, 3)`` and support
-    expansion extraction only.
+    (Ns, len(blocks)), column b belonging to block b (``jet_warp``
+    forms them from jet expressions). They give closed-form densities
+    and a reconstructable 4-metric, and every reader makes one warp
+    call per batch.
     """
 
     def __init__(self, boundary: BoundaryGeometry, s_max: float,
-                 blocks: Optional[Sequence[tuple]] = None,
-                 warp: Optional[Callable] = None,
-                 gs_func=None,
+                 blocks: Sequence[tuple], warp: Callable,
                  tip_multiplicity: Optional[int] = None,
                  einstein: bool = False,
                  yamabe_positive: bool = True,
@@ -101,14 +98,11 @@ class FGMetric:
                  name: str = "",
                  family: str = "",
                  parameters: Optional[dict] = None):
-        if (blocks is None) != (warp is None) or (blocks is None and gs_func is None):
-            raise ValueError("need blocks together with their warp, or gs_func")
         self.boundary = boundary
         self.n = boundary.dim
         self.s_max = float(s_max)
-        self.blocks = tuple(tuple(b) for b in blocks) if blocks is not None else None
+        self.blocks = tuple(tuple(b) for b in blocks)
         self.warp = warp
-        self._gs_func = gs_func
         self.tip_multiplicity = tip_multiplicity
         self.einstein = einstein
         self.yamabe_positive = yamabe_positive
@@ -127,8 +121,6 @@ class FGMetric:
             raise DomainError(f"s values must lie in (0, {self.s_max}]")
         if p is None:
             p = self.boundary.default_point
-        if self._gs_func is not None:
-            return np.asarray(self._gs_func(s, p), dtype=float)
         ghat = self.boundary.field.g(np.asarray(p, dtype=float))
         h = self.warp(s)[0]
         out = np.zeros((s.size, self.n, self.n))
@@ -149,18 +141,10 @@ class FGMetric:
         coef, *_ = np.linalg.lstsq(cols, sup, rcond=None)
         return abs(float(coef[0]))
 
-    # -- densities (block models only) ----------------------------------
-
-    def _require_blocks(self):
-        if self.blocks is None:
-            raise NotAvailable(
-                "operation needs the warped-block structure; this family was "
-                "supplied as raw g_s samples"
-            )
+    # -- densities --------------------------------------------------------
 
     def density(self, s):
-        """D(s) = sqrt(det g_s / det ghat) for block models."""
-        self._require_blocks()
+        """D(s) = sqrt(det g_s / det ghat)."""
         scalar = np.ndim(s) == 0
         s = np.atleast_1d(np.asarray(s, dtype=float))
         h = self.warp(s)[0]
@@ -172,8 +156,7 @@ class FGMetric:
         return float(out[0]) if scalar else out
 
     def density_logderiv(self, s):
-        """D'(s)/D(s) for block models."""
-        self._require_blocks()
+        """D'(s)/D(s)."""
         scalar = np.ndim(s) == 0
         s = np.atleast_1d(np.asarray(s, dtype=float))
         out = self.logderiv_of_warp(*self.warp(s)[:2])
@@ -196,7 +179,6 @@ class FGMetric:
         batch, so curvature of the reconstruction is as accurate as the
         warp data itself.
         """
-        self._require_blocks()
         bf = self.boundary.field
         n = self.n
         d = n + 1
@@ -347,12 +329,14 @@ def extract_expansion(fg: FGMetric, max_order: int = 3, p=None,
 
 @dataclass(frozen=True)
 class ProfileBlock:
-    """Angular block of a cohomogeneity-one metric: beta_sq(r) * ghat|indices."""
+    """Angular block of a cohomogeneity-one metric: beta_sq(r) * ghat|indices.
+
+    beta_sq is written in the jet operations of ``autodiff``, so one
+    function gives its values on arrays and its derivatives on jets.
+    """
 
     indices: tuple
     beta_sq: Callable
-    dbeta_sq: Callable
-    d2beta_sq: Callable
 
 
 @dataclass(frozen=True)
@@ -364,14 +348,14 @@ class RadialProfile:
     its lower end r_interior. interior_sqrt_vanishing marks
     profiles where a(r) blows up like (r - r_interior)^{-1/2} there (a
     horizon-type closure), which the arclength integrals remove with a
-    square-root substitution.
+    square-root substitution. radial_factor, like each block's beta_sq,
+    is a jet function of r.
     """
 
     name: str
     boundary: BoundaryGeometry
     blocks: tuple
     radial_factor: Callable
-    radial_factor_deriv: Callable
     r_interior: float
     r_boundary: float
     interior_sqrt_vanishing: bool = False
@@ -610,43 +594,49 @@ class RadialMap:
         return float(np.max(np.abs(dsdr**2 / (a**2 * s**2) - 1.0)))
 
 
+def jet_warp(func):
+    """The warp(s) -> (h, dh, d2h) columns of func(S) -> [one jet per
+    block], S the jet of s itself."""
+
+    def warp(s):
+        jets = func(variable(s))
+        return (np.stack([j.v for j in jets], axis=1),
+                np.stack([j.d[:, 0] for j in jets], axis=1),
+                np.stack([j.h[:, 0, 0] for j in jets], axis=1))
+
+    return warp
+
+
 def normal_form_from_profile(profile: RadialProfile) -> FGMetric:
     """Construct the normal form of a cohomogeneity-one metric.
 
     Integrates the unit-speed condition for the geodesic defining
     function, fixes the boundary normalization against the declared
     boundary metric, and returns an FGMetric whose warp column b is
-    h_b(s) = s^2 beta_sq_b(r(s)) with chain-rule s-derivatives. One warp
-    call inverts r(s) once and evaluates a(r) and a'(r) once for all
+    h_b(s) = s^2 beta_sq_b(r(s)), composed by autodiff. One warp call
+    inverts r(s) once and evaluates the jet of a(r) once for all
     blocks. Raises CharacteristicFailure when the constructed map
     violates the gauge |ds|^2 = 1 by more than 1e-7.
     """
     rmap = RadialMap(profile)
 
-    def warp(s):
+    def block_jets(S):
+        s = S.v
         r = rmap.r_of_s(s)
-        a = np.asarray(profile.radial_factor(r))
-        da = np.asarray(profile.radial_factor_deriv(r))
-        w = -a * s                        # ds/dr along the map
-        rp = 1.0 / w
-        wp = -(da * rp * s + a)           # d/ds of w
-        rpp = -wp / w**2
-        cols = []
-        for pblk in profile.blocks:
-            beta = np.asarray(pblk.beta_sq(r))
-            db = np.asarray(pblk.dbeta_sq(r))
-            d2b = np.asarray(pblk.d2beta_sq(r))
-            cols.append((s**2 * beta,
-                         2.0 * s * beta + s**2 * db * rp,
-                         2.0 * beta + 4.0 * s * db * rp
-                         + s**2 * (d2b * rp**2 + db * rpp)))
-        return tuple(np.stack(c, axis=1) for c in zip(*cols))
+        a = profile.radial_factor(variable(r))
+        a, da = a.v, a.d[:, 0]
+        # the gauge ds/dr = -a s gives dr/ds and, differentiated once more
+        # along the map, d2r/ds2
+        rp = -1.0 / (a * s)
+        rpp = (da * rp * s + a) / (a * s) ** 2
+        R = Jet(r, rp[:, None], rpp[:, None, None])
+        return [S**2 * pblk.beta_sq(R) for pblk in profile.blocks]
 
     fg = FGMetric(
         boundary=profile.boundary,
         s_max=rmap.s_interior,
         blocks=[b.indices for b in profile.blocks],
-        warp=warp,
+        warp=jet_warp(block_jets),
         tip_multiplicity=profile.tip_multiplicity,
         einstein=profile.einstein,
         yamabe_positive=profile.yamabe_positive,

@@ -36,14 +36,8 @@ def hyperbolic_radial_profile():
     return RadialProfile(
         name="hyperbolic-profile",
         boundary=models.round_sphere_boundary(),
-        blocks=(ProfileBlock(
-            (0, 1, 2),
-            lambda y: 4.0 * y**2 / (1.0 - y**2) ** 2,
-            lambda y: 8.0 * y * (1.0 + y**2) / (1.0 - y**2) ** 3,
-            lambda y: 8.0 * (1.0 + 8.0 * y**2 + 3.0 * y**4) / (1.0 - y**2) ** 4,
-        ),),
+        blocks=(ProfileBlock((0, 1, 2), lambda y: 4.0 * y**2 / (1.0 - y**2) ** 2),),
         radial_factor=lambda y: 2.0 / (1.0 - y**2),
-        radial_factor_deriv=lambda y: 4.0 * y / (1.0 - y**2) ** 2,
         r_interior=0.0,
         r_boundary=1.0,
         tip_multiplicity=3,

@@ -128,6 +128,16 @@ def test_parameter_validation():
         models.ads_schwarzschild(m=-2.0)
     with pytest.raises(ModelParameterError, match="amplitude"):
         models.perturbed_hyperbolic(amplitude=1.5)
+    # exact_reference refuses what build refuses, with the same exceptions
+    for bad in (-2.0, 0.0):
+        with pytest.raises(ModelParameterError, match="positive"):
+            models.exact_reference("hyperbolic", boundary_radius=bad)
+    with pytest.raises(ModelParameterError, match="positive"):
+        models.exact_reference("product_spheres", "volume", a=1.0, b=-1.0)
+    with pytest.raises(TypeError, match="radius"):
+        models.exact_reference("hyperbolic", radius=2.0)
+    with pytest.raises(TypeError, match="radius"):
+        models.build("hyperbolic", radius=2.0)
 
 
 def test_boundary_geometry_catalogue():

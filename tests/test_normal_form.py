@@ -1,11 +1,13 @@
 """Geodesic normal form: expansion fits, radial profiles, documents."""
 
 import csv
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from ccegeom import models, normal_form as nf
+from ccegeom.autodiff import variable
 from ccegeom.eigenfunction import compactification_checks
 from ccegeom.errors import DomainError, FitConditioning, UnsupportedDimension
 from ccegeom.quadrature import gauss_legendre_rule
@@ -49,6 +51,8 @@ def test_gauge_diagnostic_column(hyperbolic):
 
 
 def test_polynomial_family_recovery():
+    """extract_expansion reads only n, boundary and gs, so a stand-in with
+    g_s = ghat + C2 s^2 + C3 s^3 checks the fit against known answers."""
     bnd = models.round_sphere_boundary()
     rng = np.random.default_rng(7)
 
@@ -57,14 +61,17 @@ def test_polynomial_family_recovery():
         return 0.5 * (a + a.T)
 
     c2, c3 = sym(), sym()
-    fam = models.polynomial_family(bnd, {2: c2, 3: c3})
+
+    def gs(s, p):
+        ghat = bnd.field.g(np.asarray(p, dtype=float))
+        return ghat + (s**2)[:, None, None] * c2 + (s**3)[:, None, None] * c3
+
+    fam = SimpleNamespace(n=3, boundary=bnd, gs=gs)
     ser = nf.extract_expansion(fam, max_order=3)
     ghat = bnd.field.g(np.asarray([bnd.default_point]))[0]
     assert np.max(np.abs(ser.coefficient(0) - ghat)) < 1e-12
     assert np.max(np.abs(ser.coefficient(2) - c2)) < 1e-10
     assert np.max(np.abs(ser.coefficient(3) - c3)) < 1e-10
-    assert not fam.einstein
-    assert fam.tip_multiplicity is None
 
 
 def test_profile_reconstructs_hyperbolic(hyperbolic, hyperbolic_profile):
@@ -231,9 +238,11 @@ def test_one_warp_call_per_batch(ads, ads_solution, monkeypatch):
     ("hyperbolic", {"boundary_radius": 1.3}),
     ("perturbed_hyperbolic", {"amplitude": 0.05}),
     ("ads_schwarzschild", {"m": 1.0}),
+    ("hyperbolic_profile", None),  # the fixture's finite boundary end r = 1
 ])
-def test_warp_jet_derivatives_match_central_differences(build, kwargs):
-    fg = models.build(build, **kwargs)
+def test_warp_jet_derivatives_match_central_differences(build, kwargs, request):
+    fg = (request.getfixturevalue(build) if kwargs is None
+          else models.build(build, **kwargs))
     s = np.linspace(0.1, 0.8, 8) * fg.s_max
     step = 1e-4 * fg.s_max
     h, dh, d2h = fg.warp(s)
@@ -243,6 +252,43 @@ def test_warp_jet_derivatives_match_central_differences(build, kwargs):
     # column b is block b's warp; the comparison is elementwise
     np.testing.assert_allclose(dh, (hp - hm) / (2 * step), rtol=1e-6, atol=1e-8)
     np.testing.assert_allclose(d2h, (dhp - dhm) / (2 * step), rtol=1e-6, atol=1e-8)
+
+
+def test_profile_jets_match_hand_derivatives(ads, hyperbolic_radial_profile):
+    """Each profile function, evaluated on the jet of r, gives the
+    closed-form derivatives written out by hand, and on the jet the same
+    values bitwise as on a plain array: the warp and RadialMap read the
+    same numbers."""
+    rmap = ads.radial_map
+    m = rmap.profile.parameters["m"]
+    r0, tau_hi, x_lo = rmap.profile.r_interior, rmap._tau_region[1], rmap._x_region[0]
+    ads_r = np.concatenate([
+        r0 + (tau_hi - r0) * np.array([1e-6, 0.013, 0.37, 0.8]),   # tau region
+        tau_hi + (x_lo - tau_hi) * np.array([0.01, 0.29, 0.61, 0.97]),  # direct
+        x_lo * np.array([1.3, 17.0, 4.1e3, 2.2e8]),                 # x = 1/r
+    ])
+    V = rmap.profile.blocks[0].beta_sq
+    dV = 2.0 * ads_r + 2.0 * m / ads_r**2
+    ads_oracles = [
+        (V, dV, 2.0 - 4.0 * m / ads_r**3),
+        (rmap.profile.blocks[1].beta_sq, 2.0 * ads_r, np.full_like(ads_r, 2.0)),
+        (rmap.profile.radial_factor, -0.5 * dV * V(ads_r) ** -1.5, None),
+    ]
+    hyp = hyperbolic_radial_profile
+    y = np.concatenate([np.linspace(0.0, 0.9, 7),
+                        1.0 - 0.5 ** np.arange(1, 21)])  # the finite-end grading
+    hyp_oracles = [
+        (hyp.blocks[0].beta_sq, 8.0 * y * (1.0 + y**2) / (1.0 - y**2) ** 3,
+         8.0 * (1.0 + 8.0 * y**2 + 3.0 * y**4) / (1.0 - y**2) ** 4),
+        (hyp.radial_factor, 4.0 * y / (1.0 - y**2) ** 2, None),
+    ]
+    for r, oracles in ((ads_r, ads_oracles), (y, hyp_oracles)):
+        for f, d1, d2 in oracles:
+            jet = f(variable(r))
+            assert np.array_equal(jet.v, f(r))
+            np.testing.assert_allclose(jet.d[:, 0], d1, rtol=1e-13)
+            if d2 is not None:
+                np.testing.assert_allclose(jet.h[:, 0, 0], d2, rtol=1e-13)
 
 
 def test_radial_map_inverse_round_trip(ads):
