@@ -1,8 +1,8 @@
 """Second-order forward-mode automatic differentiation on point batches.
 
 A Jet holds values v (N,), gradients d (N, k) and Hessians h (N, k, k)
-in k seed directions. + - * /, real powers, sin, cos and exp carry all
-three by the chain and product rules, so a function written once in
+in k seed directions. + - * /, real powers, sin, cos, exp and log carry
+all three by the chain and product rules, so a function written once in
 these operations gives its value and first two derivatives exactly,
 with no symbolic algebra and no differencing (Griewank & Walther,
 Evaluating Derivatives, 2nd ed., SIAM 2008). Each value is formed by
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Jet", "variable", "sin", "cos", "exp", "diag", "field_jet"]
+__all__ = ["Jet", "variable", "sin", "cos", "exp", "log", "diag", "field_jet"]
 
 
 def _outer(a, b):
@@ -106,6 +106,13 @@ def exp(x):
         return np.exp(x)
     e = np.exp(x.v)
     return x.chain(e, e, e)
+
+
+def log(x):
+    if not isinstance(x, Jet):
+        return np.log(x)
+    r = 1.0 / x.v
+    return x.chain(np.log(x.v), r, -r * r)
 
 
 def diag(*entries):

@@ -89,12 +89,16 @@ class RunConfig:
             if not (float(value) > 0):
                 raise ConfigError(f"{label} must be positive, got {value}")
         if self.ladder is not None:
-            rungs = tuple(float(r) for r in self.ladder)
-            if len(rungs) < 2 or any(b >= a for a, b in zip(rungs, rungs[1:])):
-                raise ConfigError(
-                    f"ladder must be strictly decreasing with at least two rungs, got {rungs}")
-            if rungs[-1] <= 0:
-                raise ConfigError("ladder rungs must be positive")
+            # user ladders may be short; continue geometrically so the
+            # regression keeps enough rows to separate the expansion
+            # columns (extend_ladder refuses rungs that do not decrease)
+            try:
+                rungs = tuple(float(r) for r in
+                              volume.extend_ladder(self.ladder, target=8, ratio=0.7))
+            except (CcegeomError, TypeError, ValueError) as exc:
+                raise ConfigError(f"ladder {self.ladder!r}: {exc}") from None
+            if min(rungs) <= 0:
+                raise ConfigError(f"ladder rungs must be positive, got {rungs}")
             self.ladder = rungs
         unknown = set(self.outputs) - set(ARTIFACT_KINDS)
         if unknown:
@@ -110,18 +114,13 @@ def _parse_ladder(text: str) -> tuple:
         raise ConfigError(f"cannot parse ladder {text!r}: {exc}") from None
     if not rungs:
         raise ConfigError("empty ladder")
-    # user ladders may be short; continue geometrically so the regression
-    # keeps enough rows to separate the expansion columns
-    try:
-        extended = volume.extend_ladder(rungs, target=8, ratio=0.7)
-    except CcegeomError as exc:
-        raise ConfigError(str(exc)) from None
-    return tuple(float(r) for r in extended)
+    return rungs
 
 
 def resolve_config(args) -> RunConfig:
-    """Merge defaults, the JSON document and command-line flags."""
-    cfg = RunConfig()
+    """Merge defaults, the JSON document and the command-line flags
+    given; check runs the whole catalogue unless a model is named."""
+    cfg = RunConfig(model="all") if getattr(args, "command", None) == "check" else RunConfig()
     if getattr(args, "config", None):
         try:
             with open(args.config) as fh:
@@ -136,7 +135,7 @@ def resolve_config(args) -> RunConfig:
             cfg.parameters = {k: v for k, v in model.items() if k != "name"}
         numerics = doc.get("numerics", {})
         if "ladder" in numerics:
-            cfg.ladder = tuple(float(r) for r in numerics["ladder"])
+            cfg.ladder = numerics["ladder"]
         cfg.tol_quadrature = float(numerics.get("tol_quadrature", cfg.tol_quadrature))
         cfg.tol_fit = float(numerics.get("tol_fit", cfg.tol_fit))
         cfg.tol_identity = float(numerics.get("tol_identity", cfg.tol_identity))
@@ -684,10 +683,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="conformally compact Einstein 4-manifold toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model_default=None):
+    def common(p):
         p.add_argument("--config", help="JSON run configuration")
-        p.add_argument("--model", default=model_default,
-                       help="model registry name")
+        p.add_argument("--model", help="model registry name")
         p.add_argument("--m", type=float, help="mass parameter where applicable")
         p.add_argument("--ladder",
                        help="comma-separated epsilon rungs (extended "
@@ -699,7 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full pipeline with artifacts")
     common(p)
     p = sub.add_parser("check", help="invariant suites only (CI)")
-    common(p, model_default="all")
+    common(p)
     p.add_argument("--inject-defect", action="store_true",
                    help=argparse.SUPPRESS)
     p = sub.add_parser("volume", help="renormalized-volume fit only")

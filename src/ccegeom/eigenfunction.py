@@ -38,6 +38,7 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebval, chebvander
 
+from .autodiff import log
 from .errors import (
     DomainError,
     PositivityViolation,
@@ -387,24 +388,16 @@ def compactified_metric_field(sol: EigenfunctionSolution,
                               s_ceiling: Optional[float] = None) -> MetricField:
     """The compactified metric u^{-2} g as a MetricField on the collar chart.
 
-    Derivatives of the conformal factor come from one solution jet per
-    batch (the Chebyshev series and its derivative series), so the curvature
-    engine sees an analytic metric throughout. The chart stops at
-    s_max - XI_EDGE unless s_ceiling says otherwise.
+    The conformal factor -log u is a jet expression in s: u and its first
+    two derivatives come from one solution jet per batch (the Chebyshev
+    series and its derivative series), so the curvature engine sees an
+    analytic metric throughout. The chart stops at s_max - XI_EDGE unless
+    s_ceiling says otherwise.
     """
     ceiling = sol.s_hi - XI_EDGE if s_ceiling is None else float(s_ceiling)
     base = sol.fg.four_metric(s_floor=s_floor, s_ceiling=ceiling)
-
-    def jet(pts):
-        s = pts[:, 0]
-        u, du, d2u = sol.jet(s, 2)
-        grad = np.zeros_like(pts)
-        grad[:, 0] = -du / u
-        hess = np.zeros((pts.shape[0], pts.shape[1], pts.shape[1]))
-        hess[:, 0, 0] = (du**2 - d2u * u) / u**2
-        return -np.log(u), grad, hess
-
-    return conformal_rescale(base, ScalarField(jet))
+    return conformal_rescale(base, ScalarField.from_function(
+        base.chart, lambda s: -log(s.chain(*sol.jet(s.v, 2)))))
 
 
 def compactified_radial_domain(sol: EigenfunctionSolution,

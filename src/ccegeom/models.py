@@ -26,7 +26,6 @@ from .normal_form import (
     FGMetric,
     ProfileBlock,
     RadialProfile,
-    jet_warp,
     normal_form_from_profile,
 )
 from .tensor import Chart, MetricField
@@ -271,7 +270,7 @@ def hyperbolic(boundary_radius: float = 1.0) -> FGMetric:
         boundary=boundary,
         s_max=2 * lam,
         blocks=[(0, 1, 2)],
-        warp=jet_warp(lambda s: [(1.0 - s**2 / (4 * lam2)) ** 2]),
+        warp=lambda s: [(1.0 - s**2 / (4 * lam2)) ** 2],
         tip_multiplicity=3,
         einstein=True,
         yamabe_positive=True,
@@ -348,7 +347,7 @@ def perturbed_hyperbolic(amplitude: float = 0.05) -> FGMetric:
         boundary=boundary,
         s_max=2.0,
         blocks=[(0, 1, 2)],
-        warp=jet_warp(lambda s: [f(s) ** 2]),
+        warp=lambda s: [f(s) ** 2],
         tip_multiplicity=3,
         einstein=(amp == 0.0),
         yamabe_positive=True,

@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .autodiff import Jet, variable
+from .autodiff import variable
 from .errors import (
     CharacteristicFailure,
     DomainError,
@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedDimension,
 )
 from .quadrature import _reference_rule
-from .tensor import Chart, MetricField, curvature
+from .tensor import Chart, MetricField, _is_zero, components, curvature
 
 _EPS = float(np.finfo(float).eps)
 
@@ -44,7 +44,6 @@ __all__ = [
     "RadialProfile",
     "ProfileBlock",
     "RadialMap",
-    "jet_warp",
     "order2_coefficient",
     "extract_expansion",
     "normal_form_from_profile",
@@ -81,12 +80,10 @@ class FGMetric:
     """A metric in the normal form s^{-2}(ds^2 + g_s).
 
     ``blocks`` are the index tuples of the warped submatrices of the
-    boundary metric, and ``warp(s) -> (h, dh, d2h)`` gives the squared
-    warp factors and their first two s-derivatives, each shaped
-    (Ns, len(blocks)), column b belonging to block b (``jet_warp``
-    forms them from jet expressions). They give closed-form densities
-    and a reconstructable 4-metric, and every reader makes one warp
-    call per batch.
+    boundary metric, and ``warp``, kept as ``warp_jets(S) -> [one jet
+    per block]``, gives the squared warp factor h_b of each block as a
+    jet expression in the jet S of s. They give closed-form densities and a reconstructable
+    4-metric, and every reader makes one warp_jets call per batch.
     """
 
     def __init__(self, boundary: BoundaryGeometry, s_max: float,
@@ -102,7 +99,7 @@ class FGMetric:
         self.n = boundary.dim
         self.s_max = float(s_max)
         self.blocks = tuple(tuple(b) for b in blocks)
-        self.warp = warp
+        self.warp_jets = warp
         self.tip_multiplicity = tip_multiplicity
         self.einstein = einstein
         self.yamabe_positive = yamabe_positive
@@ -113,6 +110,15 @@ class FGMetric:
         self.gauge_residual: Optional[float] = None
 
     # -- the boundary-metric family ------------------------------------
+
+    def warp(self, s):
+        """The columns (h, dh, d2h) of the warp and its first two
+        s-derivatives, each shaped (Ns, len(blocks)), column b belonging
+        to block b."""
+        jets = self.warp_jets(variable(s))
+        return (np.stack([j.v for j in jets], axis=1),
+                np.stack([j.d[:, 0] for j in jets], axis=1),
+                np.stack([j.h[:, 0, 0] for j in jets], axis=1))
 
     def gs(self, s, p=None):
         """Evaluate g_s at boundary point p -> (Ns, n, n)."""
@@ -175,53 +181,33 @@ class FGMetric:
                     s_ceiling: Optional[float] = None) -> MetricField:
         """The metric s^{-2}(ds^2 + g_s) as a MetricField on the collar chart.
 
-        Its jet reads the warp and the boundary metric's jet once per
-        batch, so curvature of the reconstruction is as accurate as the
-        warp data itself.
+        Its component function of s and the boundary coordinates makes
+        one warp_jets call and one boundary-metric call per batch, so
+        curvature of the reconstruction is as accurate as the warp data
+        itself.
         """
         bf = self.boundary.field
-        n = self.n
-        d = n + 1
+        d = self.n + 1
         hi = self.s_max if s_ceiling is None else s_ceiling
         chart = Chart(("s",) + tuple(bf.chart.names),
                       (s_floor,) + tuple(bf.chart.lo),
                       (hi,) + tuple(bf.chart.hi))
-        blocks = [np.asarray(idx) for idx in self.blocks]
-        warp = self.warp
 
-        def jet(pts):
-            s = pts[:, 0]
-            npts = pts.shape[0]
-            gb, dgb, d2gb = bf.jet(pts[:, 1:], check=False)
-            h, dh, d2h = warp(s)
-            g4 = np.zeros((npts, d, d))
-            dg4 = np.zeros((npts, d, d, d))
-            d2g4 = np.zeros((npts, d, d, d, d))
-            sm2, sm3, sm4 = s**-2.0, s**-3.0, s**-4.0
-            g4[:, 0, 0] = sm2
-            dg4[:, 0, 0, 0] = -2.0 * sm3
-            d2g4[:, 0, 0, 0, 0] = 6.0 * sm4
-            sm2, sm3, sm4 = sm2[:, None], sm3[:, None], sm4[:, None]
-            prof = h * sm2
-            dprof = dh * sm2 - 2.0 * h * sm3
-            d2prof = d2h * sm2 - 4.0 * dh * sm3 + 6.0 * h * sm4
-            for b, i in enumerate(blocks):
-                p0, p1, p2 = (x[:, b, None, None] for x in (prof, dprof, d2prof))
-                gsq = gb[:, i[:, None], i]
-                dgsq = dgb[:, :, i[:, None], i]
-                q = i + 1
-                g4[:, q[:, None], q] += p0 * gsq
-                dg4[:, 0, q[:, None], q] += p1 * gsq
-                dg4[:, 1:, q[:, None], q] += p0[:, None] * dgsq
-                d2g4[:, 0, 0, q[:, None], q] += p2 * gsq
-                d2g4[:, 1:, 0, q[:, None], q] += p1[:, None] * dgsq
-                d2g4[:, 1:, 1:, q[:, None], q] += (
-                    p0[:, None, None] * d2gb[:, :, :, i[:, None], i])
-            d2g4[:, 0, 1:] = d2g4[:, 1:, 0]  # the mixed s-derivatives
-            return g4, dg4, d2g4
+        def func(s, *x):
+            ghat = bf.func(*x)
+            sm2 = s**-2.0
+            g = [[0.0] * d for _ in range(d)]
+            g[0][0] = sm2
+            for h, idx in zip(self.warp_jets(s), self.blocks):
+                p = h * sm2
+                for i in idx:
+                    for j in idx:
+                        c = ghat[i][j]
+                        g[i + 1][j + 1] = c if _is_zero(c) else p * c
+            return g
 
-        return MetricField(chart, jet=jet,
-                           name=(self.name or "fg") + "/normal-form")
+        return components(chart, (0,) + tuple(a + 1 for a in bf.axes), func,
+                          (self.name or "fg") + "/normal-form")
 
 
 @dataclass
@@ -594,19 +580,6 @@ class RadialMap:
         return float(np.max(np.abs(dsdr**2 / (a**2 * s**2) - 1.0)))
 
 
-def jet_warp(func):
-    """The warp(s) -> (h, dh, d2h) columns of func(S) -> [one jet per
-    block], S the jet of s itself."""
-
-    def warp(s):
-        jets = func(variable(s))
-        return (np.stack([j.v for j in jets], axis=1),
-                np.stack([j.d[:, 0] for j in jets], axis=1),
-                np.stack([j.h[:, 0, 0] for j in jets], axis=1))
-
-    return warp
-
-
 def normal_form_from_profile(profile: RadialProfile) -> FGMetric:
     """Construct the normal form of a cohomogeneity-one metric.
 
@@ -629,14 +602,14 @@ def normal_form_from_profile(profile: RadialProfile) -> FGMetric:
         # along the map, d2r/ds2
         rp = -1.0 / (a * s)
         rpp = (da * rp * s + a) / (a * s) ** 2
-        R = Jet(r, rp[:, None], rpp[:, None, None])
+        R = S.chain(r, rp, rpp)
         return [S**2 * pblk.beta_sq(R) for pblk in profile.blocks]
 
     fg = FGMetric(
         boundary=profile.boundary,
         s_max=rmap.s_interior,
         blocks=[b.indices for b in profile.blocks],
-        warp=jet_warp(block_jets),
+        warp=block_jets,
         tip_multiplicity=profile.tip_multiplicity,
         einstein=profile.einstein,
         yamabe_positive=profile.yamabe_positive,

@@ -1,8 +1,9 @@
 """Pointwise curvature of explicit Riemannian metrics.
 
-A metric is a jet closure over a coordinate chart, giving g, dg and d2g
-together with exact derivatives: autodiff of component expressions, or
-product rules over other jets (the normal form, conformal rescalings).
+A metric is a component function of the chart coordinates it reads,
+and its jet (g, dg and d2g together, with exact derivatives) is the
+autodiff of that function. Composite metrics (conformal rescalings, the
+normal form) are component functions that call their parts' functions.
 Nothing here differentiates numerically; the tests check the jets
 against sympy and central-difference oracles. All operations are
 batched: points have shape (N, dim) and every tensor gains a leading
@@ -49,6 +50,7 @@ __all__ = [
     "Chart",
     "ScalarField",
     "MetricField",
+    "components",
     "CurvaturePacket",
     "christoffel",
     "curvature",
@@ -133,12 +135,16 @@ def _read_axes(chart: Chart, func) -> tuple:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Scalar function on a chart, batched.
+    """Scalar jet expression func in the chart coordinates listed in axes.
 
     jet(points) -> (value (N,), gradient (N, d), hessian (N, d, d)).
     """
 
-    jet: Callable
+    func: Callable
+    axes: tuple
+
+    def jet(self, points):
+        return autodiff.field_jet(self.func, self.axes)(points)
 
     def value(self, points):
         return self.jet(points)[0]
@@ -146,7 +152,7 @@ class ScalarField:
     @staticmethod
     def from_function(chart: Chart, func) -> "ScalarField":
         """func is a jet expression in the chart coordinates it names."""
-        return ScalarField(autodiff.field_jet(func, _read_axes(chart, func)))
+        return ScalarField(func, _read_axes(chart, func))
 
 
 # ---------------------------------------------------------------------------
@@ -156,21 +162,23 @@ class MetricField:
     """Riemannian metric on a chart, batched.
 
     jet(points) -> (g, dg, d2g) on an (N, d) batch is the one evaluation
-    path; every derivative is exact (autodiff or a hand-written product
-    rule), and g, dg and d2g read it.
-
-    cyclic_axes lists the chart axes no component depends on, so the
-    metric and all its curvature are constant along them. from_function
-    reads them off the coordinates the components take; other
-    constructors record none unless told.
+    path, and g, dg and d2g read it. A field built by ``components``
+    keeps its component function func and the chart axes it takes, and
+    its jet is their autodiff; cyclic_axes lists the chart axes func
+    does not take, so the metric and all its curvature are constant
+    along them. A field built from a raw jet has no func and records no
+    cyclic axes.
     """
 
-    def __init__(self, chart: Chart, jet, *, name: str = "", cyclic_axes: tuple = ()):
+    func: Optional[Callable] = None
+    axes: Optional[tuple] = None
+    cyclic_axes: tuple = ()
+
+    def __init__(self, chart: Chart, jet, *, name: str = ""):
         self.chart = chart
         self.dim = chart.dim
         self._jet = jet
         self.name = name
-        self.cyclic_axes = tuple(cyclic_axes)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -200,7 +208,18 @@ class MetricField:
     def from_function(chart: Chart, func, name: str = "") -> "MetricField":
         """func returns the component matrix (nested lists of jet
         expressions) in the chart coordinates it names."""
-        return _component_field(chart, _read_axes(chart, func), func, name)
+        return components(chart, _read_axes(chart, func), func, name)
+
+
+def components(chart: Chart, axes, func, name: str = "") -> MetricField:
+    """The metric whose component matrix is func, a function of the chart
+    coordinates listed in axes returning nested lists of jet expressions
+    (entries may be numbers)."""
+    d = chart.dim
+    m = MetricField(chart, autodiff.field_jet(func, axes, (d, d)), name=name)
+    m.func, m.axes = func, tuple(axes)
+    m.cyclic_axes = tuple(i for i in range(d) if i not in m.axes)
+    return m
 
 
 def _positive_factor(mat, pts):
@@ -229,12 +248,6 @@ def _positive_factor(mat, pts):
                 )
         raise SingularMetric("metric not numerically positive definite "
                              "(Cholesky factorization failed)") from None
-
-
-def _component_field(chart, axes, func, name):
-    d = chart.dim
-    return MetricField(chart, jet=autodiff.field_jet(func, axes, (d, d)), name=name,
-                       cyclic_axes=tuple(i for i in range(d) if i not in axes))
 
 
 # ---------------------------------------------------------------------------
@@ -465,23 +478,18 @@ def einstein_residual(m: MetricField, points, n: int = 3):
 
 
 def conformal_rescale(m: MetricField, w: ScalarField) -> MetricField:
-    """Metric e^{2w} g. Its jet reads the jets of g and w once per batch
-    and composes them by the product rule."""
+    """Metric e^{2w} g: the component function e^{2w} g_ij over the union
+    of the axes of w and m, zero components left as they are."""
+    axes = tuple(sorted(set(m.axes) | set(w.axes)))
+    take_m, take_w = ([axes.index(a) for a in f.axes] for f in (m, w))
 
-    def jet(pts):
-        g, dg, d2g = m.jet(pts, check=False)
-        wv, dw, hw = w.jet(pts)
-        # f = e^{2w}: df = 2 f dw, d2f = f (4 dw dw + 2 d2w)
-        f = np.exp(2.0 * np.asarray(wv))
-        df = 2.0 * f[:, None] * dw
-        d2f = f[:, None, None] * (4.0 * dw[:, :, None] * dw[:, None, :] + 2.0 * hw)
-        # d2 = d2f g + df_k dg_l + df_l dg_k + f d2g, accumulated in place
-        cross = df[:, :, None, None, None] * dg[:, None]
-        d2 = d2f[:, :, :, None, None] * g[:, None, None]
-        d2 += cross
-        d2 += np.swapaxes(cross, 1, 2)
-        d2 += np.multiply(f[:, None, None, None, None], d2g, out=cross)
-        return (f[:, None, None] * g,
-                df[:, :, None, None] * g[:, None] + f[:, None, None, None] * dg, d2)
+    def func(*x):
+        f = autodiff.exp(2.0 * w.func(*(x[i] for i in take_w)))
+        return [[c if _is_zero(c) else f * c for c in row]
+                for row in m.func(*(x[i] for i in take_m))]
 
-    return MetricField(m.chart, jet=jet, name=m.name + "/conformal")
+    return components(m.chart, axes, func, m.name + "/conformal")
+
+
+def _is_zero(c):
+    return not isinstance(c, autodiff.Jet) and c == 0

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from ccegeom import models
+from ccegeom.autodiff import cos, sin
 from ccegeom.eigenfunction import compactification_checks, solve_eigenfunction
 from ccegeom.integrals import integrate_curvature
 from ccegeom.normal_form import ProfileBlock, RadialProfile, normal_form_from_profile
+from ccegeom.tensor import ScalarField, conformal_rescale
 from ccegeom.volume import fit_renormalized_volume
 
 
@@ -23,6 +25,17 @@ def ads():
 @pytest.fixture(scope="session")
 def perturbed():
     return models.build("perturbed_hyperbolic")
+
+
+@pytest.fixture(scope="session")
+def conformal_fubini_study():
+    """Fubini-Study (off-diagonal g_pq, reads r and t) rescaled by a factor
+    in r, t and q: the composite reads every axis but p."""
+    base = models.build("fubini_study").field
+    w = ScalarField.from_function(
+        base.chart,
+        lambda r, t, q: 0.1 * sin(2 * r) * cos(t) + 0.05 * sin(q / 2) * sin(r) ** 2)
+    return conformal_rescale(base, w)
 
 
 @pytest.fixture(scope="session")

@@ -112,6 +112,13 @@ def test_exit_code_bad_ladder(tmp_path, capsys):
     assert _run(["volume", "--model", "hyperbolic", "--ladder", "0.1,0.2",
                  "--out", str(tmp_path)]) == 2
     assert "configuration error" in capsys.readouterr().err
+    # a document ladder goes through the same extension and checks
+    path = tmp_path / "run.json"
+    for ladder in ([0.1, 0.2, 0.3], [0.3, 0.2, -0.1], [0.3, 0.0]):
+        path.write_text(json.dumps({"model": {"name": "hyperbolic"},
+                                    "numerics": {"ladder": ladder}}))
+        assert _run(["volume", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "configuration error" in capsys.readouterr().err
 
 
 def test_exit_code_injected_defect(tmp_path, capsys):
@@ -198,16 +205,46 @@ def test_einstein_family_without_chi_fails_as_stage(tmp_path, capsys,
 
 
 def test_curvature_table(tmp_path):
-    code = _run(["curvature", "--model", "round_sphere", "--out", str(tmp_path)])
-    assert code == 0
-    lines = (tmp_path / "curvature.csv").read_text().splitlines()
-    assert lines[0] == "# curvature-packet v1"
-    header = lines[1].split(",")
-    for col in ("scalar", "sigma2", "weyl_sq", "traceless_ricci_sq"):
-        assert col in header
-    row = dict(zip(header, lines[2].split(",")))
-    assert float(row["scalar"]) == pytest.approx(12.0, abs=1e-9)
-    assert float(row["sigma2"]) == pytest.approx(6.0, abs=1e-9)
+    """A closed model and a fill, both conformally flat with constant
+    curvature; the fill's rows read the normal-form four-metric."""
+    for model, scalar in (("round_sphere", 12.0), ("hyperbolic", -12.0)):
+        out = tmp_path / model
+        assert _run(["curvature", "--model", model, "--out", str(out)]) == 0
+        lines = (out / "curvature.csv").read_text().splitlines()
+        assert lines[0] == "# curvature-packet v1"
+        header = lines[1].split(",")
+        for col in ("scalar", "sigma2", "weyl_sq", "traceless_ricci_sq"):
+            assert col in header
+        assert len(lines) > 2
+        for line in lines[2:]:
+            row = dict(zip(header, line.split(",")))
+            assert float(row["scalar"]) == pytest.approx(scalar, abs=1e-9)
+            assert float(row["sigma2"]) == pytest.approx(6.0, abs=1e-9)
+            assert float(row["weyl_sq"]) < 1e-9
+
+
+def _resolve(argv):
+    return cli.resolve_config(cli.build_parser().parse_args(argv))
+
+
+def test_document_ladder_is_extended_like_the_flag(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"numerics": {"ladder": [0.3, 0.21, 0.147]}}))
+    doc = _resolve(["analyze", "--config", str(path)])
+    flag = _resolve(["analyze", "--ladder", "0.3,0.21,0.147"])
+    assert doc.ladder == flag.ladder
+    assert len(doc.ladder) == 8
+
+
+def test_check_keeps_the_document_model(tmp_path):
+    """Only a flag that is given overrides the document; with neither,
+    check runs the whole catalogue."""
+    path = tmp_path / "chk.json"
+    path.write_text(json.dumps({"model": {"name": "hyperbolic"}}))
+    assert _resolve(["check", "--config", str(path)]).model == "hyperbolic"
+    flagged = _resolve(["check", "--config", str(path), "--model", "flat_torus"])
+    assert flagged.model == "flat_torus"
+    assert _resolve(["check"]).model == "all"
 
 
 def test_check_conformal_factors_are_metrics_on_s2xs2():

@@ -149,17 +149,19 @@ def test_error_paths():
         ig.integrate_curvature(mdl.field, box3)
 
 
-def test_cyclic_axes_recorded(hyperbolic):
+def test_cyclic_axes_recorded(hyperbolic, conformal_fubini_study):
     expected = {"round_sphere": (3,), "product_spheres": (1, 3),
                 "fubini_study": (2, 3), "flat_torus": (0, 1, 2, 3)}
     for name, axes in expected.items():
         assert models.build(name).field.cyclic_axes == axes
-    # a conformal factor in t alone would keep p and v cyclic, but
-    # conformal_rescale records no cyclic axes
+    # composites take the union of their parts' axes: a conformal factor
+    # in t alone keeps p and v cyclic, and the round S3 boundary of the
+    # hyperbolic fill does not read its last angle
     sph = models.build("product_spheres").field
     w = ScalarField.from_function(sph.chart, lambda t: 0.1 * cos(t))
-    assert conformal_rescale(sph, w).cyclic_axes == ()
-    assert hyperbolic.four_metric(s_floor=0.02).cyclic_axes == ()
+    assert conformal_rescale(sph, w).cyclic_axes == (1, 3)
+    assert hyperbolic.four_metric(s_floor=0.02).cyclic_axes == (3,)
+    assert conformal_fubini_study.cyclic_axes == (2,)
 
 
 def _full_grid(field):

@@ -210,17 +210,17 @@ def test_one_radial_inversion_per_point(ads, monkeypatch):
 
 def test_one_warp_call_per_batch(ads, ads_solution, monkeypatch):
     """density, density_logderiv and each curvature batch of the
-    four-metric read the warp once; compactification_checks reads it
-    once for the Bochner grid (L included) and once for the second-form
-    fit."""
-    warp = ads.warp
+    four-metric read the warp jets once; compactification_checks reads
+    them once for the Bochner grid (L included) and once for the
+    second-form fit."""
+    warp_jets = ads.warp_jets
     calls = [0]
 
-    def counted(s):
+    def counted(S):
         calls[0] += 1
-        return warp(s)
+        return warp_jets(S)
 
-    monkeypatch.setattr(ads, "warp", counted)
+    monkeypatch.setattr(ads, "warp_jets", counted)
     s = np.linspace(0.05, 0.9 * ads.s_max, 10)
     pts = np.column_stack([s, np.tile(ads.boundary.default_point, (10, 1))])
     four = ads.four_metric()

@@ -240,10 +240,11 @@ def _conformal_product_spheres():
     return conformal_rescale(base, w)
 
 
-# fields whose jets are composed by hand-written product rules, each built
-# from the fixtures it names
+# composite fields, whose component functions call their parts' functions,
+# each built from the fixtures it names
 _COMPOSED = {
     "conformal-product-spheres": lambda fixture: _conformal_product_spheres(),
+    "conformal-fubini-study": lambda fixture: fixture("conformal_fubini_study"),
     "normal-form-hyperbolic": lambda fixture: fixture("hyperbolic").four_metric(s_floor=0.05),
     "normal-form-perturbed": lambda fixture: fixture("perturbed").four_metric(s_floor=0.05),
     "normal-form-ads": lambda fixture: fixture("ads").four_metric(s_floor=0.05),
