@@ -27,7 +27,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -36,6 +36,9 @@ from . import models, volume
 from .autodiff import cos, sin
 from .errors import CcegeomError
 from .eigenfunction import (
+    BOCHNER_TOL,
+    SCALAR_SLACK,
+    SECOND_FORM_TOL,
     asymptotic_data,
     compactification_checks,
     compactified_metric_field,
@@ -53,8 +56,10 @@ from .integrals import (
     suite_document,
 )
 from .normal_form import FGMetric, fg_document
-from .tensor import ScalarField, curvature, einstein_residual, riemann_symmetry_residuals
-from .topology import build_topology_report, render_topology_report, topology_document
+from .tensor import (ScalarField, conformal_rescale, curvature, einstein_residual,
+                     riemann_symmetry_residuals)
+from .topology import (Check, build_topology_report, check_document, compare,
+                       render_topology_report, topology_document)
 
 __all__ = ["RunConfig", "run_analyze", "run_check", "run_volume",
            "run_curvature", "build_parser", "main"]
@@ -160,9 +165,9 @@ def resolve_config(args) -> RunConfig:
     return cfg.validate()
 
 
-def _build_model(cfg: RunConfig):
+def _build_model(cfg: RunConfig, name: str = None):
     try:
-        return models.build(cfg.model, **cfg.parameters)
+        return models.build(name or cfg.model, **cfg.parameters)
     except (CcegeomError, TypeError) as exc:
         raise ConfigError(str(exc)) from None
 
@@ -192,6 +197,17 @@ def _render_section(lines, key, value, depth=1):
         lines.append(f"{pad}{key} = {value}")
 
 
+def _gate(name: str, value: float, threshold: float, comparison: str = "<") -> Check:
+    """One pipeline gate; a value exactly at its threshold fails."""
+    return compare(name, value, threshold, comparison, tol=0.0)
+
+
+def _gate_line(gate: Check) -> str:
+    return (f"[{'pass' if gate.verdict == 'pass' else 'FAIL'}] {gate.name}: "
+            f"{gate.value:.10g} {gate.comparison} {gate.threshold:.10g} "
+            f"(margin {gate.margin:+.3e})")
+
+
 def _render_report(doc: dict, gates: list, topo_text: str = "") -> str:
     lines = ["ccegeom analyze report", "  schema: analyze-report v1"]
     for key, value in doc.items():
@@ -199,9 +215,7 @@ def _render_report(doc: dict, gates: list, topo_text: str = "") -> str:
             continue
         _render_section(lines, key, value)
     lines.append("  gates:")
-    for name, ok, detail in gates:
-        tag = "pass" if ok else "FAIL"
-        lines.append(f"    [{tag:>4}] {name}: {detail}")
+    lines.extend("    " + _gate_line(g) for g in gates)
     if topo_text:
         lines.extend("  " + ln for ln in topo_text.splitlines())
     return "\n".join(lines) + "\n"
@@ -216,8 +230,8 @@ def _write_artifacts(cfg: RunConfig, doc: dict, gates: list, topo_text: str,
         with open(path("report.txt"), "w") as fh:
             fh.write(_render_report(doc, gates, topo_text))
         machine = dict(doc)
-        machine["gates"] = [
-            {"name": n, "ok": bool(ok), "detail": d} for n, ok, d in gates]
+        machine["gates"] = [{**check_document(g), "ok": g.verdict == "pass"}
+                            for g in gates]
         with open(path("report.json"), "w") as fh:
             json.dump(machine, fh, indent=2, sort_keys=True, default=_json_default)
             fh.write("\n")
@@ -280,9 +294,35 @@ def _stage(label: str, fn, *args, **kwargs):
 # ---------------------------------------------------------------------------
 # analyze
 
-def _analyze_closed(cfg: RunConfig, model) -> int:
+def _closed_gates(model):
+    """The curvature integrals of a closed model and the gates on them."""
     suite = _stage("curvature integrals", integrate_curvature,
                    model.field, model.domain, model.orientation)
+    plus, minus = combined_formulas(suite, model.euler, model.signature)
+    return suite, [
+        _gate("euler-characteristic", abs(suite.euler_gb - model.euler), 1e-4),
+        _gate("signature", abs(suite.signature - model.signature), 1e-4),
+        _gate("combined-formulas", max(abs(plus), abs(minus)), 1e-3),
+        _gate("volume", abs(suite.volume - model.volume),
+              1e-6 * max(1.0, model.volume)),
+    ]
+
+
+def _fill_gates(fg: FGMetric) -> list:
+    """The boundary limit and the collar's Einstein residual, which a
+    non-Einstein fill must show large rather than be certified."""
+    limit = _gate("boundary-limit",
+                  _stage("boundary limit", fg.boundary_limit_residual), 1e-6)
+    pts = radial_section(fg.boundary.default_point)(
+        np.geomspace(0.05, 0.9 * fg.s_max, 12))
+    res = np.max(einstein_residual(fg.four_metric(s_floor=0.005), pts))
+    if fg.einstein:
+        return [limit, _gate("einstein-residual", res, 1e-6)]
+    return [limit, _gate("non-einstein-detected", res, 1e-2, ">")]
+
+
+def _analyze_closed(cfg: RunConfig, model):
+    suite, gates = _closed_gates(model)
     plus, minus = combined_formulas(suite, model.euler, model.signature)
     doc = {
         "model": {
@@ -298,24 +338,12 @@ def _analyze_closed(cfg: RunConfig, model) -> int:
             "combined_antiselfdual_residual": minus,
         },
     }
-    gates = [
-        ("euler-characteristic", abs(suite.euler_gb - model.euler) < 1e-4,
-         f"euler_gb = {suite.euler_gb:.10g} vs {model.euler}"),
-        ("signature", abs(suite.signature - model.signature) < 1e-4,
-         f"signature = {suite.signature:.10g} vs {model.signature}"),
-        ("combined-formulas", max(abs(plus), abs(minus)) < 1e-3,
-         f"residuals {plus:.3e}, {minus:.3e}"),
-        ("volume", abs(suite.volume - model.volume) < 1e-6 * max(1.0, model.volume),
-         f"quadrature {suite.volume:.10g} vs closed form {model.volume:.10g}"),
-    ]
     tables = {"integrals.csv": _write_suite_csv({suite.domain_label: suite})}
-    written = _write_artifacts(cfg, doc, gates, "", tables, {})
-    _print_gates(gates, written)
-    return 0 if all(ok for _, ok, _ in gates) else 1
+    return gates, _write_artifacts(cfg, doc, gates, "", tables, {}), ""
 
 
-def _analyze_cce(cfg: RunConfig, fg: FGMetric) -> int:
-    limit_res = _stage("boundary limit", fg.boundary_limit_residual)
+def _analyze_cce(cfg: RunConfig, fg: FGMetric):
+    gates = _fill_gates(fg)
     # the volume expansion in Einstein powers (no eps^-2, no log) only
     # exists for Einstein fills; fitting it to anything else is noise
     fit = None
@@ -329,17 +357,11 @@ def _analyze_cce(cfg: RunConfig, fg: FGMetric) -> int:
     # Weyl energy of the collar; the integrand density |W|^2 dv is a
     # pointwise conformal invariant, so this is also the Weyl energy of
     # the compactified metric. The small-s cut costs O(s^3).
-    collar_metric = fg.four_metric(s_floor=0.005)
-    collar = _stage("collar integrals", integrate_curvature, collar_metric,
-                    fg_radial_domain(fg, s_lo=0.01))
+    collar = _stage("collar integrals", integrate_curvature,
+                    fg.four_metric(s_floor=0.005), fg_radial_domain(fg, s_lo=0.01))
     compact = _stage("compactified integrals", integrate_curvature,
                      compactified_metric_field(sol, s_floor=1e-4),
                      compactified_radial_domain(sol, s_lo=0.0))
-
-    res_max = float(np.max(einstein_residual(
-        collar_metric,
-        radial_section(fg.boundary.default_point)(
-            np.geomspace(0.05, 0.9 * fg.s_max, 12)))))
 
     if fit is not None:
         volume_doc = {
@@ -348,6 +370,7 @@ def _analyze_cce(cfg: RunConfig, fg: FGMetric) -> int:
             "condition_number": fit.condition_number,
             "stability_change": fit.stability_change,
             "ladder": [float(e) for e in fit.epsilons],
+            "quadrature_errors": [float(e) for e in fit.quadrature_errors],
         }
     else:
         volume_doc = {"note": "skipped: the expansion in Einstein powers "
@@ -375,19 +398,16 @@ def _analyze_cce(cfg: RunConfig, fg: FGMetric) -> int:
             "compactified": suite_document(compact),
         },
         "identities": {
-            "einstein_residual_max": res_max,
-            "boundary_limit_residual": limit_res,
+            "einstein_residual_max": gates[1].value,
+            "boundary_limit_residual": gates[0].value,
         },
     }
 
-    gates = [
-        ("boundary-limit", limit_res < 1e-6, f"residual {limit_res:.3e}"),
-        ("eigenfunction-positive", checks.positive,
-         f"u_min = {checks.u_min:.6g}"),
-        ("scalar-lower-bound", checks.scalar_bounded_below,
-         f"min scalar - 2 Rhat = {checks.scalar_gap:+.3e}"),
-        ("totally-geodesic-boundary", checks.totally_geodesic,
-         f"linear coefficient {checks.second_form_linear:.3e}"),
+    gates += [
+        _gate("eigenfunction-positive", checks.u_min, 0.0, ">"),
+        _gate("scalar-lower-bound", checks.scalar_gap, -SCALAR_SLACK, ">="),
+        _gate("totally-geodesic-boundary", checks.second_form_linear,
+              SECOND_FORM_TOL),
     ]
 
     topo_text = ""
@@ -403,11 +423,8 @@ def _analyze_cce(cfg: RunConfig, fg: FGMetric) -> int:
             "sigma2_volume_bridge": bridge,
         })
         gates += [
-            ("einstein-residual", res_max < 1e-6, f"max {res_max:.3e}"),
-            ("bochner-identity", checks.bochner_identity,
-             f"sup residual {checks.bochner_sup:.3e}"),
-            ("gauss-bonnet-volume", rel < cfg.tol_identity,
-             f"relative residual {rel:.3e}"),
+            _gate("bochner-identity", checks.bochner_sup, BOCHNER_TOL),
+            _gate("gauss-bonnet-volume", rel, cfg.tol_identity),
         ]
         topo = _stage("topology report", build_topology_report,
                       chi, fit.V, fg.yamabe_positive,
@@ -416,14 +433,8 @@ def _analyze_cce(cfg: RunConfig, fg: FGMetric) -> int:
         doc["topology"] = topology_document(topo)
         topo_text = render_topology_report(topo)
     else:
-        # negative control: the pipeline must notice the metric is not
-        # Einstein rather than certify it
-        gates += [
-            ("non-einstein-detected", res_max > 1e-2,
-             f"einstein residual {res_max:.3e} (expected large)"),
-            ("bochner-flag-trips", not checks.bochner_identity,
-             f"sup residual {checks.bochner_sup:.3e} (expected large)"),
-        ]
+        # negative control: a non-Einstein fill must trip the Bochner flag
+        gates.append(_gate("bochner-flag-trips", checks.bochner_sup, BOCHNER_TOL, ">="))
         doc["identities"]["note"] = (
             "model is not Einstein; volume identity and decision criteria "
             "are not applicable")
@@ -435,30 +446,24 @@ def _analyze_cce(cfg: RunConfig, fg: FGMetric) -> int:
     if fit is not None:
         tables["volumes.csv"] = lambda path: volume.write_volume_table(fit, path)
     grids = {"eigen_grid.csv": _write_eigen_grid(sol)}
-    written = _write_artifacts(cfg, doc, gates, topo_text, tables, grids)
-    _print_gates(gates, written)
-    if topo_text:
-        print(topo_text)
-    return 0 if all(ok for _, ok, _ in gates) else 1
-
-
-def _print_gates(gates, written):
-    for name, ok, detail in gates:
-        tag = "pass" if ok else "FAIL"
-        print(f"[{tag:>4}] {name}: {detail}")
-    if written:
-        print("artifacts: " + ", ".join(written))
+    return gates, _write_artifacts(cfg, doc, gates, topo_text, tables, grids), topo_text
 
 
 def run_analyze(cfg: RunConfig, args=None) -> int:
     model = _build_model(cfg)
+    analyze = _analyze_cce if isinstance(model, FGMetric) else _analyze_closed
     try:
-        if isinstance(model, FGMetric):
-            return _analyze_cce(cfg, model)
-        return _analyze_closed(cfg, model)
+        gates, written, topo_text = analyze(cfg, model)
     except _StageFailure as exc:
         print(f"analyze failed on model '{cfg.model}' at {exc}", file=sys.stderr)
         return 1
+    for gate in gates:
+        print(_gate_line(gate))
+    if written:
+        print("artifacts: " + ", ".join(written))
+    if topo_text:
+        print(topo_text)
+    return 0 if all(g.verdict == "pass" for g in gates) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -506,107 +511,84 @@ def run_check(cfg: RunConfig, args=None) -> int:
             raise ConfigError(
                 f"unknown model '{cfg.model}'; known: all, {', '.join(scope)}")
         scope = [cfg.model]
+    elif cfg.parameters:
+        raise ConfigError(
+            f"model parameters {sorted(cfg.parameters)} need a named model")
 
-    results = []
-
-    def record(name, ok, detail):
-        results.append((name, bool(ok), detail))
-        tag = "  ok" if ok else "FAIL"
-        print(f"[{tag}] {name}: {detail}")
-
-    for name in scope:
-        model = models.build(name)
-        if isinstance(model, FGMetric):
-            _check_cce(name, model, record)
-        else:
-            _check_closed(name, model, record, inject)
-
-    if "product_spheres" in scope:
-        _check_conformal_invariance(record)
-
-    bad = [name for name, ok, _ in results if not ok]
-    print(f"{len(results) - len(bad)}/{len(results)} checks passed"
+    gates = []
+    try:
+        for gate in _check_gates(cfg, scope, inject):
+            print(_gate_line(gate))
+            gates.append(gate)
+    except _StageFailure as exc:
+        print(f"check failed at {exc}", file=sys.stderr)
+        return 1
+    bad = [gate.name for gate in gates if gate.verdict != "pass"]
+    print(f"{len(gates) - len(bad)}/{len(gates)} checks passed"
           + (f"; failing: {', '.join(bad)}" if bad else ""))
     return 1 if bad else 0
 
 
-def _check_closed(name, model, record, inject):
+def _check_gates(cfg: RunConfig, scope: list, inject: bool):
+    """check's gates, model by model, each named after its model."""
+    spheres = None
+    for name in scope:
+        model = _build_model(cfg, name)
+        if isinstance(model, FGMetric):
+            gates = _check_cce(name, model)
+        else:
+            gates = _check_closed(model, inject)
+        if name == "product_spheres":
+            spheres = model
+        for gate in gates:
+            yield replace(gate, name=f"{gate.name} {name}")
+    if spheres is not None:
+        yield from _check_conformal_invariance(spheres)
+
+
+def _check_closed(model, inject):
     pts = _closed_sample_points(model.field)
-    pack = curvature(model.field, pts, model.orientation)
-    riem = np.array(pack.riemann, copy=True)
+    riem = np.array(curvature(model.field, pts, model.orientation).riemann, copy=True)
     if inject:
         riem[..., 0, 1, 0, 1] *= -1.0
-    res = riemann_symmetry_residuals(riem)
-    worst = max(res.values())
-    record(f"bianchi-symmetries {name}", worst < 1e-9,
-           f"max violation {worst:.3e} "
-           f"(first bianchi {res['first_bianchi']:.3e})")
-
-    suite = integrate_curvature(model.field, model.domain, model.orientation)
-    record(f"euler-gb {name}", abs(suite.euler_gb - model.euler) < 1e-4,
-           f"{suite.euler_gb:.8g} vs {model.euler}")
-    record(f"signature {name}", abs(suite.signature - model.signature) < 1e-4,
-           f"{suite.signature:.3e} vs {model.signature}")
-    plus, minus = combined_formulas(suite, model.euler, model.signature)
-    record(f"combined-formulas {name}", max(abs(plus), abs(minus)) < 1e-3,
-           f"residuals {plus:.3e}, {minus:.3e}")
+    worst = max(riemann_symmetry_residuals(riem).values())
+    return [_gate("bianchi-symmetries", worst, 1e-9)] + _closed_gates(model)[1]
 
 
-def _check_cce(name, fg, record):
-    limit = fg.boundary_limit_residual()
-    record(f"boundary-limit {name}", limit < 1e-6, f"residual {limit:.3e}")
-
-    pts = radial_section(fg.boundary.default_point)(
-        np.geomspace(0.05, 0.9 * fg.s_max, 8))
-    res = float(np.max(einstein_residual(fg.four_metric(s_floor=0.02), pts)))
-    if fg.einstein:
-        record(f"einstein-residual {name}", res < 1e-6, f"max {res:.3e}")
-    else:
-        record(f"non-einstein-detected {name}", res > 1e-2,
-               f"max {res:.3e} (expected large)")
-        data = asymptotic_data(fg)
+def _check_cce(name, fg):
+    gates = _fill_gates(fg)
+    if not fg.einstein:
         amp = float(fg.parameters.get("amplitude", 0.05))
-        record(f"matched-asymptotics {name}",
-               data.source == "matched" and abs(data.w2 - (0.25 - amp)) < 1e-6,
-               f"w2 = {data.w2:.10g} from {data.source} data "
-               f"(expected {0.25 - amp})")
-
+        gates.append(_gate("matched-asymptotics",
+                           abs(asymptotic_data(fg).w2 - (0.25 - amp)), 1e-6))
     if name == "hyperbolic":
+        ref = models.exact_reference(name, **fg.parameters)
         sol = solve_eigenfunction(fg)
         grid = np.geomspace(sol.s_lo, sol.s_hi, 400)
-        exact = models.exact_reference(name, "eigenfunction")
-        sup = float(np.max(np.abs(sol.u(grid) - exact(grid))))
-        record("eigenfunction-exactness hyperbolic", sup < 1e-8,
-               f"sup |u - (1/s + s/4)| = {sup:.3e}")
         checks = compactification_checks(sol)
-        record("bochner-identity hyperbolic",
-               checks.bochner_identity and checks.bochner_sup < 1e-6,
-               f"sup residual {checks.bochner_sup:.3e}")
-        record("compactified-scalar hyperbolic",
-               abs(checks.scalar_boundary - 12.0) < 1e-5
-               and abs(checks.scalar_min - 12.0) < 1e-5,
-               f"boundary {checks.scalar_boundary:.10g}, "
-               f"min {checks.scalar_min:.10g}")
+        scalar = ref["compactified_scalar"]
+        gates += [
+            _gate("eigenfunction-exactness",
+                  np.max(np.abs(sol.u(grid) - ref["eigenfunction"](grid))), 1e-8),
+            _gate("bochner-identity", checks.bochner_sup, BOCHNER_TOL),
+            _gate("compactified-scalar", max(abs(checks.scalar_boundary - scalar),
+                                             abs(checks.scalar_min - scalar)), 1e-5),
+        ]
+    return gates
 
 
-def _check_conformal_invariance(record, count: int = 2):
-    model = models.build("product_spheres")
+def _check_conformal_invariance(model, count: int = 2):
     base = integrate_curvature(model.field, model.domain, model.orientation)
-    from .tensor import conformal_rescale
-
     suites = [integrate_curvature(conformal_rescale(model.field, w), model.domain,
                                   model.orientation)
               for w in _conformal_factors(model.field.chart, count)]
     worst = max(abs(s.weyl_energy - base.weyl_energy) / base.weyl_energy for s in suites)
-    record("conformal-invariance product_spheres", worst < 1e-6,
-           f"max relative deviation {worst:.3e} over {count} factors")
     # each rescaled metric is a metric on S2 x S2, so Chern-Gauss-Bonnet
     # and Hirzebruch hold for it with the model's chi and tau
     chi = max(abs(s.euler_gb - model.euler) for s in suites)
     tau = max(abs(s.signature - model.signature) for s in suites)
-    record("conformal-gauss-bonnet product_spheres", chi < 1e-4 and tau < 1e-4,
-           f"max |euler_gb - {model.euler}| {chi:.3e}, "
-           f"max |signature - {model.signature}| {tau:.3e} over {count} factors")
+    return [_gate("conformal-invariance product_spheres", worst, 1e-6),
+            _gate("conformal-gauss-bonnet product_spheres", max(chi, tau), 1e-4)]
 
 
 # ---------------------------------------------------------------------------

@@ -414,7 +414,7 @@ def exact_reference(name: str, quantity: Optional[str] = None, **params):
             "eigenfunction": lambda s: 1.0 / s + s / (4 * lam2),
             "warp": lambda s: (1.0 - s**2 / (4 * lam2)) ** 2,
             "s_max": 2 * lam,
-            "compactified_scalar": 12.0,
+            "compactified_scalar": 12.0 / lam2,
             "euler": 1,
             "weyl_energy": 0.0,
         }

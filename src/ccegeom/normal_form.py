@@ -136,16 +136,13 @@ class FGMetric:
         return out
 
     def boundary_limit_residual(self, ladder=None, p=None) -> float:
-        """Extrapolated value of sup|g_s - ghat| at s = 0 (must be ~0)."""
-        ladder = np.asarray(default_ladder() if ladder is None else ladder)
+        """max|g_0 - ghat| at p (must be ~0), g_0 the signed order-0
+        coefficient of extract_expansion (tail columns s^4, s^5)."""
         if p is None:
             p = self.boundary.default_point
         ghat = self.boundary.field.g(np.asarray(p, dtype=float))
-        dev = self.gs(ladder, p) - ghat[None]
-        sup = np.max(np.abs(dev.reshape(ladder.size, -1)), axis=1)
-        cols = np.stack([np.ones_like(ladder), ladder**2, ladder**3], axis=1)
-        coef, *_ = np.linalg.lstsq(cols, sup, rcond=None)
-        return abs(float(coef[0]))
+        g0 = extract_expansion(self, p=p, ladder=ladder).coefficient(0)
+        return float(np.max(np.abs(g0 - ghat)))
 
     # -- densities --------------------------------------------------------
 

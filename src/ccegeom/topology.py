@@ -19,7 +19,7 @@ pass silently: values within tolerance of a threshold get an explicit
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -29,6 +29,8 @@ from .errors import NotAvailable
 __all__ = [
     "BALL_VOLUME",
     "Check",
+    "compare",
+    "check_document",
     "volume_upper_bound",
     "finite_cover_ball_criterion",
     "diffeomorphism_ball_criterion",
@@ -67,8 +69,9 @@ class Check:
     note: str = ""
 
 
-def _evaluate(name: str, value: float, threshold: float, comparison: str,
-              tol: float, note: str = "", boundary_note: str = "") -> Check:
+def compare(name: str, value: float, threshold: float, comparison: str,
+            tol: float, note: str = "", boundary_note: str = "") -> Check:
+    """Evaluate value `comparison` threshold; |margin| <= tol is "boundary"."""
     value = float(value)
     threshold = float(threshold)
     margin = value - threshold
@@ -82,6 +85,8 @@ def _evaluate(name: str, value: float, threshold: float, comparison: str,
         verdict = "pass" if margin < 0 else "fail"
     elif comparison == "<=":
         verdict = "pass" if margin <= 0 else "fail"
+    elif comparison == ">=":
+        verdict = "pass" if margin >= 0 else "fail"
     else:
         raise ValueError(f"unknown comparison {comparison!r}")
     return Check(name, value, threshold, comparison, margin, verdict, note)
@@ -105,16 +110,14 @@ def volume_upper_bound(volume: float, yamabe_positive: bool,
     come from a positive-Yamabe conformally compact Einstein metric.
     """
     _require_yamabe(yamabe_positive)
-    check = _evaluate(
+    check = compare(
         "volume-upper-bound", volume, BALL_VOLUME, "<=", tol,
         boundary_note="equality: rigidity, the metric is the hyperbolic "
                       "model and the boundary the round sphere",
     )
     if check.verdict == "fail":
-        check = Check(check.name, check.value, check.threshold,
-                      check.comparison, check.margin, check.verdict,
-                      "no positive-Yamabe conformally compact Einstein "
-                      "metric attains this volume; inputs are inconsistent")
+        check = replace(check, note="no positive-Yamabe conformally compact "
+                        "Einstein metric attains this volume; inputs are inconsistent")
     return check
 
 
@@ -131,9 +134,9 @@ def finite_cover_ball_criterion(chi: int, volume: float,
     double is positive.
     """
     _require_yamabe(yamabe_positive)
-    check = _evaluate("finite-cover-ball", volume,
-                      BALL_VOLUME * chi / 3.0, ">", tol,
-                      note=f"chi = {int(chi)}")
+    check = compare("finite-cover-ball", volume,
+                     BALL_VOLUME * chi / 3.0, ">", tol,
+                     note=f"chi = {int(chi)}")
     conclusions = ()
     if check.verdict == "pass":
         conclusions = (
@@ -160,15 +163,15 @@ def diffeomorphism_ball_criterion(chi: int, volume: float,
     4-sphere.
     """
     _require_yamabe(yamabe_positive)
-    main = _evaluate("diffeomorphism-ball", volume,
-                     0.5 * BALL_VOLUME * chi, ">", tol,
-                     note=f"chi = {int(chi)}")
+    main = compare("diffeomorphism-ball", volume,
+                    0.5 * BALL_VOLUME * chi, ">", tol,
+                    note=f"chi = {int(chi)}")
     weyl_quarter = 16.0 * np.pi**2 * chi - 12.0 * volume
-    doubled = _evaluate("doubled-weyl-vs-sigma2", weyl_quarter,
-                        12.0 * volume, "<", tol,
-                        note="same inequality written on the double: "
-                             "(1/4) int |W|^2 against int sigma2, both "
-                             "derived from (chi, V)")
+    doubled = compare("doubled-weyl-vs-sigma2", weyl_quarter,
+                       12.0 * volume, "<", tol,
+                       note="same inequality written on the double: "
+                            "(1/4) int |W|^2 against int sigma2, both "
+                            "derived from (chi, V)")
     conclusions = ()
     if main.verdict == "pass":
         conclusions = (
@@ -189,15 +192,15 @@ def homology_vanishing_criteria(suite, tol: float = COMPARISON_TOL):
     """
     s2 = float(suite.sigma2_integral)
     checks = (
-        _evaluate("selfdual-homology", 0.25 * float(suite.weyl_plus),
-                  s2, "<", tol,
-                  note="pass kills self-dual second cohomology"),
-        _evaluate("antiselfdual-homology", 0.25 * float(suite.weyl_minus),
-                  s2, "<", tol,
-                  note="pass kills anti-self-dual second cohomology"),
-        _evaluate("full-homology", 0.25 * float(suite.weyl_energy),
-                  2.0 * s2, "<", tol,
-                  note="pass kills all second cohomology"),
+        compare("selfdual-homology", 0.25 * float(suite.weyl_plus),
+                 s2, "<", tol,
+                 note="pass kills self-dual second cohomology"),
+        compare("antiselfdual-homology", 0.25 * float(suite.weyl_minus),
+                 s2, "<", tol,
+                 note="pass kills anti-self-dual second cohomology"),
+        compare("full-homology", 0.25 * float(suite.weyl_energy),
+                 2.0 * s2, "<", tol,
+                 note="pass kills all second cohomology"),
     )
     return checks
 
@@ -333,22 +336,16 @@ def render_topology_report(report: TopologyReport) -> str:
     return "\n".join(lines)
 
 
+def check_document(c: Check) -> dict:
+    """Machine-readable form of one check: its fields by name."""
+    return asdict(c)
+
+
 def topology_document(report: TopologyReport) -> dict:
     """Machine-readable mirror of render_topology_report."""
     return {
         "inputs": {k: report.inputs[k] for k in sorted(report.inputs)},
-        "checks": [
-            {
-                "name": c.name,
-                "value": c.value,
-                "threshold": c.threshold,
-                "comparison": c.comparison,
-                "margin": c.margin,
-                "verdict": c.verdict,
-                "note": c.note,
-            }
-            for c in report.checks
-        ],
+        "checks": [check_document(c) for c in report.checks],
         "conclusions": [
             {"statement": text, "via": source}
             for text, source in report.conclusions

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ccegeom import cli
-from ccegeom.errors import NotAvailable
+from ccegeom.errors import NotAvailable, QuadratureTolerance
 
 ARTIFACTS = ("report.txt", "report.json", "integrals.csv",
              "volumes.csv", "eigen_grid.csv")
@@ -133,8 +133,62 @@ def test_exit_code_injected_defect(tmp_path, capsys):
 def test_check_single_model_passes(tmp_path, capsys):
     assert _run(["check", "--model", "flat_torus", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
-    assert "4/4 checks passed" in out
+    assert "5/5 checks passed" in out
     assert "FAIL" not in out
+
+
+def test_check_builds_the_named_model_with_its_parameters(tmp_path, capsys):
+    assert _run(["check", "--model", "ads_schwarzschild", "--m", "-1"]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    # m = 3 is outside the range the default mass reaches
+    assert _run(["check", "--model", "ads_schwarzschild", "--m", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "2/2 checks passed" in out
+    path = tmp_path / "hyp.json"
+    path.write_text(json.dumps({"model": {"name": "hyperbolic",
+                                          "boundary_radius": 1.3}}))
+    assert _run(["check", "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "5/5 checks passed" in out
+    assert "[pass] compactified-scalar hyperbolic" in out
+    # parameters without a model name would apply to every model
+    assert _run(["check", "--m", "2"]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_check_stage_error_exits_one_without_traceback(capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        raise QuadratureTolerance("no convergence")
+
+    monkeypatch.setattr(cli, "integrate_curvature", failing)
+    assert _run(["check", "--model", "round_sphere"]) == 1
+    err = capsys.readouterr().err
+    assert "stage 'curvature integrals'" in err and "Traceback" not in err
+
+
+def test_report_gates_carry_value_threshold_and_margin(analyze_dir):
+    gates = json.loads((analyze_dir / "report.json").read_text())["gates"]
+    assert len(gates) == 7
+    for gate in gates:
+        assert {"value", "threshold", "comparison", "margin"} <= set(gate)
+        assert gate["margin"] == gate["value"] - gate["threshold"]
+        assert gate["ok"] == (gate["verdict"] == "pass")
+
+
+def test_failing_gate_exits_one_with_its_margin(tmp_path, capsys):
+    path = tmp_path / "strict.json"
+    path.write_text(json.dumps({"model": {"name": "hyperbolic"},
+                                "numerics": {"tol_identity": 1e-20},
+                                "outputs": {"dir": str(tmp_path / "out"),
+                                            "artifacts": ["report"]}}))
+    assert _run(["analyze", "--config", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert any(ln.startswith("[FAIL] gauss-bonnet-volume: ")
+               for ln in out.splitlines())
+    gates = json.loads((tmp_path / "out" / "report.json").read_text())["gates"]
+    gate = next(g for g in gates if g["name"] == "gauss-bonnet-volume")
+    assert gate["ok"] is False and gate["margin"] > 0
+    assert [g["name"] for g in gates if not g["ok"]] == ["gauss-bonnet-volume"]
 
 
 def test_check_rejects_unknown_scope(tmp_path, capsys):
@@ -263,6 +317,7 @@ def test_check_conformal_factors_are_metrics_on_s2xs2():
 
 
 def test_conformal_gauss_bonnet_line_gates_euler(monkeypatch):
+    from ccegeom import models
     from ccegeom.integrals import IntegralSuite
 
     # the base suite, then rescaled suites whose sigma2 is off by 1%
@@ -270,8 +325,7 @@ def test_conformal_gauss_bonnet_line_gates_euler(monkeypatch):
     suites = iter([IntegralSuite(64.0, 32.0, 32.0, s2, 1.0, 1)
                    for s2 in (sigma2, 1.01 * sigma2, 1.01 * sigma2)])
     monkeypatch.setattr(cli, "integrate_curvature", lambda *args: next(suites))
-    lines = []
-    cli._check_conformal_invariance(lambda *line: lines.append(line))
-    assert [(name, ok) for name, ok, _ in lines] == [
+    gates = cli._check_conformal_invariance(models.build("product_spheres"))
+    assert [(g.name, g.verdict == "pass") for g in gates] == [
         ("conformal-invariance product_spheres", True),
         ("conformal-gauss-bonnet product_spheres", False)]

@@ -7,6 +7,7 @@ import pytest
 import sympy as sp
 
 from ccegeom import models
+from ccegeom.eigenfunction import solve_eigenfunction
 from ccegeom.errors import ModelParameterError, NotAvailable
 from ccegeom.tensor import einstein_residual
 
@@ -96,6 +97,16 @@ def test_exact_reference_scaled_boundary():
     assert ref["renormalized_volume"] == pytest.approx(4 * np.pi ** 2 / 3, rel=1e-14)
     assert ref["boundary_volume"] == pytest.approx(2 * np.pi ** 2 * lam ** 3, rel=1e-13)
     assert ref["c0"] == pytest.approx(2 * np.pi ** 2 * lam ** 3 / 3, rel=1e-12)
+
+
+def test_exact_reference_compactified_scalar_off_unit_radius():
+    """48 w2 = 12 / lambda^2, as the eigenfunction solve gives it."""
+    lam = 1.3
+    ref = models.exact_reference("hyperbolic", boundary_radius=lam)
+    sol = solve_eigenfunction(models.build("hyperbolic", boundary_radius=lam))
+    s = np.geomspace(sol.s_lo, sol.s_hi, 50)
+    assert ref["compactified_scalar"] == pytest.approx(12.0 / lam ** 2, rel=1e-15)
+    assert np.max(np.abs(sol.compactified_scalar(s) - ref["compactified_scalar"])) < 1e-5
 
 
 def test_exact_reference_ads_entries():

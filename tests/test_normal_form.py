@@ -160,6 +160,13 @@ def test_boundary_limit_residual(hyperbolic, ads, perturbed):
     assert hyperbolic.boundary_limit_residual() < 1e-6
     assert ads.boundary_limit_residual() < 1e-6
     assert perturbed.boundary_limit_residual() < 1e-6
+    # the signed fit keeps the exact fills at rounding level away from
+    # lambda = 1, and AdS inside the gate at masses the unsigned fit
+    # rounded past it
+    for lam in (0.7, 0.9):
+        fg = models.build("hyperbolic", boundary_radius=lam)
+        assert fg.boundary_limit_residual() < 1e-12
+    assert models.build("ads_schwarzschild", m=3.0).boundary_limit_residual() < 1e-6
 
 
 def test_fg_document_and_gs_table(hyperbolic, tmp_path):

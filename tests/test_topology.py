@@ -13,6 +13,18 @@ def test_ball_volume_constant():
     assert tp.BALL_VOLUME == pytest.approx(4 * np.pi ** 2 / 3, rel=1e-15)
 
 
+def test_compare_lower_bound_and_document():
+    assert tp.compare("x", 2.0, 1.0, ">=", tol=0.0).verdict == "pass"
+    assert tp.compare("x", 0.5, 1.0, ">=", tol=0.0).verdict == "fail"
+    # with no tolerance a value exactly at its threshold is still undecided
+    assert tp.compare("x", 1.0, 1.0, ">=", tol=0.0).verdict == "boundary"
+    with pytest.raises(ValueError, match="comparison"):
+        tp.compare("x", 2.0, 1.0, "==", tol=0.0)
+    doc = tp.check_document(tp.compare("x", 0.25, 1.0, "<", tol=0.0, note="n"))
+    assert doc == {"name": "x", "value": 0.25, "threshold": 1.0, "comparison": "<",
+                   "margin": -0.75, "verdict": "pass", "note": "n"}
+
+
 def test_volume_upper_bound():
     check = tp.volume_upper_bound(13.0, True)
     assert check.verdict == "pass"
