@@ -81,18 +81,13 @@ class RunConfig:
     model: str = "hyperbolic"
     parameters: dict = field(default_factory=dict)
     ladder: tuple = None
-    tol_quadrature: float = 1e-12
-    tol_fit: float = 1e-3
     tol_identity: float = 1e-3
     outputs: tuple = ARTIFACT_KINDS
     output_dir: str = "."
 
     def validate(self) -> "RunConfig":
-        for label, value in (("tol_quadrature", self.tol_quadrature),
-                             ("tol_fit", self.tol_fit),
-                             ("tol_identity", self.tol_identity)):
-            if not (float(value) > 0):
-                raise ConfigError(f"{label} must be positive, got {value}")
+        if not (float(self.tol_identity) > 0):
+            raise ConfigError(f"tol_identity must be positive, got {self.tol_identity}")
         if self.ladder is not None:
             # user ladders may be short; continue geometrically so the
             # regression keeps enough rows to separate the expansion
@@ -141,8 +136,6 @@ def resolve_config(args) -> RunConfig:
         numerics = doc.get("numerics", {})
         if "ladder" in numerics:
             cfg.ladder = numerics["ladder"]
-        cfg.tol_quadrature = float(numerics.get("tol_quadrature", cfg.tol_quadrature))
-        cfg.tol_fit = float(numerics.get("tol_fit", cfg.tol_fit))
         cfg.tol_identity = float(numerics.get("tol_identity", cfg.tol_identity))
         outputs = doc.get("outputs", {})
         cfg.output_dir = str(outputs.get("dir", cfg.output_dir))
@@ -156,10 +149,6 @@ def resolve_config(args) -> RunConfig:
         cfg.parameters["m"] = float(args.m)
     if getattr(args, "ladder", None):
         cfg.ladder = _parse_ladder(args.ladder)
-    if getattr(args, "tol_quadrature", None) is not None:
-        cfg.tol_quadrature = float(args.tol_quadrature)
-    if getattr(args, "tol_fit", None) is not None:
-        cfg.tol_fit = float(args.tol_fit)
     if getattr(args, "out", None):
         cfg.output_dir = args.out
     return cfg.validate()
@@ -349,8 +338,7 @@ def _analyze_cce(cfg: RunConfig, fg: FGMetric):
     fit = None
     if fg.einstein:
         fit = _stage("volume fit", volume.fit_renormalized_volume, fg,
-                     ladder=cfg.ladder, quad_tol=cfg.tol_quadrature,
-                     stability_gate=cfg.tol_fit)
+                     ladder=cfg.ladder)
     sol = _stage("eigenfunction", solve_eigenfunction, fg)
     checks = _stage("compactification checks", compactification_checks, sol)
 
@@ -537,13 +525,13 @@ def _check_gates(cfg: RunConfig, scope: list, inject: bool):
         if isinstance(model, FGMetric):
             gates = _check_cce(name, model)
         else:
-            gates = _check_closed(model, inject)
-        if name == "product_spheres":
-            spheres = model
+            suite, gates = _check_closed(model, inject)
+            if name == "product_spheres":
+                spheres = model, suite
         for gate in gates:
             yield replace(gate, name=f"{gate.name} {name}")
     if spheres is not None:
-        yield from _check_conformal_invariance(spheres)
+        yield from _check_conformal_invariance(*spheres)
 
 
 def _check_closed(model, inject):
@@ -552,7 +540,8 @@ def _check_closed(model, inject):
     if inject:
         riem[..., 0, 1, 0, 1] *= -1.0
     worst = max(riemann_symmetry_residuals(riem).values())
-    return [_gate("bianchi-symmetries", worst, 1e-9)] + _closed_gates(model)[1]
+    suite, gates = _closed_gates(model)
+    return suite, [_gate("bianchi-symmetries", worst, 1e-9)] + gates
 
 
 def _check_cce(name, fg):
@@ -577,8 +566,8 @@ def _check_cce(name, fg):
     return gates
 
 
-def _check_conformal_invariance(model, count: int = 2):
-    base = integrate_curvature(model.field, model.domain, model.orientation)
+def _check_conformal_invariance(model, base, count: int = 2):
+    """Rescalings of a closed model against its integrals ``base``."""
     suites = [integrate_curvature(conformal_rescale(model.field, w), model.domain,
                                   model.orientation)
               for w in _conformal_factors(model.field.chart, count)]
@@ -602,8 +591,7 @@ def run_volume(cfg: RunConfig, args=None) -> int:
             "conformally compact one")
     try:
         fit = _stage("volume fit", volume.fit_renormalized_volume, fg,
-                     ladder=cfg.ladder, quad_tol=cfg.tol_quadrature,
-                     stability_gate=cfg.tol_fit)
+                     ladder=cfg.ladder)
     except _StageFailure as exc:
         print(f"volume fit failed on model '{cfg.model}': {exc}", file=sys.stderr)
         return 1
@@ -613,8 +601,7 @@ def run_volume(cfg: RunConfig, args=None) -> int:
     print(f"c2 = {fit.c2:.17g}")
     print(f"fit_residual = {fit.residual:.3e}")
     print(f"condition_number = {fit.condition_number:.3e}")
-    if fit.stability_change is not None:
-        print(f"stability_change = {fit.stability_change:.3e}")
+    print(f"stability_change = {fit.stability_change:.3e}")
     if getattr(args, "out", None) or "csv-tables" in cfg.outputs:
         os.makedirs(cfg.output_dir, exist_ok=True)
         path = os.path.join(cfg.output_dir, "volumes.csv")
@@ -672,8 +659,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ladder",
                        help="comma-separated epsilon rungs (extended "
                             "geometrically to 8 if fewer are given)")
-        p.add_argument("--tol-quadrature", type=float, dest="tol_quadrature")
-        p.add_argument("--tol-fit", type=float, dest="tol_fit")
         p.add_argument("--out", help="output directory")
 
     p = sub.add_parser("analyze", help="full pipeline with artifacts")

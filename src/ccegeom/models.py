@@ -322,7 +322,7 @@ def ads_schwarzschild(m: float = 1.0) -> FGMetric:
         einstein=True,
         yamabe_positive=True,
         family="ads_schwarzschild",
-        parameters={"m": m, "horizon_radius": rp, "period": beta},
+        parameters={"m": m},
     )
     return normal_form_from_profile(profile)
 

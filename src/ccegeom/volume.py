@@ -1,21 +1,23 @@
 """Renormalized volume by sublevel quadrature and ladder regression.
 
-For g = s^{-2}(ds^2 + g_s) with n = 3 the sublevel volumes expand as
+For an Einstein fill g = s^{-2}(ds^2 + g_s) with n = 3 the sublevel
+volumes expand as
 
     Vol({s > eps}) = c0 eps^-3 + c2 eps^-1 + V + o(1),
 
-with no eps^-2 term and V the renormalized volume. The pipeline is a
-radial quadrature of s^-4 D(s) per ladder rung (the boundary volume
-carries the angular integral) followed by a least-squares fit against
-{eps^-3, eps^-1, 1}. Three positive tail columns {eps, eps^2, eps^3}
-absorb the o(1) remainder so V is not contaminated by it; the constant
-term still converges to the same V without them, just too slowly for
-tight tolerances on short ladders.
+with no eps^-2 and no log term, and V the renormalized volume. The
+divergent coefficients are local and exact (Graham, arXiv:math/9909042):
+c0 = vol(g^)/3 and c2 = -R^ vol(g^)/8, from the boundary volume and
+scalar curvature. The pipeline is a radial quadrature of s^-4 D(s) per
+ladder rung (the boundary volume carries the angular integral); the two
+known terms are subtracted, and the remainder is regressed on
+{1, eps, ..., eps^5}, whose tail columns absorb the o(1) remainder so V
+is not contaminated by it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -33,17 +35,21 @@ __all__ = [
     "write_volume_table",
 ]
 
-#: default epsilon ladder; spans a factor 512 in the leading column
+#: default epsilon ladder; spans a factor 512 in the leading term
 DEFAULT_LADDER = (0.4, 0.3, 0.22, 0.16, 0.12, 0.09, 0.065, 0.05)
+#: relative tolerance of each rung's sublevel quadrature
+QUAD_TOL = 1e-12
+#: largest move of V allowed when the largest rung is dropped
+STABILITY_GATE = 1e-3
 
-#: negative powers of the Einstein expansion (n = 3): no eps^-2 term
-_CORE_POWERS = (-3, -1, 0)
-_TAIL_POWERS = (1, 2, 3)
+#: powers of eps regressed once the divergent terms are subtracted: V and its tail
+_POWERS = (0, 1, 2, 3, 4, 5)
 
 
 @dataclass
 class VolumeFit:
-    """Ladder samples and regression coefficients of the volume expansion."""
+    """Ladder samples, the closed-form divergent coefficients and the
+    regression coefficients of the volume expansion."""
 
     epsilons: np.ndarray
     volumes: np.ndarray
@@ -53,13 +59,12 @@ class VolumeFit:
     residual: float
     boundary_volume: float
     condition_number: float
-    tail_coefficients: dict = field(default_factory=dict)
-    even_leakage: Optional[float] = None
-    stability_change: Optional[float] = None
+    stability_change: float
+    tail_coefficients: dict
     quadrature_errors: Optional[np.ndarray] = None
 
 
-def sublevel_volume(fg, eps: float, tol: float = 1e-12) -> tuple:
+def sublevel_volume(fg, eps: float) -> tuple:
     """Vol({s > eps}) and a quadrature error estimate.
 
     Radial reduction: boundary volume times int_eps^{s_max} s^-4 D(s) ds
@@ -73,7 +78,7 @@ def sublevel_volume(fg, eps: float, tol: float = 1e-12) -> tuple:
         return s**-4.0 * fg.density(s)
 
     panels = geometric_panels(eps, fg.s_max)
-    res = integrate_refined(f, eps, fg.s_max, panels, order=16, tol=tol,
+    res = integrate_refined(f, eps, fg.s_max, panels, order=16, tol=QUAD_TOL,
                             scale=max(1.0, eps**-3.0))
     vol_hat = fg.boundary.volume
     return vol_hat * res.value, vol_hat * res.error_estimate
@@ -83,16 +88,17 @@ def _powers_matrix(eps: np.ndarray, powers) -> np.ndarray:
     return np.stack([eps**float(k) for k in powers], axis=1)
 
 
+def _divergent(eps: np.ndarray, c0: float, c2: float) -> np.ndarray:
+    return c0 * eps**-3.0 + c2 / eps
+
+
 def fit_ladder(epsilons, volumes, boundary_volume: float,
-               tail_powers=_TAIL_POWERS, diagnose_even: bool = False,
-               stability_gate: Optional[float] = 1e-3) -> VolumeFit:
-    """Regress ladder samples against the volume expansion basis.
+               scalar_curvature: float) -> VolumeFit:
+    """Subtract the closed-form divergent terms and regress V and its tail.
 
     Pure function of the samples, so synthetic data can exercise the
-    regression exactly. diagnose_even adds an eps^-2 column whose fitted
-    coefficient must be negligible for Einstein inputs. stability_gate,
-    when set, refits without the largest rung and raises UnstableFit if
-    V moves by more than the gate.
+    regression exactly. The fit is refitted without the largest rung,
+    and UnstableFit is raised if V moves by more than STABILITY_GATE.
     """
     eps = np.asarray(epsilons, dtype=float)
     vols = np.asarray(volumes, dtype=float)
@@ -103,17 +109,18 @@ def fit_ladder(epsilons, volumes, boundary_volume: float,
     if np.any(np.diff(eps) >= 0):
         raise DomainError("ladder must be strictly decreasing")
     if (eps[0] / eps[-1]) ** 3 < 10.0:
-        raise DomainError("ladder too short: leading column must span a decade")
-    powers = list(_CORE_POWERS) + list(tail_powers)
-    if diagnose_even:
-        powers = powers + [-2]
-    if eps.size < len(powers):
+        raise DomainError("ladder too short: leading term must span a decade")
+    if eps.size < len(_POWERS):
         raise DomainError(
-            f"ladder has {eps.size} rungs but the basis needs {len(powers)}"
+            f"ladder has {eps.size} rungs but the basis needs {len(_POWERS)}"
         )
+    bvol = float(boundary_volume)
+    c0 = bvol / 3.0
+    c2 = -float(scalar_curvature) * bvol / 8.0
+    rest = vols - _divergent(eps, c0, c2)
 
     def solve(e, v):
-        cols = _powers_matrix(e, powers)
+        cols = _powers_matrix(e, _POWERS)
         scale = np.linalg.norm(cols, axis=0)
         cond = float(np.linalg.cond(cols / scale))
         if cond > 1e8:
@@ -125,52 +132,41 @@ def fit_ladder(epsilons, volumes, boundary_volume: float,
         resid = float(np.max(np.abs(cols @ coef - v)))
         return coef, cond, resid
 
-    coef, cond, resid = solve(eps, vols)
-    by_power = dict(zip(powers, coef))
-    stability = None
-    if stability_gate is not None:
-        coef2, _, _ = solve(eps[1:], vols[1:])
-        stability = abs(coef2[powers.index(0)] - by_power[0])
-        if stability > stability_gate:
-            raise UnstableFit(
-                f"renormalized volume moved {stability:.2e} when the largest "
-                f"rung was dropped (gate {stability_gate:.1e}); the ladder "
-                "does not resolve the constant term"
-            )
+    coef, cond, resid = solve(eps, rest)
+    coef2, _, _ = solve(eps[1:], rest[1:])
+    stability = float(abs(coef2[0] - coef[0]))
+    if stability > STABILITY_GATE:
+        raise UnstableFit(
+            f"renormalized volume moved {stability:.2e} when the largest "
+            f"rung was dropped (gate {STABILITY_GATE:.1e}); the ladder "
+            "does not resolve the constant term"
+        )
     return VolumeFit(
         epsilons=eps,
         volumes=vols,
-        c0=float(by_power[-3]),
-        c2=float(by_power[-1]),
-        V=float(by_power[0]),
+        c0=c0,
+        c2=c2,
+        V=float(coef[0]),
         residual=resid,
-        boundary_volume=float(boundary_volume),
+        boundary_volume=bvol,
         condition_number=cond,
-        tail_coefficients={k: float(by_power[k]) for k in tail_powers},
-        even_leakage=float(by_power[-2]) if diagnose_even else None,
         stability_change=stability,
+        tail_coefficients={k: float(c) for k, c in zip(_POWERS[1:], coef[1:])},
     )
 
 
-def fit_renormalized_volume(fg, ladder=None, quad_tol: float = 1e-12,
-                            tail_powers=_TAIL_POWERS,
-                            diagnose_even: bool = False,
-                            stability_gate: Optional[float] = 1e-3) -> VolumeFit:
+def fit_renormalized_volume(fg, ladder=None) -> VolumeFit:
     """Sublevel volumes on the ladder, then the expansion regression.
 
-    The default gate only rejects fits whose constant term is clearly
-    unresolved; pass a tighter stability_gate when the application needs
-    V to better than a part in a thousand (the drop-one-rung drift is
-    also reported on the result for inspection).
+    The drop-one-rung drift of V is reported on the result as
+    stability_change.
     """
     ladder = np.asarray(DEFAULT_LADDER if ladder is None else ladder, dtype=float)
-    samples = [sublevel_volume(fg, e, tol=quad_tol) for e in ladder]
+    samples = [sublevel_volume(fg, e) for e in ladder]
     vols = np.asarray([v for v, _ in samples])
     errs = np.asarray([e for _, e in samples])
     fit = fit_ladder(ladder, vols, fg.boundary.volume,
-                     tail_powers=tail_powers,
-                     diagnose_even=diagnose_even,
-                     stability_gate=stability_gate)
+                     fg.boundary.scalar_curvature)
     fit.quadrature_errors = errs
     return fit
 
@@ -200,9 +196,8 @@ def write_volume_table(fit: VolumeFit, path) -> None:
         fh.write("# volume-ladder v1\n")
         writer = csv.writer(fh)
         writer.writerow(["epsilon", "volume", "fit_value", "deviation"])
-        cols = _powers_matrix(fit.epsilons, list(_CORE_POWERS) + sorted(fit.tail_coefficients))
-        coef = np.asarray([fit.c0, fit.c2, fit.V]
-                          + [fit.tail_coefficients[k] for k in sorted(fit.tail_coefficients)])
-        fitted = cols @ coef
+        coef = [fit.V] + [fit.tail_coefficients[k] for k in _POWERS[1:]]
+        fitted = (_divergent(fit.epsilons, fit.c0, fit.c2)
+                  + _powers_matrix(fit.epsilons, _POWERS) @ coef)
         for e, v, f in zip(fit.epsilons, fit.volumes, fitted):
             writer.writerow([f"{e:.17g}", f"{v:.17g}", f"{f:.17g}", f"{v - f:.3e}"])

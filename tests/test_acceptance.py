@@ -83,8 +83,7 @@ def test_criterion_05_ads_gauss_bonnet():
     suite = ig.integrate_curvature(ads.four_metric(s_floor=5e-3),
                                    ig.fg_radial_domain(ads, s_lo=0.01))
     fit = vol.fit_renormalized_volume(
-        ads, ladder=np.asarray([0.3 * 0.78 ** k for k in range(12)]),
-        tail_powers=(1, 2, 3, 4, 5))
+        ads, ladder=np.asarray([0.3 * 0.78 ** k for k in range(12)]))
     chi = 2
     residual = ig.gauss_bonnet_volume_residual(chi, suite.weyl_energy, fit.V)
     rel = abs(residual) / (8 * np.pi ** 2 * chi)

@@ -166,6 +166,32 @@ def test_check_stage_error_exits_one_without_traceback(capsys, monkeypatch):
     assert "stage 'curvature integrals'" in err and "Traceback" not in err
 
 
+def test_check_integrates_the_base_product_once(monkeypatch, capsys):
+    """The conformal-invariance lines reuse the closed gates' suite."""
+    from ccegeom import integrals
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return integrals.integrate_curvature(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate_curvature", counted)
+    assert _run(["check", "--model", "product_spheres"]) == 0
+    assert "7/7 checks passed" in capsys.readouterr().out
+    # the base S2 x S2 once, then one integration per conformal factor
+    assert len(calls) == 3
+
+
+def test_analyze_ads_at_mass_three_passes_every_gate(tmp_path, capsys):
+    code = _run(["analyze", "--model", "ads_schwarzschild", "--m", "3.0",
+                 "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "[pass] gauss-bonnet-volume" in out
+    assert not any(ln.startswith("[FAIL]") for ln in out.splitlines())
+
+
 def test_report_gates_carry_value_threshold_and_margin(analyze_dir):
     gates = json.loads((analyze_dir / "report.json").read_text())["gates"]
     assert len(gates) == 7
@@ -320,12 +346,13 @@ def test_conformal_gauss_bonnet_line_gates_euler(monkeypatch):
     from ccegeom import models
     from ccegeom.integrals import IntegralSuite
 
-    # the base suite, then rescaled suites whose sigma2 is off by 1%
+    # the base suite, and rescaled suites whose sigma2 is off by 1%
     sigma2 = 8 * np.pi ** 2 * 4 - 0.25 * 64.0
-    suites = iter([IntegralSuite(64.0, 32.0, 32.0, s2, 1.0, 1)
-                   for s2 in (sigma2, 1.01 * sigma2, 1.01 * sigma2)])
+    base = IntegralSuite(64.0, 32.0, 32.0, sigma2, 1.0, 1)
+    suites = iter([IntegralSuite(64.0, 32.0, 32.0, 1.01 * sigma2, 1.0, 1)
+                   for _ in range(2)])
     monkeypatch.setattr(cli, "integrate_curvature", lambda *args: next(suites))
-    gates = cli._check_conformal_invariance(models.build("product_spheres"))
+    gates = cli._check_conformal_invariance(models.build("product_spheres"), base)
     assert [(g.name, g.verdict == "pass") for g in gates] == [
         ("conformal-invariance product_spheres", True),
         ("conformal-gauss-bonnet product_spheres", False)]

@@ -77,6 +77,14 @@ def test_horizon_radius_and_period():
     assert fg.s_max == pytest.approx(1.348093076044499, abs=1e-12)
 
 
+@pytest.mark.parametrize("name", models.model_names()["conformally_compact"])
+def test_reference_resolves_from_the_built_parameters(name):
+    """A fill's parameters are what its builder takes, so they look up
+    its closed forms; derived data such as the AdS horizon stays there."""
+    refs = models.exact_reference(name, **models.build(name).parameters)
+    assert "euler" in refs
+
+
 def test_exact_reference_hyperbolic_entries():
     ref = models.exact_reference("hyperbolic")
     assert ref["renormalized_volume"] == pytest.approx(4 * np.pi ** 2 / 3, rel=1e-14)
