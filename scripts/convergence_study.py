@@ -1,15 +1,13 @@
 #!/usr/bin/env python3
-"""Convergence behavior of the volume fit and the eigenfunction solve.
+"""Convergence behavior of the volume fit.
 
-Three sweeps on the hyperbolic model, where every quantity has a closed
-form to compare against:
+Two sweeps on the hyperbolic model, where V = 4 pi^2/3 in closed form:
 
   1. volume fit error against the ladder starting rung s0,
-  2. volume fit error against ladder depth at fixed s0,
-  3. eigenfunction sup error against the collocation tolerance.
+  2. volume fit error against ladder depth at fixed s0.
 
-The point of 1 and 2 is that the answer must NOT depend on the ladder
-once it spans a decade: the expansion coefficients are properties of the
+The point of both is that the answer must NOT depend on the ladder once
+it spans a decade: the expansion coefficients are properties of the
 metric, and the tail columns absorb whatever the truncation leaves over.
 
 Usage:
@@ -23,7 +21,6 @@ import time
 import numpy as np
 
 from ccegeom import models
-from ccegeom.eigenfunction import solve_eigenfunction
 from ccegeom.volume import fit_renormalized_volume
 
 V_EXACT = 4 * np.pi ** 2 / 3
@@ -47,16 +44,6 @@ def ladder_depth_sweep(fg, rows):
                      fit.condition_number, time.perf_counter() - t0))
 
 
-def eigen_tolerance_sweep(fg, rows):
-    for tol in (1e-6, 1e-8, 1e-10, 1e-11):
-        t0 = time.perf_counter()
-        sol = solve_eigenfunction(fg, tol=tol)
-        s = np.geomspace(sol.s_lo, sol.s_hi, 400)
-        sup = float(np.max(np.abs(sol.u(s) - (1 / s + s / 4))))
-        rows.append(("eigen-tol", tol, sup, sol.mesh_size,
-                     time.perf_counter() - t0))
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--csv", default=None, help="also write rows here")
@@ -66,18 +53,17 @@ def main(argv=None):
     rows = []
     ladder_start_sweep(fg, rows)
     ladder_depth_sweep(fg, rows)
-    eigen_tolerance_sweep(fg, rows)
 
     print(f"{'sweep':<14} {'parameter':>12} {'error':>12} "
-          f"{'cond/mesh':>12} {'seconds':>8}")
-    for sweep, param, err, aux, secs in rows:
-        print(f"{sweep:<14} {param:>12g} {err:>12.3e} {aux:>12.4g} {secs:>8.2f}")
+          f"{'condition':>12} {'seconds':>8}")
+    for sweep, param, err, cond, secs in rows:
+        print(f"{sweep:<14} {param:>12g} {err:>12.3e} {cond:>12.4g} {secs:>8.2f}")
 
     if args.csv:
         with open(args.csv, "w") as fh:
-            fh.write("sweep,parameter,error,aux,seconds\n")
-            for sweep, param, err, aux, secs in rows:
-                fh.write(f"{sweep},{param:.6g},{err:.6e},{aux:.6g},{secs:.3f}\n")
+            fh.write("sweep,parameter,error,condition,seconds\n")
+            for sweep, param, err, cond, secs in rows:
+                fh.write(f"{sweep},{param:.6g},{err:.6e},{cond:.6g},{secs:.3f}\n")
         print(f"\nwrote {args.csv}")
     return 0
 

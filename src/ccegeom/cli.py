@@ -12,9 +12,13 @@ check      invariant suites only (curvature symmetries, Bochner identity,
 volume     the renormalized-volume fit alone.
 curvature  pointwise curvature packet dump at deterministic sample points.
 
-Configuration comes from an optional JSON document (sections "model",
-"numerics", "outputs") with flat command-line flags overriding document
-fields, so a run of record is a single file. All outputs are
+Configuration comes from an optional JSON document with flat
+command-line flags overriding its fields, so a run of record is a single
+file. The document has two sections: "model" (its "name" and the
+builder's parameters) and "outputs" (its "dir"); any other section or
+key is refused. analyze writes into the output directory, "." unless one
+is given; volume and curvature write their file only when one is given
+(--out or outputs.dir) and otherwise only print. All outputs are
 deterministic: fixed-order reductions, fixed sample points, fixed seeds.
 
 Exit codes: 0 all gates pass, 1 a gate or module computation failed,
@@ -29,10 +33,11 @@ import os
 import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
-from . import models, volume
+from . import models, topology, volume
 from .autodiff import cos, sin
 from .errors import CcegeomError
 from .eigenfunction import (
@@ -64,9 +69,6 @@ from .topology import (Check, build_topology_report, check_document, compare,
 __all__ = ["RunConfig", "run_analyze", "run_check", "run_volume",
            "run_curvature", "build_parser", "main"]
 
-#: artifact kinds the analyze pipeline can emit
-ARTIFACT_KINDS = ("report", "csv-tables", "raw-grids")
-
 _SEED = 20260816
 
 
@@ -80,41 +82,8 @@ class RunConfig:
 
     model: str = "hyperbolic"
     parameters: dict = field(default_factory=dict)
-    ladder: tuple = None
-    tol_identity: float = 1e-3
-    outputs: tuple = ARTIFACT_KINDS
-    output_dir: str = "."
-
-    def validate(self) -> "RunConfig":
-        if not (float(self.tol_identity) > 0):
-            raise ConfigError(f"tol_identity must be positive, got {self.tol_identity}")
-        if self.ladder is not None:
-            # user ladders may be short; continue geometrically so the
-            # regression keeps enough rows to separate the expansion
-            # columns (extend_ladder refuses rungs that do not decrease)
-            try:
-                rungs = tuple(float(r) for r in
-                              volume.extend_ladder(self.ladder, target=8, ratio=0.7))
-            except (CcegeomError, TypeError, ValueError) as exc:
-                raise ConfigError(f"ladder {self.ladder!r}: {exc}") from None
-            if min(rungs) <= 0:
-                raise ConfigError(f"ladder rungs must be positive, got {rungs}")
-            self.ladder = rungs
-        unknown = set(self.outputs) - set(ARTIFACT_KINDS)
-        if unknown:
-            raise ConfigError(
-                f"unknown output kinds {sorted(unknown)}; known: {ARTIFACT_KINDS}")
-        return self
-
-
-def _parse_ladder(text: str) -> tuple:
-    try:
-        rungs = tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse ladder {text!r}: {exc}") from None
-    if not rungs:
-        raise ConfigError("empty ladder")
-    return rungs
+    #: None: analyze writes into ".", volume and curvature only print
+    output_dir: Optional[str] = None
 
 
 def resolve_config(args) -> RunConfig:
@@ -130,28 +99,28 @@ def resolve_config(args) -> RunConfig:
         if not isinstance(doc, dict):
             raise ConfigError("config document must be a JSON object")
         model = doc.get("model", {})
+        outputs = doc.get("outputs", {})
+        if not (isinstance(model, dict) and isinstance(outputs, dict)):
+            raise ConfigError("config sections must be JSON objects")
+        unknown = sorted(set(doc) - {"model", "outputs"}) + sorted(
+            f"outputs.{key}" for key in set(outputs) - {"dir"})
+        if unknown:
+            raise ConfigError(f"unknown config keys {unknown}; known: "
+                              "model, outputs.dir")
         if model:
             cfg.model = str(model.get("name", cfg.model))
             cfg.parameters = {k: v for k, v in model.items() if k != "name"}
-        numerics = doc.get("numerics", {})
-        if "ladder" in numerics:
-            cfg.ladder = numerics["ladder"]
-        cfg.tol_identity = float(numerics.get("tol_identity", cfg.tol_identity))
-        outputs = doc.get("outputs", {})
-        cfg.output_dir = str(outputs.get("dir", cfg.output_dir))
-        if "artifacts" in outputs:
-            cfg.outputs = tuple(outputs["artifacts"])
+        if "dir" in outputs:
+            cfg.output_dir = str(outputs["dir"])
     if getattr(args, "model", None):
         if args.model != cfg.model:
             cfg.parameters = {}
         cfg.model = args.model
     if getattr(args, "m", None) is not None:
         cfg.parameters["m"] = float(args.m)
-    if getattr(args, "ladder", None):
-        cfg.ladder = _parse_ladder(args.ladder)
     if getattr(args, "out", None):
         cfg.output_dir = args.out
-    return cfg.validate()
+    return cfg
 
 
 def _build_model(cfg: RunConfig, name: str = None):
@@ -211,29 +180,21 @@ def _render_report(doc: dict, gates: list, topo_text: str = "") -> str:
 
 
 def _write_artifacts(cfg: RunConfig, doc: dict, gates: list, topo_text: str,
-                     tables: dict, grids: dict):
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    path = lambda name: os.path.join(cfg.output_dir, name)
-    written = []
-    if "report" in cfg.outputs:
-        with open(path("report.txt"), "w") as fh:
-            fh.write(_render_report(doc, gates, topo_text))
-        machine = dict(doc)
-        machine["gates"] = [{**check_document(g), "ok": g.verdict == "pass"}
-                            for g in gates]
-        with open(path("report.json"), "w") as fh:
-            json.dump(machine, fh, indent=2, sort_keys=True, default=_json_default)
-            fh.write("\n")
-        written += ["report.txt", "report.json"]
-    if "csv-tables" in cfg.outputs:
-        for name, writer in tables.items():
-            writer(path(name))
-            written.append(name)
-    if "raw-grids" in cfg.outputs:
-        for name, writer in grids.items():
-            writer(path(name))
-            written.append(name)
-    return written
+                     tables: dict):
+    out_dir = cfg.output_dir or "."
+    os.makedirs(out_dir, exist_ok=True)
+    path = lambda name: os.path.join(out_dir, name)
+    with open(path("report.txt"), "w") as fh:
+        fh.write(_render_report(doc, gates, topo_text))
+    machine = dict(doc)
+    machine["gates"] = [{**check_document(g), "ok": g.verdict == "pass"}
+                        for g in gates]
+    with open(path("report.json"), "w") as fh:
+        json.dump(machine, fh, indent=2, sort_keys=True, default=_json_default)
+        fh.write("\n")
+    for name, writer in tables.items():
+        writer(path(name))
+    return ["report.txt", "report.json", *tables]
 
 
 def _write_suite_csv(suites: dict):
@@ -328,7 +289,7 @@ def _analyze_closed(cfg: RunConfig, model):
         },
     }
     tables = {"integrals.csv": _write_suite_csv({suite.domain_label: suite})}
-    return gates, _write_artifacts(cfg, doc, gates, "", tables, {}), ""
+    return gates, _write_artifacts(cfg, doc, gates, "", tables), ""
 
 
 def _analyze_cce(cfg: RunConfig, fg: FGMetric):
@@ -337,8 +298,7 @@ def _analyze_cce(cfg: RunConfig, fg: FGMetric):
     # exists for Einstein fills; fitting it to anything else is noise
     fit = None
     if fg.einstein:
-        fit = _stage("volume fit", volume.fit_renormalized_volume, fg,
-                     ladder=cfg.ladder)
+        fit = _stage("volume fit", volume.fit_renormalized_volume, fg)
     sol = _stage("eigenfunction", solve_eigenfunction, fg)
     checks = _stage("compactification checks", compactification_checks, sol)
 
@@ -412,12 +372,12 @@ def _analyze_cce(cfg: RunConfig, fg: FGMetric):
         })
         gates += [
             _gate("bochner-identity", checks.bochner_sup, BOCHNER_TOL),
-            _gate("gauss-bonnet-volume", rel, cfg.tol_identity),
+            _gate("gauss-bonnet-volume", rel, topology.IDENTITY_TOL),
         ]
         topo = _stage("topology report", build_topology_report,
                       chi, fit.V, fg.yamabe_positive,
                       double_suite=doubled_suite(compact),
-                      identity_residual=rel, identity_tol=cfg.tol_identity)
+                      identity_residual=rel)
         doc["topology"] = topology_document(topo)
         topo_text = render_topology_report(topo)
     else:
@@ -433,8 +393,8 @@ def _analyze_cce(cfg: RunConfig, fg: FGMetric):
     }
     if fit is not None:
         tables["volumes.csv"] = lambda path: volume.write_volume_table(fit, path)
-    grids = {"eigen_grid.csv": _write_eigen_grid(sol)}
-    return gates, _write_artifacts(cfg, doc, gates, topo_text, tables, grids), topo_text
+    tables["eigen_grid.csv"] = _write_eigen_grid(sol)
+    return gates, _write_artifacts(cfg, doc, gates, topo_text, tables), topo_text
 
 
 def run_analyze(cfg: RunConfig, args=None) -> int:
@@ -447,8 +407,7 @@ def run_analyze(cfg: RunConfig, args=None) -> int:
         return 1
     for gate in gates:
         print(_gate_line(gate))
-    if written:
-        print("artifacts: " + ", ".join(written))
+    print("artifacts: " + ", ".join(written))
     if topo_text:
         print(topo_text)
     return 0 if all(g.verdict == "pass" for g in gates) else 1
@@ -547,9 +506,9 @@ def _check_closed(model, inject):
 def _check_cce(name, fg):
     gates = _fill_gates(fg)
     if not fg.einstein:
-        amp = float(fg.parameters.get("amplitude", 0.05))
+        w2 = models.exact_reference(name, "w2", **fg.parameters)
         gates.append(_gate("matched-asymptotics",
-                           abs(asymptotic_data(fg).w2 - (0.25 - amp)), 1e-6))
+                           abs(asymptotic_data(fg).w2 - w2), 1e-6))
     if name == "hyperbolic":
         ref = models.exact_reference(name, **fg.parameters)
         sol = solve_eigenfunction(fg)
@@ -590,8 +549,7 @@ def run_volume(cfg: RunConfig, args=None) -> int:
             f"'{cfg.model}' is a closed model; the volume fit needs a "
             "conformally compact one")
     try:
-        fit = _stage("volume fit", volume.fit_renormalized_volume, fg,
-                     ladder=cfg.ladder)
+        fit = _stage("volume fit", volume.fit_renormalized_volume, fg)
     except _StageFailure as exc:
         print(f"volume fit failed on model '{cfg.model}': {exc}", file=sys.stderr)
         return 1
@@ -602,7 +560,7 @@ def run_volume(cfg: RunConfig, args=None) -> int:
     print(f"fit_residual = {fit.residual:.3e}")
     print(f"condition_number = {fit.condition_number:.3e}")
     print(f"stability_change = {fit.stability_change:.3e}")
-    if getattr(args, "out", None) or "csv-tables" in cfg.outputs:
+    if cfg.output_dir is not None:
         os.makedirs(cfg.output_dir, exist_ok=True)
         path = os.path.join(cfg.output_dir, "volumes.csv")
         volume.write_volume_table(fit, path)
@@ -632,7 +590,7 @@ def run_curvature(cfg: RunConfig, args=None) -> int:
     lines = ["# curvature-packet v1", ",".join(header)]
     lines += [",".join(f"{v:.17g}" for v in row) for row in rows]
     text = "\n".join(lines) + "\n"
-    if getattr(args, "out", None):
+    if cfg.output_dir is not None:
         os.makedirs(cfg.output_dir, exist_ok=True)
         path = os.path.join(cfg.output_dir, "curvature.csv")
         with open(path, "w") as fh:
@@ -656,9 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument("--model", help="model registry name")
         p.add_argument("--m", type=float, help="mass parameter where applicable")
-        p.add_argument("--ladder",
-                       help="comma-separated epsilon rungs (extended "
-                            "geometrically to 8 if fewer are given)")
         p.add_argument("--out", help="output directory")
 
     p = sub.add_parser("analyze", help="full pipeline with artifacts")

@@ -69,6 +69,8 @@ COLLOCATION_NODES = (16, 24, 32, 48, 64)
 COLLOCATION_OVERSAMPLE = 2
 #: trailing Chebyshev coefficients that make the convergence tail
 TAIL_TERMS = 4
+#: solve_eigenfunction stops at the first N whose tail is at most this
+TAIL_TOL = 1e-11
 #: solve_eigenfunction fails when the best tail exceeds this
 TAIL_LIMIT = 1e-6
 #: lower end of the diagnostic grids (u_min, scalar scan, Bochner check)
@@ -318,8 +320,7 @@ def _coefficient_tail(c: np.ndarray, s_max: float) -> float:
     return float(np.max(np.abs(c[-TAIL_TERMS:]))) / scale
 
 
-def solve_eigenfunction(fg: FGMetric, tol: float = 1e-11,
-                        w2: Optional[float] = None) -> EigenfunctionSolution:
+def solve_eigenfunction(fg: FGMetric) -> EigenfunctionSolution:
     """Solve Delta u = 4u with u ~ 1/s by Chebyshev collocation on [0, s_max].
 
     The substitution u = 1/s + w2 s + s^2 phi removes the growing
@@ -337,7 +338,7 @@ def solve_eigenfunction(fg: FGMetric, tol: float = 1e-11,
     selects the bounded solution (Boyd, Chebyshev and Fourier Spectral
     Methods, ch. 6). See _collocate for the rows. N runs up
     COLLOCATION_NODES and stops at the first whose coefficient tail is
-    at most tol; if none is, the N with the smallest tail is kept.
+    at most TAIL_TOL; if none is, the N with the smallest tail is kept.
 
     Raises SolverFailure when that tail exceeds TAIL_LIMIT and
     PositivityViolation when the solved u is not strictly positive on
@@ -346,17 +347,16 @@ def solve_eigenfunction(fg: FGMetric, tol: float = 1e-11,
     if fg.n != 3:
         raise UnsupportedDimension("eigenfunction reduction implemented for "
                                    "3-dimensional boundaries")
-    data = asymptotic_data(fg) if w2 is None else None
-    w2_exact = data.w2_exact if data is not None else None
-    w2v = float(data.w2 if data is not None else w2)
+    data = asymptotic_data(fg)
+    w2 = float(data.w2)
 
     best = None
     for n in COLLOCATION_NODES:
-        c = _collocate(fg, w2v, n)
+        c = _collocate(fg, w2, n)
         tail = _coefficient_tail(c, fg.s_max)
         if best is None or tail < best[1]:
             best = (c, tail)
-        if tail <= tol:
+        if tail <= TAIL_TOL:
             break
     c, tail = best
     if not tail <= TAIL_LIMIT:
@@ -366,7 +366,7 @@ def solve_eigenfunction(fg: FGMetric, tol: float = 1e-11,
         )
 
     sol = EigenfunctionSolution(
-        fg=fg, w2=w2v, w2_exact=w2_exact, s_lo=S_LO, s_hi=fg.s_max,
+        fg=fg, w2=w2, w2_exact=data.w2_exact, s_lo=S_LO, s_hi=fg.s_max,
         mesh_size=c.size, coefficient_tail=tail, collocation_residual=0.0,
         u_min=0.0, coefficients=c,
     )

@@ -52,8 +52,15 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # boundary geometries (closed 3-manifolds)
 
+def _number(value, name):
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ModelParameterError(f"{name} must be a number, got {value!r}") from None
+
+
 def _positive(value, name):
-    value = float(value)
+    value = _number(value, name)
     if not np.isfinite(value) or value <= 0:
         raise ModelParameterError(f"{name} must be positive, got {value}")
     return value
@@ -335,7 +342,7 @@ def perturbed_hyperbolic(amplitude: float = 0.05) -> FGMetric:
     the tip location are untouched, but the interior fails the Einstein
     equation for A != 0.
     """
-    amp = float(amplitude)
+    amp = _number(amplitude, "amplitude")
     if not np.isfinite(amp) or abs(amp) > 1.0:
         raise ModelParameterError(f"amplitude must lie in [-1, 1], got {amp}")
     boundary = round_sphere_boundary(1.0)
@@ -401,9 +408,11 @@ def exact_reference(name: str, quantity: Optional[str] = None, **params):
     builder = _CLOSED.get(name) or _CCE.get(name)
     if builder is None:
         raise NotAvailable(f"no reference data for model '{name}'")
-    inspect.signature(builder).bind(**params)
+    bound = inspect.signature(builder).bind(**params)
+    bound.apply_defaults()
+    args = bound.arguments
     if name == "hyperbolic":
-        lam = _positive(params.get("boundary_radius", 1.0), "boundary_radius")
+        lam = _positive(args["boundary_radius"], "boundary_radius")
         lam2 = lam * lam
         refs = {
             "renormalized_volume": 4 * np.pi**2 / 3,
@@ -419,7 +428,7 @@ def exact_reference(name: str, quantity: Optional[str] = None, **params):
             "weyl_energy": 0.0,
         }
     elif name == "ads_schwarzschild":
-        m = float(params.get("m", 1.0))
+        m = _positive(args["m"], "m")
         rp = horizon_radius(m)
         beta = 4 * np.pi / (2 * rp + 2 * m / rp**2)
         refs = {
@@ -432,9 +441,10 @@ def exact_reference(name: str, quantity: Optional[str] = None, **params):
         }
     elif name == "perturbed_hyperbolic":
         # the bump leaves the ball topology unchanged for every amplitude
-        refs = {"euler": 1}
+        amp = _number(args["amplitude"], "amplitude")
+        refs = {"w2": 0.25 - amp, "euler": 1}
     elif name == "flat_torus":
-        for length in params.get("lengths", ()):
+        for length in args["lengths"]:
             _positive(length, "length")
         refs = {
             "weyl_energy": 0.0,
@@ -443,7 +453,7 @@ def exact_reference(name: str, quantity: Optional[str] = None, **params):
             "signature": 0,
         }
     elif name == "round_sphere":
-        lam = _positive(params.get("radius", 1.0), "radius")
+        lam = _positive(args["radius"], "radius")
         refs = {
             "volume": 8 * np.pi**2 / 3 * lam**4,
             "weyl_energy": 0.0,
@@ -452,8 +462,8 @@ def exact_reference(name: str, quantity: Optional[str] = None, **params):
             "signature": 0,
         }
     elif name == "product_spheres":
-        a = _positive(params.get("a", 1.0), "a")
-        b = _positive(params.get("b", 1.0), "b")
+        a = _positive(args["a"], "a")
+        b = _positive(args["b"], "b")
         vol = 16 * np.pi**2 * a**2 * b**2
         if a == b:
             w2 = 16.0 / (3 * a**4)

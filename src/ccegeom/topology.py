@@ -28,6 +28,7 @@ from .errors import NotAvailable
 
 __all__ = [
     "BALL_VOLUME",
+    "IDENTITY_TOL",
     "Check",
     "compare",
     "check_document",
@@ -48,6 +49,10 @@ BALL_VOLUME = 4.0 * np.pi**2 / 3.0
 
 #: default absolute tolerance separating pass/fail from "boundary"
 COMPARISON_TOL = 1e-9
+
+#: largest relative defect of 8 pi^2 chi = (1/4) int |W|^2 + 6V that
+#: still lets the report draw conclusions; the analyze gate reads it too
+IDENTITY_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -257,14 +262,13 @@ class TopologyReport:
 def build_topology_report(chi: int, volume: float, yamabe_positive: bool,
                           double_suite=None,
                           identity_residual: Optional[float] = None,
-                          identity_tol: float = 1e-3,
                           tol: float = COMPARISON_TOL) -> TopologyReport:
     """Assemble the full decision report from computed invariants.
 
     identity_residual is the relative defect of
     8 pi^2 chi = (1/4) int |W|^2 + 6V measured upstream; when it is
-    supplied and too large the numbers feeding the inequalities cannot
-    all be right, so conclusions are withheld.
+    supplied and above IDENTITY_TOL the numbers feeding the inequalities
+    cannot all be right, so conclusions are withheld.
     """
     inputs = {
         "chi": int(chi),
@@ -299,11 +303,11 @@ def build_topology_report(chi: int, volume: float, yamabe_positive: bool,
         consistent = False
         notes.append("volume exceeds the universal upper bound: inputs "
                      "inconsistent, conclusions withheld")
-    if identity_residual is not None and identity_residual > identity_tol:
+    if identity_residual is not None and identity_residual > IDENTITY_TOL:
         consistent = False
         notes.append(
             f"volume identity residual {identity_residual:.3e} exceeds "
-            f"{identity_tol:.1e}: chi, Weyl energy and V disagree, "
+            f"{IDENTITY_TOL:.1e}: chi, Weyl energy and V disagree, "
             "conclusions withheld"
         )
     if not consistent:

@@ -31,7 +31,6 @@ __all__ = [
     "sublevel_volume",
     "fit_ladder",
     "fit_renormalized_volume",
-    "extend_ladder",
     "write_volume_table",
 ]
 
@@ -169,24 +168,6 @@ def fit_renormalized_volume(fg, ladder=None) -> VolumeFit:
                      fg.boundary.scalar_curvature)
     fit.quadrature_errors = errs
     return fit
-
-
-def extend_ladder(rungs, target: int = 8, ratio: float = 0.7) -> np.ndarray:
-    """Continue a short ladder geometrically until it has target rungs.
-
-    Used by the command-line layer so a handful of user-supplied rungs
-    still meets the regression's conditioning needs; extension uses a
-    fixed ratio so the deepest rung stays well inside double precision.
-    """
-    out = [float(r) for r in rungs]
-    if len(out) < 2 or any(b >= a for a, b in zip(out, out[1:])):
-        if len(out) == 1:
-            out = [out[0]]
-        else:
-            raise DomainError("ladder rungs must be strictly decreasing")
-    while len(out) < target:
-        out.append(out[-1] * ratio)
-    return np.asarray(out)
 
 
 def write_volume_table(fit: VolumeFit, path) -> None:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ccegeom import cli
+from ccegeom import cli, topology
 from ccegeom.errors import NotAvailable, QuadratureTolerance
 
 ARTIFACTS = ("report.txt", "report.json", "integrals.csv",
@@ -108,17 +108,61 @@ def test_exit_code_unknown_model(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
-def test_exit_code_bad_ladder(tmp_path, capsys):
-    assert _run(["volume", "--model", "hyperbolic", "--ladder", "0.1,0.2",
-                 "--out", str(tmp_path)]) == 2
-    assert "configuration error" in capsys.readouterr().err
-    # a document ladder goes through the same extension and checks
+@pytest.mark.parametrize("command", ["analyze", "check", "volume", "curvature"])
+def test_every_subcommand_refuses_a_ladder_flag(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _run([command, "--model", "hyperbolic", "--ladder", "0.2,0.1,0.05"])
+    assert exc.value.code == 2
+    assert "--ladder" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "check", "volume"])
+@pytest.mark.parametrize("extra", [
+    {"numerics": {"ladder": [0.3, 0.21, 0.147]}},
+    {"numerics": {"tol_identity": 1e-3}},
+    {"outputs": {"artifacts": ["report"]}},
+])
+def test_document_with_a_removed_key_is_refused(command, extra, tmp_path, capsys):
+    """A document is not run on defaults it asked to change."""
+    out = tmp_path / "out"
     path = tmp_path / "run.json"
-    for ladder in ([0.1, 0.2, 0.3], [0.3, 0.2, -0.1], [0.3, 0.0]):
-        path.write_text(json.dumps({"model": {"name": "hyperbolic"},
-                                    "numerics": {"ladder": ladder}}))
-        assert _run(["volume", "--config", str(path), "--out", str(tmp_path)]) == 2
-        assert "configuration error" in capsys.readouterr().err
+    path.write_text(json.dumps({"model": {"name": "hyperbolic"}, **extra}))
+    assert _run([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "unknown config keys" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "check"])
+@pytest.mark.parametrize("m", ["abc", [1], None])
+def test_unusable_model_parameter_exits_two(command, m, tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"model": {"name": "ads_schwarzschild", "m": m}}))
+    assert _run([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "Traceback" not in err
+
+
+def test_volume_and_curvature_without_a_directory_only_print(tmp_path, monkeypatch,
+                                                            capsys):
+    monkeypatch.chdir(tmp_path)
+    assert _run(["volume", "--model", "hyperbolic"]) == 0
+    out = capsys.readouterr().out
+    assert any(ln.startswith("V = ") for ln in out.splitlines())
+    assert "artifacts" not in out
+    assert _run(["curvature", "--model", "hyperbolic"]) == 0
+    assert capsys.readouterr().out.startswith("# curvature-packet v1\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_curvature_writes_into_the_document_directory(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"model": {"name": "round_sphere"},
+                                "outputs": {"dir": str(tmp_path / "out")}}))
+    assert _run(["curvature", "--config", str(path)]) == 0
+    assert "artifacts: " in capsys.readouterr().out
+    lines = (tmp_path / "out" / "curvature.csv").read_text().splitlines()
+    assert lines[0] == "# curvature-packet v1"
 
 
 def test_exit_code_injected_defect(tmp_path, capsys):
@@ -201,12 +245,11 @@ def test_report_gates_carry_value_threshold_and_margin(analyze_dir):
         assert gate["ok"] == (gate["verdict"] == "pass")
 
 
-def test_failing_gate_exits_one_with_its_margin(tmp_path, capsys):
+def test_failing_gate_exits_one_with_its_margin(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(topology, "IDENTITY_TOL", 1e-20)
     path = tmp_path / "strict.json"
     path.write_text(json.dumps({"model": {"name": "hyperbolic"},
-                                "numerics": {"tol_identity": 1e-20},
-                                "outputs": {"dir": str(tmp_path / "out"),
-                                            "artifacts": ["report"]}}))
+                                "outputs": {"dir": str(tmp_path / "out")}}))
     assert _run(["analyze", "--config", str(path)]) == 1
     out = capsys.readouterr().out
     assert any(ln.startswith("[FAIL] gauss-bonnet-volume: ")
@@ -222,8 +265,8 @@ def test_check_rejects_unknown_scope(tmp_path, capsys):
 
 
 def test_volume_subcommand_and_ladder_extension(tmp_path, capsys):
-    code = _run(["volume", "--model", "hyperbolic",
-                 "--ladder", "0.2,0.1,0.05", "--out", str(tmp_path)])
+    """The volume table holds one row per rung of the default ladder."""
+    code = _run(["volume", "--model", "hyperbolic", "--out", str(tmp_path)])
     assert code == 0
     out = capsys.readouterr().out
     line = next(ln for ln in out.splitlines() if ln.startswith("V = "))
@@ -231,8 +274,8 @@ def test_volume_subcommand_and_ladder_extension(tmp_path, capsys):
     assert abs(v - 4 * np.pi ** 2 / 3) < 1e-6
     table = (tmp_path / "volumes.csv").read_text().splitlines()
     body = [ln for ln in table if ln and not ln.startswith("#")]
-    # 3 user rungs extended to the default depth of 8
-    assert len(body) - 1 == 8
+    rungs = [float(ln.split(",")[0]) for ln in body[1:]]
+    assert rungs == [0.4, 0.3, 0.22, 0.16, 0.12, 0.09, 0.065, 0.05]
 
 
 def test_volume_rejects_closed_model(tmp_path, capsys):
@@ -244,9 +287,7 @@ def test_volume_rejects_closed_model(tmp_path, capsys):
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = {
         "model": {"name": "ads_schwarzschild", "m": 1.0},
-        "numerics": {"ladder": [0.2, 0.14, 0.098, 0.0686, 0.04802,
-                                0.033614, 0.0235298, 0.01647086]},
-        "outputs": {"dir": str(tmp_path), "artifacts": ["csv-tables"]},
+        "outputs": {"dir": str(tmp_path)},
     }
     path = tmp_path / "run.json"
     path.write_text(json.dumps(cfg))
@@ -263,7 +304,7 @@ def test_config_file_with_flag_override(tmp_path, capsys):
 def test_einstein_perturbed_family_from_config(tmp_path):
     """At amplitude 0 the control family is Einstein and needs its chi."""
     cfg = {"model": {"name": "perturbed_hyperbolic", "amplitude": 0.0},
-           "outputs": {"dir": str(tmp_path), "artifacts": ["report"]}}
+           "outputs": {"dir": str(tmp_path)}}
     path = tmp_path / "run.json"
     path.write_text(json.dumps(cfg))
     assert _run(["analyze", "--config", str(path)]) == 0
@@ -305,15 +346,6 @@ def test_curvature_table(tmp_path):
 
 def _resolve(argv):
     return cli.resolve_config(cli.build_parser().parse_args(argv))
-
-
-def test_document_ladder_is_extended_like_the_flag(tmp_path):
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps({"numerics": {"ladder": [0.3, 0.21, 0.147]}}))
-    doc = _resolve(["analyze", "--config", str(path)])
-    flag = _resolve(["analyze", "--ladder", "0.3,0.21,0.147"])
-    assert doc.ladder == flag.ladder
-    assert len(doc.ladder) == 8
 
 
 def test_check_keeps_the_document_model(tmp_path):

@@ -47,8 +47,8 @@ def test_asymptotic_data_matched_case(perturbed):
     data = ef.asymptotic_data(perturbed)
     assert data.w2_exact is None
     assert data.source == "matched"
-    amp = perturbed.parameters["amplitude"]
-    assert abs(data.w2 - (0.25 - amp)) < 1e-6
+    ref = models.exact_reference("perturbed_hyperbolic", "w2", **perturbed.parameters)
+    assert abs(data.w2 - ref) < 1e-6
 
 
 def test_hyperbolic_solution_closed_form(hyp_solution):
@@ -165,12 +165,6 @@ def test_scalar_lower_bound_over_einstein_models(hyp_checks, ads_checks):
     """min over the grid of the compactified scalar >= 2 * boundary scalar."""
     for rep, rhat in ((hyp_checks, 6.0), (ads_checks, 2.0)):
         assert rep.scalar_min >= 2 * rhat - 1e-4
-
-
-def test_w2_override_reproduces_default(hyperbolic, hyp_solution):
-    sol = ef.solve_eigenfunction(hyperbolic, w2=0.25)
-    s = np.geomspace(0.05, 1.9, 30)
-    assert np.max(np.abs(sol.u(s) - hyp_solution.u(s))) < 1e-10
 
 
 @pytest.mark.parametrize("m", [0.5, 1.0, 2.0])

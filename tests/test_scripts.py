@@ -10,15 +10,12 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("script, args", [
-    ("analyze_models.py", ["--skip-slow"]),
-    ("convergence_study.py", []),
-])
-def test_script_exits_zero(script, args, tmp_path):
+@pytest.mark.parametrize("script", ["convergence_study.py"])
+def test_script_exits_zero(script, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    run = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+    run = subprocess.run([sys.executable, str(ROOT / "scripts" / script)],
                          cwd=tmp_path, env=env, capture_output=True, text=True,
                          timeout=300)
     assert run.returncode == 0, run.stderr

@@ -95,20 +95,10 @@ def test_ladder_validation():
             hyp, ladder=np.asarray([0.3, 0.29999, 0.29998, 0.29997, 0.029997, 0.0299]))
 
 
-def test_extend_ladder():
-    out = vol.extend_ladder((0.3,), target=8, ratio=0.7)
-    assert out.size == 8
-    assert np.allclose(out, 0.3 * 0.7 ** np.arange(8))
-    # already long enough: unchanged
-    kept = vol.extend_ladder((0.4, 0.3, 0.2), target=3)
-    assert np.allclose(kept, [0.4, 0.3, 0.2])
-    # extension continues the trailing value at the given ratio
-    ext = vol.extend_ladder((0.4, 0.2), target=4, ratio=0.5)
-    assert np.allclose(ext, [0.4, 0.2, 0.1, 0.05])
-
-
 def test_short_user_ladder_still_accurate(hyperbolic):
-    rungs = vol.extend_ladder((0.2, 0.1, 0.05), target=8)
+    # three rungs continued geometrically at ratio 0.7 to eight
+    rungs = np.asarray([0.2, 0.1, 0.05, 0.035, 0.0245, 0.01715, 0.012005,
+                        0.0084035])
     fit = vol.fit_renormalized_volume(hyperbolic, ladder=rungs)
     assert abs(fit.V - 4 * np.pi ** 2 / 3) < 1e-6
 
