@@ -41,9 +41,6 @@ from . import models, topology, volume
 from .autodiff import cos, sin
 from .errors import CcegeomError
 from .eigenfunction import (
-    BOCHNER_TOL,
-    SCALAR_SLACK,
-    SECOND_FORM_TOL,
     asymptotic_data,
     compactification_checks,
     compactified_metric_field,
@@ -63,7 +60,7 @@ from .integrals import (
 from .normal_form import FGMetric, fg_document
 from .tensor import (ScalarField, conformal_rescale, curvature, einstein_residual,
                      riemann_symmetry_residuals)
-from .topology import (Check, build_topology_report, check_document, compare,
+from .topology import (Check, build_topology_report, check_document, gate,
                        render_topology_report, topology_document)
 
 __all__ = ["RunConfig", "run_analyze", "run_check", "run_volume",
@@ -155,15 +152,10 @@ def _render_section(lines, key, value, depth=1):
         lines.append(f"{pad}{key} = {value}")
 
 
-def _gate(name: str, value: float, threshold: float, comparison: str = "<") -> Check:
-    """One pipeline gate; a value exactly at its threshold fails."""
-    return compare(name, value, threshold, comparison, tol=0.0)
-
-
-def _gate_line(gate: Check) -> str:
-    return (f"[{'pass' if gate.verdict == 'pass' else 'FAIL'}] {gate.name}: "
-            f"{gate.value:.10g} {gate.comparison} {gate.threshold:.10g} "
-            f"(margin {gate.margin:+.3e})")
+def _gate_line(g: Check) -> str:
+    return (f"[{'pass' if g.verdict == 'pass' else 'FAIL'}] {g.name}: "
+            f"{g.value:.10g} {g.comparison} {g.threshold:.10g} "
+            f"(margin {g.margin:+.3e})")
 
 
 def _render_report(doc: dict, gates: list, topo_text: str = "") -> str:
@@ -250,25 +242,25 @@ def _closed_gates(model):
                    model.field, model.domain, model.orientation)
     plus, minus = combined_formulas(suite, model.euler, model.signature)
     return suite, [
-        _gate("euler-characteristic", abs(suite.euler_gb - model.euler), 1e-4),
-        _gate("signature", abs(suite.signature - model.signature), 1e-4),
-        _gate("combined-formulas", max(abs(plus), abs(minus)), 1e-3),
-        _gate("volume", abs(suite.volume - model.volume),
-              1e-6 * max(1.0, model.volume)),
+        gate("euler-characteristic", abs(suite.euler_gb - model.euler), 1e-4),
+        gate("signature", abs(suite.signature - model.signature), 1e-4),
+        gate("combined-formulas", max(abs(plus), abs(minus)), 1e-3),
+        gate("volume", abs(suite.volume - model.volume),
+             1e-6 * max(1.0, model.volume)),
     ]
 
 
 def _fill_gates(fg: FGMetric) -> list:
     """The boundary limit and the collar's Einstein residual, which a
     non-Einstein fill must show large rather than be certified."""
-    limit = _gate("boundary-limit",
-                  _stage("boundary limit", fg.boundary_limit_residual), 1e-6)
+    limit = gate("boundary-limit",
+                 _stage("boundary limit", fg.boundary_limit_residual), 1e-6)
     pts = radial_section(fg.boundary.default_point)(
         np.geomspace(0.05, 0.9 * fg.s_max, 12))
-    res = np.max(einstein_residual(fg.four_metric(s_floor=0.005), pts))
+    res = np.max(einstein_residual(fg.four_metric(), pts))
     if fg.einstein:
-        return [limit, _gate("einstein-residual", res, 1e-6)]
-    return [limit, _gate("non-einstein-detected", res, 1e-2, ">")]
+        return [limit, gate("einstein-residual", res, 1e-6)]
+    return [limit, gate("non-einstein-detected", res, 1e-2, ">")]
 
 
 def _analyze_closed(cfg: RunConfig, model):
@@ -306,10 +298,9 @@ def _analyze_cce(cfg: RunConfig, fg: FGMetric):
     # pointwise conformal invariant, so this is also the Weyl energy of
     # the compactified metric. The small-s cut costs O(s^3).
     collar = _stage("collar integrals", integrate_curvature,
-                    fg.four_metric(s_floor=0.005), fg_radial_domain(fg, s_lo=0.01))
+                    fg.four_metric(), fg_radial_domain(fg))
     compact = _stage("compactified integrals", integrate_curvature,
-                     compactified_metric_field(sol, s_floor=1e-4),
-                     compactified_radial_domain(sol, s_lo=0.0))
+                     compactified_metric_field(sol), compactified_radial_domain(sol))
 
     if fit is not None:
         volume_doc = {
@@ -351,12 +342,7 @@ def _analyze_cce(cfg: RunConfig, fg: FGMetric):
         },
     }
 
-    gates += [
-        _gate("eigenfunction-positive", checks.u_min, 0.0, ">"),
-        _gate("scalar-lower-bound", checks.scalar_gap, -SCALAR_SLACK, ">="),
-        _gate("totally-geodesic-boundary", checks.second_form_linear,
-              SECOND_FORM_TOL),
-    ]
+    gates += checks.gates
 
     topo_text = ""
     if fg.einstein:
@@ -370,10 +356,7 @@ def _analyze_cce(cfg: RunConfig, fg: FGMetric):
             "gauss_bonnet_volume_relative": rel,
             "sigma2_volume_bridge": bridge,
         })
-        gates += [
-            _gate("bochner-identity", checks.bochner_sup, BOCHNER_TOL),
-            _gate("gauss-bonnet-volume", rel, topology.IDENTITY_TOL),
-        ]
+        gates.append(gate("gauss-bonnet-volume", rel, topology.IDENTITY_TOL))
         topo = _stage("topology report", build_topology_report,
                       chi, fit.V, fg.yamabe_positive,
                       double_suite=doubled_suite(compact),
@@ -381,8 +364,6 @@ def _analyze_cce(cfg: RunConfig, fg: FGMetric):
         doc["topology"] = topology_document(topo)
         topo_text = render_topology_report(topo)
     else:
-        # negative control: a non-Einstein fill must trip the Bochner flag
-        gates.append(_gate("bochner-flag-trips", checks.bochner_sup, BOCHNER_TOL, ">="))
         doc["identities"]["note"] = (
             "model is not Einstein; volume identity and decision criteria "
             "are not applicable")
@@ -405,8 +386,8 @@ def run_analyze(cfg: RunConfig, args=None) -> int:
     except _StageFailure as exc:
         print(f"analyze failed on model '{cfg.model}' at {exc}", file=sys.stderr)
         return 1
-    for gate in gates:
-        print(_gate_line(gate))
+    for g in gates:
+        print(_gate_line(g))
     print("artifacts: " + ", ".join(written))
     if topo_text:
         print(topo_text)
@@ -464,13 +445,13 @@ def run_check(cfg: RunConfig, args=None) -> int:
 
     gates = []
     try:
-        for gate in _check_gates(cfg, scope, inject):
-            print(_gate_line(gate))
-            gates.append(gate)
+        for g in _check_gates(cfg, scope, inject):
+            print(_gate_line(g))
+            gates.append(g)
     except _StageFailure as exc:
         print(f"check failed at {exc}", file=sys.stderr)
         return 1
-    bad = [gate.name for gate in gates if gate.verdict != "pass"]
+    bad = [g.name for g in gates if g.verdict != "pass"]
     print(f"{len(gates) - len(bad)}/{len(gates)} checks passed"
           + (f"; failing: {', '.join(bad)}" if bad else ""))
     return 1 if bad else 0
@@ -487,8 +468,8 @@ def _check_gates(cfg: RunConfig, scope: list, inject: bool):
             suite, gates = _check_closed(model, inject)
             if name == "product_spheres":
                 spheres = model, suite
-        for gate in gates:
-            yield replace(gate, name=f"{gate.name} {name}")
+        for g in gates:
+            yield replace(g, name=f"{g.name} {name}")
     if spheres is not None:
         yield from _check_conformal_invariance(*spheres)
 
@@ -500,15 +481,15 @@ def _check_closed(model, inject):
         riem[..., 0, 1, 0, 1] *= -1.0
     worst = max(riemann_symmetry_residuals(riem).values())
     suite, gates = _closed_gates(model)
-    return suite, [_gate("bianchi-symmetries", worst, 1e-9)] + gates
+    return suite, [gate("bianchi-symmetries", worst, 1e-9)] + gates
 
 
 def _check_cce(name, fg):
     gates = _fill_gates(fg)
     if not fg.einstein:
         w2 = models.exact_reference(name, "w2", **fg.parameters)
-        gates.append(_gate("matched-asymptotics",
-                           abs(asymptotic_data(fg).w2 - w2), 1e-6))
+        gates.append(gate("matched-asymptotics",
+                          abs(asymptotic_data(fg).w2 - w2), 1e-6))
     if name == "hyperbolic":
         ref = models.exact_reference(name, **fg.parameters)
         sol = solve_eigenfunction(fg)
@@ -516,11 +497,11 @@ def _check_cce(name, fg):
         checks = compactification_checks(sol)
         scalar = ref["compactified_scalar"]
         gates += [
-            _gate("eigenfunction-exactness",
-                  np.max(np.abs(sol.u(grid) - ref["eigenfunction"](grid))), 1e-8),
-            _gate("bochner-identity", checks.bochner_sup, BOCHNER_TOL),
-            _gate("compactified-scalar", max(abs(checks.scalar_boundary - scalar),
-                                             abs(checks.scalar_min - scalar)), 1e-5),
+            gate("eigenfunction-exactness",
+                 np.max(np.abs(sol.u(grid) - ref["eigenfunction"](grid))), 1e-8),
+            *checks.gates,
+            gate("compactified-scalar", max(abs(checks.scalar_boundary - scalar),
+                                            abs(checks.scalar_min - scalar)), 1e-5),
         ]
     return gates
 
@@ -535,8 +516,8 @@ def _check_conformal_invariance(model, base, count: int = 2):
     # and Hirzebruch hold for it with the model's chi and tau
     chi = max(abs(s.euler_gb - model.euler) for s in suites)
     tau = max(abs(s.signature - model.signature) for s in suites)
-    return [_gate("conformal-invariance product_spheres", worst, 1e-6),
-            _gate("conformal-gauss-bonnet product_spheres", max(chi, tau), 1e-4)]
+    return [gate("conformal-invariance product_spheres", worst, 1e-6),
+            gate("conformal-gauss-bonnet product_spheres", max(chi, tau), 1e-4)]
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +529,11 @@ def run_volume(cfg: RunConfig, args=None) -> int:
         raise ConfigError(
             f"'{cfg.model}' is a closed model; the volume fit needs a "
             "conformally compact one")
+    if not fg.einstein:
+        # analyze skips this fit too: the expansion needs an Einstein fill
+        raise ConfigError(
+            f"'{cfg.model}' is not Einstein at these parameters; the volume "
+            "fit needs an Einstein fill")
     try:
         fit = _stage("volume fit", volume.fit_renormalized_volume, fg)
     except _StageFailure as exc:
@@ -571,7 +557,7 @@ def run_volume(cfg: RunConfig, args=None) -> int:
 def run_curvature(cfg: RunConfig, args=None) -> int:
     model = _build_model(cfg)
     if isinstance(model, FGMetric):
-        field_obj = model.four_metric(s_floor=0.005)
+        field_obj = model.four_metric()
         pts = radial_section(model.boundary.default_point)(
             np.geomspace(0.01, 0.95 * model.s_max, 6))
         orientation = 1

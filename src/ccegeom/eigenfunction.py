@@ -8,10 +8,11 @@ u^{-2} g extends across the boundary; the boundary becomes totally
 geodesic, and the scalar curvature of the extension is bounded below by
 its boundary value 2 R(ghat). This module solves the eigenfunction
 equation (reduced along the radial direction for warped-block families),
-builds the compactified metric, and verifies the qualitative properties
+builds the compactified metric, and gates the qualitative properties
 that make the compactification useful: positivity, the scalar lower
-bound, the Bochner identity behind it, and the vanishing second
-fundamental form of the boundary.
+bound, the vanishing second fundamental form of the boundary, and the
+Bochner identity behind the bound (see compactification_checks, which
+decides each gate once).
 
 The radial reduction of the eigenvalue equation is
 
@@ -48,6 +49,7 @@ from .errors import (
 from .integrals import RADIAL_PANELS, RadialDomain, radial_section
 from .normal_form import FGMetric
 from .tensor import MetricField, ScalarField, conformal_rescale
+from .topology import gate
 
 __all__ = [
     "indicial_roots",
@@ -75,7 +77,7 @@ TAIL_TOL = 1e-11
 TAIL_LIMIT = 1e-6
 #: lower end of the diagnostic grids (u_min, scalar scan, Bochner check)
 S_LO = 1e-3
-#: the compactified collar and the Bochner grid stop at s_max - XI_EDGE
+#: the compactified radial domain and the Bochner grid stop at s_max - XI_EDGE
 XI_EDGE = 0.05
 #: largest s of the near-boundary window of asymptotic_residual
 ASYMPTOTIC_CAP = 0.05
@@ -125,7 +127,6 @@ class AsymptoticData:
     w2_exact: Optional[Fraction]
     source: str
     roots: tuple
-    vanishing_orders: tuple = (0,)
 
 
 def asymptotic_data(fg: FGMetric) -> AsymptoticData:
@@ -174,8 +175,8 @@ class EigenfunctionSolution:
     lower end of the diagnostic grids. The series is differentiated
     three times when the solution is built, and jet(s, order) reads u
     and its derivatives off those series, so no pole of L and no finite
-    differencing of the nearly-cancelling 1/s + w2 s enters. u, du, d2u
-    and d3u are its entries one at a time.
+    differencing of the nearly-cancelling 1/s + w2 s enters. u is its
+    first entry alone.
     """
 
     fg: FGMetric
@@ -221,21 +222,10 @@ class EigenfunctionSolution:
             out.append(-6.0 / x**4 + 6.0 * d[0] + 6.0 * x * d[1] + x**2 * d[2])
         return out
 
-    def _derivative(self, s, k: int):
-        out = self.jet(s, k)[k]
-        return float(out[0]) if np.ndim(s) == 0 else out
-
     def u(self, s):
-        return self._derivative(s, 0)
-
-    def du(self, s):
-        return self._derivative(s, 1)
-
-    def d2u(self, s):
-        return self._derivative(s, 2)
-
-    def d3u(self, s):
-        return self._derivative(s, 3)
+        """u at each s; a scalar in gives a float out."""
+        out = self.jet(s, 0)[0]
+        return float(out[0]) if np.ndim(s) == 0 else out
 
     # -- derived quantities ---------------------------------------------------
 
@@ -383,31 +373,27 @@ def solve_eigenfunction(fg: FGMetric) -> EigenfunctionSolution:
 # ---------------------------------------------------------------------------
 # the compactified metric and its checks
 
-def compactified_metric_field(sol: EigenfunctionSolution,
-                              s_floor: float = 1e-3,
-                              s_ceiling: Optional[float] = None) -> MetricField:
-    """The compactified metric u^{-2} g as a MetricField on the collar chart.
+def compactified_metric_field(sol: EigenfunctionSolution) -> MetricField:
+    """The compactified metric u^{-2} g as a MetricField on the fill's chart.
 
     The conformal factor -log u is a jet expression in s: u and its first
     two derivatives come from one solution jet per batch (the Chebyshev
     series and its derivative series), so the curvature engine sees an
-    analytic metric throughout. The chart stops at s_max - XI_EDGE unless
-    s_ceiling says otherwise.
+    analytic metric throughout. The chart is that of FGMetric.four_metric,
+    0 < s < s_max.
     """
-    ceiling = sol.s_hi - XI_EDGE if s_ceiling is None else float(s_ceiling)
-    base = sol.fg.four_metric(s_floor=s_floor, s_ceiling=ceiling)
+    base = sol.fg.four_metric()
     return conformal_rescale(base, ScalarField.from_function(
         base.chart, lambda s: -log(s.chain(*sol.jet(s.v, 2)))))
 
 
-def compactified_radial_domain(sol: EigenfunctionSolution,
-                               s_lo: float = 0.0) -> RadialDomain:
+def compactified_radial_domain(sol: EigenfunctionSolution) -> RadialDomain:
     """Radial domain carrying the volume measure of u^{-2} g.
 
     The reduced measure is Vol(ghat) (u s)^{-4} D(s); the compactified
-    warp u s tends to 1 at the boundary, so s_lo = 0 is admissible and
-    integrating 1 gives the finite volume of the compactified collar,
-    which stops at s_max - XI_EDGE.
+    warp u s tends to 1 at the boundary, so the domain starts at s = 0
+    and integrating 1 gives the finite volume of the compactified
+    collar, which stops at s_max - XI_EDGE.
     """
     fg = sol.fg
     vol = fg.boundary.volume
@@ -416,7 +402,7 @@ def compactified_radial_domain(sol: EigenfunctionSolution,
         s = np.atleast_1d(np.asarray(s, dtype=float))
         return vol * fg.density(s) / (sol.u(s) * s) ** 4
 
-    return RadialDomain(float(s_lo), sol.s_hi - XI_EDGE, measure,
+    return RadialDomain(0.0, sol.s_hi - XI_EDGE, measure,
                         radial_section(fg.boundary.default_point),
                         panels=RADIAL_PANELS,
                         label=f"{fg.name} compactified collar")
@@ -449,7 +435,7 @@ def _second_form_linear(sol: EigenfunctionSolution) -> float:
 
 @dataclass(frozen=True)
 class CompactificationReport:
-    """Grid verification of the qualitative compactification properties."""
+    """Grid measurements of the compactification and the gates on them."""
 
     name: str
     u_min: float
@@ -460,27 +446,23 @@ class CompactificationReport:
     second_form_linear: float
     collocation_residual: float
     asymptotic_residual: float
-    positive: bool
-    scalar_bounded_below: bool
-    totally_geodesic: bool
-    bochner_identity: bool
-
-    @property
-    def einstein_consistent(self) -> bool:
-        """All four qualitative checks together."""
-        return (self.positive and self.scalar_bounded_below
-                and self.totally_geodesic and self.bochner_identity)
+    #: topology.Check records, in the order of compactification_checks
+    gates: tuple
 
 
 def compactification_checks(sol: EigenfunctionSolution) -> CompactificationReport:
-    """Verify positivity, the scalar bound, Bochner, and umbilicity.
+    """Measure and gate positivity, the scalar bound, umbilicity and Bochner.
 
-    The scalar bound is min 12(u^2 - s^2 u'^2) >= 48 w2 - SCALAR_SLACK
-    (sharp at the boundary for Einstein interiors). The Bochner check
-    evaluates both sides of -Delta(u^2 - |du|^2) = 2 |Hess u - u g|^2
-    from one solution jet; the identity needs Ric = -3g, so its
-    failure is a sensitive non-Einstein detector. Umbilicity is the
-    vanishing linear term of the compactified block warps.
+    The gates, in order: eigenfunction-positive (u_min > 0);
+    scalar-lower-bound (min 12(u^2 - s^2 u'^2) - 48 w2 >= -SCALAR_SLACK,
+    sharp at the boundary for Einstein interiors);
+    totally-geodesic-boundary (the linear term of the compactified block
+    warps below SECOND_FORM_TOL); and the Bochner identity
+    -Delta(u^2 - |du|^2) = 2 |Hess u - u g|^2, both sides from one
+    solution jet, whose sup defect must stay below BOCHNER_TOL on an
+    Einstein fill (bochner-identity) and reach it on any other
+    (bochner-flag-trips): the identity needs Ric = -3g, so its failure
+    is a sensitive non-Einstein detector.
     """
     fg = sol.fg
     s = np.geomspace(sol.s_lo, (sol.s_hi - XI_EDGE) * 0.999, CHECK_GRID)
@@ -502,20 +484,24 @@ def compactification_checks(sol: EigenfunctionSolution) -> CompactificationRepor
     rbar = sol.compactified_scalar(scan)
     scalar_min = float(rbar.min())
     scalar_boundary = sol.boundary_scalar
+    scalar_gap = scalar_min - scalar_boundary
     second_form = _second_form_linear(sol)
+    bochner = ("bochner-identity", "<") if fg.einstein else ("bochner-flag-trips", ">=")
 
     return CompactificationReport(
         name=fg.name,
         u_min=sol.u_min,
         scalar_boundary=scalar_boundary,
         scalar_min=scalar_min,
-        scalar_gap=scalar_min - scalar_boundary,
+        scalar_gap=scalar_gap,
         bochner_sup=bochner_sup,
         second_form_linear=second_form,
         collocation_residual=sol.collocation_residual,
         asymptotic_residual=sol.asymptotic_residual(),
-        positive=sol.u_min > 0.0,
-        scalar_bounded_below=scalar_min >= scalar_boundary - SCALAR_SLACK,
-        totally_geodesic=second_form < SECOND_FORM_TOL,
-        bochner_identity=bochner_sup < BOCHNER_TOL,
+        gates=(
+            gate("eigenfunction-positive", sol.u_min, 0.0, ">"),
+            gate("scalar-lower-bound", scalar_gap, -SCALAR_SLACK, ">="),
+            gate("totally-geodesic-boundary", second_form, SECOND_FORM_TOL),
+            gate(bochner[0], bochner_sup, BOCHNER_TOL, bochner[1]),
+        ),
     )

@@ -19,6 +19,9 @@ and REFINED_ORDER; the refined value is returned and the difference is
 the error estimate. Every estimate is floored at ROUNDOFF eps times
 the integral of the integrand's absolute value (QUADPACK's round-off
 floor), so it never claims more than the rounding of the sum allows.
+The collar of a normal-form fill (fg_radial_domain) starts at the fixed
+COLLAR_S_LO, since its measure Vol(ghat) s^-4 D(s) blows up at s = 0;
+the compactified collar of the eigenfunction module starts at 0.
 
 The integrated quantities feed two index formulas, stated here in the
 tensor-norm convention |W|^2 = W_{ijkl} W^{ijkl}:
@@ -65,6 +68,9 @@ ROUNDOFF = 50.0
 CHUNK = 2048
 #: panels of the radial collar domains
 RADIAL_PANELS = 12
+#: lower end of fg_radial_domain: the collar's Weyl energy drops the
+#: part below it, which is O(COLLAR_S_LO^3)
+COLLAR_S_LO = 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -116,13 +122,14 @@ def radial_section(boundary_point) -> Callable:
     return section
 
 
-def fg_radial_domain(fg, s_lo: float) -> RadialDomain:
+def fg_radial_domain(fg) -> RadialDomain:
     """Radial domain for a normal-form family, with its hyperbolic measure.
 
     The reduced measure of s^{-2}(ds^2 + g_s) is Vol(ghat) s^{-4} D(s),
-    so integrals over the domain are truncated-collar integrals of the
-    conformally compact metric itself. fg needs the warped-block layout
-    (density and a reconstructable 4-metric).
+    so integrals over the domain, which runs from COLLAR_S_LO to s_max,
+    are truncated-collar integrals of the conformally compact metric
+    itself. fg needs the warped-block layout (density and a
+    reconstructable 4-metric).
     """
     vol = fg.boundary.volume
 
@@ -130,7 +137,7 @@ def fg_radial_domain(fg, s_lo: float) -> RadialDomain:
         s = np.atleast_1d(np.asarray(s, dtype=float))
         return vol * s**-4.0 * fg.density(s)
 
-    return RadialDomain(float(s_lo), fg.s_max, measure,
+    return RadialDomain(COLLAR_S_LO, fg.s_max, measure,
                         radial_section(fg.boundary.default_point),
                         panels=RADIAL_PANELS, label=f"{fg.name} collar")
 

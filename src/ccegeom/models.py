@@ -54,6 +54,8 @@ __all__ = [
 
 def _number(value, name):
     try:
+        if isinstance(value, bool):  # float() would read true as 1.0
+            raise TypeError
         return float(value)
     except (TypeError, ValueError):
         raise ModelParameterError(f"{name} must be a number, got {value!r}") from None
@@ -153,7 +155,6 @@ class ClosedModel:
     einstein: bool
     yamabe_positive: bool
     orientation: int = 1
-    notes: str = ""
 
 
 def _closed(label, names, his, g, periodic, **data) -> ClosedModel:
@@ -199,7 +200,6 @@ def flat_torus4(lengths=(2 * np.pi,) * 4) -> ClosedModel:
         volume=float(np.prod(lengths)),
         einstein=True,
         yamabe_positive=False,
-        notes="scalar-flat; every curvature integral vanishes",
     )
 
 
@@ -253,8 +253,8 @@ def fubini_study() -> ClosedModel:
         volume=np.pi**2 / 2,
         einstein=True,
         yamabe_positive=True,
+        # self-dual in the complex orientation, -1 in this chart order
         orientation=-1,
-        notes="self-dual in the complex orientation (-1 in this chart order)",
     )
 
 

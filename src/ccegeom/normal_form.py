@@ -48,8 +48,6 @@ __all__ = [
     "extract_expansion",
     "normal_form_from_profile",
     "default_ladder",
-    "gs_table_rows",
-    "write_gs_table",
     "fg_document",
 ]
 
@@ -174,21 +172,20 @@ class FGMetric:
 
     # -- reconstruction of the 4-metric ---------------------------------
 
-    def four_metric(self, s_floor: float = 1e-3,
-                    s_ceiling: Optional[float] = None) -> MetricField:
-        """The metric s^{-2}(ds^2 + g_s) as a MetricField on the collar chart.
+    def four_metric(self) -> MetricField:
+        """The metric s^{-2}(ds^2 + g_s) as a MetricField on the fill's chart.
 
-        Its component function of s and the boundary coordinates makes
-        one warp_jets call and one boundary-metric call per batch, so
+        The chart is 0 < s < s_max times the boundary's box. Its
+        component function of s and the boundary coordinates makes one
+        warp_jets call and one boundary-metric call per batch, so
         curvature of the reconstruction is as accurate as the warp data
         itself.
         """
         bf = self.boundary.field
         d = self.n + 1
-        hi = self.s_max if s_ceiling is None else s_ceiling
         chart = Chart(("s",) + tuple(bf.chart.names),
-                      (s_floor,) + tuple(bf.chart.lo),
-                      (hi,) + tuple(bf.chart.hi))
+                      (0.0,) + tuple(bf.chart.lo),
+                      (self.s_max,) + tuple(bf.chart.hi))
 
         def func(s, *x):
             ghat = bf.func(*x)
@@ -647,31 +644,3 @@ def fg_document(fg: FGMetric) -> dict:
         "gauge_residual": fg.gauge_residual,
     }
 
-
-def gs_table_rows(fg: FGMetric, s_values, p=None):
-    """Rows (s, boundary coords..., upper-triangle g_s components)."""
-    if p is None:
-        p = fg.boundary.default_point
-    s_values = np.atleast_1d(np.asarray(s_values, dtype=float))
-    mats = fg.gs(s_values, p)
-    n = fg.n
-    rows = []
-    for s, m in zip(s_values, mats):
-        tri = [float(m[i, j]) for i in range(n) for j in range(i, n)]
-        rows.append([float(s)] + [float(c) for c in p] + tri)
-    return rows
-
-
-def write_gs_table(fg: FGMetric, s_values, path, p=None):
-    import csv
-
-    if p is None:
-        p = fg.boundary.default_point
-    n = fg.n
-    names = fg.boundary.field.chart.names
-    header = ["s"] + list(names) + [f"g_{i}{j}" for i in range(n) for j in range(i, n)]
-    with open(path, "w", newline="") as fh:
-        fh.write("# gs-table v1\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(gs_table_rows(fg, s_values, p))

@@ -31,13 +31,13 @@ __all__ = [
     "IDENTITY_TOL",
     "Check",
     "compare",
+    "gate",
     "check_document",
     "volume_upper_bound",
     "finite_cover_ball_criterion",
     "diffeomorphism_ball_criterion",
     "homology_vanishing_criteria",
     "feasible_betti_parameters",
-    "pointwise_pinching_margin",
     "TopologyReport",
     "build_topology_report",
     "render_topology_report",
@@ -95,6 +95,12 @@ def compare(name: str, value: float, threshold: float, comparison: str,
     else:
         raise ValueError(f"unknown comparison {comparison!r}")
     return Check(name, value, threshold, comparison, margin, verdict, note)
+
+
+def gate(name: str, value: float, threshold: float, comparison: str = "<") -> Check:
+    """One pipeline gate: compare with no boundary band, so a value
+    exactly at its threshold fails."""
+    return compare(name, value, threshold, comparison, tol=0.0)
 
 
 def _require_yamabe(yamabe_positive: bool):
@@ -227,19 +233,6 @@ def feasible_betti_parameters(k_max: int = 100) -> set:
         if 2 * chi + 3 * tau > (2.0 / 3.0) * chi:
             feasible.add(k)
     return feasible
-
-
-def pointwise_pinching_margin(sigma2, weyl_sq) -> float:
-    """min(sigma2 - |W|^2/4) over curvature samples, informational.
-
-    Positive margin is the pointwise pinching that feeds the sphere
-    recognition on the double; it is reported, never used as a gate.
-    """
-    sigma2 = np.asarray(sigma2, dtype=float)
-    weyl_sq = np.asarray(weyl_sq, dtype=float)
-    if sigma2.shape != weyl_sq.shape:
-        raise ValueError("sigma2 and weyl_sq sample arrays must align")
-    return float(np.min(sigma2 - 0.25 * weyl_sq))
 
 
 @dataclass(frozen=True)

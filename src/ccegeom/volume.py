@@ -103,8 +103,6 @@ def fit_ladder(epsilons, volumes, boundary_volume: float,
     vols = np.asarray(volumes, dtype=float)
     if eps.ndim != 1 or eps.size != vols.size:
         raise DomainError("epsilons and volumes must be 1-d and equal length")
-    if eps.size < 5:
-        raise DomainError("ladder needs at least 5 rungs")
     if np.any(np.diff(eps) >= 0):
         raise DomainError("ladder must be strictly decreasing")
     if (eps[0] / eps[-1]) ** 3 < 10.0:

@@ -45,8 +45,8 @@ def test_criterion_01_renormalized_volume():
 
 
 def test_criterion_02_gauss_bonnet_volume_identity(hyperbolic, hyp_fit):
-    suite = ig.integrate_curvature(hyperbolic.four_metric(s_floor=0.005),
-                                   ig.fg_radial_domain(hyperbolic, s_lo=0.01))
+    suite = ig.integrate_curvature(hyperbolic.four_metric(),
+                                   ig.fg_radial_domain(hyperbolic))
     residual = abs(ig.gauss_bonnet_volume_residual(
         1, suite.weyl_energy, hyp_fit.V))
     ok = residual < 1e-5
@@ -80,8 +80,8 @@ def test_criterion_04_scalar_lower_bound(hyp_checks, ads_checks):
 def test_criterion_05_ads_gauss_bonnet():
     t0 = time.perf_counter()
     ads = models.ads_schwarzschild(m=1.0)
-    suite = ig.integrate_curvature(ads.four_metric(s_floor=5e-3),
-                                   ig.fg_radial_domain(ads, s_lo=0.01))
+    suite = ig.integrate_curvature(ads.four_metric(),
+                                   ig.fg_radial_domain(ads))
     fit = vol.fit_renormalized_volume(
         ads, ladder=np.asarray([0.3 * 0.78 ** k for k in range(12)]))
     chi = 2
@@ -188,10 +188,12 @@ def test_criterion_10_ball_criteria(rng, hyp_fit):
 def test_criterion_11_negative_controls(perturbed, pert_checks, tmp_path):
     pts = _radial_points(perturbed, np.geomspace(0.2, 1.6, 8))
     res = float(np.max(einstein_residual(
-        perturbed.four_metric(s_floor=0.05), pts)))
+        perturbed.four_metric(), pts)))
     code = cli.main(["check", "--model", "round_sphere", "--inject-defect",
                      "--out", str(tmp_path)])
-    ok = (res > 1e-2 and not pert_checks.bochner_identity
+    flag = next(g for g in pert_checks.gates if g.name == "bochner-flag-trips")
+    ok = (res > 1e-2 and flag.verdict == "pass"
+          and flag.threshold == ef.BOCHNER_TOL
           and pert_checks.bochner_sup > 0.1 and code == 1)
     _report(11, "negative-controls", ok,
             f"einstein residual = {res:.3f}, "

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from ccegeom import cli, topology
+from ccegeom import cli, models, topology
+from ccegeom.eigenfunction import compactification_checks, solve_eigenfunction
 from ccegeom.errors import NotAvailable, QuadratureTolerance
 
 ARTIFACTS = ("report.txt", "report.json", "integrals.csv",
@@ -98,7 +99,7 @@ def test_eigen_grid_rows_equal_scalar_queries(analyze_dir, hyp_solution):
     assert len(lines) == 96
     for line in lines:
         s = float(line.split(",")[0])
-        want = [s, sol.u(s), sol.du(s), sol.compactified_scalar(s)]
+        want = [s, sol.u(s), sol.jet(s, 1)[1][0], sol.compactified_scalar(s)]
         assert line == ",".join(f"{x:.17g}" for x in want)
 
 
@@ -134,7 +135,7 @@ def test_document_with_a_removed_key_is_refused(command, extra, tmp_path, capsys
 
 
 @pytest.mark.parametrize("command", ["analyze", "check"])
-@pytest.mark.parametrize("m", ["abc", [1], None])
+@pytest.mark.parametrize("m", ["abc", [1], None, True])
 def test_unusable_model_parameter_exits_two(command, m, tmp_path, capsys):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"model": {"name": "ads_schwarzschild", "m": m}}))
@@ -193,7 +194,7 @@ def test_check_builds_the_named_model_with_its_parameters(tmp_path, capsys):
                                           "boundary_radius": 1.3}}))
     assert _run(["check", "--config", str(path)]) == 0
     out = capsys.readouterr().out
-    assert "5/5 checks passed" in out
+    assert "8/8 checks passed" in out
     assert "[pass] compactified-scalar hyperbolic" in out
     # parameters without a model name would apply to every model
     assert _run(["check", "--m", "2"]) == 2
@@ -282,6 +283,30 @@ def test_volume_rejects_closed_model(tmp_path, capsys):
     assert _run(["volume", "--model", "round_sphere",
                  "--out", str(tmp_path)]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_volume_rejects_a_non_einstein_fill(tmp_path, capsys):
+    """As analyze does, volume does not fit the Einstein expansion to
+    the non-Einstein control; it refuses the model instead."""
+    assert _run(["volume", "--model", "perturbed_hyperbolic",
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", ["hyperbolic", "perturbed_hyperbolic"])
+def test_report_carries_the_compactification_gates(name, tmp_path):
+    """analyze writes the stage's own gates, not a second decision."""
+    assert _run(["analyze", "--model", name, "--out", str(tmp_path)]) == 0
+    gates = json.loads((tmp_path / "report.json").read_text())["gates"]
+    sol = solve_eigenfunction(models.build(name))
+    want = [(g.name, g.value, g.threshold, g.comparison)
+            for g in compactification_checks(sol).gates]
+    names = [w[0] for w in want]
+    got = [(g["name"], g["value"], g["threshold"], g["comparison"])
+           for g in gates if g["name"] in names]
+    assert got == want and len(want) == 4
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

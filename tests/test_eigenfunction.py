@@ -55,11 +55,12 @@ def test_hyperbolic_solution_closed_form(hyp_solution):
     """u = 1/s + s/4 exactly; derivative errors gated relative to size."""
     sol = hyp_solution
     s = np.geomspace(sol.s_lo, sol.s_hi, 400)
-    assert np.max(np.abs(sol.u(s) - (1 / s + s / 4))) < 1e-8
-    assert np.max(np.abs(sol.du(s) - (-1 / s ** 2 + 0.25))) < 1e-8
+    u, du, d2u, d3u = sol.jet(s, 3)
+    assert np.max(np.abs(u - (1 / s + s / 4))) < 1e-8
+    assert np.max(np.abs(du - (-1 / s ** 2 + 0.25))) < 1e-8
     d2, d3 = 2 / s ** 3, -6 / s ** 4
-    assert np.max(np.abs((sol.d2u(s) - d2) / d2)) < 1e-6
-    assert np.max(np.abs((sol.d3u(s) - d3) / d3)) < 1e-4
+    assert np.max(np.abs((d2u - d2) / d2)) < 1e-6
+    assert np.max(np.abs((d3u - d3) / d3)) < 1e-4
     # on the whole fill (0, 2] the minimum of 1/s + s/4 is u(2) = 1 exactly
     assert sol.u_min == pytest.approx(1.0, abs=1e-12)
     assert sol.collocation_residual < 1e-9
@@ -70,17 +71,18 @@ def test_hyperbolic_solution_closed_form(hyp_solution):
 
 
 def test_jet_matches_accessors_bitwise(ads_solution):
-    """jet(s, 3) is (u, du, d2u, d3u); array queries equal scalar ones
-    bitwise, and a scalar query gives a float."""
+    """Entry k of jet(s, 3) equals entry k of jet(s, k), array queries
+    equal scalar ones bitwise, and u of a scalar gives a float."""
     sol = ads_solution
     s = np.geomspace(sol.s_lo, sol.s_hi, 37)
     jet = sol.jet(s, 3)
-    accessors = (sol.u, sol.du, sol.d2u, sol.d3u)
-    for k, (got, read) in enumerate(zip(jet, accessors)):
-        assert np.array_equal(got, read(s))
+    assert np.array_equal(jet[0], sol.u(s))
+    scalars = [sol.u(float(x)) for x in s]
+    assert all(type(v) is float for v in scalars)
+    assert np.array_equal(np.asarray(scalars), jet[0])
+    for k, got in enumerate(jet):
         assert np.array_equal(sol.jet(s, k)[k], got)
-        scalars = [read(float(x)) for x in s]
-        assert all(type(v) is float for v in scalars)
+        scalars = [sol.jet(float(x), k)[k][0] for x in s]
         assert np.array_equal(np.asarray(scalars), got)
     assert type(sol.compactified_scalar(float(s[3]))) is float
     assert sol.compactified_scalar(float(s[3])) == sol.compactified_scalar(s)[3]
@@ -103,7 +105,7 @@ def test_compactified_scalar_is_constant(hyp_solution):
 def test_compactified_metric_engine_cross_check(hyp_solution):
     """Feed ubar^2 g back through the curvature engine: the compactified
     metric must be the round sphere slice metric, Ric = 3 gbar."""
-    mbar = ef.compactified_metric_field(hyp_solution, s_floor=0.05, s_ceiling=1.2)
+    mbar = ef.compactified_metric_field(hyp_solution)
     pts = np.column_stack([np.linspace(0.08, 1.1, 7), np.full(7, 0.7),
                            np.full(7, 0.9), np.full(7, 1.1)])
     pack = curvature(mbar, pts)
@@ -113,7 +115,8 @@ def test_compactified_metric_engine_cross_check(hyp_solution):
 
 
 def test_collar_volume_through_compactified_domain(hyp_solution):
-    dom = ef.compactified_radial_domain(hyp_solution, s_lo=0.0)
+    dom = ef.compactified_radial_domain(hyp_solution)
+    assert dom.s_lo == 0.0 and dom.s_hi == hyp_solution.s_hi - ef.XI_EDGE
     res = integrate_refined(dom.measure, dom.s_lo, dom.s_hi, panels=12, order=16)
     # the collar stops at s_hi = s_max - xi_edge: a tip cap of ~2e-6 remains
     assert res.value == pytest.approx(4 * np.pi ** 2 / 3, abs=5e-6)
@@ -127,11 +130,17 @@ def test_solution_domain_guards(hyp_solution):
         hyp_solution.u(np.asarray([0.0]))
 
 
+def _verdicts(rep):
+    return {g.name: g.verdict for g in rep.gates}
+
+
+_EINSTEIN_GATES = ("eigenfunction-positive", "scalar-lower-bound",
+                   "totally-geodesic-boundary", "bochner-identity")
+
+
 def test_hyperbolic_report(hyp_checks):
     rep = hyp_checks
-    assert rep.positive and rep.scalar_bounded_below
-    assert rep.totally_geodesic and rep.bochner_identity
-    assert rep.einstein_consistent
+    assert _verdicts(rep) == dict.fromkeys(_EINSTEIN_GATES, "pass")
     assert rep.u_min == pytest.approx(1.0, abs=1e-12)  # u(s_max) = u(2) = 1
     assert rep.scalar_boundary == pytest.approx(12.0)
     assert rep.scalar_gap > -1e-4
@@ -141,7 +150,7 @@ def test_hyperbolic_report(hyp_checks):
 
 def test_ads_report(ads_checks):
     rep = ads_checks
-    assert rep.einstein_consistent
+    assert _verdicts(rep) == dict.fromkeys(_EINSTEIN_GATES, "pass")
     assert rep.scalar_boundary == pytest.approx(4.0)
     # scalar of the compactified metric stays above twice the boundary scalar
     assert rep.scalar_min >= 2 * 2.0 - 1e-4
@@ -151,14 +160,47 @@ def test_ads_report(ads_checks):
 
 
 def test_perturbed_report_flags_bochner_only(pert_checks):
+    """The non-Einstein control keeps the first three gates and trips
+    the Bochner flag instead of certifying the identity."""
     rep = pert_checks
-    assert rep.positive
-    assert rep.scalar_bounded_below
-    assert rep.totally_geodesic
-    assert not rep.bochner_identity
-    assert not rep.einstein_consistent
+    assert _verdicts(rep) == {
+        "eigenfunction-positive": "pass", "scalar-lower-bound": "pass",
+        "totally-geodesic-boundary": "pass", "bochner-flag-trips": "pass"}
+    assert rep.bochner_sup >= ef.BOCHNER_TOL
     assert rep.bochner_sup > 0.1
     assert rep.u_min > 0.0
+
+
+def test_gates_carry_the_report_values_and_module_tolerances(hyp_checks, pert_checks):
+    """Each gate is decided once, on the measured value against its
+    module tolerance, with no boundary band."""
+    for rep in (hyp_checks, pert_checks):
+        gates = {g.name: g for g in rep.gates}
+        assert list(gates)[:3] == list(_EINSTEIN_GATES[:3])
+        expect = {
+            "eigenfunction-positive": (rep.u_min, 0.0, ">"),
+            "scalar-lower-bound": (rep.scalar_gap, -ef.SCALAR_SLACK, ">="),
+            "totally-geodesic-boundary": (rep.second_form_linear,
+                                          ef.SECOND_FORM_TOL, "<"),
+        }
+        bochner = list(gates)[3]
+        expect[bochner] = (rep.bochner_sup, ef.BOCHNER_TOL,
+                           "<" if bochner == "bochner-identity" else ">=")
+        for name, (value, threshold, comparison) in expect.items():
+            g = gates[name]
+            assert (g.value, g.threshold, g.comparison) == (value, threshold, comparison)
+            assert g.margin == value - threshold
+    assert [g.name for g in hyp_checks.gates][3] == "bochner-identity"
+    assert [g.name for g in pert_checks.gates][3] == "bochner-flag-trips"
+
+
+def test_charts_span_the_whole_fill(hyperbolic, ads, hyp_solution, ads_solution):
+    """The normal-form and compactified metrics live on 0 < s < s_max."""
+    for fg, sol in ((hyperbolic, hyp_solution), (ads, ads_solution)):
+        for field in (fg.four_metric(), ef.compactified_metric_field(sol)):
+            assert (field.chart.lo[0], field.chart.hi[0]) == (0.0, fg.s_max)
+            assert field.chart.lo[1:] == fg.boundary.field.chart.lo
+            assert field.chart.hi[1:] == fg.boundary.field.chart.hi
 
 
 def test_scalar_lower_bound_over_einstein_models(hyp_checks, ads_checks):
@@ -185,7 +227,8 @@ def test_ads_solution_on_the_whole_fill(m):
     scan = np.geomspace(ef.S_LO, sm, 4000)
     assert np.min(sol.compactified_scalar(scan)) >= sol.boundary_scalar - ef.SCALAR_SLACK
     rep = ef.compactification_checks(sol)
-    assert rep.scalar_bounded_below and rep.u_min == sol.u_min
+    assert _verdicts(rep)["scalar-lower-bound"] == "pass"
+    assert rep.u_min == sol.u_min
     assert sol.equation_residual() <= 1e-8  # between the collocation points
     assert sol.collocation_residual == sol.equation_residual()
     with pytest.raises(DomainError, match="does not extend"):

@@ -109,8 +109,8 @@ def test_weyl_energy_is_conformally_invariant(product_suite, rng):
 
 def test_sigma2_bridge_on_compactified_collar(hyp_solution, hyp_fit):
     """int sigma2 over the compactified collar approaches 6 V."""
-    mbar = compactified_metric_field(hyp_solution, s_floor=1e-4)
-    dom = compactified_radial_domain(hyp_solution, s_lo=0.0)
+    mbar = compactified_metric_field(hyp_solution)
+    dom = compactified_radial_domain(hyp_solution)
     suite = ig.integrate_curvature(mbar, dom)
     res = ig.sigma2_volume_bridge(suite.sigma2_integral, hyp_fit.V)
     # the collar misses a tip cap of order 1e-5 in sigma2 units
@@ -121,11 +121,12 @@ def test_sigma2_bridge_on_compactified_collar(hyp_solution, hyp_fit):
 
 
 def test_radial_domain_volume_matches_sublevel(hyperbolic):
-    dom = ig.fg_radial_domain(hyperbolic, s_lo=0.01)
+    dom = ig.fg_radial_domain(hyperbolic)
+    assert dom.s_lo == ig.COLLAR_S_LO
     out = integrate_refined(dom.measure, dom.s_lo, dom.s_hi,
                             panels=geometric_panels(dom.s_lo, dom.s_hi, ratio=1.5),
                             order=16)
-    ref, _ = vol.sublevel_volume(hyperbolic, 0.01)
+    ref, _ = vol.sublevel_volume(hyperbolic, ig.COLLAR_S_LO)
     assert out.value == pytest.approx(ref, rel=1e-12)
 
 
@@ -160,7 +161,7 @@ def test_cyclic_axes_recorded(hyperbolic, conformal_fubini_study):
     sph = models.build("product_spheres").field
     w = ScalarField.from_function(sph.chart, lambda t: 0.1 * cos(t))
     assert conformal_rescale(sph, w).cyclic_axes == (1, 3)
-    assert hyperbolic.four_metric(s_floor=0.02).cyclic_axes == (3,)
+    assert hyperbolic.four_metric().cyclic_axes == (3,)
     assert conformal_fubini_study.cyclic_axes == (2,)
 
 
@@ -250,8 +251,8 @@ def test_error_estimates_floor_at_roundoff(torus_suite, hyperbolic):
         floor * suite.volume, rel=1e-14)
     assert suite.error_estimates["weyl_energy"] == 0.0
     # a radial domain reports at least the floor of its refined pass
-    out = ig.integrate_curvature(hyperbolic.four_metric(s_floor=0.005),
-                                 ig.fg_radial_domain(hyperbolic, s_lo=0.01))
+    out = ig.integrate_curvature(hyperbolic.four_metric(),
+                                 ig.fg_radial_domain(hyperbolic))
     for key in ig._FIELDS:
         assert out.error_estimates[key] >= floor * abs(getattr(out, key))
 

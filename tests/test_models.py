@@ -51,14 +51,14 @@ def test_closed_model_metadata():
 
 def test_einstein_models_have_tiny_residual(hyperbolic, ads):
     pts = _radial_points(hyperbolic, np.linspace(0.1, 1.6, 6))
-    assert np.max(einstein_residual(hyperbolic.four_metric(s_floor=0.05), pts)) < 1e-9
+    assert np.max(einstein_residual(hyperbolic.four_metric(), pts)) < 1e-9
     pts = _radial_points(ads, np.linspace(0.1, 0.9 * ads.s_max, 6))
-    assert np.max(einstein_residual(ads.four_metric(s_floor=0.05), pts)) < 1e-9
+    assert np.max(einstein_residual(ads.four_metric(), pts)) < 1e-9
 
 
 def test_perturbed_model_is_not_einstein(perturbed):
     pts = _radial_points(perturbed, np.linspace(0.2, 1.4, 6))
-    res = einstein_residual(perturbed.four_metric(s_floor=0.05), pts)
+    res = einstein_residual(perturbed.four_metric(), pts)
     assert np.max(res) > 1e-1
     assert not perturbed.einstein
     assert perturbed.parameters == {"amplitude": 0.05}

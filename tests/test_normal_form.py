@@ -1,6 +1,5 @@
 """Geodesic normal form: expansion fits, radial profiles, documents."""
 
-import csv
 from types import SimpleNamespace
 
 import numpy as np
@@ -169,27 +168,13 @@ def test_boundary_limit_residual(hyperbolic, ads, perturbed):
     assert models.build("ads_schwarzschild", m=3.0).boundary_limit_residual() < 1e-6
 
 
-def test_fg_document_and_gs_table(hyperbolic, tmp_path):
+def test_fg_document(hyperbolic):
     doc = nf.fg_document(hyperbolic)
     assert doc["family"] == "hyperbolic"
     assert doc["n"] == 3
     assert doc["einstein"] is True
     assert doc["yamabe_positive"] is True
     assert doc["boundary"]["scalar_curvature"] == pytest.approx(6.0)
-    svals = [0.4, 0.2, 0.1]
-    rows = nf.gs_table_rows(hyperbolic, svals)
-    assert len(rows) == 3
-    assert rows[0][0] == 0.4
-    assert len(rows[0]) == 1 + 3 + 6  # s, coords, upper triangle
-    path = tmp_path / "gs.csv"
-    nf.write_gs_table(hyperbolic, svals, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# gs-table v1"
-    reader = csv.reader(lines[1:])
-    header = next(reader)
-    assert header[0] == "s" and header[-1] == "g_22"
-    data = [[float(x) for x in row] for row in reader]
-    assert np.allclose(np.asarray(data), np.asarray(rows))
 
 
 def test_one_radial_inversion_per_point(ads, monkeypatch):

@@ -245,9 +245,9 @@ def _conformal_product_spheres():
 _COMPOSED = {
     "conformal-product-spheres": lambda fixture: _conformal_product_spheres(),
     "conformal-fubini-study": lambda fixture: fixture("conformal_fubini_study"),
-    "normal-form-hyperbolic": lambda fixture: fixture("hyperbolic").four_metric(s_floor=0.05),
-    "normal-form-perturbed": lambda fixture: fixture("perturbed").four_metric(s_floor=0.05),
-    "normal-form-ads": lambda fixture: fixture("ads").four_metric(s_floor=0.05),
+    "normal-form-hyperbolic": lambda fixture: fixture("hyperbolic").four_metric(),
+    "normal-form-perturbed": lambda fixture: fixture("perturbed").four_metric(),
+    "normal-form-ads": lambda fixture: fixture("ads").four_metric(),
     "compactified-hyperbolic": lambda fixture: compactified_metric_field(
         fixture("hyp_solution")),
     "compactified-ads": lambda fixture: compactified_metric_field(fixture("ads_solution")),
@@ -266,7 +266,7 @@ def test_composed_jets_agree_with_finite_differences(which, request):
 def test_einstein_residual(hyperbolic):
     pts = np.column_stack([np.linspace(0.1, 1.5, 5),
                            np.full(5, 1.1), np.full(5, 1.2), np.full(5, 2.0)])
-    res = einstein_residual(hyperbolic.four_metric(s_floor=0.05), pts)
+    res = einstein_residual(hyperbolic.four_metric(), pts)
     assert np.max(res) < 1e-9
     # the round sphere has Ric = +3g, nowhere near Ric = -3g
     mdl = models.build("round_sphere")

@@ -126,16 +126,6 @@ def test_feasible_betti_sweep():
     assert expect == {0}
 
 
-def test_pointwise_pinching_margin():
-    margin = tp.pointwise_pinching_margin(
-        np.array([1.0, 2.0]), np.array([0.5, 8.0]))
-    assert margin == pytest.approx(0.0, abs=1e-12)
-    assert tp.pointwise_pinching_margin(np.array([1.0]), np.array([1.0])) \
-        == pytest.approx(0.75)
-    with pytest.raises(ValueError, match="align"):
-        tp.pointwise_pinching_margin(np.ones(3), np.ones(4))
-
-
 def test_full_report_on_hyperbolic_data(hyp_fit, sphere_suite):
     _, sphere = sphere_suite
     rep = tp.build_topology_report(1, hyp_fit.V, True, double_suite=sphere,

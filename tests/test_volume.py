@@ -82,7 +82,7 @@ def test_non_einstein_family_trips_stability_gate(perturbed):
 
 def test_ladder_validation():
     hyp = models.hyperbolic()
-    with pytest.raises(DomainError, match="at least 5"):
+    with pytest.raises(DomainError, match="basis needs"):
         vol.fit_renormalized_volume(hyp, ladder=np.asarray([0.2, 0.15, 0.1, 0.07]))
     with pytest.raises(DomainError, match="strictly decreasing"):
         vol.fit_renormalized_volume(hyp, ladder=np.asarray([0.2, 0.25, 0.15, 0.1, 0.07]))
