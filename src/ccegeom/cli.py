@@ -349,7 +349,8 @@ def _analyze_cce(cfg: RunConfig, fg: FGMetric):
         chi = _stage("reference data", models.exact_reference,
                      cfg.model, "euler", **cfg.parameters)
         identity = gauss_bonnet_volume_residual(chi, collar.weyl_energy, fit.V)
-        rel = abs(identity) / (8 * np.pi**2 * chi)
+        # normalized by 8 pi^2 chi, floored at one for a chi = 0 fill
+        rel = abs(identity) / (8 * np.pi**2 * max(1, abs(chi)))
         bridge = sigma2_volume_bridge(compact.sigma2_integral, fit.V)
         doc["identities"].update({
             "gauss_bonnet_volume_residual": identity,

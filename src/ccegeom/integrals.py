@@ -6,13 +6,13 @@ cohomogeneity-one metrics where the angular integral is carried exactly
 by the boundary volume.
 
 A box is integrated in one kernel pass, with a nested rule per axis
-(see quadrature): Kronrod-15 on bounded axes, the 16-point trapezoid
+(see quadrature): Kronrod-15 on bounded axes, the 8-point trapezoid
 rule on axes that are one full period of the metric
 (ProductChartDomain.periodic), and the one-point rule on axes the
 metric does not depend on (MetricField.cyclic_axes), where g, its
 derivatives, every invariant and sqrt(det g) are constant. The value
 is the fine rule's; the error estimate is its distance from the
-companion rule (Gauss-7 and the 8-point trapezoid on the same nodes),
+companion rule (Gauss-7 and the 4-point trapezoid on the same nodes),
 i.e. the companion's error, an upper bound for the returned value's.
 A radial domain is integrated twice, by Gauss-Legendre of orders ORDER
 and REFINED_ORDER; the refined value is returned and the difference is

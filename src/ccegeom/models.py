@@ -153,7 +153,6 @@ class ClosedModel:
     signature: int
     volume: float
     einstein: bool
-    yamabe_positive: bool
     orientation: int = 1
 
 
@@ -185,7 +184,6 @@ def round_sphere4(radius: float = 1.0) -> ClosedModel:
         signature=0,
         volume=8 * np.pi**2 / 3 * radius**4,
         einstein=True,
-        yamabe_positive=True,
     )
 
 
@@ -199,7 +197,6 @@ def flat_torus4(lengths=(2 * np.pi,) * 4) -> ClosedModel:
         signature=0,
         volume=float(np.prod(lengths)),
         einstein=True,
-        yamabe_positive=False,
     )
 
 
@@ -219,7 +216,6 @@ def product_spheres(a: float = 1.0, b: float = 1.0) -> ClosedModel:
         signature=0,
         volume=16 * np.pi**2 * a2 * b2,
         einstein=(a == b),
-        yamabe_positive=True,
     )
 
 
@@ -252,7 +248,6 @@ def fubini_study() -> ClosedModel:
         signature=1,
         volume=np.pi**2 / 2,
         einstein=True,
-        yamabe_positive=True,
         # self-dual in the complex orientation, -1 in this chart order
         orientation=-1,
     )

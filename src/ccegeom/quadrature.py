@@ -14,9 +14,9 @@ the error from one set of integrand values. There are three kinds:
 - kronrod_rule, for bounded axes: Kronrod-15 per panel, exact to
   degree 23, with the Gauss-7 rule on its odd nodes (degree 13);
 - periodic_rule, for an axis that is one full period of the
-  integrand: 16 equispaced midpoints per panel (exact on trigonometric
-  polynomials of degree < 16), every other node at twice the weight
-  (degree < 8);
+  integrand: 8 equispaced midpoints per panel (exact on trigonometric
+  polynomials of degree < 8), every other node at twice the weight
+  (degree < 4);
 - one_point_rule, for an axis the integrand does not depend on.
 
 product_rule takes their tensor product, companion with companion.
@@ -84,7 +84,7 @@ _G7_WEIGHTS = np.array([
 for _table in (_K15_NODES, _K15_WEIGHTS, _G7_WEIGHTS):
     _table.flags.writeable = False
 #: nodes per panel of periodic_rule
-PERIODIC_NODES = 16
+PERIODIC_NODES = 8
 
 
 @lru_cache(maxsize=None)
@@ -141,9 +141,11 @@ def kronrod_rule(a: float, b: float, panels):
 def periodic_rule(a: float, b: float, panels: int = 1):
     """Trapezoid rule for an integrand of period b - a, with its companion.
 
-    PERIODIC_NODES equispaced midpoints per panel of a uniform
-    subdivision into ``panels``; the companion takes every other node at
-    twice the weight. Returns (nodes, weights, companion).
+    PERIODIC_NODES (8) equispaced midpoints per panel of a uniform
+    subdivision into ``panels``, exact on trigonometric polynomials of
+    degree < 8; the companion takes every other node at twice the
+    weight (the 4-point rule, degree < 4). Returns (nodes, weights,
+    companion).
     """
     n = PERIODIC_NODES * int(panels)
     if n < 1:

@@ -350,6 +350,27 @@ def test_einstein_family_without_chi_fails_as_stage(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+def test_einstein_fill_with_chi_zero_fails_its_gate(tmp_path, capsys, monkeypatch):
+    """At chi = 0 the identity is normalized by 8 pi^2, not divided by
+    zero: hyperbolic space read as chi = 0 misses it by 6V and fails."""
+    reference = models.exact_reference
+
+    def chi_zero(name, quantity=None, **params):
+        return 0 if quantity == "euler" else reference(name, quantity, **params)
+
+    monkeypatch.setattr(cli.models, "exact_reference", chi_zero)
+    code = _run(["analyze", "--model", "hyperbolic", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert any(ln.startswith("[FAIL] gauss-bonnet-volume: ")
+               for ln in captured.out.splitlines())
+    assert "Traceback" not in captured.err
+    # 6V = 8 pi^2 at V = 4 pi^2 / 3
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert doc["identities"]["gauss_bonnet_volume_relative"] == pytest.approx(
+        1.0, rel=1e-6)
+
+
 def test_curvature_table(tmp_path):
     """A closed model and a fill, both conformally flat with constant
     curvature; the fill's rows read the normal-form four-metric."""

@@ -5,7 +5,7 @@ import copy
 import numpy as np
 import pytest
 
-from ccegeom import cli, models
+from ccegeom import cli, models, quadrature
 from ccegeom import integrals as ig
 from ccegeom import volume as vol
 from ccegeom.autodiff import cos, diag, sin
@@ -206,7 +206,7 @@ def _counted(field, counter):
 
 
 def test_curvature_points_per_integration():
-    # one pass: 15 Kronrod nodes per bounded axis, 16 trapezoid nodes per
+    # one pass: 15 Kronrod nodes per bounded axis, 8 trapezoid nodes per
     # periodic axis, one node per cyclic axis
     expected = {"round_sphere": 3375, "product_spheres": 225,
                 "fubini_study": 225, "flat_torus": 1}
@@ -223,7 +223,7 @@ def test_curvature_points_per_integration():
     counter = [0]
     ig.integrate_curvature(_counted(conformal_rescale(mdl.field, w), counter),
                            mdl.domain, mdl.orientation)
-    assert counter[0] == 57600
+    assert counter[0] == 14400
 
 
 def test_high_frequency_factor_keeps_euler_characteristic(product_suite):
@@ -240,6 +240,32 @@ def test_high_frequency_factor_keeps_euler_characteristic(product_suite):
     est = out.error_estimates
     assert 8 * np.pi ** 2 * abs(out.euler_gb - 4.0) \
         <= 0.25 * est["weyl_energy"] + est["sigma2_integral"]
+
+
+def test_periodic_rule_resolves_the_rescaled_products(product_suite, monkeypatch):
+    """check's two factors and criterion 07's k = (3, 3) factor give the
+    same integrals with the shipped 8-point trapezoid as with 16 points,
+    and each lands on chi = 4 within its reported estimate; a factor that
+    needs more periodic nodes fails here."""
+    mdl, _ = product_suite
+    chart = mdl.field.chart
+    factors = cli._conformal_factors(chart, 2) + [ScalarField.from_function(
+        chart, cli._conformal_factor(0.083, -0.094, 0.385, 3, 3))]
+    fields = [conformal_rescale(mdl.field, w) for w in factors]
+
+    def integrate():
+        return [ig.integrate_curvature(f, mdl.domain, mdl.orientation) for f in fields]
+
+    shipped = integrate()
+    monkeypatch.setattr(quadrature, "PERIODIC_NODES", 16)
+    finer = integrate()
+    for got, ref in zip(shipped, finer):
+        for key in ("weyl_energy", "sigma2_integral", "euler_gb", "signature"):
+            value = getattr(ref, key)
+            assert abs(getattr(got, key) - value) <= 1e-12 * max(1.0, abs(value)), key
+        est = got.error_estimates
+        bound = (0.25 * est["weyl_energy"] + est["sigma2_integral"]) / (8 * np.pi ** 2)
+        assert abs(got.euler_gb - 4.0) <= bound
 
 
 def test_error_estimates_floor_at_roundoff(torus_suite, hyperbolic):

@@ -79,13 +79,13 @@ def test_product_rule_box_volume():
                                    periodic_rule(0.0, 2.0),
                                    kronrod_rule(0.0, 3.0, 1),
                                    one_point_rule(0.0, 0.5)])
-    assert pts.shape == (2 * 15 * 16 * 15 * 1, 4)
+    assert pts.shape == (2 * 15 * 8 * 15 * 1, 4)
     assert wts.shape == comp.shape == (pts.shape[0],)
     for w in (wts, comp):
         assert w.sum() == pytest.approx(1.0 * 2.0 * 3.0 * 0.5, rel=1e-14)
     # the companion lives on a subset of the nodes: Gauss-7 on the
     # Kronrod axes, every other node on the periodic one
-    assert np.count_nonzero(comp) == 2 * 7 * 8 * 7 * 1
+    assert np.count_nonzero(comp) == 2 * 7 * 4 * 7 * 1
     # separable integrand, polynomial on the bounded axes
     for w in (wts, comp):
         val = float(np.dot(w, pts[:, 0] * pts[:, 2] ** 2))
@@ -133,7 +133,7 @@ def test_kronrod_exactness_degrees():
 
 
 def test_periodic_exactness_degrees():
-    # trigonometric polynomials of degree < 16 (fine) and < 8 (companion)
+    # trigonometric polynomials of degree < 8 (fine) and < 4 (companion)
     a, b = 0.3, 0.3 + 4 * np.pi
     nodes, weights, companion = periodic_rule(a, b)
     theta = 2 * np.pi * (nodes - a) / (b - a)
@@ -141,12 +141,12 @@ def test_periodic_exactness_degrees():
     def error(w, degree):
         return abs(float(np.dot(w, np.cos(degree * theta + 0.7))))
 
-    for degree in range(1, 16):
-        assert error(weights, degree) < 1e-13, degree
     for degree in range(1, 8):
+        assert error(weights, degree) < 1e-13, degree
+    for degree in range(1, 4):
         assert error(companion, degree) < 1e-13, degree
-    assert error(weights, 16) > 1.0
-    assert error(companion, 8) > 1.0
+    assert error(weights, 8) > 1.0
+    assert error(companion, 4) > 1.0
 
 
 def _fresh_rule(a, b, panels, order):
