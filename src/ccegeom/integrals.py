@@ -8,12 +8,13 @@ by the boundary volume.
 A box is integrated in one kernel pass, with a nested rule per axis
 (see quadrature): Kronrod-15 on bounded axes, the 8-point trapezoid
 rule on axes that are one full period of the metric
-(ProductChartDomain.periodic), and the one-point rule on axes the
+(ProductChartDomain.periodic), Kronrod-7 in cos(theta) on polar angles
+(ProductChartDomain.polar), and the one-point rule on axes the
 metric does not depend on (MetricField.cyclic_axes), where g, its
 derivatives, every invariant and sqrt(det g) are constant. The value
 is the fine rule's; the error estimate is its distance from the
-companion rule (Gauss-7 and the 4-point trapezoid on the same nodes),
-i.e. the companion's error, an upper bound for the returned value's.
+companion rule (Gauss-7, Gauss-3 and the 4-point trapezoid on the same
+nodes), i.e. the companion's error, an upper bound for the value's.
 A radial domain is integrated twice, by Gauss-Legendre of orders ORDER
 and REFINED_ORDER; the refined value is returned and the difference is
 the error estimate. Every estimate is floored at ROUNDOFF eps times
@@ -41,7 +42,7 @@ import numpy as np
 
 from .errors import DomainError
 from .quadrature import (gauss_legendre_rule, kronrod_rule, one_point_rule,
-                         periodic_rule, product_rule)
+                         periodic_rule, polar_rule, product_rule)
 from .tensor import MetricField, curvature
 
 __all__ = [
@@ -82,14 +83,23 @@ class ProductChartDomain:
 
     One axis per chart coordinate. periodic lists the axes whose
     [lo, hi] is one full period of the metric; they take the trapezoid
-    rule, the other axes Kronrod-15 on each panel. Axes the metric does
-    not depend on are collapsed to their midpoint, weighted by their
-    length, and ignore panels.
+    rule. polar lists the axes on exactly [0, pi] whose integrand is a
+    function of cos(theta) times sin(theta); they take polar_rule, with
+    panels in cos(theta). The other axes take Kronrod-15 on each panel.
+    Axes the metric does not depend on are collapsed to their midpoint,
+    weighted by their length, and ignore panels.
     """
 
     axes: tuple
     label: str = ""
     periodic: tuple = ()
+    polar: tuple = ()
+
+    def __post_init__(self):
+        if set(self.periodic) & set(self.polar):
+            raise DomainError("an axis cannot be both periodic and polar")
+        if any(tuple(self.axes[i][:2]) != (0.0, np.pi) for i in self.polar):
+            raise DomainError("a polar axis must span exactly (0, pi)")
 
 
 @dataclass(frozen=True)
@@ -189,6 +199,8 @@ def _box_axis_rule(m, domain, i):
         return one_point_rule(lo, hi)
     if i in domain.periodic:
         return periodic_rule(lo, hi, panels)
+    if i in domain.polar:
+        return polar_rule(panels)
     return kronrod_rule(lo, hi, panels)
 
 

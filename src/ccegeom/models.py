@@ -156,14 +156,15 @@ class ClosedModel:
     orientation: int = 1
 
 
-def _closed(label, names, his, g, periodic, **data) -> ClosedModel:
+def _closed(label, names, his, g, periodic, polar=(), **data) -> ClosedModel:
     """A closed model whose metric g lives on the chart box (0, his),
     integrated over that whole box; periodic lists the azimuthal axes
-    whose chart interval is one full period."""
+    whose chart interval is one full period, polar the angles on (0, pi)
+    whose volume density is an odd power of sin (ProductChartDomain)."""
     chart = Chart(names, (0.0,) * len(names), his)
     return ClosedModel(field=MetricField.from_function(chart, g, name=label),
                        domain=ProductChartDomain(tuple((0.0, hi, 1) for hi in his),
-                                                 label, periodic),
+                                                 label, periodic, polar),
                        **data)
 
 
@@ -178,7 +179,8 @@ def round_sphere4(radius: float = 1.0) -> ClosedModel:
 
     return _closed(
         "round-S4", ("t1", "t2", "t3", "t4"), (np.pi, np.pi, np.pi, 2 * np.pi), g,
-        periodic=(3,),
+        # densities sin^3 t1, sin^2 t2 and sin t3: t2 is not polar
+        periodic=(3,), polar=(0, 2),
         name=f"round_sphere(r={radius:g})",
         euler=2,
         signature=0,
@@ -210,7 +212,7 @@ def product_spheres(a: float = 1.0, b: float = 1.0) -> ClosedModel:
 
     return _closed(
         "S2xS2", ("t", "p", "u", "v"), (np.pi, 2 * np.pi, np.pi, 2 * np.pi), g,
-        periodic=(1, 3),
+        periodic=(1, 3), polar=(0, 2),
         name=f"product_spheres(a={a:g},b={b:g})",
         euler=4,
         signature=0,
@@ -242,7 +244,7 @@ def fubini_study() -> ClosedModel:
 
     return _closed(
         "fubini-study", ("r", "t", "p", "q"), (np.pi / 2, np.pi, 2 * np.pi, 4 * np.pi), g,
-        periodic=(2, 3),
+        periodic=(2, 3), polar=(1,),
         name="fubini_study",
         euler=3,
         signature=1,

@@ -9,10 +9,13 @@ fresh array. Its error estimates come from doubling the panel count.
 A nested axis rule is a triple (nodes, weights, companion): the weights
 give the value, and the companion weights, supported on a subset of the
 same nodes, give a lower-order value whose distance from it estimates
-the error from one set of integrand values. There are three kinds:
+the error from one set of integrand values. There are four kinds:
 
 - kronrod_rule, for bounded axes: Kronrod-15 per panel, exact to
   degree 23, with the Gauss-7 rule on its odd nodes (degree 13);
+- polar_rule, for a polar angle theta in [0, pi] whose integrand is a
+  function of z = cos(theta) times sin(theta): Kronrod-7 per panel of
+  z, exact on z^k for k <= 11, with Gauss-3 on its odd nodes (k <= 5);
 - periodic_rule, for an axis that is one full period of the
   integrand: 8 equispaced midpoints per panel (exact on trigonometric
   polynomials of degree < 8), every other node at twice the weight
@@ -40,6 +43,7 @@ __all__ = [
     "kronrod_rule",
     "one_point_rule",
     "periodic_rule",
+    "polar_rule",
     "product_rule",
 ]
 
@@ -81,7 +85,15 @@ _G7_WEIGHTS = np.array([
     0.0, 0.279705391489276667901467771423780,
     0.0, 0.129484966168869693270611432679082,
     0.0])
-for _table in (_K15_NODES, _K15_WEIGHTS, _G7_WEIGHTS):
+#: Kronrod-7 nodes on [-1, 1] and the weights of the Kronrod-7 and the
+#: nested Gauss-3 rule, to double precision (Laurie, Math. Comp. 66, 1997)
+_K7_NODES = np.array([-0.9604912687080203, -0.7745966692414834, -0.43424374934680254,
+                      0.0, 0.43424374934680254, 0.7745966692414834, 0.9604912687080203])
+_K7_WEIGHTS = np.array([0.10465622602646726, 0.26848808986833345, 0.40139741477596225,
+                        0.45091653865847414, 0.40139741477596225, 0.26848808986833345,
+                        0.10465622602646726])
+_G3_WEIGHTS = np.array([0.0, 5 / 9, 0.0, 8 / 9, 0.0, 5 / 9, 0.0])
+for _table in (_K15_NODES, _K15_WEIGHTS, _G7_WEIGHTS, _K7_NODES, _K7_WEIGHTS, _G3_WEIGHTS):
     _table.flags.writeable = False
 #: nodes per panel of periodic_rule
 PERIODIC_NODES = 8
@@ -136,6 +148,16 @@ def kronrod_rule(a: float, b: float, panels):
     gauss_legendre_rule.
     """
     return _composite(a, b, panels, _K15_NODES, _K15_WEIGHTS, _G7_WEIGHTS)
+
+
+def polar_rule(panels=1):
+    """Kronrod-7 with its Gauss-3 companion in z = cos(theta) on [0, pi]:
+    the rule on ``panels`` of z in [-1, 1] (as for gauss_legendre_rule),
+    mapped to ascending theta = arccos(z), its weights divided by
+    sin(theta). Returns (nodes, weights, companion)."""
+    z, *weights = _composite(-1.0, 1.0, panels, _K7_NODES, _K7_WEIGHTS, _G3_WEIGHTS)
+    sin = np.sqrt((1.0 - z) * (1.0 + z))
+    return tuple(a[::-1] for a in (np.arccos(z), *(w / sin for w in weights)))
 
 
 def periodic_rule(a: float, b: float, panels: int = 1):

@@ -206,10 +206,10 @@ def _counted(field, counter):
 
 
 def test_curvature_points_per_integration():
-    # one pass: 15 Kronrod nodes per bounded axis, 8 trapezoid nodes per
-    # periodic axis, one node per cyclic axis
-    expected = {"round_sphere": 3375, "product_spheres": 225,
-                "fubini_study": 225, "flat_torus": 1}
+    # one pass: 15 Kronrod nodes per bounded axis, 7 per polar axis, 8
+    # trapezoid nodes per periodic axis, one node per cyclic axis
+    expected = {"round_sphere": 735, "product_spheres": 49,
+                "fubini_study": 105, "flat_torus": 1}
     for name, points in expected.items():
         mdl = models.build(name)
         counter = [0]
@@ -223,20 +223,21 @@ def test_curvature_points_per_integration():
     counter = [0]
     ig.integrate_curvature(_counted(conformal_rescale(mdl.field, w), counter),
                            mdl.domain, mdl.orientation)
-    assert counter[0] == 14400
+    assert counter[0] == 3136
 
 
 def test_high_frequency_factor_keeps_euler_characteristic(product_suite):
     """The k = (3, 3) factor of the conformal-invariance criterion: its
-    rescaled S2 x S2 integrates to chi = 4 within 1e-7 (5.0e-5 with
-    Gauss-Legendre 16 on every axis), and the reported estimates bound
-    the deviation."""
+    rescaled S2 x S2 integrates to chi = 4 within 1e-12 (about 3e-15
+    with Kronrod-7 in cos(theta) on the polar axes, 9.5e-9 with
+    Kronrod-15 in theta, 5.0e-5 with Gauss-Legendre 16 on every axis),
+    and the reported estimates bound the deviation."""
     mdl, _ = product_suite
     w = ScalarField.from_function(
         mdl.field.chart, cli._conformal_factor(0.083, -0.094, 0.385, 3, 3))
     out = ig.integrate_curvature(conformal_rescale(mdl.field, w), mdl.domain,
                                  orientation=mdl.orientation)
-    assert abs(out.euler_gb - 4.0) < 1e-7
+    assert abs(out.euler_gb - 4.0) < 1e-12
     est = out.error_estimates
     assert 8 * np.pi ** 2 * abs(out.euler_gb - 4.0) \
         <= 0.25 * est["weyl_energy"] + est["sigma2_integral"]
@@ -266,6 +267,60 @@ def test_periodic_rule_resolves_the_rescaled_products(product_suite, monkeypatch
         est = got.error_estimates
         bound = (0.25 * est["weyl_energy"] + est["sigma2_integral"]) / (8 * np.pi ** 2)
         assert abs(got.euler_gb - 4.0) <= bound
+
+
+def _rescaled_volume(w):
+    """Oracle for the volume of e^{2w} times the unit S2 x S2: the integral
+    of e^{4w} sin(t) sin(u) by Kronrod-15 in t and u on three panels and
+    the 16-point trapezoid in p and v, without the curvature kernel."""
+    axes = [quadrature.kronrod_rule(0.0, np.pi, 3),
+            quadrature.periodic_rule(0.0, 2 * np.pi, 2)]
+    pts, weights, _ = quadrature.product_rule(axes * 2)
+    t, p, u, v = pts.T
+    return float(weights @ (np.exp(4 * w.func(t, p, u, v)) * np.sin(t) * np.sin(u)))
+
+
+def test_polar_rule_meets_the_closed_forms():
+    """Kronrod-7 in cos(theta) on the polar axes: the closed models, check's
+    two rescaled S2 x S2 metrics and criterion 07's k = (3, 3) one give
+    their closed-form integrals within 1e-12 relative (a rescaling keeps
+    int |W+|^2 and int |W-|^2, so Gauss-Bonnet keeps int sigma_2), and
+    chi within the reported estimates. The rescaled volume, e^{4w} dv,
+    is no polynomial in cos(theta): it only stays within its estimate."""
+    chart = models.build("product_spheres").field.chart
+    factors = cli._conformal_factors(chart, 2) + [ScalarField.from_function(
+        chart, cli._conformal_factor(0.083, -0.094, 0.385, 3, 3))]
+    cases = [(name, None) for name in ("round_sphere", "product_spheres", "fubini_study")]
+    cases += [("product_spheres", w) for w in factors]
+    for name, w in cases:
+        mdl, ref = models.build(name), models.exact_reference(name)
+        field = mdl.field if w is None else conformal_rescale(mdl.field, w)
+        got = ig.integrate_curvature(field, mdl.domain, mdl.orientation)
+        keys = ["weyl_energy", "weyl_plus", "weyl_minus", "sigma2_integral",
+                "euler", "signature"]
+        if w is None:
+            keys.append("volume")
+        else:
+            volume = _rescaled_volume(w)
+            assert abs(got.volume - volume) <= got.error_estimates["volume"], name
+        values = dict(vars(got), euler=got.euler_gb, signature=got.signature)
+        for key in keys:
+            value = ref.get(key, 0.0)  # the round S4 has no Weyl halves listed
+            assert abs(values[key] - value) <= 1e-12 * max(1.0, abs(value)), (name, key)
+        est = got.error_estimates
+        bound = (0.25 * est["weyl_energy"] + est["sigma2_integral"]) / (8 * np.pi ** 2)
+        assert abs(got.euler_gb - mdl.euler) <= bound, name
+
+
+def test_polar_axes_are_checked():
+    axes = ((0.0, np.pi, 1), (0.0, 2 * np.pi, 1))
+    with pytest.raises(DomainError, match="periodic and polar"):
+        ig.ProductChartDomain(axes, periodic=(1,), polar=(1,))
+    with pytest.raises(DomainError, match="exactly"):
+        ig.ProductChartDomain(axes, polar=(1,))
+    with pytest.raises(DomainError, match="exactly"):
+        ig.ProductChartDomain(((0.0, 3.0, 1),), polar=(0,))
+    assert ig.ProductChartDomain(axes, periodic=(1,), polar=(0,)).polar == (0,)
 
 
 def test_error_estimates_floor_at_roundoff(torus_suite, hyperbolic):

@@ -11,6 +11,7 @@ from ccegeom.quadrature import (
     kronrod_rule,
     one_point_rule,
     periodic_rule,
+    polar_rule,
     product_rule,
 )
 from ccegeom.volume import fit_renormalized_volume
@@ -149,6 +150,34 @@ def test_periodic_exactness_degrees():
     assert error(companion, 4) > 1.0
 
 
+def test_polar_exactness_degrees():
+    # cos(theta)^k sin(theta) on [0, pi] is z^k on [-1, 1]: Kronrod-7 is
+    # exact for k <= 11, its Gauss-3 companion for k <= 5
+    nodes, weights, companion = polar_rule()
+    assert np.all(np.diff(nodes) > 0) and 0.0 < nodes[0] and nodes[-1] < np.pi
+    assert np.all(weights > 0) and np.all(companion >= 0)
+    assert np.count_nonzero(companion) == 3
+
+    def error(w, k):
+        return abs(float(np.dot(w, np.cos(nodes) ** k * np.sin(nodes)))
+                   - (1 - (-1) ** (k + 1)) / (k + 1))
+
+    for k in range(12):
+        assert error(weights, k) < 1e-14, k
+    for k in range(6):
+        assert error(companion, k) < 1e-14, k
+    assert error(weights, 12) > 1e-6
+    assert error(companion, 6) > 1e-3
+    # a density sin(theta)^2 is sqrt(1 - z^2) in z, which no polynomial
+    # rule integrates exactly: the round S4's middle angle is not polar
+    assert abs(float(np.dot(weights, np.sin(nodes) ** 2)) - np.pi / 2) > 1e-12
+    # panels in z: two panels of the same rule, still ascending
+    nodes2, weights2, _ = polar_rule(2)
+    assert nodes2.size == 14 and np.all(np.diff(nodes2) > 0)
+    assert float(np.dot(weights2, np.cos(nodes2) ** 10 * np.sin(nodes2))) \
+        == pytest.approx(2 / 11, rel=1e-14)
+
+
 def _fresh_rule(a, b, panels, order):
     """The composite rule from a fresh leggauss call, without the cache."""
     x, w = np.polynomial.legendre.leggauss(order)
@@ -206,6 +235,8 @@ def test_nested_rules_reject_malformed_panels():
         kronrod_rule(0.0, 1.0, 0)
     with pytest.raises(ValueError, match="panels"):
         periodic_rule(0.0, 1.0, 0)
+    with pytest.raises(ValueError, match="panels"):
+        polar_rule(0)
 
 
 def test_rule_rejects_malformed_panels():
