@@ -4,10 +4,15 @@
 Two sweeps on the hyperbolic model, where V = 4 pi^2/3 in closed form:
 
   1. volume fit error against the ladder starting rung s0,
-  2. volume fit error against ladder depth at fixed s0.
+  2. volume fit error against ladder depth at fixed s0;
 
-The point of both is that the answer must NOT depend on the ladder once
-it spans a decade: the expansion coefficients are properties of the
+and one on AdS-Schwarzschild at m = 3 and 5, where Anderson's identity
+with the closed-form Weyl energy W gives V = (16 pi^2 - W/4)/6:
+
+  3. volume fit error against ladder depth, 8 and 12 rungs of 0.3 * 0.78^k.
+
+The point of all three is that the answer must NOT depend on the ladder
+once it spans a decade: the expansion coefficients are properties of the
 metric, and the tail columns absorb whatever the truncation leaves over.
 
 Usage:
@@ -44,6 +49,18 @@ def ladder_depth_sweep(fg, rows):
                      fit.condition_number, time.perf_counter() - t0))
 
 
+def ads_ladder_depth_sweep(rows):
+    for m in (3.0, 5.0):
+        fg = models.ads_schwarzschild(m=m)
+        weyl = models.exact_reference("ads_schwarzschild", "weyl_energy", m=m)
+        exact = (16 * np.pi ** 2 - 0.25 * weyl) / 6
+        for rungs in (8, 12):
+            t0 = time.perf_counter()
+            fit = fit_renormalized_volume(fg, ladder=0.3 * 0.78 ** np.arange(rungs))
+            rows.append((f"ads-m{m:g}-depth", rungs, abs(fit.V - exact),
+                         fit.condition_number, time.perf_counter() - t0))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--csv", default=None, help="also write rows here")
@@ -53,6 +70,7 @@ def main(argv=None):
     rows = []
     ladder_start_sweep(fg, rows)
     ladder_depth_sweep(fg, rows)
+    ads_ladder_depth_sweep(rows)
 
     print(f"{'sweep':<14} {'parameter':>12} {'error':>12} "
           f"{'condition':>12} {'seconds':>8}")

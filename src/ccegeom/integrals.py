@@ -41,8 +41,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import (gauss_legendre_rule, kronrod_rule, one_point_rule,
-                         periodic_rule, polar_rule, product_rule)
+from .quadrature import (ROUNDOFF, gauss_legendre_rule, kronrod_rule,
+                         one_point_rule, periodic_rule, polar_rule, product_rule)
 from .tensor import MetricField, curvature
 
 __all__ = [
@@ -63,8 +63,6 @@ __all__ = [
 ORDER = 12
 #: order of the second radial pass, whose difference is the error estimate
 REFINED_ORDER = 16
-#: floor of every error estimate, in units of eps * int |integrand| dv
-ROUNDOFF = 50.0
 #: curvature points per kernel call on product boxes
 CHUNK = 2048
 #: panels of the radial collar domains

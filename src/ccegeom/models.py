@@ -277,7 +277,6 @@ def hyperbolic(boundary_radius: float = 1.0) -> FGMetric:
         warp=lambda s: [(1.0 - s**2 / (4 * lam2)) ** 2],
         tip_multiplicity=3,
         einstein=True,
-        yamabe_positive=True,
         name=f"hyperbolic(r={lam:g})",
         family="hyperbolic",
         parameters={"boundary_radius": lam},
@@ -324,7 +323,6 @@ def ads_schwarzschild(m: float = 1.0) -> FGMetric:
         interior_sqrt_vanishing=True,
         tip_multiplicity=1,
         einstein=True,
-        yamabe_positive=True,
         family="ads_schwarzschild",
         parameters={"m": m},
     )
@@ -354,7 +352,6 @@ def perturbed_hyperbolic(amplitude: float = 0.05) -> FGMetric:
         warp=lambda s: [f(s) ** 2],
         tip_multiplicity=3,
         einstein=(amp == 0.0),
-        yamabe_positive=True,
         name=f"perturbed_hyperbolic(A={amp:g})",
         family="perturbed_hyperbolic",
         parameters={"amplitude": amp},

@@ -32,7 +32,7 @@ from .errors import (
     FitConditioning,
     UnsupportedDimension,
 )
-from .quadrature import _reference_rule
+from .quadrature import panel_sums
 from .tensor import Chart, MetricField, _is_zero, components, curvature
 
 _EPS = float(np.finfo(float).eps)
@@ -88,7 +88,6 @@ class FGMetric:
                  blocks: Sequence[tuple], warp: Callable,
                  tip_multiplicity: Optional[int] = None,
                  einstein: bool = False,
-                 yamabe_positive: bool = True,
                  radial_map: Optional["RadialMap"] = None,
                  name: str = "",
                  family: str = "",
@@ -100,12 +99,21 @@ class FGMetric:
         self.warp_jets = warp
         self.tip_multiplicity = tip_multiplicity
         self.einstein = einstein
-        self.yamabe_positive = yamabe_positive
         self.radial_map = radial_map
         self.name = name or family
         self.family = family
         self.parameters = dict(parameters or {})
         self.gauge_residual: Optional[float] = None
+
+    @property
+    def yamabe_positive(self) -> bool:
+        """Whether the conformal boundary has positive Yamabe invariant.
+
+        Every boundary here has constant scalar curvature R^, and the
+        Yamabe invariant of a constant-scalar-curvature metric has the
+        sign of R^ (Lee and Parker, Bull. AMS 17, 1987).
+        """
+        return bool(self.boundary.scalar_curvature > 0)
 
     # -- the boundary-metric family ------------------------------------
 
@@ -341,7 +349,6 @@ class RadialProfile:
     interior_sqrt_vanishing: bool = False
     tip_multiplicity: Optional[int] = None
     einstein: bool = True
-    yamabe_positive: bool = True
     family: str = ""
     parameters: Optional[dict] = None
 
@@ -401,16 +408,6 @@ class RadialMap:
             self._x_region = (r_direct, np.inf)
         self.edges = np.asarray(sorted(set(float(e) for e in edges)))
 
-    def _panel_sum(self, lo, hi, integrand):
-        """One Gauss-Legendre panel on each [lo_i, hi_i] (the arithmetic of
-        gauss_legendre_rule(lo_i, hi_i, 1, order)), summed row by row so a
-        value does not depend on the batch it was computed in."""
-        x, w = _reference_rule(self.order)
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        nodes = mid[:, None] + half[:, None] * x
-        return np.sum(half[:, None] * w * integrand(nodes), axis=1)
-
     def _segment_integral(self, a, b):
         """Integrals of the radial factor over [a_i, b_i] with substitutions.
 
@@ -428,15 +425,14 @@ class RadialMap:
         inv = live & ~tau & (a >= (self._x_region[0] if self._x_region else np.inf) - 1e-12)
         direct = live & ~tau & ~inv
         if tau.any():
-            out[tau] = self._panel_sum(np.sqrt(np.maximum(a[tau] - r0, 0.0)),
-                                       np.sqrt(b[tau] - r0),
-                                       lambda t: np.asarray(f(r0 + t**2)) * 2.0 * t)
+            out[tau] = panel_sums(np.sqrt(np.maximum(a[tau] - r0, 0.0)),
+                                  np.sqrt(b[tau] - r0),
+                                  lambda t: f(r0 + t**2) * 2.0 * t, self.order)
         if inv.any():
-            out[inv] = self._panel_sum(1.0 / b[inv], 1.0 / a[inv],
-                                       lambda x: np.asarray(f(1.0 / x)) / x**2)
+            out[inv] = panel_sums(1.0 / b[inv], 1.0 / a[inv],
+                                  lambda x: f(1.0 / x) / x**2, self.order)
         if direct.any():
-            out[direct] = self._panel_sum(a[direct], b[direct],
-                                          lambda r: np.asarray(f(r)))
+            out[direct] = panel_sums(a[direct], b[direct], f, self.order)
         return out
 
     def _accumulate(self):
@@ -606,7 +602,6 @@ def normal_form_from_profile(profile: RadialProfile) -> FGMetric:
         warp=block_jets,
         tip_multiplicity=profile.tip_multiplicity,
         einstein=profile.einstein,
-        yamabe_positive=profile.yamabe_positive,
         radial_map=rmap,
         name=profile.name,
         family=profile.family or profile.name,

@@ -4,7 +4,11 @@ All rules are fixed meshes (no adaptive subdivision driven by runtime
 state), so repeated runs with the same configuration sum the same floats
 in the same order. The Gauss-Legendre reference rule on [-1, 1] is built
 once per order and kept read-only; every rule mapped onto panels is a
-fresh array. Its error estimates come from doubling the panel count.
+fresh array. panel_sums applies it panel by panel, one sum per panel,
+for callers that combine panels themselves (the radial map's
+arclength table, the volume ladder's suffix sums). Every error estimate
+is floored at ROUNDOFF eps times the integral of the integrand's
+absolute value (QUADPACK's round-off floor).
 
 A nested axis rule is a triple (nodes, weights, companion): the weights
 give the value, and the companion weights, supported on a subset of the
@@ -27,32 +31,23 @@ product_rule takes their tensor product, companion with companion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import QuadratureTolerance
-
 __all__ = [
-    "QuadResult",
     "gauss_legendre_rule",
     "geometric_panels",
-    "integrate_fixed",
-    "integrate_refined",
     "kronrod_rule",
     "one_point_rule",
+    "panel_sums",
     "periodic_rule",
     "polar_rule",
     "product_rule",
 ]
 
-
-@dataclass(frozen=True)
-class QuadResult:
-    value: float
-    error_estimate: float
-    panels: int
+#: floor of every error estimate, in units of eps * int |integrand|
+ROUNDOFF = 50.0
 
 
 #: Kronrod-15 nodes on [-1, 1] and the weights of the Kronrod-15 and the
@@ -141,6 +136,22 @@ def gauss_legendre_rule(a: float, b: float, panels, order: int = 16):
     return _composite(a, b, panels, *_reference_rule(order))
 
 
+def panel_sums(lo, hi, f, order: int):
+    """Gauss-Legendre of ``order`` on each panel [lo_i, hi_i], one sum per
+    panel (the arithmetic of gauss_legendre_rule(lo_i, hi_i, 1, order)).
+
+    f is called once, on the flat array of every panel's nodes, and each
+    panel is summed on its own row, so a panel's sum does not depend on
+    the other panels of the call.
+    """
+    x, w = _reference_rule(order)
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    nodes = mid[:, None] + half[:, None] * x
+    values = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
+    return np.sum(half[:, None] * w * values, axis=1)
+
+
 def kronrod_rule(a: float, b: float, panels):
     """Composite Kronrod-15 rule on [a, b] with its nested Gauss-7 companion.
 
@@ -191,7 +202,9 @@ def geometric_panels(a: float, b: float, ratio: float = 1.6, max_panels: int = 6
     """Panel breakpoints on [a, b] graded geometrically away from a.
 
     Suited to integrands that vary fastest near the left endpoint
-    (inverse-power growth toward a boundary).
+    (inverse-power growth toward a boundary). A closing panel narrower
+    than half the one before it is merged into that one, so no rule puts
+    nodes in a sliver at b, where a fill's warp may be singular.
     """
     if not (0 < a < b):
         raise ValueError("need 0 < a < b for geometric grading")
@@ -200,56 +213,10 @@ def geometric_panels(a: float, b: float, ratio: float = 1.6, max_panels: int = 6
     while edges[-1] + width < b and len(edges) < max_panels:
         edges.append(edges[-1] + width)
         width *= ratio
+    if len(edges) > 1 and b - edges[-1] < 0.5 * (edges[-1] - edges[-2]):
+        edges.pop()
     edges.append(b)
     return np.asarray(edges)
-
-
-def _split_panels(panels):
-    """Halve every panel of a breakpoint array (or double an int count)."""
-    if np.isscalar(panels):
-        return int(panels) * 2
-    edges = np.asarray(panels, dtype=float)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    out = np.empty(edges.size + mids.size)
-    out[0::2] = edges
-    out[1::2] = mids
-    return out
-
-
-def integrate_fixed(f, a: float, b: float, panels, order: int = 16) -> float:
-    nodes, weights = gauss_legendre_rule(a, b, panels, order)
-    return float(np.dot(weights, f(nodes)))
-
-
-def integrate_refined(
-    f,
-    a: float,
-    b: float,
-    panels,
-    order: int = 16,
-    tol: float = 1e-10,
-    scale: float = 1.0,
-    max_doublings: int = 3,
-) -> QuadResult:
-    """Composite GL value with a mesh-doubling error estimate.
-
-    Doubles the panel count until |I_fine - I_coarse| <= tol * max(scale, |I|)
-    or raises QuadratureTolerance. The fine value is returned.
-    """
-    if max_doublings < 1:
-        raise ValueError(f"max_doublings must be at least 1, got {max_doublings}")
-    coarse = integrate_fixed(f, a, b, panels, order)
-    for _ in range(max_doublings):
-        panels = _split_panels(panels)
-        fine = integrate_fixed(f, a, b, panels, order)
-        err = abs(fine - coarse)
-        if err <= tol * max(scale, abs(fine)):
-            n = panels if np.isscalar(panels) else len(panels) - 1
-            return QuadResult(fine, err, int(n))
-        coarse = fine
-    raise QuadratureTolerance(
-        f"quadrature on [{a}, {b}] did not reach tol={tol}: last change {err:.3e}"
-    )
 
 
 def product_rule(axes):

@@ -107,7 +107,7 @@ def _require_yamabe(yamabe_positive: bool):
     if not yamabe_positive:
         raise NotAvailable(
             "this inequality assumes a positive-Yamabe conformal boundary; "
-            "the hypothesis flag is false"
+            "this boundary's Yamabe invariant is not positive"
         )
 
 

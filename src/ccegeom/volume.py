@@ -8,11 +8,11 @@ volumes expand as
 with no eps^-2 and no log term, and V the renormalized volume. The
 divergent coefficients are local and exact (Graham, arXiv:math/9909042):
 c0 = vol(g^)/3 and c2 = -R^ vol(g^)/8, from the boundary volume and
-scalar curvature. The pipeline is a radial quadrature of s^-4 D(s) per
-ladder rung (the boundary volume carries the angular integral); the two
-known terms are subtracted, and the remainder is regressed on
-{1, eps, ..., eps^5}, whose tail columns absorb the o(1) remainder so V
-is not contaminated by it.
+scalar curvature. The pipeline is one radial quadrature of s^-4 D(s),
+read off at every ladder rung (the boundary volume carries the angular
+integral); the two known terms are subtracted, and the remainder is
+regressed on {1, eps, ..., eps^5}, whose tail columns absorb the o(1)
+remainder so V is not contaminated by it.
 """
 
 from __future__ import annotations
@@ -22,13 +22,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, FitConditioning, UnstableFit
-from .quadrature import geometric_panels, integrate_refined
+from .errors import DomainError, FitConditioning, QuadratureTolerance, UnstableFit
+from .quadrature import ROUNDOFF, geometric_panels, panel_sums
 
 __all__ = [
     "DEFAULT_LADDER",
     "VolumeFit",
-    "sublevel_volume",
+    "sublevel_volumes",
     "fit_ladder",
     "fit_renormalized_volume",
     "write_volume_table",
@@ -43,6 +43,7 @@ STABILITY_GATE = 1e-3
 
 #: powers of eps regressed once the divergent terms are subtracted: V and its tail
 _POWERS = (0, 1, 2, 3, 4, 5)
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -63,24 +64,46 @@ class VolumeFit:
     quadrature_errors: Optional[np.ndarray] = None
 
 
-def sublevel_volume(fg, eps: float) -> tuple:
-    """Vol({s > eps}) and a quadrature error estimate.
+def sublevel_volumes(fg, ladder) -> tuple:
+    """Vol({s > eps}) at every rung eps of ``ladder``, and error estimates.
 
-    Radial reduction: boundary volume times int_eps^{s_max} s^-4 D(s) ds
-    on panels graded toward eps, where the integrand varies fastest.
+    Radial reduction: boundary volume times int_eps^{s_max} s^-4 D(s) ds.
+    The sublevel sets are nested, so the integrand is integrated once,
+    on panels graded geometrically away from the smallest rung (where it
+    varies fastest) with every rung a breakpoint. Gauss-Legendre 16 on
+    every panel halved gives the values, on every panel whole the
+    companion; a rung's volume is the suffix sum of the values from its
+    breakpoint up, and its estimate the distance from the companion's
+    suffix sum, floored at ROUNDOFF eps times the volume (the integrand
+    is positive). Raises QuadratureTolerance when an estimate exceeds
+    QUAD_TOL times max(1, eps^-3, the integral).
     """
-    eps = float(eps)
-    if not 0 < eps < fg.s_max:
-        raise DomainError(f"eps must lie in (0, s_max={fg.s_max}), got {eps}")
-
-    def f(s):
-        return s**-4.0 * fg.density(s)
-
-    panels = geometric_panels(eps, fg.s_max)
-    res = integrate_refined(f, eps, fg.s_max, panels, order=16, tol=QUAD_TOL,
-                            scale=max(1.0, eps**-3.0))
+    eps = np.asarray(ladder, dtype=float)
+    outside = ~((eps > 0) & (eps < fg.s_max))
+    if outside.any():
+        raise DomainError(
+            f"eps must lie in (0, s_max={fg.s_max}), got {eps[outside][0]}")
+    edges = np.union1d(geometric_panels(eps.min(), fg.s_max), eps)
+    halved = np.empty(2 * edges.size - 1)
+    halved[0::2] = edges
+    halved[1::2] = 0.5 * (edges[:-1] + edges[1:])
+    sums = panel_sums(np.concatenate([edges[:-1], halved[:-1]]),
+                      np.concatenate([edges[1:], halved[1:]]),
+                      lambda s: s**-4.0 * fg.density(s), 16)
+    n = edges.size - 1
+    rung = np.searchsorted(edges, eps)
+    value = np.cumsum((sums[n::2] + sums[n + 1::2])[::-1])[::-1][rung]
+    companion = np.cumsum(sums[:n][::-1])[::-1][rung]
+    err = np.maximum(np.abs(value - companion), ROUNDOFF * _EPS * value)
+    # negated so that a NaN estimate misses too
+    missed = ~(err <= QUAD_TOL * np.maximum(np.maximum(1.0, eps**-3.0), value))
+    if missed.any():
+        k = np.flatnonzero(missed)[0]
+        raise QuadratureTolerance(
+            f"sublevel quadrature on [{eps[k]}, {fg.s_max}] did not reach "
+            f"tol={QUAD_TOL}: estimate {err[k]:.3e}")
     vol_hat = fg.boundary.volume
-    return vol_hat * res.value, vol_hat * res.error_estimate
+    return vol_hat * value, vol_hat * err
 
 
 def _powers_matrix(eps: np.ndarray, powers) -> np.ndarray:
@@ -159,9 +182,7 @@ def fit_renormalized_volume(fg, ladder=None) -> VolumeFit:
     stability_change.
     """
     ladder = np.asarray(DEFAULT_LADDER if ladder is None else ladder, dtype=float)
-    samples = [sublevel_volume(fg, e) for e in ladder]
-    vols = np.asarray([v for v, _ in samples])
-    errs = np.asarray([e for _, e in samples])
+    vols, errs = sublevel_volumes(fg, ladder)
     fit = fit_ladder(ladder, vols, fg.boundary.volume,
                      fg.boundary.scalar_curvature)
     fit.quadrature_errors = errs

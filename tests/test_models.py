@@ -9,7 +9,9 @@ import sympy as sp
 from ccegeom import models
 from ccegeom.eigenfunction import solve_eigenfunction
 from ccegeom.errors import ModelParameterError, NotAvailable
-from ccegeom.tensor import einstein_residual
+from ccegeom.normal_form import FGMetric
+from ccegeom.tensor import curvature, einstein_residual
+from ccegeom.topology import build_topology_report
 
 
 def _radial_points(fg, svals):
@@ -180,6 +182,33 @@ def test_fg_metric_metadata(hyperbolic, ads, perturbed):
     assert ads.boundary.scalar_curvature == pytest.approx(2.0)
     assert perturbed.boundary.scalar_curvature == pytest.approx(6.0)
     assert hyperbolic.boundary.volume == pytest.approx(2 * np.pi ** 2, rel=1e-13)
+
+
+_BOUNDARIES = {
+    "S3": lambda: models.round_sphere_boundary(1.0),
+    "S3(1.3)": lambda: models.round_sphere_boundary(1.3),
+    "S1xS2": lambda: models.circle_sphere_boundary(2.5),
+    "T3": models.flat_torus_boundary,
+    "berger-S3": lambda: models.berger_sphere_boundary(0.8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BOUNDARIES))
+def test_boundary_scalar_curvature_is_the_stored_constant(name):
+    # the Yamabe sign is read off the stored R^, so it must be the
+    # curvature of the boundary metric everywhere
+    bdy = _BOUNDARIES[name]()
+    pack = curvature(bdy.field, bdy.field.chart.sample(32, seed=5))
+    assert np.max(np.abs(pack.scalar - float(bdy.scalar_curvature))) <= 1e-12
+
+
+def test_yamabe_sign_follows_the_boundary_curvature(hyperbolic, ads):
+    assert hyperbolic.yamabe_positive is True and ads.yamabe_positive is True
+    flat = FGMetric(models.flat_torus_boundary(), 2.0, [(0, 1, 2)],
+                    lambda s: [1.0 + 0.0 * s], einstein=True)
+    assert flat.yamabe_positive is False
+    with pytest.raises(NotAvailable, match="Yamabe"):
+        build_topology_report(1, 0.0, flat.yamabe_positive)
 
 
 def _catalogue_oracles():

@@ -3,13 +3,11 @@ import pytest
 
 from ccegeom import models, quadrature
 from ccegeom.quadrature import (
-    QuadResult,
     gauss_legendre_rule,
     geometric_panels,
-    integrate_fixed,
-    integrate_refined,
     kronrod_rule,
     one_point_rule,
+    panel_sums,
     periodic_rule,
     polar_rule,
     product_rule,
@@ -27,8 +25,8 @@ def test_polynomial_exactness():
 
         exact = sum(c * (3.0 ** (k + 1) - 1.0) / (k + 1)
                     for k, c in enumerate(coeffs))
-        got = integrate_fixed(f, 1.0, 3.0, panels=1, order=order)
-        assert got == pytest.approx(exact, rel=1e-14)
+        nodes, weights = gauss_legendre_rule(1.0, 3.0, panels=1, order=order)
+        assert float(np.dot(weights, f(nodes))) == pytest.approx(exact, rel=1e-14)
 
 
 def test_weights_positive_and_sum_to_length():
@@ -52,27 +50,30 @@ def test_geometric_panels_grading():
     widths = np.diff(edges)
     # widths grow away from the left endpoint until the final closing panel
     assert np.all(np.diff(widths[:-1]) > 0)
+    # no sliver closes the grid
+    for a in np.geomspace(1e-3, 0.1, 200):
+        widths = np.diff(geometric_panels(a, 0.9))
+        assert widths[-1] >= 0.5 * widths[-2]
     with pytest.raises(ValueError):
         geometric_panels(0.0, 1.0)
 
 
-def test_refined_estimate_brackets_error():
-    # integrand with a boundary layer; the estimate must not understate
-    # the true error by orders of magnitude
-    f = lambda x: 1.0 / np.sqrt(x)
-    exact = 2.0 * (1.0 - np.sqrt(1e-4))
-    res = integrate_refined(f, 1e-4, 1.0, panels=geometric_panels(1e-4, 1.0),
-                            order=12)
-    assert isinstance(res, QuadResult)
-    assert abs(res.value - exact) < 1e-9
-    assert abs(res.value - exact) < 50 * max(res.error_estimate, 1e-15)
+def test_panel_sums_are_per_panel_rules():
+    edges = np.array([0.2, 0.25, 0.9, 1.7])
+    seen = []
 
+    def f(x):
+        seen.append(x.shape)
+        return np.exp(-x) * np.sin(7 * x)
 
-def test_refined_determinism():
-    f = lambda x: np.exp(-x) * np.sin(7 * x)
-    a = integrate_refined(f, 0.0, 3.0, panels=4)
-    b = integrate_refined(f, 0.0, 3.0, panels=4)
-    assert a.value == b.value and a.error_estimate == b.error_estimate
+    sums = panel_sums(edges[:-1], edges[1:], f, 16)
+    # f sees one flat array of every panel's nodes
+    assert seen == [(3 * 16,)]
+    for i, got in enumerate(sums):
+        nodes, weights = gauss_legendre_rule(edges[i], edges[i + 1], 1, 16)
+        assert got == pytest.approx(float(np.dot(weights, f(nodes))), rel=1e-15)
+        # a panel's sum does not depend on the panels called with it
+        assert panel_sums(edges[i:i + 1], edges[i + 1:i + 2], f, 16)[0] == got
 
 
 def test_product_rule_box_volume():
@@ -225,11 +226,6 @@ def test_reference_rule_built_once_per_order(monkeypatch):
     assert max(calls.values()) == 1, calls
 
 
-def test_refined_rejects_no_doublings():
-    with pytest.raises(ValueError, match="max_doublings"):
-        integrate_refined(np.cos, 0.0, 1.0, panels=2, max_doublings=0)
-
-
 def test_nested_rules_reject_malformed_panels():
     with pytest.raises(ValueError, match="panels"):
         kronrod_rule(0.0, 1.0, 0)
@@ -241,6 +237,6 @@ def test_nested_rules_reject_malformed_panels():
 
 def test_rule_rejects_malformed_panels():
     with pytest.raises(ValueError, match="panels"):
-        integrate_fixed(np.cos, 0.0, 1.0, 0)
+        gauss_legendre_rule(0.0, 1.0, 0)
     with pytest.raises(ValueError, match="strictly increasing"):
         gauss_legendre_rule(0.0, 1.0, np.array([0.0, 0.6, 0.5, 1.0]))

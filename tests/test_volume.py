@@ -1,11 +1,14 @@
 """Renormalized volume: quadrature oracle, expansion fits, failure modes."""
 
+import warnings
+
 import numpy as np
 import pytest
 import sympy as sp
 
 from ccegeom import models, volume as vol
-from ccegeom.errors import DomainError, FitConditioning, UnstableFit
+from ccegeom.errors import DomainError, FitConditioning, QuadratureTolerance, UnstableFit
+from ccegeom.normal_form import FGMetric
 
 
 def _hyperbolic_sublevel_oracle(eps: float) -> float:
@@ -17,10 +20,92 @@ def _hyperbolic_sublevel_oracle(eps: float) -> float:
 
 @pytest.mark.parametrize("eps", [0.5, 0.1, 0.04])
 def test_sublevel_volume_against_antiderivative(hyperbolic, eps):
-    value, err_est = vol.sublevel_volume(hyperbolic, eps)
+    (value,), (err_est,) = vol.sublevel_volumes(hyperbolic, [eps])
     exact = _hyperbolic_sublevel_oracle(eps)
     assert value == pytest.approx(exact, abs=1e-9)
     assert err_est < 1e-8
+
+
+def test_default_ladder_against_antiderivative(hyperbolic):
+    values, errs = vol.sublevel_volumes(hyperbolic, vol.DEFAULT_LADDER)
+    for eps, value, err in zip(vol.DEFAULT_LADDER, values, errs):
+        exact = _hyperbolic_sublevel_oracle(eps)
+        assert value == pytest.approx(exact, abs=1e-9)
+        # the estimate brackets the error
+        assert abs(value - exact) <= err
+
+
+def test_each_rung_matches_its_one_rung_ladder(ads):
+    ladder = 0.3 * 0.78 ** np.arange(12)
+    values, _ = vol.sublevel_volumes(ads, ladder)
+    for eps, value in zip(ladder, values):
+        (alone,), _ = vol.sublevel_volumes(ads, [eps])
+        assert value == pytest.approx(alone, rel=1e-12)
+
+
+def test_sublevel_volumes_are_deterministic(ads):
+    first = vol.sublevel_volumes(ads, vol.DEFAULT_LADDER)
+    again = vol.sublevel_volumes(ads, vol.DEFAULT_LADDER)
+    for a, b in zip(first, again):
+        assert np.array_equal(a, b)
+
+
+def test_sublevel_volumes_refuse_what_the_grid_cannot_resolve(hyperbolic):
+    with pytest.raises(DomainError, match="eps must lie"):
+        vol.sublevel_volumes(hyperbolic, [0.1, hyperbolic.s_max])
+    # a density with a square-root kink at s = 1, off every breakpoint:
+    # the halved panels and the whole ones disagree there
+    kinked = models.hyperbolic()
+    kinked.density = lambda s: 1.0 + np.sqrt(np.abs(s - 1.0))
+    with pytest.raises(QuadratureTolerance, match="did not reach"):
+        vol.sublevel_volumes(kinked, vol.DEFAULT_LADDER)
+    # and a density that is not a number somewhere
+    broken = models.hyperbolic()
+    broken.density = lambda s: np.where(s > 1.5, np.nan, 1.0)
+    with pytest.raises(QuadratureTolerance, match="did not reach"):
+        vol.sublevel_volumes(broken, vol.DEFAULT_LADDER)
+
+
+@pytest.mark.parametrize("m", [3.0, 5.0])
+def test_deep_ads_ladder(m):
+    """Twelve rungs of 0.3 * 0.78^k reach V to 1e-6, with no invalid value
+    met on the way."""
+    weyl = models.exact_reference("ads_schwarzschild", "weyl_energy", m=m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        fit = vol.fit_renormalized_volume(models.ads_schwarzschild(m=m),
+                                          ladder=0.3 * 0.78 ** np.arange(12))
+    assert abs(fit.V - (16 * np.pi ** 2 - 0.25 * weyl) / 6) <= 1e-6
+
+
+def test_no_panel_next_to_the_tip():
+    """Graded plainly from 0.01321, the grid at m = 3 would close with a
+    panel 7e-4 wide, whose nodes reach where the warp is not a number."""
+    fg = models.ads_schwarzschild(m=3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        vol.sublevel_volumes(fg, (0.4, 0.3, 0.2, 0.1, 0.05, 0.03, 0.02, 0.01321))
+
+
+def test_volume_fit_reads_the_density_once(ads, monkeypatch):
+    points = []
+    density = FGMetric.density
+
+    def counted(self, s):
+        points.append(np.size(s))
+        return density(self, s)
+
+    monkeypatch.setattr(FGMetric, "density", counted)
+    vol.fit_renormalized_volume(ads)
+    assert len(points) == 1 and points[0] <= 800
+
+
+@pytest.mark.parametrize("fg", [lambda: models.hyperbolic(boundary_radius=0.9),
+                                lambda: models.hyperbolic(boundary_radius=1.3),
+                                lambda: models.ads_schwarzschild(m=1.0)])
+def test_no_rung_estimate_claims_exactness(fg):
+    fit = vol.fit_renormalized_volume(fg())
+    assert np.all(fit.quadrature_errors > 0)
 
 
 def test_hyperbolic_volume_fit(hyp_fit):
