@@ -141,13 +141,12 @@ class FGMetric:
             out[:, i[:, None], i] = h[:, b, None, None] * ghat[i[:, None], i]
         return out
 
-    def boundary_limit_residual(self, ladder=None, p=None) -> float:
-        """max|g_0 - ghat| at p (must be ~0), g_0 the signed order-0
-        coefficient of extract_expansion (tail columns s^4, s^5)."""
-        if p is None:
-            p = self.boundary.default_point
-        ghat = self.boundary.field.g(np.asarray(p, dtype=float))
-        g0 = extract_expansion(self, p=p, ladder=ladder).coefficient(0)
+    def boundary_limit_residual(self) -> float:
+        """max|g_0 - ghat| at the boundary's default point (must be ~0),
+        g_0 the signed order-0 coefficient of extract_expansion on
+        default_ladder() (tail columns s^4, s^5)."""
+        ghat = self.boundary.field.g(np.asarray(self.boundary.default_point, dtype=float))
+        g0 = extract_expansion(self).coefficient(0)
         return float(np.max(np.abs(g0 - ghat)))
 
     # -- densities --------------------------------------------------------
@@ -252,15 +251,17 @@ def order2_coefficient(boundary: MetricField, n: int, p) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # expansion extraction
 
-def default_ladder(s0: float = 0.2, ratio: float = 0.7, rungs: int = 12) -> np.ndarray:
-    """Geometric s-ladder used by the expansion fits."""
-    return s0 * ratio ** np.arange(rungs)
+def default_ladder(s0: float = 0.2) -> np.ndarray:
+    """Geometric s-ladder used by the expansion fits: 12 rungs from s0,
+    each 0.7 times the one before."""
+    return s0 * 0.7 ** np.arange(12)
 
 
-def extract_expansion(fg: FGMetric, max_order: int = 3, p=None,
-                      ladder=None, diagnose_gauge: bool = False,
+def extract_expansion(fg: FGMetric, max_order: int = 3, ladder=None,
+                      diagnose_gauge: bool = False,
                       tail_orders=(4, 5)) -> ExpansionSeries:
-    """Fit g_s(s, p) against {1, s^2, ..., s^max_order} on an s-ladder.
+    """Fit g_s(s, p) against {1, s^2, ..., s^max_order} on an s-ladder,
+    p the boundary's default point.
 
     Tail columns (s^4, s^5 by default) absorb the smooth remainder so the
     reported coefficients are not polluted by truncation; they are not
@@ -277,9 +278,7 @@ def extract_expansion(fg: FGMetric, max_order: int = 3, p=None,
     ladder = np.asarray(default_ladder() if ladder is None else ladder, dtype=float)
     if ladder.size < 5:
         raise DomainError("ladder needs at least 5 rungs")
-    if p is None:
-        p = fg.boundary.default_point
-    data = fg.gs(ladder, p)  # (L, n, n)
+    data = fg.gs(ladder, fg.boundary.default_point)  # (L, n, n)
     nmat = data.shape[1]
     orders = tuple([0] + list(range(2, max_order + 1)))
     fit_orders = list(orders) + [t for t in tail_orders if t > max_order]
@@ -357,15 +356,17 @@ class RadialMap:
     """The geodesic defining function along a radial profile.
 
     Solves d(ln s)/dr = -a(r) (s decreasing toward the boundary end)
-    by composite quadrature over a fixed graded edge table, then fixes
-    the multiplicative constant so that s^2 g restricts to the declared
-    boundary metric. Forward queries refine from the nearest table edge
-    with one short panel of the cached Gauss-Legendre reference rule;
+    by composite Gauss-Legendre quadrature of order _ORDER over a fixed
+    graded edge table, then fixes the multiplicative constant so that
+    s^2 g restricts to the declared boundary metric. Forward queries
+    refine from the nearest table edge with one short panel of that rule;
     inverse queries run safeguarded Newton on those inside the edge
     cell. Both take arrays, element by element in the same arithmetic,
     so the map is deterministic and accurate to quadrature precision.
     """
 
+    #: Gauss-Legendre order of every panel of the arclength quadrature
+    _ORDER = 24
     #: geometric grading depth toward the boundary end
     _DEPTH = 20
     #: extra depth used only by the x = 1/r region (cancellation-free)
@@ -373,9 +374,8 @@ class RadialMap:
     #: cap on the Newton/bisection iterations of r_of_s
     _MAXITER = 200
 
-    def __init__(self, profile: RadialProfile, order: int = 24):
+    def __init__(self, profile: RadialProfile):
         self.profile = profile
-        self.order = order
         self._tau_region = None
         self._x_region = None
         self._build_edges()
@@ -427,12 +427,12 @@ class RadialMap:
         if tau.any():
             out[tau] = panel_sums(np.sqrt(np.maximum(a[tau] - r0, 0.0)),
                                   np.sqrt(b[tau] - r0),
-                                  lambda t: f(r0 + t**2) * 2.0 * t, self.order)
+                                  lambda t: f(r0 + t**2) * 2.0 * t, self._ORDER)
         if inv.any():
             out[inv] = panel_sums(1.0 / b[inv], 1.0 / a[inv],
-                                  lambda x: f(1.0 / x) / x**2, self.order)
+                                  lambda x: f(1.0 / x) / x**2, self._ORDER)
         if direct.any():
-            out[direct] = panel_sums(a[direct], b[direct], f, self.order)
+            out[direct] = panel_sums(a[direct], b[direct], f, self._ORDER)
         return out
 
     def _accumulate(self):

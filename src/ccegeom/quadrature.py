@@ -198,8 +198,9 @@ def one_point_rule(a: float, b: float):
     return np.array([0.5 * (a + b)]), length, length
 
 
-def geometric_panels(a: float, b: float, ratio: float = 1.6, max_panels: int = 64):
-    """Panel breakpoints on [a, b] graded geometrically away from a.
+def geometric_panels(a: float, b: float, ratio: float = 1.6):
+    """Panel breakpoints on [a, b] graded geometrically away from a, at
+    most 64 of them.
 
     Suited to integrands that vary fastest near the left endpoint
     (inverse-power growth toward a boundary). A closing panel narrower
@@ -210,7 +211,7 @@ def geometric_panels(a: float, b: float, ratio: float = 1.6, max_panels: int = 6
         raise ValueError("need 0 < a < b for geometric grading")
     edges = [a]
     width = a * (ratio - 1.0)
-    while edges[-1] + width < b and len(edges) < max_panels:
+    while edges[-1] + width < b and len(edges) < 64:
         edges.append(edges[-1] + width)
         width *= ratio
     if len(edges) > 1 and b - edges[-1] < 0.5 * (edges[-1] - edges[-2]):

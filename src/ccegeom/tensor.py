@@ -94,13 +94,14 @@ class Chart:
             bad = np.atleast_2d(points)[~ok][0]
             raise DomainError(f"point {bad} outside chart box {self.lo}..{self.hi}")
 
-    def sample(self, n: int, seed: int = 0, margin: float = 0.15) -> np.ndarray:
-        """Deterministic interior sample, shrunk away from the box walls."""
+    def sample(self, n: int, seed: int = 0) -> np.ndarray:
+        """Deterministic interior sample in the middle 70% of each side
+        of the box, away from its walls."""
         rng = np.random.default_rng(seed)
         lo = np.asarray(self.lo)
         hi = np.asarray(self.hi)
         span = hi - lo
-        return lo + span * (margin + (1 - 2 * margin) * rng.random((n, self.dim)))
+        return lo + span * (0.15 + 0.7 * rng.random((n, self.dim)))
 
 
 def _as_batch(points, dim):
@@ -468,12 +469,13 @@ def riemann_symmetry_residuals(riemann) -> dict:
     }
 
 
-def einstein_residual(m: MetricField, points, n: int = 3):
-    """Frobenius norm |Ric + n g|_g, zero exactly when Ric = -n g."""
+def einstein_residual(m: MetricField, points):
+    """Frobenius norm |Ric + 3g|_g, zero exactly when Ric = -3g, the
+    Einstein condition of every fill here."""
     pts, squeeze = _as_batch(points, m.dim)
-    # Ric + n g = E + (R/d + n) g, with E the traceless Ricci
+    # Ric + 3g = E + (R/d + 3) g, with E the traceless Ricci
     pack = curvature(m, pts)
-    val = pack.norms["traceless_ricci_sq"] + m.dim * (pack.scalar / m.dim + n) ** 2
+    val = pack.norms["traceless_ricci_sq"] + m.dim * (pack.scalar / m.dim + 3) ** 2
     return _maybe_squeeze(np.sqrt(val), squeeze)
 
 

@@ -12,9 +12,9 @@ integrated second elementary symmetric function of the Schouten tensor,
 self-dual (or anti-self-dual, or all) second cohomology vanishes.
 
 Everything here is exact arithmetic on previously computed invariants;
-the only numerics is a comparison tolerance. Strict hypotheses never
-pass silently: values within tolerance of a threshold get an explicit
-"boundary" verdict.
+the only numerics is one comparison tolerance, COMPARISON_TOL. Strict
+hypotheses never pass silently: values within tolerance of a threshold
+get an explicit "boundary" verdict.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ __all__ = [
 #: renormalized volume of the hyperbolic model, the extremal value
 BALL_VOLUME = 4.0 * np.pi**2 / 3.0
 
-#: default absolute tolerance separating pass/fail from "boundary"
+#: absolute tolerance of every criterion below: a margin within it is
+#: "boundary", neither pass nor fail
 COMPARISON_TOL = 1e-9
 
 #: largest relative defect of 8 pi^2 chi = (1/4) int |W|^2 + 6V that
@@ -111,18 +112,18 @@ def _require_yamabe(yamabe_positive: bool):
         )
 
 
-def volume_upper_bound(volume: float, yamabe_positive: bool,
-                       tol: float = COMPARISON_TOL) -> Check:
+def volume_upper_bound(volume: float, yamabe_positive: bool) -> Check:
     """V <= 4 pi^2/3, with the equality case flagged as rigidity.
 
     Equality holds exactly for the hyperbolic model (round-sphere
     boundary), so a value at the threshold is reported as the rigidity
-    case rather than a pass. A clear violation means the inputs cannot
-    come from a positive-Yamabe conformally compact Einstein metric.
+    case rather than a pass: a margin within COMPARISON_TOL. A clear
+    violation means the inputs cannot come from a positive-Yamabe
+    conformally compact Einstein metric.
     """
     _require_yamabe(yamabe_positive)
     check = compare(
-        "volume-upper-bound", volume, BALL_VOLUME, "<=", tol,
+        "volume-upper-bound", volume, BALL_VOLUME, "<=", COMPARISON_TOL,
         boundary_note="equality: rigidity, the metric is the hyperbolic "
                       "model and the boundary the round sphere",
     )
@@ -132,21 +133,19 @@ def volume_upper_bound(volume: float, yamabe_positive: bool,
     return check
 
 
-def finite_cover_ball_criterion(chi: int, volume: float,
-                                yamabe_positive: bool,
-                                tol: float = COMPARISON_TOL):
+def finite_cover_ball_criterion(chi: int, volume: float, yamabe_positive: bool):
     """V > (1/3)(4 pi^2/3) chi forces ball topology up to finite cover.
 
-    Returns (check, conclusions). On a strict pass the interior is
-    homeomorphic to the 4-ball up to a possible finite cover
-    (equivalently the fundamental group is at most finite), with the
-    intermediate facts recorded: the volume is positive, first and
-    second real cohomology vanish, and the integrated sigma2 of the
-    double is positive.
+    Returns (check, conclusions); a margin within COMPARISON_TOL is
+    "boundary". On a strict pass the interior is homeomorphic to the
+    4-ball up to a possible finite cover (equivalently the fundamental
+    group is at most finite), with the intermediate facts recorded: the
+    volume is positive, first and second real cohomology vanish, and
+    the integrated sigma2 of the double is positive.
     """
     _require_yamabe(yamabe_positive)
     check = compare("finite-cover-ball", volume,
-                     BALL_VOLUME * chi / 3.0, ">", tol,
+                     BALL_VOLUME * chi / 3.0, ">", COMPARISON_TOL,
                      note=f"chi = {int(chi)}")
     conclusions = ()
     if check.verdict == "pass":
@@ -160,26 +159,24 @@ def finite_cover_ball_criterion(chi: int, volume: float,
     return check, conclusions
 
 
-def diffeomorphism_ball_criterion(chi: int, volume: float,
-                                  yamabe_positive: bool,
-                                  tol: float = COMPARISON_TOL):
+def diffeomorphism_ball_criterion(chi: int, volume: float, yamabe_positive: bool):
     """V > (1/2)(4 pi^2/3) chi forces the ball outright.
 
     Returns (checks, conclusions): the volume check plus the equivalent
     doubled-manifold form (1/4) int |W|^2 < int sigma2, both sides
     recomputed from (chi, V) through the volume identity
     8 pi^2 chi = (1/4) int |W|^2 + 6V and the closed Gauss-Bonnet
-    formula. On a strict pass the interior is diffeomorphic to the
-    4-ball, the boundary to the 3-sphere, and the double to the
-    4-sphere.
+    formula; a margin within COMPARISON_TOL is "boundary". On a strict
+    pass the interior is diffeomorphic to the 4-ball, the boundary to
+    the 3-sphere, and the double to the 4-sphere.
     """
     _require_yamabe(yamabe_positive)
     main = compare("diffeomorphism-ball", volume,
-                    0.5 * BALL_VOLUME * chi, ">", tol,
+                    0.5 * BALL_VOLUME * chi, ">", COMPARISON_TOL,
                     note=f"chi = {int(chi)}")
     weyl_quarter = 16.0 * np.pi**2 * chi - 12.0 * volume
     doubled = compare("doubled-weyl-vs-sigma2", weyl_quarter,
-                       12.0 * volume, "<", tol,
+                       12.0 * volume, "<", COMPARISON_TOL,
                        note="same inequality written on the double: "
                             "(1/4) int |W|^2 against int sigma2, both "
                             "derived from (chi, V)")
@@ -193,27 +190,27 @@ def diffeomorphism_ball_criterion(chi: int, volume: float,
     return (main, doubled), conclusions
 
 
-def homology_vanishing_criteria(suite, tol: float = COMPARISON_TOL):
+def homology_vanishing_criteria(suite):
     """Weyl-energy versus sigma2 checks on a closed double.
 
     Three strict inequalities: (1/4) int |W+|^2 < int sigma2 kills the
     self-dual part of second cohomology, the mirror check kills the
     anti-self-dual part, and (1/4) int |W|^2 < 2 int sigma2 (their sum)
-    kills all of it. suite is an IntegralSuite of the double.
+    kills all of it; a margin within COMPARISON_TOL is "boundary".
+    suite is an IntegralSuite of the double.
     """
     s2 = float(suite.sigma2_integral)
-    checks = (
+    return (
         compare("selfdual-homology", 0.25 * float(suite.weyl_plus),
-                 s2, "<", tol,
+                 s2, "<", COMPARISON_TOL,
                  note="pass kills self-dual second cohomology"),
         compare("antiselfdual-homology", 0.25 * float(suite.weyl_minus),
-                 s2, "<", tol,
+                 s2, "<", COMPARISON_TOL,
                  note="pass kills anti-self-dual second cohomology"),
         compare("full-homology", 0.25 * float(suite.weyl_energy),
-                 2.0 * s2, "<", tol,
+                 2.0 * s2, "<", COMPARISON_TOL,
                  note="pass kills all second cohomology"),
     )
-    return checks
 
 
 def feasible_betti_parameters(k_max: int = 100) -> set:
@@ -254,8 +251,7 @@ class TopologyReport:
 
 def build_topology_report(chi: int, volume: float, yamabe_positive: bool,
                           double_suite=None,
-                          identity_residual: Optional[float] = None,
-                          tol: float = COMPARISON_TOL) -> TopologyReport:
+                          identity_residual: Optional[float] = None) -> TopologyReport:
     """Assemble the full decision report from computed invariants.
 
     identity_residual is the relative defect of
@@ -270,19 +266,16 @@ def build_topology_report(chi: int, volume: float, yamabe_positive: bool,
         "identity_residual": (None if identity_residual is None
                               else float(identity_residual)),
     }
-    checks = [volume_upper_bound(volume, yamabe_positive, tol)]
+    checks = [volume_upper_bound(volume, yamabe_positive)]
     notes = []
 
-    cover_check, cover_conc = finite_cover_ball_criterion(
-        chi, volume, yamabe_positive, tol)
+    cover_check, cover_conc = finite_cover_ball_criterion(chi, volume, yamabe_positive)
     checks.append(cover_check)
-    diffeo_checks, diffeo_conc = diffeomorphism_ball_criterion(
-        chi, volume, yamabe_positive, tol)
+    diffeo_checks, diffeo_conc = diffeomorphism_ball_criterion(chi, volume, yamabe_positive)
     checks.extend(diffeo_checks)
 
     if double_suite is not None:
-        hom = homology_vanishing_criteria(double_suite, tol)
-        checks.extend(hom)
+        checks.extend(homology_vanishing_criteria(double_suite))
         inputs["double_sigma2"] = float(double_suite.sigma2_integral)
         inputs["double_weyl_sq"] = float(double_suite.weyl_energy)
         inputs["double_weyl_plus_sq"] = float(double_suite.weyl_plus)

@@ -83,7 +83,9 @@ def sublevel_volumes(fg, ladder) -> tuple:
     if outside.any():
         raise DomainError(
             f"eps must lie in (0, s_max={fg.s_max}), got {eps[outside][0]}")
-    edges = np.union1d(geometric_panels(eps.min(), fg.s_max), eps)
+    # sorted and deduplicated through a set: np.union1d would import numpy.ma
+    edges = np.asarray(sorted({*geometric_panels(eps.min(), fg.s_max).tolist(),
+                               *eps.tolist()}))
     halved = np.empty(2 * edges.size - 1)
     halved[0::2] = edges
     halved[1::2] = 0.5 * (edges[:-1] + edges[1:])
@@ -190,14 +192,11 @@ def fit_renormalized_volume(fg, ladder=None) -> VolumeFit:
 
 
 def write_volume_table(fit: VolumeFit, path) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
+    coef = [fit.V] + [fit.tail_coefficients[k] for k in _POWERS[1:]]
+    fitted = (_divergent(fit.epsilons, fit.c0, fit.c2)
+              + _powers_matrix(fit.epsilons, _POWERS) @ coef)
+    with open(path, "w") as fh:
         fh.write("# volume-ladder v1\n")
-        writer = csv.writer(fh)
-        writer.writerow(["epsilon", "volume", "fit_value", "deviation"])
-        coef = [fit.V] + [fit.tail_coefficients[k] for k in _POWERS[1:]]
-        fitted = (_divergent(fit.epsilons, fit.c0, fit.c2)
-                  + _powers_matrix(fit.epsilons, _POWERS) @ coef)
+        fh.write("epsilon,volume,fit_value,deviation\n")
         for e, v, f in zip(fit.epsilons, fit.volumes, fitted):
-            writer.writerow([f"{e:.17g}", f"{v:.17g}", f"{f:.17g}", f"{v - f:.3e}"])
+            fh.write(f"{e:.17g},{v:.17g},{f:.17g},{v - f:.3e}\n")

@@ -55,6 +55,13 @@ def test_analyze_is_deterministic(analyze_dir, tmp_path):
         assert (analyze_dir / name).read_bytes() == (second / name).read_bytes()
 
 
+def test_artifacts_end_lines_with_newline_alone(analyze_dir, tmp_path, capsys):
+    """No analyze or volume artifact holds a carriage return."""
+    assert _run(["volume", "--model", "hyperbolic", "--out", str(tmp_path)]) == 0
+    for path in [*analyze_dir.iterdir(), tmp_path / "volumes.csv"]:
+        assert b"\r" not in path.read_bytes(), path.name
+
+
 def test_analyze_closed_model(tmp_path):
     first, second = tmp_path / "first", tmp_path / "second"
     for out in (first, second):
@@ -413,11 +420,23 @@ def test_check_conformal_factors_are_metrics_on_s2xs2():
     from ccegeom.tensor import conformal_rescale
 
     mdl = models.build("product_spheres")
-    for w in cli._conformal_factors(mdl.field.chart, 2):
+    for w in cli._conformal_factors(mdl.field.chart):
         suite = integrate_curvature(conformal_rescale(mdl.field, w), mdl.domain,
                                     mdl.orientation)
         assert abs(suite.euler_gb - 4.0) < 1e-6
         assert abs(suite.signature) < 1e-12
+
+
+def test_check_conformal_factors_are_the_seeded_draws():
+    """check's (a, b, c, k1, k2) are the draws of default_rng(20260816),
+    a, b and c rounded to 6 places, written out as literals."""
+    rng = np.random.default_rng(20260816)
+    draws = []
+    for _ in range(2):
+        a, b, c = (round(float(v), 6) for v in rng.uniform(-0.25, 0.25, 3))
+        k1, k2 = (int(v) for v in rng.integers(1, 3, 2))
+        draws.append((a, b, c, k1, k2))
+    assert cli._FACTORS == tuple(draws)
 
 
 def test_conformal_gauss_bonnet_line_gates_euler(monkeypatch):

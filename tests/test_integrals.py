@@ -249,7 +249,7 @@ def test_periodic_rule_resolves_the_rescaled_products(product_suite, monkeypatch
     needs more periodic nodes fails here."""
     mdl, _ = product_suite
     chart = mdl.field.chart
-    factors = cli._conformal_factors(chart, 2) + [ScalarField.from_function(
+    factors = cli._conformal_factors(chart) + [ScalarField.from_function(
         chart, cli._conformal_factor(0.083, -0.094, 0.385, 3, 3))]
     fields = [conformal_rescale(mdl.field, w) for w in factors]
 
@@ -287,7 +287,7 @@ def test_polar_rule_meets_the_closed_forms():
     chi within the reported estimates. The rescaled volume, e^{4w} dv,
     is no polynomial in cos(theta): it only stays within its estimate."""
     chart = models.build("product_spheres").field.chart
-    factors = cli._conformal_factors(chart, 2) + [ScalarField.from_function(
+    factors = cli._conformal_factors(chart) + [ScalarField.from_function(
         chart, cli._conformal_factor(0.083, -0.094, 0.385, 3, 3))]
     cases = [(name, None) for name in ("round_sphere", "product_spheres", "fubini_study")]
     cases += [("product_spheres", w) for w in factors]

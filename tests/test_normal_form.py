@@ -114,13 +114,13 @@ def test_radial_map_queries_are_one_composite_panel(ads):
         a = float(rmap.edges[idx])
         if r <= tau_hi:
             t, w = gauss_legendre_rule(np.sqrt(max(a - r0, 0.0)), np.sqrt(r - r0),
-                                       1, rmap.order)
+                                       1, rmap._ORDER)
             seg = np.sum(w * (np.asarray(f(r0 + t**2)) * 2.0 * t))
         elif a >= x_lo:
-            x, w = gauss_legendre_rule(1.0 / r, 1.0 / a, 1, rmap.order)
+            x, w = gauss_legendre_rule(1.0 / r, 1.0 / a, 1, rmap._ORDER)
             seg = np.sum(w * (np.asarray(f(1.0 / x)) / x**2))
         else:
-            nodes, w = gauss_legendre_rule(a, r, 1, rmap.order)
+            nodes, w = gauss_legendre_rule(a, r, 1, rmap._ORDER)
             seg = np.sum(w * np.asarray(f(nodes)))
         return rmap.kappa - (rmap._arc[idx] + float(seg))
 

@@ -1,5 +1,5 @@
 """Package surface: every exported name resolves, and the CLI needs neither
-scipy nor sympy."""
+scipy nor sympy, nor numpy.random, numpy.ma or csv."""
 
 import importlib
 import os
@@ -56,3 +56,19 @@ def test_runtime_needs_no_sympy(tmp_path):
                          "from ccegeom.cli import main; "
                          f"sys.exit(main({argv!r}))")
         assert out.returncode == 0, (argv, out.stdout, out.stderr)
+
+
+def test_commands_load_no_rng_masked_arrays_or_csv(tmp_path):
+    """check, an AdS analyze and volume, run in one fresh interpreter, load
+    none of numpy.random, numpy.ma and csv (this process has them loaded)."""
+    runs = (["check"],
+            ["analyze", "--model", "ads_schwarzschild", "--m", "1.0",
+             "--out", str(tmp_path / "ads")],
+            ["volume", "--model", "ads_schwarzschild", "--m", "1.0",
+             "--out", str(tmp_path / "vol")])
+    out = _run_fresh("import sys; from ccegeom.cli import main; "
+                     f"codes = [main(argv) for argv in {runs!r}]; "
+                     "print(codes, sorted(m for m in ('numpy.random', "
+                     "'numpy.ma', 'csv') if m in sys.modules))")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0] []", out.stdout
