@@ -46,7 +46,7 @@ from .errors import (
     SolverFailure,
     UnsupportedDimension,
 )
-from .integrals import RADIAL_PANELS, RadialDomain, radial_section
+from .integrals import RadialDomain
 from .normal_form import FGMetric
 from .tensor import MetricField, ScalarField, conformal_rescale
 from .topology import gate
@@ -77,7 +77,7 @@ TAIL_TOL = 1e-11
 TAIL_LIMIT = 1e-6
 #: lower end of the diagnostic grids (u_min, scalar scan, Bochner check)
 S_LO = 1e-3
-#: the compactified radial domain and the Bochner grid stop at s_max - XI_EDGE
+#: the Bochner grid stops short of the tip s_max by XI_EDGE
 XI_EDGE = 0.05
 #: largest s of the near-boundary window of asymptotic_residual
 ASYMPTOTIC_CAP = 0.05
@@ -388,24 +388,15 @@ def compactified_metric_field(sol: EigenfunctionSolution) -> MetricField:
 
 
 def compactified_radial_domain(sol: EigenfunctionSolution) -> RadialDomain:
-    """Radial domain carrying the volume measure of u^{-2} g.
+    """Radial domain of the whole compactified fill, s in [0, s_max].
 
-    The reduced measure is Vol(ghat) (u s)^{-4} D(s); the compactified
-    warp u s tends to 1 at the boundary, so the domain starts at s = 0
-    and integrating 1 gives the finite volume of the compactified
-    collar, which stops at s_max - XI_EDGE.
+    The volume density of u^{-2} g is Vol(ghat) (u s)^{-4} D(s) over the
+    boundary; the compactified warp u s tends to 1 at the boundary and
+    the density stays bounded up to the tip, so the domain spans the
+    fill and integrating 1 gives its finite volume.
     """
     fg = sol.fg
-    vol = fg.boundary.volume
-
-    def measure(s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        return vol * fg.density(s) / (sol.u(s) * s) ** 4
-
-    return RadialDomain(0.0, sol.s_hi - XI_EDGE, measure,
-                        radial_section(fg.boundary.default_point),
-                        panels=RADIAL_PANELS,
-                        label=f"{fg.name} compactified collar")
+    return RadialDomain(0.0, sol.s_hi, fg.boundary, f"{fg.name} compactified fill")
 
 
 def _second_form_linear(sol: EigenfunctionSolution) -> float:

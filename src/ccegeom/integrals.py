@@ -5,24 +5,29 @@ product boxes in a single chart, and radial reductions for
 cohomogeneity-one metrics where the angular integral is carried exactly
 by the boundary volume.
 
-A box is integrated in one kernel pass, with a nested rule per axis
-(see quadrature): Kronrod-15 on bounded axes, the 8-point trapezoid
-rule on axes that are one full period of the metric
+Every domain is integrated in one kernel pass of a nested rule (see
+quadrature), weighted by the kernel's own sqrt(det g). A box takes one
+rule per axis: Kronrod-15 on bounded axes, the 8-point trapezoid rule
+on axes that are one full period of the metric
 (ProductChartDomain.periodic), Kronrod-7 in cos(theta) on polar angles
-(ProductChartDomain.polar), and the one-point rule on axes the
-metric does not depend on (MetricField.cyclic_axes), where g, its
-derivatives, every invariant and sqrt(det g) are constant. The value
-is the fine rule's; the error estimate is its distance from the
-companion rule (Gauss-7, Gauss-3 and the 4-point trapezoid on the same
-nodes), i.e. the companion's error, an upper bound for the value's.
-A radial domain is integrated twice, by Gauss-Legendre of orders ORDER
-and REFINED_ORDER; the refined value is returned and the difference is
-the error estimate. Every estimate is floored at ROUNDOFF eps times
+(ProductChartDomain.polar), and the one-point rule on axes the metric
+does not depend on (MetricField.cyclic_axes), where g, its
+derivatives, every invariant and sqrt(det g) are constant. A radial
+domain takes Kronrod-15 on RADIAL_PANELS panels of s, at one fixed
+boundary point p, with the fiber folded into the weights as the
+constant Vol(ghat)/sqrt(det ghat(p)): on a warped-block fill
+sqrt(det g)(s, x) = s^-4 D(s) sqrt(det ghat)(x), and a conformal factor
+of s alone keeps that form, so the weighted nodes integrate the whole
+fiber exactly. The value is the fine rule's; the error estimate is its
+distance from the companion rule (Gauss-7, Gauss-3 and the 4-point
+trapezoid on the same nodes), i.e. the companion's error, an upper
+bound for the value's. Every estimate is floored at ROUNDOFF eps times
 the integral of the integrand's absolute value (QUADPACK's round-off
 floor), so it never claims more than the rounding of the sum allows.
 The collar of a normal-form fill (fg_radial_domain) starts at the fixed
 COLLAR_S_LO, since its measure Vol(ghat) s^-4 D(s) blows up at s = 0;
-the compactified collar of the eigenfunction module starts at 0.
+the compactified fill of the eigenfunction module runs from 0 to the
+tip s_max.
 
 The integrated quantities feed two index formulas, stated here in the
 tensor-norm convention |W|^2 = W_{ijkl} W^{ijkl}:
@@ -41,8 +46,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import (ROUNDOFF, gauss_legendre_rule, kronrod_rule,
-                         one_point_rule, periodic_rule, polar_rule, product_rule)
+from .quadrature import (ROUNDOFF, kronrod_rule, one_point_rule, periodic_rule,
+                         polar_rule, product_rule)
 from .tensor import MetricField, curvature
 
 __all__ = [
@@ -59,13 +64,9 @@ __all__ = [
     "suite_document",
 ]
 
-#: Gauss-Legendre order of the first pass on radial domains
-ORDER = 12
-#: order of the second radial pass, whose difference is the error estimate
-REFINED_ORDER = 16
-#: curvature points per kernel call on product boxes
+#: curvature points per kernel call
 CHUNK = 2048
-#: panels of the radial collar domains
+#: Kronrod-15 panels of a radial domain
 RADIAL_PANELS = 12
 #: lower end of fg_radial_domain: the collar's Weyl energy drops the
 #: part below it, which is O(COLLAR_S_LO^3)
@@ -102,20 +103,15 @@ class ProductChartDomain:
 
 @dataclass(frozen=True)
 class RadialDomain:
-    """Cohomogeneity-one reduction: one radial axis, exact fiber volume.
+    """Cohomogeneity-one reduction of a warped-block fill over its boundary.
 
-    measure(s) must give the full reduced measure (fiber volume folded
-    in), so integrals are  int f(s) measure(s) ds  and the integrator
-    does not consult the metric determinant. section maps a vector of
-    radial nodes (N,) to chart points (N, 4); radial_section builds one
-    from a fixed boundary point.
+    Integrals run over s in [s_lo, s_hi] times the whole boundary; the
+    fiber is carried exactly by the boundary volume (module docstring).
     """
 
     s_lo: float
     s_hi: float
-    measure: Callable
-    section: Callable
-    panels: int = 8
+    boundary: object  # the fill's normal_form.BoundaryGeometry
     label: str = ""
 
 
@@ -131,23 +127,13 @@ def radial_section(boundary_point) -> Callable:
 
 
 def fg_radial_domain(fg) -> RadialDomain:
-    """Radial domain for a normal-form family, with its hyperbolic measure.
+    """Radial domain of a normal-form family, from COLLAR_S_LO to s_max.
 
-    The reduced measure of s^{-2}(ds^2 + g_s) is Vol(ghat) s^{-4} D(s),
-    so integrals over the domain, which runs from COLLAR_S_LO to s_max,
-    are truncated-collar integrals of the conformally compact metric
-    itself. fg needs the warped-block layout (density and a
-    reconstructable 4-metric).
+    Integrals over it are truncated-collar integrals of the conformally
+    compact metric s^{-2}(ds^2 + g_s) itself, whose volume density
+    Vol(ghat) s^{-4} D(s) blows up at s = 0.
     """
-    vol = fg.boundary.volume
-
-    def measure(s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        return vol * s**-4.0 * fg.density(s)
-
-    return RadialDomain(COLLAR_S_LO, fg.s_max, measure,
-                        radial_section(fg.boundary.default_point),
-                        panels=RADIAL_PANELS, label=f"{fg.name} collar")
+    return RadialDomain(COLLAR_S_LO, fg.s_max, fg.boundary, f"{fg.name} collar")
 
 
 @dataclass
@@ -202,10 +188,20 @@ def _box_axis_rule(m, domain, i):
     return kronrod_rule(lo, hi, panels)
 
 
-def _accumulate_box(m, domain, orientation):
+def _rule(m, domain):
+    """Points, fine weights and companion weights of the domain's rule."""
+    if isinstance(domain, RadialDomain):
+        b = domain.boundary
+        s, fine, companion = kronrod_rule(domain.s_lo, domain.s_hi, RADIAL_PANELS)
+        ghat = b.field.g(np.asarray(b.default_point, dtype=float))
+        fiber = b.volume / np.sqrt(np.linalg.det(ghat))
+        return radial_section(b.default_point)(s), fiber * fine, fiber * companion
+    return product_rule([_box_axis_rule(m, domain, i) for i in range(len(domain.axes))])
+
+
+def _accumulate(m, domain, orientation):
     """Fine, companion and absolute-value totals of _FIELDS, one pass."""
-    pts, fine, companion = product_rule(
-        [_box_axis_rule(m, domain, i) for i in range(len(domain.axes))])
+    pts, fine, companion = _rule(m, domain)
     wts = np.stack([fine, companion], axis=1)
     totals = np.zeros((3, len(_FIELDS)))
     for lo in range(0, pts.shape[0], CHUNK):
@@ -220,23 +216,12 @@ def _accumulate_box(m, domain, orientation):
     return totals
 
 
-def _accumulate_radial(m, domain, orientation, order):
-    """Totals of _FIELDS and of their absolute values at one order."""
-    nodes, wts = gauss_legendre_rule(domain.s_lo, domain.s_hi,
-                                     domain.panels, order)
-    pts = np.asarray(domain.section(nodes), dtype=float)
-    meas = np.asarray(domain.measure(nodes), dtype=float)
-    rows = _invariant_rows(curvature(m, pts, orientation=orientation))
-    return (wts * meas) @ rows, np.abs(wts * meas) @ np.abs(rows)
-
-
 def integrate_curvature(m: MetricField, domain,
                         orientation: int = 1) -> IntegralSuite:
     """Integrate the curvature invariants of m over the domain.
 
     Returns the fine values; the error estimate of every integral is
-    |fine - companion| on a box, |I(REFINED_ORDER) - I(ORDER)| on a
-    radial domain, and never below the round-off floor (module
+    |fine - companion|, never below the round-off floor (module
     docstring).
     """
     if m.dim != 4:
@@ -247,12 +232,7 @@ def integrate_curvature(m: MetricField, domain,
         raise DomainError(f"product domain has {len(domain.axes)} axes, "
                           f"the metric has {m.dim} coordinates")
 
-    if isinstance(domain, RadialDomain):
-        coarse, _ = _accumulate_radial(m, domain, orientation, ORDER)
-        totals, absolute = _accumulate_radial(m, domain, orientation,
-                                              REFINED_ORDER)
-    else:
-        totals, coarse, absolute = _accumulate_box(m, domain, orientation)
+    totals, coarse, absolute = _accumulate(m, domain, orientation)
     floor = ROUNDOFF * np.finfo(float).eps * absolute
     errors = {name: float(max(abs(totals[i] - coarse[i]), floor[i]))
               for i, name in enumerate(_FIELDS)}

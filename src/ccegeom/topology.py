@@ -55,6 +55,9 @@ COMPARISON_TOL = 1e-9
 #: still lets the report draw conclusions; the analyze gate reads it too
 IDENTITY_TOL = 1e-3
 
+#: largest anti-self-dual Betti parameter k of feasible_betti_parameters
+BETTI_SWEEP = 100
+
 
 @dataclass(frozen=True)
 class Check:
@@ -213,18 +216,18 @@ def homology_vanishing_criteria(suite):
     )
 
 
-def feasible_betti_parameters(k_max: int = 100) -> set:
+def feasible_betti_parameters() -> set:
     """Betti parameters surviving the integrated pinching inequality.
 
     On a closed double with vanishing first cohomology, vanishing
     self-dual second cohomology and anti-self-dual dimension 2k, the
     Euler characteristic is 2 + 2k and the signature -2k. The
     inequality 2 chi + 3 tau > (2/3) chi then reads 4 - 2k > (4+4k)/3,
-    which only k = 0 satisfies; the sweep makes that explicit instead
-    of trusting the algebra.
+    which only k = 0 satisfies; the sweep over k <= BETTI_SWEEP makes
+    that explicit instead of trusting the algebra.
     """
     feasible = set()
-    for k in range(0, int(k_max) + 1):
+    for k in range(BETTI_SWEEP + 1):
         chi = 2 + 2 * k
         tau = -2 * k
         if 2 * chi + 3 * tau > (2.0 / 3.0) * chi:

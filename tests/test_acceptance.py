@@ -148,7 +148,7 @@ def test_criterion_08_expansion_coefficients(hyperbolic, ads):
 
 
 def test_criterion_09_betti_sweep():
-    feasible = tp.feasible_betti_parameters(100)
+    feasible = tp.feasible_betti_parameters()
     ok = feasible == {0}
     _report(9, "betti-feasibility", ok, f"feasible set = {sorted(feasible)}")
 

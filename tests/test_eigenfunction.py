@@ -8,7 +8,7 @@ import pytest
 from ccegeom import models
 from ccegeom import eigenfunction as ef
 from ccegeom.errors import DomainError, UnsupportedDimension
-from ccegeom.quadrature import gauss_legendre_rule
+from ccegeom.integrals import integrate_curvature
 from ccegeom.tensor import curvature
 
 
@@ -115,13 +115,13 @@ def test_compactified_metric_engine_cross_check(hyp_solution):
 
 
 def test_collar_volume_through_compactified_domain(hyp_solution):
+    """The compactified hyperbolic fill is the round unit hemisphere: the
+    domain spans it from the boundary to the tip, and its volume is
+    4 pi^2 / 3."""
     dom = ef.compactified_radial_domain(hyp_solution)
-    assert dom.s_lo == 0.0 and dom.s_hi == hyp_solution.s_hi - ef.XI_EDGE
-    nodes, weights = gauss_legendre_rule(dom.s_lo, dom.s_hi, 24, 16)
-    value = float(np.dot(weights, dom.measure(nodes)))
-    # the collar stops at s_hi = s_max - xi_edge: a tip cap of ~2e-6 remains
-    assert value == pytest.approx(4 * np.pi ** 2 / 3, abs=5e-6)
-    assert abs(value - 4 * np.pi ** 2 / 3) > 1e-8
+    assert dom.s_lo == 0.0 and dom.s_hi == hyp_solution.s_hi
+    suite = integrate_curvature(ef.compactified_metric_field(hyp_solution), dom)
+    assert abs(suite.volume - 4 * np.pi ** 2 / 3) <= 1e-10
 
 
 def test_solution_domain_guards(hyp_solution):

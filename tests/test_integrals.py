@@ -1,6 +1,7 @@
 """Integrated invariants: Gauss-Bonnet, signature, conformal invariance."""
 
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -9,10 +10,10 @@ from ccegeom import cli, models, quadrature
 from ccegeom import integrals as ig
 from ccegeom import volume as vol
 from ccegeom.autodiff import cos, diag, sin
-from ccegeom.eigenfunction import compactified_metric_field, compactified_radial_domain
+from ccegeom.eigenfunction import (compactified_metric_field, compactified_radial_domain,
+                                   solve_eigenfunction)
 from ccegeom.errors import DomainError
-from ccegeom.quadrature import gauss_legendre_rule, geometric_panels
-from ccegeom.tensor import Chart, MetricField, ScalarField, conformal_rescale
+from ccegeom.tensor import Chart, MetricField, ScalarField, conformal_rescale, curvature
 
 _REVERSED = {"weyl_plus": "weyl_minus", "weyl_minus": "weyl_plus"}
 
@@ -108,25 +109,68 @@ def test_weyl_energy_is_conformally_invariant(product_suite, rng):
 
 
 def test_sigma2_bridge_on_compactified_collar(hyp_solution, hyp_fit):
-    """int sigma2 over the compactified collar approaches 6 V."""
+    """int sigma2 over the compactified fill is 6 V."""
     mbar = compactified_metric_field(hyp_solution)
     dom = compactified_radial_domain(hyp_solution)
     suite = ig.integrate_curvature(mbar, dom)
     res = ig.sigma2_volume_bridge(suite.sigma2_integral, hyp_fit.V)
-    # the collar misses a tip cap of order 1e-5 in sigma2 units
     assert abs(res) < 1e-4
     assert suite.sigma2_integral == pytest.approx(8 * np.pi ** 2, abs=1e-4)
-    # the same collar reproduces chi of the ball with geodesic boundary
+    # the same fill reproduces chi of the ball with geodesic boundary
     assert suite.euler_gb == pytest.approx(1.0, abs=1e-5)
 
 
-def test_radial_domain_volume_matches_sublevel(hyperbolic):
-    dom = ig.fg_radial_domain(hyperbolic)
-    assert dom.s_lo == ig.COLLAR_S_LO
-    nodes, weights = gauss_legendre_rule(
-        dom.s_lo, dom.s_hi, geometric_panels(dom.s_lo, dom.s_hi, ratio=1.5), 16)
-    (ref,), _ = vol.sublevel_volumes(hyperbolic, [ig.COLLAR_S_LO])
-    assert float(np.dot(weights, dom.measure(nodes))) == pytest.approx(ref, rel=1e-12)
+@pytest.mark.parametrize("name, params", [
+    ("ads_schwarzschild", {"m": 0.5}), ("ads_schwarzschild", {"m": 1.0}),
+    ("ads_schwarzschild", {"m": 2.0}), ("ads_schwarzschild", {"m": 3.0}),
+    ("hyperbolic", {"boundary_radius": 1.0})])
+def test_whole_compactified_fill_closes_the_identities(name, params):
+    """Integrated from the boundary to the tip, the compactified fill gives
+    chi by Gauss-Bonnet, int sigma2 = 6 V against V from its definition
+    (AdS: V = (4 pi beta / 3)(r+ - m), no use of Anderson's identity) and
+    the closed-form Weyl energy 64 pi beta m^2 / r+^3. Measured: 1e-11,
+    1.1e-11 and 2.2e-12, over m in {0.02, 0.5, 1, 2, 3, 10} and the
+    hyperbolic fill at radius 1 and 4."""
+    ref = models.exact_reference(name, **params)
+    if name == "hyperbolic":
+        volume = ref["renormalized_volume"]
+    else:
+        volume = 4 * np.pi * ref["period"] / 3 * (ref["horizon_radius"] - params["m"])
+    sol = solve_eigenfunction(models.build(name, **params))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        suite = ig.integrate_curvature(compactified_metric_field(sol),
+                                       compactified_radial_domain(sol))
+    chi = ref["euler"]
+    assert abs(suite.euler_gb - chi) <= 1e-8
+    assert abs(suite.sigma2_integral - 6 * volume) <= 1e-6 * 8 * np.pi ** 2 * chi
+    assert abs(suite.weyl_energy - ref["weyl_energy"]) \
+        <= 1e-8 * max(1.0, ref["weyl_energy"])
+
+
+def test_radial_domain_volume_matches_sublevel(hyperbolic, hyp_solution, ads, ads_solution):
+    """A radial node's weight is the kernel's sqrt(det g) times the fiber
+    constant Vol(ghat)/sqrt(det ghat(p)): pointwise the sublevel volume
+    density Vol(ghat) s^-4 D(s) of the fill, and Vol(ghat) (u s)^-4 D(s)
+    on the compactified field. Integrated, the collar volume meets the
+    sublevel volume above COLLAR_S_LO within its own error estimate."""
+    for fg, sol in ((hyperbolic, hyp_solution), (ads, ads_solution)):
+        collar = ig.fg_radial_domain(fg)
+        assert (collar.s_lo, collar.s_hi) == (ig.COLLAR_S_LO, fg.s_max)
+        fill = compactified_radial_domain(sol)
+        assert (fill.s_lo, fill.s_hi) == (0.0, sol.s_hi)
+        (ref,), _ = vol.sublevel_volumes(fg, [ig.COLLAR_S_LO])
+        suite = ig.integrate_curvature(fg.four_metric(), collar)
+        assert abs(suite.volume - ref) <= suite.error_estimates["volume"]
+        cases = ((fg.four_metric(), collar, lambda s: s),
+                 (compactified_metric_field(sol), fill, lambda s: sol.u(s) * s))
+        for field, dom, warp in cases:
+            pts, fine, _ = ig._rule(field, dom)
+            s, w, _ = quadrature.kronrod_rule(dom.s_lo, dom.s_hi, ig.RADIAL_PANELS)
+            assert np.array_equal(pts[:, 0], s)
+            got = curvature(field, pts).volume_density * fine / w
+            want = fg.boundary.volume * fg.density(s) / warp(s) ** 4
+            assert np.max(np.abs(got / want - 1.0)) <= 1e-13, dom.label
 
 
 def test_gauss_bonnet_volume_residual_identity(hyp_fit):
@@ -190,14 +234,15 @@ def test_collapsed_axes_match_full_grid(name):
             assert abs(got.error_estimates[key] - error) <= tol
 
 
-def _counted(field, counter):
-    """Copy of field whose jet adds the rows it is asked for to counter:
-    the kernel asks once per batch, so the sum is the curvature points."""
+def _counted(field, batches):
+    """Copy of field whose jet appends the rows it is asked for to
+    batches: the kernel asks once per batch, so the sum is the curvature
+    points."""
     counted = copy.copy(field)
     jet = counted.jet
 
     def jet_counted(points, *args, **kwargs):
-        counter[0] += len(points)
+        batches.append(len(points))
         return jet(points, *args, **kwargs)
 
     counted.jet = jet_counted
@@ -211,18 +256,29 @@ def test_curvature_points_per_integration():
                 "fubini_study": 105, "flat_torus": 1}
     for name, points in expected.items():
         mdl = models.build(name)
-        counter = [0]
-        ig.integrate_curvature(_counted(mdl.field, counter), mdl.domain,
+        batches = []
+        ig.integrate_curvature(_counted(mdl.field, batches), mdl.domain,
                                mdl.orientation)
-        assert counter[0] == points, name
+        assert sum(batches) == points, name
     # a conformal factor on all four coordinates keeps the full 4-D grid
     mdl = models.build("product_spheres")
     w = ScalarField.from_function(mdl.field.chart, lambda t, p, u, v: 0.1 * sin(t) * cos(p)
                                   + 0.1 * cos(u) + 0.1 * sin(v))
-    counter = [0]
-    ig.integrate_curvature(_counted(conformal_rescale(mdl.field, w), counter),
+    batches = []
+    ig.integrate_curvature(_counted(conformal_rescale(mdl.field, w), batches),
                            mdl.domain, mdl.orientation)
-    assert counter[0] == 3136
+    assert sum(batches) == 3136
+
+
+def test_radial_integration_is_one_jet_call(ads, ads_solution):
+    """A radial domain is one Kronrod-15 pass: the field's jet is
+    evaluated once, on 15 nodes per panel."""
+    for field, dom in ((ads.four_metric(), ig.fg_radial_domain(ads)),
+                       (compactified_metric_field(ads_solution),
+                        compactified_radial_domain(ads_solution))):
+        batches = []
+        ig.integrate_curvature(_counted(field, batches), dom)
+        assert batches == [15 * ig.RADIAL_PANELS], dom.label
 
 
 def test_high_frequency_factor_keeps_euler_characteristic(product_suite):
@@ -330,7 +386,7 @@ def test_error_estimates_floor_at_roundoff(torus_suite, hyperbolic):
     assert suite.error_estimates["volume"] == pytest.approx(
         floor * suite.volume, rel=1e-14)
     assert suite.error_estimates["weyl_energy"] == 0.0
-    # a radial domain reports at least the floor of its refined pass
+    # a radial domain reports at least the floor of its Kronrod-15 pass
     out = ig.integrate_curvature(hyperbolic.four_metric(),
                                  ig.fg_radial_domain(hyperbolic))
     for key in ig._FIELDS:

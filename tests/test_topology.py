@@ -119,7 +119,7 @@ def test_homology_checks_are_sharp_on_product_double(product_suite):
 
 
 def test_feasible_betti_sweep():
-    assert tp.feasible_betti_parameters(100) == {0}
+    assert tp.feasible_betti_parameters() == {0}
     # brute-force oracle over the same range
     expect = {k for k in range(101)
               if 2 * (2 + 2 * k) + 3 * (-2 * k) > (2.0 / 3.0) * (2 + 2 * k)}
