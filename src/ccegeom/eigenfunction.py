@@ -66,7 +66,7 @@ __all__ = [
 #: largest scale of the matched-w2 Richardson ladder (also /2 and /4)
 MATCH_PROBE = 1e-2
 #: collocation sizes N tried in turn by solve_eigenfunction
-COLLOCATION_NODES = (16, 24, 32, 48, 64)
+COLLOCATION_NODES = (16, 48, 64)
 #: collocation points per Chebyshev coefficient (least squares)
 COLLOCATION_OVERSAMPLE = 2
 #: trailing Chebyshev coefficients that make the convergence tail

@@ -319,8 +319,6 @@ def ads_schwarzschild(m: float = 1.0) -> FGMetric:
         blocks=(ProfileBlock((0,), V), ProfileBlock((1, 2), lambda r: r**2)),
         radial_factor=lambda r: V(r) ** -0.5,
         r_interior=rp,
-        r_boundary=np.inf,
-        interior_sqrt_vanishing=True,
         tip_multiplicity=1,
         einstein=True,
         family="ads_schwarzschild",

@@ -330,13 +330,11 @@ class ProfileBlock:
 class RadialProfile:
     """Cohomogeneity-one metric a(r)^2 dr^2 + sum_b beta_sq_b(r) ghat_b.
 
-    The conformal boundary sits at the upper end r_boundary of the
-    radial interval (r_boundary = inf is allowed) and the interior at
-    its lower end r_interior. interior_sqrt_vanishing marks
-    profiles where a(r) blows up like (r - r_interior)^{-1/2} there (a
-    horizon-type closure), which the arclength integrals remove with a
-    square-root substitution. radial_factor, like each block's beta_sq,
-    is a jet function of r.
+    Every fill has one shape: r runs from the interior end r_interior,
+    where a(r) blows up like (r - r_interior)^{-1/2} (a horizon or
+    bolt-type closure, or the origin of hyperbolic space in r = cosh rho),
+    to the conformal boundary at r = inf. radial_factor, like each
+    block's beta_sq, is a jet function of r.
     """
 
     name: str
@@ -344,8 +342,6 @@ class RadialProfile:
     blocks: tuple
     radial_factor: Callable
     r_interior: float
-    r_boundary: float
-    interior_sqrt_vanishing: bool = False
     tip_multiplicity: Optional[int] = None
     einstein: bool = True
     family: str = ""
@@ -355,9 +351,12 @@ class RadialProfile:
 class RadialMap:
     """The geodesic defining function along a radial profile.
 
-    Solves d(ln s)/dr = -a(r) (s decreasing toward the boundary end)
-    by composite Gauss-Legendre quadrature of order _ORDER over a fixed
-    graded edge table, then fixes the multiplicative constant so that
+    Solves d(ln s)/dr = -a(r) (s decreasing toward r = inf) by composite
+    Gauss-Legendre quadrature of order _ORDER over a fixed edge table of
+    three regions: tau = sqrt(r - r_interior) on [r_interior,
+    r_interior + 1], which removes the square-root blow-up of a(r); r
+    itself up to r_direct; and x = 1/r beyond, graded geometrically
+    toward x = 0. It then fixes the multiplicative constant so that
     s^2 g restricts to the declared boundary metric. Forward queries
     refine from the nearest table edge with one short panel of that rule;
     inverse queries run safeguarded Newton on those inside the edge
@@ -367,17 +366,13 @@ class RadialMap:
 
     #: Gauss-Legendre order of every panel of the arclength quadrature
     _ORDER = 24
-    #: geometric grading depth toward the boundary end
-    _DEPTH = 20
-    #: extra depth used only by the x = 1/r region (cancellation-free)
-    _DEPTH_INF = 33
+    #: halvings of x = 1/r from 1/r_direct toward x = 0 (the boundary)
+    _X_HALVINGS = 33
     #: cap on the Newton/bisection iterations of r_of_s
     _MAXITER = 200
 
     def __init__(self, profile: RadialProfile):
         self.profile = profile
-        self._tau_region = None
-        self._x_region = None
         self._build_edges()
         self._accumulate()
         self._normalize()
@@ -385,34 +380,22 @@ class RadialMap:
     # -- construction -----------------------------------------------------
 
     def _build_edges(self):
-        pr = self.profile
-        edges = []
-        r_int, r_bdy = pr.r_interior, pr.r_boundary
-        if pr.interior_sqrt_vanishing:
-            span = 0.25 * (r_bdy - r_int) if np.isfinite(r_bdy) else 1.0
-            taus = np.sqrt(span) * np.linspace(0.0, 1.0, 17)
-            self._tau_region = (r_int, r_int + span)
-            edges.extend((r_int + taus**2).tolist())
-            start = r_int + span
-        else:
-            start = r_int
-            edges.append(start)
-        if np.isfinite(r_bdy):
-            gaps = (r_bdy - start) * 0.5 ** np.arange(1, self._DEPTH + 1)
-            edges.extend((r_bdy - gaps).tolist())
-        else:
-            r_direct = max(4.0, 2.0 * abs(start) + 2.0)
-            edges.extend(np.linspace(start, r_direct, 25)[1:].tolist())
-            xs = (1.0 / r_direct) * 0.5 ** np.arange(1, self._DEPTH_INF + 1)
-            edges.extend((1.0 / xs).tolist())
-            self._x_region = (r_direct, np.inf)
+        r0 = self.profile.r_interior
+        start = r0 + 1.0
+        r_direct = max(4.0, 2.0 * abs(start) + 2.0)
+        self._tau_region = (r0, start)
+        self._x_region = (r_direct, np.inf)
+        xs = (1.0 / r_direct) * 0.5 ** np.arange(1, self._X_HALVINGS + 1)
+        edges = ((r0 + np.linspace(0.0, 1.0, 17) ** 2).tolist()
+                 + np.linspace(start, r_direct, 25)[1:].tolist()
+                 + (1.0 / xs).tolist())
         self.edges = np.asarray(sorted(set(float(e) for e in edges)))
 
     def _segment_integral(self, a, b):
         """Integrals of the radial factor over [a_i, b_i] with substitutions.
 
-        tau = sqrt(r - r_interior) next to a square-root interior end,
-        x = 1/r far out toward an infinite boundary end, r elsewhere.
+        tau = sqrt(r - r_interior) in the square-root region, x = 1/r in
+        the region toward r = inf, r in between.
         """
         pr = self.profile
         f = pr.radial_factor
@@ -421,8 +404,8 @@ class RadialMap:
                                    np.atleast_1d(np.asarray(b, dtype=float)))
         out = np.zeros(a.shape)
         live = b > a
-        tau = live & (b <= (self._tau_region[1] if self._tau_region else -np.inf) + 1e-12)
-        inv = live & ~tau & (a >= (self._x_region[0] if self._x_region else np.inf) - 1e-12)
+        tau = live & (b <= self._tau_region[1] + 1e-12)
+        inv = live & ~tau & (a >= self._x_region[0] - 1e-12)
         direct = live & ~tau & ~inv
         if tau.any():
             out[tau] = panel_sums(np.sqrt(np.maximum(a[tau] - r0, 0.0)),
@@ -516,7 +499,7 @@ class RadialMap:
                 f"[{self.s_floor}, {self.s_interior}] of the constructed map"
             )
         r0 = self.profile.r_interior
-        tau = self.edges[j] <= (self._tau_region[1] if self._tau_region else -np.inf) + 1e-12
+        tau = self.edges[j] <= self._tau_region[1] + 1e-12
 
         def radius(y, k):
             return np.where(tau[k], r0 + y * y, y)

@@ -42,17 +42,18 @@ def conformal_fubini_study():
 def hyperbolic_radial_profile():
     """The hyperbolic metric as a cohomogeneity-one radial profile.
 
-    Substituting r = (2 - s) / (2 + s) (upper boundary at r = 1) puts
-    the warp at 4 r^2 / (1 - r^2)^2 with radial factor 2 / (1 - r^2),
-    which exercises the arc-length/radial-map path of the normal form.
+    In r = cosh rho, d rho^2 + sinh^2 rho ghat has block factor
+    (r - 1)(r + 1) and radial factor ((r - 1)(r + 1))^{-1/2}: a
+    square-root interior at r = 1 and the boundary at r = inf, the shape
+    of every fill. Its map is s = 2/(r + sqrt(r^2 - 1)), r(s) =
+    (s^2 + 4)/(4s), and its warp (1 - s^2/4)^2.
     """
     return RadialProfile(
         name="hyperbolic-profile",
         boundary=models.round_sphere_boundary(),
-        blocks=(ProfileBlock((0, 1, 2), lambda y: 4.0 * y**2 / (1.0 - y**2) ** 2),),
-        radial_factor=lambda y: 2.0 / (1.0 - y**2),
-        r_interior=0.0,
-        r_boundary=1.0,
+        blocks=(ProfileBlock((0, 1, 2), lambda r: (r - 1.0) * (r + 1.0)),),
+        radial_factor=lambda r: ((r - 1.0) * (r + 1.0)) ** -0.5,
+        r_interior=1.0,
         tip_multiplicity=3,
         einstein=True,
     )

@@ -234,3 +234,19 @@ def test_ads_solution_on_the_whole_fill(m):
     assert sol.collocation_residual == sol.equation_residual()
     with pytest.raises(DomainError, match="does not extend"):
         sol.u(sm * (1.0 + 1e-9))
+
+
+def test_ads_collocation_ladder_calls(ads, monkeypatch):
+    """At m = 1 no tail reaches TAIL_TOL before N = 64, so the solve
+    collocates once per rung of the ladder, three times in all."""
+    collocate = ef._collocate
+    sizes = []
+
+    def counted(fg, w2, n):
+        sizes.append(n)
+        return collocate(fg, w2, n)
+
+    monkeypatch.setattr(ef, "_collocate", counted)
+    sol = ef.solve_eigenfunction(ads)
+    assert sizes == [16, 48, 64]
+    assert sol.mesh_size == 64

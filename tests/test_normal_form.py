@@ -73,6 +73,30 @@ def test_polynomial_family_recovery():
     assert np.max(np.abs(ser.coefficient(3) - c3)) < 1e-10
 
 
+def _region_radii(rmap):
+    """Radii in the tau, direct and x = 1/r regions of a radial map."""
+    r0, tau_hi, x_lo = rmap.profile.r_interior, rmap._tau_region[1], rmap._x_region[0]
+    return np.concatenate([
+        r0 + (tau_hi - r0) * np.array([1e-6, 0.013, 0.37, 0.8]),   # tau region
+        tau_hi + (x_lo - tau_hi) * np.array([0.01, 0.29, 0.61, 0.97]),  # direct
+        x_lo * np.array([1.3, 17.0, 4.1e3, 2.2e8]),                 # x = 1/r
+    ])
+
+
+def _round_trip(rmap):
+    """(s, r_of_s(s)) on an s grid from 1.5 s_floor to 0.99 s_interior,
+    after checking that r reaches the tau, direct and x = 1/r regions and
+    that lns_of_r(r) gives ln s back to 1e-13."""
+    s = np.concatenate([np.geomspace(1.5 * rmap.s_floor, 0.9 * rmap.s_interior, 40),
+                        rmap.s_interior * np.array([0.95, 0.99])])
+    r = rmap.r_of_s(s)
+    tau_hi, x_lo = rmap._tau_region[1], rmap._x_region[0]
+    assert np.any(r < tau_hi) and np.any(r > x_lo)
+    assert np.any((r > tau_hi) & (r < x_lo))
+    assert np.max(np.abs(rmap.lns_of_r(r) - np.log(s))) <= 1e-13
+    return s, r
+
+
 def test_profile_reconstructs_hyperbolic(hyperbolic, hyperbolic_profile):
     fg = hyperbolic_profile
     assert fg.einstein
@@ -82,18 +106,23 @@ def test_profile_reconstructs_hyperbolic(hyperbolic, hyperbolic_profile):
     s = np.linspace(0.05, 1.9, 40)
     ghat = fg.boundary.field.g(np.asarray([p]))[0]
     warp = fg.gs(s, p)[:, 0, 0] / ghat[0, 0]
-    assert np.max(np.abs(warp - (1.0 - s ** 2 / 4.0) ** 2)) < 1e-9
+    assert np.max(np.abs(warp - (1.0 - s ** 2 / 4.0) ** 2)) <= 1e-11
     # and it agrees with the closed-form model it rebuilds
     direct = hyperbolic.gs(s, p)
-    assert np.max(np.abs(fg.gs(s, p) - direct)) < 1e-9
-    assert fg.boundary_limit_residual() < 1e-6
+    assert np.max(np.abs(fg.gs(s, p) - direct)) <= 1e-11
+    assert fg.boundary_limit_residual() <= 1e-12
 
 
 def test_radial_map_closed_form_and_gauge(hyperbolic_radial_profile):
+    """In r = cosh rho the hyperbolic map is s = 2/(r + sqrt(r^2 - 1))
+    and r(s) = (s^2 + 4)/(4s); the AdS round trip's s grid reaches the
+    tau, direct and x = 1/r regions here as well."""
     rmap = nf.RadialMap(hyperbolic_radial_profile)
-    # substitution s = 2(1 - y)/(1 + y) in closed form
-    y = 0.5
-    assert rmap.s_of_r(y) == pytest.approx(2 * (1 - y) / (1 + y), abs=1e-10)
+    r = np.array([1.5, 3.0, 40.0])
+    np.testing.assert_allclose(rmap.s_of_r(r), 2.0 / (r + np.sqrt(r**2 - 1.0)),
+                               rtol=1e-13)
+    s, r = _round_trip(rmap)
+    np.testing.assert_allclose(r, (s**2 + 4.0) / (4.0 * s), rtol=1e-12)
     assert rmap.gauge_residual(np.geomspace(0.05, 1.8, 7)) < 1e-8
 
 
@@ -124,12 +153,7 @@ def test_radial_map_queries_are_one_composite_panel(ads):
             seg = np.sum(w * np.asarray(f(nodes)))
         return rmap.kappa - (rmap._arc[idx] + float(seg))
 
-    radii = np.concatenate([
-        r0 + (tau_hi - r0) * np.array([1e-6, 0.013, 0.37, 0.8]),   # tau region
-        tau_hi + (x_lo - tau_hi) * np.array([0.01, 0.29, 0.61, 0.97]),  # direct
-        x_lo * np.array([1.3, 17.0, 4.1e3, 2.2e8]),                 # x = 1/r
-    ])
-    for r in radii:
+    for r in _region_radii(rmap):
         assert rmap.lns_of_r(float(r)) == reference(float(r)), r
 
 
@@ -230,7 +254,7 @@ def test_one_warp_call_per_batch(ads, ads_solution, monkeypatch):
     ("hyperbolic", {"boundary_radius": 1.3}),
     ("perturbed_hyperbolic", {"amplitude": 0.05}),
     ("ads_schwarzschild", {"m": 1.0}),
-    ("hyperbolic_profile", None),  # the fixture's finite boundary end r = 1
+    ("hyperbolic_profile", None),  # hyperbolic space in r = cosh rho
 ])
 def test_warp_jet_derivatives_match_central_differences(build, kwargs, request):
     fg = (request.getfixturevalue(build) if kwargs is None
@@ -246,19 +270,14 @@ def test_warp_jet_derivatives_match_central_differences(build, kwargs, request):
     np.testing.assert_allclose(d2h, (dhp - dhm) / (2 * step), rtol=1e-6, atol=1e-8)
 
 
-def test_profile_jets_match_hand_derivatives(ads, hyperbolic_radial_profile):
+def test_profile_jets_match_hand_derivatives(ads, hyperbolic_profile):
     """Each profile function, evaluated on the jet of r, gives the
     closed-form derivatives written out by hand, and on the jet the same
     values bitwise as on a plain array: the warp and RadialMap read the
     same numbers."""
     rmap = ads.radial_map
     m = rmap.profile.parameters["m"]
-    r0, tau_hi, x_lo = rmap.profile.r_interior, rmap._tau_region[1], rmap._x_region[0]
-    ads_r = np.concatenate([
-        r0 + (tau_hi - r0) * np.array([1e-6, 0.013, 0.37, 0.8]),   # tau region
-        tau_hi + (x_lo - tau_hi) * np.array([0.01, 0.29, 0.61, 0.97]),  # direct
-        x_lo * np.array([1.3, 17.0, 4.1e3, 2.2e8]),                 # x = 1/r
-    ])
+    ads_r = _region_radii(rmap)
     V = rmap.profile.blocks[0].beta_sq
     dV = 2.0 * ads_r + 2.0 * m / ads_r**2
     ads_oracles = [
@@ -266,13 +285,11 @@ def test_profile_jets_match_hand_derivatives(ads, hyperbolic_radial_profile):
         (rmap.profile.blocks[1].beta_sq, 2.0 * ads_r, np.full_like(ads_r, 2.0)),
         (rmap.profile.radial_factor, -0.5 * dV * V(ads_r) ** -1.5, None),
     ]
-    hyp = hyperbolic_radial_profile
-    y = np.concatenate([np.linspace(0.0, 0.9, 7),
-                        1.0 - 0.5 ** np.arange(1, 21)])  # the finite-end grading
+    hyp = hyperbolic_profile.radial_map.profile
+    y = _region_radii(hyperbolic_profile.radial_map)
     hyp_oracles = [
-        (hyp.blocks[0].beta_sq, 8.0 * y * (1.0 + y**2) / (1.0 - y**2) ** 3,
-         8.0 * (1.0 + 8.0 * y**2 + 3.0 * y**4) / (1.0 - y**2) ** 4),
-        (hyp.radial_factor, 4.0 * y / (1.0 - y**2) ** 2, None),
+        (hyp.blocks[0].beta_sq, 2.0 * y, np.full_like(y, 2.0)),
+        (hyp.radial_factor, -y * ((y - 1.0) * (y + 1.0)) ** -1.5, None),
     ]
     for r, oracles in ((ads_r, ads_oracles), (y, hyp_oracles)):
         for f, d1, d2 in oracles:
@@ -293,13 +310,7 @@ def test_radial_map_inverse_round_trip(ads):
     carries about 1e-13 of rounding there.
     """
     rmap = ads.radial_map
-    s = np.concatenate([np.geomspace(1.5 * rmap.s_floor, 0.9 * rmap.s_interior, 40),
-                        rmap.s_interior * np.array([0.95, 0.99])])
-    r = rmap.r_of_s(s)
-    tau_hi, x_lo = rmap._tau_region[1], rmap._x_region[0]
-    assert np.any(r < tau_hi) and np.any(r > x_lo)
-    assert np.any((r > tau_hi) & (r < x_lo))
-    assert np.max(np.abs(rmap.lns_of_r(r) - np.log(s))) <= 1e-13
+    s, r = _round_trip(rmap)
     scalar = [rmap.r_of_s(float(x)) for x in s]
     assert all(isinstance(x, float) for x in scalar)
     assert np.array_equal(np.asarray(scalar), r)
