@@ -32,9 +32,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -71,12 +70,12 @@ class ConfigError(Exception):
     """Unusable configuration; maps to exit code 2."""
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Resolved run configuration: document defaults plus flag overrides."""
 
     model: str = "hyperbolic"
-    parameters: dict = field(default_factory=dict)
+    #: the default is one dict shared by every RunConfig(); nothing mutates it
+    parameters: dict = {}
     #: None: analyze writes into ".", volume and curvature only print
     output_dir: Optional[str] = None
 
@@ -84,7 +83,9 @@ class RunConfig:
 def resolve_config(args) -> RunConfig:
     """Merge defaults, the JSON document and the command-line flags
     given; check runs the whole catalogue unless a model is named."""
-    cfg = RunConfig(model="all") if getattr(args, "command", None) == "check" else RunConfig()
+    name = "all" if getattr(args, "command", None) == "check" else RunConfig().model
+    parameters = {}
+    output_dir = None
     if getattr(args, "config", None):
         try:
             with open(args.config) as fh:
@@ -103,19 +104,19 @@ def resolve_config(args) -> RunConfig:
             raise ConfigError(f"unknown config keys {unknown}; known: "
                               "model, outputs.dir")
         if model:
-            cfg.model = str(model.get("name", cfg.model))
-            cfg.parameters = {k: v for k, v in model.items() if k != "name"}
+            name = str(model.get("name", name))
+            parameters = {k: v for k, v in model.items() if k != "name"}
         if "dir" in outputs:
-            cfg.output_dir = str(outputs["dir"])
+            output_dir = str(outputs["dir"])
     if getattr(args, "model", None):
-        if args.model != cfg.model:
-            cfg.parameters = {}
-        cfg.model = args.model
+        if args.model != name:
+            parameters = {}
+        name = args.model
     if getattr(args, "m", None) is not None:
-        cfg.parameters["m"] = float(args.m)
+        parameters["m"] = float(args.m)
     if getattr(args, "out", None):
-        cfg.output_dir = args.out
-    return cfg
+        output_dir = args.out
+    return RunConfig(name, parameters, output_dir)
 
 
 def _build_model(cfg: RunConfig, name: str = None):
@@ -469,7 +470,7 @@ def _check_gates(cfg: RunConfig, scope: list, inject: bool):
             if name == "product_spheres":
                 spheres = model, suite
         for g in gates:
-            yield replace(g, name=f"{g.name} {name}")
+            yield g._replace(name=f"{g.name} {name}")
     if spheres is not None:
         yield from _check_conformal_invariance(*spheres)
 

@@ -31,10 +31,9 @@ the bounded solution by itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Real
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebval, chebvander
@@ -112,8 +111,7 @@ def indicial_roots(n: int = 3) -> tuple:
     return (-1, int(n) + 1)
 
 
-@dataclass(frozen=True)
-class AsymptoticData:
+class AsymptoticData(NamedTuple):
     """Leading expansion data of the normalized growing solution.
 
     u = 1/s + w2 s + O(s^2): the s^0 slot between the indicial roots is
@@ -166,7 +164,6 @@ def _chebyshev_nodes(a: float, b: float, count: int):
 # ---------------------------------------------------------------------------
 # the solver
 
-@dataclass
 class EigenfunctionSolution:
     """Solved positive eigenfunction in the gauge s^{-2}(ds^2 + g_s).
 
@@ -179,22 +176,23 @@ class EigenfunctionSolution:
     first entry alone.
     """
 
-    fg: FGMetric
-    w2: float
-    w2_exact: Optional[Fraction]
-    s_lo: float
-    s_hi: float
-    mesh_size: int
-    coefficient_tail: float
-    collocation_residual: float
-    u_min: float
-    coefficients: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
+    def __init__(self, fg: FGMetric, w2: float, w2_exact: Optional[Fraction],
+                 s_lo: float, s_hi: float, mesh_size: int, coefficient_tail: float,
+                 collocation_residual: float, u_min: float, coefficients: np.ndarray):
+        self.fg = fg
+        self.w2 = w2
+        self.w2_exact = w2_exact
+        self.s_lo = s_lo
+        self.s_hi = s_hi
+        self.mesh_size = mesh_size
+        self.coefficient_tail = coefficient_tail
+        self.collocation_residual = collocation_residual
+        self.u_min = u_min
+        self.coefficients = coefficients
         # phi and its first three s-derivatives as Chebyshev series in t
-        series = [self.coefficients]
+        series = [coefficients]
         for _ in range(3):
-            series.append(chebder(series[-1]) * (2.0 / self.s_hi))
+            series.append(chebder(series[-1]) * (2.0 / s_hi))
         self._series = series
 
     # -- pointwise closures -------------------------------------------------
@@ -424,8 +422,7 @@ def _second_form_linear(sol: EigenfunctionSolution) -> float:
     return worst
 
 
-@dataclass(frozen=True)
-class CompactificationReport:
+class CompactificationReport(NamedTuple):
     """Grid measurements of the compactification and the gates on them."""
 
     name: str

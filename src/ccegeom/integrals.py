@@ -40,8 +40,7 @@ and their orientation-refined combinations; see combined_formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -76,7 +75,6 @@ COLLAR_S_LO = 0.01
 # ---------------------------------------------------------------------------
 # domains
 
-@dataclass(frozen=True)
 class ProductChartDomain:
     """Product box in chart coordinates: axes = ((lo, hi, panels), ...).
 
@@ -89,20 +87,19 @@ class ProductChartDomain:
     weighted by their length, and ignore panels.
     """
 
-    axes: tuple
-    label: str = ""
-    periodic: tuple = ()
-    polar: tuple = ()
-
-    def __post_init__(self):
-        if set(self.periodic) & set(self.polar):
+    def __init__(self, axes: tuple, label: str = "", periodic: tuple = (),
+                 polar: tuple = ()):
+        if set(periodic) & set(polar):
             raise DomainError("an axis cannot be both periodic and polar")
-        if any(tuple(self.axes[i][:2]) != (0.0, np.pi) for i in self.polar):
+        if any(tuple(axes[i][:2]) != (0.0, np.pi) for i in polar):
             raise DomainError("a polar axis must span exactly (0, pi)")
+        self.axes = axes
+        self.label = label
+        self.periodic = periodic
+        self.polar = polar
 
 
-@dataclass(frozen=True)
-class RadialDomain:
+class RadialDomain(NamedTuple):
     """Cohomogeneity-one reduction of a warped-block fill over its boundary.
 
     Integrals run over s in [s_lo, s_hi] times the whole boundary; the
@@ -136,18 +133,20 @@ def fg_radial_domain(fg) -> RadialDomain:
     return RadialDomain(COLLAR_S_LO, fg.s_max, fg.boundary, f"{fg.name} collar")
 
 
-@dataclass
 class IntegralSuite:
     """Integrated curvature invariants of one 4-manifold (or one half)."""
 
-    weyl_energy: float
-    weyl_plus: float
-    weyl_minus: float
-    sigma2_integral: float
-    volume: float
-    orientation: int
-    domain_label: str = ""
-    error_estimates: dict = field(default_factory=dict)
+    def __init__(self, weyl_energy: float, weyl_plus: float, weyl_minus: float,
+                 sigma2_integral: float, volume: float, orientation: int,
+                 domain_label: str = "", error_estimates: Optional[dict] = None):
+        self.weyl_energy = weyl_energy
+        self.weyl_plus = weyl_plus
+        self.weyl_minus = weyl_minus
+        self.sigma2_integral = sigma2_integral
+        self.volume = volume
+        self.orientation = orientation
+        self.domain_label = domain_label
+        self.error_estimates = {} if error_estimates is None else error_estimates
 
     @property
     def euler_gb(self) -> float:

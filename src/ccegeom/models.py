@@ -12,9 +12,8 @@ coordinates a metric does not take are its cyclic axes.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -142,8 +141,7 @@ def berger_sphere_boundary(lam: float = 0.8) -> BoundaryGeometry:
 # ---------------------------------------------------------------------------
 # closed 4-manifolds
 
-@dataclass
-class ClosedModel:
+class ClosedModel(NamedTuple):
     """A closed 4-manifold model: field, integration domain, exact data."""
 
     name: str

@@ -20,8 +20,7 @@ single radial ODE).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -55,8 +54,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # containers
 
-@dataclass(frozen=True)
-class BoundaryGeometry:
+class BoundaryGeometry(NamedTuple):
     """A closed 3-dimensional boundary metric with exact global data.
 
     scalar_curvature is stored exactly (int or Fraction) when the model
@@ -211,15 +209,13 @@ class FGMetric:
                           (self.name or "fg") + "/normal-form")
 
 
-@dataclass
-class ExpansionSeries:
+class ExpansionSeries(NamedTuple):
     """Least-squares expansion coefficients of s -> g_s at one point."""
 
     orders: tuple
     coefficients: list
     fit_residuals: dict
     condition_number: float
-    ladder: np.ndarray
     gauge_coefficient: Optional[np.ndarray] = None
 
     def coefficient(self, order: int):
@@ -306,7 +302,6 @@ def extract_expansion(fg: FGMetric, max_order: int = 3, ladder=None,
         coefficients=[coeffs[k] for k in orders],
         fit_residuals=residuals,
         condition_number=cond,
-        ladder=ladder,
         gauge_coefficient=gauge,
     )
 
@@ -314,8 +309,7 @@ def extract_expansion(fg: FGMetric, max_order: int = 3, ladder=None,
 # ---------------------------------------------------------------------------
 # normal form from a radial profile
 
-@dataclass(frozen=True)
-class ProfileBlock:
+class ProfileBlock(NamedTuple):
     """Angular block of a cohomogeneity-one metric: beta_sq(r) * ghat|indices.
 
     beta_sq is written in the jet operations of ``autodiff``, so one
@@ -326,8 +320,7 @@ class ProfileBlock:
     beta_sq: Callable
 
 
-@dataclass(frozen=True)
-class RadialProfile:
+class RadialProfile(NamedTuple):
     """Cohomogeneity-one metric a(r)^2 dr^2 + sum_b beta_sq_b(r) ghat_b.
 
     Every fill has one shape: r runs from the interior end r_interior,

@@ -36,10 +36,9 @@ operator, less R/12.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import SimpleNamespace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -70,8 +69,7 @@ _DUAL = np.array([[1, 0, 0, 0, 0, 1], [0, 1, 0, 0, -1, 0], [0, 0, 1, 1, 0, 0],
 # ---------------------------------------------------------------------------
 # charts
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(NamedTuple):
     """Open coordinate box with names, used for domain checks and sampling."""
 
     names: tuple
@@ -134,8 +132,7 @@ def _read_axes(chart: Chart, func) -> tuple:
 # ---------------------------------------------------------------------------
 # scalar fields (conformal factors)
 
-@dataclass(frozen=True)
-class ScalarField:
+class ScalarField(NamedTuple):
     """Scalar jet expression func in the chart coordinates listed in axes.
 
     jet(points) -> (value (N,), gradient (N, d), hessian (N, d, d)).
@@ -254,7 +251,6 @@ def _positive_factor(mat, pts):
 # ---------------------------------------------------------------------------
 # curvature
 
-@dataclass
 class CurvaturePacket:
     """All pointwise curvature data of a metric at a batch of points.
 
@@ -264,12 +260,15 @@ class CurvaturePacket:
     decomposition), weyl_plus and weyl_minus (lifted from the frame).
     """
 
-    metric: np.ndarray
-    scalar: np.ndarray
-    volume_density: np.ndarray
-    sigma2: Optional[np.ndarray] = None
-    norms: dict = field(default_factory=dict)
-    _views: dict = field(default_factory=dict, repr=False)
+    def __init__(self, metric: np.ndarray, scalar: np.ndarray,
+                 volume_density: np.ndarray, sigma2: Optional[np.ndarray] = None,
+                 norms: Optional[dict] = None, _views: Optional[dict] = None):
+        self.metric = metric
+        self.scalar = scalar
+        self.volume_density = volume_density
+        self.sigma2 = sigma2
+        self.norms = {} if norms is None else norms
+        self._views = {} if _views is None else _views
 
     def _view(self, name):
         build = self._views.get(name)

@@ -19,8 +19,7 @@ get an explicit "boundary" verdict.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -59,8 +58,7 @@ IDENTITY_TOL = 1e-3
 BETTI_SWEEP = 100
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One evaluated inequality: value `comparison` threshold.
 
     margin is always value - threshold, so the verdict is reproducible
@@ -131,8 +129,8 @@ def volume_upper_bound(volume: float, yamabe_positive: bool) -> Check:
                       "model and the boundary the round sphere",
     )
     if check.verdict == "fail":
-        check = replace(check, note="no positive-Yamabe conformally compact "
-                        "Einstein metric attains this volume; inputs are inconsistent")
+        check = check._replace(note="no positive-Yamabe conformally compact Einstein "
+                               "metric attains this volume; inputs are inconsistent")
     return check
 
 
@@ -235,8 +233,7 @@ def feasible_betti_parameters() -> set:
     return feasible
 
 
-@dataclass(frozen=True)
-class TopologyReport:
+class TopologyReport(NamedTuple):
     """All decision checks for one model, with licensed conclusions.
 
     conclusions pair each statement with the name of the single check
@@ -331,7 +328,7 @@ def render_topology_report(report: TopologyReport) -> str:
 
 def check_document(c: Check) -> dict:
     """Machine-readable form of one check: its fields by name."""
-    return asdict(c)
+    return c._asdict()
 
 
 def topology_document(report: TopologyReport) -> dict:

@@ -17,8 +17,7 @@ remainder so V is not contaminated by it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -46,8 +45,7 @@ _POWERS = (0, 1, 2, 3, 4, 5)
 _EPS = float(np.finfo(float).eps)
 
 
-@dataclass
-class VolumeFit:
+class VolumeFit(NamedTuple):
     """Ladder samples, the closed-form divergent coefficients and the
     regression coefficients of the volume expansion."""
 
@@ -187,8 +185,7 @@ def fit_renormalized_volume(fg, ladder=None) -> VolumeFit:
     vols, errs = sublevel_volumes(fg, ladder)
     fit = fit_ladder(ladder, vols, fg.boundary.volume,
                      fg.boundary.scalar_curvature)
-    fit.quadrature_errors = errs
-    return fit
+    return fit._replace(quadrature_errors=errs)
 
 
 def write_volume_table(fit: VolumeFit, path) -> None:

@@ -1,5 +1,5 @@
 """Package surface: every exported name resolves, and the CLI needs neither
-scipy nor sympy, nor numpy.random, numpy.ma or csv."""
+scipy nor sympy, nor numpy.random, numpy.ma, csv or dataclasses."""
 
 import importlib
 import os
@@ -7,7 +7,11 @@ import pkgutil
 import subprocess
 import sys
 
+import pytest
+
 import ccegeom
+from ccegeom.integrals import RadialDomain
+from ccegeom.topology import gate
 
 
 def test_every_module_export_resolves():
@@ -58,9 +62,10 @@ def test_runtime_needs_no_sympy(tmp_path):
         assert out.returncode == 0, (argv, out.stdout, out.stderr)
 
 
-def test_commands_load_no_rng_masked_arrays_or_csv(tmp_path):
+def test_commands_load_no_rng_masked_arrays_csv_or_dataclasses(tmp_path):
     """check, an AdS analyze and volume, run in one fresh interpreter, load
-    none of numpy.random, numpy.ma and csv (this process has them loaded)."""
+    none of numpy.random, numpy.ma, csv and dataclasses (this process has
+    them loaded)."""
     runs = (["check"],
             ["analyze", "--model", "ads_schwarzschild", "--m", "1.0",
              "--out", str(tmp_path / "ads")],
@@ -69,6 +74,22 @@ def test_commands_load_no_rng_masked_arrays_or_csv(tmp_path):
     out = _run_fresh("import sys; from ccegeom.cli import main; "
                      f"codes = [main(argv) for argv in {runs!r}]; "
                      "print(codes, sorted(m for m in ('numpy.random', "
-                     "'numpy.ma', 'csv') if m in sys.modules))")
+                     "'numpy.ma', 'csv', 'dataclasses') if m in sys.modules))")
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "[0, 0, 0] []", out.stdout
+
+
+@pytest.mark.parametrize("kind, field", [
+    ("Check", "value"), ("Chart", "lo"), ("RadialDomain", "s_hi"),
+    ("BoundaryGeometry", "volume"), ("RadialProfile", "r_interior")])
+def test_immutable_records_refuse_field_assignment(kind, field,
+                                                   hyperbolic_radial_profile):
+    """A record built once is never changed: assigning to a field raises."""
+    boundary = hyperbolic_radial_profile.boundary
+    record = {"Check": gate("g", 1.0, 2.0), "Chart": boundary.field.chart,
+              "RadialDomain": RadialDomain(0.01, 1.0, boundary),
+              "BoundaryGeometry": boundary,
+              "RadialProfile": hyperbolic_radial_profile}[kind]
+    assert type(record).__name__ == kind
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
