@@ -9,10 +9,11 @@ geodesic, and the scalar curvature of the extension is bounded below by
 its boundary value 2 R(ghat). This module solves the eigenfunction
 equation (reduced along the radial direction for warped-block families),
 builds the compactified metric, and gates the qualitative properties
-that make the compactification useful: positivity, the scalar lower
-bound, the vanishing second fundamental form of the boundary, and the
-Bochner identity behind the bound (see compactification_checks, which
-decides each gate once).
+that make the compactification useful: the scalar lower bound, the
+vanishing second fundamental form of the boundary, and the Bochner
+identity behind the bound (see compactification_checks, which decides
+each gate once). Positivity of u is not a gate: the solve refuses a u
+that is not positive.
 
 The radial reduction of the eigenvalue equation is
 
@@ -46,7 +47,7 @@ from .errors import (
     UnsupportedDimension,
 )
 from .integrals import RadialDomain
-from .normal_form import FGMetric
+from .normal_form import FGMetric, _chebyshev_nodes
 from .tensor import MetricField, ScalarField, conformal_rescale
 from .topology import gate
 
@@ -62,8 +63,6 @@ __all__ = [
     "compactification_checks",
 ]
 
-#: largest scale of the matched-w2 Richardson ladder (also /2 and /4)
-MATCH_PROBE = 1e-2
 #: collocation sizes N tried in turn by solve_eigenfunction
 COLLOCATION_NODES = (16, 48, 64)
 #: collocation points per Chebyshev coefficient (least squares)
@@ -88,14 +87,8 @@ CHECK_GRID = 240
 SCALAR_SLACK = 1e-4
 #: sup tolerance of the Bochner identity
 BOCHNER_TOL = 1e-6
-#: tolerance on the linear coefficient of the compactified warps
+#: tolerance on the linear Taylor coefficient of the warps at s = 0
 SECOND_FORM_TOL = 1e-6
-#: s window of the fit for that coefficient, as fractions of s_max
-SECOND_FORM_WINDOW = (0.005, 0.06)
-#: highest power of that fit
-SECOND_FORM_DEGREE = 5
-#: Chebyshev nodes of that fit
-SECOND_FORM_NODES = 16
 
 
 def indicial_roots(n: int = 3) -> tuple:
@@ -118,7 +111,7 @@ class AsymptoticData(NamedTuple):
     forced to vanish because g_s has no linear term. An Einstein interior
     takes w2 from the boundary scalar curvature, and w2_exact is set (a
     Fraction) when that curvature is carried exactly; otherwise w2 comes
-    from matching against the density expansion and w2_exact is None.
+    from matching against the warps' Taylor rows and w2_exact is None.
     """
 
     w2: float
@@ -133,9 +126,9 @@ def asymptotic_data(fg: FGMetric) -> AsymptoticData:
     Einstein interiors determine w2 = R(ghat)/24 from the boundary
     alone, whenever the boundary scalar curvature is a real number; w2
     is also kept as a Fraction when that curvature is an int or
-    Fraction. Otherwise w2 = -tr(g2)/6 is matched numerically:
-    L = D'/D ~ tr(g2) s near s = 0, and tr(g2)/2 is read off from
-    L/(2s) with one Richardson step at the scale MATCH_PROBE.
+    Fraction. Otherwise w2 = -tr(g2)/6 is matched to the warps:
+    tr(g2) = sum_b k_b h_b''(0)/2, k_b the size of block b, with each
+    h_b''(0)/2 read off row 2 of FGMetric.boundary_expansion.
     """
     if fg.n != 3:
         raise UnsupportedDimension("eigenfunction reduction implemented for "
@@ -145,20 +138,9 @@ def asymptotic_data(fg: FGMetric) -> AsymptoticData:
         exact = Fraction(rhat, 24) if isinstance(rhat, (int, Fraction)) else None
         return AsymptoticData(float(rhat / 24), exact, "boundary-curvature",
                               indicial_roots(3))
-    # L/(2s) = tr(g2)/2 + O(s): the density of a non-Einstein family has
-    # a cubic term, so the ladder must clear the linear error first
-    t = MATCH_PROBE * np.array([1.0, 0.5, 0.25])
-    f = fg.density_logderiv(t) / (2.0 * t)
-    e1a = 2.0 * f[1] - f[0]
-    e1b = 2.0 * f[2] - f[1]
-    d2 = (4.0 * e1b - e1a) / 3.0
-    return AsymptoticData(float(-d2 / 3.0), None, "matched", indicial_roots(3))
-
-
-def _chebyshev_nodes(a: float, b: float, count: int):
-    k = np.arange(count)
-    x = np.cos((2 * k + 1) * np.pi / (2 * count))
-    return 0.5 * (a + b) + 0.5 * (b - a) * x
+    g2 = fg.boundary_expansion()[2]
+    trace = sum(len(idx) * g2[b] for b, idx in enumerate(fg.blocks))
+    return AsymptoticData(float(-trace / 6.0), None, "matched", indicial_roots(3))
 
 
 # ---------------------------------------------------------------------------
@@ -397,31 +379,6 @@ def compactified_radial_domain(sol: EigenfunctionSolution) -> RadialDomain:
     return RadialDomain(0.0, sol.s_hi, fg.boundary, f"{fg.name} compactified fill")
 
 
-def _second_form_linear(sol: EigenfunctionSolution) -> float:
-    """Max over blocks of the linear coefficient of h_b/(us)^2 at s = 0.
-
-    The compactified warp of each block is k_b = h_b/(us)^2 with
-    k_b(0) = 1; a nonzero linear term is (twice) the block's principal
-    curvature at the boundary. Fits k_b - 1 against s..s^SECOND_FORM_DEGREE,
-    so the known value at 0 is built in rather than estimated; one
-    least-squares solve per block.
-    """
-    fg = sol.fg
-    sm = fg.s_max
-    s = _chebyshev_nodes(SECOND_FORM_WINDOW[0] * sm, SECOND_FORM_WINDOW[1] * sm,
-                         SECOND_FORM_NODES)
-    us2 = (sol.u(s) * s) ** 2
-    h = fg.warp(s)[0]
-    cols = np.stack([s**j for j in range(1, SECOND_FORM_DEGREE + 1)], axis=1)
-    sc = np.linalg.norm(cols, axis=0)
-    worst = 0.0
-    for b in range(len(fg.blocks)):
-        k = h[:, b] / us2 - 1.0
-        coef, *_ = np.linalg.lstsq(cols / sc, k, rcond=None)
-        worst = max(worst, abs(float(coef[0] / sc[0])))
-    return worst
-
-
 class CompactificationReport(NamedTuple):
     """Grid measurements of the compactification and the gates on them."""
 
@@ -439,13 +396,15 @@ class CompactificationReport(NamedTuple):
 
 
 def compactification_checks(sol: EigenfunctionSolution) -> CompactificationReport:
-    """Measure and gate positivity, the scalar bound, umbilicity and Bochner.
+    """Measure and gate the scalar bound, umbilicity and Bochner.
 
-    The gates, in order: eigenfunction-positive (u_min > 0);
-    scalar-lower-bound (min 12(u^2 - s^2 u'^2) - 48 w2 >= -SCALAR_SLACK,
-    sharp at the boundary for Einstein interiors);
-    totally-geodesic-boundary (the linear term of the compactified block
-    warps below SECOND_FORM_TOL); and the Bochner identity
+    The gates, in order: scalar-lower-bound (min 12(u^2 - s^2 u'^2)
+    - 48 w2 >= -SCALAR_SLACK, sharp at the boundary for Einstein
+    interiors); totally-geodesic-boundary (max_b |h_b'(0)| below
+    SECOND_FORM_TOL: us = 1 + w2 s^2 + s^3 phi has no linear term, so
+    the compactified warps h_b/(us)^2 have one exactly when the h_b do,
+    and the boundary of u^{-2} g is totally geodesic when none has); and
+    the Bochner identity
     -Delta(u^2 - |du|^2) = 2 |Hess u - u g|^2, both sides from one
     solution jet, whose sup defect must stay below BOCHNER_TOL on an
     Einstein fill (bochner-identity) and reach it on any other
@@ -473,7 +432,7 @@ def compactification_checks(sol: EigenfunctionSolution) -> CompactificationRepor
     scalar_min = float(rbar.min())
     scalar_boundary = sol.boundary_scalar
     scalar_gap = scalar_min - scalar_boundary
-    second_form = _second_form_linear(sol)
+    second_form = float(np.max(np.abs(fg.boundary_expansion()[1])))
     bochner = ("bochner-identity", "<") if fg.einstein else ("bochner-flag-trips", ">=")
 
     return CompactificationReport(
@@ -487,7 +446,6 @@ def compactification_checks(sol: EigenfunctionSolution) -> CompactificationRepor
         collocation_residual=sol.collocation_residual,
         asymptotic_residual=sol.asymptotic_residual(),
         gates=(
-            gate("eigenfunction-positive", sol.u_min, 0.0, ">"),
             gate("scalar-lower-bound", scalar_gap, -SCALAR_SLACK, ">="),
             gate("totally-geodesic-boundary", second_form, SECOND_FORM_TOL),
             gate(bochner[0], bochner_sup, BOCHNER_TOL, bochner[1]),

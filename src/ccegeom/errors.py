@@ -32,12 +32,13 @@ class UnstableFit(CcegeomError):
 
 
 class QuadratureTolerance(CcegeomError):
-    """Mesh-doubling error estimate of a quadrature exceeds the tolerance."""
+    """Error estimate of a quadrature (its rule against a companion rule)
+    exceeds the tolerance."""
 
 
 class CharacteristicFailure(CcegeomError):
-    """Supplied Euler characteristic is inconsistent with its integral
-    estimate; downstream conclusions are refused."""
+    """The radial map of a profile cannot be built or inverted, or the
+    normal form built from it violates the gauge |ds|^2 = 1."""
 
 
 class SolverFailure(CcegeomError):

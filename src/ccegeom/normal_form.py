@@ -11,9 +11,11 @@ dimension 3 it expands as
     g_s = ghat + g2 s^2 + g3 s^3 + ...
 
 with g2 determined locally by the boundary curvature and g3 trace-free
-for Einstein interiors. This module holds the FGMetric container, the
-closed form of g2, least-squares extraction of expansion coefficients
-from sampled g_s data, and construction of the normal form from a
+for Einstein interiors. Every fill here is warped: g_s is h_b(s) ghat
+on block b of the boundary metric, so these Taylor data are those of
+the warps. This module holds the FGMetric container, the one
+least-squares fit that reads the warps' Taylor rows at s = 0, the
+closed form of g2, and construction of the normal form from a
 cohomogeneity-one radial profile (the gauge condition reduced to a
 single radial ODE).
 """
@@ -25,28 +27,27 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .autodiff import variable
-from .errors import (
-    CharacteristicFailure,
-    DomainError,
-    FitConditioning,
-    UnsupportedDimension,
-)
+from .errors import CharacteristicFailure, DomainError, UnsupportedDimension
 from .quadrature import panel_sums
 from .tensor import Chart, MetricField, _is_zero, components, curvature
 
 _EPS = float(np.finfo(float).eps)
 
+#: s window of the boundary fit, as fractions of s_max
+BOUNDARY_FIT_WINDOW = (0.001, 0.05)
+#: Chebyshev nodes of the boundary fit
+BOUNDARY_FIT_NODES = 24
+#: highest power of s in the boundary fit
+BOUNDARY_FIT_DEGREE = 8
+
 __all__ = [
     "BoundaryGeometry",
     "FGMetric",
-    "ExpansionSeries",
     "RadialProfile",
     "ProfileBlock",
     "RadialMap",
     "order2_coefficient",
-    "extract_expansion",
     "normal_form_from_profile",
-    "default_ladder",
     "fg_document",
 ]
 
@@ -124,28 +125,27 @@ class FGMetric:
                 np.stack([j.d[:, 0] for j in jets], axis=1),
                 np.stack([j.h[:, 0, 0] for j in jets], axis=1))
 
-    def gs(self, s, p=None):
-        """Evaluate g_s at boundary point p -> (Ns, n, n)."""
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        if np.any((s <= 0) | (s > self.s_max * (1 + 1e-12))):
-            raise DomainError(f"s values must lie in (0, {self.s_max}]")
-        if p is None:
-            p = self.boundary.default_point
-        ghat = self.boundary.field.g(np.asarray(p, dtype=float))
-        h = self.warp(s)[0]
-        out = np.zeros((s.size, self.n, self.n))
-        for b, idx in enumerate(self.blocks):
-            i = np.asarray(idx)
-            out[:, i[:, None], i] = h[:, b, None, None] * ghat[i[:, None], i]
-        return out
+    def boundary_expansion(self) -> np.ndarray:
+        """Taylor rows of the warps at s = 0: row k, column b is the s^k
+        coefficient of h_b.
+
+        One warp call on BOUNDARY_FIT_NODES Chebyshev nodes of
+        BOUNDARY_FIT_WINDOW times s_max and one least-squares solve of
+        every column on {1, s, ..., s^BOUNDARY_FIT_DEGREE}. In units of
+        s_max the design matrix is the same on every fill, so its
+        column-scaled condition number is a constant (6.7e5).
+        """
+        lo, hi = BOUNDARY_FIT_WINDOW
+        s = _chebyshev_nodes(lo * self.s_max, hi * self.s_max, BOUNDARY_FIT_NODES)
+        cols = s[:, None] ** np.arange(BOUNDARY_FIT_DEGREE + 1)
+        scale = np.linalg.norm(cols, axis=0)
+        rows = np.linalg.lstsq(cols / scale, self.warp(s)[0], rcond=None)[0]
+        return rows / scale[:, None]
 
     def boundary_limit_residual(self) -> float:
-        """max|g_0 - ghat| at the boundary's default point (must be ~0),
-        g_0 the signed order-0 coefficient of extract_expansion on
-        default_ladder() (tail columns s^4, s^5)."""
-        ghat = self.boundary.field.g(np.asarray(self.boundary.default_point, dtype=float))
-        g0 = extract_expansion(self).coefficient(0)
-        return float(np.max(np.abs(g0 - ghat)))
+        """max_b |h_b(0) - 1|: how far g_s misses ghat at the boundary,
+        relative to ghat, from row 0 of boundary_expansion."""
+        return float(np.max(np.abs(self.boundary_expansion()[0] - 1.0)))
 
     # -- densities --------------------------------------------------------
 
@@ -209,17 +209,10 @@ class FGMetric:
                           (self.name or "fg") + "/normal-form")
 
 
-class ExpansionSeries(NamedTuple):
-    """Least-squares expansion coefficients of s -> g_s at one point."""
-
-    orders: tuple
-    coefficients: list
-    fit_residuals: dict
-    condition_number: float
-    gauge_coefficient: Optional[np.ndarray] = None
-
-    def coefficient(self, order: int):
-        return self.coefficients[self.orders.index(order)]
+def _chebyshev_nodes(a: float, b: float, count: int):
+    k = np.arange(count)
+    x = np.cos((2 * k + 1) * np.pi / (2 * count))
+    return 0.5 * (a + b) + 0.5 * (b - a) * x
 
 
 # ---------------------------------------------------------------------------
@@ -242,68 +235,6 @@ def order2_coefficient(boundary: MetricField, n: int, p) -> np.ndarray:
     rhat = pack.scalar[0]
     ghat = pack.metric[0]
     return -(ric - (rhat / (2.0 * (n - 1))) * ghat) / (n - 2.0)
-
-
-# ---------------------------------------------------------------------------
-# expansion extraction
-
-def default_ladder(s0: float = 0.2) -> np.ndarray:
-    """Geometric s-ladder used by the expansion fits: 12 rungs from s0,
-    each 0.7 times the one before."""
-    return s0 * 0.7 ** np.arange(12)
-
-
-def extract_expansion(fg: FGMetric, max_order: int = 3, ladder=None,
-                      diagnose_gauge: bool = False,
-                      tail_orders=(4, 5)) -> ExpansionSeries:
-    """Fit g_s(s, p) against {1, s^2, ..., s^max_order} on an s-ladder,
-    p the boundary's default point.
-
-    Tail columns (s^4, s^5 by default) absorb the smooth remainder so the
-    reported coefficients are not polluted by truncation; they are not
-    part of the returned orders. With diagnose_gauge a linear column is
-    appended and its coefficient reported: in the geodesic gauge the
-    family has no s^1 term, so its size measures gauge violation.
-    """
-    if max_order > fg.n:
-        raise DomainError(
-            f"coefficients above order {fg.n} are global data, not local fits"
-        )
-    if max_order < 2:
-        raise DomainError("max_order below 2 extracts nothing beyond the boundary metric")
-    ladder = np.asarray(default_ladder() if ladder is None else ladder, dtype=float)
-    if ladder.size < 5:
-        raise DomainError("ladder needs at least 5 rungs")
-    data = fg.gs(ladder, fg.boundary.default_point)  # (L, n, n)
-    nmat = data.shape[1]
-    orders = tuple([0] + list(range(2, max_order + 1)))
-    fit_orders = list(orders) + [t for t in tail_orders if t > max_order]
-    if diagnose_gauge:
-        fit_orders = fit_orders + [1]
-    cols = np.stack([ladder**k for k in fit_orders], axis=1)
-    scale = np.linalg.norm(cols, axis=0)
-    cond = float(np.linalg.cond(cols / scale))
-    if cond > 1e8:
-        raise FitConditioning(f"expansion design matrix condition {cond:.2e} > 1e8")
-    rhs = data.reshape(ladder.size, -1)
-    sol, *_ = np.linalg.lstsq(cols / scale, rhs, rcond=None)
-    sol = sol / scale[:, None]
-    coeffs = {k: sol[i].reshape(nmat, nmat) for i, k in enumerate(fit_orders)}
-    for k in coeffs:  # symmetrize against roundoff
-        coeffs[k] = 0.5 * (coeffs[k] + coeffs[k].T)
-    residuals = {}
-    for k in orders:
-        partial = sum(coeffs[j][None] * (ladder**j)[:, None, None]
-                      for j in fit_orders if j <= k)
-        residuals[k] = float(np.max(np.abs(data - partial)))
-    gauge = coeffs.get(1) if diagnose_gauge else None
-    return ExpansionSeries(
-        orders=orders,
-        coefficients=[coeffs[k] for k in orders],
-        fit_residuals=residuals,
-        condition_number=cond,
-        gauge_coefficient=gauge,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -134,13 +134,17 @@ def test_criterion_08_expansion_coefficients(hyperbolic, ads):
     roots_ok = ef.indicial_roots(3) == (-1, 4)
     w2 = ef.asymptotic_data(hyperbolic).w2_exact
     errs = []
-    for fg, ladder, tails in ((hyperbolic, None, (4, 5)),
-                              (ads, nf.default_ladder(s0=0.05), (4, 5, 6))):
-        ser = nf.extract_expansion(fg, max_order=3, ladder=ladder,
-                                   tail_orders=tails)
+    for fg in (hyperbolic, ads):
+        # g2 is h_b''(0)/2, row 2 of the boundary fit, times ghat on block b
         closed = nf.order2_coefficient(fg.boundary.field, 3,
                                        fg.boundary.default_point)
-        errs.append(float(np.max(np.abs(ser.coefficient(2) - closed))))
+        ghat = fg.boundary.field.g(np.asarray([fg.boundary.default_point]))[0]
+        row = fg.boundary_expansion()[2]
+        g2 = np.zeros_like(ghat)
+        for b, idx in enumerate(fg.blocks):
+            i = np.asarray(idx)
+            g2[i[:, None], i] = row[b] * ghat[i[:, None], i]
+        errs.append(float(np.max(np.abs(g2 - closed))))
     ok = roots_ok and w2 == Fraction(1, 4) and max(errs) < 1e-5
     _report(8, "expansion-coefficients", ok,
             f"roots = {ef.indicial_roots(3)}, w2 = {w2}, "

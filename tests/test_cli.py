@@ -201,7 +201,7 @@ def test_check_builds_the_named_model_with_its_parameters(tmp_path, capsys):
                                           "boundary_radius": 1.3}}))
     assert _run(["check", "--config", str(path)]) == 0
     out = capsys.readouterr().out
-    assert "8/8 checks passed" in out
+    assert "7/7 checks passed" in out
     assert "[pass] compactified-scalar hyperbolic" in out
     # parameters without a model name would apply to every model
     assert _run(["check", "--m", "2"]) == 2
@@ -246,7 +246,7 @@ def test_analyze_ads_at_mass_three_passes_every_gate(tmp_path, capsys):
 
 def test_report_gates_carry_value_threshold_and_margin(analyze_dir):
     gates = json.loads((analyze_dir / "report.json").read_text())["gates"]
-    assert len(gates) == 7
+    assert len(gates) == 6
     for gate in gates:
         assert {"value", "threshold", "comparison", "margin"} <= set(gate)
         assert gate["margin"] == gate["value"] - gate["threshold"]
@@ -313,7 +313,7 @@ def test_report_carries_the_compactification_gates(name, tmp_path):
     names = [w[0] for w in want]
     got = [(g["name"], g["value"], g["threshold"], g["comparison"])
            for g in gates if g["name"] in names]
-    assert got == want and len(want) == 4
+    assert got == want and len(want) == 3
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

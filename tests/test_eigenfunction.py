@@ -7,7 +7,7 @@ import pytest
 
 from ccegeom import models
 from ccegeom import eigenfunction as ef
-from ccegeom.errors import DomainError, UnsupportedDimension
+from ccegeom.errors import DomainError, PositivityViolation, UnsupportedDimension
 from ccegeom.integrals import integrate_curvature
 from ccegeom.tensor import curvature
 
@@ -135,8 +135,8 @@ def _verdicts(rep):
     return {g.name: g.verdict for g in rep.gates}
 
 
-_EINSTEIN_GATES = ("eigenfunction-positive", "scalar-lower-bound",
-                   "totally-geodesic-boundary", "bochner-identity")
+_EINSTEIN_GATES = ("scalar-lower-bound", "totally-geodesic-boundary",
+                   "bochner-identity")
 
 
 def test_hyperbolic_report(hyp_checks):
@@ -161,12 +161,12 @@ def test_ads_report(ads_checks):
 
 
 def test_perturbed_report_flags_bochner_only(pert_checks):
-    """The non-Einstein control keeps the first three gates and trips
+    """The non-Einstein control keeps the first two gates and trips
     the Bochner flag instead of certifying the identity."""
     rep = pert_checks
     assert _verdicts(rep) == {
-        "eigenfunction-positive": "pass", "scalar-lower-bound": "pass",
-        "totally-geodesic-boundary": "pass", "bochner-flag-trips": "pass"}
+        "scalar-lower-bound": "pass", "totally-geodesic-boundary": "pass",
+        "bochner-flag-trips": "pass"}
     assert rep.bochner_sup >= ef.BOCHNER_TOL
     assert rep.bochner_sup > 0.1
     assert rep.u_min > 0.0
@@ -177,22 +177,51 @@ def test_gates_carry_the_report_values_and_module_tolerances(hyp_checks, pert_ch
     module tolerance, with no boundary band."""
     for rep in (hyp_checks, pert_checks):
         gates = {g.name: g for g in rep.gates}
-        assert list(gates)[:3] == list(_EINSTEIN_GATES[:3])
+        assert list(gates)[:2] == list(_EINSTEIN_GATES[:2])
         expect = {
-            "eigenfunction-positive": (rep.u_min, 0.0, ">"),
             "scalar-lower-bound": (rep.scalar_gap, -ef.SCALAR_SLACK, ">="),
             "totally-geodesic-boundary": (rep.second_form_linear,
                                           ef.SECOND_FORM_TOL, "<"),
         }
-        bochner = list(gates)[3]
+        bochner = list(gates)[2]
         expect[bochner] = (rep.bochner_sup, ef.BOCHNER_TOL,
                            "<" if bochner == "bochner-identity" else ">=")
         for name, (value, threshold, comparison) in expect.items():
             g = gates[name]
             assert (g.value, g.threshold, g.comparison) == (value, threshold, comparison)
             assert g.margin == value - threshold
-    assert [g.name for g in hyp_checks.gates][3] == "bochner-identity"
-    assert [g.name for g in pert_checks.gates][3] == "bochner-flag-trips"
+    assert [g.name for g in hyp_checks.gates][2] == "bochner-identity"
+    assert [g.name for g in pert_checks.gates][2] == "bochner-flag-trips"
+
+
+def test_solve_refuses_a_nonpositive_eigenfunction(hyperbolic, monkeypatch):
+    """Positivity is the solve's own check, not a gate: a series whose u
+    dips below zero never reaches compactification_checks. phi = -1 on
+    the hyperbolic fill gives u(2) = 1/2 + 1/2 - 4 < 0."""
+    monkeypatch.setattr(ef, "_collocate", lambda fg, w2, n: -np.eye(n)[0])
+    with pytest.raises(PositivityViolation, match="attains"):
+        ef.solve_eigenfunction(hyperbolic)
+
+
+#: AdS masses from s_max = 2.1 to 0.37, boundary radii from s_max = 0.6
+#: to 12, and non-Einstein bumps of both signs
+_SWEEP = ([("ads_schwarzschild", {"m": float(m)}) for m in np.geomspace(0.02, 40, 9)]
+          + [("hyperbolic", {"boundary_radius": r}) for r in (0.3, 1.0, 1.3, 4.0, 6.0)]
+          + [("perturbed_hyperbolic", {"amplitude": a}) for a in (0.05, 0.3, -0.3)])
+
+
+@pytest.mark.parametrize("name, params", _SWEEP,
+                         ids=[f"{n}-{v:g}" for n, p in _SWEEP for v in p.values()])
+def test_boundary_data_over_the_families(name, params):
+    """The boundary limit, the second form and the matched w2 read the
+    warps' Taylor rows at rounding level on every fill, whatever its
+    s_max."""
+    fg = models.build(name, **params)
+    sol = ef.solve_eigenfunction(fg)
+    assert fg.boundary_limit_residual() <= 1e-12
+    assert ef.compactification_checks(sol).second_form_linear <= 1e-10
+    if not fg.einstein:
+        assert abs(sol.w2 - (0.25 - params["amplitude"])) <= 1e-9
 
 
 def test_charts_span_the_whole_fill(hyperbolic, ads, hyp_solution, ads_solution):

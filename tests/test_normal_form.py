@@ -1,6 +1,4 @@
-"""Geodesic normal form: expansion fits, radial profiles, documents."""
-
-from types import SimpleNamespace
+"""Geodesic normal form: the boundary fit, radial profiles, documents."""
 
 import numpy as np
 import pytest
@@ -8,35 +6,47 @@ import pytest
 from ccegeom import models, normal_form as nf
 from ccegeom.autodiff import variable
 from ccegeom.eigenfunction import compactification_checks
-from ccegeom.errors import DomainError, FitConditioning, UnsupportedDimension
+from ccegeom.errors import DomainError, UnsupportedDimension
 from ccegeom.quadrature import gauss_legendre_rule
 from ccegeom.tensor import curvature
 
 
+def _taylor_matrix(fg, row):
+    """The n x n coefficient of g_s at the boundary's default point whose
+    block b is row[b] times ghat on that block."""
+    ghat = fg.boundary.field.g(np.asarray([fg.boundary.default_point]))[0]
+    out = np.zeros_like(ghat)
+    for b, idx in enumerate(fg.blocks):
+        i = np.asarray(idx)
+        out[i[:, None], i] = row[b] * ghat[i[:, None], i]
+    return out
+
+
 def test_order2_extraction_matches_closed_form(hyperbolic):
     p = hyperbolic.boundary.default_point
-    ser = nf.extract_expansion(hyperbolic, max_order=3)
+    rows = hyperbolic.boundary_expansion()
     closed = nf.order2_coefficient(hyperbolic.boundary.field, 3, p)
-    assert np.max(np.abs(ser.coefficient(2) - closed)) < 1e-10
+    assert np.max(np.abs(_taylor_matrix(hyperbolic, rows[2]) - closed)) < 1e-10
     # unit round S^3: Ric = 2 ghat, R = 6, so g2 = -ghat/2
     ghat = hyperbolic.boundary.field.g(np.asarray([p]))[0]
     assert np.max(np.abs(closed + 0.5 * ghat)) < 1e-12
     # even expansion: no cubic term
-    assert np.max(np.abs(ser.coefficient(3))) < 1e-9
-    assert ser.condition_number < 1e6
-    assert ser.fit_residuals[3] < 1e-3
+    assert np.max(np.abs(_taylor_matrix(hyperbolic, rows[3]))) < 1e-9
+    # in units of s_max the design matrix is the same on every fill
+    lo, hi = nf.BOUNDARY_FIT_WINDOW
+    s = nf._chebyshev_nodes(lo, hi, nf.BOUNDARY_FIT_NODES)
+    cols = s[:, None] ** np.arange(nf.BOUNDARY_FIT_DEGREE + 1)
+    assert np.linalg.cond(cols / np.linalg.norm(cols, axis=0)) < 1e6
 
 
 def test_order2_extraction_second_boundary(ads):
     """Same check on a boundary that is not a round sphere."""
     p = ads.boundary.default_point
-    ser = nf.extract_expansion(ads, max_order=3,
-                               ladder=nf.default_ladder(s0=0.05),
-                               tail_orders=(4, 5, 6))
+    rows = ads.boundary_expansion()
     closed = nf.order2_coefficient(ads.boundary.field, 3, p)
-    assert np.max(np.abs(ser.coefficient(2) - closed)) < 1e-8
+    assert np.max(np.abs(_taylor_matrix(ads, rows[2]) - closed)) < 1e-8
     # the cubic coefficient carries the mass: nonzero but trace free
-    g3 = ser.coefficient(3)
+    g3 = _taylor_matrix(ads, rows[3])
     assert np.max(np.abs(g3)) > 0.1
     ghat = ads.boundary.field.g(np.asarray([p]))[0]
     trace = abs(float(np.trace(np.linalg.solve(ghat, g3))))
@@ -44,33 +54,26 @@ def test_order2_extraction_second_boundary(ads):
 
 
 def test_gauge_diagnostic_column(hyperbolic):
-    ser = nf.extract_expansion(hyperbolic, max_order=3, diagnose_gauge=True)
-    assert ser.gauge_coefficient is not None
-    assert np.max(np.abs(ser.gauge_coefficient)) < 1e-10
+    """In the geodesic gauge g_s has no s^1 term."""
+    assert np.max(np.abs(hyperbolic.boundary_expansion()[1])) < 1e-10
 
 
 def test_polynomial_family_recovery():
-    """extract_expansion reads only n, boundary and gs, so a stand-in with
-    g_s = ghat + C2 s^2 + C3 s^3 checks the fit against known answers."""
-    bnd = models.round_sphere_boundary()
-    rng = np.random.default_rng(7)
+    """A fill whose warps are 1 + a_b s^2 + b_b s^3 checks the fit's rows
+    against known answers, block by block.
 
-    def sym():
-        a = 0.1 * rng.normal(size=(3, 3))
-        return 0.5 * (a + a.T)
-
-    c2, c3 = sym(), sym()
-
-    def gs(s, p):
-        ghat = bnd.field.g(np.asarray(p, dtype=float))
-        return ghat + (s**2)[:, None, None] * c2 + (s**3)[:, None, None] * c3
-
-    fam = SimpleNamespace(n=3, boundary=bnd, gs=gs)
-    ser = nf.extract_expansion(fam, max_order=3)
-    ghat = bnd.field.g(np.asarray([bnd.default_point]))[0]
-    assert np.max(np.abs(ser.coefficient(0) - ghat)) < 1e-12
-    assert np.max(np.abs(ser.coefficient(2) - c2)) < 1e-10
-    assert np.max(np.abs(ser.coefficient(3) - c3)) < 1e-10
+    Rounding in row k grows like s_max^-k, since the fit samples
+    [0.001, 0.05] s_max. At s_max = 4 it samples [0.004, 0.2], the
+    s range of the absolute ladder the fit replaced.
+    """
+    a, b = 0.1 * np.random.default_rng(7).normal(size=(2, 2))
+    fam = nf.FGMetric(models.round_sphere_boundary(), 4.0, [(0,), (1, 2)],
+                      lambda S: [1.0 + a[k] * S**2 + b[k] * S**3 for k in range(2)])
+    rows = fam.boundary_expansion()
+    assert np.max(np.abs(rows[0] - 1.0)) < 1e-12
+    assert np.max(np.abs(rows[1])) < 1e-12
+    assert np.max(np.abs(rows[2] - a)) < 1e-10
+    assert np.max(np.abs(rows[3] - b)) < 1e-9
 
 
 def _region_radii(rmap):
@@ -102,14 +105,11 @@ def test_profile_reconstructs_hyperbolic(hyperbolic, hyperbolic_profile):
     assert fg.einstein
     assert fg.tip_multiplicity == 3
     assert fg.s_max == pytest.approx(2.0, abs=1e-8)
-    p = fg.boundary.default_point
     s = np.linspace(0.05, 1.9, 40)
-    ghat = fg.boundary.field.g(np.asarray([p]))[0]
-    warp = fg.gs(s, p)[:, 0, 0] / ghat[0, 0]
-    assert np.max(np.abs(warp - (1.0 - s ** 2 / 4.0) ** 2)) <= 1e-11
+    warp = fg.warp(s)[0]
+    assert np.max(np.abs(warp[:, 0] - (1.0 - s ** 2 / 4.0) ** 2)) <= 1e-11
     # and it agrees with the closed-form model it rebuilds
-    direct = hyperbolic.gs(s, p)
-    assert np.max(np.abs(fg.gs(s, p) - direct)) <= 1e-11
+    assert np.max(np.abs(warp - hyperbolic.warp(s)[0])) <= 1e-11
     assert fg.boundary_limit_residual() <= 1e-12
 
 
@@ -157,17 +157,6 @@ def test_radial_map_queries_are_one_composite_panel(ads):
         assert rmap.lns_of_r(float(r)) == reference(float(r)), r
 
 
-def test_extraction_error_paths(hyperbolic):
-    with pytest.raises(DomainError, match="global data"):
-        nf.extract_expansion(hyperbolic, max_order=4)
-    with pytest.raises(DomainError):
-        nf.extract_expansion(hyperbolic, max_order=1)
-    with pytest.raises(DomainError, match="5 rungs"):
-        nf.extract_expansion(hyperbolic, ladder=[0.2, 0.1, 0.05])
-    with pytest.raises(FitConditioning):
-        nf.extract_expansion(hyperbolic, ladder=0.2 * 0.995 ** np.arange(8))
-
-
 def test_order2_closed_form_guards():
     bnd = models.round_sphere_boundary()
     p = bnd.default_point
@@ -183,9 +172,8 @@ def test_boundary_limit_residual(hyperbolic, ads, perturbed):
     assert hyperbolic.boundary_limit_residual() < 1e-6
     assert ads.boundary_limit_residual() < 1e-6
     assert perturbed.boundary_limit_residual() < 1e-6
-    # the signed fit keeps the exact fills at rounding level away from
-    # lambda = 1, and AdS inside the gate at masses the unsigned fit
-    # rounded past it
+    # the fit is scale-free: the exact fills stay at rounding level away
+    # from lambda = 1, and AdS well inside the gate at m = 3
     for lam in (0.7, 0.9):
         fg = models.build("hyperbolic", boundary_radius=lam)
         assert fg.boundary_limit_residual() < 1e-12
@@ -228,7 +216,7 @@ def test_one_warp_call_per_batch(ads, ads_solution, monkeypatch):
     """density, density_logderiv and each curvature batch of the
     four-metric read the warp jets once; compactification_checks reads
     them once for the Bochner grid (L included) and once for the
-    second-form fit."""
+    boundary fit that reads the second form."""
     warp_jets = ads.warp_jets
     calls = [0]
 
