@@ -32,7 +32,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -60,8 +59,8 @@ from .integrals import (
 from .normal_form import FGMetric, fg_document
 from .tensor import (ScalarField, conformal_rescale, curvature, einstein_residual,
                      riemann_symmetry_residuals)
-from .topology import (Check, build_topology_report, check_document, gate,
-                       render_topology_report, topology_document)
+from .topology import (Check, build_topology_report, gate, render_topology_report,
+                       topology_document)
 
 __all__ = ["RunConfig", "run_analyze", "run_check", "run_volume",
            "run_curvature", "build_parser", "main"]
@@ -129,16 +128,6 @@ def _build_model(cfg: RunConfig, name: str = None):
 # ---------------------------------------------------------------------------
 # report plumbing
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, Fraction):
-        return str(obj)
-    raise TypeError(f"not serializable: {type(obj)!r}")
-
-
 def _render_section(lines, key, value, depth=1):
     pad = "  " * depth
     if isinstance(value, dict):
@@ -178,10 +167,10 @@ def _write_artifacts(cfg: RunConfig, doc: dict, gates: list, topo_text: str,
     with open(path("report.txt"), "w") as fh:
         fh.write(_render_report(doc, gates, topo_text))
     machine = dict(doc)
-    machine["gates"] = [{**check_document(g), "ok": g.verdict == "pass"}
+    machine["gates"] = [{**g._asdict(), "ok": g.verdict == "pass"}
                         for g in gates]
     with open(path("report.json"), "w") as fh:
-        json.dump(machine, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(machine, fh, indent=2, sort_keys=True)
         fh.write("\n")
     for name, writer in tables.items():
         writer(path(name))
@@ -318,8 +307,7 @@ def _analyze_cce(cfg: RunConfig, fg: FGMetric):
         "model": {"kind": "conformally-compact", **fg_document(fg)},
         "volume_fit": volume_doc,
         "eigenfunction": {
-            "w2": float(sol.w2),
-            "w2_exact": sol.w2_exact,
+            "w2": sol.w2,
             "u_min": checks.u_min,
             "scalar_boundary": checks.scalar_boundary,
             "scalar_min": checks.scalar_min,
@@ -490,7 +478,7 @@ def _check_cce(name, fg):
     if not fg.einstein:
         w2 = models.exact_reference(name, "w2", **fg.parameters)
         gates.append(gate("matched-asymptotics",
-                          abs(asymptotic_data(fg).w2 - w2), 1e-6))
+                          abs(asymptotic_data(fg) - w2), 1e-6))
     if name == "hyperbolic":
         ref = models.exact_reference(name, **fg.parameters)
         sol = solve_eigenfunction(fg)

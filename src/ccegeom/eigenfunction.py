@@ -32,9 +32,7 @@ the bounded solution by itself.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from numbers import Real
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebval, chebvander
@@ -53,7 +51,6 @@ from .topology import gate
 
 __all__ = [
     "indicial_roots",
-    "AsymptoticData",
     "asymptotic_data",
     "EigenfunctionSolution",
     "solve_eigenfunction",
@@ -104,43 +101,23 @@ def indicial_roots(n: int = 3) -> tuple:
     return (-1, int(n) + 1)
 
 
-class AsymptoticData(NamedTuple):
-    """Leading expansion data of the normalized growing solution.
+def asymptotic_data(fg: FGMetric) -> float:
+    """The coefficient w2 of u = 1/s + w2 s + O(s^2).
 
-    u = 1/s + w2 s + O(s^2): the s^0 slot between the indicial roots is
-    forced to vanish because g_s has no linear term. An Einstein interior
-    takes w2 from the boundary scalar curvature, and w2_exact is set (a
-    Fraction) when that curvature is carried exactly; otherwise w2 comes
-    from matching against the warps' Taylor rows and w2_exact is None.
-    """
-
-    w2: float
-    w2_exact: Optional[Fraction]
-    source: str
-    roots: tuple
-
-
-def asymptotic_data(fg: FGMetric) -> AsymptoticData:
-    """Resolve the coefficient w2 of u = 1/s + w2 s + O(s^2).
-
-    Einstein interiors determine w2 = R(ghat)/24 from the boundary
-    alone, whenever the boundary scalar curvature is a real number; w2
-    is also kept as a Fraction when that curvature is an int or
-    Fraction. Otherwise w2 = -tr(g2)/6 is matched to the warps:
-    tr(g2) = sum_b k_b h_b''(0)/2, k_b the size of block b, with each
-    h_b''(0)/2 read off row 2 of FGMetric.boundary_expansion.
+    The s^0 slot between the indicial roots vanishes because g_s has no
+    linear term. An Einstein interior determines w2 = R(ghat)/24 from
+    the boundary alone. Otherwise w2 = -tr(g2)/6 is matched to the
+    warps: tr(g2) = sum_b k_b h_b''(0)/2, k_b the size of block b, with
+    each h_b''(0)/2 read off row 2 of FGMetric.boundary_expansion.
     """
     if fg.n != 3:
         raise UnsupportedDimension("eigenfunction reduction implemented for "
                                    "3-dimensional boundaries")
-    rhat = fg.boundary.scalar_curvature
-    if fg.einstein and isinstance(rhat, Real) and not isinstance(rhat, bool):
-        exact = Fraction(rhat, 24) if isinstance(rhat, (int, Fraction)) else None
-        return AsymptoticData(float(rhat / 24), exact, "boundary-curvature",
-                              indicial_roots(3))
+    if fg.einstein:
+        return float(fg.boundary.scalar_curvature / 24)
     g2 = fg.boundary_expansion()[2]
     trace = sum(len(idx) * g2[b] for b, idx in enumerate(fg.blocks))
-    return AsymptoticData(float(-trace / 6.0), None, "matched", indicial_roots(3))
+    return float(-trace / 6.0)
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +135,11 @@ class EigenfunctionSolution:
     first entry alone.
     """
 
-    def __init__(self, fg: FGMetric, w2: float, w2_exact: Optional[Fraction],
-                 s_lo: float, s_hi: float, mesh_size: int, coefficient_tail: float,
+    def __init__(self, fg: FGMetric, w2: float, s_lo: float, s_hi: float,
+                 mesh_size: int, coefficient_tail: float,
                  collocation_residual: float, u_min: float, coefficients: np.ndarray):
         self.fg = fg
         self.w2 = w2
-        self.w2_exact = w2_exact
         self.s_lo = s_lo
         self.s_hi = s_hi
         self.mesh_size = mesh_size
@@ -215,7 +191,8 @@ class EigenfunctionSolution:
         return 48.0 * self.w2
 
     def compactified_scalar(self, s):
-        """Scalar curvature of u^{-2} g along the radial direction."""
+        """Scalar curvature of u^{-2} g along the radial direction,
+        12(u^2 - s^2 u'^2): a formula that holds on an Einstein fill only."""
         x = np.atleast_1d(np.asarray(s, dtype=float))
         u, du = self.jet(x, 1)
         out = 12.0 * (u**2 - x**2 * du**2)
@@ -317,8 +294,7 @@ def solve_eigenfunction(fg: FGMetric) -> EigenfunctionSolution:
     if fg.n != 3:
         raise UnsupportedDimension("eigenfunction reduction implemented for "
                                    "3-dimensional boundaries")
-    data = asymptotic_data(fg)
-    w2 = float(data.w2)
+    w2 = asymptotic_data(fg)
 
     best = None
     for n in COLLOCATION_NODES:
@@ -336,7 +312,7 @@ def solve_eigenfunction(fg: FGMetric) -> EigenfunctionSolution:
         )
 
     sol = EigenfunctionSolution(
-        fg=fg, w2=w2, w2_exact=data.w2_exact, s_lo=S_LO, s_hi=fg.s_max,
+        fg=fg, w2=w2, s_lo=S_LO, s_hi=fg.s_max,
         mesh_size=c.size, coefficient_tail=tail, collocation_residual=0.0,
         u_min=0.0, coefficients=c,
     )
@@ -399,8 +375,10 @@ def compactification_checks(sol: EigenfunctionSolution) -> CompactificationRepor
     """Measure and gate the scalar bound, umbilicity and Bochner.
 
     The gates, in order: scalar-lower-bound (min 12(u^2 - s^2 u'^2)
-    - 48 w2 >= -SCALAR_SLACK, sharp at the boundary for Einstein
-    interiors); totally-geodesic-boundary (max_b |h_b'(0)| below
+    - 48 w2 >= -SCALAR_SLACK, sharp at the boundary), on an Einstein
+    fill only: both the bound and that formula for the compactified
+    scalar need Ric = -3g, so any other fill records scalar_gap
+    ungated; totally-geodesic-boundary (max_b |h_b'(0)| below
     SECOND_FORM_TOL: us = 1 + w2 s^2 + s^3 phi has no linear term, so
     the compactified warps h_b/(us)^2 have one exactly when the h_b do,
     and the boundary of u^{-2} g is totally geodesic when none has); and
@@ -446,7 +424,8 @@ def compactification_checks(sol: EigenfunctionSolution) -> CompactificationRepor
         collocation_residual=sol.collocation_residual,
         asymptotic_residual=sol.asymptotic_residual(),
         gates=(
-            gate("scalar-lower-bound", scalar_gap, -SCALAR_SLACK, ">="),
+            *([gate("scalar-lower-bound", scalar_gap, -SCALAR_SLACK, ">=")]
+              if fg.einstein else []),
             gate("totally-geodesic-boundary", second_form, SECOND_FORM_TOL),
             gate(bochner[0], bochner_sup, BOCHNER_TOL, bochner[1]),
         ),

@@ -12,7 +12,6 @@ coordinates a metric does not take are its cyclic axes.
 from __future__ import annotations
 
 import inspect
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -85,7 +84,7 @@ def round_sphere_boundary(radius: float = 1.0) -> BoundaryGeometry:
     return _boundary(
         f"round-S3(r={radius})", ("t1", "t2", "t3"), (np.pi, np.pi, 2 * np.pi), g,
         volume=2 * np.pi**2 * radius**3,
-        scalar_curvature=Fraction(6) if radius == 1.0 else 6.0 / lam2,
+        scalar_curvature=6.0 / lam2,
         default_point=(1.1, 1.3, 0.7),
     )
 
@@ -102,7 +101,7 @@ def circle_sphere_boundary(length: float, radius: float = 1.0) -> BoundaryGeomet
         f"S1({length:.6g})xS2(r={radius})", ("ph", "th", "ps"),
         (length, np.pi, 2 * np.pi), g,
         volume=length * 4 * np.pi * a2,
-        scalar_curvature=Fraction(2) if radius == 1.0 else 2.0 / a2,
+        scalar_curvature=2.0 / a2,
         default_point=(0.37 * length, 1.2, 0.9),
     )
 
@@ -112,7 +111,7 @@ def flat_torus_boundary(lengths=(2 * np.pi,) * 3) -> BoundaryGeometry:
     return _boundary(
         "flat-T3", ("x1", "x2", "x3"), lengths, lambda: diag(1.0, 1.0, 1.0),
         volume=float(np.prod(lengths)),
-        scalar_curvature=Fraction(0),
+        scalar_curvature=0.0,
         default_point=tuple(0.3 * l for l in lengths),
     )
 
@@ -409,7 +408,7 @@ def exact_reference(name: str, quantity: Optional[str] = None, **params):
             "boundary_volume": 2 * np.pi**2 * lam**3,
             "c0": 2 * np.pi**2 * lam**3 / 3,
             "c2": -1.5 * np.pi**2 * lam,
-            "w2": Fraction(1, 4) if lam == 1.0 else 1.0 / (4 * lam2),
+            "w2": 1.0 / (4 * lam2),
             "eigenfunction": lambda s: 1.0 / s + s / (4 * lam2),
             "warp": lambda s: (1.0 - s**2 / (4 * lam2)) ** 2,
             "s_max": 2 * lam,
@@ -424,7 +423,7 @@ def exact_reference(name: str, quantity: Optional[str] = None, **params):
         refs = {
             "horizon_radius": rp,
             "period": beta,
-            "w2": Fraction(1, 12),
+            "w2": 1.0 / 12,
             "weyl_energy": 64 * np.pi * beta * m**2 / rp**3,
             "euler": 2,
             "boundary_volume": 4 * np.pi * beta,

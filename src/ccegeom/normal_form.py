@@ -33,7 +33,7 @@ from .tensor import Chart, MetricField, _is_zero, components, curvature
 
 _EPS = float(np.finfo(float).eps)
 
-#: s window of the boundary fit, as fractions of s_max
+#: s window of the boundary fit, in units of s_max
 BOUNDARY_FIT_WINDOW = (0.001, 0.05)
 #: Chebyshev nodes of the boundary fit
 BOUNDARY_FIT_NODES = 24
@@ -56,16 +56,13 @@ __all__ = [
 # containers
 
 class BoundaryGeometry(NamedTuple):
-    """A closed 3-dimensional boundary metric with exact global data.
-
-    scalar_curvature is stored exactly (int or Fraction) when the model
-    permits, so downstream coefficient formulas can stay rational.
-    """
+    """A closed 3-dimensional boundary metric with its global data: the
+    volume and the constant scalar curvature, both as floats."""
 
     name: str
     field: MetricField
     volume: float
-    scalar_curvature: object
+    scalar_curvature: float
     default_point: tuple
 
     @property

@@ -31,7 +31,6 @@ __all__ = [
     "Check",
     "compare",
     "gate",
-    "check_document",
     "volume_upper_bound",
     "finite_cover_ball_criterion",
     "diffeomorphism_ball_criterion",
@@ -326,16 +325,11 @@ def render_topology_report(report: TopologyReport) -> str:
     return "\n".join(lines)
 
 
-def check_document(c: Check) -> dict:
-    """Machine-readable form of one check: its fields by name."""
-    return c._asdict()
-
-
 def topology_document(report: TopologyReport) -> dict:
     """Machine-readable mirror of render_topology_report."""
     return {
         "inputs": {k: report.inputs[k] for k in sorted(report.inputs)},
-        "checks": [check_document(c) for c in report.checks],
+        "checks": [c._asdict() for c in report.checks],
         "conclusions": [
             {"statement": text, "via": source}
             for text, source in report.conclusions

@@ -62,11 +62,13 @@ def test_artifacts_end_lines_with_newline_alone(analyze_dir, tmp_path, capsys):
         assert b"\r" not in path.read_bytes(), path.name
 
 
-def test_analyze_closed_model(tmp_path):
+@pytest.mark.parametrize("name", models.model_names()["closed"])
+def test_analyze_closed_model(name, tmp_path):
+    """Every closed model goes through analyze: its report encodes as
+    plain JSON, its four gates pass, and a second run is byte-identical."""
     first, second = tmp_path / "first", tmp_path / "second"
     for out in (first, second):
-        assert _run(["analyze", "--model", "fubini_study",
-                     "--out", str(out)]) == 0
+        assert _run(["analyze", "--model", name, "--out", str(out)]) == 0
     names = ("report.txt", "report.json", "integrals.csv")
     assert sorted(p.name for p in first.iterdir()) == sorted(names)
     gates = json.loads((first / "report.json").read_text())["gates"]
@@ -302,18 +304,27 @@ def test_volume_rejects_a_non_einstein_fill(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("name", ["hyperbolic", "perturbed_hyperbolic"])
-def test_report_carries_the_compactification_gates(name, tmp_path):
-    """analyze writes the stage's own gates, not a second decision."""
-    assert _run(["analyze", "--model", name, "--out", str(tmp_path)]) == 0
+@pytest.mark.parametrize("name, params, count", [
+    pytest.param("hyperbolic", {}, 3, id="hyperbolic"),
+    pytest.param("perturbed_hyperbolic", {}, 2, id="perturbed_hyperbolic"),
+    pytest.param("perturbed_hyperbolic", {"amplitude": -0.3}, 2,
+                 id="perturbed_hyperbolic--0.3")])
+def test_report_carries_the_compactification_gates(name, params, count, tmp_path):
+    """analyze writes the stage's own gates, not a second decision; a
+    non-Einstein fill, whose scalar gap is not gated, exits 0 even where
+    that gap is negative (amplitude -0.3)."""
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"model": {"name": name, **params},
+                                "outputs": {"dir": str(tmp_path)}}))
+    assert _run(["analyze", "--config", str(path)]) == 0
     gates = json.loads((tmp_path / "report.json").read_text())["gates"]
-    sol = solve_eigenfunction(models.build(name))
+    sol = solve_eigenfunction(models.build(name, **params))
     want = [(g.name, g.value, g.threshold, g.comparison)
             for g in compactification_checks(sol).gates]
     names = [w[0] for w in want]
     got = [(g["name"], g["value"], g["threshold"], g["comparison"])
            for g in gates if g["name"] in names]
-    assert got == want and len(want) == 3
+    assert got == want and len(want) == count
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Package surface: every exported name resolves, and the CLI needs neither
-scipy nor sympy, nor numpy.random, numpy.ma, csv or dataclasses."""
+scipy nor sympy, nor numpy.random, numpy.ma, csv, dataclasses, fractions
+or decimal."""
 
 import importlib
 import os
@@ -62,10 +63,10 @@ def test_runtime_needs_no_sympy(tmp_path):
         assert out.returncode == 0, (argv, out.stdout, out.stderr)
 
 
-def test_commands_load_no_rng_masked_arrays_csv_or_dataclasses(tmp_path):
+def test_commands_load_no_rng_masked_arrays_csv_dataclasses_fractions_or_decimal(tmp_path):
     """check, an AdS analyze and volume, run in one fresh interpreter, load
-    none of numpy.random, numpy.ma, csv and dataclasses (this process has
-    them loaded)."""
+    none of numpy.random, numpy.ma, csv, dataclasses, fractions and
+    decimal (a fresh one, since pytest and sympy load some of them here)."""
     runs = (["check"],
             ["analyze", "--model", "ads_schwarzschild", "--m", "1.0",
              "--out", str(tmp_path / "ads")],
@@ -74,7 +75,8 @@ def test_commands_load_no_rng_masked_arrays_csv_or_dataclasses(tmp_path):
     out = _run_fresh("import sys; from ccegeom.cli import main; "
                      f"codes = [main(argv) for argv in {runs!r}]; "
                      "print(codes, sorted(m for m in ('numpy.random', "
-                     "'numpy.ma', 'csv', 'dataclasses') if m in sys.modules))")
+                     "'numpy.ma', 'csv', 'dataclasses', 'fractions', 'decimal') "
+                     "if m in sys.modules))")
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "[0, 0, 0] []", out.stdout
 

@@ -20,9 +20,10 @@ def test_compare_lower_bound_and_document():
     assert tp.compare("x", 1.0, 1.0, ">=", tol=0.0).verdict == "boundary"
     with pytest.raises(ValueError, match="comparison"):
         tp.compare("x", 2.0, 1.0, "==", tol=0.0)
-    doc = tp.check_document(tp.compare("x", 0.25, 1.0, "<", tol=0.0, note="n"))
-    assert doc == {"name": "x", "value": 0.25, "threshold": 1.0, "comparison": "<",
-                   "margin": -0.75, "verdict": "pass", "note": "n"}
+    doc = tp.compare("x", 0.25, 1.0, "<", tol=0.0, note="n")._asdict()
+    assert list(doc.items()) == [
+        ("name", "x"), ("value", 0.25), ("threshold", 1.0), ("comparison", "<"),
+        ("margin", -0.75), ("verdict", "pass"), ("note", "n")]
 
 
 def test_volume_upper_bound():
