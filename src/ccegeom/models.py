@@ -2,16 +2,19 @@
 
 Closed models come with their integration domain and exact topological
 data; conformally compact models come as FGMetric families of
-normal-form warps. Every closed and boundary metric is a plain function
-of the chart coordinates it reads, written in the jet operations of
-``autodiff``: one evaluation gives g and its first and second
-derivatives exactly, so curvature needs no finite differencing, and the
-coordinates a metric does not take are its cyclic axes.
+normal-form warps. Each builder attaches the closed forms of its
+validated parameters to the model it returns (``reference``), stated
+apart from the model's own metric so that they stay an oracle for it;
+``exact_reference`` reads them off a built model. Every closed and
+boundary metric is a plain function of the chart coordinates it reads,
+written in the jet operations of ``autodiff``: one evaluation gives g
+and its first and second derivatives exactly, so curvature needs no
+finite differencing, and the coordinates a metric does not take are its
+cyclic axes.
 """
 
 from __future__ import annotations
 
-import inspect
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -106,8 +109,14 @@ def circle_sphere_boundary(length: float, radius: float = 1.0) -> BoundaryGeomet
     )
 
 
+def _lengths(lengths, count):
+    if len(lengths) != count:
+        raise ModelParameterError(f"lengths must hold {count} numbers, got {len(lengths)}")
+    return tuple(_positive(l, "length") for l in lengths)
+
+
 def flat_torus_boundary(lengths=(2 * np.pi,) * 3) -> BoundaryGeometry:
-    lengths = tuple(_positive(l, "length") for l in lengths)
+    lengths = _lengths(lengths, 3)
     return _boundary(
         "flat-T3", ("x1", "x2", "x3"), lengths, lambda: diag(1.0, 1.0, 1.0),
         volume=float(np.prod(lengths)),
@@ -141,7 +150,8 @@ def berger_sphere_boundary(lam: float = 0.8) -> BoundaryGeometry:
 # closed 4-manifolds
 
 class ClosedModel(NamedTuple):
-    """A closed 4-manifold model: field, integration domain, exact data."""
+    """A closed 4-manifold model: field, integration domain, exact data;
+    ``reference`` holds those the record lacks (Weyl energies, int sigma_2)."""
 
     name: str
     field: MetricField
@@ -150,6 +160,7 @@ class ClosedModel(NamedTuple):
     signature: int
     volume: float
     einstein: bool
+    reference: dict
     orientation: int = 1
 
 
@@ -183,11 +194,12 @@ def round_sphere4(radius: float = 1.0) -> ClosedModel:
         signature=0,
         volume=8 * np.pi**2 / 3 * radius**4,
         einstein=True,
+        reference={"weyl_energy": 0.0, "sigma2_integral": 16 * np.pi**2},
     )
 
 
 def flat_torus4(lengths=(2 * np.pi,) * 4) -> ClosedModel:
-    lengths = tuple(_positive(l, "length") for l in lengths)
+    lengths = _lengths(lengths, 4)
     return _closed(
         "flat-T4", ("x1", "x2", "x3", "x4"), lengths, lambda: diag(1.0, 1.0, 1.0, 1.0),
         periodic=(0, 1, 2, 3),
@@ -196,6 +208,7 @@ def flat_torus4(lengths=(2 * np.pi,) * 4) -> ClosedModel:
         signature=0,
         volume=float(np.prod(lengths)),
         einstein=True,
+        reference={"weyl_energy": 0.0, "sigma2_integral": 0.0},
     )
 
 
@@ -203,6 +216,11 @@ def product_spheres(a: float = 1.0, b: float = 1.0) -> ClosedModel:
     a = _positive(a, "a")
     b = _positive(b, "b")
     a2, b2 = a**2, b**2
+    vol = 16 * np.pi**2 * a2 * b2
+    w2 = 16.0 / (3 * a**4)
+    # the Weyl energies and int sigma_2 of the Einstein product a = b
+    reference = {"weyl_energy": w2 * vol, "weyl_plus": w2 * vol / 2, "weyl_minus": w2 * vol / 2,
+                 "sigma2_integral": (2.0 / (3 * a**4)) * vol} if a == b else {}
 
     def g(t, u):
         return diag(a2, a2 * sin(t) ** 2, b2, b2 * sin(u) ** 2)
@@ -213,8 +231,9 @@ def product_spheres(a: float = 1.0, b: float = 1.0) -> ClosedModel:
         name=f"product_spheres(a={a:g},b={b:g})",
         euler=4,
         signature=0,
-        volume=16 * np.pi**2 * a2 * b2,
+        volume=vol,
         einstein=(a == b),
+        reference=reference,
     )
 
 
@@ -225,6 +244,7 @@ def fubini_study() -> ClosedModel:
     curvature 4. The chart covers the complement of a point and the
     cut-locus 2-sphere, both measure zero.
     """
+    vol = np.pi**2 / 2
     # cohomogeneity-one polar form: the geodesic spheres about a point are
     # Berger 3-spheres, the psi-circle collapsing onto the 2-sphere at
     # infinity (r = pi/2). Entries stay bounded, unlike the affine chart
@@ -245,8 +265,10 @@ def fubini_study() -> ClosedModel:
         name="fubini_study",
         euler=3,
         signature=1,
-        volume=np.pi**2 / 2,
+        volume=vol,
         einstein=True,
+        reference={"weyl_energy": 96.0 * vol, "weyl_plus": 96.0 * vol,
+                   "weyl_minus": 0.0, "sigma2_integral": 24.0 * vol},
         # self-dual in the complex orientation, -1 in this chart order
         orientation=-1,
     )
@@ -265,10 +287,8 @@ def hyperbolic(boundary_radius: float = 1.0) -> FGMetric:
     """
     lam = _positive(boundary_radius, "boundary_radius")
     lam2 = lam * lam
-    boundary = round_sphere_boundary(lam)
-
-    fg = FGMetric(
-        boundary=boundary,
+    return FGMetric(
+        boundary=round_sphere_boundary(lam),
         s_max=2 * lam,
         blocks=[(0, 1, 2)],
         warp=lambda s: [(1.0 - s**2 / (4 * lam2)) ** 2],
@@ -277,8 +297,15 @@ def hyperbolic(boundary_radius: float = 1.0) -> FGMetric:
         name=f"hyperbolic(r={lam:g})",
         family="hyperbolic",
         parameters={"boundary_radius": lam},
+        reference={
+            "renormalized_volume": 4 * np.pi**2 / 3, "euler": 1, "weyl_energy": 0.0,
+            "boundary_volume": 2 * np.pi**2 * lam**3, "s_max": 2 * lam,
+            "c0": 2 * np.pi**2 * lam**3 / 3, "c2": -1.5 * np.pi**2 * lam,
+            "w2": 1.0 / (4 * lam2), "compactified_scalar": 12.0 / lam2,
+            "eigenfunction": lambda s: 1.0 / s + s / (4 * lam2),
+            "warp": lambda s: (1.0 - s**2 / (4 * lam2)) ** 2,
+        },
     )
-    return fg
 
 
 def horizon_radius(m: float) -> float:
@@ -321,7 +348,11 @@ def ads_schwarzschild(m: float = 1.0) -> FGMetric:
         family="ads_schwarzschild",
         parameters={"m": m},
     )
-    return normal_form_from_profile(profile)
+    fg = normal_form_from_profile(profile)
+    fg.reference = {"horizon_radius": rp, "period": beta, "w2": 1.0 / 12, "euler": 2,
+                    "weyl_energy": 64 * np.pi * beta * m**2 / rp**3,
+                    "boundary_volume": 4 * np.pi * beta}
+    return fg
 
 
 def perturbed_hyperbolic(amplitude: float = 0.05) -> FGMetric:
@@ -335,13 +366,12 @@ def perturbed_hyperbolic(amplitude: float = 0.05) -> FGMetric:
     amp = _number(amplitude, "amplitude")
     if not np.isfinite(amp) or abs(amp) > 1.0:
         raise ModelParameterError(f"amplitude must lie in [-1, 1], got {amp}")
-    boundary = round_sphere_boundary(1.0)
 
     def f(s):
         return (1.0 - s**2 / 4) * (1.0 + amp * (s * (2.0 - s)) ** 2 / 4)
 
     return FGMetric(
-        boundary=boundary,
+        boundary=round_sphere_boundary(1.0),
         s_max=2.0,
         blocks=[(0, 1, 2)],
         warp=lambda s: [f(s) ** 2],
@@ -350,6 +380,8 @@ def perturbed_hyperbolic(amplitude: float = 0.05) -> FGMetric:
         name=f"perturbed_hyperbolic(A={amp:g})",
         family="perturbed_hyperbolic",
         parameters={"amplitude": amp},
+        # the bump leaves the ball topology unchanged for every amplitude
+        reference={"w2": 0.25 - amp, "euler": 1},
     )
 
 
@@ -385,103 +417,25 @@ def build(name: str, **params):
 
 
 def exact_reference(name: str, quantity: Optional[str] = None, **params):
-    """Closed-form reference values for a model.
+    """Closed-form reference values for a model: the ``reference`` of the
+    model ``build`` returns, with a closed model's Euler characteristic,
+    signature and volume.
 
     With quantity=None returns the whole dict; otherwise returns that
     entry or raises NotAvailable when no closed form is known (the AdS
     renormalized volume is deliberately absent: the toolkit must produce
-    it numerically). Parameters are refused as ``build`` refuses them:
-    TypeError for a key the builder does not take, ModelParameterError
-    for a non-positive size.
+    it numerically). Since the model is built, parameters are refused
+    exactly as ``build`` refuses them.
     """
-    builder = _CLOSED.get(name) or _CCE.get(name)
-    if builder is None:
+    if name not in _CLOSED and name not in _CCE:
         raise NotAvailable(f"no reference data for model '{name}'")
-    bound = inspect.signature(builder).bind(**params)
-    bound.apply_defaults()
-    args = bound.arguments
-    if name == "hyperbolic":
-        lam = _positive(args["boundary_radius"], "boundary_radius")
-        lam2 = lam * lam
-        refs = {
-            "renormalized_volume": 4 * np.pi**2 / 3,
-            "boundary_volume": 2 * np.pi**2 * lam**3,
-            "c0": 2 * np.pi**2 * lam**3 / 3,
-            "c2": -1.5 * np.pi**2 * lam,
-            "w2": 1.0 / (4 * lam2),
-            "eigenfunction": lambda s: 1.0 / s + s / (4 * lam2),
-            "warp": lambda s: (1.0 - s**2 / (4 * lam2)) ** 2,
-            "s_max": 2 * lam,
-            "compactified_scalar": 12.0 / lam2,
-            "euler": 1,
-            "weyl_energy": 0.0,
-        }
-    elif name == "ads_schwarzschild":
-        m = _positive(args["m"], "m")
-        rp = horizon_radius(m)
-        beta = 4 * np.pi / (2 * rp + 2 * m / rp**2)
-        refs = {
-            "horizon_radius": rp,
-            "period": beta,
-            "w2": 1.0 / 12,
-            "weyl_energy": 64 * np.pi * beta * m**2 / rp**3,
-            "euler": 2,
-            "boundary_volume": 4 * np.pi * beta,
-        }
-    elif name == "perturbed_hyperbolic":
-        # the bump leaves the ball topology unchanged for every amplitude
-        amp = _number(args["amplitude"], "amplitude")
-        refs = {"w2": 0.25 - amp, "euler": 1}
-    elif name == "flat_torus":
-        for length in args["lengths"]:
-            _positive(length, "length")
-        refs = {
-            "weyl_energy": 0.0,
-            "sigma2_integral": 0.0,
-            "euler": 0,
-            "signature": 0,
-        }
-    elif name == "round_sphere":
-        lam = _positive(args["radius"], "radius")
-        refs = {
-            "volume": 8 * np.pi**2 / 3 * lam**4,
-            "weyl_energy": 0.0,
-            "sigma2_integral": 16 * np.pi**2,
-            "euler": 2,
-            "signature": 0,
-        }
-    elif name == "product_spheres":
-        a = _positive(args["a"], "a")
-        b = _positive(args["b"], "b")
-        vol = 16 * np.pi**2 * a**2 * b**2
-        if a == b:
-            w2 = 16.0 / (3 * a**4)
-            refs = {
-                "volume": vol,
-                "weyl_energy": w2 * vol,
-                "weyl_plus": w2 * vol / 2,
-                "weyl_minus": w2 * vol / 2,
-                "sigma2_integral": (2.0 / (3 * a**4)) * vol,
-                "euler": 4,
-                "signature": 0,
-            }
-        else:
-            refs = {"volume": vol, "euler": 4, "signature": 0}
-    else:  # fubini_study
-        vol = np.pi**2 / 2
-        refs = {
-            "volume": vol,
-            "weyl_energy": 96.0 * vol,
-            "weyl_plus": 96.0 * vol,
-            "weyl_minus": 0.0,
-            "sigma2_integral": 24.0 * vol,
-            "euler": 3,
-            "signature": 1,
-        }
+    model = build(name, **params)
+    refs = model.reference
+    if isinstance(model, ClosedModel):
+        refs = {"volume": model.volume, **refs,
+                "euler": model.euler, "signature": model.signature}
     if quantity is None:
         return refs
     if quantity not in refs:
-        raise NotAvailable(
-            f"no closed form for '{quantity}' of model '{name}'"
-        )
+        raise NotAvailable(f"no closed form for '{quantity}' of model '{name}'")
     return refs[quantity]

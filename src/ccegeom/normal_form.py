@@ -78,6 +78,8 @@ class FGMetric:
     per block]``, gives the squared warp factor h_b of each block as a
     jet expression in the jet S of s. They give closed-form densities and a reconstructable
     4-metric, and every reader makes one warp_jets call per batch.
+    ``reference`` holds the closed forms its builder knows (``euler``,
+    ``w2``, ...), and ``ccegeom check`` picks its reference gates by key.
     """
 
     def __init__(self, boundary: BoundaryGeometry, s_max: float,
@@ -87,7 +89,8 @@ class FGMetric:
                  radial_map: Optional["RadialMap"] = None,
                  name: str = "",
                  family: str = "",
-                 parameters: Optional[dict] = None):
+                 parameters: Optional[dict] = None,
+                 reference: Optional[dict] = None):
         self.boundary = boundary
         self.n = boundary.dim
         self.s_max = float(s_max)
@@ -99,6 +102,7 @@ class FGMetric:
         self.name = name or family
         self.family = family
         self.parameters = dict(parameters or {})
+        self.reference = dict(reference or {})
         self.gauge_residual: Optional[float] = None
 
     @property

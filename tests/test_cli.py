@@ -7,7 +7,7 @@ import pytest
 
 from ccegeom import cli, models, topology
 from ccegeom.eigenfunction import compactification_checks, solve_eigenfunction
-from ccegeom.errors import NotAvailable, QuadratureTolerance
+from ccegeom.errors import QuadratureTolerance
 
 ARTIFACTS = ("report.txt", "report.json", "integrals.csv",
              "volumes.csv", "eigen_grid.csv")
@@ -144,10 +144,16 @@ def test_document_with_a_removed_key_is_refused(command, extra, tmp_path, capsys
 
 
 @pytest.mark.parametrize("command", ["analyze", "check"])
-@pytest.mark.parametrize("m", ["abc", [1], None, True])
-def test_unusable_model_parameter_exits_two(command, m, tmp_path, capsys):
+@pytest.mark.parametrize("model", [
+    *(pytest.param({"name": "ads_schwarzschild", "m": m}, id=label)
+      for m, label in (("abc", "abc"), ([1], "m1"), (None, "None"), (True, "True"))),
+    # a flat 4-torus has four lengths, no more and no fewer
+    pytest.param({"name": "flat_torus", "lengths": [1, 2, 3, 4, 5]}, id="torus5"),
+    pytest.param({"name": "flat_torus", "lengths": [1, 2]}, id="torus2"),
+])
+def test_unusable_model_parameter_exits_two(command, model, tmp_path, capsys):
     path = tmp_path / "run.json"
-    path.write_text(json.dumps({"model": {"name": "ads_schwarzschild", "m": m}}))
+    path.write_text(json.dumps({"model": model}))
     assert _run([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and "Traceback" not in err
@@ -205,6 +211,15 @@ def test_check_builds_the_named_model_with_its_parameters(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "7/7 checks passed" in out
     assert "[pass] compactified-scalar hyperbolic" in out
+    # the control family's matched asymptotics away from the default
+    # amplitude; at A = 0 it is Einstein and has no such gate
+    for amplitude, count in ((-0.3, 3), (0.0, 2)):
+        path.write_text(json.dumps({"model": {"name": "perturbed_hyperbolic",
+                                              "amplitude": amplitude}}))
+        assert _run(["check", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert f"{count}/{count} checks passed" in out
+        assert ("[pass] matched-asymptotics perturbed_hyperbolic" in out) == (count == 3)
     # parameters without a model name would apply to every model
     assert _run(["check", "--m", "2"]) == 2
     assert "configuration error" in capsys.readouterr().err
@@ -355,12 +370,22 @@ def test_einstein_perturbed_family_from_config(tmp_path):
     assert doc["identities"]["gauss_bonnet_volume_relative"] < 1e-3
 
 
+def _edit_reference(monkeypatch, edit):
+    """Build models as the CLI does, then replace each reference by edit(reference)."""
+    build = cli._build_model
+
+    def built(cfg, name=None):
+        model = build(cfg, name)
+        model.reference = edit(dict(model.reference))
+        return model
+
+    monkeypatch.setattr(cli, "_build_model", built)
+
+
 def test_einstein_family_without_chi_fails_as_stage(tmp_path, capsys,
                                                     monkeypatch):
-    def no_reference(name, quantity=None, **params):
-        raise NotAvailable(f"no closed-form {quantity} for {name}")
-
-    monkeypatch.setattr(cli.models, "exact_reference", no_reference)
+    _edit_reference(monkeypatch, lambda ref: {k: v for k, v in ref.items()
+                                              if k != "euler"})
     code = _run(["analyze", "--model", "hyperbolic", "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 1
@@ -371,12 +396,7 @@ def test_einstein_family_without_chi_fails_as_stage(tmp_path, capsys,
 def test_einstein_fill_with_chi_zero_fails_its_gate(tmp_path, capsys, monkeypatch):
     """At chi = 0 the identity is normalized by 8 pi^2, not divided by
     zero: hyperbolic space read as chi = 0 misses it by 6V and fails."""
-    reference = models.exact_reference
-
-    def chi_zero(name, quantity=None, **params):
-        return 0 if quantity == "euler" else reference(name, quantity, **params)
-
-    monkeypatch.setattr(cli.models, "exact_reference", chi_zero)
+    _edit_reference(monkeypatch, lambda ref: {**ref, "euler": 0})
     code = _run(["analyze", "--model", "hyperbolic", "--out", str(tmp_path)])
     captured = capsys.readouterr()
     assert code == 1

@@ -155,6 +155,16 @@ def test_parameter_validation():
         models.exact_reference("product_spheres", "volume", a=1.0, b=-1.0)
     with pytest.raises(TypeError, match="radius"):
         models.exact_reference("hyperbolic", radius=2.0)
+    for bad in (1.5, float("nan")):
+        with pytest.raises(ModelParameterError, match="amplitude"):
+            models.exact_reference("perturbed_hyperbolic", amplitude=bad)
+    # a flat 4-torus takes four lengths, its boundary 3-torus three
+    for lengths in ([1, 2, 3, 4, 5], [1, 2]):
+        with pytest.raises(ModelParameterError, match="lengths"):
+            models.exact_reference("flat_torus", lengths=lengths)
+    for lengths in ([1, 2, 3, 4], [1, 2]):
+        with pytest.raises(ModelParameterError, match="lengths"):
+            models.flat_torus_boundary(lengths)
     with pytest.raises(TypeError, match="radius"):
         models.build("hyperbolic", radius=2.0)
 
