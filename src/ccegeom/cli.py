@@ -9,7 +9,6 @@ check      invariant suites only (curvature symmetries, Bochner identity,
            conformal invariance, index-formula combinations, negative
            controls); intended for CI. No artifacts, exit status is the
            result.
-volume     the renormalized-volume fit alone.
 curvature  pointwise curvature packet dump at deterministic sample points.
 
 Configuration comes from an optional JSON document with flat
@@ -17,8 +16,8 @@ command-line flags overriding its fields, so a run of record is a single
 file. The document has two sections: "model" (its "name" and the
 builder's parameters) and "outputs" (its "dir"); any other section or
 key is refused. analyze writes into the output directory, "." unless one
-is given; volume and curvature write their file only when one is given
-(--out or outputs.dir) and otherwise only print. All outputs are
+is given; curvature writes its file only when one is given (--out or
+outputs.dir) and otherwise only prints. All outputs are
 deterministic: fixed-order reductions, fixed sample points, and check's
 conformal factors written out as literals.
 
@@ -62,8 +61,8 @@ from .tensor import (ScalarField, conformal_rescale, curvature, einstein_residua
 from .topology import (Check, build_topology_report, gate, render_topology_report,
                        topology_document)
 
-__all__ = ["RunConfig", "run_analyze", "run_check", "run_volume",
-           "run_curvature", "build_parser", "main"]
+__all__ = ["RunConfig", "run_analyze", "run_check", "run_curvature",
+           "build_parser", "main"]
 
 class ConfigError(Exception):
     """Unusable configuration; maps to exit code 2."""
@@ -75,7 +74,7 @@ class RunConfig(NamedTuple):
     model: str = "hyperbolic"
     #: the default is one dict shared by every RunConfig(); nothing mutates it
     parameters: dict = {}
-    #: None: analyze writes into ".", volume and curvature only print
+    #: None: analyze writes into ".", curvature only prints
     output_dir: Optional[str] = None
 
 
@@ -231,11 +230,12 @@ def _euler(fg: FGMetric) -> int:
 # analyze
 
 def _closed_gates(model):
-    """The curvature integrals of a closed model and the gates on them."""
+    """The curvature integrals of a closed model, its two combined-formula
+    residuals and the gates on them."""
     suite = _stage("curvature integrals", integrate_curvature,
                    model.field, model.domain, model.orientation)
     plus, minus = combined_formulas(suite, model.euler, model.signature)
-    return suite, [
+    return suite, (plus, minus), [
         gate("euler-characteristic", abs(suite.euler_gb - model.euler), 1e-4),
         gate("signature", abs(suite.signature - model.signature), 1e-4),
         gate("combined-formulas", max(abs(plus), abs(minus)), 1e-3),
@@ -258,8 +258,7 @@ def _fill_gates(fg: FGMetric) -> list:
 
 
 def _analyze_closed(cfg: RunConfig, model):
-    suite, gates = _closed_gates(model)
-    plus, minus = combined_formulas(suite, model.euler, model.signature)
+    suite, (plus, minus), gates = _closed_gates(model)
     doc = {
         "model": {
             "name": model.name, "kind": "closed",
@@ -371,7 +370,7 @@ def _analyze_cce(cfg: RunConfig, fg: FGMetric):
     return gates, _write_artifacts(cfg, doc, gates, topo_text, tables), topo_text
 
 
-def run_analyze(cfg: RunConfig, args=None) -> int:
+def run_analyze(cfg: RunConfig) -> int:
     model = _build_model(cfg)
     analyze = _analyze_cce if isinstance(model, FGMetric) else _analyze_closed
     try:
@@ -424,8 +423,7 @@ def _closed_sample_points(field_obj) -> np.ndarray:
     return lo + fracs * (hi - lo)
 
 
-def run_check(cfg: RunConfig, args=None) -> int:
-    inject = bool(getattr(args, "inject_defect", False))
+def run_check(cfg: RunConfig) -> int:
     names = models.model_names()
     scope = names["closed"] + names["conformally_compact"]
     if cfg.model != "all":
@@ -439,7 +437,7 @@ def run_check(cfg: RunConfig, args=None) -> int:
 
     gates = []
     try:
-        for g in _check_gates(cfg, scope, inject):
+        for g in _check_gates(cfg, scope):
             print(_gate_line(g))
             gates.append(g)
     except _StageFailure as exc:
@@ -451,7 +449,7 @@ def run_check(cfg: RunConfig, args=None) -> int:
     return 1 if bad else 0
 
 
-def _check_gates(cfg: RunConfig, scope: list, inject: bool):
+def _check_gates(cfg: RunConfig, scope: list):
     """check's gates, model by model, each named after its model."""
     spheres = None
     for name in scope:
@@ -459,7 +457,7 @@ def _check_gates(cfg: RunConfig, scope: list, inject: bool):
         if isinstance(model, FGMetric):
             gates = _check_cce(model)
         else:
-            suite, gates = _check_closed(model, inject)
+            suite, gates = _check_closed(model)
             if name == "product_spheres":
                 spheres = model, suite
         for g in gates:
@@ -468,13 +466,11 @@ def _check_gates(cfg: RunConfig, scope: list, inject: bool):
         yield from _check_conformal_invariance(*spheres)
 
 
-def _check_closed(model, inject):
+def _check_closed(model):
     pts = _closed_sample_points(model.field)
-    riem = np.array(curvature(model.field, pts, model.orientation).riemann, copy=True)
-    if inject:
-        riem[..., 0, 1, 0, 1] *= -1.0
+    riem = curvature(model.field, pts, model.orientation).riemann
     worst = max(riemann_symmetry_residuals(riem).values())
-    suite, gates = _closed_gates(model)
+    suite, _, gates = _closed_gates(model)
     return suite, [gate("bianchi-symmetries", worst, 1e-9)] + gates
 
 
@@ -518,40 +514,9 @@ def _check_conformal_invariance(model, base):
 
 
 # ---------------------------------------------------------------------------
-# volume and curvature subcommands
+# curvature packet dump
 
-def run_volume(cfg: RunConfig, args=None) -> int:
-    fg = _build_model(cfg)
-    if not isinstance(fg, FGMetric):
-        raise ConfigError(
-            f"'{cfg.model}' is a closed model; the volume fit needs a "
-            "conformally compact one")
-    if not fg.einstein:
-        # analyze skips this fit too: the expansion needs an Einstein fill
-        raise ConfigError(
-            f"'{cfg.model}' is not Einstein at these parameters; the volume "
-            "fit needs an Einstein fill")
-    try:
-        fit = _stage("volume fit", volume.fit_renormalized_volume, fg)
-    except _StageFailure as exc:
-        print(f"volume fit failed on model '{cfg.model}': {exc}", file=sys.stderr)
-        return 1
-    print(f"model = {fg.name}")
-    print(f"V = {fit.V:.17g}")
-    print(f"c0 = {fit.c0:.17g}")
-    print(f"c2 = {fit.c2:.17g}")
-    print(f"fit_residual = {fit.residual:.3e}")
-    print(f"condition_number = {fit.condition_number:.3e}")
-    print(f"stability_change = {fit.stability_change:.3e}")
-    if cfg.output_dir is not None:
-        os.makedirs(cfg.output_dir, exist_ok=True)
-        path = os.path.join(cfg.output_dir, "volumes.csv")
-        volume.write_volume_table(fit, path)
-        print(f"artifacts: {path}")
-    return 0
-
-
-def run_curvature(cfg: RunConfig, args=None) -> int:
+def run_curvature(cfg: RunConfig) -> int:
     model = _build_model(cfg)
     if isinstance(model, FGMetric):
         field_obj = model.four_metric()
@@ -603,10 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p = sub.add_parser("check", help="invariant suites only (CI)")
     common(p)
-    p.add_argument("--inject-defect", action="store_true",
-                   help=argparse.SUPPRESS)
-    p = sub.add_parser("volume", help="renormalized-volume fit only")
-    common(p)
     p = sub.add_parser("curvature", help="pointwise curvature packet dump")
     common(p)
     return parser
@@ -615,7 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
 _COMMANDS = {
     "analyze": run_analyze,
     "check": run_check,
-    "volume": run_volume,
     "curvature": run_curvature,
 }
 
@@ -624,7 +584,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        return _COMMANDS[args.command](cfg, args)
+        return _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -314,7 +314,7 @@ def horizon_radius(m: float) -> float:
     roots = np.roots([1.0, 0.0, 1.0, -2.0 * m])
     real = roots[np.abs(roots.imag) < 1e-12].real
     rp = float(np.max(real))
-    # one Newton step to polish the polynomial root
+    # three Newton steps to polish the polynomial root
     for _ in range(3):
         rp -= (rp**3 + rp - 2 * m) / (3 * rp**2 + 1)
     return rp

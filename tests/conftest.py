@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ccegeom import models
+from ccegeom import cli, models
 from ccegeom.autodiff import cos, sin
 from ccegeom.eigenfunction import compactification_checks, solve_eigenfunction
 from ccegeom.integrals import integrate_curvature
@@ -124,6 +124,22 @@ def product_suite():
 @pytest.fixture(scope="session")
 def cp2_suite():
     return _suite("fubini_study")
+
+
+@pytest.fixture
+def flipped_riemann(monkeypatch):
+    """check's curvature packets with R_0101 sign-flipped: a corrupted
+    component that the bianchi-symmetries gate must catch."""
+    real = cli.curvature
+
+    def flipped(*args, **kwargs):
+        pack = real(*args, **kwargs)
+        riem = np.array(pack.riemann, copy=True)
+        riem[..., 0, 1, 0, 1] *= -1.0
+        pack.riemann = riem
+        return pack
+
+    monkeypatch.setattr(cli, "curvature", flipped)
 
 
 @pytest.fixture(scope="session")

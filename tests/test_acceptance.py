@@ -188,12 +188,12 @@ def test_criterion_10_ball_criteria(rng, hyp_fit):
             f"implication over 1000 samples = {implication}")
 
 
-def test_criterion_11_negative_controls(perturbed, pert_checks, tmp_path):
+def test_criterion_11_negative_controls(perturbed, pert_checks, flipped_riemann,
+                                        tmp_path):
     pts = _radial_points(perturbed, np.geomspace(0.2, 1.6, 8))
     res = float(np.max(einstein_residual(
         perturbed.four_metric(), pts)))
-    code = cli.main(["check", "--model", "round_sphere", "--inject-defect",
-                     "--out", str(tmp_path)])
+    code = cli.main(["check", "--model", "round_sphere", "--out", str(tmp_path)])
     flag = next(g for g in pert_checks.gates if g.name == "bochner-flag-trips")
     ok = (res > 1e-2 and flag.verdict == "pass"
           and flag.threshold == ef.BOCHNER_TOL

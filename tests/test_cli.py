@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ccegeom import cli, models, topology
+from ccegeom import cli, models, topology, volume
 from ccegeom.eigenfunction import compactification_checks, solve_eigenfunction
 from ccegeom.errors import QuadratureTolerance
 
@@ -55,11 +55,28 @@ def test_analyze_is_deterministic(analyze_dir, tmp_path):
         assert (analyze_dir / name).read_bytes() == (second / name).read_bytes()
 
 
-def test_artifacts_end_lines_with_newline_alone(analyze_dir, tmp_path, capsys):
-    """No analyze or volume artifact holds a carriage return."""
-    assert _run(["volume", "--model", "hyperbolic", "--out", str(tmp_path)]) == 0
-    for path in [*analyze_dir.iterdir(), tmp_path / "volumes.csv"]:
+def test_artifacts_end_lines_with_newline_alone(analyze_dir):
+    """No analyze artifact holds a carriage return."""
+    for path in analyze_dir.iterdir():
         assert b"\r" not in path.read_bytes(), path.name
+
+
+def test_volume_table_holds_one_row_per_default_rung(analyze_dir):
+    table = (analyze_dir / "volumes.csv").read_text().splitlines()
+    assert table[:2] == ["# volume-ladder v1", "epsilon,volume,fit_value,deviation"]
+    rungs = tuple(float(ln.split(",")[0]) for ln in table[2:])
+    assert rungs == volume.DEFAULT_LADDER
+
+
+def test_analyze_skips_the_volume_fit_of_a_non_einstein_fill(tmp_path, capsys):
+    """The expansion in Einstein powers is not fitted to the non-Einstein
+    control: no volumes.csv, and the report says why."""
+    assert _run(["analyze", "--model", "perturbed_hyperbolic",
+                 "--out", str(tmp_path)]) == 0
+    assert not (tmp_path / "volumes.csv").exists()
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert list(doc["volume_fit"]) == ["note"]
+    assert doc["volume_fit"]["note"].startswith("skipped: ")
 
 
 @pytest.mark.parametrize("name", models.model_names()["closed"])
@@ -118,7 +135,7 @@ def test_exit_code_unknown_model(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["analyze", "check", "volume", "curvature"])
+@pytest.mark.parametrize("command", ["analyze", "check", "curvature"])
 def test_every_subcommand_refuses_a_ladder_flag(command, capsys):
     with pytest.raises(SystemExit) as exc:
         _run([command, "--model", "hyperbolic", "--ladder", "0.2,0.1,0.05"])
@@ -126,7 +143,7 @@ def test_every_subcommand_refuses_a_ladder_flag(command, capsys):
     assert "--ladder" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["analyze", "check", "volume"])
+@pytest.mark.parametrize("command", ["analyze", "check"])
 @pytest.mark.parametrize("extra", [
     {"numerics": {"ladder": [0.3, 0.21, 0.147]}},
     {"numerics": {"tol_identity": 1e-3}},
@@ -159,15 +176,12 @@ def test_unusable_model_parameter_exits_two(command, model, tmp_path, capsys):
     assert "configuration error" in err and "Traceback" not in err
 
 
-def test_volume_and_curvature_without_a_directory_only_print(tmp_path, monkeypatch,
-                                                            capsys):
+def test_curvature_without_a_directory_only_prints(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    assert _run(["volume", "--model", "hyperbolic"]) == 0
-    out = capsys.readouterr().out
-    assert any(ln.startswith("V = ") for ln in out.splitlines())
-    assert "artifacts" not in out
     assert _run(["curvature", "--model", "hyperbolic"]) == 0
-    assert capsys.readouterr().out.startswith("# curvature-packet v1\n")
+    out = capsys.readouterr().out
+    assert out.startswith("# curvature-packet v1\n")
+    assert "artifacts" not in out
     assert list(tmp_path.iterdir()) == []
 
 
@@ -181,9 +195,8 @@ def test_curvature_writes_into_the_document_directory(tmp_path, capsys):
     assert lines[0] == "# curvature-packet v1"
 
 
-def test_exit_code_injected_defect(tmp_path, capsys):
-    code = _run(["check", "--model", "round_sphere", "--inject-defect",
-                 "--out", str(tmp_path)])
+def test_exit_code_injected_defect(flipped_riemann, tmp_path, capsys):
+    code = _run(["check", "--model", "round_sphere", "--out", str(tmp_path)])
     assert code == 1
     out = capsys.readouterr().out
     assert "[FAIL] bianchi-symmetries round_sphere" in out
@@ -289,36 +302,6 @@ def test_check_rejects_unknown_scope(tmp_path, capsys):
     assert _run(["check", "--model", "moebius", "--out", str(tmp_path)]) == 2
 
 
-def test_volume_subcommand_and_ladder_extension(tmp_path, capsys):
-    """The volume table holds one row per rung of the default ladder."""
-    code = _run(["volume", "--model", "hyperbolic", "--out", str(tmp_path)])
-    assert code == 0
-    out = capsys.readouterr().out
-    line = next(ln for ln in out.splitlines() if ln.startswith("V = "))
-    v = float(line.split("=")[1])
-    assert abs(v - 4 * np.pi ** 2 / 3) < 1e-6
-    table = (tmp_path / "volumes.csv").read_text().splitlines()
-    body = [ln for ln in table if ln and not ln.startswith("#")]
-    rungs = [float(ln.split(",")[0]) for ln in body[1:]]
-    assert rungs == [0.4, 0.3, 0.22, 0.16, 0.12, 0.09, 0.065, 0.05]
-
-
-def test_volume_rejects_closed_model(tmp_path, capsys):
-    assert _run(["volume", "--model", "round_sphere",
-                 "--out", str(tmp_path)]) == 2
-    assert "configuration error" in capsys.readouterr().err
-
-
-def test_volume_rejects_a_non_einstein_fill(tmp_path, capsys):
-    """As analyze does, volume does not fit the Einstein expansion to
-    the non-Einstein control; it refuses the model instead."""
-    assert _run(["volume", "--model", "perturbed_hyperbolic",
-                 "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert "configuration error" in err and "Traceback" not in err
-    assert list(tmp_path.iterdir()) == []
-
-
 @pytest.mark.parametrize("name, params, count", [
     pytest.param("hyperbolic", {}, 3, id="hyperbolic"),
     pytest.param("perturbed_hyperbolic", {}, 2, id="perturbed_hyperbolic"),
@@ -350,13 +333,11 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(cfg))
     # flag overrides the config model; stale parameters must not leak
-    code = _run(["volume", "--config", str(path), "--model", "hyperbolic"])
+    code = _run(["analyze", "--config", str(path), "--model", "hyperbolic"])
     assert code == 0
-    out = capsys.readouterr().out
-    assert "hyperbolic" in out
-    v = float(next(ln for ln in out.splitlines()
-                   if ln.startswith("V = ")).split("=")[1])
-    assert abs(v - 4 * np.pi ** 2 / 3) < 1e-6
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert doc["model"]["name"].startswith("hyperbolic")
+    assert abs(doc["volume_fit"]["V"] - 4 * np.pi ** 2 / 3) < 1e-6
 
 
 def test_einstein_perturbed_family_from_config(tmp_path):

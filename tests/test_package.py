@@ -64,14 +64,15 @@ def test_runtime_needs_no_sympy(tmp_path):
 
 
 def test_commands_load_no_rng_masked_arrays_csv_dataclasses_fractions_or_decimal(tmp_path):
-    """check, an AdS analyze and volume, run in one fresh interpreter, load
-    none of numpy.random, numpy.ma, csv, dataclasses, fractions and
-    decimal (a fresh one, since pytest and sympy load some of them here)."""
+    """check, an AdS analyze and an AdS curvature dump, run in one fresh
+    interpreter, load none of numpy.random, numpy.ma, csv, dataclasses,
+    fractions and decimal (a fresh one, since pytest and sympy load some
+    of them here)."""
     runs = (["check"],
             ["analyze", "--model", "ads_schwarzschild", "--m", "1.0",
              "--out", str(tmp_path / "ads")],
-            ["volume", "--model", "ads_schwarzschild", "--m", "1.0",
-             "--out", str(tmp_path / "vol")])
+            ["curvature", "--model", "ads_schwarzschild", "--m", "1.0",
+             "--out", str(tmp_path / "curv")])
     out = _run_fresh("import sys; from ccegeom.cli import main; "
                      f"codes = [main(argv) for argv in {runs!r}]; "
                      "print(codes, sorted(m for m in ('numpy.random', "
