@@ -81,10 +81,10 @@ class RunConfig(NamedTuple):
 def resolve_config(args) -> RunConfig:
     """Merge defaults, the JSON document and the command-line flags
     given; check runs the whole catalogue unless a model is named."""
-    name = "all" if getattr(args, "command", None) == "check" else RunConfig().model
+    name = "all" if args.command == "check" else RunConfig().model
     parameters = {}
     output_dir = None
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config) as fh:
                 doc = json.load(fh)
@@ -106,13 +106,13 @@ def resolve_config(args) -> RunConfig:
             parameters = {k: v for k, v in model.items() if k != "name"}
         if "dir" in outputs:
             output_dir = str(outputs["dir"])
-    if getattr(args, "model", None):
+    if args.model:
         if args.model != name:
             parameters = {}
         name = args.model
-    if getattr(args, "m", None) is not None:
+    if args.m is not None:
         parameters["m"] = float(args.m)
-    if getattr(args, "out", None):
+    if args.out:
         output_dir = args.out
     return RunConfig(name, parameters, output_dir)
 
@@ -231,11 +231,14 @@ def _euler(fg: FGMetric) -> int:
 
 def _closed_gates(model):
     """The curvature integrals of a closed model, its two combined-formula
-    residuals and the gates on them."""
+    residuals and the gates on them and on its Riemann symmetries."""
+    pts = _closed_sample_points(model.field)
+    riem = curvature(model.field, pts, model.orientation).riemann
     suite = _stage("curvature integrals", integrate_curvature,
                    model.field, model.domain, model.orientation)
     plus, minus = combined_formulas(suite, model.euler, model.signature)
     return suite, (plus, minus), [
+        gate("bianchi-symmetries", max(riemann_symmetry_residuals(riem).values()), 1e-9),
         gate("euler-characteristic", abs(suite.euler_gb - model.euler), 1e-4),
         gate("signature", abs(suite.signature - model.signature), 1e-4),
         gate("combined-formulas", max(abs(plus), abs(minus)), 1e-3),
@@ -457,21 +460,13 @@ def _check_gates(cfg: RunConfig, scope: list):
         if isinstance(model, FGMetric):
             gates = _check_cce(model)
         else:
-            suite, gates = _check_closed(model)
+            suite, _, gates = _closed_gates(model)
             if name == "product_spheres":
                 spheres = model, suite
         for g in gates:
             yield g._replace(name=f"{g.name} {name}")
     if spheres is not None:
         yield from _check_conformal_invariance(*spheres)
-
-
-def _check_closed(model):
-    pts = _closed_sample_points(model.field)
-    riem = curvature(model.field, pts, model.orientation).riemann
-    worst = max(riemann_symmetry_residuals(riem).values())
-    suite, _, gates = _closed_gates(model)
-    return suite, [gate("bianchi-symmetries", worst, 1e-9)] + gates
 
 
 def _check_cce(fg):

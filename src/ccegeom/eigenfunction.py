@@ -179,9 +179,8 @@ class EigenfunctionSolution:
         return out
 
     def u(self, s):
-        """u at each s; a scalar in gives a float out."""
-        out = self.jet(s, 0)[0]
-        return float(out[0]) if np.ndim(s) == 0 else out
+        """u at each s, a 1-D array."""
+        return self.jet(s, 0)[0]
 
     # -- derived quantities ---------------------------------------------------
 
@@ -195,8 +194,7 @@ class EigenfunctionSolution:
         12(u^2 - s^2 u'^2): a formula that holds on an Einstein fill only."""
         x = np.atleast_1d(np.asarray(s, dtype=float))
         u, du = self.jet(x, 1)
-        out = 12.0 * (u**2 - x**2 * du**2)
-        return float(out[0]) if np.ndim(s) == 0 else out
+        return 12.0 * (u**2 - x**2 * du**2)
 
     def asymptotic_residual(self) -> float:
         """sup |u s - (1 + w2 s^2)| over a near-boundary window.

@@ -192,7 +192,7 @@ def _rule(m, domain):
     if isinstance(domain, RadialDomain):
         b = domain.boundary
         s, fine, companion = kronrod_rule(domain.s_lo, domain.s_hi, RADIAL_PANELS)
-        ghat = b.field.g(np.asarray(b.default_point, dtype=float))
+        ghat = b.field.g(np.asarray([b.default_point], dtype=float))[0]
         fiber = b.volume / np.sqrt(np.linalg.det(ghat))
         return radial_section(b.default_point)(s), fiber * fine, fiber * companion
     return product_rule([_box_axis_rule(m, domain, i) for i in range(len(domain.axes))])

@@ -151,8 +151,7 @@ class FGMetric:
     # -- densities --------------------------------------------------------
 
     def density(self, s):
-        """D(s) = sqrt(det g_s / det ghat)."""
-        scalar = np.ndim(s) == 0
+        """D(s) = sqrt(det g_s / det ghat) at each s."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
         h = self.warp(s)[0]
         out = np.ones_like(s)
@@ -160,14 +159,12 @@ class FGMetric:
         # for half-dimension 1/2
         for b, idx in enumerate(self.blocks):
             out = out * h[:, b] ** (len(idx) / 2.0)
-        return float(out[0]) if scalar else out
+        return out
 
     def density_logderiv(self, s):
-        """D'(s)/D(s)."""
-        scalar = np.ndim(s) == 0
+        """D'(s)/D(s) at each s."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        out = self.logderiv_of_warp(*self.warp(s)[:2])
-        return float(out[0]) if scalar else out
+        return self.logderiv_of_warp(*self.warp(s)[:2])
 
     def logderiv_of_warp(self, h, dh):
         """D'/D = sum_b (k_b/2) h_b'/h_b from warp columns already read."""
@@ -390,13 +387,11 @@ class RadialMap:
     # -- queries ------------------------------------------------------------
 
     def lns_of_r(self, r):
-        """ln s at each radius; a scalar in gives a float out."""
-        out = self._lns_unnorm(r) + self.kappa
-        return float(out[0]) if np.ndim(r) == 0 else out
+        """ln s at each radius, a 1-D array."""
+        return self._lns_unnorm(r) + self.kappa
 
     def s_of_r(self, r):
-        out = np.exp(self._lns_unnorm(r) + self.kappa)
-        return float(out[0]) if np.ndim(r) == 0 else out
+        return np.exp(self._lns_unnorm(r) + self.kappa)
 
     def r_of_s(self, s):
         """Radius of each s, by safeguarded Newton inside its edge cell.
@@ -410,7 +405,8 @@ class RadialMap:
         at most 1e-14 + 8.9e-16 |r| (brentq's rule at its xtol and rtol)
         or |ln s(r) - ln s| is at the rounding of ln s, and returns the
         last Newton point, clipped to the bracket. Each element iterates
-        on its own, so an array query equals its scalar queries bitwise.
+        on its own, so a query's entries do not depend on the rest of its
+        batch.
         """
         t = np.log(np.atleast_1d(np.asarray(s, dtype=float)))
         lns_edges = self.kappa - self._arc
@@ -464,8 +460,7 @@ class RadialMap:
             last[k] = np.where(ok, size, 0.5 * (hi - lo))
         else:
             raise CharacteristicFailure("radial map inversion did not converge")
-        out = radius(root, slice(None))
-        return float(out[0]) if np.ndim(s) == 0 else out
+        return radius(root, slice(None))
 
     def gauge_residual(self, s_values) -> float:
         """max | |ds|^2_{s^2 g} - 1 | over an s grid, via finite differences

@@ -6,16 +6,14 @@ autodiff of that function. Composite metrics (conformal rescalings, the
 normal form) are component functions that call their parts' functions.
 Nothing here differentiates numerically; the tests check the jets
 against sympy and central-difference oracles. All operations are
-batched: points have shape (N, dim) and every tensor gains a leading
-batch axis. Single points (dim,) are accepted and the batch axis is
-squeezed from the results.
+batched: points have shape (N, dim), a single point is a one-row batch,
+and every tensor gains a leading batch axis.
 
 Index conventions, fixed once and validated against round-sphere golden
 values in the test suite:
 
 * dg[k, i, j]      = d g_ij / dx^k
 * d2g[k, l, i, j]  = d^2 g_ij / dx^k dx^l
-* christoffel[m, i, j] = Gamma^m_ij
 * riemann[i, j, k, l] is fully lowered, antisymmetric in (i, j) and in
   (k, l), symmetric under pair swap, and R_ijij > 0 on round spheres
   (positive sectional curvature).
@@ -51,7 +49,6 @@ __all__ = [
     "MetricField",
     "components",
     "CurvaturePacket",
-    "christoffel",
     "curvature",
     "riemann_symmetry_residuals",
     "einstein_residual",
@@ -81,15 +78,13 @@ class Chart(NamedTuple):
         return len(self.names)
 
     def contains(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        return np.all((pts > lo) & (pts < hi), axis=1)
+        """Which rows of an (N, dim) batch lie inside the box."""
+        return np.all((points > np.asarray(self.lo)) & (points < np.asarray(self.hi)), axis=1)
 
     def require(self, points) -> None:
         ok = self.contains(points)
         if not np.all(ok):
-            bad = np.atleast_2d(points)[~ok][0]
+            bad = points[~ok][0]
             raise DomainError(f"point {bad} outside chart box {self.lo}..{self.hi}")
 
     def sample(self, n: int, seed: int = 0) -> np.ndarray:
@@ -104,17 +99,9 @@ class Chart(NamedTuple):
 
 def _as_batch(points, dim):
     pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        if pts.shape[0] != dim:
-            raise DomainError(f"point has {pts.shape[0]} coordinates, chart has {dim}")
-        return pts[None, :], True
-    if pts.shape[1] != dim:
-        raise DomainError(f"points have {pts.shape[1]} coordinates, chart has {dim}")
-    return pts, False
-
-
-def _maybe_squeeze(arr, squeeze):
-    return arr[0] if squeeze else arr
+    if pts.ndim != 2 or pts.shape[1] != dim:
+        raise DomainError(f"points of shape {pts.shape} are not an (N, {dim}) batch")
+    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -181,15 +168,15 @@ class MetricField:
     # -- evaluation ---------------------------------------------------------
 
     def jet(self, points, check: bool = True):
-        """(g, dg, d2g) at one point or a batch; check screens the chart
-        box and positivity."""
-        pts, squeeze = _as_batch(points, self.dim)
+        """(g, dg, d2g) at an (N, d) batch; check screens the chart box
+        and positivity."""
+        pts = _as_batch(points, self.dim)
         if check:
             self.chart.require(pts)
         g, dg, d2g = (np.asarray(a, dtype=float) for a in self._jet(pts))
         if check:
             _positive_factor(g, pts)
-        return tuple(_maybe_squeeze(a, squeeze) for a in (g, dg, d2g))
+        return g, dg, d2g
 
     def g(self, points, check: bool = True):
         return self.jet(points, check)[0]
@@ -272,7 +259,7 @@ class CurvaturePacket:
 
     def _view(self, name):
         build = self._views.get(name)
-        return None if build is None else _maybe_squeeze(build(), self.metric.ndim == 2)
+        return None if build is None else build()
 
     inverse = cached_property(lambda self: self._view("inverse"))
     riemann = cached_property(lambda self: self._view("riemann"))
@@ -308,15 +295,6 @@ def _first_kind(dg):
     T_kij = d_i g_kj + d_j g_ki - d_k g_ij, on the last three axes."""
     *lead, a, b, c = range(dg.ndim)
     return dg.transpose(*lead, b, a, c) + dg.transpose(*lead, b, c, a) - dg
-
-
-def christoffel(m: MetricField, points):
-    """Gamma^m_ij = g^mk T_kij / 2 at one point or a batch."""
-    pts, squeeze = _as_batch(points, m.dim)
-    g, dg, _ = m.jet(pts)
-    t = _first_kind(dg)
-    gamma = 0.5 * (np.linalg.inv(g) @ t.reshape(t.shape[0], m.dim, -1)).reshape(t.shape)
-    return _maybe_squeeze(gamma, squeeze)
 
 
 def _lower_inverse(chol):
@@ -370,7 +348,7 @@ def _frame_lift(op, chol, tables):
 
 
 def curvature(m: MetricField, points, orientation: int = 1) -> CurvaturePacket:
-    """Full curvature packet of a metric at one point or a batch.
+    """Full curvature packet of a metric at an (N, d) batch of points.
 
     orientation (+1/-1) fixes the sign of the volume form used by the
     Hodge star; flipping it exchanges the self-dual and anti-self-dual
@@ -378,7 +356,7 @@ def curvature(m: MetricField, points, orientation: int = 1) -> CurvaturePacket:
     """
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
-    pts, squeeze = _as_batch(points, m.dim)
+    pts = _as_batch(points, m.dim)
     m.chart.require(pts)
     g, dg, d2g = m.jet(pts, check=False)
     chol = _positive_factor(g, pts)
@@ -416,7 +394,7 @@ def curvature(m: MetricField, points, orientation: int = 1) -> CurvaturePacket:
     norms = {"traceless_ricci_sq": e_sq}
     sigma2 = None
     if d == 4:
-        sigma2 = _maybe_squeeze(scalar ** 2 / 24.0 - 0.5 * e_sq, squeeze)
+        sigma2 = scalar ** 2 / 24.0 - 0.5 * e_sq
         # the self-dual and anti-self-dual diagonal blocks of the operator,
         # less their trace R/12, are the W+- of the orientation
         blocks = _DUAL @ rm @ _DUAL.T
@@ -437,11 +415,9 @@ def curvature(m: MetricField, points, orientation: int = 1) -> CurvaturePacket:
         })
 
     return CurvaturePacket(
-        metric=_maybe_squeeze(g, squeeze), scalar=_maybe_squeeze(scalar, squeeze),
-        volume_density=_maybe_squeeze(
-            np.prod(np.diagonal(chol, axis1=-2, axis2=-1), axis=-1), squeeze),
-        sigma2=sigma2, norms={k: _maybe_squeeze(v, squeeze) for k, v in norms.items()},
-        _views=views)
+        metric=g, scalar=scalar,
+        volume_density=np.prod(np.diagonal(chol, axis1=-2, axis2=-1), axis=-1),
+        sigma2=sigma2, norms=norms, _views=views)
 
 
 def riemann_symmetry_residuals(riemann) -> dict:
@@ -471,11 +447,9 @@ def riemann_symmetry_residuals(riemann) -> dict:
 def einstein_residual(m: MetricField, points):
     """Frobenius norm |Ric + 3g|_g, zero exactly when Ric = -3g, the
     Einstein condition of every fill here."""
-    pts, squeeze = _as_batch(points, m.dim)
     # Ric + 3g = E + (R/d + 3) g, with E the traceless Ricci
-    pack = curvature(m, pts)
-    val = pack.norms["traceless_ricci_sq"] + m.dim * (pack.scalar / m.dim + 3) ** 2
-    return _maybe_squeeze(np.sqrt(val), squeeze)
+    pack = curvature(m, points)
+    return np.sqrt(pack.norms["traceless_ricci_sq"] + m.dim * (pack.scalar / m.dim + 3) ** 2)
 
 
 def conformal_rescale(m: MetricField, w: ScalarField) -> MetricField:

@@ -162,32 +162,26 @@ def finite_cover_ball_criterion(chi: int, volume: float, yamabe_positive: bool):
 def diffeomorphism_ball_criterion(chi: int, volume: float, yamabe_positive: bool):
     """V > (1/2)(4 pi^2/3) chi forces the ball outright.
 
-    Returns (checks, conclusions): the volume check plus the equivalent
-    doubled-manifold form (1/4) int |W|^2 < int sigma2, both sides
-    recomputed from (chi, V) through the volume identity
-    8 pi^2 chi = (1/4) int |W|^2 + 6V and the closed Gauss-Bonnet
-    formula; a margin within COMPARISON_TOL is "boundary". On a strict
-    pass the interior is diffeomorphic to the 4-ball, the boundary to
-    the 3-sphere, and the double to the 4-sphere.
+    Returns (check, conclusions); a margin within COMPARISON_TOL is
+    "boundary". Through the volume identity 8 pi^2 chi = (1/4) int |W|^2
+    + 6V and the closed Gauss-Bonnet formula the threshold is the
+    doubled-manifold form (1/4) int |W|^2 < int sigma2, so that form is
+    not checked again. On a strict pass the interior is diffeomorphic to
+    the 4-ball, the boundary to the 3-sphere, and the double to the
+    4-sphere.
     """
     _require_yamabe(yamabe_positive)
-    main = compare("diffeomorphism-ball", volume,
-                    0.5 * BALL_VOLUME * chi, ">", COMPARISON_TOL,
-                    note=f"chi = {int(chi)}")
-    weyl_quarter = 16.0 * np.pi**2 * chi - 12.0 * volume
-    doubled = compare("doubled-weyl-vs-sigma2", weyl_quarter,
-                       12.0 * volume, "<", COMPARISON_TOL,
-                       note="same inequality written on the double: "
-                            "(1/4) int |W|^2 against int sigma2, both "
-                            "derived from (chi, V)")
+    check = compare("diffeomorphism-ball", volume,
+                     0.5 * BALL_VOLUME * chi, ">", COMPARISON_TOL,
+                     note=f"chi = {int(chi)}")
     conclusions = ()
-    if main.verdict == "pass":
+    if check.verdict == "pass":
         conclusions = (
             "interior diffeomorphic to the 4-ball; boundary diffeomorphic "
             "to the 3-sphere",
             "closed double diffeomorphic to the 4-sphere",
         )
-    return (main, doubled), conclusions
+    return check, conclusions
 
 
 def homology_vanishing_criteria(suite):
@@ -270,8 +264,8 @@ def build_topology_report(chi: int, volume: float, yamabe_positive: bool,
 
     cover_check, cover_conc = finite_cover_ball_criterion(chi, volume, yamabe_positive)
     checks.append(cover_check)
-    diffeo_checks, diffeo_conc = diffeomorphism_ball_criterion(chi, volume, yamabe_positive)
-    checks.extend(diffeo_checks)
+    diffeo_check, diffeo_conc = diffeomorphism_ball_criterion(chi, volume, yamabe_positive)
+    checks.append(diffeo_check)
 
     if double_suite is not None:
         checks.extend(homology_vanishing_criteria(double_suite))
@@ -281,7 +275,7 @@ def build_topology_report(chi: int, volume: float, yamabe_positive: bool,
         inputs["double_weyl_minus_sq"] = float(double_suite.weyl_minus)
 
     conclusions = [(c, cover_check.name) for c in cover_conc]
-    conclusions += [(c, diffeo_checks[0].name) for c in diffeo_conc]
+    conclusions += [(c, diffeo_check.name) for c in diffeo_conc]
 
     consistent = True
     if checks[0].verdict == "fail":

@@ -159,9 +159,9 @@ def test_criterion_09_betti_sweep():
 def test_criterion_10_ball_criteria(rng, hyp_fit):
     # both ball criteria must fire on the computed hyperbolic volume
     a_hyp, a_concl = tp.finite_cover_ball_criterion(1, hyp_fit.V, True)
-    (b_hyp, b_dbl), b_concl = tp.diffeomorphism_ball_criterion(1, hyp_fit.V, True)
+    b_hyp, b_concl = tp.diffeomorphism_ball_criterion(1, hyp_fit.V, True)
     hyp_ok = (a_hyp.verdict == "pass" and b_hyp.verdict == "pass"
-              and b_dbl.verdict == "pass" and a_concl and b_concl)
+              and a_concl and b_concl)
     a_pass, _ = tp.finite_cover_ball_criterion(1, 13.0, True)
     a_fail, concl_fail = tp.finite_cover_ball_criterion(2, 3.0, True)
     bound = tp.volume_upper_bound(13.0, True)
@@ -170,7 +170,7 @@ def test_criterion_10_ball_criteria(rng, hyp_fit):
     for _ in range(1000):
         chi = int(rng.integers(1, 4))
         v = float(rng.uniform(0.05, 20.0))
-        (direct, _), _ = tp.diffeomorphism_ball_criterion(chi, v, True)
+        direct, _ = tp.diffeomorphism_ball_criterion(chi, v, True)
         weaker, _ = tp.finite_cover_ball_criterion(chi, v, True)
         if direct.verdict == "pass" and weaker.verdict != "pass":
             implication = False

@@ -82,14 +82,14 @@ def test_analyze_skips_the_volume_fit_of_a_non_einstein_fill(tmp_path, capsys):
 @pytest.mark.parametrize("name", models.model_names()["closed"])
 def test_analyze_closed_model(name, tmp_path):
     """Every closed model goes through analyze: its report encodes as
-    plain JSON, its four gates pass, and a second run is byte-identical."""
+    plain JSON, its five gates pass, and a second run is byte-identical."""
     first, second = tmp_path / "first", tmp_path / "second"
     for out in (first, second):
         assert _run(["analyze", "--model", name, "--out", str(out)]) == 0
     names = ("report.txt", "report.json", "integrals.csv")
     assert sorted(p.name for p in first.iterdir()) == sorted(names)
     gates = json.loads((first / "report.json").read_text())["gates"]
-    assert len(gates) == 4 and all(g["ok"] for g in gates)
+    assert len(gates) == 5 and all(g["ok"] for g in gates)
     for name in names:
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
@@ -119,13 +119,13 @@ def test_eigen_grid_schema(analyze_dir):
 
 def test_eigen_grid_rows_equal_scalar_queries(analyze_dir, hyp_solution):
     """The grid is written from whole-grid jets; each row reads exactly
-    what the scalar queries give at its s."""
+    what the one-point queries give at its s."""
     sol = hyp_solution
     lines = (analyze_dir / "eigen_grid.csv").read_text().splitlines()[2:]
     assert len(lines) == 96
     for line in lines:
         s = float(line.split(",")[0])
-        want = [s, sol.u(s), sol.jet(s, 1)[1][0], sol.compactified_scalar(s)]
+        want = [s, sol.u(s)[0], sol.jet(s, 1)[1][0], sol.compactified_scalar(s)[0]]
         assert line == ",".join(f"{x:.17g}" for x in want)
 
 

@@ -60,21 +60,18 @@ def test_hyperbolic_solution_closed_form(hyp_solution):
 
 
 def test_jet_matches_accessors_bitwise(ads_solution):
-    """Entry k of jet(s, 3) equals entry k of jet(s, k), array queries
-    equal scalar ones bitwise, and u of a scalar gives a float."""
+    """Entry k of jet(s, 3) equals entry k of jet(s, k), and one-point
+    queries equal the batch entries bitwise."""
     sol = ads_solution
     s = np.geomspace(sol.s_lo, sol.s_hi, 37)
     jet = sol.jet(s, 3)
     assert np.array_equal(jet[0], sol.u(s))
-    scalars = [sol.u(float(x)) for x in s]
-    assert all(type(v) is float for v in scalars)
-    assert np.array_equal(np.asarray(scalars), jet[0])
+    assert np.array_equal(np.concatenate([sol.u(float(x)) for x in s]), jet[0])
     for k, got in enumerate(jet):
         assert np.array_equal(sol.jet(s, k)[k], got)
         scalars = [sol.jet(float(x), k)[k][0] for x in s]
         assert np.array_equal(np.asarray(scalars), got)
-    assert type(sol.compactified_scalar(float(s[3]))) is float
-    assert sol.compactified_scalar(float(s[3])) == sol.compactified_scalar(s)[3]
+    assert sol.compactified_scalar(float(s[3])).tolist() == [sol.compactified_scalar(s)[3]]
 
 
 def test_spline_path_matches_closed_form(hyperbolic_profile):

@@ -10,7 +10,6 @@ from ccegeom.tensor import (
     Chart,
     MetricField,
     ScalarField,
-    christoffel,
     conformal_rescale,
     curvature,
     einstein_residual,
@@ -86,22 +85,16 @@ def warped():
     return coords, g, MetricField.from_function(_CHART, _warped_components, name="warped-test")
 
 
-def test_christoffel_against_symbolic_oracle(warped):
+def test_jet_first_derivatives_against_symbolic_oracle(warped):
     coords, g, field = warped
-    # independent derivation: Gamma^k_ij = g^{kl}(d_i g_lj + d_j g_li - d_l g_ij)/2,
-    # the first-kind symbols differentiated by sympy and g inverted per point
+    # independent derivation: dg[k, i, j] = d g_ij / dx^k differentiated by sympy
     d = 4
-    first_kind = [[[(sp.diff(g[l, j], coords[i]) + sp.diff(g[l, i], coords[j])
-                     - sp.diff(g[i, j], coords[l])) / 2
-                    for j in range(d)] for i in range(d)] for l in range(d)]
-    metric = sp.lambdify(coords, g, "numpy")
-    oracle = sp.lambdify(coords, first_kind, "numpy")
+    oracle = sp.lambdify(coords, [[[sp.diff(g[i, j], coords[k]) for j in range(d)]
+                                   for i in range(d)] for k in range(d)], "numpy")
     pts = _CHART.sample(6, seed=3)
-    got = christoffel(field, pts)
-    for p, gam in zip(pts, got):
-        ginv = np.linalg.inv(np.asarray(metric(*p), dtype=float))
-        want = np.einsum("kl,lij->kij", ginv, np.asarray(oracle(*p), dtype=float))
-        assert np.max(np.abs(gam - want)) < 1e-11
+    got = field.jet(pts)[1]
+    for p, dg in zip(pts, got):
+        assert np.max(np.abs(dg - np.asarray(oracle(*p), dtype=float))) < 1e-11
 
 
 def test_round_sphere_riemann_is_constant_curvature():
@@ -145,7 +138,7 @@ def test_flat_torus_everything_vanishes():
     pts = mdl.field.chart.sample(3, seed=5)
     pack = curvature(mdl.field, pts)
     assert np.max(np.abs(pack.riemann)) == 0.0
-    assert np.max(np.abs(christoffel(mdl.field, pts))) == 0.0
+    assert np.max(np.abs(mdl.field.dg(pts))) == 0.0
 
 
 def test_riemann_symmetries_and_corruption(warped):
@@ -279,11 +272,11 @@ def test_error_paths():
         np.array([[1.0, 0.5, 0, 0], [0.4, 1.0, 0, 0],
                   [0, 0, 1.0, 0], [0, 0, 0, 1.0]]), (p.shape[0], 1, 1))))
     with pytest.raises(SingularMetric, match="not symmetric"):
-        bad_sym.g(np.zeros(4))
+        bad_sym.g(np.zeros((1, 4)))
     indefinite = MetricField(_CHART, _bare(lambda p: np.tile(
         np.diag([1.0, -1.0, 1.0, 1.0]), (p.shape[0], 1, 1))))
     with pytest.raises(SingularMetric, match="minor"):
-        indefinite.g(np.zeros(4))
+        indefinite.g(np.zeros((1, 4)))
     # only the second point fails, in its leading 3x3 block
     mixed = MetricField(_CHART, _bare(lambda p: np.stack(
         [np.diag([1.0, 1.0, 1.0 - 4 * x[3], 1.0]) for x in p])))
@@ -291,14 +284,16 @@ def test_error_paths():
         mixed.g(np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.5]]))
     flat = MetricField(_CHART, _bare(lambda p: np.tile(np.eye(4), (p.shape[0], 1, 1))))
     with pytest.raises(DomainError):
-        flat.g(np.array([0.0, 0.0, 0.0, 5.0]))
+        flat.g(np.array([[0.0, 0.0, 0.0, 5.0]]))
     with pytest.raises(DomainError):
         flat.g(np.zeros(3))
+    with pytest.raises(DomainError, match=r"\(1, 3\)"):
+        flat.g(np.zeros((1, 3)))
     # curvature itself is dimension agnostic; the split quantities are 4-d only
     flat2 = MetricField(Chart(("a", "b"), (0, 0), (1, 1)),
                         _bare(lambda p: np.tile(np.eye(2), (p.shape[0], 1, 1))))
-    pack2 = curvature(flat2, np.array([0.5, 0.5]))
-    assert abs(pack2.scalar) < 1e-12
+    pack2 = curvature(flat2, np.array([[0.5, 0.5]]))
+    assert np.max(np.abs(pack2.scalar)) < 1e-12
     assert pack2.weyl_plus is None
     assert "weyl_plus_sq" not in pack2.norms
 
@@ -314,13 +309,13 @@ def test_frame_weyl_norms_match_coordinate_norms(warped, orientation):
             tensor_norm_sq(weyl, pack.inverse), rel=1e-10)
 
 
-def test_single_point_weyl_views(warped):
+def test_single_point_is_refused(warped):
+    # a point is a one-row batch; a bare (dim,) point has no batch axis
     _, _, field = warped
-    pts = _CHART.sample(3, seed=15)
-    batch = curvature(field, pts)
-    single = curvature(field, pts[1])
-    assert single.weyl_plus.shape == (4, 4, 4, 4)
-    assert np.max(np.abs(single.weyl_plus - batch.weyl_plus[1])) < 1e-12
+    point = _CHART.sample(1, seed=15)[0]
+    for call in (curvature, einstein_residual, MetricField.jet):
+        with pytest.raises(DomainError, match="batch"):
+            call(field, point)
 
 
 def test_integrator_builds_no_rank4_weyl(monkeypatch, sphere_suite):
@@ -386,6 +381,6 @@ def test_round_three_sphere_pair_basis():
 def test_non_finite_component_raises_singular_metric():
     field = MetricField(Chart(("a", "b"), (0, 0), (1, 1)), _bare(lambda p: np.stack(
         [[[np.nan if x[0] > 0.5 else 1.0, 0.0], [0.0, 1.0]] for x in p])))
-    assert np.array_equal(field.g(np.array([0.25, 0.5])), np.eye(2))
+    assert np.array_equal(field.g(np.array([[0.25, 0.5]]))[0], np.eye(2))
     with pytest.raises(SingularMetric, match=r"not finite at point \[0\.75 0\.5 \]"):
         field.g(np.array([[0.25, 0.5], [0.75, 0.5]]))

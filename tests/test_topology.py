@@ -54,16 +54,16 @@ def test_finite_cover_ball_criterion():
 
 
 def test_diffeomorphism_ball_criterion():
-    (direct, doubled), conclusions = tp.diffeomorphism_ball_criterion(1, 13.0, True)
-    assert direct.verdict == "pass" and doubled.verdict == "pass"
-    assert direct.threshold == pytest.approx(2 * np.pi ** 2 / 3, rel=1e-12)
-    # the doubled restatement carries Gauss-Bonnet numbers
-    assert doubled.value == pytest.approx(16 * np.pi ** 2 - 12 * 13.0, abs=1e-9)
-    assert doubled.threshold == pytest.approx(12 * 13.0, abs=1e-12)
+    check, conclusions = tp.diffeomorphism_ball_criterion(1, 13.0, True)
+    assert check.verdict == "pass"
+    assert check.threshold == pytest.approx(2 * np.pi ** 2 / 3, rel=1e-12)
+    # the doubled form 16 pi^2 chi - 12V < 12V is the same inequality times 24
+    assert 24 * check.margin == pytest.approx(12 * 13.0 - (16 * np.pi ** 2 - 12 * 13.0),
+                                              abs=1e-9)
     assert any("diffeomorphic to the 4-ball" in c for c in conclusions)
     assert any("4-sphere" in c for c in conclusions)
-    (direct2, doubled2), conclusions2 = tp.diffeomorphism_ball_criterion(2, 3.0, True)
-    assert direct2.verdict == "fail" and doubled2.verdict == "fail"
+    check2, conclusions2 = tp.diffeomorphism_ball_criterion(2, 3.0, True)
+    assert check2.verdict == "fail"
     assert conclusions2 == ()
 
 
@@ -72,7 +72,7 @@ def test_stronger_criterion_implies_weaker(rng):
     for _ in range(1000):
         chi = int(rng.integers(1, 4))
         v = float(rng.uniform(0.05, 20.0))
-        (direct, _), _ = tp.diffeomorphism_ball_criterion(chi, v, True)
+        direct, _ = tp.diffeomorphism_ball_criterion(chi, v, True)
         weaker, _ = tp.finite_cover_ball_criterion(chi, v, True)
         if direct.verdict == "pass":
             assert weaker.verdict == "pass"
@@ -88,17 +88,6 @@ def test_criteria_monotone_in_volume(chi, v1, bump):
     assert a2.margin > a1.margin
     if a1.verdict == "pass":
         assert a2.verdict == "pass"
-
-
-def test_doubled_form_is_the_same_inequality(rng):
-    """16 pi^2 chi - 12V < 12V is algebra for V > 2 pi^2 chi / 3."""
-    for _ in range(400):
-        chi = int(rng.integers(1, 5))
-        v = float(rng.uniform(0.05, 25.0))
-        if abs(v - 2 * np.pi ** 2 * chi / 3) < 1e-6:
-            continue
-        (direct, doubled), _ = tp.diffeomorphism_ball_criterion(chi, v, True)
-        assert direct.verdict == doubled.verdict
 
 
 def test_homology_vanishing_on_round_double(sphere_suite):
