@@ -1,14 +1,15 @@
 """Second-order forward-mode automatic differentiation on point batches.
 
-A Jet holds values v (N,), gradients d (N, k) and Hessians h (N, k, k)
-in k seed directions. + - * /, real powers, sin, cos, exp and log carry
-all three by the chain and product rules, so a function written once in
-these operations gives its value and first two derivatives exactly,
-with no symbolic algebra and no differencing (Griewank & Walther,
-Evaluating Derivatives, 2nd ed., SIAM 2008). Each value is formed by
-the numpy operation the same function applies to a plain array, so the
-value of a jet equals that array result bitwise. On plain numbers and
-arrays the functions fall through to numpy.
+A Jet holds values v (N,), gradients d (k, N) and Hessians h (k, k, N)
+in k seed directions, the batch last, so each step works on whole rows.
++ - * /, real powers, sin, cos, exp and log carry all three by the chain
+and product rules, so a function written once in these operations gives
+its value and first two derivatives exactly, with no symbolic algebra
+and no differencing (Griewank & Walther, Evaluating Derivatives, 2nd
+ed., SIAM 2008). Each value is formed by the numpy operation the same
+function applies to a plain array, so the value of a jet equals that
+array result bitwise. On plain numbers and arrays the functions fall
+through to numpy.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ __all__ = ["Jet", "variable", "sin", "cos", "exp", "log", "diag", "field_jet"]
 
 
 def _outer(a, b):
-    return a[:, :, None] * b[:, None, :]
+    return a[:, None] * b[None, :]
 
 
 class Jet:
-    """Values v (N,), gradients d (N, k) and Hessians h (N, k, k)."""
+    """Values v (N,), gradients d (k, N) and Hessians h (k, k, N)."""
 
     __slots__ = ("v", "d", "h")
     # numpy scalars and arrays defer to the reflected operators below
@@ -34,8 +35,7 @@ class Jet:
 
     def chain(self, f0, f1, f2):
         """f(self) from f, f' and f'' evaluated at self.v."""
-        return Jet(f0, f1[:, None] * self.d,
-                   f1[:, None, None] * self.h + f2[:, None, None] * _outer(self.d, self.d))
+        return Jet(f0, f1 * self.d, f1 * self.h + f2 * _outer(self.d, self.d))
 
     def __add__(self, other):
         if isinstance(other, Jet):
@@ -58,9 +58,8 @@ class Jet:
             return Jet(self.v * other, self.d * other, self.h * other)
         cross = _outer(self.d, other.d)
         return Jet(self.v * other.v,
-                   self.d * other.v[:, None] + self.v[:, None] * other.d,
-                   self.h * other.v[:, None, None] + self.v[:, None, None] * other.h
-                   + cross + np.swapaxes(cross, 1, 2))
+                   self.d * other.v + self.v * other.d,
+                   self.h * other.v + self.v * other.h + cross + np.swapaxes(cross, 0, 1))
 
     __rmul__ = __mul__
 
@@ -84,7 +83,7 @@ class Jet:
 def variable(x):
     """The jet of x itself in one seed direction: x (N,) -> d = 1, h = 0."""
     x = np.asarray(x, dtype=float)
-    return Jet(x, np.ones((x.size, 1)), np.zeros((x.size, 1, 1)))
+    return Jet(x, np.ones((1, x.size)), np.zeros((1, 1, x.size)))
 
 
 def sin(x):
@@ -126,27 +125,28 @@ def field_jet(func, axes, shape=()):
     hessian (N, dim, dim, *shape) of func, which takes the chart
     coordinates listed in axes and returns one expression (shape ()) or
     a square matrix of them as nested lists; entries may be numbers.
-    Derivatives along the other axes are zero."""
+    Derivatives along the other axes are zero. Each is a batch-first view
+    of batch-last storage, such as the gradient's (dim, *shape, N)."""
     ax = np.asarray(axes, dtype=int)
     k = ax.size
 
     def jet(pts):
         n, dim = pts.shape
-        seeds = [Jet(pts[:, a], np.broadcast_to(np.eye(k)[i], (n, k)), np.zeros((n, k, k)))
+        seeds = [Jet(pts[:, a], np.broadcast_to(np.eye(k)[:, [i]], (k, n)), np.zeros((k, k, n)))
                  for i, a in enumerate(axes)]
         out = func(*seeds)
         flat = [out] if shape == () else [c for row in out for c in row]
-        val = np.empty((n, len(flat)))
-        grad = np.zeros((n, dim, len(flat)))
-        hess = np.zeros((n, dim, dim, len(flat)))
+        val = np.empty((len(flat), n))
+        grad = np.zeros((dim, len(flat), n))
+        hess = np.zeros((dim, dim, len(flat), n))
         for j, c in enumerate(flat):
             if isinstance(c, Jet):
-                val[:, j] = c.v
-                grad[:, ax, j] = c.d
-                hess[:, ax[:, None], ax, j] = c.h
+                val[j] = c.v
+                grad[ax, j] = c.d
+                hess[ax[:, None], ax, j] = c.h
             else:
-                val[:, j] = c
-        return (val.reshape((n,) + shape), grad.reshape((n, dim) + shape),
-                hess.reshape((n, dim, dim) + shape))
+                val[j] = c
+        return tuple(np.moveaxis(a.reshape(lead + shape + (n,)), -1, 0)
+                     for a, lead in ((val, ()), (grad, (dim,)), (hess, (dim, dim))))
 
     return jet

@@ -123,8 +123,8 @@ class FGMetric:
         to block b."""
         jets = self.warp_jets(variable(s))
         return (np.stack([j.v for j in jets], axis=1),
-                np.stack([j.d[:, 0] for j in jets], axis=1),
-                np.stack([j.h[:, 0, 0] for j in jets], axis=1))
+                np.stack([j.d[0] for j in jets], axis=1),
+                np.stack([j.h[0, 0] for j in jets], axis=1))
 
     def boundary_expansion(self) -> np.ndarray:
         """Taylor rows of the warps at s = 0: row k, column b is the s^k
@@ -490,7 +490,7 @@ def normal_form_from_profile(profile: RadialProfile) -> FGMetric:
         s = S.v
         r = rmap.r_of_s(s)
         a = profile.radial_factor(variable(r))
-        a, da = a.v, a.d[:, 0]
+        a, da = a.v, a.d[0]
         # the gauge ds/dr = -a s gives dr/ds and, differentiated once more
         # along the map, d2r/ds2
         rp = -1.0 / (a * s)

@@ -7,7 +7,8 @@ normal form) are component functions that call their parts' functions.
 Nothing here differentiates numerically; the tests check the jets
 against sympy and central-difference oracles. All operations are
 batched: points have shape (N, dim), a single point is a one-row batch,
-and every tensor gains a leading batch axis.
+and every tensor gains a leading batch axis: a jet's arrays are views of
+batch-last storage, and the kernel works on either layout alike.
 
 Index conventions, fixed once and validated against round-sphere golden
 values in the test suite:
@@ -168,8 +169,9 @@ class MetricField:
     # -- evaluation ---------------------------------------------------------
 
     def jet(self, points, check: bool = True):
-        """(g, dg, d2g) at an (N, d) batch; check screens the chart box
-        and positivity."""
+        """(g, dg, d2g) at an (N, d) batch, batch axis first (views of
+        batch-last storage for a component-built field); check screens
+        the chart box and positivity."""
         pts = _as_batch(points, self.dim)
         if check:
             self.chart.require(pts)
@@ -292,25 +294,29 @@ def _pair_tables(d):
 
 def _first_kind(dg):
     """Twice the Christoffel symbols of the first kind,
-    T_kij = d_i g_kj + d_j g_ki - d_k g_ij, on the last three axes."""
-    *lead, a, b, c = range(dg.ndim)
-    return dg.transpose(*lead, b, a, c) + dg.transpose(*lead, b, c, a) - dg
+    T_kij = d_i g_kj + d_j g_ki - d_k g_ij, of a batch-last dg (d, d, d, N)."""
+    return dg.transpose(1, 0, 2, 3) + dg.transpose(1, 2, 0, 3) - dg
 
 
 def _lower_inverse(chol):
-    """Inverses of lower-triangular factors by forward substitution, row by row."""
+    """Inverses of batch-last (d, d, N) lower-triangular factors by forward substitution."""
     inv = np.zeros_like(chol)
-    recip = 1.0 / np.diagonal(chol, axis1=-2, axis2=-1)
-    for i in range(chol.shape[-1]):
-        inv[:, i, :i] = -(chol[:, i, :i, None] * inv[:, :i, :i]).sum(axis=1) * recip[:, i, None]
-        inv[:, i, i] = recip[:, i]
+    recip = 1.0 / np.diagonal(chol).T
+    for i in range(len(chol)):
+        inv[i, :i] = -(chol[i, :i, None] * inv[:i, :i]).sum(axis=0) * recip[i]
+        inv[i, i] = recip[i]
     return inv
 
 
 def _minors(a, tables):
-    """2x2 minors of a batch of square matrices: their action on 2-forms."""
-    ik, jl, il, jk = np.take(a.reshape(a.shape[0], -1), tables.minors, axis=1).swapaxes(0, 1)
+    """2x2 minors of batch-last (d, d, N) square matrices: their action on 2-forms."""
+    ik, jl, il, jk = a.reshape(-1, a.shape[-1])[tables.minors]
     return ik * jl - il * jk
+
+
+def _batch_first(a):
+    """(..., N) -> (N, ...), C-contiguous: the matmuls' operand layout."""
+    return np.ascontiguousarray(np.moveaxis(a, -1, 0))
 
 
 def _unpair(op, tables):
@@ -343,7 +349,7 @@ def tensor_norm_sq(t, ginv):
 def _frame_lift(op, chol, tables):
     """Rank-4 coordinate tensor of a Lambda^2 operator given in the
     coframe of L = chol: the pair minors M of L^T carry it to M^T op M."""
-    m = _minors(np.swapaxes(chol, -1, -2), tables)
+    m = _batch_first(_minors(chol.T, tables))
     return _unpair(np.swapaxes(m, -1, -2) @ op @ m, tables)
 
 
@@ -359,8 +365,12 @@ def curvature(m: MetricField, points, orientation: int = 1) -> CurvaturePacket:
     pts = _as_batch(points, m.dim)
     m.chart.require(pts)
     g, dg, d2g = m.jet(pts, check=False)
+    # g and every matmul operand keep their (N, ...) layout; the terms
+    # linear in the jet are formed batch-last, as field_jet stores it
+    g = np.ascontiguousarray(g)
     chol = _positive_factor(g, pts)
-    linv = _lower_inverse(chol)
+    linv_t = _lower_inverse(np.ascontiguousarray(np.moveaxis(chol, 0, -1)))
+    linv = _batch_first(linv_t)
     tables = _pair_tables(m.dim)
     nb, npair, d = pts.shape[0], tables.basis.shape[0], m.dim
 
@@ -368,19 +378,19 @@ def curvature(m: MetricField, points, orientation: int = 1) -> CurvaturePacket:
     #          + G_q,jk G^q_il - G_q,jl G^q_ik
     # on the pairs (ij, kl), the quadratic terms read off the Gram matrix
     # of L^-1 G_.,ab
-    t = _first_kind(dg)
-    h = linv @ (0.5 * t.reshape(nb, d, d * d))
+    t = _first_kind(np.moveaxis(dg, 0, -1))
+    h = linv @ _batch_first(0.5 * t.reshape(d, d * d, nb))
     # transposed operands are copied: a strided one leaves numpy's BLAS path
     gram = np.ascontiguousarray(np.swapaxes(h, -1, -2)) @ h
-    hess = np.take(d2g.reshape(nb, -1), tables.hess, axis=1)
+    hess = np.moveaxis(d2g, 0, -1).reshape(-1, nb)[tables.hess]
     quad = np.take(gram.reshape(nb, -1), tables.quad, axis=1)
-    rp = (0.5 * ((hess[:, 0] - hess[:, 1]) - (hess[:, 2] - hess[:, 3]))
+    rp = (_batch_first(0.5 * ((hess[0] - hess[1]) - (hess[2] - hess[3])))
           + (quad[:, 0] - quad[:, 1]))
 
     # the curvature operator in the orthonormal coframe of L and the frame
     # Ricci R(e_c, e_a, e_c, e_b) = sum_xy rm_xy (E_x^T E_y)_ab, E the basis
-    frame = _minors(linv, tables)
-    rm = frame @ rp @ np.ascontiguousarray(np.swapaxes(frame, -1, -2))
+    frame_t = _minors(linv_t, tables)
+    rm = _batch_first(frame_t) @ rp @ _batch_first(frame_t.transpose(1, 0, 2))
     lead = tables.basis.reshape(npair, d, d).transpose(2, 0, 1).reshape(d, -1)
     ric_f = lead @ (rm @ tables.basis).reshape(nb, -1, d)
     scalar = np.trace(ric_f, axis1=-2, axis2=-1)

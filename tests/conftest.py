@@ -2,14 +2,44 @@
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from ccegeom import cli, models
-from ccegeom.autodiff import cos, sin
+from ccegeom.autodiff import cos, exp, sin
 from ccegeom.eigenfunction import compactification_checks, solve_eigenfunction
 from ccegeom.integrals import integrate_curvature
 from ccegeom.normal_form import ProfileBlock, RadialProfile, normal_form_from_profile
-from ccegeom.tensor import ScalarField, conformal_rescale
+from ccegeom.tensor import Chart, MetricField, ScalarField, conformal_rescale
 from ccegeom.volume import fit_renormalized_volume
+
+
+def _warped_test_metric():
+    """A dense analytic 4-metric with no special symmetry."""
+    x1, x2, x3, x4 = coords = sp.symbols("x1 x2 x3 x4", real=True)
+    g = sp.Matrix([
+        [2 + sp.sin(x2) / 4, sp.Rational(1, 10) * x3, 0, 0],
+        [sp.Rational(1, 10) * x3, 3 + x1**2 / 5, 0, sp.Rational(1, 20) * x1],
+        [0, 0, 1 + sp.exp(x4 / 3) / 2, 0],
+        [0, sp.Rational(1, 20) * x1, 0, 2 + sp.cos(x1 * x3) / 5],
+    ])
+    return coords, g
+
+
+def _warped_components(x1, x2, x3, x4):
+    """The same metric as jet expressions, differentiated by autodiff."""
+    return [[2 + sin(x2) / 4, x3 / 10, 0.0, 0.0],
+            [x3 / 10, 3 + x1**2 / 5, 0.0, x1 / 20],
+            [0.0, 0.0, 1 + exp(x4 / 3) / 2, 0.0],
+            [0.0, x1 / 20, 0.0, 2 + cos(x1 * x3) / 5]]
+
+
+@pytest.fixture(scope="session")
+def warped():
+    """(coordinates, sympy component matrix, MetricField) of the warped
+    test metric on the box (-1, 1)^4."""
+    coords, g = _warped_test_metric()
+    chart = Chart(("x1", "x2", "x3", "x4"), (-1.0,) * 4, (1.0,) * 4)
+    return coords, g, MetricField.from_function(chart, _warped_components, name="warped-test")
 
 
 @pytest.fixture(scope="session")
