@@ -6,8 +6,8 @@ Two sweeps on the hyperbolic model, where V = 4 pi^2/3 in closed form:
   1. volume fit error against the ladder starting rung s0,
   2. volume fit error against ladder depth at fixed s0;
 
-and one on AdS-Schwarzschild at m = 3 and 5, where Anderson's identity
-with the closed-form Weyl energy W gives V = (16 pi^2 - W/4)/6:
+and one on AdS-Schwarzschild at m = 3 and 5, where the definition of V
+gives V = (4 pi beta / 3)(r+ - m) (the model's reference value):
 
   3. volume fit error against ladder depth, 8 and 12 rungs of 0.3 * 0.78^k.
 
@@ -52,8 +52,7 @@ def ladder_depth_sweep(fg, rows):
 def ads_ladder_depth_sweep(rows):
     for m in (3.0, 5.0):
         fg = models.ads_schwarzschild(m=m)
-        weyl = models.exact_reference("ads_schwarzschild", "weyl_energy", m=m)
-        exact = (16 * np.pi ** 2 - 0.25 * weyl) / 6
+        exact = models.exact_reference("ads_schwarzschild", "renormalized_volume", m=m)
         for rungs in (8, 12):
             t0 = time.perf_counter()
             fit = fit_renormalized_volume(fg, ladder=0.3 * 0.78 ** np.arange(rungs))

@@ -58,8 +58,7 @@ from .integrals import (
 from .normal_form import FGMetric, fg_document
 from .tensor import (ScalarField, conformal_rescale, curvature, einstein_residual,
                      riemann_symmetry_residuals)
-from .topology import (Check, build_topology_report, gate, render_topology_report,
-                       topology_document)
+from .topology import Check, build_topology_report, gate, render_topology_report
 
 __all__ = ["RunConfig", "run_analyze", "run_check", "run_curvature",
            "build_parser", "main"]
@@ -145,26 +144,24 @@ def _gate_line(g: Check) -> str:
             f"(margin {g.margin:+.3e})")
 
 
-def _render_report(doc: dict, gates: list, topo_text: str = "") -> str:
+def _render_report(doc: dict, gates: list) -> str:
     lines = ["ccegeom analyze report", "  schema: analyze-report v1"]
     for key, value in doc.items():
-        if key in ("schema", "topology"):
-            continue
-        _render_section(lines, key, value)
+        if key != "topology":
+            _render_section(lines, key, value)
     lines.append("  gates:")
     lines.extend("    " + _gate_line(g) for g in gates)
-    if topo_text:
-        lines.extend("  " + ln for ln in topo_text.splitlines())
+    if "topology" in doc:
+        lines.extend("  " + ln for ln in render_topology_report(doc["topology"]).splitlines())
     return "\n".join(lines) + "\n"
 
 
-def _write_artifacts(cfg: RunConfig, doc: dict, gates: list, topo_text: str,
-                     tables: dict):
+def _write_artifacts(cfg: RunConfig, doc: dict, gates: list, tables: dict):
     out_dir = cfg.output_dir or "."
     os.makedirs(out_dir, exist_ok=True)
     path = lambda name: os.path.join(out_dir, name)
     with open(path("report.txt"), "w") as fh:
-        fh.write(_render_report(doc, gates, topo_text))
+        fh.write(_render_report(doc, gates))
     machine = dict(doc)
     machine["gates"] = [{**g._asdict(), "ok": g.verdict == "pass"}
                         for g in gates]
@@ -247,20 +244,21 @@ def _closed_gates(model):
     ]
 
 
-def _fill_gates(fg: FGMetric) -> list:
+def _fill_gates(fg: FGMetric):
     """The boundary limit and the collar's Einstein residual, which a
-    non-Einstein fill must show large rather than be certified."""
-    limit = gate("boundary-limit",
-                 _stage("boundary limit", fg.boundary_limit_residual), 1e-6)
+    non-Einstein fill must show large rather than be certified: the
+    identities section they open and the gates on them."""
+    limit = float(_stage("boundary limit", fg.boundary_limit_residual))
     pts = radial_section(fg.boundary.default_point)(
         np.geomspace(0.05, 0.9 * fg.s_max, 12))
-    res = np.max(einstein_residual(fg.four_metric(), pts))
-    if fg.einstein:
-        return [limit, gate("einstein-residual", res, 1e-6)]
-    return [limit, gate("non-einstein-detected", res, 1e-2, ">")]
+    res = float(np.max(einstein_residual(fg.four_metric(), pts)))
+    einstein = (gate("einstein-residual", res, 1e-6) if fg.einstein
+                else gate("non-einstein-detected", res, 1e-2, ">"))
+    return ({"einstein_residual_max": res, "boundary_limit_residual": limit},
+            [gate("boundary-limit", limit, 1e-6), einstein])
 
 
-def _analyze_closed(cfg: RunConfig, model):
+def _analyze_closed(model):
     suite, (plus, minus), gates = _closed_gates(model)
     doc = {
         "model": {
@@ -276,19 +274,22 @@ def _analyze_closed(cfg: RunConfig, model):
             "combined_antiselfdual_residual": minus,
         },
     }
-    tables = {"integrals.csv": _write_suite_csv({suite.domain_label: suite})}
-    return gates, _write_artifacts(cfg, doc, gates, "", tables), ""
+    return doc, gates, {"integrals.csv": _write_suite_csv({suite.domain_label: suite})}
 
 
-def _analyze_cce(cfg: RunConfig, fg: FGMetric):
-    gates = _fill_gates(fg)
+def _analyze_cce(fg: FGMetric):
+    identities, gates = _fill_gates(fg)
     # the volume expansion in Einstein powers (no eps^-2, no log) only
     # exists for Einstein fills; fitting it to anything else is noise
     fit = None
+    volume_doc = {"note": "skipped: the expansion in Einstein powers "
+                          "does not apply to a non-Einstein family"}
     if fg.einstein:
         fit = _stage("volume fit", volume.fit_renormalized_volume, fg)
+        volume_doc = volume.fit_document(fit)
     sol = _stage("eigenfunction", solve_eigenfunction, fg)
-    checks = _stage("compactification checks", compactification_checks, sol)
+    eigen, checks = _stage("compactification checks", compactification_checks, sol)
+    gates += checks
 
     # Weyl energy of the collar; the integrand density |W|^2 dv is a
     # pointwise conformal invariant, so this is also the Weyl energy of
@@ -298,68 +299,34 @@ def _analyze_cce(cfg: RunConfig, fg: FGMetric):
     compact = _stage("compactified integrals", integrate_curvature,
                      compactified_metric_field(sol), compactified_radial_domain(sol))
 
-    if fit is not None:
-        volume_doc = {
-            "V": fit.V, "c0": fit.c0, "c2": fit.c2,
-            "fit_residual": fit.residual,
-            "condition_number": fit.condition_number,
-            "stability_change": fit.stability_change,
-            "ladder": [float(e) for e in fit.epsilons],
-            "quadrature_errors": [float(e) for e in fit.quadrature_errors],
-        }
-    else:
-        volume_doc = {"note": "skipped: the expansion in Einstein powers "
-                              "does not apply to a non-Einstein family"}
-
     doc = {
         "model": {"kind": "conformally-compact", **fg_document(fg)},
         "volume_fit": volume_doc,
-        "eigenfunction": {
-            "w2": sol.w2,
-            "u_min": checks.u_min,
-            "scalar_boundary": checks.scalar_boundary,
-            "scalar_min": checks.scalar_min,
-            "scalar_gap": checks.scalar_gap,
-            "bochner_sup": checks.bochner_sup,
-            "second_form_linear": checks.second_form_linear,
-            "collocation_nodes": sol.mesh_size,
-            "coefficient_tail": sol.coefficient_tail,
-            "collocation_residual": checks.collocation_residual,
-            "asymptotic_residual": checks.asymptotic_residual,
-        },
+        "eigenfunction": eigen,
         "integrals": {
             "collar": suite_document(collar),
             "compactified": suite_document(compact),
         },
-        "identities": {
-            "einstein_residual_max": gates[1].value,
-            "boundary_limit_residual": gates[0].value,
-        },
+        "identities": identities,
     }
 
-    gates += checks.gates
-
-    topo_text = ""
     if fg.einstein:
         chi = _stage("reference data", _euler, fg)
         identity = gauss_bonnet_volume_residual(chi, collar.weyl_energy, fit.V)
         # normalized by 8 pi^2 chi, floored at one for a chi = 0 fill
         rel = abs(identity) / (8 * np.pi**2 * max(1, abs(chi)))
-        bridge = sigma2_volume_bridge(compact.sigma2_integral, fit.V)
-        doc["identities"].update({
+        identities.update({
             "gauss_bonnet_volume_residual": identity,
             "gauss_bonnet_volume_relative": rel,
-            "sigma2_volume_bridge": bridge,
+            "sigma2_volume_bridge": sigma2_volume_bridge(compact.sigma2_integral, fit.V),
         })
         gates.append(gate("gauss-bonnet-volume", rel, topology.IDENTITY_TOL))
-        topo = _stage("topology report", build_topology_report,
-                      chi, fit.V, fg.yamabe_positive,
-                      double_suite=doubled_suite(compact),
-                      identity_residual=rel)
-        doc["topology"] = topology_document(topo)
-        topo_text = render_topology_report(topo)
+        doc["topology"] = _stage("topology report", build_topology_report,
+                                 chi, fit.V, fg.yamabe_positive,
+                                 double_suite=doubled_suite(compact),
+                                 identity_residual=rel)
     else:
-        doc["identities"]["note"] = (
+        identities["note"] = (
             "model is not Einstein; volume identity and decision criteria "
             "are not applicable")
 
@@ -370,22 +337,23 @@ def _analyze_cce(cfg: RunConfig, fg: FGMetric):
     if fit is not None:
         tables["volumes.csv"] = lambda path: volume.write_volume_table(fit, path)
     tables["eigen_grid.csv"] = _write_eigen_grid(sol)
-    return gates, _write_artifacts(cfg, doc, gates, topo_text, tables), topo_text
+    return doc, gates, tables
 
 
 def run_analyze(cfg: RunConfig) -> int:
     model = _build_model(cfg)
     analyze = _analyze_cce if isinstance(model, FGMetric) else _analyze_closed
     try:
-        gates, written, topo_text = analyze(cfg, model)
+        doc, gates, tables = analyze(model)
     except _StageFailure as exc:
         print(f"analyze failed on model '{cfg.model}' at {exc}", file=sys.stderr)
         return 1
+    written = _write_artifacts(cfg, doc, gates, tables)
     for g in gates:
         print(_gate_line(g))
     print("artifacts: " + ", ".join(written))
-    if topo_text:
-        print(topo_text)
+    if "topology" in doc:
+        print(render_topology_report(doc["topology"]))
     return 0 if all(g.verdict == "pass" for g in gates) else 1
 
 
@@ -472,7 +440,7 @@ def _check_gates(cfg: RunConfig, scope: list):
 def _check_cce(fg):
     """A fill's gates and, picked by the keys of its reference, the gates
     on its closed forms."""
-    gates = _fill_gates(fg)
+    _, gates = _fill_gates(fg)
     ref = fg.reference
     if not fg.einstein and "w2" in ref:
         gates.append(gate("matched-asymptotics",
@@ -480,17 +448,17 @@ def _check_cce(fg):
     if "eigenfunction" in ref:
         sol = solve_eigenfunction(fg)
         grid = np.geomspace(sol.s_lo, sol.s_hi, 400)
-        checks = compactification_checks(sol)
+        section, checks = compactification_checks(sol)
         gates += [
             gate("eigenfunction-exactness",
                  np.max(np.abs(sol.u(grid) - ref["eigenfunction"](grid))), 1e-8),
-            *checks.gates,
+            *checks,
         ]
         if "compactified_scalar" in ref:
             scalar = ref["compactified_scalar"]
             gates.append(gate("compactified-scalar",
-                              max(abs(checks.scalar_boundary - scalar),
-                                  abs(checks.scalar_min - scalar)), 1e-5))
+                              max(abs(section["scalar_boundary"] - scalar),
+                                  abs(section["scalar_min"] - scalar)), 1e-5))
     return gates
 
 

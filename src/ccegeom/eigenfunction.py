@@ -12,7 +12,8 @@ builds the compactified metric, and gates the qualitative properties
 that make the compactification useful: the scalar lower bound, the
 vanishing second fundamental form of the boundary, and the Bochner
 identity behind the bound (see compactification_checks, which decides
-each gate once). Positivity of u is not a gate: the solve refuses a u
+each gate once and returns them with the eigenfunction section of the
+analyze report). Positivity of u is not a gate: the solve refuses a u
 that is not positive.
 
 The radial reduction of the eigenvalue equation is
@@ -31,8 +32,6 @@ the bounded solution by itself.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebval, chebvander
@@ -56,7 +55,6 @@ __all__ = [
     "solve_eigenfunction",
     "compactified_metric_field",
     "compactified_radial_domain",
-    "CompactificationReport",
     "compactification_checks",
 ]
 
@@ -132,26 +130,33 @@ class EigenfunctionSolution:
     three times when the solution is built, and jet(s, order) reads u
     and its derivatives off those series, so no pole of L and no finite
     differencing of the nearly-cancelling 1/s + w2 s enters. u is its
-    first entry alone.
+    first entry alone. Building it also records mesh_size, the number of
+    coefficients, u_min, the least u on 2000 points of [S_LO, s_max]
+    (PositivityViolation unless it is positive), and
+    collocation_residual, the equation_residual of the series.
     """
 
-    def __init__(self, fg: FGMetric, w2: float, s_lo: float, s_hi: float,
-                 mesh_size: int, coefficient_tail: float,
-                 collocation_residual: float, u_min: float, coefficients: np.ndarray):
+    def __init__(self, fg: FGMetric, w2: float, coefficients: np.ndarray,
+                 coefficient_tail: float):
         self.fg = fg
         self.w2 = w2
-        self.s_lo = s_lo
-        self.s_hi = s_hi
-        self.mesh_size = mesh_size
+        self.s_lo = S_LO
+        self.s_hi = fg.s_max
+        self.mesh_size = coefficients.size
         self.coefficient_tail = coefficient_tail
-        self.collocation_residual = collocation_residual
-        self.u_min = u_min
         self.coefficients = coefficients
         # phi and its first three s-derivatives as Chebyshev series in t
         series = [coefficients]
         for _ in range(3):
-            series.append(chebder(series[-1]) * (2.0 / s_hi))
+            series.append(chebder(series[-1]) * (2.0 / self.s_hi))
         self._series = series
+        self.u_min = float(np.min(self.u(np.geomspace(S_LO, self.s_hi, 2000))))
+        if self.u_min <= 0.0:
+            raise PositivityViolation(
+                f"solved eigenfunction attains {self.u_min:.3e} <= 0; the family is "
+                "outside the class this compactification covers"
+            )
+        self.collocation_residual = self.equation_residual()
 
     # -- pointwise closures -------------------------------------------------
 
@@ -309,19 +314,7 @@ def solve_eigenfunction(fg: FGMetric) -> EigenfunctionSolution:
             f"{tail:.3e} at best, above {TAIL_LIMIT:g}"
         )
 
-    sol = EigenfunctionSolution(
-        fg=fg, w2=w2, s_lo=S_LO, s_hi=fg.s_max,
-        mesh_size=c.size, coefficient_tail=tail, collocation_residual=0.0,
-        u_min=0.0, coefficients=c,
-    )
-    sol.u_min = float(np.min(sol.u(np.geomspace(S_LO, fg.s_max, 2000))))
-    if sol.u_min <= 0.0:
-        raise PositivityViolation(
-            f"solved eigenfunction attains {sol.u_min:.3e} <= 0; the family is "
-            "outside the class this compactification covers"
-        )
-    sol.collocation_residual = sol.equation_residual()
-    return sol
+    return EigenfunctionSolution(fg, w2, c, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -353,24 +346,12 @@ def compactified_radial_domain(sol: EigenfunctionSolution) -> RadialDomain:
     return RadialDomain(0.0, sol.s_hi, fg.boundary, f"{fg.name} compactified fill")
 
 
-class CompactificationReport(NamedTuple):
-    """Grid measurements of the compactification and the gates on them."""
-
-    name: str
-    u_min: float
-    scalar_boundary: float
-    scalar_min: float
-    scalar_gap: float
-    bochner_sup: float
-    second_form_linear: float
-    collocation_residual: float
-    asymptotic_residual: float
-    #: topology.Check records, in the order of compactification_checks
-    gates: tuple
-
-
-def compactification_checks(sol: EigenfunctionSolution) -> CompactificationReport:
+def compactification_checks(sol: EigenfunctionSolution):
     """Measure and gate the scalar bound, umbilicity and Bochner.
+
+    Returns (section, gates): section is the eigenfunction section of
+    the analyze report, the solve's own diagnostics with the grid
+    measurements below; gates are topology.Check records.
 
     The gates, in order: scalar-lower-bound (min 12(u^2 - s^2 u'^2)
     - 48 w2 >= -SCALAR_SLACK, sharp at the boundary), on an Einstein
@@ -411,20 +392,21 @@ def compactification_checks(sol: EigenfunctionSolution) -> CompactificationRepor
     second_form = float(np.max(np.abs(fg.boundary_expansion()[1])))
     bochner = ("bochner-identity", "<") if fg.einstein else ("bochner-flag-trips", ">=")
 
-    return CompactificationReport(
-        name=fg.name,
-        u_min=sol.u_min,
-        scalar_boundary=scalar_boundary,
-        scalar_min=scalar_min,
-        scalar_gap=scalar_gap,
-        bochner_sup=bochner_sup,
-        second_form_linear=second_form,
-        collocation_residual=sol.collocation_residual,
-        asymptotic_residual=sol.asymptotic_residual(),
-        gates=(
-            *([gate("scalar-lower-bound", scalar_gap, -SCALAR_SLACK, ">=")]
-              if fg.einstein else []),
-            gate("totally-geodesic-boundary", second_form, SECOND_FORM_TOL),
-            gate(bochner[0], bochner_sup, BOCHNER_TOL, bochner[1]),
-        ),
-    )
+    section = {
+        "w2": sol.w2,
+        "u_min": sol.u_min,
+        "scalar_boundary": scalar_boundary,
+        "scalar_min": scalar_min,
+        "scalar_gap": scalar_gap,
+        "bochner_sup": bochner_sup,
+        "second_form_linear": second_form,
+        "collocation_nodes": sol.mesh_size,
+        "coefficient_tail": sol.coefficient_tail,
+        "collocation_residual": sol.collocation_residual,
+        "asymptotic_residual": sol.asymptotic_residual(),
+    }
+    gates = [gate("totally-geodesic-boundary", second_form, SECOND_FORM_TOL),
+             gate(bochner[0], bochner_sup, BOCHNER_TOL, bochner[1])]
+    if fg.einstein:
+        gates.insert(0, gate("scalar-lower-bound", scalar_gap, -SCALAR_SLACK, ">="))
+    return section, gates

@@ -6,12 +6,12 @@ cohomogeneity-one metrics where the angular integral is carried exactly
 by the boundary volume.
 
 Every domain is integrated in one kernel pass of a nested rule (see
-quadrature), weighted by the kernel's own sqrt(det g). A box takes one
-rule per axis: Kronrod-15 on bounded axes, the 8-point trapezoid rule
-on axes that are one full period of the metric
-(ProductChartDomain.periodic), Kronrod-7 in cos(theta) on polar angles
-(ProductChartDomain.polar), and the one-point rule on axes the metric
-does not depend on (MetricField.cyclic_axes), where g, its
+quadrature), weighted by the kernel's own sqrt(det g). A box declares
+one rule per axis (AXIS_RULES): Kronrod-15 on a bounded axis, the
+8-point trapezoid rule on an axis that is one full period of the
+metric, Kronrod-7 in cos(theta) on a polar angle; the one-point rule
+replaces the declared one on axes the metric does not depend on
+(MetricField.cyclic_axes), where g, its
 derivatives, every invariant and sqrt(det g) are constant. A radial
 domain takes Kronrod-15 on RADIAL_PANELS panels of s, at one fixed
 boundary point p, with the fiber folded into the weights as the
@@ -75,28 +75,35 @@ COLLAR_S_LO = 0.01
 # ---------------------------------------------------------------------------
 # domains
 
-class ProductChartDomain:
-    """Product box in chart coordinates: axes = ((lo, hi, panels), ...).
+#: the rule a box axis declares, as a function of its (lo, hi)
+AXIS_RULES = {
+    "kronrod": lambda lo, hi: kronrod_rule(lo, hi, 1),
+    "periodic": lambda lo, hi: periodic_rule(lo, hi),
+    "polar": lambda lo, hi: polar_rule(),
+}
 
-    One axis per chart coordinate. periodic lists the axes whose
-    [lo, hi] is one full period of the metric; they take the trapezoid
-    rule. polar lists the axes on exactly [0, pi] whose integrand is a
-    function of cos(theta) times sin(theta); they take polar_rule, with
-    panels in cos(theta). The other axes take Kronrod-15 on each panel.
-    Axes the metric does not depend on are collapsed to their midpoint,
-    weighted by their length, and ignore panels.
+
+class ProductChartDomain:
+    """Product box in chart coordinates: axes = ((lo, hi, rule), ...).
+
+    One axis per chart coordinate, each naming its rule in AXIS_RULES:
+    "kronrod" takes Kronrod-15 on [lo, hi]; "periodic" marks a [lo, hi]
+    that is one full period of the metric and takes the trapezoid rule;
+    "polar" marks an axis on exactly [0, pi] whose integrand is a
+    function of cos(theta) times sin(theta) and takes polar_rule. Axes
+    the metric does not depend on are collapsed to their midpoint,
+    weighted by their length, whatever their rule.
     """
 
-    def __init__(self, axes: tuple, label: str = "", periodic: tuple = (),
-                 polar: tuple = ()):
-        if set(periodic) & set(polar):
-            raise DomainError("an axis cannot be both periodic and polar")
-        if any(tuple(axes[i][:2]) != (0.0, np.pi) for i in polar):
-            raise DomainError("a polar axis must span exactly (0, pi)")
+    def __init__(self, axes: tuple, label: str = ""):
+        for lo, hi, rule in axes:
+            if rule not in AXIS_RULES:
+                raise DomainError(f"unknown axis rule {rule!r}; known: "
+                                  f"{', '.join(AXIS_RULES)}")
+            if rule == "polar" and (lo, hi) != (0.0, np.pi):
+                raise DomainError("a polar axis must span exactly (0, pi)")
         self.axes = axes
         self.label = label
-        self.periodic = periodic
-        self.polar = polar
 
 
 class RadialDomain(NamedTuple):
@@ -176,17 +183,6 @@ def _invariant_rows(pack):
     ], axis=1)
 
 
-def _box_axis_rule(m, domain, i):
-    lo, hi, panels = domain.axes[i]
-    if i in m.cyclic_axes:
-        return one_point_rule(lo, hi)
-    if i in domain.periodic:
-        return periodic_rule(lo, hi, panels)
-    if i in domain.polar:
-        return polar_rule(panels)
-    return kronrod_rule(lo, hi, panels)
-
-
 def _rule(m, domain):
     """Points, fine weights and companion weights of the domain's rule."""
     if isinstance(domain, RadialDomain):
@@ -195,7 +191,9 @@ def _rule(m, domain):
         ghat = b.field.g(np.asarray([b.default_point], dtype=float))[0]
         fiber = b.volume / np.sqrt(np.linalg.det(ghat))
         return radial_section(b.default_point)(s), fiber * fine, fiber * companion
-    return product_rule([_box_axis_rule(m, domain, i) for i in range(len(domain.axes))])
+    return product_rule([one_point_rule(lo, hi) if i in m.cyclic_axes
+                         else AXIS_RULES[rule](lo, hi)
+                         for i, (lo, hi, rule) in enumerate(domain.axes)])
 
 
 def _accumulate(m, domain, orientation):

@@ -164,15 +164,16 @@ class ClosedModel(NamedTuple):
     orientation: int = 1
 
 
-def _closed(label, names, his, g, periodic, polar=(), **data) -> ClosedModel:
+def _closed(label, names, his, g, rules, **data) -> ClosedModel:
     """A closed model whose metric g lives on the chart box (0, his),
-    integrated over that whole box; periodic lists the azimuthal axes
-    whose chart interval is one full period, polar the angles on (0, pi)
-    whose volume density is an odd power of sin (ProductChartDomain)."""
+    integrated over that whole box with one rule per axis: "periodic" on
+    an azimuthal axis whose chart interval is one full period, "polar"
+    on an angle on (0, pi) whose volume density is an odd power of sin,
+    "kronrod" on any other (ProductChartDomain)."""
     chart = Chart(names, (0.0,) * len(names), his)
     return ClosedModel(field=MetricField.from_function(chart, g, name=label),
-                       domain=ProductChartDomain(tuple((0.0, hi, 1) for hi in his),
-                                                 label, periodic, polar),
+                       domain=ProductChartDomain(
+                           tuple((0.0, hi, rule) for hi, rule in zip(his, rules)), label),
                        **data)
 
 
@@ -188,7 +189,7 @@ def round_sphere4(radius: float = 1.0) -> ClosedModel:
     return _closed(
         "round-S4", ("t1", "t2", "t3", "t4"), (np.pi, np.pi, np.pi, 2 * np.pi), g,
         # densities sin^3 t1, sin^2 t2 and sin t3: t2 is not polar
-        periodic=(3,), polar=(0, 2),
+        rules=("polar", "kronrod", "polar", "periodic"),
         name=f"round_sphere(r={radius:g})",
         euler=2,
         signature=0,
@@ -202,7 +203,7 @@ def flat_torus4(lengths=(2 * np.pi,) * 4) -> ClosedModel:
     lengths = _lengths(lengths, 4)
     return _closed(
         "flat-T4", ("x1", "x2", "x3", "x4"), lengths, lambda: diag(1.0, 1.0, 1.0, 1.0),
-        periodic=(0, 1, 2, 3),
+        rules=("periodic",) * 4,
         name="flat_torus",
         euler=0,
         signature=0,
@@ -227,7 +228,7 @@ def product_spheres(a: float = 1.0, b: float = 1.0) -> ClosedModel:
 
     return _closed(
         "S2xS2", ("t", "p", "u", "v"), (np.pi, 2 * np.pi, np.pi, 2 * np.pi), g,
-        periodic=(1, 3), polar=(0, 2),
+        rules=("polar", "periodic", "polar", "periodic"),
         name=f"product_spheres(a={a:g},b={b:g})",
         euler=4,
         signature=0,
@@ -261,7 +262,7 @@ def fubini_study() -> ClosedModel:
 
     return _closed(
         "fubini-study", ("r", "t", "p", "q"), (np.pi / 2, np.pi, 2 * np.pi, 4 * np.pi), g,
-        periodic=(2, 3), polar=(1,),
+        rules=("kronrod", "polar", "periodic", "periodic"),
         name="fubini_study",
         euler=3,
         signature=1,
@@ -349,9 +350,12 @@ def ads_schwarzschild(m: float = 1.0) -> FGMetric:
         parameters={"m": m},
     )
     fg = normal_form_from_profile(profile)
+    # V from its definition, (4 pi beta / 3)(r+ - m), apart from
+    # Anderson's identity, which the toolkit checks against it
     fg.reference = {"horizon_radius": rp, "period": beta, "w2": 1.0 / 12, "euler": 2,
                     "weyl_energy": 64 * np.pi * beta * m**2 / rp**3,
-                    "boundary_volume": 4 * np.pi * beta}
+                    "boundary_volume": 4 * np.pi * beta,
+                    "renormalized_volume": 4 * np.pi * beta / 3 * (rp - m)}
     return fg
 
 
@@ -422,10 +426,12 @@ def exact_reference(name: str, quantity: Optional[str] = None, **params):
     signature and volume.
 
     With quantity=None returns the whole dict; otherwise returns that
-    entry or raises NotAvailable when no closed form is known (the AdS
-    renormalized volume is deliberately absent: the toolkit must produce
-    it numerically). Since the model is built, parameters are refused
-    exactly as ``build`` refuses them.
+    entry or raises NotAvailable when no closed form is known. The
+    renormalized volume of a fill is its definitional value (AdS:
+    (4 pi beta / 3)(r+ - m)), never one read back through Anderson's
+    identity 8 pi^2 chi = (1/4) int |W|^2 + 6V, so the identity stays a
+    check. Since the model is built, parameters are refused exactly as
+    ``build`` refuses them.
     """
     if name not in _CLOSED and name not in _CCE:
         raise NotAvailable(f"no reference data for model '{name}'")

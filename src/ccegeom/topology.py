@@ -14,7 +14,9 @@ self-dual (or anti-self-dual, or all) second cohomology vanishes.
 Everything here is exact arithmetic on previously computed invariants;
 the only numerics is one comparison tolerance, COMPARISON_TOL. Strict
 hypotheses never pass silently: values within tolerance of a threshold
-get an explicit "boundary" verdict.
+get an explicit "boundary" verdict. build_topology_report gathers every
+check into one document, the topology section of the analyze report,
+and render_topology_report prints that document.
 """
 
 from __future__ import annotations
@@ -36,10 +38,8 @@ __all__ = [
     "diffeomorphism_ball_criterion",
     "homology_vanishing_criteria",
     "feasible_betti_parameters",
-    "TopologyReport",
     "build_topology_report",
     "render_topology_report",
-    "topology_document",
 ]
 
 #: renormalized volume of the hyperbolic model, the extremal value
@@ -226,31 +226,20 @@ def feasible_betti_parameters() -> set:
     return feasible
 
 
-class TopologyReport(NamedTuple):
-    """All decision checks for one model, with licensed conclusions.
-
-    conclusions pair each statement with the name of the single check
-    that licenses it; when the volume identity residual exceeds its
-    tolerance the report keeps the raw checks but refuses every
-    conclusion and says why.
-    """
-
-    inputs: dict
-    checks: tuple
-    conclusions: tuple
-    consistent: bool
-    notes: tuple
-
-
 def build_topology_report(chi: int, volume: float, yamabe_positive: bool,
                           double_suite=None,
-                          identity_residual: Optional[float] = None) -> TopologyReport:
-    """Assemble the full decision report from computed invariants.
+                          identity_residual: Optional[float] = None) -> dict:
+    """All decision checks for one model, with licensed conclusions: the
+    topology section of the analyze report.
 
+    The document holds the inputs in key order, every check as a Check
+    record's fields, the conclusions as {statement, via}, via naming the
+    single check that licenses the statement, consistent and notes.
     identity_residual is the relative defect of
     8 pi^2 chi = (1/4) int |W|^2 + 6V measured upstream; when it is
     supplied and above IDENTITY_TOL the numbers feeding the inequalities
-    cannot all be right, so conclusions are withheld.
+    cannot all be right, so the document keeps the raw checks, withholds
+    every conclusion and says why in its notes.
     """
     inputs = {
         "chi": int(chi),
@@ -274,9 +263,6 @@ def build_topology_report(chi: int, volume: float, yamabe_positive: bool,
         inputs["double_weyl_plus_sq"] = float(double_suite.weyl_plus)
         inputs["double_weyl_minus_sq"] = float(double_suite.weyl_minus)
 
-    conclusions = [(c, cover_check.name) for c in cover_conc]
-    conclusions += [(c, diffeo_check.name) for c in diffeo_conc]
-
     consistent = True
     if checks[0].verdict == "fail":
         consistent = False
@@ -289,45 +275,37 @@ def build_topology_report(chi: int, volume: float, yamabe_positive: bool,
             f"{IDENTITY_TOL:.1e}: chi, Weyl energy and V disagree, "
             "conclusions withheld"
         )
-    if not consistent:
-        conclusions = []
+    conclusions = [{"statement": text, "via": check.name}
+                   for check, texts in ((cover_check, cover_conc),
+                                        (diffeo_check, diffeo_conc))
+                   for text in texts]
+    return {
+        "inputs": {k: inputs[k] for k in sorted(inputs)},
+        "checks": [c._asdict() for c in checks],
+        "conclusions": conclusions if consistent else [],
+        "consistent": consistent,
+        "notes": notes,
+    }
 
-    return TopologyReport(inputs=inputs, checks=tuple(checks),
-                          conclusions=tuple(conclusions),
-                          consistent=consistent, notes=tuple(notes))
 
-
-def render_topology_report(report: TopologyReport) -> str:
-    """Human-readable block, one line per check plus conclusions."""
+def render_topology_report(doc: dict) -> str:
+    """Human-readable block of a build_topology_report document, one line
+    per check plus conclusions."""
     lines = ["topology checks"]
-    for key, val in sorted(report.inputs.items()):
+    for key, val in doc["inputs"].items():
         lines.append(f"  input {key} = {val}")
-    for c in report.checks:
+    for c in doc["checks"]:
         lines.append(
-            f"  [{c.verdict:>8}] {c.name}: {c.value:.10g} {c.comparison} "
-            f"{c.threshold:.10g} (margin {c.margin:+.3e})"
-            + (f"  -- {c.note}" if c.note else "")
+            f"  [{c['verdict']:>8}] {c['name']}: {c['value']:.10g} {c['comparison']} "
+            f"{c['threshold']:.10g} (margin {c['margin']:+.3e})"
+            + (f"  -- {c['note']}" if c['note'] else "")
         )
-    for note in report.notes:
+    for note in doc["notes"]:
         lines.append(f"  note: {note}")
-    if report.conclusions:
+    if doc["conclusions"]:
         lines.append("  conclusions:")
-        for text, source in report.conclusions:
-            lines.append(f"    - {text} [via {source}]")
+        for c in doc["conclusions"]:
+            lines.append(f"    - {c['statement']} [via {c['via']}]")
     else:
         lines.append("  conclusions: none")
     return "\n".join(lines)
-
-
-def topology_document(report: TopologyReport) -> dict:
-    """Machine-readable mirror of render_topology_report."""
-    return {
-        "inputs": {k: report.inputs[k] for k in sorted(report.inputs)},
-        "checks": [c._asdict() for c in report.checks],
-        "conclusions": [
-            {"statement": text, "via": source}
-            for text, source in report.conclusions
-        ],
-        "consistent": report.consistent,
-        "notes": list(report.notes),
-    }

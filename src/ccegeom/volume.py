@@ -30,6 +30,7 @@ __all__ = [
     "sublevel_volumes",
     "fit_ladder",
     "fit_renormalized_volume",
+    "fit_document",
     "write_volume_table",
 ]
 
@@ -186,6 +187,18 @@ def fit_renormalized_volume(fg, ladder=None) -> VolumeFit:
     fit = fit_ladder(ladder, vols, fg.boundary.volume,
                      fg.boundary.scalar_curvature)
     return fit._replace(quadrature_errors=errs)
+
+
+def fit_document(fit: VolumeFit) -> dict:
+    """The volume_fit section of the analyze report."""
+    return {
+        "V": fit.V, "c0": fit.c0, "c2": fit.c2,
+        "fit_residual": fit.residual,
+        "condition_number": fit.condition_number,
+        "stability_change": fit.stability_change,
+        "ladder": [float(e) for e in fit.epsilons],
+        "quadrature_errors": [float(e) for e in fit.quadrature_errors],
+    }
 
 
 def write_volume_table(fit: VolumeFit, path) -> None:

@@ -110,6 +110,7 @@ def pert_solution(perturbed):
     return solve_eigenfunction(perturbed)
 
 
+# the compactification checks' (section, gates) of each solution above
 @pytest.fixture(scope="session")
 def hyp_checks(hyp_solution):
     return compactification_checks(hyp_solution)

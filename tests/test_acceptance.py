@@ -59,18 +59,19 @@ def test_criterion_03_eigenfunction_compactification(hyp_solution, hyp_checks):
     sup = float(np.max(np.abs(hyp_solution.u(s) - (1 / s + s / 4))))
     grid = np.geomspace(1e-4, hyp_solution.s_hi, 200)
     dev = float(np.max(np.abs(hyp_solution.compactified_scalar(grid) - 12.0)))
+    section, _ = hyp_checks
     ok = (sup < 1e-8 and dev < 1e-5
-          and hyp_checks.bochner_sup < 1e-6
-          and hyp_checks.second_form_linear < 1e-6)
+          and section["bochner_sup"] < 1e-6
+          and section["second_form_linear"] < 1e-6)
     _report(3, "eigenfunction-exactness", ok,
             f"sup |u - exact| = {sup:.3e}, scalar dev = {dev:.3e}, "
-            f"bochner = {hyp_checks.bochner_sup:.3e}, "
-            f"II = {hyp_checks.second_form_linear:.3e}")
+            f"bochner = {section['bochner_sup']:.3e}, "
+            f"II = {section['second_form_linear']:.3e}")
 
 
 def test_criterion_04_scalar_lower_bound(hyp_checks, ads_checks):
-    gap_h = hyp_checks.scalar_min - 2 * 6.0
-    gap_a = ads_checks.scalar_min - 2 * 2.0
+    gap_h = hyp_checks[0]["scalar_min"] - 2 * 6.0
+    gap_a = ads_checks[0]["scalar_min"] - 2 * 2.0
     ok = gap_h > -1e-4 and gap_a > -1e-4
     _report(4, "compactified-scalar-bound", ok,
             f"hyperbolic gap = {gap_h:+.3e}, ads gap = {gap_a:+.3e}")
@@ -194,11 +195,12 @@ def test_criterion_11_negative_controls(perturbed, pert_checks, flipped_riemann,
     res = float(np.max(einstein_residual(
         perturbed.four_metric(), pts)))
     code = cli.main(["check", "--model", "round_sphere", "--out", str(tmp_path)])
-    flag = next(g for g in pert_checks.gates if g.name == "bochner-flag-trips")
+    section, gates = pert_checks
+    flag = next(g for g in gates if g.name == "bochner-flag-trips")
     ok = (res > 1e-2 and flag.verdict == "pass"
           and flag.threshold == ef.BOCHNER_TOL
-          and pert_checks.bochner_sup > 0.1 and code == 1)
+          and section["bochner_sup"] > 0.1 and code == 1)
     _report(11, "negative-controls", ok,
             f"einstein residual = {res:.3f}, "
-            f"bochner sup = {pert_checks.bochner_sup:.3f}, "
+            f"bochner sup = {section['bochner_sup']:.3f}, "
             f"defect injection exit = {code}")

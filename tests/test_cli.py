@@ -318,11 +318,57 @@ def test_report_carries_the_compactification_gates(name, params, count, tmp_path
     gates = json.loads((tmp_path / "report.json").read_text())["gates"]
     sol = solve_eigenfunction(models.build(name, **params))
     want = [(g.name, g.value, g.threshold, g.comparison)
-            for g in compactification_checks(sol).gates]
+            for g in compactification_checks(sol)[1]]
     names = [w[0] for w in want]
     got = [(g["name"], g["value"], g["threshold"], g["comparison"])
            for g in gates if g["name"] in names]
     assert got == want and len(want) == count
+
+
+def test_report_carries_every_key_the_benchmark_reads(tmp_path):
+    """The AdS report holds, finite, each value the benchmark harness
+    compares with the model's closed forms, and the mass it was run at."""
+    assert _run(["analyze", "--model", "ads_schwarzschild", "--m", "1.0",
+                 "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "report.json").read_text())
+    for value in (doc["volume_fit"]["V"], doc["integrals"]["collar"]["weyl_energy"],
+                  doc["eigenfunction"]["w2"],
+                  doc["identities"]["gauss_bonnet_volume_relative"]):
+        assert isinstance(value, float) and np.isfinite(value)
+    assert doc["model"]["parameters"]["m"] == 1.0
+
+
+def _topology_block(lines, indent):
+    start = lines.index(indent + "topology checks")
+    assert all(ln.startswith(indent) for ln in lines[start:])
+    return [ln[len(indent):] for ln in lines[start:]]
+
+
+@pytest.mark.parametrize("argv", [["--model", "hyperbolic"],
+                                  ["--model", "ads_schwarzschild", "--m", "1.0"]],
+                         ids=["hyperbolic", "ads-1"])
+def test_printed_topology_block_is_the_reports(argv, tmp_path, capsys):
+    """stdout and report.txt render the same topology document."""
+    assert _run(["analyze", *argv, "--out", str(tmp_path)]) == 0
+    printed = _topology_block(capsys.readouterr().out.splitlines(), "")
+    written = _topology_block((tmp_path / "report.txt").read_text().splitlines(), "  ")
+    assert printed == written and len(printed) > 10
+
+
+def test_report_text_follows_the_eigenfunction_section(analyze_dir, hyp_solution):
+    """report.txt writes the eigenfunction section in the order the
+    compactification checks build it, with report.json's values."""
+    lines = (analyze_dir / "report.txt").read_text().splitlines()
+    start = lines.index("  eigenfunction:") + 1
+    rows = [ln.strip().split(" = ") for ln in lines[start:start + 11]]
+    section = json.loads((analyze_dir / "report.json").read_text())["eigenfunction"]
+    keys = ["w2", "u_min", "scalar_boundary", "scalar_min", "scalar_gap",
+            "bochner_sup", "second_form_linear", "collocation_nodes",
+            "coefficient_tail", "collocation_residual", "asymptotic_residual"]
+    assert [key for key, _ in rows] == keys == list(compactification_checks(hyp_solution)[0])
+    assert sorted(section) == sorted(keys)
+    assert [value for _, value in rows] == [str(section[k]) for k in keys]
+    assert not lines[start + 11].startswith("    ")
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

@@ -117,8 +117,8 @@ def test_solution_domain_guards(hyp_solution):
         hyp_solution.u(np.asarray([0.0]))
 
 
-def _verdicts(rep):
-    return {g.name: g.verdict for g in rep.gates}
+def _verdicts(gates):
+    return {g.name: g.verdict for g in gates}
 
 
 _EINSTEIN_GATES = ("scalar-lower-bound", "totally-geodesic-boundary",
@@ -126,59 +126,59 @@ _EINSTEIN_GATES = ("scalar-lower-bound", "totally-geodesic-boundary",
 
 
 def test_hyperbolic_report(hyp_checks):
-    rep = hyp_checks
-    assert _verdicts(rep) == dict.fromkeys(_EINSTEIN_GATES, "pass")
-    assert rep.u_min == pytest.approx(1.0, abs=1e-12)  # u(s_max) = u(2) = 1
-    assert rep.scalar_boundary == pytest.approx(12.0)
-    assert rep.scalar_gap > -1e-4
-    assert rep.bochner_sup < 1e-6
-    assert rep.second_form_linear < 1e-6
+    rep, gates = hyp_checks
+    assert _verdicts(gates) == dict.fromkeys(_EINSTEIN_GATES, "pass")
+    assert rep["u_min"] == pytest.approx(1.0, abs=1e-12)  # u(s_max) = u(2) = 1
+    assert rep["scalar_boundary"] == pytest.approx(12.0)
+    assert rep["scalar_gap"] > -1e-4
+    assert rep["bochner_sup"] < 1e-6
+    assert rep["second_form_linear"] < 1e-6
 
 
 def test_ads_report(ads_checks):
-    rep = ads_checks
-    assert _verdicts(rep) == dict.fromkeys(_EINSTEIN_GATES, "pass")
-    assert rep.scalar_boundary == pytest.approx(4.0)
+    rep, gates = ads_checks
+    assert _verdicts(gates) == dict.fromkeys(_EINSTEIN_GATES, "pass")
+    assert rep["scalar_boundary"] == pytest.approx(4.0)
     # scalar of the compactified metric stays above twice the boundary scalar
-    assert rep.scalar_min >= 2 * 2.0 - 1e-4
-    assert rep.bochner_sup < 1e-6
-    assert rep.second_form_linear < 1e-6
-    assert rep.u_min > 1.0
+    assert rep["scalar_min"] >= 2 * 2.0 - 1e-4
+    assert rep["bochner_sup"] < 1e-6
+    assert rep["second_form_linear"] < 1e-6
+    assert rep["u_min"] > 1.0
 
 
 def test_perturbed_report_flags_bochner_only(pert_checks):
     """The non-Einstein control records the scalar gap ungated, keeps
     the boundary gate and trips the Bochner flag instead of certifying
     the identity."""
-    rep = pert_checks
-    assert _verdicts(rep) == {
+    rep, gates = pert_checks
+    assert _verdicts(gates) == {
         "totally-geodesic-boundary": "pass", "bochner-flag-trips": "pass"}
-    assert np.isfinite(rep.scalar_gap)
-    assert rep.bochner_sup >= ef.BOCHNER_TOL
-    assert rep.bochner_sup > 0.1
-    assert rep.u_min > 0.0
+    assert np.isfinite(rep["scalar_gap"])
+    assert rep["bochner_sup"] >= ef.BOCHNER_TOL
+    assert rep["bochner_sup"] > 0.1
+    assert rep["u_min"] > 0.0
 
 
 def test_gates_carry_the_report_values_and_module_tolerances(hyp_checks, pert_checks):
     """Each gate is decided once, on the measured value against its
     module tolerance, with no boundary band; the scalar bound is gated
     on the Einstein fill alone."""
-    for rep in (hyp_checks, pert_checks):
-        bochner = rep.gates[-1].name
+    for rep, gates in (hyp_checks, pert_checks):
+        bochner = gates[-1].name
         expect = {
-            "scalar-lower-bound": (rep.scalar_gap, -ef.SCALAR_SLACK, ">="),
-            "totally-geodesic-boundary": (rep.second_form_linear,
+            "scalar-lower-bound": (rep["scalar_gap"], -ef.SCALAR_SLACK, ">="),
+            "totally-geodesic-boundary": (rep["second_form_linear"],
                                           ef.SECOND_FORM_TOL, "<"),
-            bochner: (rep.bochner_sup, ef.BOCHNER_TOL,
+            bochner: (rep["bochner_sup"], ef.BOCHNER_TOL,
                       "<" if bochner == "bochner-identity" else ">="),
         }
-        for g in rep.gates:
+        for g in gates:
             value, threshold, comparison = expect[g.name]
             assert (g.value, g.threshold, g.comparison) == (value, threshold, comparison)
             assert g.margin == value - threshold
-    assert [g.name for g in hyp_checks.gates] == list(_EINSTEIN_GATES)
-    assert [g.name for g in pert_checks.gates] == ["totally-geodesic-boundary",
-                                                   "bochner-flag-trips"]
+    assert [g.name for g in hyp_checks[1]] == list(_EINSTEIN_GATES)
+    assert [g.name for g in pert_checks[1]] == ["totally-geodesic-boundary",
+                                                "bochner-flag-trips"]
 
 
 def test_solve_refuses_a_nonpositive_eigenfunction(hyperbolic, monkeypatch):
@@ -206,7 +206,7 @@ def test_boundary_data_over_the_families(name, params):
     fg = models.build(name, **params)
     sol = ef.solve_eigenfunction(fg)
     assert fg.boundary_limit_residual() <= 1e-12
-    assert ef.compactification_checks(sol).second_form_linear <= 1e-10
+    assert ef.compactification_checks(sol)[0]["second_form_linear"] <= 1e-10
     if not fg.einstein:
         assert abs(sol.w2 - (0.25 - params["amplitude"])) <= 1e-9
 
@@ -222,8 +222,8 @@ def test_charts_span_the_whole_fill(hyperbolic, ads, hyp_solution, ads_solution)
 
 def test_scalar_lower_bound_over_einstein_models(hyp_checks, ads_checks):
     """min over the grid of the compactified scalar >= 2 * boundary scalar."""
-    for rep, rhat in ((hyp_checks, 6.0), (ads_checks, 2.0)):
-        assert rep.scalar_min >= 2 * rhat - 1e-4
+    for (rep, _), rhat in ((hyp_checks, 6.0), (ads_checks, 2.0)):
+        assert rep["scalar_min"] >= 2 * rhat - 1e-4
 
 
 @pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
@@ -243,9 +243,9 @@ def test_ads_solution_on_the_whole_fill(m):
     assert sol.u_min < truncated.min()
     scan = np.geomspace(ef.S_LO, sm, 4000)
     assert np.min(sol.compactified_scalar(scan)) >= sol.boundary_scalar - ef.SCALAR_SLACK
-    rep = ef.compactification_checks(sol)
-    assert _verdicts(rep)["scalar-lower-bound"] == "pass"
-    assert rep.u_min == sol.u_min
+    rep, gates = ef.compactification_checks(sol)
+    assert _verdicts(gates)["scalar-lower-bound"] == "pass"
+    assert rep["u_min"] == sol.u_min
     assert sol.equation_residual() <= 1e-8  # between the collocation points
     assert sol.collocation_residual == sol.equation_residual()
     with pytest.raises(DomainError, match="does not extend"):

@@ -130,8 +130,13 @@ def test_exact_reference_ads_entries():
 def test_exact_reference_single_quantity_and_gaps():
     v = models.exact_reference("hyperbolic", "renormalized_volume")
     assert v == pytest.approx(4 * np.pi ** 2 / 3, rel=1e-14)
-    with pytest.raises(NotAvailable):
-        models.exact_reference("ads_schwarzschild", "renormalized_volume", m=1.0)
+    # the definitional AdS volume agrees with Anderson's identity
+    # 8 pi^2 chi = W/4 + 6V at chi = 2, and vanishes at m = 1
+    for m in (0.02, 0.5, 1.0, 2.0, 3.0):
+        ref = models.exact_reference("ads_schwarzschild", m=m)
+        identity = (16 * np.pi ** 2 - 0.25 * ref["weyl_energy"]) / 6
+        assert ref["renormalized_volume"] == pytest.approx(identity, rel=1e-12)
+    assert models.exact_reference("ads_schwarzschild", "renormalized_volume", m=1.0) == 0.0
     with pytest.raises(NotAvailable):
         models.exact_reference("klein_bottle")
     with pytest.raises(NotAvailable):

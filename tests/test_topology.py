@@ -120,38 +120,41 @@ def test_full_report_on_hyperbolic_data(hyp_fit, sphere_suite):
     _, sphere = sphere_suite
     rep = tp.build_topology_report(1, hyp_fit.V, True, double_suite=sphere,
                                    identity_residual=1e-9)
-    assert rep.consistent
-    assert len(rep.conclusions) >= 4
+    assert rep["consistent"]
+    assert len(rep["conclusions"]) >= 4
     text = tp.render_topology_report(rep)
     assert "volume-upper-bound" in text
     assert "[" in text and "pass" in text
-    names = [c.name for c in rep.checks]
+    names = [c["name"] for c in rep["checks"]]
     assert "finite-cover-ball" in names
     assert "selfdual-homology" in names
 
 
 def test_report_consistency_gate(hyp_fit):
     rep = tp.build_topology_report(1, hyp_fit.V, True, identity_residual=5e-3)
-    assert not rep.consistent
-    assert rep.conclusions == ()
-    assert any("identity" in note for note in rep.notes)
+    assert not rep["consistent"]
+    assert rep["conclusions"] == []
+    assert any("identity" in note for note in rep["notes"])
 
 
 def test_topology_document(hyp_fit, sphere_suite):
+    """The report is the analyze document: sorted inputs, each check the
+    fields of the criterion's Check record, each conclusion a statement
+    with the check that licenses it."""
     _, sphere = sphere_suite
-    rep = tp.build_topology_report(1, hyp_fit.V, True, double_suite=sphere,
+    doc = tp.build_topology_report(1, hyp_fit.V, True, double_suite=sphere,
                                    identity_residual=1e-9)
-    doc = tp.topology_document(rep)
-    assert doc["consistent"] is True
+    assert list(doc) == ["inputs", "checks", "conclusions", "consistent", "notes"]
+    assert doc["consistent"] is True and doc["notes"] == []
+    assert list(doc["inputs"]) == sorted(doc["inputs"])
     assert doc["inputs"]["chi"] == 1
-    assert len(doc["checks"]) == len(rep.checks)
-    by_name = {c["name"]: c for c in doc["checks"]}
-    for check in rep.checks:
-        row = by_name[check.name]
-        assert row["verdict"] == check.verdict
-        assert row["value"] == pytest.approx(check.value)
-        assert row["threshold"] == pytest.approx(check.threshold)
-    assert len(doc["conclusions"]) == len(rep.conclusions)
+    want = [tp.volume_upper_bound(hyp_fit.V, True),
+            tp.finite_cover_ball_criterion(1, hyp_fit.V, True)[0],
+            tp.diffeomorphism_ball_criterion(1, hyp_fit.V, True)[0],
+            *tp.homology_vanishing_criteria(sphere)]
+    assert doc["checks"] == [c._asdict() for c in want]
+    checks = {c["name"] for c in doc["checks"]}
+    assert len(doc["conclusions"]) >= 4
     for entry in doc["conclusions"]:
-        assert entry["statement"]
-        assert entry["via"]
+        assert list(entry) == ["statement", "via"]
+        assert entry["statement"] and entry["via"] in checks

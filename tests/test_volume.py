@@ -68,14 +68,14 @@ def test_sublevel_volumes_refuse_what_the_grid_cannot_resolve(hyperbolic):
 
 @pytest.mark.parametrize("m", [3.0, 5.0])
 def test_deep_ads_ladder(m):
-    """Twelve rungs of 0.3 * 0.78^k reach V to 1e-6, with no invalid value
-    met on the way."""
-    weyl = models.exact_reference("ads_schwarzschild", "weyl_energy", m=m)
+    """Twelve rungs of 0.3 * 0.78^k reach the definitional V to 1e-6,
+    with no invalid value met on the way."""
+    exact = models.exact_reference("ads_schwarzschild", "renormalized_volume", m=m)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         fit = vol.fit_renormalized_volume(models.ads_schwarzschild(m=m),
                                           ladder=0.3 * 0.78 ** np.arange(12))
-    assert abs(fit.V - (16 * np.pi ** 2 - 0.25 * weyl) / 6) <= 1e-6
+    assert abs(fit.V - exact) <= 1e-6
 
 
 def test_no_panel_next_to_the_tip():
@@ -130,11 +130,12 @@ def test_boundary_rescaling_leaves_volume_invariant():
 
 
 @pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 3.0])
-def test_ads_volume_against_anderson_identity(m):
-    """V = (8 pi^2 chi - W/4)/6 with chi = 2 and the closed-form Weyl energy."""
-    weyl = models.exact_reference("ads_schwarzschild", "weyl_energy", m=m)
+def test_ads_volume_against_definitional_volume(m):
+    """The fit against V = (4 pi beta / 3)(r+ - m), the reference's value
+    from the definition of V, apart from Anderson's identity."""
+    exact = models.exact_reference("ads_schwarzschild", "renormalized_volume", m=m)
     fit = vol.fit_renormalized_volume(models.ads_schwarzschild(m=m))
-    assert abs(fit.V - (16 * np.pi ** 2 - 0.25 * weyl) / 6) <= 1e-5
+    assert abs(fit.V - exact) <= 1e-5
     assert fit.stability_change <= 1e-5
 
 
