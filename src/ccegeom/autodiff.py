@@ -37,6 +37,10 @@ class Jet:
         """f(self) from f, f' and f'' evaluated at self.v."""
         return Jet(f0, f1 * self.d, f1 * self.h + f2 * _outer(self.d, self.d))
 
+    def chain_jet(self, f0, df):
+        """f(self) from f evaluated at self.v and the jet df of f'(self)."""
+        return Jet(f0, df.v * self.d, df.v * self.h + _outer(df.d, self.d))
+
     def __add__(self, other):
         if isinstance(other, Jet):
             return Jet(self.v + other.v, self.d + other.d, self.h + other.h)

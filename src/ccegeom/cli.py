@@ -250,7 +250,7 @@ def _fill_gates(fg: FGMetric):
     identities section they open and the gates on them."""
     limit = float(_stage("boundary limit", fg.boundary_limit_residual))
     pts = radial_section(fg.boundary.default_point)(
-        np.geomspace(0.05, 0.9 * fg.s_max, 12))
+        np.geomspace(0.05, 0.9 * fg.y_max, 12))
     res = float(np.max(einstein_residual(fg.four_metric(), pts)))
     einstein = (gate("einstein-residual", res, 1e-6) if fg.einstein
                 else gate("non-einstein-detected", res, 1e-2, ">"))
@@ -484,7 +484,7 @@ def run_curvature(cfg: RunConfig) -> int:
     if isinstance(model, FGMetric):
         field_obj = model.four_metric()
         pts = radial_section(model.boundary.default_point)(
-            np.geomspace(0.01, 0.95 * model.s_max, 6))
+            np.geomspace(0.01, 0.95 * model.y_max, 6))
         orientation = 1
     else:
         field_obj = model.field

@@ -45,7 +45,7 @@ from .errors import (
 )
 from .integrals import RadialDomain
 from .normal_form import FGMetric, _chebyshev_nodes
-from .tensor import MetricField, ScalarField, conformal_rescale
+from .tensor import MetricField
 from .topology import gate
 
 __all__ = [
@@ -68,9 +68,10 @@ TAIL_TERMS = 4
 TAIL_TOL = 1e-11
 #: solve_eigenfunction fails when the best tail exceeds this
 TAIL_LIMIT = 1e-6
-#: lower end of the diagnostic grids (u_min, scalar scan, Bochner check)
+#: lower end of the diagnostic grids (u_min, scalar scan, Bochner check;
+#: a chart point there, where y = s to first order)
 S_LO = 1e-3
-#: the Bochner grid stops short of the tip s_max by XI_EDGE
+#: the Bochner grid stops short of the tip y_max by XI_EDGE in the chart
 XI_EDGE = 0.05
 #: largest s of the near-boundary window of asymptotic_residual
 ASYMPTOTIC_CAP = 0.05
@@ -218,14 +219,15 @@ class EigenfunctionSolution:
         s^2 u'' + (s^2 L - 2s) u' - 4u is scaled by s xi / s_max (xi =
         s_max - s), which keeps it dimensionless and clears the pole of L
         at the tip, and is evaluated through phi so the 1/s parts cancel
-        exactly. It is evaluated at the interior extrema of T_M, M the
-        number of collocation points, which lie between those points.
+        exactly. It is evaluated at the interior extrema of T_M in the
+        fill's chart, M the number of collocation points, which lie
+        between those points.
         """
         sm = self.s_hi
         m = COLLOCATION_OVERSAMPLE * self.mesh_size
-        x, phi, dphi, d2phi = self._phi_jet(
-            0.5 * sm * (1.0 - np.cos(np.arange(1, m) * np.pi / m)), 2)
-        lv = np.asarray(self.fg.density_logderiv(x))
+        w = self.fg.warp(0.5 * self.fg.y_max * (1.0 - np.cos(np.arange(1, m) * np.pi / m)))
+        x, phi, dphi, d2phi = self._phi_jet(w.s, 2)
+        lv = self.fg.logderiv(w)
         lhs = x**2 * (x**2 * d2phi + (2.0 * x + x**2 * lv) * dphi
                       + (2.0 * x * lv - 6.0) * phi)
         forcing = (1.0 - self.w2 * x**2) * lv + 6.0 * self.w2 * x
@@ -235,8 +237,9 @@ class EigenfunctionSolution:
 def _collocate(fg: FGMetric, w2: float, n: int) -> np.ndarray:
     """Chebyshev coefficients of phi, n terms, on [0, s_max].
 
-    One row per Gauss-Chebyshev point of [0, s_max], COLLOCATION_OVERSAMPLE
-    * n of them, solved in the least-squares sense. Each row is the
+    One row at the s of each Gauss-Chebyshev point of the fill's chart
+    [0, y_max], COLLOCATION_OVERSAMPLE * n of them, solved in the
+    least-squares sense. Each row is the
     equation for u times xi, not the bare phi equation: L carries
     rounding of about eps/s near s = 0, which the phi equation would
     divide by s^2 while the u equation keeps it at the size of u, and
@@ -244,9 +247,12 @@ def _collocate(fg: FGMetric, w2: float, n: int) -> np.ndarray:
     """
     sm = fg.s_max
     t = _chebyshev_nodes(-1.0, 1.0, COLLOCATION_OVERSAMPLE * n)
-    s = 0.5 * sm * (t + 1.0)
+    y = 0.5 * fg.y_max * (t + 1.0)
+    w = fg.warp(y)
+    s, lv = w.s, fg.logderiv(w)
+    # each row's t of s, the node's own t where y = s
+    t = t + 2.0 * (s / sm - y / fg.y_max)
     xi = sm - s
-    lv = np.asarray(fg.density_logderiv(s))
     eye = np.eye(n)
     v0 = chebvander(t, n - 1)
     v1 = chebvander(t, n - 2) @ chebder(eye, 1, scl=2.0 / sm)
@@ -323,27 +329,25 @@ def solve_eigenfunction(fg: FGMetric) -> EigenfunctionSolution:
 def compactified_metric_field(sol: EigenfunctionSolution) -> MetricField:
     """The compactified metric u^{-2} g as a MetricField on the fill's chart.
 
-    The conformal factor -log u is a jet expression in s: u and its first
-    two derivatives come from one solution jet per batch (the Chebyshev
-    series and its derivative series), so the curvature engine sees an
-    analytic metric throughout. The chart is that of FGMetric.four_metric,
-    0 < s < s_max.
+    The conformal factor -log u is a jet expression in the jet of s that
+    the four-metric's chart call reads: u and its first two derivatives
+    come from one solution jet per batch (the Chebyshev series and its
+    derivative series), so the curvature engine sees an analytic metric
+    throughout. The chart is that of FGMetric.four_metric, 0 < y < y_max.
     """
-    base = sol.fg.four_metric()
-    return conformal_rescale(base, ScalarField.from_function(
-        base.chart, lambda s: -log(s.chain(*sol.jet(s.v, 2)))))
+    return sol.fg.four_metric(lambda s: -log(s.chain(*sol.jet(s.v, 2))))
 
 
 def compactified_radial_domain(sol: EigenfunctionSolution) -> RadialDomain:
-    """Radial domain of the whole compactified fill, s in [0, s_max].
+    """Radial domain of the whole compactified fill, y in [0, y_max].
 
-    The volume density of u^{-2} g is Vol(ghat) (u s)^{-4} D(s) over the
-    boundary; the compactified warp u s tends to 1 at the boundary and
-    the density stays bounded up to the tip, so the domain spans the
-    fill and integrating 1 gives its finite volume.
+    The volume density of u^{-2} g is Vol(ghat) u^{-4} s^{-4} D(s) ds/dy
+    over the boundary; the compactified warp u s tends to 1 at the
+    boundary and the density stays bounded up to the tip, so the domain
+    spans the fill and integrating 1 gives its finite volume.
     """
     fg = sol.fg
-    return RadialDomain(0.0, sol.s_hi, fg.boundary, f"{fg.name} compactified fill")
+    return RadialDomain(0.0, fg.y_max, fg.boundary, f"{fg.name} compactified fill")
 
 
 def compactification_checks(sol: EigenfunctionSolution):
@@ -369,10 +373,10 @@ def compactification_checks(sol: EigenfunctionSolution):
     is a sensitive non-Einstein detector.
     """
     fg = sol.fg
-    s = np.geomspace(sol.s_lo, (sol.s_hi - XI_EDGE) * 0.999, CHECK_GRID)
+    w = fg.warp(np.geomspace(sol.s_lo, (fg.y_max - XI_EDGE) * 0.999, CHECK_GRID))
+    s, h, dh = w.s, w.h, w.dh / w.ds[:, None]
     u, du, d2u, d3u = sol.jet(s, 3)
-    h, dh, _ = fg.warp(s)
-    lv = fg.logderiv_of_warp(h, dh)
+    lv = fg.logderiv(w)
 
     dwt = 2.0 * u * du - 2.0 * s * du**2 - 2.0 * s**2 * du * d2u
     d2wt = (2.0 * u * d2u - 8.0 * s * du * d2u - 2.0 * s**2 * d2u**2

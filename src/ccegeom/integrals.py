@@ -11,23 +11,23 @@ one rule per axis (AXIS_RULES): Kronrod-15 on a bounded axis, the
 8-point trapezoid rule on an axis that is one full period of the
 metric, Kronrod-7 in cos(theta) on a polar angle; the one-point rule
 replaces the declared one on axes the metric does not depend on
-(MetricField.cyclic_axes), where g, its
-derivatives, every invariant and sqrt(det g) are constant. A radial
-domain takes Kronrod-15 on RADIAL_PANELS panels of s, at one fixed
-boundary point p, with the fiber folded into the weights as the
+(MetricField.cyclic_axes), where g, its derivatives, every invariant
+and sqrt(det g) are constant. A radial domain takes Kronrod-15 on
+RADIAL_PANELS panels of the fill's radial chart coordinate y, at one
+fixed boundary point p, with the fiber folded into the weights as the
 constant Vol(ghat)/sqrt(det ghat(p)): on a warped-block fill
-sqrt(det g)(s, x) = s^-4 D(s) sqrt(det ghat)(x), and a conformal factor
-of s alone keeps that form, so the weighted nodes integrate the whole
-fiber exactly. The value is the fine rule's; the error estimate is its
-distance from the companion rule (Gauss-7, Gauss-3 and the 4-point
-trapezoid on the same nodes), i.e. the companion's error, an upper
-bound for the value's. Every estimate is floored at ROUNDOFF eps times
-the integral of the integrand's absolute value (QUADPACK's round-off
-floor), so it never claims more than the rounding of the sum allows.
-The collar of a normal-form fill (fg_radial_domain) starts at the fixed
-COLLAR_S_LO, since its measure Vol(ghat) s^-4 D(s) blows up at s = 0;
-the compactified fill of the eigenfunction module runs from 0 to the
-tip s_max.
+sqrt(det g)(y, x) = s^-4 D(s) (ds/dy) sqrt(det ghat)(x), and a
+conformal factor of s alone keeps that form, so the weighted nodes
+integrate the whole fiber exactly. The value is the fine rule's; the
+error estimate is its distance from the companion rule (Gauss-7,
+Gauss-3 and the 4-point trapezoid on the same nodes), i.e. the
+companion's error, an upper bound for the value's. Every estimate is
+floored at ROUNDOFF eps times the integral of the integrand's absolute
+value (QUADPACK's round-off floor), so it never claims more than the
+rounding of the sum allows. The collar of a normal-form fill
+(fg_radial_domain) starts at the chart point COLLAR_S_LO, since its
+measure blows up at s = 0; the compactified fill of the eigenfunction
+module runs from 0 to the tip y_max.
 
 The integrated quantities feed two index formulas, stated here in the
 tensor-norm convention |W|^2 = W_{ijkl} W^{ijkl}:
@@ -67,8 +67,8 @@ __all__ = [
 CHUNK = 2048
 #: Kronrod-15 panels of a radial domain
 RADIAL_PANELS = 12
-#: lower end of fg_radial_domain: the collar's Weyl energy drops the
-#: part below it, which is O(COLLAR_S_LO^3)
+#: lower end of fg_radial_domain in the chart (y = s to first order):
+#: the collar's Weyl energy drops the part below it, O(COLLAR_S_LO^3)
 COLLAR_S_LO = 0.01
 
 
@@ -109,12 +109,13 @@ class ProductChartDomain:
 class RadialDomain(NamedTuple):
     """Cohomogeneity-one reduction of a warped-block fill over its boundary.
 
-    Integrals run over s in [s_lo, s_hi] times the whole boundary; the
-    fiber is carried exactly by the boundary volume (module docstring).
+    Integrals run over the fill's radial chart coordinate y in
+    [y_lo, y_hi] times the whole boundary; the fiber is carried exactly
+    by the boundary volume (module docstring).
     """
 
-    s_lo: float
-    s_hi: float
+    y_lo: float
+    y_hi: float
     boundary: object  # the fill's normal_form.BoundaryGeometry
     label: str = ""
 
@@ -123,21 +124,23 @@ def radial_section(boundary_point) -> Callable:
     """Section callable pinning the fiber coordinates of radial nodes."""
     fiber = np.asarray(boundary_point, dtype=float)
 
-    def section(s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        return np.column_stack([s, np.broadcast_to(fiber, (s.size, fiber.size))])
+    def section(y):
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+        return np.column_stack([y, np.broadcast_to(fiber, (y.size, fiber.size))])
 
     return section
 
 
 def fg_radial_domain(fg) -> RadialDomain:
-    """Radial domain of a normal-form family, from COLLAR_S_LO to s_max.
+    """Radial domain of a normal-form family, from COLLAR_S_LO to y_max.
 
     Integrals over it are truncated-collar integrals of the conformally
     compact metric s^{-2}(ds^2 + g_s) itself, whose volume density
-    Vol(ghat) s^{-4} D(s) blows up at s = 0.
+    Vol(ghat) s^{-4} D(s) ds/dy blows up at s = 0. Its Weyl energy
+    feeds the gauss-bonnet-volume gate and the benchmark's output check
+    (perfbench/run.py); the compactified fill is the whole manifold.
     """
-    return RadialDomain(COLLAR_S_LO, fg.s_max, fg.boundary, f"{fg.name} collar")
+    return RadialDomain(COLLAR_S_LO, fg.y_max, fg.boundary, f"{fg.name} collar")
 
 
 class IntegralSuite:
@@ -187,10 +190,10 @@ def _rule(m, domain):
     """Points, fine weights and companion weights of the domain's rule."""
     if isinstance(domain, RadialDomain):
         b = domain.boundary
-        s, fine, companion = kronrod_rule(domain.s_lo, domain.s_hi, RADIAL_PANELS)
+        y, fine, companion = kronrod_rule(domain.y_lo, domain.y_hi, RADIAL_PANELS)
         ghat = b.field.g(np.asarray([b.default_point], dtype=float))[0]
         fiber = b.volume / np.sqrt(np.linalg.det(ghat))
-        return radial_section(b.default_point)(s), fiber * fine, fiber * companion
+        return radial_section(b.default_point)(y), fiber * fine, fiber * companion
     return product_rule([one_point_rule(lo, hi) if i in m.cyclic_axes
                          else AXIS_RULES[rule](lo, hi)
                          for i, (lo, hi, rule) in enumerate(domain.axes)])

@@ -335,14 +335,18 @@ def ads_schwarzschild(m: float = 1.0) -> FGMetric:
     beta = 4 * np.pi / vprime
     boundary = circle_sphere_boundary(beta, 1.0)
 
-    def V(r):
-        return r**2 + 1.0 - 2.0 * m / r
+    # V = r^2 + 1 - 2m/r = rho F with rho = r - r+ handed in by the chart,
+    # so V keeps its digits at the horizon
+    def F(rho):
+        r = rho + rp
+        return (r**2 + r * rp + (rp**2 + 1.0)) / r
 
     profile = RadialProfile(
         name=f"ads_schwarzschild(m={m:g})",
         boundary=boundary,
-        blocks=(ProfileBlock((0,), V), ProfileBlock((1, 2), lambda r: r**2)),
-        radial_factor=lambda r: V(r) ** -0.5,
+        blocks=(ProfileBlock((0,), lambda rho: rho * F(rho)),
+                ProfileBlock((1, 2), lambda rho: (rho + rp) ** 2)),
+        radial_factor=lambda rho: F(rho) ** -0.5,
         r_interior=rp,
         tip_multiplicity=1,
         einstein=True,

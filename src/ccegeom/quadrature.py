@@ -128,7 +128,8 @@ def _composite(a: float, b: float, panels, x, *ws):
 
 
 def gauss_legendre_rule(a: float, b: float, panels, order: int = 16):
-    """Nodes and weights of a composite Gauss-Legendre rule on [a, b].
+    """Nodes and weights of a composite Gauss-Legendre rule on [a, b];
+    no program path calls it, it is kept for the benchmark's probes.
 
     ``panels`` is either an int >= 1 (uniform subdivision) or a strictly
     increasing array of breakpoints starting at a and ending at b.

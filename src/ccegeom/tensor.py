@@ -183,6 +183,7 @@ class MetricField:
     def g(self, points, check: bool = True):
         return self.jet(points, check)[0]
 
+    # dg and d2g are kept only for the benchmark's probes
     def dg(self, points):
         return self.jet(points)[1]
 

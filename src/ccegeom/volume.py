@@ -8,11 +8,13 @@ volumes expand as
 with no eps^-2 and no log term, and V the renormalized volume. The
 divergent coefficients are local and exact (Graham, arXiv:math/9909042):
 c0 = vol(g^)/3 and c2 = -R^ vol(g^)/8, from the boundary volume and
-scalar curvature. The pipeline is one radial quadrature of s^-4 D(s),
-read off at every ladder rung (the boundary volume carries the angular
-integral); the two known terms are subtracted, and the remainder is
-regressed on {1, eps, ..., eps^5}, whose tail columns absorb the o(1)
-remainder so V is not contaminated by it.
+scalar curvature. The pipeline is one radial quadrature of the volume
+density in the fill's radial chart y, read off at every ladder rung: a
+chart point y_k whose eps_k = s(y_k) is read forward (the boundary
+volume carries the angular integral). The two known terms are
+subtracted, and the remainder is regressed on {1, eps, ..., eps^5},
+whose tail columns absorb the o(1) remainder so V is not contaminated
+by it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ __all__ = [
     "write_volume_table",
 ]
 
-#: default epsilon ladder; spans a factor 512 in the leading term
+#: default ladder of chart rungs; spans a factor about 512 in the leading term
 DEFAULT_LADDER = (0.4, 0.3, 0.22, 0.16, 0.12, 0.09, 0.065, 0.05)
 #: relative tolerance of each rung's sublevel quadrature
 QUAD_TOL = 1e-12
@@ -64,33 +66,34 @@ class VolumeFit(NamedTuple):
 
 
 def sublevel_volumes(fg, ladder) -> tuple:
-    """Vol({s > eps}) at every rung eps of ``ladder``, and error estimates.
+    """Vol({s > eps}) at every chart rung y of ``ladder``, eps = s(y),
+    and error estimates.
 
-    Radial reduction: boundary volume times int_eps^{s_max} s^-4 D(s) ds.
-    The sublevel sets are nested, so the integrand is integrated once,
-    on panels graded geometrically away from the smallest rung (where it
-    varies fastest) with every rung a breakpoint. Gauss-Legendre 16 on
-    every panel halved gives the values, on every panel whole the
-    companion; a rung's volume is the suffix sum of the values from its
-    breakpoint up, and its estimate the distance from the companion's
-    suffix sum, floored at ROUNDOFF eps times the volume (the integrand
-    is positive). Raises QuadratureTolerance when an estimate exceeds
-    QUAD_TOL times max(1, eps^-3, the integral).
+    Radial reduction: boundary volume times int_y^{y_max} of
+    fg.density, s^-4 D(s) ds/dy. The sublevel sets are nested, so the
+    integrand is integrated once, on panels graded geometrically away
+    from the smallest rung (where it varies fastest) with every rung a
+    breakpoint. Gauss-Legendre 16 on every panel halved gives the
+    values, on every panel whole the companion; a rung's volume is the
+    suffix sum of the values from its breakpoint up, and its estimate
+    the distance from the companion's suffix sum, floored at ROUNDOFF
+    eps times the volume (the integrand is positive). Raises
+    QuadratureTolerance when an estimate exceeds QUAD_TOL times
+    max(1, y^-3, the integral).
     """
     eps = np.asarray(ladder, dtype=float)
-    outside = ~((eps > 0) & (eps < fg.s_max))
+    outside = ~((eps > 0) & (eps < fg.y_max))
     if outside.any():
         raise DomainError(
-            f"eps must lie in (0, s_max={fg.s_max}), got {eps[outside][0]}")
+            f"rung eps must lie in the chart (0, y_max={fg.y_max}), got {eps[outside][0]}")
     # sorted and deduplicated through a set: np.union1d would import numpy.ma
-    edges = np.asarray(sorted({*geometric_panels(eps.min(), fg.s_max).tolist(),
+    edges = np.asarray(sorted({*geometric_panels(eps.min(), fg.y_max).tolist(),
                                *eps.tolist()}))
     halved = np.empty(2 * edges.size - 1)
     halved[0::2] = edges
     halved[1::2] = 0.5 * (edges[:-1] + edges[1:])
     sums = panel_sums(np.concatenate([edges[:-1], halved[:-1]]),
-                      np.concatenate([edges[1:], halved[1:]]),
-                      lambda s: s**-4.0 * fg.density(s), 16)
+                      np.concatenate([edges[1:], halved[1:]]), fg.density, 16)
     n = edges.size - 1
     rung = np.searchsorted(edges, eps)
     value = np.cumsum((sums[n::2] + sums[n + 1::2])[::-1])[::-1][rung]
@@ -101,7 +104,7 @@ def sublevel_volumes(fg, ladder) -> tuple:
     if missed.any():
         k = np.flatnonzero(missed)[0]
         raise QuadratureTolerance(
-            f"sublevel quadrature on [{eps[k]}, {fg.s_max}] did not reach "
+            f"sublevel quadrature on [{eps[k]}, {fg.y_max}] did not reach "
             f"tol={QUAD_TOL}: estimate {err[k]:.3e}")
     vol_hat = fg.boundary.volume
     return vol_hat * value, vol_hat * err
@@ -177,14 +180,15 @@ def fit_ladder(epsilons, volumes, boundary_volume: float,
 
 
 def fit_renormalized_volume(fg, ladder=None) -> VolumeFit:
-    """Sublevel volumes on the ladder, then the expansion regression.
+    """Sublevel volumes on the chart rungs of the ladder, then the
+    expansion regression at their eps = s(y), read forward.
 
     The drop-one-rung drift of V is reported on the result as
     stability_change.
     """
     ladder = np.asarray(DEFAULT_LADDER if ladder is None else ladder, dtype=float)
     vols, errs = sublevel_volumes(fg, ladder)
-    fit = fit_ladder(ladder, vols, fg.boundary.volume,
+    fit = fit_ladder(fg.warp(ladder).s, vols, fg.boundary.volume,
                      fg.boundary.scalar_curvature)
     return fit._replace(quadrature_errors=errs)
 

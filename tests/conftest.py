@@ -72,8 +72,9 @@ def conformal_fubini_study():
 def hyperbolic_radial_profile():
     """The hyperbolic metric as a cohomogeneity-one radial profile.
 
-    In r = cosh rho, d rho^2 + sinh^2 rho ghat has block factor
-    (r - 1)(r + 1) and radial factor ((r - 1)(r + 1))^{-1/2}: a
+    In r = cosh t, dt^2 + sinh^2 t ghat has block factor
+    (r - 1)(r + 1) = rho (rho + 2), rho = r - 1, and radial factor
+    (rho (rho + 2))^{-1/2}, whose regular part is (rho + 2)^{-1/2}: a
     square-root interior at r = 1 and the boundary at r = inf, the shape
     of every fill. Its map is s = 2/(r + sqrt(r^2 - 1)), r(s) =
     (s^2 + 4)/(4s), and its warp (1 - s^2/4)^2.
@@ -81,8 +82,8 @@ def hyperbolic_radial_profile():
     return RadialProfile(
         name="hyperbolic-profile",
         boundary=models.round_sphere_boundary(),
-        blocks=(ProfileBlock((0, 1, 2), lambda r: (r - 1.0) * (r + 1.0)),),
-        radial_factor=lambda r: ((r - 1.0) * (r + 1.0)) ** -0.5,
+        blocks=(ProfileBlock((0, 1, 2), lambda rho: rho * (rho + 2.0)),),
+        radial_factor=lambda rho: (rho + 2.0) ** -0.5,
         r_interior=1.0,
         tip_multiplicity=3,
         einstein=True,

@@ -105,7 +105,7 @@ def test_collar_volume_through_compactified_domain(hyp_solution):
     domain spans it from the boundary to the tip, and its volume is
     4 pi^2 / 3."""
     dom = ef.compactified_radial_domain(hyp_solution)
-    assert dom.s_lo == 0.0 and dom.s_hi == hyp_solution.s_hi
+    assert dom.y_lo == 0.0 and dom.y_hi == hyp_solution.s_hi
     suite = integrate_curvature(ef.compactified_metric_field(hyp_solution), dom)
     assert abs(suite.volume - 4 * np.pi ** 2 / 3) <= 1e-10
 
@@ -212,10 +212,13 @@ def test_boundary_data_over_the_families(name, params):
 
 
 def test_charts_span_the_whole_fill(hyperbolic, ads, hyp_solution, ads_solution):
-    """The normal-form and compactified metrics live on 0 < s < s_max."""
+    """The normal-form and compactified metrics live on 0 < y < y_max,
+    the fill's radial chart: y = s on the hyperbolic fill, and the
+    chart y = 2(1 - chi) of the AdS profile."""
+    assert (hyperbolic.y_max, ads.y_max) == (hyperbolic.s_max, 2.0)
     for fg, sol in ((hyperbolic, hyp_solution), (ads, ads_solution)):
         for field in (fg.four_metric(), ef.compactified_metric_field(sol)):
-            assert (field.chart.lo[0], field.chart.hi[0]) == (0.0, fg.s_max)
+            assert (field.chart.lo[0], field.chart.hi[0]) == (0.0, fg.y_max)
             assert field.chart.lo[1:] == fg.boundary.field.chart.lo
             assert field.chart.hi[1:] == fg.boundary.field.chart.hi
 

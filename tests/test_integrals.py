@@ -148,25 +148,26 @@ def test_whole_compactified_fill_closes_the_identities(name, params):
 def test_radial_domain_volume_matches_sublevel(hyperbolic, hyp_solution, ads, ads_solution):
     """A radial node's weight is the kernel's sqrt(det g) times the fiber
     constant Vol(ghat)/sqrt(det ghat(p)): pointwise the sublevel volume
-    density Vol(ghat) s^-4 D(s) of the fill, and Vol(ghat) (u s)^-4 D(s)
-    on the compactified field. Integrated, the collar volume meets the
-    sublevel volume above COLLAR_S_LO within its own error estimate."""
+    density Vol(ghat) s^-4 D(s) ds/dy of the fill in its chart, and
+    Vol(ghat) u^-4 s^-4 D(s) ds/dy on the compactified field. Integrated,
+    the collar volume meets the sublevel volume above the chart point
+    COLLAR_S_LO within its own error estimate."""
     for fg, sol in ((hyperbolic, hyp_solution), (ads, ads_solution)):
         collar = ig.fg_radial_domain(fg)
-        assert (collar.s_lo, collar.s_hi) == (ig.COLLAR_S_LO, fg.s_max)
+        assert (collar.y_lo, collar.y_hi) == (ig.COLLAR_S_LO, fg.y_max)
         fill = compactified_radial_domain(sol)
-        assert (fill.s_lo, fill.s_hi) == (0.0, sol.s_hi)
+        assert (fill.y_lo, fill.y_hi) == (0.0, fg.y_max)
         (ref,), _ = vol.sublevel_volumes(fg, [ig.COLLAR_S_LO])
         suite = ig.integrate_curvature(fg.four_metric(), collar)
         assert abs(suite.volume - ref) <= suite.error_estimates["volume"]
-        cases = ((fg.four_metric(), collar, lambda s: s),
-                 (compactified_metric_field(sol), fill, lambda s: sol.u(s) * s))
-        for field, dom, warp in cases:
+        cases = ((fg.four_metric(), collar, lambda s: 1.0),
+                 (compactified_metric_field(sol), fill, sol.u))
+        for field, dom, u in cases:
             pts, fine, _ = ig._rule(field, dom)
-            s, w, _ = quadrature.kronrod_rule(dom.s_lo, dom.s_hi, ig.RADIAL_PANELS)
-            assert np.array_equal(pts[:, 0], s)
+            y, w, _ = quadrature.kronrod_rule(dom.y_lo, dom.y_hi, ig.RADIAL_PANELS)
+            assert np.array_equal(pts[:, 0], y)
             got = curvature(field, pts).volume_density * fine / w
-            want = fg.boundary.volume * fg.density(s) / warp(s) ** 4
+            want = fg.boundary.volume * fg.density(y) / u(fg.warp(y).s) ** 4
             assert np.max(np.abs(got / want - 1.0)) <= 1e-13, dom.label
 
 

@@ -5,10 +5,12 @@ import pytest
 
 from ccegeom import models, normal_form as nf
 from ccegeom.autodiff import variable
-from ccegeom.eigenfunction import compactification_checks
+from ccegeom.eigenfunction import (compactification_checks, compactified_metric_field,
+                                   solve_eigenfunction)
 from ccegeom.errors import DomainError, UnsupportedDimension
 from ccegeom.quadrature import gauss_legendre_rule
 from ccegeom.tensor import curvature
+from ccegeom.volume import fit_renormalized_volume
 
 
 def _taylor_matrix(fg, row):
@@ -101,56 +103,66 @@ def _round_trip(rmap):
 
 
 def test_profile_reconstructs_hyperbolic(hyperbolic, hyperbolic_profile):
+    """Read at chart points, s is the closed form of the map at
+    r = 1 + chi^2/(1 - chi^2), chi = 1 - y/2, and the warp at that s is
+    the closed-form model's."""
     fg = hyperbolic_profile
     assert fg.einstein
     assert fg.tip_multiplicity == 3
     assert fg.s_max == pytest.approx(2.0, abs=1e-8)
-    s = np.linspace(0.05, 1.9, 40)
-    warp = fg.warp(s)[0]
-    assert np.max(np.abs(warp[:, 0] - (1.0 - s ** 2 / 4.0) ** 2)) <= 1e-11
+    assert fg.y_max == 2.0
+    y = np.linspace(0.05, 1.9, 40)
+    w = fg.warp(y)
+    chi = 1.0 - y / 2.0
+    r = 1.0 + chi**2 / (1.0 - chi**2)
+    np.testing.assert_allclose(w.s, 2.0 / (r + np.sqrt(r**2 - 1.0)), rtol=1e-13)
+    assert np.max(np.abs(w.h[:, 0] - (1.0 - w.s ** 2 / 4.0) ** 2)) <= 1e-11
     # and it agrees with the closed-form model it rebuilds
-    assert np.max(np.abs(warp - hyperbolic.warp(s)[0])) <= 1e-11
+    assert np.max(np.abs(w.h - hyperbolic.warp(w.s).h)) <= 1e-11
     assert fg.boundary_limit_residual() <= 1e-12
 
 
-def test_radial_map_closed_form_and_gauge(hyperbolic_radial_profile):
-    """In r = cosh rho the hyperbolic map is s = 2/(r + sqrt(r^2 - 1))
+def test_radial_map_closed_form_and_gauge(hyperbolic_radial_profile, hyperbolic_profile):
+    """In r = cosh t the hyperbolic map is s = 2/(r + sqrt(r^2 - 1))
     and r(s) = (s^2 + 4)/(4s); the AdS round trip's s grid reaches the
-    tau, direct and x = 1/r regions here as well."""
+    tau, direct and x = 1/r regions here as well, and the chart's
+    d ln s/dy meets central differences of the map (the gauge)."""
     rmap = nf.RadialMap(hyperbolic_radial_profile)
     r = np.array([1.5, 3.0, 40.0])
-    np.testing.assert_allclose(rmap.s_of_r(r), 2.0 / (r + np.sqrt(r**2 - 1.0)),
+    np.testing.assert_allclose(np.exp(rmap.lns_of_r(r)), 2.0 / (r + np.sqrt(r**2 - 1.0)),
                                rtol=1e-13)
     s, r = _round_trip(rmap)
     np.testing.assert_allclose(r, (s**2 + 4.0) / (4.0 * s), rtol=1e-12)
-    assert rmap.gauge_residual(np.geomspace(0.05, 1.8, 7)) < 1e-8
+    assert hyperbolic_profile.gauge_residual < 1e-8
 
 
 def test_radial_map_queries_are_one_composite_panel(ads):
     """lns_of_r is the edge table plus one gauss_legendre_rule panel, bitwise.
 
-    Each panel is contracted as a plain sum of weight times value, the
-    row-wise reduction the batched query applies.
+    The table and the panel are in rho = r - r_interior, with a dr =
+    radial_factor(rho) rho^-1/2 drho. Each panel is contracted as a
+    plain sum of weight times value, the row-wise reduction the batched
+    query applies.
     """
     rmap = ads.radial_map
     pr = rmap.profile
     f = pr.radial_factor
     r0 = pr.r_interior
-    tau_hi, x_lo = rmap._tau_region[1], rmap._x_region[0]
+    x_lo = rmap._x_region[0]
 
     def reference(r):
-        idx = int(np.searchsorted(rmap.edges, r, side="right")) - 1
-        a = float(rmap.edges[idx])
-        if r <= tau_hi:
-            t, w = gauss_legendre_rule(np.sqrt(max(a - r0, 0.0)), np.sqrt(r - r0),
-                                       1, rmap._ORDER)
-            seg = np.sum(w * (np.asarray(f(r0 + t**2)) * 2.0 * t))
-        elif a >= x_lo:
-            x, w = gauss_legendre_rule(1.0 / r, 1.0 / a, 1, rmap._ORDER)
-            seg = np.sum(w * (np.asarray(f(1.0 / x)) / x**2))
+        rho = r - r0
+        idx = int(np.searchsorted(rmap._rho, rho, side="right")) - 1
+        a = float(rmap._rho[idx])
+        if rho <= 1.0:
+            t, w = gauss_legendre_rule(np.sqrt(a), np.sqrt(rho), 1, rmap._ORDER)
+            seg = np.sum(w * (2.0 * np.asarray(f(t**2))))
+        elif a >= x_lo - r0:
+            x, w = gauss_legendre_rule(1.0 / (r0 + rho), 1.0 / (r0 + a), 1, rmap._ORDER)
+            seg = np.sum(w * (np.asarray(f(1.0 / x - r0)) * (1.0 / x - r0) ** -0.5 / x**2))
         else:
-            nodes, w = gauss_legendre_rule(a, r, 1, rmap._ORDER)
-            seg = np.sum(w * np.asarray(f(nodes)))
+            nodes, w = gauss_legendre_rule(a, rho, 1, rmap._ORDER)
+            seg = np.sum(w * (np.asarray(f(nodes)) * nodes**-0.5))
         return rmap.kappa - (rmap._arc[idx] + float(seg))
 
     for r in _region_radii(rmap):
@@ -189,47 +201,43 @@ def test_fg_document(hyperbolic):
     assert doc["boundary"]["scalar_curvature"] == pytest.approx(6.0)
 
 
-def test_one_radial_inversion_per_point(ads, monkeypatch):
-    """Each reader asks the warp for one jet, so it inverts the map once
-    per point for all blocks together, and curvature reads the
-    four-metric's jet once."""
-    rmap = ads.radial_map
-    r_of_s = rmap.r_of_s
-    calls = [0]
+def test_no_reader_inverts_the_radial_map(ads, monkeypatch):
+    """Every reader takes chart points and reads s forward: the
+    four-metric's curvature, the densities, the volume fit, the
+    eigenfunction solve with its checks and the compactified field never
+    call r_of_s."""
+    def refuse(self, s):
+        raise AssertionError("the radial map was inverted")
 
-    def counted(s):
-        calls[0] += np.size(s)
-        return r_of_s(s)
-
-    monkeypatch.setattr(rmap, "r_of_s", counted)
-    s = np.linspace(0.05, 0.9 * ads.s_max, 10)
-    pts = np.column_stack([s, np.tile(ads.boundary.default_point, (10, 1))])
-    four = ads.four_metric()
-    for read, expected in ((lambda: curvature(four, pts), 10),
-                           (lambda: ads.density_logderiv(s), 10)):
-        calls[0] = 0
-        read()
-        assert calls[0] == expected
+    monkeypatch.setattr(nf.RadialMap, "r_of_s", refuse)
+    y = np.linspace(0.05, 0.9 * ads.y_max, 10)
+    pts = np.column_stack([y, np.tile(ads.boundary.default_point, (10, 1))])
+    curvature(ads.four_metric(), pts)
+    ads.density(y)
+    fit_renormalized_volume(ads)
+    sol = solve_eigenfunction(ads)
+    compactification_checks(sol)
+    curvature(compactified_metric_field(sol), pts)
 
 
 def test_one_warp_call_per_batch(ads, ads_solution, monkeypatch):
-    """density, density_logderiv and each curvature batch of the
-    four-metric read the warp jets once; compactification_checks reads
+    """density, the warp and each curvature batch of the four-metric
+    read the chart jets once; compactification_checks reads
     them once for the Bochner grid (L included) and once for the
     boundary fit that reads the second form."""
-    warp_jets = ads.warp_jets
+    chart_jets = ads.chart_jets
     calls = [0]
 
-    def counted(S):
+    def counted(Y):
         calls[0] += 1
-        return warp_jets(S)
+        return chart_jets(Y)
 
-    monkeypatch.setattr(ads, "warp_jets", counted)
-    s = np.linspace(0.05, 0.9 * ads.s_max, 10)
-    pts = np.column_stack([s, np.tile(ads.boundary.default_point, (10, 1))])
+    monkeypatch.setattr(ads, "chart_jets", counted)
+    y = np.linspace(0.05, 0.9 * ads.y_max, 10)
+    pts = np.column_stack([y, np.tile(ads.boundary.default_point, (10, 1))])
     four = ads.four_metric()
-    for read, expected in ((lambda: ads.density(s), 1),
-                           (lambda: ads.density_logderiv(s), 1),
+    for read, expected in ((lambda: ads.density(y), 1),
+                           (lambda: ads.warp(y), 1),
                            (lambda: curvature(four, pts), 1),
                            (lambda: compactification_checks(ads_solution), 2)):
         calls[0] = 0
@@ -245,44 +253,48 @@ def test_one_warp_call_per_batch(ads, ads_solution, monkeypatch):
     ("hyperbolic_profile", None),  # hyperbolic space in r = cosh rho
 ])
 def test_warp_jet_derivatives_match_central_differences(build, kwargs, request):
+    """The chart's jets of s and of the warps, in y, against central
+    differences of their values; on a fill written in s, y = s."""
     fg = (request.getfixturevalue(build) if kwargs is None
           else models.build(build, **kwargs))
-    s = np.linspace(0.1, 0.8, 8) * fg.s_max
-    step = 1e-4 * fg.s_max
-    h, dh, d2h = fg.warp(s)
-    hp, dhp, _ = fg.warp(s + step)
-    hm, dhm, _ = fg.warp(s - step)
-    assert h.shape == dh.shape == d2h.shape == (s.size, len(fg.blocks))
+    y = np.linspace(0.1, 0.8, 8) * fg.y_max
+    step = 1e-4 * fg.y_max
+    w, wp, wm = (fg.warp(y + d) for d in (0.0, step, -step))
+    assert w.h.shape == w.dh.shape == w.d2h.shape == (y.size, len(fg.blocks))
     # column b is block b's warp; the comparison is elementwise
-    np.testing.assert_allclose(dh, (hp - hm) / (2 * step), rtol=1e-6, atol=1e-8)
-    np.testing.assert_allclose(d2h, (dhp - dhm) / (2 * step), rtol=1e-6, atol=1e-8)
+    for f, df, d2f in (("s", "ds", "d2s"), ("h", "dh", "d2h")):
+        np.testing.assert_allclose(getattr(w, df), (getattr(wp, f) - getattr(wm, f)) / (2 * step),
+                                   rtol=1e-6, atol=1e-8)
+        np.testing.assert_allclose(getattr(w, d2f), (getattr(wp, df) - getattr(wm, df)) / (2 * step),
+                                   rtol=1e-6, atol=1e-8)
 
 
 def test_profile_jets_match_hand_derivatives(ads, hyperbolic_profile):
-    """Each profile function, evaluated on the jet of r, gives the
-    closed-form derivatives written out by hand, and on the jet the same
-    values bitwise as on a plain array: the warp and RadialMap read the
-    same numbers."""
+    """Each profile function, evaluated on the jet of rho = r - r_interior,
+    gives the closed-form derivatives written out by hand in r, and on
+    the jet the same values bitwise as on a plain array: the warp and
+    RadialMap read the same numbers. The AdS block V = r^2 + 1 - 2m/r
+    and the regular part F^-1/2 of its radial factor, F = V/rho."""
     rmap = ads.radial_map
-    m = rmap.profile.parameters["m"]
+    m, rp = rmap.profile.parameters["m"], rmap.profile.r_interior
     ads_r = _region_radii(rmap)
-    V = rmap.profile.blocks[0].beta_sq
     dV = 2.0 * ads_r + 2.0 * m / ads_r**2
+    F = ads_r + rp + (rp**2 + 1.0) / ads_r
     ads_oracles = [
-        (V, dV, 2.0 - 4.0 * m / ads_r**3),
+        (rmap.profile.blocks[0].beta_sq, dV, 2.0 - 4.0 * m / ads_r**3),
         (rmap.profile.blocks[1].beta_sq, 2.0 * ads_r, np.full_like(ads_r, 2.0)),
-        (rmap.profile.radial_factor, -0.5 * dV * V(ads_r) ** -1.5, None),
+        (rmap.profile.radial_factor, -0.5 * (1.0 - (rp**2 + 1.0) / ads_r**2) * F**-1.5, None),
     ]
     hyp = hyperbolic_profile.radial_map.profile
     y = _region_radii(hyperbolic_profile.radial_map)
     hyp_oracles = [
         (hyp.blocks[0].beta_sq, 2.0 * y, np.full_like(y, 2.0)),
-        (hyp.radial_factor, -y * ((y - 1.0) * (y + 1.0)) ** -1.5, None),
+        (hyp.radial_factor, -0.5 * (y + 1.0) ** -1.5, None),
     ]
-    for r, oracles in ((ads_r, ads_oracles), (y, hyp_oracles)):
+    for r, r0, oracles in ((ads_r, rp, ads_oracles), (y, 1.0, hyp_oracles)):
         for f, d1, d2 in oracles:
-            jet = f(variable(r))
-            assert np.array_equal(jet.v, f(r))
+            jet = f(variable(r - r0))
+            assert np.array_equal(jet.v, f(r - r0))
             np.testing.assert_allclose(jet.d[0], d1, rtol=1e-13)
             if d2 is not None:
                 np.testing.assert_allclose(jet.h[0, 0], d2, rtol=1e-13)
@@ -306,3 +318,42 @@ def test_radial_map_inverse_round_trip(ads):
             rmap.r_of_s(bad)
         with pytest.raises(DomainError):
             rmap.r_of_s(np.asarray([s[10], bad]))
+
+
+@pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 3.0])
+def test_chart_warps_match_the_inverse_composition(m):
+    """h_b and its first two s-derivatives, read forward in the chart,
+    against the composition h_b = s^2 beta_sq_b(r(s)) through the
+    inverse map r_of_s at the same s, with the jet of r(s) from the
+    gauge dr/ds = -1/(a s): within 1e-12 of each column's largest
+    magnitude over the chart."""
+    fg = models.build("ads_schwarzschild", m=m)
+    rmap = fg.radial_map
+    pr, r0 = rmap.profile, rmap.profile.r_interior
+    w = fg.warp(np.linspace(0.02, 0.98, 25) * fg.y_max)
+    S = variable(w.s)
+    rho = rmap.r_of_s(w.s) - r0
+    A = pr.radial_factor(variable(rho)) * variable(rho) ** -0.5
+    rp = -1.0 / (A.v * w.s)
+    rpp = (A.d[0] * rp * w.s + A.v) / (A.v * w.s) ** 2
+    parent = [S**2 * b.beta_sq(S.chain(rho, rp, rpp)) for b in pr.blocks]
+    dh = w.dh / w.ds[:, None]
+    d2h = (w.d2h - dh * w.d2s[:, None]) / w.ds[:, None] ** 2
+    for got, want in ((w.h, [j.v for j in parent]), (dh, [j.d[0] for j in parent]),
+                      (d2h, [j.h[0, 0] for j in parent])):
+        want = np.stack(want, axis=1)
+        assert np.max(np.abs(got - want) / np.max(np.abs(want), axis=0)) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 3.0])
+def test_warps_and_four_metric_are_finite_at_the_tip(m):
+    """Chart points whose s lies within 1e-12 s_max of the tip, and
+    closer, give finite warps, jets of s and four-metric jets: the
+    closure V = rho F is never formed from r."""
+    fg = models.build("ads_schwarzschild", m=m)
+    y = fg.y_max - np.array([1e-15, 1e-14, 1e-13, 1e-12])
+    w = fg.warp(y)
+    assert np.all(fg.s_max - w.s <= 1e-12 * fg.s_max)
+    assert all(np.all(np.isfinite(col)) for col in w)
+    pts = np.column_stack([y, np.tile(fg.boundary.default_point, (y.size, 1))])
+    assert all(np.all(np.isfinite(a)) for a in fg.four_metric().jet(pts, check=False))

@@ -83,7 +83,7 @@ def test_commands_load_no_rng_masked_arrays_csv_dataclasses_fractions_or_decimal
 
 
 @pytest.mark.parametrize("kind, field", [
-    ("Check", "value"), ("Chart", "lo"), ("RadialDomain", "s_hi"),
+    ("Check", "value"), ("Chart", "lo"), ("RadialDomain", "y_hi"),
     ("BoundaryGeometry", "volume"), ("RadialProfile", "r_interior")])
 def test_immutable_records_refuse_field_assignment(kind, field,
                                                    hyperbolic_radial_profile):
