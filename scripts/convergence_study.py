@@ -9,7 +9,11 @@ Two sweeps on the hyperbolic model, where V = 4 pi^2/3 in closed form:
 and one on AdS-Schwarzschild at m = 3 and 5, where the definition of V
 gives V = (4 pi beta / 3)(r+ - m) (the model's reference value):
 
-  3. volume fit error against ladder depth, 8 and 12 rungs of 0.3 * 0.78^k.
+  3. volume fit error against ladder depth, 8 and 12 chart rungs
+     y_k = 0.3 * 0.78^k of the fill's radial chart, where y = s to first
+     order; the fit reads eps_k = s(y_k) forward.
+
+On the hyperbolic fill the chart is s itself, so its rungs are the eps.
 
 The point of all three is that the answer must NOT depend on the ladder
 once it spans a decade: the expansion coefficients are properties of the
@@ -55,6 +59,7 @@ def ads_ladder_depth_sweep(rows):
         exact = models.exact_reference("ads_schwarzschild", "renormalized_volume", m=m)
         for rungs in (8, 12):
             t0 = time.perf_counter()
+            # chart rungs: fit.epsilons holds the s read at each
             fit = fit_renormalized_volume(fg, ladder=0.3 * 0.78 ** np.arange(rungs))
             rows.append((f"ads-m{m:g}-depth", rungs, abs(fit.V - exact),
                          fit.condition_number, time.perf_counter() - t0))

@@ -323,8 +323,7 @@ class RadialMap:
         each edge, accumulated edge by edge."""
         r0 = self.profile.r_interior
         r_direct = max(4.0, 2.0 * abs(r0 + 1.0) + 2.0)
-        self._tau_region = (r0, r0 + 1.0)
-        self._x_region = (r_direct, np.inf)
+        self._r_direct = r_direct  # where the x = 1/r region starts
         xs = (1.0 / r_direct) * 0.5 ** np.arange(1, self._X_HALVINGS + 1)
         rho = ((np.linspace(0.0, 1.0, 17) ** 2).tolist()
                + np.linspace(1.0, r_direct - r0, 25)[1:].tolist()
@@ -351,7 +350,7 @@ class RadialMap:
         out = np.zeros(a.shape)
         live = b > a
         tau = live & (b <= 1.0 + 1e-12)
-        inv = live & ~tau & (a >= self._x_region[0] - r0 - 1e-12)
+        inv = live & ~tau & (a >= self._r_direct - r0 - 1e-12)
         direct = live & ~tau & ~inv
         if tau.any():
             out[tau] = panel_sums(np.sqrt(a[tau]), np.sqrt(b[tau]),

@@ -80,7 +80,8 @@ def test_polynomial_family_recovery():
 
 def _region_radii(rmap):
     """Radii in the tau, direct and x = 1/r regions of a radial map."""
-    r0, tau_hi, x_lo = rmap.profile.r_interior, rmap._tau_region[1], rmap._x_region[0]
+    r0, x_lo = rmap.profile.r_interior, rmap._r_direct
+    tau_hi = r0 + 1.0
     return np.concatenate([
         r0 + (tau_hi - r0) * np.array([1e-6, 0.013, 0.37, 0.8]),   # tau region
         tau_hi + (x_lo - tau_hi) * np.array([0.01, 0.29, 0.61, 0.97]),  # direct
@@ -95,7 +96,7 @@ def _round_trip(rmap):
     s = np.concatenate([np.geomspace(1.5 * rmap.s_floor, 0.9 * rmap.s_interior, 40),
                         rmap.s_interior * np.array([0.95, 0.99])])
     r = rmap.r_of_s(s)
-    tau_hi, x_lo = rmap._tau_region[1], rmap._x_region[0]
+    tau_hi, x_lo = rmap.profile.r_interior + 1.0, rmap._r_direct
     assert np.any(r < tau_hi) and np.any(r > x_lo)
     assert np.any((r > tau_hi) & (r < x_lo))
     assert np.max(np.abs(rmap.lns_of_r(r) - np.log(s))) <= 1e-13
@@ -148,7 +149,7 @@ def test_radial_map_queries_are_one_composite_panel(ads):
     pr = rmap.profile
     f = pr.radial_factor
     r0 = pr.r_interior
-    x_lo = rmap._x_region[0]
+    x_lo = rmap._r_direct
 
     def reference(r):
         rho = r - r0

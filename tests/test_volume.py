@@ -36,6 +36,8 @@ def test_default_ladder_against_antiderivative(hyperbolic):
 
 
 def test_each_rung_matches_its_one_rung_ladder(ads):
+    """On the AdS fill a rung is a point of its radial chart (y = s to
+    first order), and each of twelve gives the volume it gives alone."""
     ladder = 0.3 * 0.78 ** np.arange(12)
     values, _ = vol.sublevel_volumes(ads, ladder)
     for eps, value in zip(ladder, values):
@@ -68,8 +70,9 @@ def test_sublevel_volumes_refuse_what_the_grid_cannot_resolve(hyperbolic):
 
 @pytest.mark.parametrize("m", [3.0, 5.0])
 def test_deep_ads_ladder(m):
-    """Twelve rungs of 0.3 * 0.78^k reach the definitional V to 1e-6,
-    with no invalid value met on the way."""
+    """Twelve chart rungs of 0.3 * 0.78^k, at the eps = s(y) read
+    forward, reach the definitional V to 1e-6, with no invalid value
+    met on the way."""
     exact = models.exact_reference("ads_schwarzschild", "renormalized_volume", m=m)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
