@@ -68,8 +68,8 @@ TAIL_TERMS = 4
 TAIL_TOL = 1e-11
 #: solve_eigenfunction fails when the best tail exceeds this
 TAIL_LIMIT = 1e-6
-#: lower end of the diagnostic grids (u_min, scalar scan, Bochner check;
-#: a chart point there, where y = s to first order)
+#: lower end of the diagnostic grids (u_min and the scalar scan in s, the
+#: Bochner check in the fill's chart, where y = s to first order)
 S_LO = 1e-3
 #: the Bochner grid stops short of the tip y_max by XI_EDGE in the chart
 XI_EDGE = 0.05

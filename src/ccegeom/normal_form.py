@@ -96,8 +96,9 @@ class FGMetric:
     ``chart = (y_max, jets)``, ``jets(Y) -> (S, g_yy, [h_b])`` the jets of
     s, of (ds/dy)^2 / s^2 and of the warps at the jet Y of y, which runs
     from the boundary (0) to the tip (y_max). Every reader takes its
-    nodes in y and makes one chart_jets call per batch. ``reference`` holds the closed forms its builder knows (``euler``,
-    ``w2``, ...), and ``ccegeom check`` picks its reference gates by key.
+    nodes in y and makes one chart_jets call per batch. ``reference``
+    holds the closed forms its builder knows (``euler``, ``w2``, ...),
+    and ``ccegeom check`` picks its reference gates by key.
     """
 
     def __init__(self, boundary: BoundaryGeometry, s_max: float,
@@ -148,8 +149,8 @@ class FGMetric:
         BOUNDARY_FIT_WINDOW times s_max in the chart (y = s to first
         order) and one least-squares solve of every column on
         {1, s, ..., s^BOUNDARY_FIT_DEGREE} at the s read there. In units
-        of s_max the design matrix in s is the same on every fill, so
-        its column-scaled condition number is a constant (6.7e5).
+        of s_max its column-scaled condition number is 6.7e5 on every
+        fill written in s, and 6.5e5 to 6.9e5 on AdS at m = 0.02 to 20.
         """
         lo, hi = BOUNDARY_FIT_WINDOW
         w = self.warp(_chebyshev_nodes(lo * self.s_max, hi * self.s_max, BOUNDARY_FIT_NODES))

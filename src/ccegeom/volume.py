@@ -81,30 +81,30 @@ def sublevel_volumes(fg, ladder) -> tuple:
     QuadratureTolerance when an estimate exceeds QUAD_TOL times
     max(1, y^-3, the integral).
     """
-    eps = np.asarray(ladder, dtype=float)
-    outside = ~((eps > 0) & (eps < fg.y_max))
+    rungs = np.asarray(ladder, dtype=float)
+    outside = ~((rungs > 0) & (rungs < fg.y_max))
     if outside.any():
         raise DomainError(
-            f"rung eps must lie in the chart (0, y_max={fg.y_max}), got {eps[outside][0]}")
+            f"rung eps must lie in the chart (0, y_max={fg.y_max}), got {rungs[outside][0]}")
     # sorted and deduplicated through a set: np.union1d would import numpy.ma
-    edges = np.asarray(sorted({*geometric_panels(eps.min(), fg.y_max).tolist(),
-                               *eps.tolist()}))
+    edges = np.asarray(sorted({*geometric_panels(rungs.min(), fg.y_max).tolist(),
+                               *rungs.tolist()}))
     halved = np.empty(2 * edges.size - 1)
     halved[0::2] = edges
     halved[1::2] = 0.5 * (edges[:-1] + edges[1:])
     sums = panel_sums(np.concatenate([edges[:-1], halved[:-1]]),
                       np.concatenate([edges[1:], halved[1:]]), fg.density, 16)
     n = edges.size - 1
-    rung = np.searchsorted(edges, eps)
-    value = np.cumsum((sums[n::2] + sums[n + 1::2])[::-1])[::-1][rung]
-    companion = np.cumsum(sums[:n][::-1])[::-1][rung]
+    at = np.searchsorted(edges, rungs)
+    value = np.cumsum((sums[n::2] + sums[n + 1::2])[::-1])[::-1][at]
+    companion = np.cumsum(sums[:n][::-1])[::-1][at]
     err = np.maximum(np.abs(value - companion), ROUNDOFF * _EPS * value)
     # negated so that a NaN estimate misses too
-    missed = ~(err <= QUAD_TOL * np.maximum(np.maximum(1.0, eps**-3.0), value))
+    missed = ~(err <= QUAD_TOL * np.maximum(np.maximum(1.0, rungs**-3.0), value))
     if missed.any():
         k = np.flatnonzero(missed)[0]
         raise QuadratureTolerance(
-            f"sublevel quadrature on [{eps[k]}, {fg.y_max}] did not reach "
+            f"sublevel quadrature on [{rungs[k]}, {fg.y_max}] did not reach "
             f"tol={QUAD_TOL}: estimate {err[k]:.3e}")
     vol_hat = fg.boundary.volume
     return vol_hat * value, vol_hat * err
