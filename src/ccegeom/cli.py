@@ -6,7 +6,7 @@ analyze    model -> curvature -> volume fit -> compactification ->
            integrals -> topology report; writes report.txt, report.json
            and CSV tables into the output directory.
 check      invariant suites only (curvature symmetries, Bochner identity,
-           conformal invariance, index-formula combinations, negative
+           conformal invariance, the index formulas, negative
            controls); intended for CI. No artifacts, exit status is the
            result.
 curvature  pointwise curvature packet dump at deterministic sample points.
@@ -46,8 +46,6 @@ from .eigenfunction import (
     solve_eigenfunction,
 )
 from .integrals import (
-    combined_formulas,
-    doubled_suite,
     fg_radial_domain,
     gauss_bonnet_volume_residual,
     integrate_curvature,
@@ -227,18 +225,20 @@ def _euler(fg: FGMetric) -> int:
 # analyze
 
 def _closed_gates(model):
-    """The curvature integrals of a closed model, its two combined-formula
-    residuals and the gates on them and on its Riemann symmetries."""
+    """The curvature integrals of a closed model and the gates on them and
+    on its Riemann symmetries. The orientation-refined index formulas
+    4 pi^2 (2 chi +- 3 tau) = 1/2 int |W+-|^2 + int sigma2 miss by
+    exactly 4 pi^2 (2 dchi +- 3 dtau), dchi and dtau the Euler and
+    signature deviations, so the two gates at 5e-6 hold them within
+    4 pi^2 * 5 * 5e-6 < 1e-3."""
     pts = _closed_sample_points(model.field)
     riem = curvature(model.field, pts, model.orientation).riemann
     suite = _stage("curvature integrals", integrate_curvature,
                    model.field, model.domain, model.orientation)
-    plus, minus = combined_formulas(suite, model.euler, model.signature)
-    return suite, (plus, minus), [
+    return suite, [
         gate("bianchi-symmetries", max(riemann_symmetry_residuals(riem).values()), 1e-9),
-        gate("euler-characteristic", abs(suite.euler_gb - model.euler), 1e-4),
-        gate("signature", abs(suite.signature - model.signature), 1e-4),
-        gate("combined-formulas", max(abs(plus), abs(minus)), 1e-3),
+        gate("euler-characteristic", abs(suite.euler_gb - model.euler), 5e-6),
+        gate("signature", abs(suite.signature - model.signature), 5e-6),
         gate("volume", abs(suite.volume - model.volume),
              1e-6 * max(1.0, model.volume)),
     ]
@@ -259,7 +259,7 @@ def _fill_gates(fg: FGMetric):
 
 
 def _analyze_closed(model):
-    suite, (plus, minus), gates = _closed_gates(model)
+    suite, gates = _closed_gates(model)
     doc = {
         "model": {
             "name": model.name, "kind": "closed",
@@ -270,8 +270,6 @@ def _analyze_closed(model):
         "identities": {
             "euler_gb_deviation": suite.euler_gb - model.euler,
             "signature_deviation": suite.signature - model.signature,
-            "combined_selfdual_residual": plus,
-            "combined_antiselfdual_residual": minus,
         },
     }
     return doc, gates, {"integrals.csv": _write_suite_csv({suite.domain_label: suite})}
@@ -323,7 +321,7 @@ def _analyze_cce(fg: FGMetric):
         gates.append(gate("gauss-bonnet-volume", rel, topology.IDENTITY_TOL))
         doc["topology"] = _stage("topology report", build_topology_report,
                                  chi, fit.V, fg.yamabe_positive,
-                                 double_suite=doubled_suite(compact),
+                                 half_suite=compact,
                                  identity_residual=rel)
     else:
         identities["note"] = (
@@ -428,7 +426,7 @@ def _check_gates(cfg: RunConfig, scope: list):
         if isinstance(model, FGMetric):
             gates = _check_cce(model)
         else:
-            suite, _, gates = _closed_gates(model)
+            suite, gates = _closed_gates(model)
             if name == "product_spheres":
                 spheres = model, suite
         for g in gates:

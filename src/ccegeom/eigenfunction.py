@@ -59,7 +59,7 @@ __all__ = [
 ]
 
 #: collocation sizes N tried in turn by solve_eigenfunction
-COLLOCATION_NODES = (16, 48, 64)
+COLLOCATION_NODES = (16, 64)
 #: collocation points per Chebyshev coefficient (least squares)
 COLLOCATION_OVERSAMPLE = 2
 #: trailing Chebyshev coefficients that make the convergence tail

@@ -35,7 +35,7 @@ tensor-norm convention |W|^2 = W_{ijkl} W^{ijkl}:
     8 pi^2 chi  = 1/4 int |W|^2 + int sigma2        (closed, Einstein-free)
     12 pi^2 tau = 1/4 int (|W+|^2 - |W-|^2)
 
-and their orientation-refined combinations; see combined_formulas.
+read off a suite as IntegralSuite.euler_gb and IntegralSuite.signature.
 """
 
 from __future__ import annotations
@@ -56,10 +56,8 @@ __all__ = [
     "fg_radial_domain",
     "IntegralSuite",
     "integrate_curvature",
-    "doubled_suite",
     "gauss_bonnet_volume_residual",
     "sigma2_volume_bridge",
-    "combined_formulas",
     "suite_document",
 ]
 
@@ -251,27 +249,6 @@ def integrate_curvature(m: MetricField, domain,
 # ---------------------------------------------------------------------------
 # derived quantities
 
-def doubled_suite(suite: IntegralSuite) -> IntegralSuite:
-    """Invariants of the double across a totally geodesic boundary.
-
-    The reflected half carries the opposite orientation, so the two
-    self-dual energies each pick up the other half's anti-self-dual
-    energy: the double always has weyl_plus = weyl_minus and
-    signature 0.
-    """
-    both = suite.weyl_plus + suite.weyl_minus
-    return IntegralSuite(
-        weyl_energy=2 * suite.weyl_energy,
-        weyl_plus=both,
-        weyl_minus=both,
-        sigma2_integral=2 * suite.sigma2_integral,
-        volume=2 * suite.volume,
-        orientation=suite.orientation,
-        domain_label=(suite.domain_label + "+mirror").strip("+"),
-        error_estimates={k: 2 * v for k, v in suite.error_estimates.items()},
-    )
-
-
 def gauss_bonnet_volume_residual(euler: float, weyl_energy: float,
                                  renormalized_volume: float) -> float:
     """Residual of 8 pi^2 chi = 1/4 int |W|^2 + 6 V for Einstein fills.
@@ -286,26 +263,6 @@ def sigma2_volume_bridge(sigma2_integral: float,
                          renormalized_volume: float) -> float:
     """Residual of int sigma2 = 6 V over a compactified Einstein fill."""
     return sigma2_integral - 6.0 * renormalized_volume
-
-
-def combined_formulas(suite: IntegralSuite, euler: float, signature: float):
-    """Residuals of the two orientation-refined index combinations.
-
-    In tensor norms the combinations read
-
-        4 pi^2 (2 chi + 3 tau) = 1/2 int |W+|^2 + int sigma2
-        4 pi^2 (2 chi - 3 tau) = 1/2 int |W-|^2 + int sigma2.
-
-    (Adding them recovers the Euler formula since
-    |W|^2 = |W+|^2 + |W-|^2 and 1/4 |W|^2 appears there; the self-dual
-    halves carry 1/2 because each contributes its share to both chi and
-    tau with the 1/4 and 1/12 weights combining to 1/2.)
-    """
-    plus = 4 * np.pi**2 * (2 * euler + 3 * signature) - (
-        0.5 * suite.weyl_plus + suite.sigma2_integral)
-    minus = 4 * np.pi**2 * (2 * euler - 3 * signature) - (
-        0.5 * suite.weyl_minus + suite.sigma2_integral)
-    return float(plus), float(minus)
 
 
 def suite_document(suite: IntegralSuite) -> dict:

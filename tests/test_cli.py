@@ -82,14 +82,14 @@ def test_analyze_skips_the_volume_fit_of_a_non_einstein_fill(tmp_path, capsys):
 @pytest.mark.parametrize("name", models.model_names()["closed"])
 def test_analyze_closed_model(name, tmp_path):
     """Every closed model goes through analyze: its report encodes as
-    plain JSON, its five gates pass, and a second run is byte-identical."""
+    plain JSON, its four gates pass, and a second run is byte-identical."""
     first, second = tmp_path / "first", tmp_path / "second"
     for out in (first, second):
         assert _run(["analyze", "--model", name, "--out", str(out)]) == 0
     names = ("report.txt", "report.json", "integrals.csv")
     assert sorted(p.name for p in first.iterdir()) == sorted(names)
     gates = json.loads((first / "report.json").read_text())["gates"]
-    assert len(gates) == 5 and all(g["ok"] for g in gates)
+    assert len(gates) == 4 and all(g["ok"] for g in gates)
     for name in names:
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
@@ -203,10 +203,34 @@ def test_exit_code_injected_defect(flipped_riemann, tmp_path, capsys):
     assert "failing:" in out
 
 
+@pytest.mark.parametrize("field, shift, failing", [
+    ("sigma2_integral", 8 * np.pi ** 2 * 1.3e-5, "euler-characteristic"),
+    ("weyl_plus", 4 * 12 * np.pi ** 2 * 1.3e-5, "signature"),
+], ids=["chi", "tau"])
+def test_closed_index_defect_trips_its_gate(field, shift, failing, tmp_path,
+                                            capsys, monkeypatch):
+    """chi or tau off by 1.3e-5 trips its own gate at 5e-6: each such
+    defect moves 4 pi^2 (2 chi +- 3 tau) by more than 1e-3, so the two
+    gates hold the orientation-refined index formulas as tightly as a
+    gate on them at 1e-3 would."""
+    from ccegeom import integrals
+
+    def shifted(*args, **kwargs):
+        suite = integrals.integrate_curvature(*args, **kwargs)
+        setattr(suite, field, getattr(suite, field) + shift)
+        return suite
+
+    monkeypatch.setattr(cli, "integrate_curvature", shifted)
+    assert _run(["analyze", "--model", "fubini_study", "--out", str(tmp_path)]) == 1
+    assert f"[FAIL] {failing}: " in capsys.readouterr().out
+    gates = json.loads((tmp_path / "report.json").read_text())["gates"]
+    assert [g["name"] for g in gates if not g["ok"]] == [failing]
+
+
 def test_check_single_model_passes(tmp_path, capsys):
     assert _run(["check", "--model", "flat_torus", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
-    assert "5/5 checks passed" in out
+    assert "4/4 checks passed" in out
     assert "FAIL" not in out
 
 
@@ -260,7 +284,7 @@ def test_check_integrates_the_base_product_once(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "integrate_curvature", counted)
     assert _run(["check", "--model", "product_spheres"]) == 0
-    assert "7/7 checks passed" in capsys.readouterr().out
+    assert "6/6 checks passed" in capsys.readouterr().out
     # the base S2 x S2 once, then one integration per conformal factor
     assert len(calls) == 3
 
@@ -336,6 +360,28 @@ def test_report_carries_every_key_the_benchmark_reads(tmp_path):
                   doc["identities"]["gauss_bonnet_volume_relative"]):
         assert isinstance(value, float) and np.isfinite(value)
     assert doc["model"]["parameters"]["m"] == 1.0
+
+
+@pytest.mark.parametrize("model", [
+    None,
+    {"name": "hyperbolic", "boundary_radius": 1.3},
+    *({"name": "ads_schwarzschild", "m": m} for m in (0.5, 1.0, 2.0, 3.0)),
+], ids=["hyperbolic-1", "hyperbolic-1.3", "ads-0.5", "ads-1", "ads-2", "ads-3"])
+def test_full_homology_agrees_with_finite_cover_ball(model, request, tmp_path):
+    """On the double of a compactified Einstein fill, int sigma2 = 12V and
+    Anderson's identity make (1/4) int |W|^2 < 2 int sigma2 the inequality
+    V > (4 pi^2/9) chi: the two checks reach one verdict. None is the
+    default hyperbolic run of analyze_dir."""
+    out = tmp_path
+    if model is None:
+        out = request.getfixturevalue("analyze_dir")
+    else:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"model": model}))
+        assert _run(["analyze", "--config", str(path), "--out", str(out)]) == 0
+    doc = json.loads((out / "report.json").read_text())
+    checks = {c["name"]: c["verdict"] for c in doc["topology"]["checks"]}
+    assert checks["full-homology"] == checks["finite-cover-ball"] != "boundary"
 
 
 def _topology_block(lines, indent):

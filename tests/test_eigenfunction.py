@@ -256,8 +256,8 @@ def test_ads_solution_on_the_whole_fill(m):
 
 
 def test_ads_collocation_ladder_calls(ads, monkeypatch):
-    """At m = 1 no tail reaches TAIL_TOL before N = 64, so the solve
-    collocates once per rung of the ladder, three times in all."""
+    """At m = 1 the tail at N = 16 is above TAIL_TOL, so the solve
+    collocates once per rung of the ladder, twice in all."""
     collocate = ef._collocate
     sizes = []
 
@@ -267,5 +267,5 @@ def test_ads_collocation_ladder_calls(ads, monkeypatch):
 
     monkeypatch.setattr(ef, "_collocate", counted)
     sol = ef.solve_eigenfunction(ads)
-    assert sizes == [16, 48, 64]
+    assert sizes == [16, 64]
     assert sol.mesh_size == 64

@@ -59,10 +59,15 @@ def test_fubini_study_suite(cp2_suite):
 
 
 def test_combined_formulas_vanish(sphere_suite, product_suite, cp2_suite, torus_suite):
+    """chi and tau within the closed gates' 5e-6, which holds the
+    orientation-refined formulas 4 pi^2 (2 chi +- 3 tau) =
+    1/2 int |W+-|^2 + int sigma2 within 4 pi^2 * 5 * 5e-6 < 1e-3."""
     for (mdl, suite) in (sphere_suite, product_suite, cp2_suite, torus_suite):
-        plus, minus = ig.combined_formulas(suite, mdl.euler, mdl.signature)
-        assert abs(plus) < 1e-3
-        assert abs(minus) < 1e-3
+        assert abs(suite.euler_gb - mdl.euler) < 5e-6
+        assert abs(suite.signature - mdl.signature) < 5e-6
+        for sign, weyl in ((1, suite.weyl_plus), (-1, suite.weyl_minus)):
+            combined = 4 * np.pi ** 2 * (2 * mdl.euler + 3 * sign * mdl.signature)
+            assert abs(combined - (0.5 * weyl + suite.sigma2_integral)) < 1e-3
 
 
 def test_orientation_reversal_swaps_split(cp2_suite):
@@ -73,17 +78,6 @@ def test_orientation_reversal_swaps_split(cp2_suite):
     assert rev.weyl_plus == pytest.approx(suite.weyl_minus, abs=1e-8)
     assert rev.weyl_minus == pytest.approx(suite.weyl_plus, abs=1e-8)
     assert rev.euler_gb == pytest.approx(suite.euler_gb, abs=1e-9)
-
-
-def test_doubled_suite_arithmetic(cp2_suite):
-    _, suite = cp2_suite
-    dbl = ig.doubled_suite(suite)
-    assert dbl.euler_gb == pytest.approx(2 * suite.euler_gb, abs=1e-9)
-    assert abs(dbl.signature) < 1e-12
-    assert dbl.weyl_energy == pytest.approx(2 * suite.weyl_energy, rel=1e-12)
-    assert dbl.weyl_plus == dbl.weyl_minus
-    assert dbl.volume == pytest.approx(2 * suite.volume, rel=1e-12)
-    assert dbl.domain_label.endswith("+mirror")
 
 
 def test_weyl_energy_is_conformally_invariant(product_suite, rng):

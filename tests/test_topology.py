@@ -5,8 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccegeom import topology as tp
+from ccegeom.eigenfunction import compactified_metric_field, compactified_radial_domain
 from ccegeom.errors import NotAvailable
-from ccegeom.integrals import doubled_suite
+from ccegeom.integrals import integrate_curvature
+
+
+@pytest.fixture(scope="module")
+def hyp_half(hyp_solution):
+    """Integrals of the compactified hyperbolic fill, a round hemisphere:
+    one half of the round 4-sphere."""
+    return integrate_curvature(compactified_metric_field(hyp_solution),
+                               compactified_radial_domain(hyp_solution))
 
 
 def test_ball_volume_constant():
@@ -92,33 +101,27 @@ def test_criteria_monotone_in_volume(chi, v1, bump):
 
 def test_homology_vanishing_on_round_double(sphere_suite):
     """The round 4-sphere is the double of the compactified hyperbolic
-    ball, and every homology check passes strictly there."""
+    ball, and the homology check passes strictly there."""
     _, suite = sphere_suite
-    for check in tp.homology_vanishing_criteria(suite):
-        assert check.verdict == "pass"
-        assert check.margin < 0
+    check = tp.homology_vanishing_criterion(suite.weyl_energy, suite.sigma2_integral)
+    assert check.name == "full-homology"
+    assert check.verdict == "pass"
+    assert check.margin < 0
 
 
 def test_homology_checks_are_sharp_on_product_double(product_suite):
     """Doubling S^2 x S^2 lands exactly on the threshold: its second
-    cohomology is the known obstruction, so nothing may pass strictly."""
+    cohomology is the known obstruction, so the check may not pass
+    strictly."""
     _, suite = product_suite
-    for check in tp.homology_vanishing_criteria(doubled_suite(suite)):
-        assert check.verdict == "boundary"
-        assert check.margin == pytest.approx(0.0, abs=1e-7)
+    check = tp.homology_vanishing_criterion(2 * suite.weyl_energy,
+                                            2 * suite.sigma2_integral)
+    assert check.verdict == "boundary"
+    assert check.margin == pytest.approx(0.0, abs=1e-7)
 
 
-def test_feasible_betti_sweep():
-    assert tp.feasible_betti_parameters() == {0}
-    # brute-force oracle over the same range
-    expect = {k for k in range(101)
-              if 2 * (2 + 2 * k) + 3 * (-2 * k) > (2.0 / 3.0) * (2 + 2 * k)}
-    assert expect == {0}
-
-
-def test_full_report_on_hyperbolic_data(hyp_fit, sphere_suite):
-    _, sphere = sphere_suite
-    rep = tp.build_topology_report(1, hyp_fit.V, True, double_suite=sphere,
+def test_full_report_on_hyperbolic_data(hyp_fit, hyp_half):
+    rep = tp.build_topology_report(1, hyp_fit.V, True, half_suite=hyp_half,
                                    identity_residual=1e-9)
     assert rep["consistent"]
     assert len(rep["conclusions"]) >= 4
@@ -126,8 +129,11 @@ def test_full_report_on_hyperbolic_data(hyp_fit, sphere_suite):
     assert "volume-upper-bound" in text
     assert "[" in text and "pass" in text
     names = [c["name"] for c in rep["checks"]]
-    assert "finite-cover-ball" in names
-    assert "selfdual-homology" in names
+    assert names == ["volume-upper-bound", "finite-cover-ball",
+                     "diffeomorphism-ball", "full-homology"]
+    # the double's numbers are twice the half's, exactly
+    assert rep["inputs"]["double_weyl_sq"] == 2 * hyp_half.weyl_energy
+    assert rep["inputs"]["double_sigma2"] == 2 * hyp_half.sigma2_integral
 
 
 def test_report_consistency_gate(hyp_fit):
@@ -137,21 +143,22 @@ def test_report_consistency_gate(hyp_fit):
     assert any("identity" in note for note in rep["notes"])
 
 
-def test_topology_document(hyp_fit, sphere_suite):
+def test_topology_document(hyp_fit, hyp_half):
     """The report is the analyze document: sorted inputs, each check the
     fields of the criterion's Check record, each conclusion a statement
     with the check that licenses it."""
-    _, sphere = sphere_suite
-    doc = tp.build_topology_report(1, hyp_fit.V, True, double_suite=sphere,
+    doc = tp.build_topology_report(1, hyp_fit.V, True, half_suite=hyp_half,
                                    identity_residual=1e-9)
     assert list(doc) == ["inputs", "checks", "conclusions", "consistent", "notes"]
     assert doc["consistent"] is True and doc["notes"] == []
-    assert list(doc["inputs"]) == sorted(doc["inputs"])
+    assert list(doc["inputs"]) == ["chi", "double_sigma2", "double_weyl_sq",
+                                   "identity_residual", "volume", "yamabe_positive"]
     assert doc["inputs"]["chi"] == 1
     want = [tp.volume_upper_bound(hyp_fit.V, True),
             tp.finite_cover_ball_criterion(1, hyp_fit.V, True)[0],
             tp.diffeomorphism_ball_criterion(1, hyp_fit.V, True)[0],
-            *tp.homology_vanishing_criteria(sphere)]
+            tp.homology_vanishing_criterion(2 * hyp_half.weyl_energy,
+                                            2 * hyp_half.sigma2_integral)]
     assert doc["checks"] == [c._asdict() for c in want]
     checks = {c["name"] for c in doc["checks"]}
     assert len(doc["conclusions"]) >= 4

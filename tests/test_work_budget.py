@@ -32,8 +32,8 @@ def _count(monkeypatch, owner, name, tally, size):
 
 @pytest.mark.parametrize("argv, budget", [
     (["analyze", "--model", "ads_schwarzschild", "--m", "1.0"],
-     {"kernel": [374, 5], "warp": [1399, 9], "r_of_s": [0, 0],
-      "collocation": [16, 48, 64]}),
+     {"kernel": [374, 5], "warp": [1303, 8], "r_of_s": [0, 0],
+      "collocation": [16, 64]}),
     (["analyze", "--model", "hyperbolic"],
      {"kernel": [374, 5], "warp": [1079, 7], "r_of_s": [0, 0],
       "collocation": [16]}),
