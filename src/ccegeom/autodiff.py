@@ -1,18 +1,27 @@
 """Second-order forward-mode automatic differentiation on point batches.
 
-A Jet holds values v (N,), gradients d (k, N) and Hessians h (k, k, N)
-in k seed directions, the batch last, so each step works on whole rows.
-+ - * /, real powers, sin, cos, exp and log carry all three by the chain
-and product rules, so a function written once in these operations gives
-its value and first two derivatives exactly, with no symbolic algebra
-and no differencing (Griewank & Walther, Evaluating Derivatives, 2nd
-ed., SIAM 2008). Each value is formed by the numpy operation the same
-function applies to a plain array, so the value of a jet equals that
-array result bitwise. On plain numbers and arrays the functions fall
-through to numpy.
+A Jet holds values v (N,) and, in the k seed directions it depends on,
+gradients d (k, N) and Hessians h (k, k, N), the batch last, so each
+step works on whole rows. Its directions are a bit set dirs over the
+seeds: a coordinate seed has one, and a result has the union of its
+operands', so a component that reads two of four coordinates carries a
+(2, 2, N) Hessian, not a (4, 4, N) one. + - * /, real powers, sin, cos,
+exp and log carry all three by the chain and product rules, so a
+function written once in these operations gives its value and first two
+derivatives exactly, with no symbolic algebra and no differencing
+(Griewank & Walther, Evaluating Derivatives, 2nd ed., SIAM 2008). Each
+value is formed by the numpy operation the same function applies to a
+plain array, so the value of a jet equals that array result bitwise.
+Operands with the same directions combine as dense arrays; otherwise
+each term is added into the slots of its own directions, in the order
+the dense rule sums them, so derivatives equal those of jets seeded in
+every direction bitwise, up to the sign of zeros. On plain numbers and
+arrays the functions fall through to numpy.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,33 +32,85 @@ def _outer(a, b):
     return a[:, None] * b[None, :]
 
 
-class Jet:
-    """Values v (N,), gradients d (k, N) and Hessians h (k, k, N)."""
+def _frozen(a):
+    a.setflags(write=False)
+    return a
 
-    __slots__ = ("v", "d", "h")
+
+# one entry per direction set met, so at most 2^k for k seeds; the arrays
+# are shared by every caller and only index
+@lru_cache(maxsize=None)
+def _directions(dirs):
+    """The seed indices in the bit set dirs, ascending."""
+    return _frozen(np.array([i for i in range(dirs.bit_length()) if dirs >> i & 1]))
+
+
+@lru_cache(maxsize=None)
+def _slots(dirs, sub):
+    """Positions of the directions of sub among those of dirs, a superset."""
+    return _frozen(np.searchsorted(_directions(dirs), _directions(sub)))
+
+
+def _spread(dirs, first, second):
+    """Gradient and Hessian over dirs of the sum of two (d, h, sub) terms,
+    each over its directions sub: the first is embedded in zeros unless it
+    spans dirs, when its arrays are written in place, and the second is
+    added into its slots."""
+    d, h, sub = first
+    if sub != dirs:
+        at, k = _slots(dirs, sub), dirs.bit_count()
+        d, h = np.zeros((k,) + d.shape[1:]), np.zeros((k, k) + d.shape[1:])
+        d[at], h[at[:, None], at] = first[:2]
+    d2, h2, sub = second
+    at = _slots(dirs, sub)
+    d[at] += d2
+    h[at[:, None], at] += h2
+    return d, h
+
+
+class Jet:
+    """Values v (N,), and gradients d (k, N) and Hessians h (k, k, N) in
+    the k seed directions of the bit set dirs."""
+
+    __slots__ = ("v", "d", "h", "dirs")
     # numpy scalars and arrays defer to the reflected operators below
     __array_ufunc__ = None
 
-    def __init__(self, v, d, h):
-        self.v, self.d, self.h = v, d, h
+    def __init__(self, v, d, h, dirs):
+        self.v, self.d, self.h, self.dirs = v, d, h, dirs
 
     def chain(self, f0, f1, f2):
         """f(self) from f, f' and f'' evaluated at self.v."""
-        return Jet(f0, f1 * self.d, f1 * self.h + f2 * _outer(self.d, self.d))
+        return Jet(f0, f1 * self.d, f1 * self.h + f2 * _outer(self.d, self.d), self.dirs)
 
     def chain_jet(self, f0, df):
-        """f(self) from f evaluated at self.v and the jet df of f'(self)."""
-        return Jet(f0, df.v * self.d, df.v * self.h + _outer(df.d, self.d))
+        """f(self) from f evaluated at self.v and the jet df of f'(self),
+        whose directions are among self's."""
+        cross = _outer(df.d, self.d)
+        if df.dirs == self.dirs:
+            h = df.v * self.h + cross
+        else:
+            h = df.v * self.h
+            h[_slots(self.dirs, df.dirs)] += cross
+        return Jet(f0, df.v * self.d, h, self.dirs)
 
     def __add__(self, other):
-        if isinstance(other, Jet):
-            return Jet(self.v + other.v, self.d + other.d, self.h + other.h)
-        return Jet(self.v + other, self.d, self.h)
+        if not isinstance(other, Jet):
+            return Jet(self.v + other, self.d, self.h, self.dirs)
+        if other.dirs == self.dirs:
+            return Jet(self.v + other.v, self.d + other.d, self.h + other.h, self.dirs)
+        # the sum of two terms does not depend on their order
+        dirs = self.dirs | other.dirs
+        big, small = (other, self) if other.dirs == dirs else (self, other)
+        first = ((big.d.copy(), big.h.copy(), dirs) if big.dirs == dirs
+                 else (big.d, big.h, big.dirs))
+        return Jet(self.v + other.v,
+                   *_spread(dirs, first, (small.d, small.h, small.dirs)), dirs)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(-self.v, -self.d, -self.h)
+        return Jet(-self.v, -self.d, -self.h, self.dirs)
 
     def __sub__(self, other):
         return self + -other
@@ -59,19 +120,32 @@ class Jet:
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.v * other, self.d * other, self.h * other)
+            return Jet(self.v * other, self.d * other, self.h * other, self.dirs)
         cross = _outer(self.d, other.d)
-        return Jet(self.v * other.v,
-                   self.d * other.v + self.v * other.d,
-                   self.h * other.v + self.v * other.h + cross + np.swapaxes(cross, 0, 1))
+        if other.dirs == self.dirs:
+            return Jet(self.v * other.v,
+                       self.d * other.v + self.v * other.d,
+                       self.h * other.v + self.v * other.h + cross + np.swapaxes(cross, 0, 1),
+                       self.dirs)
+        dirs = self.dirs | other.dirs
+        mine = (self.d * other.v, self.h * other.v, self.dirs)
+        theirs = (self.v * other.d, self.v * other.h, other.dirs)
+        # the first two terms commute; the cross terms follow in order
+        if other.dirs == dirs:
+            mine, theirs = theirs, mine
+        d, h = _spread(dirs, mine, theirs)
+        rows, cols = _slots(dirs, self.dirs), _slots(dirs, other.dirs)
+        h[rows[:, None], cols] += cross
+        h[cols[:, None], rows] += np.swapaxes(cross, 0, 1)
+        return Jet(self.v * other.v, d, h, dirs)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
             q = self * other ** -1
-            return Jet(self.v / other.v, q.d, q.h)
-        return Jet(self.v / other, self.d / other, self.h / other)
+            return Jet(self.v / other.v, q.d, q.h, q.dirs)
+        return Jet(self.v / other, self.d / other, self.h / other, self.dirs)
 
     def __rtruediv__(self, other):
         q = other / self.v
@@ -87,7 +161,7 @@ class Jet:
 def variable(x):
     """The jet of x itself in one seed direction: x (N,) -> d = 1, h = 0."""
     x = np.asarray(x, dtype=float)
-    return Jet(x, np.ones((1, x.size)), np.zeros((1, 1, x.size)))
+    return Jet(x, np.ones((1, x.size)), np.zeros((1, 1, x.size)), 1)
 
 
 def sin(x):
@@ -129,14 +203,15 @@ def field_jet(func, axes, shape=()):
     hessian (N, dim, dim, *shape) of func, which takes the chart
     coordinates listed in axes and returns one expression (shape ()) or
     a square matrix of them as nested lists; entries may be numbers.
-    Derivatives along the other axes are zero. Each is a batch-first view
-    of batch-last storage, such as the gradient's (dim, *shape, N)."""
+    Seed i is the jet of axes[i] in direction i alone, and each component
+    is written into the axes of its own directions; derivatives along the
+    other axes are zero. Each is a batch-first view of batch-last
+    storage, such as the gradient's (dim, *shape, N)."""
     ax = np.asarray(axes, dtype=int)
-    k = ax.size
 
     def jet(pts):
         n, dim = pts.shape
-        seeds = [Jet(pts[:, a], np.broadcast_to(np.eye(k)[:, [i]], (k, n)), np.zeros((k, k, n)))
+        seeds = [Jet(pts[:, a], np.ones((1, n)), np.zeros((1, 1, n)), 1 << i)
                  for i, a in enumerate(axes)]
         out = func(*seeds)
         flat = [out] if shape == () else [c for row in out for c in row]
@@ -146,8 +221,9 @@ def field_jet(func, axes, shape=()):
         for j, c in enumerate(flat):
             if isinstance(c, Jet):
                 val[j] = c.v
-                grad[ax, j] = c.d
-                hess[ax[:, None], ax, j] = c.h
+                at = ax[_directions(c.dirs)]
+                grad[at, j] = c.d
+                hess[at[:, None], at, j] = c.h
             else:
                 val[j] = c
         return tuple(np.moveaxis(a.reshape(lead + shape + (n,)), -1, 0)

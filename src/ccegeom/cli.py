@@ -467,11 +467,12 @@ def _check_conformal_invariance(model, base):
               for w in _conformal_factors(model.field.chart)]
     worst = max(abs(s.weyl_energy - base.weyl_energy) / base.weyl_energy for s in suites)
     # each rescaled metric is a metric on S2 x S2, so Chern-Gauss-Bonnet
-    # and Hirzebruch hold for it with the model's chi and tau
+    # and Hirzebruch hold for it with the model's chi and tau, gated as
+    # tightly as the closed models' own euler-characteristic and signature
     chi = max(abs(s.euler_gb - model.euler) for s in suites)
     tau = max(abs(s.signature - model.signature) for s in suites)
     return [gate("conformal-invariance product_spheres", worst, 1e-6),
-            gate("conformal-gauss-bonnet product_spheres", max(chi, tau), 1e-4)]
+            gate("conformal-gauss-bonnet product_spheres", max(chi, tau), 5e-6)]
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,17 @@ values in the test suite:
 The kernel works in the pair basis of 2-forms (i < j, P = d(d-1)/2),
 where Riemann is a symmetric P x P operator gathered straight from the jet,
 R_ijkl = (d_il g_jk - d_ik g_jl - d_jl g_ik + d_jk g_il)/2
-+ G_q,jk G^q_il - G_q,jl G^q_ik. One Cholesky factor g = L L^T per batch
-gives sqrt(det g) = prod diag L and, by forward substitution, L^-1: the
-orthonormal coframe that carries the operator to its frame form, whence
-the frame Ricci, R and |E|^2. The rank-4 riemann is built only when read.
-In dimension 4 the Weyl norms come from the Atiyah-Hitchin-Singer split:
-W+- are the self-dual and anti-self-dual diagonal blocks of the frame
-operator, less R/12.
++ G_q,jk G^q_il - G_q,jl G^q_ik, on its P(P+1)/2 upper-triangle pairs (21
+in dimension 4) and then mirrored; the quadratic terms are entries of the
+Gram matrix of the Christoffel symbols G_q,ab on the d(d+1)/2 index pairs
+a <= b. One Cholesky factor g = L L^T per batch gives sqrt(det g) = prod
+diag L and, by forward substitution, L^-1: the orthonormal coframe that
+carries the operator to its frame form. Everything read of the frame
+operator is a constant linear map of its P^2 entries, applied as one
+matrix product per batch: the frame Ricci, whence R and |E|^2, and in
+dimension 4 the Atiyah-Hitchin-Singer split, whose self-dual and
+anti-self-dual diagonal blocks, less R/12, are W+-. The rank-4 riemann
+is built only when read.
 """
 
 from __future__ import annotations
@@ -59,9 +63,11 @@ __all__ = [
 
 # self-dual (rows 0-2) and anti-self-dual (rows 3-5) unit 2-forms of an oriented
 # orthonormal coframe in the pair basis (01, 02, 03, 12, 13, 23), as *e01 = e23,
-# *e02 = -e13, *e03 = e12: (e01 +- e23, e02 -+ e13, e03 +- e12) / sqrt 2
-_DUAL = np.array([[1, 0, 0, 0, 0, 1], [0, 1, 0, 0, -1, 0], [0, 0, 1, 1, 0, 0],
-                  [1, 0, 0, 0, 0, -1], [0, 1, 0, 0, 1, 0], [0, 0, 1, -1, 0, 0]]) / np.sqrt(2.0)
+# *e02 = -e13, *e03 = e12: (e01 +- e23, e02 -+ e13, e03 +- e12) / sqrt 2, the
+# signs kept apart so that products of two rows carry an exact 1/2
+_SIGNS = np.array([[1, 0, 0, 0, 0, 1], [0, 1, 0, 0, -1, 0], [0, 0, 1, 1, 0, 0],
+                   [1, 0, 0, 0, 0, -1], [0, 1, 0, 0, 1, 0], [0, 0, 1, -1, 0, 0]])
+_DUAL = _SIGNS / np.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -276,27 +282,49 @@ class CurvaturePacket:
 @lru_cache(maxsize=None)
 def _pair_tables(d):
     """Static tables of the pair basis of 2-forms in dimension d, the
-    pairs i < j in lexicographic order. basis holds e_i ^ e_j as flattened
-    antisymmetric (d, d) arrays. hess, quad and minors are flat gather
-    indices over the pairs (ij, kl): of the terms of R_ijkl in d2g and in
-    the (d*d, d*d) Gram matrix of the Christoffel symbols, and of the
-    minor a_ik a_jl - a_il a_jk in a (d, d) array."""
+    pairs i < j in lexicographic order, built on first use. basis holds
+    e_i ^ e_j as flattened antisymmetric (d, d) arrays. christoffel
+    gathers, from a flat dg, the three terms of twice the Christoffel
+    symbols of the first kind, T_k,ab = d_a g_kb + d_b g_ka - d_k g_ab,
+    on the S = d(d+1)/2 index pairs a <= b. hess and quad gather, over
+    the upper-triangle pairs (ij, kl) of the symmetric operator, the
+    terms of R_ijkl in d2g and in the (S, S) Gram matrix of those
+    symbols; mirror takes the upper triangle to the whole (P, P)
+    operator. minors are the flat indices of a_ik a_jl - a_il a_jk in a
+    (d, d) array over all pairs. readout is the constant linear map of a
+    frame operator's P*P entries to the frame Ricci R(e_c, e_a, e_c, e_b)
+    = sum_xy rm_xy (E_x^T E_y)_ab (d*d columns) and, in dimension 4, to
+    the diagonal 3 x 3 blocks of _DUAL rm _DUAL^T (2 * 9 more)."""
     def flat(*ix):
         return np.ravel_multi_index(np.broadcast_arrays(*ix), (d,) * len(ix))
 
-    i, j = (a[:, None] for a in np.triu_indices(d, 1))
-    k, l = i.T, j.T
+    a, b = np.triu_indices(d)
+    sym = np.zeros((d, d), dtype=int)
+    sym[a, b] = sym[b, a] = np.arange(a.size)
+    k = np.arange(d)[:, None]
+    i, j = np.triu_indices(d, 1)
+    npair = i.size
+    rows, cols = np.triu_indices(npair)
+    (ui, uj), (uk, ul) = (i[rows], j[rows]), (i[cols], j[cols])
+    mirror = np.zeros((npair, npair), dtype=int)
+    mirror[rows, cols] = mirror[cols, rows] = np.arange(rows.size)
+    basis = 1.0 * (flat(i[:, None], j[:, None]) == np.arange(d * d)) - (
+        flat(j[:, None], i[:, None]) == np.arange(d * d))
+    frame = basis.reshape(npair, d, d)
+    readout = [np.einsum("xca,ycb->xyab", frame, frame).reshape(npair ** 2, d * d)]
+    if d == 4:
+        readout += [0.5 * np.einsum("px,qy->xypq", half, half).reshape(npair ** 2, 9)
+                    for half in (_SIGNS[:3], _SIGNS[3:])]
+    pi, pj = (c[:, None] for c in (i, j))
     return SimpleNamespace(
-        d=d, basis=1.0 * (flat(i, j) == np.arange(d * d)) - (flat(j, i) == np.arange(d * d)),
-        hess=np.stack([flat(i, l, j, k), flat(i, k, j, l), flat(j, l, i, k), flat(j, k, i, l)]),
-        quad=np.stack([flat(j, k, i, l), flat(j, l, i, k)]),
-        minors=np.stack([flat(i, k), flat(j, l), flat(i, l), flat(j, k)]))
-
-
-def _first_kind(dg):
-    """Twice the Christoffel symbols of the first kind,
-    T_kij = d_i g_kj + d_j g_ki - d_k g_ij, of a batch-last dg (d, d, d, N)."""
-    return dg.transpose(1, 0, 2, 3) + dg.transpose(1, 2, 0, 3) - dg
+        d=d, basis=basis, mirror=mirror.ravel(),
+        christoffel=np.stack([flat(a, k, b), flat(b, k, a), flat(k, a, b)]),
+        hess=np.stack([flat(ui, ul, uj, uk), flat(ui, uk, uj, ul),
+                       flat(uj, ul, ui, uk), flat(uj, uk, ui, ul)]),
+        quad=np.stack([sym[uj, uk] * a.size + sym[ui, ul],
+                       sym[uj, ul] * a.size + sym[ui, uk]]),
+        minors=np.stack([flat(pi, pi.T), flat(pj, pj.T), flat(pi, pj.T), flat(pj, pi.T)]),
+        readout=np.hstack(readout))
 
 
 def _lower_inverse(chol):
@@ -311,8 +339,11 @@ def _lower_inverse(chol):
 
 def _minors(a, tables):
     """2x2 minors of batch-last (d, d, N) square matrices: their action on 2-forms."""
-    ik, jl, il, jk = a.reshape(-1, a.shape[-1])[tables.minors]
-    return ik * jl - il * jk
+    flat = a.reshape(-1, a.shape[-1])
+    ik, jl, il, jk = tables.minors
+    out = flat[ik] * flat[jl]
+    out -= flat[il] * flat[jk]
+    return out
 
 
 def _batch_first(a):
@@ -377,23 +408,35 @@ def curvature(m: MetricField, points, orientation: int = 1) -> CurvaturePacket:
 
     # R_ijkl = (d_il g_jk - d_ik g_jl - d_jl g_ik + d_jk g_il) / 2
     #          + G_q,jk G^q_il - G_q,jl G^q_ik
-    # on the pairs (ij, kl), the quadratic terms read off the Gram matrix
-    # of L^-1 G_.,ab
-    t = _first_kind(np.moveaxis(dg, 0, -1))
-    h = linv @ _batch_first(0.5 * t.reshape(d, d * d, nb))
+    # on the upper-triangle pairs (ij, kl), mirrored to the symmetric
+    # operator, the quadratic terms read off the Gram matrix of L^-1 G_.,ab.
+    # The steps run in place where they can: on a large batch each fresh
+    # temporary costs page faults as well as its arithmetic.
+    dgf = np.moveaxis(dg, 0, -1).reshape(-1, nb)
+    first, second, third = tables.christoffel
+    t = dgf[first] + dgf[second]
+    t -= dgf[third]
+    t *= 0.5
+    h = linv @ _batch_first(t)
     # transposed operands are copied: a strided one leaves numpy's BLAS path
-    gram = np.ascontiguousarray(np.swapaxes(h, -1, -2)) @ h
-    hess = np.moveaxis(d2g, 0, -1).reshape(-1, nb)[tables.hess]
-    quad = np.take(gram.reshape(nb, -1), tables.quad, axis=1)
-    rp = (_batch_first(0.5 * ((hess[0] - hess[1]) - (hess[2] - hess[3])))
-          + (quad[:, 0] - quad[:, 1]))
+    gram = (np.ascontiguousarray(np.swapaxes(h, -1, -2)) @ h).reshape(nb, -1)
+    d2gf = np.moveaxis(d2g, 0, -1).reshape(-1, nb)
+    il_jk, ik_jl, jl_ik, jk_il = tables.hess
+    lin = d2gf[il_jk] - d2gf[ik_jl]
+    lin -= d2gf[jl_ik] - d2gf[jk_il]
+    lin *= 0.5
+    upper = np.take(gram, tables.quad[0], axis=1)
+    upper -= np.take(gram, tables.quad[1], axis=1)
+    upper += lin.T
+    rp = np.take(upper, tables.mirror, axis=1).reshape(nb, npair, npair)
 
-    # the curvature operator in the orthonormal coframe of L and the frame
-    # Ricci R(e_c, e_a, e_c, e_b) = sum_xy rm_xy (E_x^T E_y)_ab, E the basis
+    # the curvature operator in the orthonormal coframe of L, and what is
+    # read of it, a constant linear map of its entries: the frame Ricci
+    # and, in dimension 4, the diagonal blocks in the dual basis
     frame_t = _minors(linv_t, tables)
     rm = _batch_first(frame_t) @ rp @ _batch_first(frame_t.transpose(1, 0, 2))
-    lead = tables.basis.reshape(npair, d, d).transpose(2, 0, 1).reshape(d, -1)
-    ric_f = lead @ (rm @ tables.basis).reshape(nb, -1, d)
+    read = rm.reshape(nb, -1) @ tables.readout
+    ric_f = read[:, :d * d].reshape(nb, d, d)
     scalar = np.trace(ric_f, axis1=-2, axis2=-1)
     e_sq = ((ric_f - (scalar / d)[:, None, None] * np.eye(d)) ** 2).sum(axis=(1, 2))
 
@@ -408,10 +451,10 @@ def curvature(m: MetricField, points, orientation: int = 1) -> CurvaturePacket:
         sigma2 = scalar ** 2 / 24.0 - 0.5 * e_sq
         # the self-dual and anti-self-dual diagonal blocks of the operator,
         # less their trace R/12, are the W+- of the orientation
-        blocks = _DUAL @ rm @ _DUAL.T
+        blocks = read[:, d * d:].reshape(nb, 2, 3, 3)
         shift = (scalar / 12.0)[:, None, None] * np.eye(3)
-        (wp_op, sd), (wm_op, asd) = ((blocks[:, :3, :3] - shift, _DUAL[:3]),
-                                     (blocks[:, 3:, 3:] - shift, _DUAL[3:]))[::orientation]
+        (wp_op, sd), (wm_op, asd) = ((blocks[:, 0] - shift, _DUAL[:3]),
+                                     (blocks[:, 1] - shift, _DUAL[3:]))[::orientation]
         norms["weyl_plus_sq"] = 4.0 * (wp_op ** 2).sum(axis=(1, 2))
         norms["weyl_minus_sq"] = 4.0 * (wm_op ** 2).sum(axis=(1, 2))
         norms["weyl_sq"] = norms["weyl_plus_sq"] + norms["weyl_minus_sq"]

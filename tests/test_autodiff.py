@@ -83,3 +83,56 @@ def test_field_jet_shapes_and_views(warped):
 def test_functions_fall_through_to_numpy(func):
     x = np.linspace(0.5, 1.5, 4)
     assert np.array_equal(func(x), getattr(np, func.__name__)(x))
+
+
+def test_a_jet_keeps_only_its_directions():
+    seen = []
+
+    def func(t, p, u, v):
+        seen.append(sin(t) * cos(p))
+        return seen[-1] + u * v
+
+    pts = np.random.default_rng(3).uniform(0.2, 1.2, (6, 4))
+    field_jet(func, (0, 1, 2, 3))(pts)
+    jet = seen[0]
+    assert jet.d.shape == (2, 6) and jet.h.shape == (2, 2, 6)
+
+
+def _every_direction(func):
+    """func with every seed made to depend on every axis: x + 0.0 * sum(x)
+    has the value of x and the directions of all seeds."""
+    return lambda *x: func(*(xi + 0.0 * sum(x) for xi in x))
+
+
+def _catalogue_jets():
+    """(name, chart, func, axes, shape) of every catalogue metric, of
+    check's two conformal factors and of the metrics they rescale."""
+    from ccegeom import cli, models
+    from ccegeom.normal_form import FGMetric
+    from ccegeom.tensor import conformal_rescale
+
+    names = models.model_names()
+    fields = []
+    for name in names["closed"] + names["conformally_compact"]:
+        model = models.build(name)
+        fields.append((name, model.four_metric() if isinstance(model, FGMetric)
+                       else model.field))
+    base = models.build("product_spheres").field
+    for i, w in enumerate(cli._conformal_factors(base.chart)):
+        yield f"factor-{i}", base.chart, w.func, w.axes, ()
+        fields.append((f"rescaled-{i}", conformal_rescale(base, w)))
+    for name, f in fields:
+        yield name, f.chart, f.func, f.axes, (f.dim, f.dim)
+
+
+@pytest.mark.parametrize("name, chart, func, axes, shape", list(_catalogue_jets()),
+                         ids=[case[0] for case in _catalogue_jets()])
+def test_field_jet_equals_the_jet_in_every_direction(name, chart, func, axes, shape):
+    """Each component carries only the directions it reads, and its value,
+    gradient and Hessian equal those of a seeding where every component
+    depends on every axis, bit for bit (zeros of either sign alike)."""
+    pts = chart.sample(23, seed=9)
+    sparse = field_jet(func, axes, shape)(pts)
+    dense = field_jet(_every_direction(func), axes, shape)(pts)
+    for got, want in zip(sparse, dense):
+        assert np.array_equal(got, want)

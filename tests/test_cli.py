@@ -227,6 +227,29 @@ def test_closed_index_defect_trips_its_gate(field, shift, failing, tmp_path,
     assert [g["name"] for g in gates if not g["ok"]] == [failing]
 
 
+@pytest.mark.parametrize("field, shift", [
+    ("sigma2_integral", 8 * np.pi ** 2 * 1.3e-5),
+    ("weyl_plus", 4 * 12 * np.pi ** 2 * 1.3e-5),
+], ids=["chi", "tau"])
+def test_rescaled_index_defect_trips_the_conformal_line(field, shift, capsys,
+                                                        monkeypatch):
+    """chi or tau off by 1.3e-5 in the rescaled S2 x S2 suites alone trips
+    conformal-gauss-bonnet at the closed models' 5e-6, and nothing else."""
+    from ccegeom import integrals
+
+    def shifted(m, *args, **kwargs):
+        suite = integrals.integrate_curvature(m, *args, **kwargs)
+        if m.name.endswith("/conformal"):
+            setattr(suite, field, getattr(suite, field) + shift)
+        return suite
+
+    monkeypatch.setattr(cli, "integrate_curvature", shifted)
+    assert _run(["check", "--model", "product_spheres"]) == 1
+    out = capsys.readouterr().out
+    assert "failing: conformal-gauss-bonnet product_spheres" in out
+    assert out.count("[FAIL]") == 1
+
+
 def test_check_single_model_passes(tmp_path, capsys):
     assert _run(["check", "--model", "flat_torus", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out

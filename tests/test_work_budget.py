@@ -3,9 +3,10 @@
 The counter of record for the numerics' work until the benchmark reads
 its own counters: curvature-kernel points (every MetricField.jet batch),
 warp points (every FGMetric.warp batch), inversions of the radial map
-(RadialMap.r_of_s points, which no program path makes) and the
-collocation sizes of the eigenfunction solve, each pinned exactly. A change that moves the work edits the pins
-and says so.
+(RadialMap.r_of_s points, which no program path makes), the
+collocation sizes of the eigenfunction solve and the jet Hessian entries
+formed (np.size(h) summed over every autodiff.Jet built), each pinned
+exactly. A change that moves the work edits the pins and says so.
 """
 
 import importlib.util
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ccegeom import cli, eigenfunction
+from ccegeom import autodiff, cli, eigenfunction
 from ccegeom.normal_form import FGMetric, RadialMap
 from ccegeom.tensor import MetricField
 
@@ -33,22 +34,31 @@ def _count(monkeypatch, owner, name, tally, size):
 @pytest.mark.parametrize("argv, budget", [
     (["analyze", "--model", "ads_schwarzschild", "--m", "1.0"],
      {"kernel": [374, 5], "warp": [1303, 8], "r_of_s": [0, 0],
-      "collocation": [16, 64]}),
+      "collocation": [16, 64], "jet_entries": 74004}),
     (["analyze", "--model", "hyperbolic"],
      {"kernel": [374, 5], "warp": [1079, 7], "r_of_s": [0, 0],
-      "collocation": [16]}),
+      "collocation": [16], "jet_entries": 23823}),
     (["check"],
      {"kernel": [7214, 15], "warp": [423, 8], "r_of_s": [0, 0],
-      "collocation": [16]}),
+      "collocation": [16], "jet_entries": 965239}),
 ], ids=["analyze-ads", "analyze-hyperbolic", "check"])
 def test_work_budget(argv, budget, tmp_path, monkeypatch, capsys):
-    """[points, calls] of the kernel, the warp and the inversion, and the
-    collocation sizes tried, in one run of the command."""
-    seen = {"kernel": [0, 0], "warp": [0, 0], "r_of_s": [0, 0], "collocation": []}
+    """[points, calls] of the kernel, the warp and the inversion, the
+    collocation sizes tried and the jet Hessian entries formed, in one run
+    of the command."""
+    seen = {"kernel": [0, 0], "warp": [0, 0], "r_of_s": [0, 0], "collocation": [],
+            "jet_entries": 0}
     _count(monkeypatch, MetricField, "jet", seen["kernel"],
            lambda self, pts, *a: np.shape(pts)[0])
     _count(monkeypatch, FGMetric, "warp", seen["warp"], lambda self, s: np.size(s))
     _count(monkeypatch, RadialMap, "r_of_s", seen["r_of_s"], lambda self, s: np.size(s))
+    init = autodiff.Jet.__init__
+
+    def counted_init(self, v, d, h, dirs):
+        seen["jet_entries"] += np.size(h)
+        init(self, v, d, h, dirs)
+
+    monkeypatch.setattr(autodiff.Jet, "__init__", counted_init)
     collocate = eigenfunction._collocate
     monkeypatch.setattr(eigenfunction, "_collocate", lambda fg, w2, n: (
         seen["collocation"].append(n), collocate(fg, w2, n))[1])
