@@ -12,11 +12,11 @@ derivatives exactly, with no symbolic algebra and no differencing
 (Griewank & Walther, Evaluating Derivatives, 2nd ed., SIAM 2008). Each
 value is formed by the numpy operation the same function applies to a
 plain array, so the value of a jet equals that array result bitwise.
-Operands with the same directions combine as dense arrays; otherwise
-each term is added into the slots of its own directions, in the order
-the dense rule sums them, so derivatives equal those of jets seeded in
-every direction bitwise, up to the sign of zeros. On plain numbers and
-arrays the functions fall through to numpy.
+Two jets combine by one dense rule over the union of their directions,
+each lifted to it by zeros in the slots it lacks. A padded zero adds
+nothing to a sum (x + 0 = x), so derivatives equal those of jets seeded
+in every direction bitwise, up to the sign of zeros. On plain numbers
+and arrays the functions fall through to numpy.
 """
 
 from __future__ import annotations
@@ -51,20 +51,15 @@ def _slots(dirs, sub):
     return _frozen(np.searchsorted(_directions(dirs), _directions(sub)))
 
 
-def _spread(dirs, first, second):
-    """Gradient and Hessian over dirs of the sum of two (d, h, sub) terms,
-    each over its directions sub: the first is embedded in zeros unless it
-    spans dirs, when its arrays are written in place, and the second is
-    added into its slots."""
-    d, h, sub = first
-    if sub != dirs:
-        at, k = _slots(dirs, sub), dirs.bit_count()
-        d, h = np.zeros((k,) + d.shape[1:]), np.zeros((k, k) + d.shape[1:])
-        d[at], h[at[:, None], at] = first[:2]
-    d2, h2, sub = second
-    at = _slots(dirs, sub)
-    d[at] += d2
-    h[at[:, None], at] += h2
+def _lift(jet, dirs):
+    """Gradient and Hessian of jet over dirs, a superset of its
+    directions: its own arrays if it spans dirs, else embedded in zeros
+    at the slots of its directions."""
+    if jet.dirs == dirs:
+        return jet.d, jet.h
+    at, k = _slots(dirs, jet.dirs), dirs.bit_count()
+    d, h = np.zeros((k,) + jet.d.shape[1:]), np.zeros((k, k) + jet.d.shape[1:])
+    d[at], h[at[:, None], at] = jet.d, jet.h
     return d, h
 
 
@@ -86,26 +81,16 @@ class Jet:
     def chain_jet(self, f0, df):
         """f(self) from f evaluated at self.v and the jet df of f'(self),
         whose directions are among self's."""
-        cross = _outer(df.d, self.d)
-        if df.dirs == self.dirs:
-            h = df.v * self.h + cross
-        else:
-            h = df.v * self.h
-            h[_slots(self.dirs, df.dirs)] += cross
-        return Jet(f0, df.v * self.d, h, self.dirs)
+        dirs = self.dirs | df.dirs
+        (d, h), (dd, _) = _lift(self, dirs), _lift(df, dirs)
+        return Jet(f0, df.v * d, df.v * h + _outer(dd, d), dirs)
 
     def __add__(self, other):
         if not isinstance(other, Jet):
             return Jet(self.v + other, self.d, self.h, self.dirs)
-        if other.dirs == self.dirs:
-            return Jet(self.v + other.v, self.d + other.d, self.h + other.h, self.dirs)
-        # the sum of two terms does not depend on their order
         dirs = self.dirs | other.dirs
-        big, small = (other, self) if other.dirs == dirs else (self, other)
-        first = ((big.d.copy(), big.h.copy(), dirs) if big.dirs == dirs
-                 else (big.d, big.h, big.dirs))
-        return Jet(self.v + other.v,
-                   *_spread(dirs, first, (small.d, small.h, small.dirs)), dirs)
+        (d1, h1), (d2, h2) = _lift(self, dirs), _lift(other, dirs)
+        return Jet(self.v + other.v, d1 + d2, h1 + h2, dirs)
 
     __radd__ = __add__
 
@@ -121,23 +106,11 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):
             return Jet(self.v * other, self.d * other, self.h * other, self.dirs)
-        cross = _outer(self.d, other.d)
-        if other.dirs == self.dirs:
-            return Jet(self.v * other.v,
-                       self.d * other.v + self.v * other.d,
-                       self.h * other.v + self.v * other.h + cross + np.swapaxes(cross, 0, 1),
-                       self.dirs)
         dirs = self.dirs | other.dirs
-        mine = (self.d * other.v, self.h * other.v, self.dirs)
-        theirs = (self.v * other.d, self.v * other.h, other.dirs)
-        # the first two terms commute; the cross terms follow in order
-        if other.dirs == dirs:
-            mine, theirs = theirs, mine
-        d, h = _spread(dirs, mine, theirs)
-        rows, cols = _slots(dirs, self.dirs), _slots(dirs, other.dirs)
-        h[rows[:, None], cols] += cross
-        h[cols[:, None], rows] += np.swapaxes(cross, 0, 1)
-        return Jet(self.v * other.v, d, h, dirs)
+        (d1, h1), (d2, h2) = _lift(self, dirs), _lift(other, dirs)
+        cross = _outer(d1, d2)
+        return Jet(self.v * other.v, d1 * other.v + self.v * d2,
+                   h1 * other.v + self.v * h2 + cross + np.swapaxes(cross, 0, 1), dirs)
 
     __rmul__ = __mul__
 

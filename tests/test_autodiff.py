@@ -104,9 +104,26 @@ def _every_direction(func):
     return lambda *x: func(*(xi + 0.0 * sum(x) for xi in x))
 
 
+def _quotient(t, p, u, v):
+    """Jet/Jet division, log and real powers of operands whose
+    directions differ, overlap or nest."""
+    a = log(2.0 + sin(t) * cos(u)) / (1.5 + cos(p)) ** 0.5
+    b = (3.0 + sin(t * v)) ** 1.5 / (2.0 + cos(u) * sin(p))
+    return [[a / b, a * u], [b - v / (1.0 + t * t), log(b) ** -2.5]]
+
+
+def _chain(t, p, u, v):
+    """chain_jet whose f' jet reads a strict subset of the argument's
+    directions, alone and combined with jets of other directions."""
+    x, w = t * p, t * p * u
+    y = x.chain_jet(np.sin(x.v), cos(t))
+    return [[y, y * u], [y + sin(v) * x, w.chain_jet(np.exp(w.v), exp(p) * u)]]
+
+
 def _catalogue_jets():
     """(name, chart, func, axes, shape) of every catalogue metric, of
-    check's two conformal factors and of the metrics they rescale."""
+    check's two conformal factors and of the metrics they rescale, and of
+    two synthetic functions on the product chart."""
     from ccegeom import cli, models
     from ccegeom.normal_form import FGMetric
     from ccegeom.tensor import conformal_rescale
@@ -121,6 +138,8 @@ def _catalogue_jets():
     for i, w in enumerate(cli._conformal_factors(base.chart)):
         yield f"factor-{i}", base.chart, w.func, w.axes, ()
         fields.append((f"rescaled-{i}", conformal_rescale(base, w)))
+    for func in (_quotient, _chain):
+        yield func.__name__.lstrip("_"), base.chart, func, (0, 1, 2, 3), (2, 2)
     for name, f in fields:
         yield name, f.chart, f.func, f.axes, (f.dim, f.dim)
 

@@ -4,9 +4,13 @@ The counter of record for the numerics' work until the benchmark reads
 its own counters: curvature-kernel points (every MetricField.jet batch),
 warp points (every FGMetric.warp batch), inversions of the radial map
 (RadialMap.r_of_s points, which no program path makes), the
-collocation sizes of the eigenfunction solve and the jet Hessian entries
-formed (np.size(h) summed over every autodiff.Jet built), each pinned
-exactly. A change that moves the work edits the pins and says so.
+collocation sizes of the eigenfunction solve, and two counters of the
+jets' Hessian entries, each pinned exactly. jet_entries counts the
+Hessians of the jets built (np.size(h) summed over every autodiff.Jet);
+lift_entries counts the zero-padded Hessians that autodiff._lift
+allocates when one operand of + or * or of chain_jet lacks some of the
+other's directions, a work jet_entries does not see. A change that
+moves the work edits the pins and says so.
 """
 
 import importlib.util
@@ -34,20 +38,20 @@ def _count(monkeypatch, owner, name, tally, size):
 @pytest.mark.parametrize("argv, budget", [
     (["analyze", "--model", "ads_schwarzschild", "--m", "1.0"],
      {"kernel": [374, 5], "warp": [1303, 8], "r_of_s": [0, 0],
-      "collocation": [16, 64], "jet_entries": 74004}),
+      "collocation": [16, 64], "jet_entries": 74004, "lift_entries": 3696}),
     (["analyze", "--model", "hyperbolic"],
      {"kernel": [374, 5], "warp": [1079, 7], "r_of_s": [0, 0],
-      "collocation": [16], "jet_entries": 23823}),
+      "collocation": [16], "jet_entries": 23823, "lift_entries": 15004}),
     (["check"],
      {"kernel": [7214, 15], "warp": [423, 8], "r_of_s": [0, 0],
-      "collocation": [16], "jet_entries": 965239}),
+      "collocation": [16], "jet_entries": 965239, "lift_entries": 637398}),
 ], ids=["analyze-ads", "analyze-hyperbolic", "check"])
 def test_work_budget(argv, budget, tmp_path, monkeypatch, capsys):
     """[points, calls] of the kernel, the warp and the inversion, the
-    collocation sizes tried and the jet Hessian entries formed, in one run
-    of the command."""
+    collocation sizes tried and the jet and lift Hessian entries formed,
+    in one run of the command."""
     seen = {"kernel": [0, 0], "warp": [0, 0], "r_of_s": [0, 0], "collocation": [],
-            "jet_entries": 0}
+            "jet_entries": 0, "lift_entries": 0}
     _count(monkeypatch, MetricField, "jet", seen["kernel"],
            lambda self, pts, *a: np.shape(pts)[0])
     _count(monkeypatch, FGMetric, "warp", seen["warp"], lambda self, s: np.size(s))
@@ -59,6 +63,14 @@ def test_work_budget(argv, budget, tmp_path, monkeypatch, capsys):
         init(self, v, d, h, dirs)
 
     monkeypatch.setattr(autodiff.Jet, "__init__", counted_init)
+    lift = autodiff._lift
+
+    def counted_lift(jet, dirs):
+        d, h = lift(jet, dirs)
+        seen["lift_entries"] += 0 if h is jet.h else h.size
+        return d, h
+
+    monkeypatch.setattr(autodiff, "_lift", counted_lift)
     collocate = eigenfunction._collocate
     monkeypatch.setattr(eigenfunction, "_collocate", lambda fg, w2, n: (
         seen["collocation"].append(n), collocate(fg, w2, n))[1])
