@@ -54,7 +54,7 @@ from .integrals import (
     suite_document,
 )
 from .normal_form import FGMetric, fg_document
-from .tensor import (ScalarField, conformal_rescale, curvature, einstein_residual,
+from .tensor import (conformal_rescale, curvature, einstein_residual,
                      riemann_symmetry_residuals)
 from .topology import Check, build_topology_report, gate, render_topology_report
 
@@ -375,9 +375,8 @@ _FACTORS = ((-0.181202, 0.150442, 0.047918, 2, 2),
             (0.019773, -0.016208, -0.052437, 1, 1))
 
 
-def _conformal_factors(chart):
-    return [ScalarField.from_function(chart, _conformal_factor(*args))
-            for args in _FACTORS]
+def _conformal_factors():
+    return [_conformal_factor(*args) for args in _FACTORS]
 
 
 def _closed_sample_points(field_obj) -> np.ndarray:
@@ -464,7 +463,7 @@ def _check_conformal_invariance(model, base):
     """Rescalings of a closed model against its integrals ``base``."""
     suites = [integrate_curvature(conformal_rescale(model.field, w), model.domain,
                                   model.orientation)
-              for w in _conformal_factors(model.field.chart)]
+              for w in _conformal_factors()]
     worst = max(abs(s.weyl_energy - base.weyl_energy) / base.weyl_energy for s in suites)
     # each rescaled metric is a metric on S2 x S2, so Chern-Gauss-Bonnet
     # and Hirzebruch hold for it with the model's chi and tau, gated as

@@ -32,8 +32,9 @@ carries the operator to its frame form. Everything read of the frame
 operator is a constant linear map of its P^2 entries, applied as one
 matrix product per batch: the frame Ricci, whence R and |E|^2, and in
 dimension 4 the Atiyah-Hitchin-Singer split, whose self-dual and
-anti-self-dual diagonal blocks, less R/12, are W+-. The rank-4 riemann
-is built only when read.
+anti-self-dual diagonal blocks, less R/12, are W+-. The packet keeps
+the pair-basis operator, the Cholesky factor and the frame Ricci, and
+builds the coordinate riemann and ricci from them only when read.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .errors import DomainError, SingularMetric
 
 __all__ = [
     "Chart",
-    "ScalarField",
     "MetricField",
     "components",
     "CurvaturePacket",
@@ -58,7 +58,6 @@ __all__ = [
     "riemann_symmetry_residuals",
     "einstein_residual",
     "conformal_rescale",
-    "tensor_norm_sq",
 ]
 
 # self-dual (rows 0-2) and anti-self-dual (rows 3-5) unit 2-forms of an oriented
@@ -67,7 +66,6 @@ __all__ = [
 # signs kept apart so that products of two rows carry an exact 1/2
 _SIGNS = np.array([[1, 0, 0, 0, 0, 1], [0, 1, 0, 0, -1, 0], [0, 0, 1, 1, 0, 0],
                    [1, 0, 0, 0, 0, -1], [0, 1, 0, 0, 1, 0], [0, 0, 1, -1, 0, 0]])
-_DUAL = _SIGNS / np.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -121,30 +119,6 @@ def _read_axes(chart: Chart, func) -> tuple:
     if unknown:
         raise DomainError(f"{unknown} are not coordinates of the chart {chart.names}")
     return tuple(chart.names.index(n) for n in names)
-
-
-# ---------------------------------------------------------------------------
-# scalar fields (conformal factors)
-
-class ScalarField(NamedTuple):
-    """Scalar jet expression func in the chart coordinates listed in axes.
-
-    jet(points) -> (value (N,), gradient (N, d), hessian (N, d, d)).
-    """
-
-    func: Callable
-    axes: tuple
-
-    def jet(self, points):
-        return autodiff.field_jet(self.func, self.axes)(points)
-
-    def value(self, points):
-        return self.jet(points)[0]
-
-    @staticmethod
-    def from_function(chart: Chart, func) -> "ScalarField":
-        """func is a jet expression in the chart coordinates it names."""
-        return ScalarField(func, _read_axes(chart, func))
 
 
 # ---------------------------------------------------------------------------
@@ -250,33 +224,28 @@ def _positive_factor(mat, pts):
 class CurvaturePacket:
     """All pointwise curvature data of a metric at a batch of points.
 
-    volume_density is sqrt(det g); sigma2 is None outside dimension 4. The
-    coordinate tensors are built on first read: inverse, riemann, ricci
-    and, in dimension 4 (else None), schouten, weyl (Kulkarni-Nomizu
-    decomposition), weyl_plus and weyl_minus (lifted from the frame).
+    volume_density is sqrt(det g); sigma2 is None outside dimension 4;
+    norms holds |E|^2 and, in dimension 4, |W|^2 and |W+-|^2. The
+    coordinate riemann and ricci are built on first read from the
+    pair-basis operator rp, the Cholesky factor chol and the frame Ricci
+    ric_f that the kernel formed.
     """
 
-    def __init__(self, metric: np.ndarray, scalar: np.ndarray,
-                 volume_density: np.ndarray, sigma2: Optional[np.ndarray] = None,
-                 norms: Optional[dict] = None, _views: Optional[dict] = None):
+    def __init__(self, metric, scalar, volume_density, sigma2, norms, rp, chol, ric_f):
         self.metric = metric
         self.scalar = scalar
         self.volume_density = volume_density
         self.sigma2 = sigma2
-        self.norms = {} if norms is None else norms
-        self._views = {} if _views is None else _views
+        self.norms = norms
+        self._rp, self._chol, self._ric_f = rp, chol, ric_f
 
-    def _view(self, name):
-        build = self._views.get(name)
-        return None if build is None else build()
+    @cached_property
+    def riemann(self):
+        return _unpair(self._rp, _pair_tables(self.metric.shape[-1]))
 
-    inverse = cached_property(lambda self: self._view("inverse"))
-    riemann = cached_property(lambda self: self._view("riemann"))
-    ricci = cached_property(lambda self: self._view("ricci"))
-    schouten = cached_property(lambda self: self._view("schouten"))
-    weyl = cached_property(lambda self: self._view("weyl"))
-    weyl_plus = cached_property(lambda self: self._view("weyl_plus"))
-    weyl_minus = cached_property(lambda self: self._view("weyl_minus"))
+    @cached_property
+    def ricci(self):
+        return self._chol @ self._ric_f @ np.swapaxes(self._chol, -1, -2)
 
 
 @lru_cache(maxsize=None)
@@ -294,7 +263,7 @@ def _pair_tables(d):
     (d, d) array over all pairs. readout is the constant linear map of a
     frame operator's P*P entries to the frame Ricci R(e_c, e_a, e_c, e_b)
     = sum_xy rm_xy (E_x^T E_y)_ab (d*d columns) and, in dimension 4, to
-    the diagonal 3 x 3 blocks of _DUAL rm _DUAL^T (2 * 9 more)."""
+    the diagonal 3 x 3 blocks of S rm S^T / 2, S = _SIGNS (2 * 9 more)."""
     def flat(*ix):
         return np.ravel_multi_index(np.broadcast_arrays(*ix), (d,) * len(ix))
 
@@ -356,35 +325,6 @@ def _unpair(op, tables):
     return (tables.basis.T @ op @ tables.basis).reshape((-1,) + (tables.d,) * 4)
 
 
-def _kulkarni_nomizu(h, k):
-    # h_ik k_jl + k_ik h_jl, antisymmetrized in (k, l)
-    s = (h[:, :, None, :, None] * k[:, None, :, None, :]
-         + k[:, :, None, :, None] * h[:, None, :, None, :])
-    return s - np.swapaxes(s, -1, -2)
-
-
-def tensor_norm_sq(t, ginv):
-    """Squared norm of a fully lowered rank-2 or rank-4 tensor, all
-    indices raised with ginv."""
-    n, d = t.shape[0], t.shape[1]
-    if t.ndim == 3:
-        up = ginv @ t @ ginv
-        return (t * up).reshape(n, -1).sum(axis=1)
-    # g^{pc} g^{qd} as a (pq) x (cd) matrix raises both index pairs
-    kk = ginv[:, :, None, :, None] * ginv[:, None, :, None, :]
-    kk = kk.reshape(n, d * d, d * d)
-    tm = t.reshape(n, d * d, d * d)
-    up = kk @ tm @ kk
-    return (tm * up).reshape(n, -1).sum(axis=1)
-
-
-def _frame_lift(op, chol, tables):
-    """Rank-4 coordinate tensor of a Lambda^2 operator given in the
-    coframe of L = chol: the pair minors M of L^T carry it to M^T op M."""
-    m = _batch_first(_minors(chol.T, tables))
-    return _unpair(np.swapaxes(m, -1, -2) @ op @ m, tables)
-
-
 def curvature(m: MetricField, points, orientation: int = 1) -> CurvaturePacket:
     """Full curvature packet of a metric at an (N, d) batch of points.
 
@@ -440,11 +380,6 @@ def curvature(m: MetricField, points, orientation: int = 1) -> CurvaturePacket:
     scalar = np.trace(ric_f, axis1=-2, axis2=-1)
     e_sq = ((ric_f - (scalar / d)[:, None, None] * np.eye(d)) ** 2).sum(axis=(1, 2))
 
-    def ricci():
-        return chol @ ric_f @ np.swapaxes(chol, -1, -2)
-
-    views = {"inverse": lambda: np.swapaxes(linv, -1, -2) @ linv,
-             "riemann": lambda: _unpair(rp, tables), "ricci": ricci}
     norms = {"traceless_ricci_sq": e_sq}
     sigma2 = None
     if d == 4:
@@ -453,25 +388,15 @@ def curvature(m: MetricField, points, orientation: int = 1) -> CurvaturePacket:
         # less their trace R/12, are the W+- of the orientation
         blocks = read[:, d * d:].reshape(nb, 2, 3, 3)
         shift = (scalar / 12.0)[:, None, None] * np.eye(3)
-        (wp_op, sd), (wm_op, asd) = ((blocks[:, 0] - shift, _DUAL[:3]),
-                                     (blocks[:, 1] - shift, _DUAL[3:]))[::orientation]
+        wp_op, wm_op = (blocks[:, 0] - shift, blocks[:, 1] - shift)[::orientation]
         norms["weyl_plus_sq"] = 4.0 * (wp_op ** 2).sum(axis=(1, 2))
         norms["weyl_minus_sq"] = 4.0 * (wm_op ** 2).sum(axis=(1, 2))
         norms["weyl_sq"] = norms["weyl_plus_sq"] + norms["weyl_minus_sq"]
-        views.update({
-            "schouten": lambda: ricci() - (scalar / 6.0)[:, None, None] * g,
-            "weyl": lambda: (
-                _unpair(rp, tables)
-                - _kulkarni_nomizu(ricci() - (scalar / 4.0)[:, None, None] * g, g) / 2.0
-                - (scalar / 24.0)[:, None, None, None, None] * _kulkarni_nomizu(g, g)),
-            "weyl_plus": lambda: _frame_lift(sd.T @ wp_op @ sd, chol, tables),
-            "weyl_minus": lambda: _frame_lift(asd.T @ wm_op @ asd, chol, tables),
-        })
 
     return CurvaturePacket(
         metric=g, scalar=scalar,
         volume_density=np.prod(np.diagonal(chol, axis1=-2, axis2=-1), axis=-1),
-        sigma2=sigma2, norms=norms, _views=views)
+        sigma2=sigma2, norms=norms, rp=rp, chol=chol, ric_f=ric_f)
 
 
 def riemann_symmetry_residuals(riemann) -> dict:
@@ -506,14 +431,16 @@ def einstein_residual(m: MetricField, points):
     return np.sqrt(pack.norms["traceless_ricci_sq"] + m.dim * (pack.scalar / m.dim + 3) ** 2)
 
 
-def conformal_rescale(m: MetricField, w: ScalarField) -> MetricField:
-    """Metric e^{2w} g: the component function e^{2w} g_ij over the union
-    of the axes of w and m, zero components left as they are."""
-    axes = tuple(sorted(set(m.axes) | set(w.axes)))
-    take_m, take_w = ([axes.index(a) for a in f.axes] for f in (m, w))
+def conformal_rescale(m: MetricField, w: Callable) -> MetricField:
+    """Metric e^{2w} g, w a jet expression in the chart coordinates it
+    names: the component function e^{2w} g_ij over the union of the axes
+    of w and m, zero components left as they are."""
+    w_axes = _read_axes(m.chart, w)
+    axes = tuple(sorted(set(m.axes) | set(w_axes)))
+    take_m, take_w = ([axes.index(a) for a in f] for f in (m.axes, w_axes))
 
     def func(*x):
-        f = autodiff.exp(2.0 * w.func(*(x[i] for i in take_w)))
+        f = autodiff.exp(2.0 * w(*(x[i] for i in take_w)))
         return [[c if _is_zero(c) else f * c for c in row]
                 for row in m.func(*(x[i] for i in take_m))]
 

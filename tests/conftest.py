@@ -9,7 +9,7 @@ from ccegeom.autodiff import cos, exp, sin
 from ccegeom.eigenfunction import compactification_checks, solve_eigenfunction
 from ccegeom.integrals import integrate_curvature
 from ccegeom.normal_form import ProfileBlock, RadialProfile, normal_form_from_profile
-from ccegeom.tensor import Chart, MetricField, ScalarField, conformal_rescale
+from ccegeom.tensor import Chart, MetricField, conformal_rescale
 from ccegeom.volume import fit_renormalized_volume
 
 
@@ -62,10 +62,8 @@ def conformal_fubini_study():
     """Fubini-Study (off-diagonal g_pq, reads r and t) rescaled by a factor
     in r, t and q: the composite reads every axis but p."""
     base = models.build("fubini_study").field
-    w = ScalarField.from_function(
-        base.chart,
-        lambda r, t, q: 0.1 * sin(2 * r) * cos(t) + 0.05 * sin(q / 2) * sin(r) ** 2)
-    return conformal_rescale(base, w)
+    return conformal_rescale(
+        base, lambda r, t, q: 0.1 * sin(2 * r) * cos(t) + 0.05 * sin(q / 2) * sin(r) ** 2)
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,7 @@ from ccegeom import integrals as ig
 from ccegeom import normal_form as nf
 from ccegeom import topology as tp
 from ccegeom import volume as vol
-from ccegeom.tensor import ScalarField, conformal_rescale, einstein_residual
+from ccegeom.tensor import conformal_rescale, einstein_residual
 
 V_BALL = 4 * np.pi ** 2 / 3
 
@@ -117,8 +117,7 @@ def test_criterion_07_conformal_invariance(product_suite, rng):
         a, b, c = (round(float(x), 3) for x in 0.3 * rng.standard_normal(3))
         k1, k2 = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         # smooth on S2 x S2, so the rescaled metric keeps chi = 4
-        w = ScalarField.from_function(mdl.field.chart,
-                                      cli._conformal_factor(a, b, c, k1, k2))
+        w = cli._conformal_factor(a, b, c, k1, k2)
         suite = ig.integrate_curvature(conformal_rescale(mdl.field, w),
                                        mdl.domain, orientation=mdl.orientation)
         worst = max(worst, abs(suite.weyl_energy - base.weyl_energy)

@@ -135,8 +135,8 @@ def _catalogue_jets():
         fields.append((name, model.four_metric() if isinstance(model, FGMetric)
                        else model.field))
     base = models.build("product_spheres").field
-    for i, w in enumerate(cli._conformal_factors(base.chart)):
-        yield f"factor-{i}", base.chart, w.func, w.axes, ()
+    for i, w in enumerate(cli._conformal_factors()):
+        yield f"factor-{i}", base.chart, w, (0, 1, 2, 3), ()
         fields.append((f"rescaled-{i}", conformal_rescale(base, w)))
     for func in (_quotient, _chain):
         yield func.__name__.lstrip("_"), base.chart, func, (0, 1, 2, 3), (2, 2)

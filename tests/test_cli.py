@@ -547,7 +547,7 @@ def test_check_conformal_factors_are_metrics_on_s2xs2():
     from ccegeom.tensor import conformal_rescale
 
     mdl = models.build("product_spheres")
-    for w in cli._conformal_factors(mdl.field.chart):
+    for w in cli._conformal_factors():
         suite = integrate_curvature(conformal_rescale(mdl.field, w), mdl.domain,
                                     mdl.orientation)
         assert abs(suite.euler_gb - 4.0) < 1e-6

@@ -13,7 +13,7 @@ from ccegeom.autodiff import cos, diag, sin
 from ccegeom.eigenfunction import (compactified_metric_field, compactified_radial_domain,
                                    solve_eigenfunction)
 from ccegeom.errors import DomainError
-from ccegeom.tensor import Chart, MetricField, ScalarField, conformal_rescale, curvature
+from ccegeom.tensor import Chart, MetricField, conformal_rescale, curvature
 
 _REVERSED = {"weyl_plus": "weyl_minus", "weyl_minus": "weyl_plus"}
 
@@ -89,9 +89,7 @@ def test_weyl_energy_is_conformally_invariant(product_suite, rng):
     for trial in range(2):
         a, b, c = (round(float(x), 3) for x in 0.3 * rng.standard_normal(3))
         k1, k2 = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-        w = ScalarField.from_function(
-            mdl.field.chart, cli._conformal_factor(a, b, c, k1, k2))
-        rescaled = conformal_rescale(mdl.field, w)
+        rescaled = conformal_rescale(mdl.field, cli._conformal_factor(a, b, c, k1, k2))
         out = ig.integrate_curvature(rescaled, mdl.domain,
                                      orientation=mdl.orientation)
         assert abs(out.weyl_energy - suite.weyl_energy) \
@@ -194,8 +192,7 @@ def test_cyclic_axes_recorded(hyperbolic, conformal_fubini_study):
     # in t alone keeps p and v cyclic, and the round S3 boundary of the
     # hyperbolic fill does not read its last angle
     sph = models.build("product_spheres").field
-    w = ScalarField.from_function(sph.chart, lambda t: 0.1 * cos(t))
-    assert conformal_rescale(sph, w).cyclic_axes == (1, 3)
+    assert conformal_rescale(sph, lambda t: 0.1 * cos(t)).cyclic_axes == (1, 3)
     assert hyperbolic.four_metric().cyclic_axes == (3,)
     assert conformal_fubini_study.cyclic_axes == (2,)
 
@@ -254,8 +251,10 @@ def test_curvature_points_per_integration():
         assert sum(batches) == points, name
     # a conformal factor on all four coordinates keeps the full 4-D grid
     mdl = models.build("product_spheres")
-    w = ScalarField.from_function(mdl.field.chart, lambda t, p, u, v: 0.1 * sin(t) * cos(p)
-                                  + 0.1 * cos(u) + 0.1 * sin(v))
+
+    def w(t, p, u, v):
+        return 0.1 * sin(t) * cos(p) + 0.1 * cos(u) + 0.1 * sin(v)
+
     batches = []
     ig.integrate_curvature(_counted(conformal_rescale(mdl.field, w), batches),
                            mdl.domain, mdl.orientation)
@@ -280,8 +279,7 @@ def test_high_frequency_factor_keeps_euler_characteristic(product_suite):
     Kronrod-15 in theta, 5.0e-5 with Gauss-Legendre 16 on every axis),
     and the reported estimates bound the deviation."""
     mdl, _ = product_suite
-    w = ScalarField.from_function(
-        mdl.field.chart, cli._conformal_factor(0.083, -0.094, 0.385, 3, 3))
+    w = cli._conformal_factor(0.083, -0.094, 0.385, 3, 3)
     out = ig.integrate_curvature(conformal_rescale(mdl.field, w), mdl.domain,
                                  orientation=mdl.orientation)
     assert abs(out.euler_gb - 4.0) < 1e-12
@@ -296,9 +294,7 @@ def test_periodic_rule_resolves_the_rescaled_products(product_suite, monkeypatch
     and each lands on chi = 4 within its reported estimate; a factor that
     needs more periodic nodes fails here."""
     mdl, _ = product_suite
-    chart = mdl.field.chart
-    factors = cli._conformal_factors(chart) + [ScalarField.from_function(
-        chart, cli._conformal_factor(0.083, -0.094, 0.385, 3, 3))]
+    factors = cli._conformal_factors() + [cli._conformal_factor(0.083, -0.094, 0.385, 3, 3)]
     fields = [conformal_rescale(mdl.field, w) for w in factors]
 
     def integrate():
@@ -324,7 +320,7 @@ def _rescaled_volume(w):
             quadrature.periodic_rule(0.0, 2 * np.pi, 2)]
     pts, weights, _ = quadrature.product_rule(axes * 2)
     t, p, u, v = pts.T
-    return float(weights @ (np.exp(4 * w.func(t, p, u, v)) * np.sin(t) * np.sin(u)))
+    return float(weights @ (np.exp(4 * w(t, p, u, v)) * np.sin(t) * np.sin(u)))
 
 
 def test_polar_rule_meets_the_closed_forms():
@@ -334,9 +330,7 @@ def test_polar_rule_meets_the_closed_forms():
     int |W+|^2 and int |W-|^2, so Gauss-Bonnet keeps int sigma_2), and
     chi within the reported estimates. The rescaled volume, e^{4w} dv,
     is no polynomial in cos(theta): it only stays within its estimate."""
-    chart = models.build("product_spheres").field.chart
-    factors = cli._conformal_factors(chart) + [ScalarField.from_function(
-        chart, cli._conformal_factor(0.083, -0.094, 0.385, 3, 3))]
+    factors = cli._conformal_factors() + [cli._conformal_factor(0.083, -0.094, 0.385, 3, 3)]
     cases = [(name, None) for name in ("round_sphere", "product_spheres", "fubini_study")]
     cases += [("product_spheres", w) for w in factors]
     for name, w in cases:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -9,12 +11,10 @@ from ccegeom.errors import DomainError, SingularMetric
 from ccegeom.tensor import (
     Chart,
     MetricField,
-    ScalarField,
     conformal_rescale,
     curvature,
     einstein_residual,
     riemann_symmetry_residuals,
-    tensor_norm_sq,
 )
 from ccegeom.integrals import integrate_curvature
 
@@ -47,6 +47,49 @@ def _central_differences(g, pts, h=1e-4):
             fac *= 4.0
         out.append(rows[0])
     return out
+
+
+def _norm_sq(t, ginv):
+    """Squared norm of a lowered rank-2 or rank-4 tensor, every index
+    raised with ginv."""
+    if t.ndim == 3:
+        return np.einsum("nij,nia,njb,nab->n", t, ginv, ginv, t, optimize=True)
+    return np.einsum("nijkl,nia,njb,nkc,nld,nabcd->n", t, ginv, ginv, ginv, ginv, t,
+                     optimize=True)
+
+
+def _kulkarni_nomizu(h, k):
+    # h_ik k_jl + h_jl k_ik - h_il k_jk - h_jk k_il
+    s = np.einsum("nik,njl->nijkl", h, k) + np.einsum("njl,nik->nijkl", h, k)
+    return s - np.swapaxes(s, -1, -2)
+
+
+# the permutation symbol in dimension 4
+_LEVI_CIVITA = np.zeros((4,) * 4)
+for _perm in itertools.permutations(range(4)):
+    _LEVI_CIVITA[_perm] = round(np.linalg.det(np.eye(4)[list(_perm)]))
+
+
+class _Oracle:
+    """The coordinate tensors of a 4-d curvature packet, built from its
+    metric, riemann and ricci alone, so that they share no code with the
+    kernel's frame readout: the inverse by np.linalg.inv, the Schouten
+    form Ric - (R/6) g, W by the Kulkarni-Nomizu decomposition
+    Rm = W + (Ric - (R/6) g) o g / 2, and W+- = (W +- *W)/2 with the Hodge
+    star of the volume form sqrt(det g) eps_ijkl times the orientation."""
+
+    def __init__(self, pack, orientation=1):
+        g = pack.metric
+        self.inverse = np.linalg.inv(g)
+        scalar = np.einsum("nij,nij->n", self.inverse, pack.ricci)
+        self.schouten = pack.ricci - (scalar / 6.0)[:, None, None] * g
+        self.weyl = pack.riemann - _kulkarni_nomizu(self.schouten, g) / 2.0
+        # (*W)_ijkl = W_ij^pq vol_pqkl / 2
+        vol = orientation * np.sqrt(np.linalg.det(g))[:, None, None, None, None] * _LEVI_CIVITA
+        star = 0.5 * np.einsum("nijab,nap,nbq,npqkl->nijkl", self.weyl, self.inverse,
+                               self.inverse, vol, optimize=True)
+        self.weyl_plus = 0.5 * (self.weyl + star)
+        self.weyl_minus = 0.5 * (self.weyl - star)
 
 
 def _bare(func):
@@ -133,8 +176,8 @@ def test_riemann_symmetries_and_corruption(warped):
 def test_weyl_trace_free(warped):
     _, _, field = warped
     pts = _CHART.sample(4, seed=7)
-    pack = curvature(field, pts)
-    trace = np.einsum("nik,nijkl->njl", pack.inverse, pack.weyl)
+    oracle = _Oracle(curvature(field, pts))
+    trace = np.einsum("nik,nijkl->njl", oracle.inverse, oracle.weyl)
     assert np.max(np.abs(trace)) < 1e-9
 
 
@@ -144,10 +187,11 @@ def test_weyl_split_energies(warped):
     pack = curvature(field, pts)
     total = pack.norms["weyl_plus_sq"] + pack.norms["weyl_minus_sq"]
     assert total == pytest.approx(pack.norms["weyl_sq"], rel=1e-10, abs=1e-12)
-    assert np.max(np.abs(pack.weyl_plus + pack.weyl_minus - pack.weyl)) < 1e-10
+    oracle = _Oracle(pack)
+    assert np.max(np.abs(oracle.weyl_plus + oracle.weyl_minus - oracle.weyl)) < 1e-10
     # the halves are orthogonal
-    cross = tensor_norm_sq(pack.weyl, pack.inverse) - tensor_norm_sq(
-        pack.weyl_plus, pack.inverse) - tensor_norm_sq(pack.weyl_minus, pack.inverse)
+    cross = _norm_sq(oracle.weyl, oracle.inverse) - _norm_sq(
+        oracle.weyl_plus, oracle.inverse) - _norm_sq(oracle.weyl_minus, oracle.inverse)
     assert np.max(np.abs(cross)) < 1e-9
 
 
@@ -157,26 +201,31 @@ def test_sigma2_dual_formula(warped):
     _, _, field = warped
     pts = _CHART.sample(5, seed=9)
     pack = curvature(field, pts)
-    p = 0.5 * pack.schouten
-    tr = np.einsum("nij,nij->n", pack.inverse, p)
-    psq = tensor_norm_sq(p, pack.inverse)
+    oracle = _Oracle(pack)
+    p = 0.5 * oracle.schouten
+    tr = np.einsum("nij,nij->n", oracle.inverse, p)
+    psq = _norm_sq(p, oracle.inverse)
     assert np.max(np.abs(pack.sigma2 - 2.0 * (tr**2 - psq))) < 1e-10
 
 
 def test_conformal_covariance_pointwise(warped):
     _, _, field = warped
-    w = ScalarField.from_function(_CHART, lambda x1, x2, x4: sin(x1) / 5 + x2 * x4 / 7)
+
+    def w(x1, x2, x4):
+        return sin(x1) / 5 + x2 * x4 / 7
+
     rescaled = conformal_rescale(field, w)
     pts = _CHART.sample(5, seed=10)
     base = curvature(field, pts)
     tilt = curvature(rescaled, pts)
-    factor = np.exp(-4.0 * np.asarray(w.value(pts)))
+    w_value = w(pts[:, 0], pts[:, 1], pts[:, 3])
+    factor = np.exp(-4.0 * w_value)
     # |W|^2 is conformally covariant of weight -4 pointwise
     assert np.max(np.abs(tilt.norms["weyl_sq"]
                          - factor * base.norms["weyl_sq"])) < 1e-8
     # and the lowered Weyl tensor scales like the metric
-    scale = np.exp(2.0 * np.asarray(w.value(pts)))[:, None, None, None, None]
-    assert np.max(np.abs(tilt.weyl - scale * base.weyl)) < 1e-8
+    scale = np.exp(2.0 * w_value)[:, None, None, None, None]
+    assert np.max(np.abs(_Oracle(tilt).weyl - scale * _Oracle(base).weyl)) < 1e-8
 
 
 def test_orientation_swap(warped):
@@ -184,8 +233,8 @@ def test_orientation_swap(warped):
     pts = _CHART.sample(3, seed=11)
     plus = curvature(field, pts, orientation=1)
     minus = curvature(field, pts, orientation=-1)
-    assert np.max(np.abs(plus.weyl_plus - minus.weyl_minus)) < 1e-12
-    assert np.max(np.abs(plus.weyl_minus - minus.weyl_plus)) < 1e-12
+    assert np.array_equal(plus.norms["weyl_plus_sq"], minus.norms["weyl_minus_sq"])
+    assert np.array_equal(plus.norms["weyl_minus_sq"], minus.norms["weyl_plus_sq"])
     with pytest.raises(ValueError):
         curvature(field, pts, orientation=0)
 
@@ -203,8 +252,7 @@ def test_finite_difference_agrees_with_analytic(warped):
 
 def _conformal_product_spheres():
     base = models.build("product_spheres").field
-    w = ScalarField.from_function(base.chart, cli._conformal_factor(0.083, -0.094, 0.385, 3, 3))
-    return conformal_rescale(base, w)
+    return conformal_rescale(base, cli._conformal_factor(0.083, -0.094, 0.385, 3, 3))
 
 
 # composite fields, whose component functions call their parts' functions,
@@ -268,19 +316,28 @@ def test_error_paths():
                         _bare(lambda p: np.tile(np.eye(2), (p.shape[0], 1, 1))))
     pack2 = curvature(flat2, np.array([[0.5, 0.5]]))
     assert np.max(np.abs(pack2.scalar)) < 1e-12
-    assert pack2.weyl_plus is None
     assert "weyl_plus_sq" not in pack2.norms
+    # a jet function names chart coordinates; any other name is refused
+    with pytest.raises(DomainError, match=r"\['zz'\] are not coordinates"):
+        MetricField.from_function(_CHART, lambda zz: diag(1.0, 1.0, 1.0, 1.0 + zz ** 2))
+    sphere = models.build("round_sphere").field
+    with pytest.raises(DomainError, match=r"\['zz'\] are not coordinates"):
+        conformal_rescale(sphere, lambda zz: 0.1 * sin(zz))
 
 
 @pytest.mark.parametrize("orientation", [1, -1])
-def test_frame_weyl_norms_match_coordinate_norms(warped, orientation):
-    # pins the factor 4 of the pair-basis Frobenius norm and the frame lift
-    _, _, field = warped
-    pack = curvature(field, _CHART.sample(6, seed=14), orientation=orientation)
-    for name, weyl in (("weyl_sq", pack.weyl), ("weyl_plus_sq", pack.weyl_plus),
-                       ("weyl_minus_sq", pack.weyl_minus)):
-        assert pack.norms[name] == pytest.approx(
-            tensor_norm_sq(weyl, pack.inverse), rel=1e-10)
+def test_frame_weyl_norms_match_coordinate_norms(warped, conformal_fubini_study, orientation):
+    # pins the factor 4 of the pair-basis Frobenius norm and the dual
+    # basis of the frame readout against the oracle's Hodge star, on a
+    # dense metric and on a self-dual one with off-diagonal g_pq, where
+    # one half vanishes
+    for field in (warped[2], conformal_fubini_study):
+        pack = curvature(field, field.chart.sample(6, seed=14), orientation=orientation)
+        oracle = _Oracle(pack, orientation)
+        for name in ("weyl", "weyl_plus", "weyl_minus"):
+            assert pack.norms[name + "_sq"] == pytest.approx(
+                _norm_sq(getattr(oracle, name), oracle.inverse), rel=1e-10, abs=1e-12), \
+                (field.name, name)
 
 
 @pytest.mark.parametrize("orientation", [1, -1])
@@ -293,7 +350,7 @@ def test_kernel_is_layout_agnostic_bitwise(which, orientation, warped):
     if which != "warped":
         # S2 x S2 under the first of check's conformal factors
         base = models.build("product_spheres").field
-        field = conformal_rescale(base, cli._conformal_factors(base.chart)[0])
+        field = conformal_rescale(base, cli._conformal_factors()[0])
     dense = MetricField(field.chart, lambda p: tuple(
         np.ascontiguousarray(a) for a in field.jet(p, check=False)))
     pts = field.chart.sample(64, seed=16)
@@ -315,18 +372,6 @@ def test_single_point_is_refused(warped):
             call(field, point)
 
 
-def test_integrator_builds_no_rank4_weyl(monkeypatch, sphere_suite):
-    def forbidden(*args):
-        raise AssertionError("rank-4 Weyl tensor built")
-
-    monkeypatch.setattr(tensor, "_kulkarni_nomizu", forbidden)
-    monkeypatch.setattr(tensor, "_frame_lift", forbidden)
-    mdl, reference = sphere_suite
-    suite = integrate_curvature(mdl.field, mdl.domain, orientation=mdl.orientation)
-    assert suite.weyl_energy == reference.weyl_energy
-    assert suite.volume == pytest.approx(8 * np.pi**2 / 3, rel=1e-10)
-
-
 def test_integrator_builds_no_rank4_riemann(monkeypatch, sphere_suite):
     calls = []
     unpair = tensor._unpair
@@ -339,6 +384,7 @@ def test_integrator_builds_no_rank4_riemann(monkeypatch, sphere_suite):
     mdl, reference = sphere_suite
     suite = integrate_curvature(mdl.field, mdl.domain, orientation=mdl.orientation)
     assert suite.weyl_energy == reference.weyl_energy
+    assert suite.volume == pytest.approx(8 * np.pi**2 / 3, rel=1e-10)
     assert calls == []
     # reading the rank-4 tensor builds it, once
     pack = curvature(mdl.field, mdl.field.chart.sample(3, seed=16))
@@ -357,7 +403,7 @@ def test_round_two_sphere_pair_basis(radius):
     assert np.max(np.abs(pack.scalar - 2.0 / radius**2)) < 1e-12
     assert np.max(np.abs(pack.ricci - pack.metric / radius**2)) < 1e-12
     assert np.max(np.abs(pack.volume_density - radius**2 * np.sin(pts[:, 0]))) < 1e-12
-    assert pack.sigma2 is None and pack.weyl is None
+    assert pack.sigma2 is None and list(pack.norms) == ["traceless_ricci_sq"]
 
 
 def test_round_three_sphere_pair_basis():
